@@ -50,6 +50,11 @@ def ruth_from_wrep(w: WeakRepresentation) -> Ruth:
     On the image of :func:`wrep_from_ruth` the splitting is the identity and
     the round trip recovers the representation on the nose.  Corrupted input
     surfaces as NotInducedError (blocks that should vanish do not)."""
+    return _ruth_and_splitting(w)[0]
+
+
+def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, VBMap]:
+    """:func:`ruth_from_wrep` together with the bundle splitting it used."""
     g = w.groupoid
     complex_, iso = split_bundle(w.bundle)
     rho = {x: iso.arr_maps[x] for x in g.objects}
@@ -84,7 +89,7 @@ def ruth_from_wrep(w: WeakRepresentation) -> Ruth:
     rep = validate_ruth(out)
     if not rep.passed:
         raise ValidationError("recovered representation fails validation:\n" + rep.to_text())
-    return out
+    return out, iso
 
 
 def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> EquivariantMap:
@@ -120,10 +125,8 @@ def ruth_morphism_from_wrep_map(e: EquivariantMap) -> RuthMorphism:
     """Quasi-inverse on morphisms: conjugate through both splittings and
     read off the chain-map blocks and the homotopy operator."""
     g = e.source.groupoid
-    r_src = ruth_from_wrep(e.source)
-    r_tgt = ruth_from_wrep(e.target)
-    _, iso_s = split_bundle(e.source.bundle)
-    _, iso_t = split_bundle(e.target.bundle)
+    r_src, iso_s = _ruth_and_splitting(e.source)
+    r_tgt, iso_t = _ruth_and_splitting(e.target)
     rho_s = {x: iso_s.arr_maps[x] for x in g.objects}
     rho_t_inv = {x: linalg.inverse(iso_t.arr_maps[x]) for x in g.objects}
     cs, ct = r_src.complex, r_tgt.complex
@@ -217,8 +220,8 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     if not wrep_report.passed:
         raise ValidationError("kernel action failed weak-representation validation:\n"
                               + wrep_report.to_text())
-    ag = action_groupoid_bundle(wrep)
     chart = ActionChart(wrep)
+    ag = action_groupoid_bundle(wrep, chart)
     arr = {}
     for a in g.arrows:
         t = g.tgt[a]
@@ -308,10 +311,10 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     representation onto the semi-direct product:
     (g, x, (e0, e1)) -> (g, -e0, x), verified as a VB map and invertible."""
     w = wrep_from_ruth(r, validate=validate)
-    ag = action_groupoid_bundle(w)
+    chart = ActionChart(w)
+    ag = action_groupoid_bundle(w, chart)
     sd = semidirect(r, validate=False)
     g = r.groupoid
-    chart = ActionChart(w)
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]

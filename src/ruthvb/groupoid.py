@@ -33,6 +33,8 @@ class FiniteGroupoid:
         self.unit_arrows = frozenset(self.unit.values())
 
     def _check_well_formed(self):
+        if self.max_degree < 0:
+            raise StructureError(f"max_degree must be nonnegative, got {self.max_degree}")
         objs, arrs = set(self.objects), set(self.arrows)
         if len(objs) != len(self.objects) or len(arrs) != len(self.arrows):
             raise StructureError("duplicate identifiers")

@@ -35,10 +35,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(value: Fraction) -> str:
-    return str(value)
-
-
 # -- vectors ----------------------------------------------------------------
 
 def vector(entries: Iterable) -> Vector:
@@ -269,8 +265,35 @@ def rank(f: LinearMap) -> int:
     return len(_rref(f)[1])
 
 
-def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
-    """Basis of ker f, one vector per free column, entry 1 at that column.
+@dataclass(frozen=True)
+class KernelChart:
+    """Coordinates on ker f in the basis of :func:`kernel_basis`.
+
+    Each basis vector has entry 1 at its own free column and 0 at the other
+    free columns, so the coordinates of a kernel vector are its entries at
+    the free columns, and membership is the one check ``constraint . z == 0``.
+    """
+
+    constraint: LinearMap
+    free: tuple[int, ...]
+    basis: tuple[Vector, ...]
+
+    def coords(self, z: Vector) -> Optional[Vector]:
+        """Coordinates of z in ``basis``, or None when z is not in the kernel."""
+        if not is_zero_vec(self.constraint.apply(z)):
+            return None
+        return tuple(z[j] for j in self.free)
+
+    def from_coords(self, c: Vector) -> Vector:
+        """The kernel vector with coordinates c; the inverse of :meth:`coords`."""
+        if len(c) != len(self.basis):
+            raise DimensionError(f"{len(self.basis)} kernel coordinates, got {len(c)}")
+        return tuple(sum((x * b[i] for x, b in zip(c, self.basis)), ZERO)
+                     for i in range(self.constraint.cols))
+
+
+def kernel_chart(f: LinearMap) -> KernelChart:
+    """The chart of ker f, from one row reduction.
 
     Deterministic: the free columns are taken in increasing order and the
     pivot-coordinate entries are the negated reduced-row coefficients, so
@@ -279,16 +302,20 @@ def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
     """
     a, pivots = _rref(f)
     pivot_set = set(pivots)
+    free = tuple(j for j in range(f.cols) if j not in pivot_set)
     basis = []
-    for free in range(f.cols):
-        if free in pivot_set:
-            continue
+    for j in free:
         v = [ZERO] * f.cols
-        v[free] = ONE
+        v[j] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][free]
+            v[pc] = -a[r][j]
         basis.append(tuple(v))
-    return tuple(basis)
+    return KernelChart(f, free, tuple(basis))
+
+
+def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
+    """Basis of ker f, one vector per free column, entry 1 at that column."""
+    return kernel_chart(f).basis
 
 
 def solve(f: LinearMap, b: Vector) -> Optional[Vector]:

@@ -4,7 +4,10 @@ A VB-groupoid assigns a rational vector space to every object and arrow of
 the base groupoid, with linear structure maps covering the base structure
 maps.  Multiplication is stored per composable pair of base arrows as one
 linear map on the fibered-product subspace, whose canonical basis is the
-deterministic kernel basis of ``[stilde_g | -ttilde_h]``.
+deterministic kernel basis of ``[stilde_g | -ttilde_h]``.  Each pair keeps
+the kernel chart of that constraint: a pair (v, w) is composable when
+``stilde_g v = ttilde_h w``, and its coordinates are then its entries at
+the chart's free columns, so a product needs no row reduction.
 
 A linear groupoid bundle is the special case whose base is a trivial
 (unit) groupoid; the same class covers both.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import CompositionError, StructureError
 from .groupoid import FiniteGroupoid, trivial_groupoid
-from .linalg import LinearMap, Vector, kernel_basis, vec_concat
+from .linalg import KernelChart, LinearMap, Vector, kernel_basis, kernel_chart, vec_concat
 from .reports import Report
 
 
@@ -38,8 +41,7 @@ class VBGroupoid:
         self.utilde: dict[str, LinearMap] = dict(utilde)
         self.inv_map: dict[str, LinearMap] = dict(inv_map)
         self.mult: dict[tuple[str, str], LinearMap] = dict(mult)
-        self._pair_bases: dict[tuple[str, str], tuple[Vector, ...]] = {}
-        self._pair_matrices: dict[tuple[str, str], LinearMap] = {}
+        self._pair_charts: dict[tuple[str, str], KernelChart] = {}
         self._check_shapes()
 
     def _check_shapes(self):
@@ -76,26 +78,21 @@ class VBGroupoid:
 
     # -- fibered products -----------------------------------------------------
 
-    def pair_basis(self, g1: str, g2: str) -> tuple[Vector, ...]:
-        """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
+    def _pair_chart(self, g1: str, g2: str) -> KernelChart:
         key = (g1, g2)
-        if key not in self._pair_bases:
+        if key not in self._pair_charts:
             if self.base.src[g1] != self.base.tgt[g2]:
                 raise CompositionError(f"{g1}, {g2} not composable in the base")
             constraint = linalg.hstack(self.stilde[g1], -self.ttilde[g2])
-            self._pair_bases[key] = kernel_basis(constraint)
-        return self._pair_bases[key]
+            self._pair_charts[key] = kernel_chart(constraint)
+        return self._pair_charts[key]
 
-    def pair_matrix(self, g1: str, g2: str) -> LinearMap:
-        key = (g1, g2)
-        if key not in self._pair_matrices:
-            cols = self.pair_basis(g1, g2)
-            self._pair_matrices[key] = LinearMap.from_columns(
-                list(cols), self.arrdim[g1] + self.arrdim[g2])
-        return self._pair_matrices[key]
+    def pair_basis(self, g1: str, g2: str) -> tuple[Vector, ...]:
+        """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
+        return self._pair_chart(g1, g2).basis
 
     def pair_coords(self, g1: str, g2: str, v: Vector, w: Vector) -> Vector:
-        coords = linalg.solve(self.pair_matrix(g1, g2), vec_concat(v, w))
+        coords = self._pair_chart(g1, g2).coords(vec_concat(v, w))
         if coords is None:
             raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
         return coords

@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
 from .groupoid import FiniteGroupoid
-from .linalg import LinearMap, Vector, vec_concat
+from .linalg import KernelChart, LinearMap, Vector, vec_concat
 from .reports import Report
 from .vb import VBGroupoid, VBMap, validate_vb_map
 
@@ -402,22 +402,21 @@ class ActionChart:
 
     The arrow fiber over g is {(x, k) : ttilde(k) = A0(g) x}; its basis is
     the object-fiber basis lifted through the leftmost-pivot section of
-    ttilde at tgt(g), followed by the kernel basis of that ttilde."""
+    ttilde at tgt(g), followed by the kernel-chart basis of that ttilde."""
 
     def __init__(self, w: WeakRepresentation):
         self.w = w
         g = w.groupoid
         self.tau: dict[str, LinearMap] = {}
-        self.ker: dict[str, LinearMap] = {}
+        self.ker: dict[str, KernelChart] = {}
         for x in g.objects:
             tt = w.fiber_target(x)
             self.tau[x] = linalg.right_inverse_on_image(tt)
-            kb = linalg.kernel_basis(tt)
-            self.ker[x] = LinearMap.from_columns(list(kb), w.arrdim(x))
+            self.ker[x] = linalg.kernel_chart(tt)
 
     def arrfiber_dim(self, g_arrow: str) -> int:
         g = self.w.groupoid
-        return self.w.objdim(g.src[g_arrow]) + self.ker[g.tgt[g_arrow]].cols
+        return self.w.objdim(g.src[g_arrow]) + len(self.ker[g.tgt[g_arrow]].free)
 
     def encode(self, g_arrow: str, x: Vector, k: Vector) -> Vector:
         """Coordinates of a concrete pair in the chart basis."""
@@ -425,7 +424,7 @@ class ActionChart:
         t = g.tgt[g_arrow]
         base = self.tau[t].apply(self.w.a0[g_arrow].apply(x))
         rem = linalg.vec_sub(k, base)
-        coords = linalg.solve(self.ker[t], rem)
+        coords = self.ker[t].coords(rem)
         if coords is None:
             raise CompositionError(f"pair over {g_arrow} violates the fiber constraint")
         return vec_concat(x, coords)
@@ -436,15 +435,16 @@ class ActionChart:
         n = self.w.objdim(s)
         x, kc = coords[:n], coords[n:]
         k = linalg.vec_add(self.tau[t].apply(self.w.a0[g_arrow].apply(x)),
-                           self.ker[t].apply(kc))
+                           self.ker[t].from_coords(kc))
         return x, k
 
 
-def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
+def action_groupoid_bundle(w: WeakRepresentation,
+                           chart: ActionChart | None = None) -> VBGroupoid:
     """Action groupoid of a weak representation, as a VB-groupoid over the
-    acting groupoid in the chart coordinates."""
+    acting groupoid in the coordinates of ``chart`` (default ``ActionChart(w)``)."""
     g = w.groupoid
-    chart = ActionChart(w)
+    chart = chart or ActionChart(w)
     objdim = {x: w.objdim(x) for x in g.objects}
     arrdim = {a: chart.arrfiber_dim(a) for a in g.arrows}
     stilde, ttilde, utilde, inv_map = {}, {}, {}, {}
@@ -654,10 +654,9 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
             raise ValidationError("act_on_morphism needs a valid equivariant map:\n"
                                   + rep.to_text())
     g = e.source.groupoid
-    src_ag = action_groupoid_bundle(e.source)
-    tgt_ag = action_groupoid_bundle(e.target)
-    src_chart = ActionChart(e.source)
-    tgt_chart = ActionChart(e.target)
+    src_chart, tgt_chart = ActionChart(e.source), ActionChart(e.target)
+    src_ag = action_groupoid_bundle(e.source, src_chart)
+    tgt_ag = action_groupoid_bundle(e.target, tgt_chart)
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]

@@ -54,6 +54,30 @@ def test_repo_fixture_files_exist_and_load():
         assert obj == build()
 
 
+def test_cli_fixtures_match_repo_fixtures_byte_for_byte(tmp_path, capsys):
+    assert main(["fixtures", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in REPO_FIXTURES.glob("*.json"))
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (REPO_FIXTURES / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("path, value", [
+    (("complex", "diff", "*", "entries", 0), "1/0"),
+    (("groupoid", "max_degree"), -3),
+])
+def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
+    doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = REPO_FIXTURES / "z2-ruth-1.json"
     bad = REPO_FIXTURES / "z2-ruth-broken4.json"

@@ -67,6 +67,21 @@ def test_kernel_vectors_annihilate_and_count(f):
         assert all(e == 0 for e in f.apply(v))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(2, 4), st.lists(fractions, min_size=2, max_size=2), st.booleans())
+def test_kernel_chart_coords_agree_with_solve(f, coeffs, off_kernel):
+    chart = linalg.kernel_chart(f)
+    z = linalg.vec_zero(f.cols)
+    for c, b in zip(coeffs, chart.basis):
+        z = linalg.vec_add(z, linalg.vec_scale(c, b))
+    if off_kernel:
+        z = linalg.vec_add(z, linalg.vec_basis(f.cols, 0))
+    want = solve(LinearMap.from_columns(list(chart.basis), f.cols), z)
+    assert chart.coords(z) == want
+    if want is not None:
+        assert chart.from_coords(want) == z
+
+
 def test_right_inverse_identity():
     assert right_inverse_on_image(LinearMap.identity(3)) == LinearMap.identity(3)
 

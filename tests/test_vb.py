@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
-from ruthvb.errors import StructureError, ValidationError
+from ruthvb.errors import CompositionError, StructureError, ValidationError
 from ruthvb.harness import generators as gen
-from ruthvb.harness.fixtures import (pair_strict_ruth, stretched_line_ruth,
+from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, stretched_line_ruth,
                                      z2_ruth, z2_ruth_broken4)
 from ruthvb.linalg import LinearMap
 from ruthvb.ruth import compose_morphisms, identity_morphism
@@ -47,6 +48,13 @@ def test_semidirect_multiplication_frozen_formula():
     f1 = -e1
     prod = v.multiply("g", "g", (e0, e1), (f0, f1))
     assert prod == (e0 - f0 - f1, f1)
+
+
+def test_multiply_rejects_non_composable_pair():
+    # composable over (g, g) needs f1 = -e1, as in the frozen formula above
+    v = semidirect(z2_ruth(1))
+    with pytest.raises(CompositionError):
+        v.multiply("g", "g", (Fraction(5), Fraction(7)), (Fraction(2), Fraction(7)))
 
 
 def test_semidirect_units():
@@ -182,3 +190,33 @@ def test_vb_shape_errors():
     with pytest.raises(StructureError):
         VBGroupoid(v.base, v.objdim, v.arrdim, bad, v.ttilde, v.utilde,
                    v.inv_map, v.mult)
+
+
+# Fixture VB-groupoids, generated ones over random groupoids, and the linear
+# bundle of a scrambled weak representation.
+CHART_VBS = ([build() for kind, build in FIXTURES.values() if kind == "vb"]
+             + [gen.random_vb(random.Random(seed)) for seed in range(3)]
+             + [gen.scramble_wrep(random.Random(3), gen.random_wrep(random.Random(3)))[0].bundle])
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_coords_agree_with_solve(data):
+    """Free-column coordinates equal a full solve against the pair basis,
+    and a pair is rejected exactly when that solve has no solution."""
+    v = data.draw(st.sampled_from(CHART_VBS))
+    g1, g2 = data.draw(st.sampled_from(sorted(v.base.comp)))
+    d1, d2 = v.arrdim[g1], v.arrdim[g2]
+    basis = v.pair_basis(g1, g2)
+    z = linalg.vec_zero(d1 + d2)
+    for b in basis:
+        z = linalg.vec_add(z, linalg.vec_scale(data.draw(entries), b))
+    if data.draw(st.booleans()):
+        z = linalg.vec_add(z, tuple(data.draw(entries) for _ in range(d1 + d2)))
+    want = linalg.solve(LinearMap.from_columns(list(basis), d1 + d2), z)
+    if want is None:
+        with pytest.raises(CompositionError):
+            v.pair_coords(g1, g2, z[:d1], z[d1:])
+    else:
+        assert v.pair_coords(g1, g2, z[:d1], z[d1:]) == want

@@ -5,18 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
-from ruthvb.errors import ValidationError
+from ruthvb.errors import CompositionError, ValidationError
 from ruthvb.groupoid import trivial_groupoid, validate_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
-from ruthvb.harness.fixtures import (pair_strict_ruth, sign_twisted_ruth,
+from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, sign_twisted_ruth,
                                      z2_ruth)
 from ruthvb.linalg import LinearMap
 from ruthvb.ruth import compose_morphisms
 from ruthvb.semidirect import semidirect
 from ruthvb.vb import validate_vb, validate_vb_map, compose_vb_maps
-from ruthvb.weak import (WeakAction, WeakRepresentation,
+from ruthvb.weak import (ActionChart, WeakAction, WeakRepresentation,
                          act_on_morphism, action_groupoid, compose_equivariant,
                          identity_equivariant, validate_equivariant,
                          validate_weak_action, validate_weak_representation)
@@ -177,3 +178,40 @@ def test_delta_unit_mutation_flagged():
     if mut is not None:
         rep = validate_equivariant(mut[0])
         assert any(x.check == "unit-triangle" for x in rep.entries)
+
+
+# Fixture weak representations and scrambled generated ones.
+CHARTS = [ActionChart(w) for w in
+          [build() for kind, build in FIXTURES.values() if kind == "wrep"]
+          + [gen.scramble_wrep(random.Random(seed), gen.random_wrep(random.Random(seed)))[0]
+             for seed in range(3)]]
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_action_chart_encode_agrees_with_solve(data):
+    """Kernel-chart coordinates equal a full solve against the kernel basis
+    of ttilde, a pair is rejected exactly when that solve fails, and decode
+    inverts encode."""
+    chart = data.draw(st.sampled_from(CHARTS))
+    w = chart.w
+    a = data.draw(st.sampled_from(w.groupoid.arrows))
+    s, t = w.groupoid.src[a], w.groupoid.tgt[a]
+    x = tuple(data.draw(entries) for _ in range(w.objdim(s)))
+    base = chart.tau[t].apply(w.a0[a].apply(x))
+    ker = linalg.kernel_basis(w.fiber_target(t))
+    k = base
+    for b in ker:
+        k = linalg.vec_add(k, linalg.vec_scale(data.draw(entries), b))
+    if data.draw(st.booleans()):
+        k = linalg.vec_add(k, tuple(data.draw(entries) for _ in range(w.arrdim(t))))
+    want = linalg.solve(LinearMap.from_columns(list(ker), w.arrdim(t)),
+                        linalg.vec_sub(k, base))
+    if want is None:
+        with pytest.raises(CompositionError):
+            chart.encode(a, x, k)
+    else:
+        coords = chart.encode(a, x, k)
+        assert coords == linalg.vec_concat(x, want)
+        assert chart.decode(a, coords) == (x, k)
