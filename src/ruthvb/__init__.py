@@ -13,9 +13,9 @@ from .errors import (CompositionError, DegreeError, DimensionError,
                      ValidationError)
 from .linalg import (LinearMap, compose, inverse, kernel_basis, rat,
                      right_inverse_on_image, solve)
-from .groupoid import (FiniteGroupoid, Nerve, cyclic_groupoid, degeneracy_positions,
-                       disjoint_union, nerve, pair_groupoid, transitive_groupoid,
-                       trivial_groupoid, validate_groupoid, z2_groupoid)
+from .groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
+                       pair_groupoid, transitive_groupoid, trivial_groupoid,
+                       validate_groupoid, z2_groupoid)
 from .reports import CheckEntry, Report
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_interchange,
                       compose_chain_maps, extract_chain_map, extract_homotopy,
@@ -27,16 +27,16 @@ from .ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
                    compose_morphisms, gauge_transport, identity_morphism,
                    invert_morphism, square_is_zero, total_basis, total_operator,
                    validate_morphism, validate_ruth)
-from .vb import (BundleTransformation, Connection, LinearGroupoidBundle,
-                 VBGroupoid, VBMap, compose_vb_maps, connection_report,
+from .vb import (BundleTransformation, Connection, VBGroupoid, VBMap,
+                 compose_vb_maps, connection_report,
                  find_unital_connection, identity_vb_map, invert_vb_map,
                  kernel_groupoid, validate_bundle_transformation, validate_vb,
                  validate_vb_map, vb_map_is_isomorphism)
 from .semidirect import psi_morphism, semidirect
-from .weak import (ActionChart, EquivariantMap, WeakAction, WeakRepresentation,
+from .weak import (ActionChart, EquivariantMap, WeakRepresentation,
                    act_on_morphism, action_groupoid, compose_equivariant,
                    identity_equivariant, validate_equivariant,
-                   validate_weak_action, validate_weak_representation)
+                   validate_weak_representation)
 from .equivalences import (KernelActionResult, connection_change_witness,
                            reconstruct_equivariant, ruth_from_wrep,
                            ruth_morphism_from_wrep_map, triangle_witness,

@@ -8,8 +8,6 @@ source/target convention ``comp(g1, g2)`` defined exactly when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CompositionError, StructureError
 from .reports import Report
 
@@ -114,30 +112,6 @@ class FiniteGroupoid:
         return (self.objects, self.arrows, self.src, self.tgt, self.unit,
                 self.comp, self.inv) == (other.objects, other.arrows, other.src,
                                          other.tgt, other.unit, other.comp, other.inv)
-
-
-@dataclass(frozen=True)
-class Nerve:
-    groupoid: FiniteGroupoid
-    degree: int
-    tuples: tuple[tuple[str, ...], ...] = field(default=())
-
-    def target(self, tup) -> str:
-        return self.groupoid.tuple_target(tup, self.degree)
-
-    def source(self, tup) -> str:
-        return self.groupoid.tuple_source(tup, self.degree)
-
-
-def nerve(g: FiniteGroupoid, p: int) -> Nerve:
-    return Nerve(g, p, g.nerve_tuples(p))
-
-
-def degeneracy_positions(n: Nerve) -> tuple[bool, ...]:
-    """Flag the tuples containing at least one unit arrow."""
-    if n.degree == 0:
-        return (False,) * len(n.tuples)
-    return tuple(any(n.groupoid.is_unit(a) for a in tup) for tup in n.tuples)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> Report:

@@ -224,12 +224,14 @@ def cmd_roundtrip(args) -> int:
 
 
 FUZZ_KINDS = {
-    "groupoid": ("random_groupoid", validate_groupoid, "mutate_groupoid_comp"),
-    "ruth": ("random_ruth", validate_ruth, "mutate_ruth_unit_cell"),
-    "vb": ("random_vb", validate_vb, "mutate_vb_cell"),
-    "wrep": ("random_wrep", validate_weak_representation, "mutate_wrep_alpha_unit"),
-    "equivariant": ("random_equivariant", validate_equivariant,
-                    "mutate_equivariant_delta_unit"),
+    "groupoid": (generators.random_groupoid, validate_groupoid,
+                 generators.mutate_groupoid_comp),
+    "ruth": (generators.random_ruth, validate_ruth, generators.mutate_ruth_unit_cell),
+    "vb": (generators.random_vb, validate_vb, generators.mutate_vb_cell),
+    "wrep": (generators.random_wrep, validate_weak_representation,
+             generators.mutate_wrep_alpha_unit),
+    "equivariant": (generators.random_equivariant, validate_equivariant,
+                    generators.mutate_equivariant_delta_unit),
 }
 
 FUZZ_POOL_CAP = 6
@@ -245,13 +247,13 @@ def run_fuzz(rng: random.Random, trials: int, max_objects: int = 4,
     killed = controls = 0
     for trial in range(trials):
         kind = rng.choice(tuple(FUZZ_KINDS))
-        gen_name, validator, mut_name = FUZZ_KINDS[kind]
+        generate, validator, mutate = FUZZ_KINDS[kind]
         pool = pools[kind]
         if len(pool) < FUZZ_POOL_CAP:
             if kind == "groupoid":
-                base = generators.random_groupoid(rng, max_objects, max_arrows)
+                base = generate(rng, max_objects, max_arrows)
             else:
-                base = getattr(generators, gen_name)(rng, max_dim=max_dim)
+                base = generate(rng, max_dim=max_dim)
             if not validator(base).passed:
                 report.add("generator", f"trial {trial} ({kind})",
                            "valid generated instance", "invalid")
@@ -264,7 +266,7 @@ def run_fuzz(rng: random.Random, trials: int, max_objects: int = 4,
                 report.add("control", f"trial {trial} ({kind})",
                            "no-op mutation stays valid", "flagged")
             continue
-        mutated = getattr(generators, mut_name)(rng, base)
+        mutated = mutate(rng, base)
         if mutated is None:
             controls += 1
             continue

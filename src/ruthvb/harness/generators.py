@@ -245,21 +245,13 @@ def scramble_vb(rng, v: VBGroupoid, span: int = 1):
     inv_map = {a: linalg.compose(t_arr[g.inv[a]],
                                  linalg.compose(v.inv_map[a], t_arr_inv[a]))
                for a in g.arrows}
+
+    def product(g1, g2, vv, ww):
+        prod = v.multiply(g1, g2, t_arr_inv[g1].apply(vv), t_arr_inv[g2].apply(ww))
+        return t_arr[g.comp[(g1, g2)]].apply(prod)
+
     out = VBGroupoid(g, dict(v.objdim), dict(v.arrdim), stilde, ttilde,
-                     utilde, inv_map,
-                     {pair: LinearMap.zero(v.arrdim[g.comp[pair]],
-                                           len(v.pair_basis(*pair)))
-                      for pair in g.comp})
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
-        d1 = v.arrdim[g1]
-        cols = []
-        for pb in out.pair_basis(g1, g2):
-            vv = t_arr_inv[g1].apply(pb[:d1])
-            ww = t_arr_inv[g2].apply(pb[d1:])
-            cols.append(t_arr[g12].apply(v.multiply(g1, g2, vv, ww)))
-        out.mult[(g1, g2)] = LinearMap.from_columns(cols, v.arrdim[g12])
-    out._check_shapes()
+                     utilde, inv_map, product)
     return out, t_obj, t_arr
 
 

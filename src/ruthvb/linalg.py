@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, PinningError
+from .errors import (DimensionError, NotInvertibleError, NotSurjectiveError, PinningError,
+                     StructureError)
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -25,10 +26,11 @@ ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"p/q"``, or Fractions to a Fraction."""
+    """Coerce ints, strings like ``"p/q"``, or Fractions to a Fraction.
+    Booleans are refused, so an instance file cannot smuggle one in as 0 or 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -405,6 +407,15 @@ def map_to_dict(f: LinearMap) -> dict:
     return {"rows": f.rows, "cols": f.cols, "entries": [str(e) for e in f.entries]}
 
 
+def json_int(value, what: str) -> int:
+    """A declared integer of an instance file.  Only JSON integers are
+    accepted: ``int()`` would silently truncate a float and read a boolean
+    as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def map_from_dict(d: dict) -> LinearMap:
-    return LinearMap(int(d["rows"]), int(d["cols"]),
+    return LinearMap(json_int(d["rows"], "rows"), json_int(d["cols"], "cols"),
                      tuple(rat(e) for e in d["entries"]))

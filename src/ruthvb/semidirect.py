@@ -40,27 +40,17 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
     for x in g.objects:
         utilde[x] = linalg.vstack(LinearMap.zero(c.dim0[x], c.dim1[x]),
                                   LinearMap.identity(c.dim1[x]))
-    v = VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map,
-                   {pair: LinearMap.zero(arrdim[g.comp[pair]],
-                                         arrdim[pair[0]] + arrdim[pair[1]]
-                                         - objdim[g.src[pair[0]]])
-                    for pair in g.comp})
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
-        d0_1 = c.dim0[g.tgt[g1]]
+
+    def product(g1, g2, e, f):
+        # (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)
+        e0 = e[:c.dim0[g.tgt[g1]]]
         d0_2 = c.dim0[g.tgt[g2]]
-        cols = []
-        for pb in v.pair_basis(g1, g2):
-            e0 = pb[:d0_1]
-            f0 = pb[arrdim[g1]:arrdim[g1] + d0_2]
-            f1 = pb[arrdim[g1] + d0_2:]
-            # (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)
-            out0 = linalg.vec_add(e0, r.lambda0[g1].apply(f0))
-            out0 = linalg.vec_sub(out0, r.omega[(g1, g2)].apply(f1))
-            cols.append(linalg.vec_concat(out0, f1))
-        v.mult[(g1, g2)] = LinearMap.from_columns(cols, arrdim[g12])
-    v._check_shapes()
-    return v
+        f0, f1 = f[:d0_2], f[d0_2:]
+        out0 = linalg.vec_add(e0, r.lambda0[g1].apply(f0))
+        out0 = linalg.vec_sub(out0, r.omega[(g1, g2)].apply(f1))
+        return linalg.vec_concat(out0, f1)
+
+    return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
 
 def psi_morphism(m: RuthMorphism, validate: bool = True) -> VBMap:

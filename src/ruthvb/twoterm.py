@@ -179,7 +179,7 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
     """Sum groupoid of a complex: per point, objects the degree-1 fiber and
     arrows the direct sum with source the projection and target diff + proj."""
     base = trivial_groupoid(c.base)
-    objdim, arrdim, stilde, ttilde, utilde, inv_map, mult = {}, {}, {}, {}, {}, {}, {}
+    objdim, arrdim, stilde, ttilde, utilde, inv_map = {}, {}, {}, {}, {}, {}
     for p in c.base:
         d0, d1 = c.dim0[p], c.dim1[p]
         objdim[p] = d1
@@ -190,19 +190,12 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
         inv_map[p] = linalg.vstack(
             linalg.hstack(-LinearMap.identity(d0), LinearMap.zero(d0, d1)),
             linalg.hstack(c.diff[p], LinearMap.identity(d1)))
-    v = VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map,
-                   {(p, p): LinearMap.zero(arrdim[p], 2 * c.dim0[p] + c.dim1[p])
-                    for p in c.base})
-    for p in c.base:
+
+    def product(p, _, a, b):
         d0 = c.dim0[p]
-        cols = []
-        for pb in v.pair_basis(p, p):
-            a0 = pb[:d0]
-            b0, b1 = pb[d0 + c.dim1[p]:d0 + c.dim1[p] + d0], pb[2 * d0 + c.dim1[p]:]
-            cols.append(linalg.vec_concat(linalg.vec_add(a0, b0), b1))
-        v.mult[(p, p)] = LinearMap.from_columns(cols, v.arrdim[p])
-    v._check_shapes()
-    return v
+        return linalg.vec_concat(linalg.vec_add(a[:d0], b[:d0]), b[d0:])
+
+    return VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
 
 def phi_onemorphism(f: ChainMap) -> VBMap:

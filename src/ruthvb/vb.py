@@ -33,6 +33,10 @@ class VBGroupoid:
 
     def __init__(self, base: FiniteGroupoid, objdim, arrdim,
                  stilde, ttilde, utilde, inv_map, mult):
+        """``mult`` is either a stored table, one matrix per composable pair
+        acting on that pair's chart coordinates, or a product rule
+        ``mult(g1, g2, v, w) -> Vector`` on composable fiber vectors, which
+        is tabulated here on each pair's chart basis."""
         self.base = base
         self.objdim: dict[str, int] = dict(objdim)
         self.arrdim: dict[str, int] = dict(arrdim)
@@ -40,11 +44,13 @@ class VBGroupoid:
         self.ttilde: dict[str, LinearMap] = dict(ttilde)
         self.utilde: dict[str, LinearMap] = dict(utilde)
         self.inv_map: dict[str, LinearMap] = dict(inv_map)
-        self.mult: dict[tuple[str, str], LinearMap] = dict(mult)
         self._pair_charts: dict[tuple[str, str], KernelChart] = {}
-        self._check_shapes()
+        self._check_fiber_shapes()
+        self.mult: dict[tuple[str, str], LinearMap] = (
+            self._tabulate(mult) if callable(mult) else dict(mult))
+        self._check_mult_shapes()
 
-    def _check_shapes(self):
+    def _check_fiber_shapes(self):
         g = self.base
         for x in g.objects:
             if x not in self.objdim:
@@ -65,6 +71,20 @@ class VBGroupoid:
             ut = self.utilde.get(x)
             if ut is None or (ut.rows, ut.cols) != (self.arrdim[g.unit[x]], self.objdim[x]):
                 raise StructureError(f"utilde at {x} has wrong shape")
+
+    def _tabulate(self, product) -> dict[tuple[str, str], LinearMap]:
+        mult = {}
+        for (g1, g2), g12 in self.base.comp.items():
+            d1 = self.arrdim[g1]
+            cols = [product(g1, g2, pb[:d1], pb[d1:]) for pb in self.pair_basis(g1, g2)]
+            mult[(g1, g2)] = LinearMap.from_columns(cols, self.arrdim[g12])
+        return mult
+
+    def _check_mult_shapes(self):
+        g = self.base
+        stray = sorted(self.mult.keys() - g.comp.keys())
+        if stray:
+            raise StructureError(f"multiplication at {stray[0]} is over a non-composable pair")
         for pair in g.comp:
             m = self.mult.get(pair)
             if m is None:
@@ -99,7 +119,8 @@ class VBGroupoid:
 
     def multiply(self, g1: str, g2: str, v: Vector, w: Vector) -> Vector:
         """Product of composable fiber vectors v over g1 and w over g2."""
-        return self.mult[(g1, g2)].apply(self.pair_coords(g1, g2, v, w))
+        coords = self.pair_coords(g1, g2, v, w)
+        return self.mult[(g1, g2)].apply(coords)
 
     def invert(self, g: str, v: Vector) -> Vector:
         return self.inv_map[g].apply(v)
@@ -118,23 +139,6 @@ class VBGroupoid:
                 and self.arrdim == other.arrdim and self.stilde == other.stilde
                 and self.ttilde == other.ttilde and self.utilde == other.utilde
                 and self.inv_map == other.inv_map and self.mult == other.mult)
-
-
-# A linear groupoid bundle is a VBGroupoid over a trivial base; give the
-# reading a name without duplicating the machinery.
-LinearGroupoidBundle = VBGroupoid
-
-
-def linear_bundle(base_points, objdim, arrdim, stilde, ttilde, utilde, inv_map,
-                  mult) -> VBGroupoid:
-    """Build a linear groupoid bundle over the trivial groupoid on a set.
-
-    The per-point tables are indexed by the point id (the unit arrow of the
-    trivial groupoid carries the same id as its object).
-    """
-    base = trivial_groupoid(base_points)
-    return VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map,
-                      {(x, x): m for x, m in mult.items()})
 
 
 def validate_vb(v: VBGroupoid) -> Report:
@@ -478,23 +482,17 @@ def find_unital_connection(v: VBGroupoid) -> Connection:
 
 def kernel_groupoid(v: VBGroupoid) -> VBGroupoid:
     """Restriction of the arrow fibers to the unit arrows of the base: a
-    linear groupoid bundle over the base objects."""
+    linear groupoid bundle over the trivial groupoid on the base objects,
+    whose unit arrows carry the ids of their objects."""
     g = v.base
     points = list(g.objects)
-    objdim = {x: v.objdim[x] for x in points}
-    arrdim = {x: v.arrdim[g.unit[x]] for x in points}
-    stilde = {x: v.stilde[g.unit[x]] for x in points}
-    ttilde = {x: v.ttilde[g.unit[x]] for x in points}
-    utilde = {x: v.utilde[x] for x in points}
-    inv_map = {x: v.inv_map[g.unit[x]] for x in points}
-    # multiplication on the restricted pair bases, from v's tables
-    mult = {}
-    for x in points:
-        u = g.unit[x]
-        basis = kernel_basis(linalg.hstack(stilde[x], -ttilde[x]))
-        cols = []
-        for pb in basis:
-            vv, ww = pb[:arrdim[x]], pb[arrdim[x]:]
-            cols.append(v.multiply(u, u, vv, ww))
-        mult[x] = LinearMap.from_columns(cols, arrdim[x])
-    return linear_bundle(points, objdim, arrdim, stilde, ttilde, utilde, inv_map, mult)
+    unit = g.unit
+    return VBGroupoid(
+        trivial_groupoid(points),
+        {x: v.objdim[x] for x in points},
+        {x: v.arrdim[unit[x]] for x in points},
+        {x: v.stilde[unit[x]] for x in points},
+        {x: v.ttilde[unit[x]] for x in points},
+        {x: v.utilde[x] for x in points},
+        {x: v.inv_map[unit[x]] for x in points},
+        lambda x, _, a, b: v.multiply(unit[x], unit[x], a, b))

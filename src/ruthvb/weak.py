@@ -1,19 +1,15 @@
-"""Weak actions of a finite groupoid, weak representations on linear
-groupoid bundles, equivariant maps, and action groupoids.
+"""Weak representations of a finite groupoid on linear groupoid bundles,
+equivariant maps, and action groupoids.
 
-A weak action carries an action functor A, an associator cell alpha(g,k,-)
-relating acting-by-g-then-k with acting-by-gk (pentagon-coherent), and a
-unitor cell epsilon.  Weak representations are the unital (epsilon trivial),
-fiberwise-linear case over a linear groupoid bundle; all their data is
-matrices, all their coherences are exact matrix identities checked on
-canonical bases.
+A weak representation is a unital, fiberwise-linear weak action: an action
+functor A and an associator cell alpha(g,k,-) relating acting-by-g-then-k
+with acting-by-gk (pentagon-coherent).  All its data is matrices, and all
+its coherences are exact matrix identities checked on canonical bases.
 
-Two action-groupoid constructions live here: the set-level one for weak
-actions on a finite groupoid, and the bundle-level one for weak
-representations, whose arrow fibers over g are charted on the subspace
-{(x, k) : ttilde(k) = A0(g) x} with the deterministic basis
-(object-fiber basis lifted through the pivot section of ttilde, then the
-kernel basis of ttilde).
+The action groupoid of a weak representation is a VB-groupoid whose arrow
+fibers over g are charted on the subspace {(x, k) : ttilde(k) = A0(g) x}
+with the deterministic basis (object-fiber basis lifted through the pivot
+section of ttilde, then the kernel basis of ttilde).
 """
 
 from __future__ import annotations
@@ -24,198 +20,6 @@ from .groupoid import FiniteGroupoid
 from .linalg import KernelChart, LinearMap, Vector, vec_concat
 from .reports import Report
 from .vb import VBGroupoid, VBMap, validate_vb_map
-
-
-# -- weak actions on a finite groupoid -------------------------------------------
-
-
-class WeakAction:
-    """Weak action with explicit tables: H finite, every cell an arrow id."""
-
-    def __init__(self, acting: FiniteGroupoid, target: FiniteGroupoid, moment,
-                 a0, a1, alpha, epsilon):
-        self.acting = acting
-        self.target = target
-        self.moment: dict[str, str] = dict(moment)
-        self.a0: dict[tuple[str, str], str] = dict(a0)
-        self.a1: dict[tuple[str, str], str] = dict(a1)
-        self.alpha: dict[tuple[str, str, str], str] = dict(alpha)
-        self.epsilon: dict[str, str] = dict(epsilon)
-        G, H = acting, target
-        for x in H.objects:
-            if self.moment.get(x) not in G.objects:
-                raise StructureError(f"moment map undefined or unknown at {x}")
-        for x in H.objects:
-            for g in G.arrows:
-                if G.src[g] == self.moment[x] and (g, x) not in self.a0:
-                    raise StructureError(f"action object table missing ({g},{x})")
-        for h in H.arrows:
-            for g in G.arrows:
-                if G.src[g] == self.moment[H.src[h]] and (g, h) not in self.a1:
-                    raise StructureError(f"action arrow table missing ({g},{h})")
-        for (g, k) in G.comp:
-            for x in H.objects:
-                if self.moment[x] == G.src[k] and (g, k, x) not in self.alpha:
-                    raise StructureError(f"associator cell missing ({g},{k},{x})")
-        for x in H.objects:
-            if x not in self.epsilon:
-                raise StructureError(f"unitor cell missing at {x}")
-
-    def act0(self, g, x):
-        return self.a0[(g, x)]
-
-    def act1(self, g, h):
-        return self.a1[(g, h)]
-
-
-def validate_weak_action_tables(w: WeakAction) -> Report:
-    """Functoriality, moment compatibility, naturality, pentagon, and unit
-    coherences for a table-level weak action."""
-    rep = Report("weak-action")
-    G, H = w.acting, w.target
-    for h in H.arrows:
-        if w.moment[H.src[h]] != w.moment[H.tgt[h]]:
-            rep.add("moment-on-arrows", h, "constant along arrows", "varies")
-    for (g, x), y in w.a0.items():
-        if w.moment.get(y) != G.tgt[g]:
-            rep.add("moment-compatibility", f"({g},{x})", f"over {G.tgt[g]}",
-                    f"over {w.moment.get(y)}")
-    for (g, h), hh in w.a1.items():
-        if H.src[hh] != w.a0[(g, H.src[h])] or H.tgt[hh] != w.a0[(g, H.tgt[h])]:
-            rep.add("functor-endpoints", f"({g},{h})",
-                    f"{w.a0[(g, H.src[h])]} -> {w.a0[(g, H.tgt[h])]}",
-                    f"{H.src[hh]} -> {H.tgt[hh]}")
-    for g in G.arrows:
-        for (h1, h2) in H.comp:
-            if w.moment[H.src[h1]] != G.src[g]:
-                continue
-            lhs = w.a1.get((g, H.comp[(h1, h2)]))
-            try:
-                rhs = H.compose(w.a1[(g, h1)], w.a1[(g, h2)])
-            except CompositionError:
-                rep.add("functor-multiplicative", f"({g},{h1},{h2})",
-                        "composable images", "not composable")
-                continue
-            if lhs != rhs:
-                rep.add("functor-multiplicative", f"({g},{h1},{h2})", str(rhs), str(lhs))
-        for x in H.objects:
-            if w.moment[x] != G.src[g]:
-                continue
-            if w.a1[(g, H.unit[x])] != H.unit[w.a0[(g, x)]]:
-                rep.add("functor-units", f"({g},{x})",
-                        H.unit[w.a0[(g, x)]], w.a1[(g, H.unit[x])])
-    # associator: endpoints and naturality
-    for (g, k, x), cell in w.alpha.items():
-        lo = w.a0[(g, w.a0[(k, x)])]
-        hi = w.a0[(G.comp[(g, k)], x)]
-        if H.src[cell] != lo or H.tgt[cell] != hi:
-            rep.add("associator-endpoints", f"({g},{k},{x})",
-                    f"{lo} -> {hi}", f"{H.src[cell]} -> {H.tgt[cell]}")
-    for (g, k) in G.comp:
-        for h in H.arrows:
-            if w.moment[H.src[h]] != G.src[k]:
-                continue
-            x, y = H.src[h], H.tgt[h]
-            try:
-                lhs = H.compose(w.alpha[(g, k, y)], w.a1[(g, w.a1[(k, h)])])
-                rhs = H.compose(w.a1[(G.comp[(g, k)], h)], w.alpha[(g, k, x)])
-            except CompositionError:
-                rep.add("associator-naturality", f"({g},{k},{h})",
-                        "composable cells", "not composable")
-                continue
-            if lhs != rhs:
-                rep.add("associator-naturality", f"({g},{k},{h})", str(rhs), str(lhs))
-    # pentagon
-    for (g, k, l) in G.nerve_tuples(3):
-        gk, kl = G.comp[(g, k)], G.comp[(k, l)]
-        for x in H.objects:
-            if w.moment[x] != G.src[l]:
-                continue
-            try:
-                lhs = H.compose(w.alpha[(g, kl, x)], w.a1[(g, w.alpha[(k, l, x)])])
-                rhs = H.compose(w.alpha[(gk, l, x)], w.alpha[(g, k, w.a0[(l, x)])])
-            except CompositionError:
-                rep.add("pentagon", f"({g},{k},{l},{x})", "composable cells",
-                        "not composable")
-                continue
-            if lhs != rhs:
-                rep.add("pentagon", f"({g},{k},{l},{x})", str(rhs), str(lhs))
-    # unitor: endpoints, naturality, unit coherences
-    for x, cell in w.epsilon.items():
-        ux = G.unit[w.moment[x]]
-        if H.src[cell] != w.a0[(ux, x)] or H.tgt[cell] != x:
-            rep.add("unitor-endpoints", x, f"{w.a0[(ux, x)]} -> {x}",
-                    f"{H.src[cell]} -> {H.tgt[cell]}")
-    for h in H.arrows:
-        x, y = H.src[h], H.tgt[h]
-        ux = G.unit[w.moment[x]]
-        try:
-            lhs = H.compose(w.epsilon[y], w.a1[(ux, h)])
-            rhs = H.compose(h, w.epsilon[x])
-        except CompositionError:
-            rep.add("unitor-naturality", h, "composable cells", "not composable")
-            continue
-        if lhs != rhs:
-            rep.add("unitor-naturality", h, str(rhs), str(lhs))
-    for g in G.arrows:
-        for x in H.objects:
-            if w.moment[x] != G.src[g]:
-                continue
-            lhs = w.alpha[(g, G.unit[G.src[g]], x)]
-            rhs = w.a1[(g, w.epsilon[x])]
-            if lhs != rhs:
-                rep.add("unit-coherence-right", f"({g},{x})", str(rhs), str(lhs))
-            lhs = w.alpha[(G.unit[G.tgt[g]], g, x)]
-            rhs = w.epsilon[w.a0[(g, x)]]
-            if lhs != rhs:
-                rep.add("unit-coherence-left", f"({g},{x})", str(rhs), str(lhs))
-    return rep
-
-
-def action_groupoid_tables(w: WeakAction) -> FiniteGroupoid:
-    """Set-level action groupoid: arrows (g, x, h) with h landing at g.x,
-    source x, target the source of h, multiplication twisted by the
-    associator."""
-    G, H = w.acting, w.target
-    name = lambda g, x, h: f"({g}|{x}|{h})"
-    arrows, src, tgt = [], {}, {}
-    decode = {}
-    for g in G.arrows:
-        for x in H.objects:
-            if w.moment[x] != G.src[g]:
-                continue
-            gx = w.a0[(g, x)]
-            for h in H.arrows:
-                if H.tgt[h] != gx:
-                    continue
-                a = name(g, x, h)
-                arrows.append(a)
-                decode[a] = (g, x, h)
-                src[a] = x
-                tgt[a] = H.src[h]
-    unit = {}
-    for x in H.objects:
-        ux = G.unit[w.moment[x]]
-        unit[x] = name(ux, x, H.inv[w.epsilon[x]])
-    comp = {}
-    for a in arrows:
-        g, x, h = decode[a]
-        for b in arrows:
-            g2, x2, h2 = decode[b]
-            if src[a] != tgt[b]:
-                continue
-            cell = w.alpha[(g, g2, x2)]
-            arrow = H.compose(H.compose(cell, w.a1[(g, h2)]), h)
-            comp[(a, b)] = name(G.comp[(g, g2)], x2, arrow)
-    inv = {}
-    for a in arrows:
-        g, x, h = decode[a]
-        gi = G.inv[g]
-        arrow = H.compose(
-            H.compose(H.inv[w.a1[(gi, h)]], H.inv[w.alpha[(gi, g, x)]]),
-            H.inv[w.epsilon[x]])
-        inv[a] = name(gi, H.src[h], arrow)
-    return FiniteGroupoid(H.objects, arrows, src, tgt, unit, comp, inv)
 
 
 # -- weak representations ---------------------------------------------------------
@@ -383,16 +187,6 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
     return rep
 
 
-def validate_weak_action(w) -> Report:
-    """Dispatch: table-level weak actions and weak representations share one
-    entry point."""
-    if isinstance(w, WeakRepresentation):
-        return validate_weak_representation(w)
-    if isinstance(w, WeakAction):
-        return validate_weak_action_tables(w)
-    raise StructureError(f"not a weak action: {type(w).__name__}")
-
-
 # -- the action-groupoid chart for weak representations ----------------------------
 
 
@@ -476,37 +270,26 @@ def action_groupoid_bundle(w: WeakRepresentation,
             arrow = w.fiber_multiply(s, w.fiber_invert(s, gk), w.fiber_invert(s, cell))
             cols.append(chart.encode(b, w.fiber_source(t).apply(k), arrow))
         inv_map[a] = LinearMap.from_columns(cols, arrdim[b])
-    v = VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map,
-                   {pair: LinearMap.zero(arrdim[g.comp[pair]],
-                                         arrdim[pair[0]] + arrdim[pair[1]]
-                                         - objdim[g.src[pair[0]]])
-                    for pair in g.comp})
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
+
+    def product(g1, g2, left, right):
         t1 = g.tgt[g1]
-        cols = []
-        for pb in v.pair_basis(g1, g2):
-            left, right = pb[:arrdim[g1]], pb[arrdim[g1]:]
-            x1, k1 = chart.decode(g1, left)
-            x2, k2 = chart.decode(g2, right)
-            inner = w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(x2),
-                                     w.a1[g1].apply(k2))
-            arrow = w.fiber_multiply(t1, inner, k1)
-            cols.append(chart.encode(g12, x2, arrow))
-        v.mult[(g1, g2)] = LinearMap.from_columns(cols, arrdim[g12])
-    v._check_shapes()
-    return v
+        _, k1 = chart.decode(g1, left)
+        x2, k2 = chart.decode(g2, right)
+        inner = w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(x2), w.a1[g1].apply(k2))
+        return chart.encode(g.comp[(g1, g2)], x2, w.fiber_multiply(t1, inner, k1))
+
+    return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
 
-def action_groupoid(w, validate: bool = True):
-    """Action groupoid of a weak action.  Table-level actions produce a
-    finite groupoid; weak representations produce a VB-groupoid."""
-    rep = validate_weak_action(w) if validate else None
-    if rep is not None and not rep.passed:
-        raise ValidationError("action groupoid needs a valid weak action:\n" + rep.to_text())
-    if isinstance(w, WeakRepresentation):
-        return action_groupoid_bundle(w)
-    return action_groupoid_tables(w)
+def action_groupoid(w: WeakRepresentation, validate: bool = True) -> VBGroupoid:
+    """Action groupoid of a weak representation, as a VB-groupoid over the
+    acting groupoid."""
+    if validate:
+        rep = validate_weak_representation(w)
+        if not rep.passed:
+            raise ValidationError("action groupoid needs a valid weak action:\n"
+                                  + rep.to_text())
+    return action_groupoid_bundle(w)
 
 
 # -- equivariant maps ---------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Finite groupoids: axiom checker, nerves against a brute-force oracle,
-degeneracy flags, and builders."""
+and builders."""
 
 import itertools
 
 import pytest
 
 from ruthvb.errors import CompositionError, StructureError
-from ruthvb.groupoid import (FiniteGroupoid, cyclic_groupoid, degeneracy_positions,
-                             disjoint_union, nerve, pair_groupoid,
-                             transitive_groupoid, trivial_groupoid,
+from ruthvb.groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
+                             pair_groupoid, transitive_groupoid, trivial_groupoid,
                              validate_groupoid, z2_groupoid)
 
 ALL_BUILDERS = [
@@ -62,14 +61,13 @@ def test_compose_error():
 
 def test_nerve_z2_degree2():
     g = z2_groupoid()
-    n = nerve(g, 2)
-    assert n.tuples == (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
+    assert g.nerve_tuples(2) == (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
 
 
 def test_nerve_degree0_and_1():
     g = pair_groupoid(["x", "y"])
-    assert nerve(g, 1).tuples == tuple((a,) for a in g.arrows)
-    assert nerve(g, 0).tuples == (("x",), ("y",))
+    assert g.nerve_tuples(1) == tuple((a,) for a in g.arrows)
+    assert g.nerve_tuples(0) == (("x",), ("y",))
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -89,14 +87,3 @@ def test_tuple_endpoints_match_composite(build):
         full = g.compose_tuple(tup)
         assert g.tuple_target(tup, 3) == g.tgt[full]
         assert g.tuple_source(tup, 3) == g.src[full]
-
-
-def test_degeneracy_flags():
-    g = z2_groupoid()
-    n = nerve(g, 2)
-    flags = dict(zip(n.tuples, degeneracy_positions(n)))
-    assert flags[("g", "g")] is False
-    assert flags[("e", "g")] and flags[("g", "e")] and flags[("e", "e")]
-    n1 = nerve(g, 1)
-    flags1 = dict(zip(n1.tuples, degeneracy_positions(n1)))
-    assert flags1[("e",)] is True and flags1[("g",)] is False

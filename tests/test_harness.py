@@ -65,6 +65,11 @@ def test_cli_fixtures_match_repo_fixtures_byte_for_byte(tmp_path, capsys):
 @pytest.mark.parametrize("path, value", [
     (("complex", "diff", "*", "entries", 0), "1/0"),
     (("groupoid", "max_degree"), -3),
+    (("groupoid", "max_degree"), 2.7),
+    (("groupoid", "max_degree"), True),
+    (("complex", "dims0", "*"), 1.5),
+    (("complex", "diff", "*", "rows"), 1.0),
+    (("complex", "diff", "*", "entries", 0), False),
 ])
 def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())

@@ -55,6 +55,11 @@ def test_multiply_rejects_non_composable_pair():
     v = semidirect(z2_ruth(1))
     with pytest.raises(CompositionError):
         v.multiply("g", "g", (Fraction(5), Fraction(7)), (Fraction(2), Fraction(7)))
+    # the base arrows do not compose: p:x>y:0 lands at y, p:x>x:0 starts at x
+    v = semidirect(pair_strict_ruth())
+    zero = (Fraction(0),) * 3
+    with pytest.raises(CompositionError):
+        v.multiply("p:x>x:0", "p:x>y:0", zero, zero)
 
 
 def test_semidirect_units():
@@ -190,6 +195,13 @@ def test_vb_shape_errors():
     with pytest.raises(StructureError):
         VBGroupoid(v.base, v.objdim, v.arrdim, bad, v.ttilde, v.utilde,
                    v.inv_map, v.mult)
+    # a multiplication over base arrows that do not compose
+    v = semidirect(pair_strict_ruth())
+    extra = dict(v.mult)
+    extra[("p:x>x:0", "p:x>y:0")] = v.mult[("p:x>x:0", "p:x>x:0")]
+    with pytest.raises(StructureError):
+        VBGroupoid(v.base, v.objdim, v.arrdim, v.stilde, v.ttilde, v.utilde,
+                   v.inv_map, extra)
 
 
 # Fixture VB-groupoids, generated ones over random groupoids, and the linear

@@ -1,5 +1,5 @@
-"""Weak actions and weak representations: validators, pentagon mutations,
-action groupoids (both flavors), and equivariant maps."""
+"""Weak representations: validators, pentagon mutations, action groupoids,
+and equivariant maps."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
 from ruthvb.errors import CompositionError, ValidationError
-from ruthvb.groupoid import trivial_groupoid, validate_groupoid, z2_groupoid
+from ruthvb.groupoid import z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, sign_twisted_ruth,
                                      z2_ruth)
@@ -17,54 +17,16 @@ from ruthvb.linalg import LinearMap
 from ruthvb.ruth import compose_morphisms
 from ruthvb.semidirect import semidirect
 from ruthvb.vb import validate_vb, validate_vb_map, compose_vb_maps
-from ruthvb.weak import (ActionChart, WeakAction, WeakRepresentation,
-                         act_on_morphism, action_groupoid, compose_equivariant,
-                         identity_equivariant, validate_equivariant,
-                         validate_weak_action, validate_weak_representation)
+from ruthvb.weak import (ActionChart, WeakRepresentation, act_on_morphism,
+                         action_groupoid, compose_equivariant, identity_equivariant,
+                         validate_equivariant, validate_weak_representation)
 from ruthvb.equivalences import (reconstruct_equivariant, wrep_from_ruth,
                                  wrep_from_ruth_morphism)
-
-
-def swap_action_on_two_points():
-    G = z2_groupoid()
-    H = trivial_groupoid(["p", "q"])
-    swap = {"p": "q", "q": "p"}
-    a0, a1 = {}, {}
-    for x in H.objects:
-        a0[("e", x)], a0[("g", x)] = x, swap[x]
-        a1[("e", x)], a1[("g", x)] = x, swap[x]
-    alpha = {(g1, g2, x): H.unit[a0[(G.comp[(g1, g2)], x)]]
-             for (g1, g2) in G.comp for x in H.objects}
-    eps = {x: H.unit[x] for x in H.objects}
-    return WeakAction(G, H, {"p": "*", "q": "*"}, a0, a1, alpha, eps)
-
-
-def test_strict_table_action_valid():
-    assert validate_weak_action(swap_action_on_two_points()).passed
-
-
-def test_table_action_mutation_detected():
-    w = swap_action_on_two_points()
-    a1 = dict(w.a1)
-    a1[("g", "p")] = "p"  # image arrow no longer sits over g . p
-    broken = WeakAction(w.acting, w.target, w.moment, w.a0, a1, w.alpha, w.epsilon)
-    rep = validate_weak_action(broken)
-    assert any(e.check == "functor-endpoints" for e in rep.entries)
-
-
-def test_classical_action_groupoid():
-    w = swap_action_on_two_points()
-    ag = action_groupoid(w)
-    assert validate_groupoid(ag).passed
-    assert ag.objects == ("p", "q")
-    assert len(ag.arrows) == 4
 
 
 def test_wrep_of_fixtures_valid():
     for r in (z2_ruth(0), z2_ruth(1), sign_twisted_ruth(), pair_strict_ruth()):
         assert validate_weak_representation(wrep_from_ruth(r)).passed
-    # the shared entry point dispatches on the type
-    assert validate_weak_action(wrep_from_ruth(z2_ruth(1))).passed
 
 
 def test_wrep_rejects_invalid_ruth():
