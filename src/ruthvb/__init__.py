@@ -28,10 +28,9 @@ from .ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
                    invert_morphism, square_is_zero, total_basis, total_operator,
                    validate_morphism, validate_ruth)
 from .vb import (BundleTransformation, Connection, VBGroupoid, VBMap,
-                 compose_vb_maps, connection_report,
-                 find_unital_connection, identity_vb_map, invert_vb_map,
-                 kernel_groupoid, validate_bundle_transformation, validate_vb,
-                 validate_vb_map, vb_map_is_isomorphism)
+                 compose_vb_maps, connection_report, find_unital_connection,
+                 identity_vb_map, kernel_groupoid, validate_bundle_transformation,
+                 validate_vb, validate_vb_map, vb_map_is_isomorphism)
 from .semidirect import psi_morphism, semidirect
 from .weak import (ActionChart, EquivariantMap, WeakRepresentation,
                    act_on_morphism, action_groupoid, compose_equivariant,

@@ -128,27 +128,19 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
                     f"src={g.src[g2]}, tgt={g.tgt[g1]}",
                     f"src={g.src[g12]}, tgt={g.tgt[g12]}")
     for a in g.arrows:
-        lu = g.comp.get((g.unit[g.tgt[a]], a))
-        ru = g.comp.get((a, g.unit[g.src[a]]))
-        if lu != a:
-            rep.add("left-unit", a, a, str(lu))
-        if ru != a:
-            rep.add("right-unit", a, a, str(ru))
+        rep.expect("left-unit", a, a, g.comp.get((g.unit[g.tgt[a]], a)))
+        rep.expect("right-unit", a, a, g.comp.get((a, g.unit[g.src[a]])))
         b = g.inv[a]
         if g.src[b] != g.tgt[a] or g.tgt[b] != g.src[a]:
             rep.add("inverse-endpoints", a,
                     f"src={g.tgt[a]}, tgt={g.src[a]}",
                     f"src={g.src[b]}, tgt={g.tgt[b]}")
             continue
-        if g.comp.get((a, b)) != g.unit[g.tgt[a]]:
-            rep.add("right-inverse", a, g.unit[g.tgt[a]], str(g.comp.get((a, b))))
-        if g.comp.get((b, a)) != g.unit[g.src[a]]:
-            rep.add("left-inverse", a, g.unit[g.src[a]], str(g.comp.get((b, a))))
+        rep.expect("right-inverse", a, g.unit[g.tgt[a]], g.comp.get((a, b)))
+        rep.expect("left-inverse", a, g.unit[g.src[a]], g.comp.get((b, a)))
     for (g1, g2, g3) in g.nerve_tuples(3):
-        left = g.comp.get((g.comp[(g1, g2)], g3))
-        right = g.comp.get((g1, g.comp[(g2, g3)]))
-        if left != right:
-            rep.add("associativity", f"({g1},{g2},{g3})", str(left), str(right))
+        rep.expect("associativity", f"({g1},{g2},{g3})",
+                   g.comp.get((g.comp[(g1, g2)], g3)), g.comp.get((g1, g.comp[(g2, g3)])))
     return rep
 
 

@@ -401,6 +401,18 @@ def is_invertible(f: LinearMap) -> bool:
     return f.rows == f.cols and rank(f) == f.rows
 
 
+def check_table(what: str, table: dict, shapes: dict) -> None:
+    """Raise StructureError unless ``table`` has exactly the keys of
+    ``shapes`` and each entry is a map of the listed (rows, cols)."""
+    for key, shape in shapes.items():
+        m = table.get(key)
+        if m is None or (m.rows, m.cols) != shape:
+            raise StructureError(f"{what} at {key} has wrong shape")
+    for key in table:
+        if key not in shapes:
+            raise StructureError(f"{what} at {key} is outside its table")
+
+
 # -- serialization helpers ---------------------------------------------------
 
 def map_to_dict(f: LinearMap) -> dict:

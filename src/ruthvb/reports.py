@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
+
+from .errors import CompositionError
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,23 @@ class Report:
 
     def add(self, check: str, location: str, expected: str, actual: str) -> None:
         self.entries.append(CheckEntry(check, location, expected, actual))
+
+    def expect(self, check: str, location: str, want: Any, got: Any) -> None:
+        """Record a violation, both sides shown by ``str``, unless got == want."""
+        if got != want:
+            self.add(check, location, str(want), str(got))
+
+    def expect_composable(self, check: str, location: str,
+                          sides: Callable[[], tuple[Any, Any]], label: str) -> None:
+        """:meth:`expect` on ``sides() -> (want, got)``.  When a side cannot
+        be formed because some product is not composable, the violation is
+        recorded as ``label`` against "not composable"."""
+        try:
+            want, got = sides()
+        except CompositionError:
+            self.add(check, location, label, "not composable")
+            return
+        self.expect(check, location, want, got)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for e in other.entries:

@@ -29,7 +29,7 @@ from .cochains import (ScalarCochain, SectionCochain, coboundary, star,
                        twisted_differential)
 from .errors import (CompositionError, DegreeError, NotInvertibleError,
                      StructureError)
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, validate_groupoid
 from .linalg import LinearMap
 from .reports import Report
 from .twoterm import TwoTermComplex
@@ -49,17 +49,13 @@ class Ruth:
         self.lambda1: dict[str, LinearMap] = dict(lambda1)
         self.omega: dict[tuple[str, str], LinearMap] = dict(omega)
         g, c = groupoid, complex
-        for a in g.arrows:
-            l0, l1 = self.lambda0.get(a), self.lambda1.get(a)
-            if l0 is None or (l0.rows, l0.cols) != (c.dim0[g.tgt[a]], c.dim0[g.src[a]]):
-                raise StructureError(f"layer-0 quasi-action at {a} has wrong shape")
-            if l1 is None or (l1.rows, l1.cols) != (c.dim1[g.tgt[a]], c.dim1[g.src[a]]):
-                raise StructureError(f"layer-1 quasi-action at {a} has wrong shape")
-        for pair in g.comp:
-            g1, g2 = pair
-            om = self.omega.get(pair)
-            if om is None or (om.rows, om.cols) != (c.dim0[g.tgt[g1]], c.dim1[g.src[g2]]):
-                raise StructureError(f"transformation cochain at {pair} has wrong shape")
+        linalg.check_table("layer-0 quasi-action", self.lambda0,
+                           {a: (c.dim0[g.tgt[a]], c.dim0[g.src[a]]) for a in g.arrows})
+        linalg.check_table("layer-1 quasi-action", self.lambda1,
+                           {a: (c.dim1[g.tgt[a]], c.dim1[g.src[a]]) for a in g.arrows})
+        linalg.check_table("transformation cochain", self.omega,
+                           {(g1, g2): (c.dim0[g.tgt[g1]], c.dim1[g.src[g2]])
+                            for (g1, g2) in g.comp})
 
     def __eq__(self, other):
         if not isinstance(other, Ruth):
@@ -70,10 +66,15 @@ class Ruth:
 
 
 def validate_ruth(r: Ruth) -> Report:
-    """Unitality, normalization, and the four structure identities, with one
-    report entry per violating arrow, pair, or triple."""
-    rep = Report("ruth")
+    """The base groupoid's axioms, then unitality, normalization, and the
+    four structure identities, with one report entry per violating arrow,
+    pair, or triple.  The identities are only evaluated over a base that
+    is a groupoid."""
     g, c = r.groupoid, r.complex
+    rep = Report("ruth")
+    rep.extend(validate_groupoid(g), prefix="groupoid: ")
+    if not rep.passed:
+        return rep
     for x in g.objects:
         u = g.unit[x]
         if not r.lambda0[u].is_identity():
@@ -84,20 +85,14 @@ def validate_ruth(r: Ruth) -> Report:
         if (g.is_unit(g1) or g.is_unit(g2)) and not om.is_zero():
             rep.add("normalization", f"({g1},{g2})", "zero", repr(om))
     for a in g.arrows:
-        lhs = linalg.compose(c.diff[g.tgt[a]], r.lambda0[a])
-        rhs = linalg.compose(r.lambda1[a], c.diff[g.src[a]])
-        if lhs != rhs:
-            rep.add("identity-1", a, repr(rhs), repr(lhs))
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
-        lhs = r.lambda0[g12] - linalg.compose(r.lambda0[g1], r.lambda0[g2])
-        rhs = linalg.compose(r.omega[(g1, g2)], c.diff[g.src[g2]])
-        if lhs != rhs:
-            rep.add("identity-2", f"({g1},{g2})", repr(rhs), repr(lhs))
-        lhs = r.lambda1[g12] - linalg.compose(r.lambda1[g1], r.lambda1[g2])
-        rhs = linalg.compose(c.diff[g.tgt[g1]], r.omega[(g1, g2)])
-        if lhs != rhs:
-            rep.add("identity-3", f"({g1},{g2})", repr(rhs), repr(lhs))
+        rep.expect("identity-1", a, linalg.compose(r.lambda1[a], c.diff[g.src[a]]),
+                   linalg.compose(c.diff[g.tgt[a]], r.lambda0[a]))
+    for (g1, g2), g12 in g.comp.items():
+        loc = f"({g1},{g2})"
+        rep.expect("identity-2", loc, linalg.compose(r.omega[(g1, g2)], c.diff[g.src[g2]]),
+                   r.lambda0[g12] - linalg.compose(r.lambda0[g1], r.lambda0[g2]))
+        rep.expect("identity-3", loc, linalg.compose(c.diff[g.tgt[g1]], r.omega[(g1, g2)]),
+                   r.lambda1[g12] - linalg.compose(r.lambda1[g1], r.lambda1[g2]))
     for (g1, g2, g3) in g.nerve_tuples(3):
         total = (linalg.compose(r.lambda0[g1], r.omega[(g2, g3)])
                  - r.omega[(g.comp[(g1, g2)], g3)]
@@ -123,16 +118,12 @@ class RuthMorphism:
         self.mu: dict[str, LinearMap] = dict(mu)
         g = source.groupoid
         cs, ct = source.complex, target.complex
-        for x in g.objects:
-            p0, p1 = self.phi0.get(x), self.phi1.get(x)
-            if p0 is None or (p0.rows, p0.cols) != (ct.dim0[x], cs.dim0[x]):
-                raise StructureError(f"degree-0 component at {x} has wrong shape")
-            if p1 is None or (p1.rows, p1.cols) != (ct.dim1[x], cs.dim1[x]):
-                raise StructureError(f"degree-1 component at {x} has wrong shape")
-        for a in g.arrows:
-            m = self.mu.get(a)
-            if m is None or (m.rows, m.cols) != (ct.dim0[g.tgt[a]], cs.dim1[g.src[a]]):
-                raise StructureError(f"homotopy operator at {a} has wrong shape")
+        linalg.check_table("degree-0 component", self.phi0,
+                           {x: (ct.dim0[x], cs.dim0[x]) for x in g.objects})
+        linalg.check_table("degree-1 component", self.phi1,
+                           {x: (ct.dim1[x], cs.dim1[x]) for x in g.objects})
+        linalg.check_table("homotopy operator", self.mu,
+                           {a: (ct.dim0[g.tgt[a]], cs.dim1[g.src[a]]) for a in g.arrows})
 
     def __eq__(self, other):
         if not isinstance(other, RuthMorphism):
@@ -148,33 +139,24 @@ def validate_morphism(m: RuthMorphism) -> Report:
     cs, ct = m.source.complex, m.target.complex
     r, rq = m.source, m.target
     for x in g.objects:
-        lhs = linalg.compose(m.phi1[x], cs.diff[x])
-        rhs = linalg.compose(ct.diff[x], m.phi0[x])
-        if lhs != rhs:
-            rep.add("morphism-identity-1", f"object {x}", repr(rhs), repr(lhs))
+        rep.expect("morphism-identity-1", f"object {x}",
+                   linalg.compose(ct.diff[x], m.phi0[x]), linalg.compose(m.phi1[x], cs.diff[x]))
     for a in g.arrows:
         if g.is_unit(a) and not m.mu[a].is_zero():
             rep.add("mu-normalization", a, "zero", repr(m.mu[a]))
         s, t = g.src[a], g.tgt[a]
-        lhs = (linalg.compose(m.phi0[t], r.lambda0[a])
-               - linalg.compose(rq.lambda0[a], m.phi0[s]))
-        rhs = linalg.compose(m.mu[a], cs.diff[s])
-        if lhs != rhs:
-            rep.add("morphism-identity-2", a, repr(rhs), repr(lhs))
-        lhs = (linalg.compose(m.phi1[t], r.lambda1[a])
-               - linalg.compose(rq.lambda1[a], m.phi1[s]))
-        rhs = linalg.compose(ct.diff[t], m.mu[a])
-        if lhs != rhs:
-            rep.add("morphism-identity-3", a, repr(rhs), repr(lhs))
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
-        t1, s2 = g.tgt[g1], g.src[g2]
-        lhs = (linalg.compose(m.phi0[t1], r.omega[(g1, g2)])
-               + linalg.compose(m.mu[g1], r.lambda1[g2])
-               + linalg.compose(rq.lambda0[g1], m.mu[g2]))
-        rhs = (m.mu[g12] + linalg.compose(rq.omega[(g1, g2)], m.phi1[s2]))
-        if lhs != rhs:
-            rep.add("morphism-identity-4", f"({g1},{g2})", repr(rhs), repr(lhs))
+        rep.expect("morphism-identity-2", a, linalg.compose(m.mu[a], cs.diff[s]),
+                   linalg.compose(m.phi0[t], r.lambda0[a])
+                   - linalg.compose(rq.lambda0[a], m.phi0[s]))
+        rep.expect("morphism-identity-3", a, linalg.compose(ct.diff[t], m.mu[a]),
+                   linalg.compose(m.phi1[t], r.lambda1[a])
+                   - linalg.compose(rq.lambda1[a], m.phi1[s]))
+    for (g1, g2), g12 in g.comp.items():
+        rep.expect("morphism-identity-4", f"({g1},{g2})",
+                   m.mu[g12] + linalg.compose(rq.omega[(g1, g2)], m.phi1[g.src[g2]]),
+                   linalg.compose(m.phi0[g.tgt[g1]], r.omega[(g1, g2)])
+                   + linalg.compose(m.mu[g1], r.lambda1[g2])
+                   + linalg.compose(rq.lambda0[g1], m.mu[g2]))
     return rep
 
 

@@ -36,9 +36,8 @@ class TwoTermComplex:
         for x in self.base:
             if x not in self.dim0 or x not in self.dim1:
                 raise StructureError(f"missing fiber dimensions at {x}")
-            d = self.diff.get(x)
-            if d is None or (d.rows, d.cols) != (self.dim1[x], self.dim0[x]):
-                raise StructureError(f"differential at {x} has wrong shape")
+        linalg.check_table("differential", self.diff,
+                           {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
     def __eq__(self, other):
         if not isinstance(other, TwoTermComplex):
@@ -64,15 +63,16 @@ class ChainMap:
         self.f0: dict[str, LinearMap] = dict(f0)
         self.f1: dict[str, LinearMap] = dict(f1)
         for x in source.base:
-            y = self.basemap.get(x)
-            if y not in target.dim0:
+            if self.basemap.get(x) not in target.dim0:
                 raise StructureError(f"base map undefined or unknown at {x}")
-            a, b = self.f0.get(x), self.f1.get(x)
-            if a is None or (a.rows, a.cols) != (target.dim0[y], source.dim0[x]):
-                raise StructureError(f"degree-0 component at {x} has wrong shape")
-            if b is None or (b.rows, b.cols) != (target.dim1[y], source.dim1[x]):
-                raise StructureError(f"degree-1 component at {x} has wrong shape")
-            if linalg.compose(b, source.diff[x]) != linalg.compose(target.diff[y], a):
+        bm = self.basemap
+        linalg.check_table("degree-0 component", self.f0,
+                           {x: (target.dim0[bm[x]], source.dim0[x]) for x in source.base})
+        linalg.check_table("degree-1 component", self.f1,
+                           {x: (target.dim1[bm[x]], source.dim1[x]) for x in source.base})
+        for x in source.base:
+            if (linalg.compose(self.f1[x], source.diff[x])
+                    != linalg.compose(target.diff[bm[x]], self.f0[x])):
                 raise StructureError(f"chain square fails at {x}")
 
     def __eq__(self, other):
@@ -111,11 +111,10 @@ class ChainHomotopy:
         self.to_map = to_map
         self.omega: dict[str, LinearMap] = dict(omega)
         src, tgt = from_map.source, from_map.target
+        linalg.check_table("homotopy component", self.omega,
+                           {x: (tgt.dim0[from_map.basemap[x]], src.dim1[x]) for x in src.base})
         for x in src.base:
-            y = from_map.basemap[x]
-            w = self.omega.get(x)
-            if w is None or (w.rows, w.cols) != (tgt.dim0[y], src.dim1[x]):
-                raise StructureError(f"homotopy component at {x} has wrong shape")
+            y, w = from_map.basemap[x], self.omega[x]
             if linalg.compose(tgt.diff[y], w) != to_map.f1[x] - from_map.f1[x]:
                 raise StructureError(f"homotopy equation (degree 1) fails at {x}")
             if linalg.compose(w, src.diff[x]) != to_map.f0[x] - from_map.f0[x]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import CompositionError, StructureError
-from .groupoid import FiniteGroupoid, trivial_groupoid
+from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
 from .linalg import KernelChart, LinearMap, Vector, kernel_basis, kernel_chart, vec_concat
 from .reports import Report
 
@@ -45,32 +45,23 @@ class VBGroupoid:
         self.utilde: dict[str, LinearMap] = dict(utilde)
         self.inv_map: dict[str, LinearMap] = dict(inv_map)
         self._pair_charts: dict[tuple[str, str], KernelChart] = {}
-        self._check_fiber_shapes()
-        self.mult: dict[tuple[str, str], LinearMap] = (
-            self._tabulate(mult) if callable(mult) else dict(mult))
-        self._check_mult_shapes()
-
-    def _check_fiber_shapes(self):
-        g = self.base
+        g, od, ad = base, self.objdim, self.arrdim
         for x in g.objects:
-            if x not in self.objdim:
+            if x not in od:
                 raise StructureError(f"missing object fiber dimension at {x}")
         for a in g.arrows:
-            if a not in self.arrdim:
+            if a not in ad:
                 raise StructureError(f"missing arrow fiber dimension at {a}")
-            st = self.stilde.get(a)
-            tt = self.ttilde.get(a)
-            iv = self.inv_map.get(a)
-            if st is None or (st.rows, st.cols) != (self.objdim[g.src[a]], self.arrdim[a]):
-                raise StructureError(f"stilde at {a} has wrong shape")
-            if tt is None or (tt.rows, tt.cols) != (self.objdim[g.tgt[a]], self.arrdim[a]):
-                raise StructureError(f"ttilde at {a} has wrong shape")
-            if iv is None or (iv.rows, iv.cols) != (self.arrdim[g.inv[a]], self.arrdim[a]):
-                raise StructureError(f"inverse map at {a} has wrong shape")
-        for x in g.objects:
-            ut = self.utilde.get(x)
-            if ut is None or (ut.rows, ut.cols) != (self.arrdim[g.unit[x]], self.objdim[x]):
-                raise StructureError(f"utilde at {x} has wrong shape")
+        linalg.check_table("stilde", self.stilde, {a: (od[g.src[a]], ad[a]) for a in g.arrows})
+        linalg.check_table("ttilde", self.ttilde, {a: (od[g.tgt[a]], ad[a]) for a in g.arrows})
+        linalg.check_table("inverse map", self.inv_map,
+                           {a: (ad[g.inv[a]], ad[a]) for a in g.arrows})
+        linalg.check_table("utilde", self.utilde, {x: (ad[g.unit[x]], od[x]) for x in g.objects})
+        self.mult: dict[tuple[str, str], LinearMap] = (
+            self._tabulate(mult) if callable(mult) else dict(mult))
+        linalg.check_table("multiplication", self.mult,
+                           {pair: (ad[g12], len(self.pair_basis(*pair)))
+                            for pair, g12 in g.comp.items()})
 
     def _tabulate(self, product) -> dict[tuple[str, str], LinearMap]:
         mult = {}
@@ -79,22 +70,6 @@ class VBGroupoid:
             cols = [product(g1, g2, pb[:d1], pb[d1:]) for pb in self.pair_basis(g1, g2)]
             mult[(g1, g2)] = LinearMap.from_columns(cols, self.arrdim[g12])
         return mult
-
-    def _check_mult_shapes(self):
-        g = self.base
-        stray = sorted(self.mult.keys() - g.comp.keys())
-        if stray:
-            raise StructureError(f"multiplication at {stray[0]} is over a non-composable pair")
-        for pair in g.comp:
-            m = self.mult.get(pair)
-            if m is None:
-                raise StructureError(f"missing multiplication at {pair}")
-            want_cols = len(self.pair_basis(*pair))
-            g12 = g.comp[pair]
-            if (m.rows, m.cols) != (self.arrdim[g12], want_cols):
-                raise StructureError(
-                    f"multiplication at {pair} has shape {m.rows}x{m.cols}, "
-                    f"wanted {self.arrdim[g12]}x{want_cols}")
 
     # -- fibered products -----------------------------------------------------
 
@@ -142,9 +117,14 @@ class VBGroupoid:
 
 
 def validate_vb(v: VBGroupoid) -> Report:
-    """Fiberwise groupoid axiom sweep on canonical bases, one entry per failure."""
-    rep = Report("vb-groupoid")
+    """The base groupoid's axioms, then the fiberwise groupoid axiom sweep on
+    canonical bases, one entry per failure.  The fiberwise axioms are only
+    evaluated over a base that is a groupoid."""
     g = v.base
+    rep = Report("vb-groupoid")
+    rep.extend(validate_groupoid(g), prefix="groupoid: ")
+    if not rep.passed:
+        return rep
     for x in g.objects:
         u = g.unit[x]
         su = linalg.compose(v.stilde[u], v.utilde[x])
@@ -168,46 +148,26 @@ def validate_vb(v: VBGroupoid) -> Report:
         for idx, pb in enumerate(basis):
             vv, ww = pb[:d1], pb[d1:]
             prod = m.apply(linalg.vec_basis(len(basis), idx))
-            if v.stilde[g12].apply(prod) != v.stilde[g2].apply(ww):
-                rep.add("product-source", f"({g1},{g2}) basis {idx}",
-                        str(v.stilde[g2].apply(ww)), str(v.stilde[g12].apply(prod)))
-            if v.ttilde[g12].apply(prod) != v.ttilde[g1].apply(vv):
-                rep.add("product-target", f"({g1},{g2}) basis {idx}",
-                        str(v.ttilde[g1].apply(vv)), str(v.ttilde[g12].apply(prod)))
+            loc = f"({g1},{g2}) basis {idx}"
+            rep.expect("product-source", loc, v.stilde[g2].apply(ww), v.stilde[g12].apply(prod))
+            rep.expect("product-target", loc, v.ttilde[g1].apply(vv), v.ttilde[g12].apply(prod))
     # unit laws and inverse laws on arrow fiber bases
     for a in g.arrows:
-        ux_t, ux_s = g.unit[g.tgt[a]], g.unit[g.src[a]]
+        s, t, b = g.src[a], g.tgt[a], g.inv[a]
         for i in range(v.arrdim[a]):
             vec = linalg.vec_basis(v.arrdim[a], i)
-            tv = v.ttilde[a].apply(vec)
-            sv = v.stilde[a].apply(vec)
-            try:
-                left = v.multiply(ux_t, a, v.unit_vector(g.tgt[a], tv), vec)
-                if left != vec:
-                    rep.add("left-unit-law", f"{a} basis {i}", str(vec), str(left))
-            except CompositionError:
-                rep.add("left-unit-law", f"{a} basis {i}", str(vec), "not composable")
-            try:
-                right = v.multiply(a, ux_s, vec, v.unit_vector(g.src[a], sv))
-                if right != vec:
-                    rep.add("right-unit-law", f"{a} basis {i}", str(vec), str(right))
-            except CompositionError:
-                rep.add("right-unit-law", f"{a} basis {i}", str(vec), "not composable")
+            ut = v.unit_vector(t, v.ttilde[a].apply(vec))
+            us = v.unit_vector(s, v.stilde[a].apply(vec))
             iv = v.invert(a, vec)
-            try:
-                prod = v.multiply(a, g.inv[a], vec, iv)
-                want = v.unit_vector(g.tgt[a], tv)
-                if prod != want:
-                    rep.add("right-inverse-law", f"{a} basis {i}", str(want), str(prod))
-            except CompositionError:
-                rep.add("right-inverse-law", f"{a} basis {i}", "unit", "not composable")
-            try:
-                prod = v.multiply(g.inv[a], a, iv, vec)
-                want = v.unit_vector(g.src[a], sv)
-                if prod != want:
-                    rep.add("left-inverse-law", f"{a} basis {i}", str(want), str(prod))
-            except CompositionError:
-                rep.add("left-inverse-law", f"{a} basis {i}", "unit", "not composable")
+            loc = f"{a} basis {i}"
+            rep.expect_composable("left-unit-law", loc,
+                                  lambda: (vec, v.multiply(g.unit[t], a, ut, vec)), str(vec))
+            rep.expect_composable("right-unit-law", loc,
+                                  lambda: (vec, v.multiply(a, g.unit[s], vec, us)), str(vec))
+            rep.expect_composable("right-inverse-law", loc,
+                                  lambda: (ut, v.multiply(a, b, vec, iv)), "unit")
+            rep.expect_composable("left-inverse-law", loc,
+                                  lambda: (us, v.multiply(b, a, iv, vec)), "unit")
     # associativity on a basis of each composable-triple subspace
     for (g1, g2, g3) in g.nerve_tuples(3):
         d1, d2, d3 = v.arrdim[g1], v.arrdim[g2], v.arrdim[g3]
@@ -216,16 +176,11 @@ def validate_vb(v: VBGroupoid) -> Report:
         triple = kernel_basis(linalg.vstack(c1, c2))
         for idx, tb in enumerate(triple):
             a1, a2, a3 = tb[:d1], tb[d1:d1 + d2], tb[d1 + d2:]
-            try:
-                left = v.multiply(g.comp[(g1, g2)], g3, v.multiply(g1, g2, a1, a2), a3)
-                right = v.multiply(g1, g.comp[(g2, g3)], a1, v.multiply(g2, g3, a2, a3))
-            except CompositionError:
-                rep.add("associativity", f"({g1},{g2},{g3}) basis {idx}",
-                        "composable products", "not composable")
-                continue
-            if left != right:
-                rep.add("associativity", f"({g1},{g2},{g3}) basis {idx}",
-                        str(left), str(right))
+            rep.expect_composable(
+                "associativity", f"({g1},{g2},{g3}) basis {idx}",
+                lambda: (v.multiply(g.comp[(g1, g2)], g3, v.multiply(g1, g2, a1, a2), a3),
+                         v.multiply(g1, g.comp[(g2, g3)], a1, v.multiply(g2, g3, a2, a3))),
+                "composable products")
     return rep
 
 
@@ -250,24 +205,19 @@ class VBMap:
                                          else {a: a for a in source.base.arrows})
         self.obj_maps: dict[str, LinearMap] = dict(obj_maps)
         self.arr_maps: dict[str, LinearMap] = dict(arr_maps)
-        self._check_shapes()
-
-    def _check_shapes(self):
-        src, tgt = self.source, self.target
-        for x in src.base.objects:
-            y = self.base_obj.get(x)
-            if y not in tgt.objdim:
+        objects, arrows = source.base.objects, source.base.arrows
+        for x in objects:
+            if self.base_obj.get(x) not in target.objdim:
                 raise StructureError(f"base object map undefined or unknown at {x}")
-            m = self.obj_maps.get(x)
-            if m is None or (m.rows, m.cols) != (tgt.objdim[y], src.objdim[x]):
-                raise StructureError(f"object map at {x} has wrong shape")
-        for a in src.base.arrows:
-            b = self.base_arr.get(a)
-            if b not in tgt.arrdim:
+        for a in arrows:
+            if self.base_arr.get(a) not in target.arrdim:
                 raise StructureError(f"base arrow map undefined or unknown at {a}")
-            m = self.arr_maps.get(a)
-            if m is None or (m.rows, m.cols) != (tgt.arrdim[b], src.arrdim[a]):
-                raise StructureError(f"arrow map at {a} has wrong shape")
+        linalg.check_table("object map", self.obj_maps,
+                           {x: (target.objdim[self.base_obj[x]], source.objdim[x])
+                            for x in objects})
+        linalg.check_table("arrow map", self.arr_maps,
+                           {a: (target.arrdim[self.base_arr[a]], source.arrdim[a])
+                            for a in arrows})
 
     def covers_identity(self) -> bool:
         return (all(x == y for x, y in self.base_obj.items())
@@ -311,35 +261,26 @@ def validate_vb_map(m: VBMap) -> Report:
         if tgt.base.src[b] != m.base_obj[gb.src[a]] or tgt.base.tgt[b] != m.base_obj[gb.tgt[a]]:
             rep.add("base-compatibility", a, "arrow over matching endpoints", b)
             continue
-        lhs = linalg.compose(tgt.stilde[b], m.arr_maps[a])
-        rhs = linalg.compose(m.obj_maps[gb.src[a]], src.stilde[a])
-        if lhs != rhs:
-            rep.add("source-compatibility", a, repr(rhs), repr(lhs))
-        lhs = linalg.compose(tgt.ttilde[b], m.arr_maps[a])
-        rhs = linalg.compose(m.obj_maps[gb.tgt[a]], src.ttilde[a])
-        if lhs != rhs:
-            rep.add("target-compatibility", a, repr(rhs), repr(lhs))
+        rep.expect("source-compatibility", a,
+                   linalg.compose(m.obj_maps[gb.src[a]], src.stilde[a]),
+                   linalg.compose(tgt.stilde[b], m.arr_maps[a]))
+        rep.expect("target-compatibility", a,
+                   linalg.compose(m.obj_maps[gb.tgt[a]], src.ttilde[a]),
+                   linalg.compose(tgt.ttilde[b], m.arr_maps[a]))
     for x in gb.objects:
-        y = m.base_obj[x]
-        lhs = linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x])
-        rhs = linalg.compose(tgt.utilde[y], m.obj_maps[x])
-        if lhs != rhs:
-            rep.add("unit-compatibility", f"object {x}", repr(rhs), repr(lhs))
-    for (g1, g2) in gb.comp:
-        g12 = gb.comp[(g1, g2)]
+        rep.expect("unit-compatibility", f"object {x}",
+                   linalg.compose(tgt.utilde[m.base_obj[x]], m.obj_maps[x]),
+                   linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x]))
+    for (g1, g2), g12 in gb.comp.items():
         d1 = src.arrdim[g1]
         for idx, pb in enumerate(src.pair_basis(g1, g2)):
             vv, ww = pb[:d1], pb[d1:]
-            try:
-                lhs = m.arr_maps[g12].apply(src.multiply(g1, g2, vv, ww))
-                rhs = tgt.multiply(m.base_arr[g1], m.base_arr[g2],
-                                   m.arr_maps[g1].apply(vv), m.arr_maps[g2].apply(ww))
-            except CompositionError:
-                rep.add("multiplicativity", f"({g1},{g2}) basis {idx}",
-                        "composable images", "not composable")
-                continue
-            if lhs != rhs:
-                rep.add("multiplicativity", f"({g1},{g2}) basis {idx}", str(rhs), str(lhs))
+            rep.expect_composable(
+                "multiplicativity", f"({g1},{g2}) basis {idx}",
+                lambda: (tgt.multiply(m.base_arr[g1], m.base_arr[g2],
+                                      m.arr_maps[g1].apply(vv), m.arr_maps[g2].apply(ww)),
+                         m.arr_maps[g12].apply(src.multiply(g1, g2, vv, ww))),
+                "composable images")
     return rep
 
 
@@ -351,16 +292,6 @@ def vb_map_is_isomorphism(m: VBMap) -> bool:
         return False
     return (all(linalg.is_invertible(f) for f in m.obj_maps.values())
             and all(linalg.is_invertible(f) for f in m.arr_maps.values()))
-
-
-def invert_vb_map(m: VBMap) -> VBMap:
-    inv_obj = {y: x for x, y in m.base_obj.items()}
-    inv_arr = {b: a for a, b in m.base_arr.items()}
-    return VBMap(
-        m.target, m.source,
-        {m.base_obj[x]: linalg.inverse(m.obj_maps[x]) for x in m.source.base.objects},
-        {m.base_arr[a]: linalg.inverse(m.arr_maps[a]) for a in m.source.base.arrows},
-        inv_obj, inv_arr)
 
 
 # -- natural transformations between bundle maps -------------------------------
@@ -382,12 +313,9 @@ class BundleTransformation:
         self.to_map = to_map
         self.comp: dict[str, LinearMap] = dict(comp)
         src, tgt = from_map.source, from_map.target
-        for x in src.base.objects:
-            m = self.comp.get(x)
-            y = from_map.base_obj[x]
-            want = (tgt.arrdim[tgt.base.unit[y]], src.objdim[x])
-            if m is None or (m.rows, m.cols) != want:
-                raise StructureError(f"transformation component at {x} has wrong shape")
+        linalg.check_table("transformation component", self.comp,
+                           {x: (tgt.arrdim[tgt.base.unit[from_map.base_obj[x]]], src.objdim[x])
+                            for x in src.base.objects})
 
     def __eq__(self, other):
         if not isinstance(other, BundleTransformation):
@@ -403,33 +331,23 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
     for x in src.base.objects:
         y = t.from_map.base_obj[x]
         uy = tgt.base.unit[y]
-        lhs = linalg.compose(tgt.stilde[uy], t.comp[x])
-        if lhs != t.from_map.obj_maps[x]:
-            rep.add("component-source", f"object {x}",
-                    repr(t.from_map.obj_maps[x]), repr(lhs))
-        lhs = linalg.compose(tgt.ttilde[uy], t.comp[x])
-        if lhs != t.to_map.obj_maps[x]:
-            rep.add("component-target", f"object {x}",
-                    repr(t.to_map.obj_maps[x]), repr(lhs))
+        rep.expect("component-source", f"object {x}",
+                   t.from_map.obj_maps[x], linalg.compose(tgt.stilde[uy], t.comp[x]))
+        rep.expect("component-target", f"object {x}",
+                   t.to_map.obj_maps[x], linalg.compose(tgt.ttilde[uy], t.comp[x]))
     for x in src.base.objects:
         ux = src.base.unit[x]
         y = t.from_map.base_obj[x]
         uy = tgt.base.unit[y]
         for i in range(src.arrdim[ux]):
             vec = linalg.vec_basis(src.arrdim[ux], i)
-            tv = src.stilde[ux].apply(vec), src.ttilde[ux].apply(vec)
-            try:
-                lhs = tgt.multiply(uy, uy,
-                                   t.comp[x].apply(tv[1]),
-                                   t.from_map.arr_maps[ux].apply(vec))
-                rhs = tgt.multiply(uy, uy,
-                                   t.to_map.arr_maps[ux].apply(vec),
-                                   t.comp[x].apply(tv[0]))
-            except CompositionError:
-                rep.add("naturality", f"{x} basis {i}", "composable", "not composable")
-                continue
-            if lhs != rhs:
-                rep.add("naturality", f"{x} basis {i}", str(rhs), str(lhs))
+            rep.expect_composable(
+                "naturality", f"{x} basis {i}",
+                lambda: (tgt.multiply(uy, uy, t.to_map.arr_maps[ux].apply(vec),
+                                      t.comp[x].apply(src.stilde[ux].apply(vec))),
+                         tgt.multiply(uy, uy, t.comp[x].apply(src.ttilde[ux].apply(vec)),
+                                      t.from_map.arr_maps[ux].apply(vec))),
+                "composable")
     return rep
 
 
@@ -445,11 +363,9 @@ class Connection:
     rule: str = "pivot"
 
     def __post_init__(self):
-        for a in self.vb.base.arrows:
-            m = self.sigma.get(a)
-            want = (self.vb.arrdim[a], self.vb.objdim[self.vb.base.src[a]])
-            if m is None or (m.rows, m.cols) != want:
-                raise StructureError(f"connection component at {a} has wrong shape")
+        v = self.vb
+        linalg.check_table("connection component", self.sigma,
+                           {a: (v.arrdim[a], v.objdim[v.base.src[a]]) for a in v.base.arrows})
 
 
 def connection_report(c: Connection) -> Report:

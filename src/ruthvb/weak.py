@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, validate_groupoid
 from .linalg import KernelChart, LinearMap, Vector, vec_concat
 from .reports import Report
-from .vb import VBGroupoid, VBMap, validate_vb_map
+from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 
 
 # -- weak representations ---------------------------------------------------------
@@ -39,20 +39,13 @@ class WeakRepresentation:
         self.a0: dict[str, LinearMap] = dict(a0)
         self.a1: dict[str, LinearMap] = dict(a1)
         self.alpha: dict[tuple[str, str], LinearMap] = dict(alpha)
-        g = groupoid
-        for a in g.arrows:
-            s, t = g.src[a], g.tgt[a]
-            m0, m1 = self.a0.get(a), self.a1.get(a)
-            if m0 is None or (m0.rows, m0.cols) != (self.objdim(t), self.objdim(s)):
-                raise StructureError(f"action object map at {a} has wrong shape")
-            if m1 is None or (m1.rows, m1.cols) != (self.arrdim(t), self.arrdim(s)):
-                raise StructureError(f"action arrow map at {a} has wrong shape")
-        for pair in g.comp:
-            g1, g2 = pair
-            cell = self.alpha.get(pair)
-            want = (self.arrdim(g.tgt[g1]), self.objdim(g.src[g2]))
-            if cell is None or (cell.rows, cell.cols) != want:
-                raise StructureError(f"associator cell at {pair} has wrong shape")
+        g, od, ad = groupoid, self.objdim, self.arrdim
+        linalg.check_table("action object map", self.a0,
+                           {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
+        linalg.check_table("action arrow map", self.a1,
+                           {a: (ad(g.tgt[a]), ad(g.src[a])) for a in g.arrows})
+        linalg.check_table("associator cell", self.alpha,
+                           {(g1, g2): (ad(g.tgt[g1]), od(g.src[g2])) for (g1, g2) in g.comp})
 
     def objdim(self, x: str) -> int:
         return self.bundle.objdim[x]
@@ -86,42 +79,33 @@ class WeakRepresentation:
 
 
 def validate_weak_representation(w: WeakRepresentation) -> Report:
-    """Per-condition sweep: action functoriality, unitality, associator
-    typing, naturality, pentagon, and the unit coherences, all on canonical
-    fiber bases."""
-    rep = Report("weak-representation")
+    """Per-condition sweep: the acting groupoid's axioms, then the bundle's,
+    action functoriality, unitality, associator typing, naturality,
+    pentagon, and the unit coherences, all on canonical fiber bases.  The
+    action is only checked over an acting groupoid that is a groupoid."""
     g = w.groupoid
-    from .vb import validate_vb
-    bundle_rep = validate_vb(w.bundle)
-    rep.extend(bundle_rep, prefix="bundle: ")
+    rep = Report("weak-representation")
+    rep.extend(validate_groupoid(g), prefix="groupoid: ")
+    if not rep.passed:
+        return rep
+    rep.extend(validate_vb(w.bundle), prefix="bundle: ")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        lhs = linalg.compose(w.fiber_source(t), w.a1[a])
-        rhs = linalg.compose(w.a0[a], w.fiber_source(s))
-        if lhs != rhs:
-            rep.add("action-source", a, repr(rhs), repr(lhs))
-        lhs = linalg.compose(w.fiber_target(t), w.a1[a])
-        rhs = linalg.compose(w.a0[a], w.fiber_target(s))
-        if lhs != rhs:
-            rep.add("action-target", a, repr(rhs), repr(lhs))
-        lhs = linalg.compose(w.a1[a], w.fiber_unit(s))
-        rhs = linalg.compose(w.fiber_unit(t), w.a0[a])
-        if lhs != rhs:
-            rep.add("action-units", a, repr(rhs), repr(lhs))
+        rep.expect("action-source", a, linalg.compose(w.a0[a], w.fiber_source(s)),
+                   linalg.compose(w.fiber_source(t), w.a1[a]))
+        rep.expect("action-target", a, linalg.compose(w.a0[a], w.fiber_target(s)),
+                   linalg.compose(w.fiber_target(t), w.a1[a]))
+        rep.expect("action-units", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
+                   linalg.compose(w.a1[a], w.fiber_unit(s)))
         us = w.bundle.base.unit[s]
         d1 = w.bundle.arrdim[us]
         for idx, pb in enumerate(w.bundle.pair_basis(us, us)):
             v1, v2 = pb[:d1], pb[d1:]
-            try:
-                lhs_v = w.a1[a].apply(w.fiber_multiply(s, v1, v2))
-                rhs_v = w.fiber_multiply(t, w.a1[a].apply(v1), w.a1[a].apply(v2))
-            except CompositionError:
-                rep.add("action-multiplicative", f"{a} basis {idx}",
-                        "composable images", "not composable")
-                continue
-            if lhs_v != rhs_v:
-                rep.add("action-multiplicative", f"{a} basis {idx}",
-                        str(rhs_v), str(lhs_v))
+            rep.expect_composable(
+                "action-multiplicative", f"{a} basis {idx}",
+                lambda: (w.fiber_multiply(t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
+                         w.a1[a].apply(w.fiber_multiply(s, v1, v2))),
+                "composable images")
     for x in g.objects:
         u = g.unit[x]
         if not w.a0[u].is_identity():
@@ -129,61 +113,40 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
         if not w.a1[u].is_identity():
             rep.add("unital-arrows", f"unit {u}", "identity", repr(w.a1[u]))
     for (g1, g2), cell in w.alpha.items():
-        t1, s2 = g.tgt[g1], g.src[g2]
-        lhs = linalg.compose(w.fiber_source(t1), cell)
-        rhs = linalg.compose(w.a0[g1], w.a0[g2])
-        if lhs != rhs:
-            rep.add("associator-source", f"({g1},{g2})", repr(rhs), repr(lhs))
-        lhs = linalg.compose(w.fiber_target(t1), cell)
-        rhs = w.a0[g.comp[(g1, g2)]]
-        if lhs != rhs:
-            rep.add("associator-target", f"({g1},{g2})", repr(rhs), repr(lhs))
+        t1, s2, g12 = g.tgt[g1], g.src[g2], g.comp[(g1, g2)]
+        loc = f"({g1},{g2})"
+        rep.expect("associator-source", loc, linalg.compose(w.a0[g1], w.a0[g2]),
+                   linalg.compose(w.fiber_source(t1), cell))
+        rep.expect("associator-target", loc, w.a0[g12],
+                   linalg.compose(w.fiber_target(t1), cell))
         # naturality on basis arrows of the fiber at src(g2)
         for i in range(w.arrdim(s2)):
             vb = linalg.vec_basis(w.arrdim(s2), i)
-            tv = w.fiber_target(s2).apply(vb)
-            sv = w.fiber_source(s2).apply(vb)
-            try:
-                lhs_v = w.fiber_multiply(t1, cell.apply(tv),
-                                         w.a1[g1].apply(w.a1[g2].apply(vb)))
-                rhs_v = w.fiber_multiply(t1, w.a1[g.comp[(g1, g2)]].apply(vb),
-                                         cell.apply(sv))
-            except CompositionError:
-                rep.add("associator-naturality", f"({g1},{g2}) basis {i}",
-                        "composable cells", "not composable")
-                continue
-            if lhs_v != rhs_v:
-                rep.add("associator-naturality", f"({g1},{g2}) basis {i}",
-                        str(rhs_v), str(lhs_v))
+            rep.expect_composable(
+                "associator-naturality", f"{loc} basis {i}",
+                lambda: (w.fiber_multiply(t1, w.a1[g12].apply(vb),
+                                          cell.apply(w.fiber_source(s2).apply(vb))),
+                         w.fiber_multiply(t1, cell.apply(w.fiber_target(s2).apply(vb)),
+                                          w.a1[g1].apply(w.a1[g2].apply(vb)))),
+                "composable cells")
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
         t1, s3 = g.tgt[g1], g.src[g3]
         for i in range(w.objdim(s3)):
             xb = linalg.vec_basis(w.objdim(s3), i)
-            try:
-                lhs_v = w.fiber_multiply(
-                    t1, w.alpha[(g1, g23)].apply(xb),
-                    w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))
-                rhs_v = w.fiber_multiply(
-                    t1, w.alpha[(g12, g3)].apply(xb),
-                    w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb)))
-            except CompositionError:
-                rep.add("pentagon", f"({g1},{g2},{g3}) basis {i}",
-                        "composable cells", "not composable")
-                continue
-            if lhs_v != rhs_v:
-                rep.add("pentagon", f"({g1},{g2},{g3}) basis {i}",
-                        str(rhs_v), str(lhs_v))
+            rep.expect_composable(
+                "pentagon", f"({g1},{g2},{g3}) basis {i}",
+                lambda: (w.fiber_multiply(t1, w.alpha[(g12, g3)].apply(xb),
+                                          w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb))),
+                         w.fiber_multiply(t1, w.alpha[(g1, g23)].apply(xb),
+                                          w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))),
+                "composable cells")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        lhs = w.alpha[(a, g.unit[s])]
-        rhs = linalg.compose(w.a1[a], w.fiber_unit(s))
-        if lhs != rhs:
-            rep.add("unit-coherence-right", a, repr(rhs), repr(lhs))
-        lhs = w.alpha[(g.unit[t], a)]
-        rhs = linalg.compose(w.fiber_unit(t), w.a0[a])
-        if lhs != rhs:
-            rep.add("unit-coherence-left", a, repr(rhs), repr(lhs))
+        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.fiber_unit(s)),
+                   w.alpha[(a, g.unit[s])])
+        rep.expect("unit-coherence-left", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
+                   w.alpha[(g.unit[t], a)])
     return rep
 
 
@@ -310,17 +273,13 @@ class EquivariantMap:
         self.f1: dict[str, LinearMap] = dict(f1)
         self.delta: dict[str, LinearMap] = dict(delta)
         g = source.groupoid
-        for x in g.objects:
-            m0, m1 = self.f0.get(x), self.f1.get(x)
-            if m0 is None or (m0.rows, m0.cols) != (target.objdim(x), source.objdim(x)):
-                raise StructureError(f"object component at {x} has wrong shape")
-            if m1 is None or (m1.rows, m1.cols) != (target.arrdim(x), source.arrdim(x)):
-                raise StructureError(f"arrow component at {x} has wrong shape")
-        for a in g.arrows:
-            d = self.delta.get(a)
-            want = (target.arrdim(g.tgt[a]), source.objdim(g.src[a]))
-            if d is None or (d.rows, d.cols) != want:
-                raise StructureError(f"equivariance cell at {a} has wrong shape")
+        linalg.check_table("object component", self.f0,
+                           {x: (target.objdim(x), source.objdim(x)) for x in g.objects})
+        linalg.check_table("arrow component", self.f1,
+                           {x: (target.arrdim(x), source.arrdim(x)) for x in g.objects})
+        linalg.check_table("equivariance cell", self.delta,
+                           {a: (target.arrdim(g.tgt[a]), source.objdim(g.src[a]))
+                            for a in g.arrows})
 
     def bundle_map(self) -> VBMap:
         src, tgt = self.source.bundle, self.target.bundle
@@ -344,54 +303,36 @@ def validate_equivariant(e: EquivariantMap) -> Report:
     v, w = e.source, e.target
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        lhs = linalg.compose(w.fiber_source(t), e.delta[a])
-        rhs = linalg.compose(e.f0[t], v.a0[a])
-        if lhs != rhs:
-            rep.add("cell-source", a, repr(rhs), repr(lhs))
-        lhs = linalg.compose(w.fiber_target(t), e.delta[a])
-        rhs = linalg.compose(w.a0[a], e.f0[s])
-        if lhs != rhs:
-            rep.add("cell-target", a, repr(rhs), repr(lhs))
+        rep.expect("cell-source", a, linalg.compose(e.f0[t], v.a0[a]),
+                   linalg.compose(w.fiber_source(t), e.delta[a]))
+        rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
+                   linalg.compose(w.fiber_target(t), e.delta[a]))
         for i in range(v.arrdim(s)):
             vb = linalg.vec_basis(v.arrdim(s), i)
-            tv = v.fiber_target(s).apply(vb)
-            sv = v.fiber_source(s).apply(vb)
-            try:
-                lhs_v = w.fiber_multiply(t, e.delta[a].apply(tv),
-                                         e.f1[t].apply(v.a1[a].apply(vb)))
-                rhs_v = w.fiber_multiply(t, w.a1[a].apply(e.f1[s].apply(vb)),
-                                         e.delta[a].apply(sv))
-            except CompositionError:
-                rep.add("cell-naturality", f"{a} basis {i}",
-                        "composable cells", "not composable")
-                continue
-            if lhs_v != rhs_v:
-                rep.add("cell-naturality", f"{a} basis {i}", str(rhs_v), str(lhs_v))
-    for (g1, g2) in g.comp:
+            rep.expect_composable(
+                "cell-naturality", f"{a} basis {i}",
+                lambda: (w.fiber_multiply(t, w.a1[a].apply(e.f1[s].apply(vb)),
+                                          e.delta[a].apply(v.fiber_source(s).apply(vb))),
+                         w.fiber_multiply(t, e.delta[a].apply(v.fiber_target(s).apply(vb)),
+                                          e.f1[t].apply(v.a1[a].apply(vb)))),
+                "composable cells")
+    for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
         for i in range(v.objdim(s2)):
             xb = linalg.vec_basis(v.objdim(s2), i)
-            try:
-                inner = w.fiber_multiply(
-                    t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
-                    w.a1[g1].apply(e.delta[g2].apply(xb)))
-                lhs_v = w.fiber_multiply(t1, inner,
-                                         e.delta[g1].apply(v.a0[g2].apply(xb)))
-                rhs_v = w.fiber_multiply(
-                    t1, e.delta[g.comp[(g1, g2)]].apply(xb),
-                    e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb)))
-            except CompositionError:
-                rep.add("hexagon", f"({g1},{g2}) basis {i}",
-                        "composable cells", "not composable")
-                continue
-            if lhs_v != rhs_v:
-                rep.add("hexagon", f"({g1},{g2}) basis {i}", str(rhs_v), str(lhs_v))
+            rep.expect_composable(
+                "hexagon", f"({g1},{g2}) basis {i}",
+                lambda: (w.fiber_multiply(t1, e.delta[g12].apply(xb),
+                                          e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb))),
+                         w.fiber_multiply(
+                             t1,
+                             w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
+                                              w.a1[g1].apply(e.delta[g2].apply(xb))),
+                             e.delta[g1].apply(v.a0[g2].apply(xb)))),
+                "composable cells")
     for x in g.objects:
-        u = g.unit[x]
-        lhs = e.delta[u]
-        rhs = linalg.compose(w.fiber_unit(x), e.f0[x])
-        if lhs != rhs:
-            rep.add("unit-triangle", f"object {x}", repr(rhs), repr(lhs))
+        rep.expect("unit-triangle", f"object {x}",
+                   linalg.compose(w.fiber_unit(x), e.f0[x]), e.delta[g.unit[x]])
     return rep
 
 

@@ -83,6 +83,38 @@ def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, table, key", [
+    ("pair-strict-wrep", "alpha", ["p:x>x:0", "p:x>y:0"]),
+    ("pair-strict-ruth", "omega", ["p:x>x:0", "p:x>y:0"]),
+    ("pair-strict-ruth", "lambda0", "zz"),
+])
+def test_cli_validate_stray_table_entry_exits_2(tmp_path, capsys, name, table, key):
+    """An entry keyed off its table (a non-composable pair, an unknown
+    arrow) makes the file malformed, whatever matrix it holds."""
+    doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
+    node = doc["payload"][table]
+    if isinstance(node, list):
+        node.append(key + [node[0][-1]])
+    else:
+        node[key] = next(iter(node.values()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "outside its table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["z2-ruth-1", "z2-ruth-1-semidirect", "z2-ruth-1-wrep"])
+def test_cli_validate_fails_on_invalid_base_groupoid(tmp_path, capsys, name):
+    doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
+    doc["payload"]["groupoid"]["inverse"]["g"] = "e"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL")
+    assert "[right-inverse] at groupoid: g: expected e, got g" in out
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = REPO_FIXTURES / "z2-ruth-1.json"
     bad = REPO_FIXTURES / "z2-ruth-broken4.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
 from ruthvb.errors import (DimensionError, NotInvertibleError,
-                           NotSurjectiveError, PinningError)
+                           NotSurjectiveError, PinningError, StructureError)
 from ruthvb.linalg import (LinearMap, compose, inverse, kernel_basis, rank,
                            right_inverse_on_image, solve)
 
@@ -169,3 +169,14 @@ def test_block_helpers():
     stacked = linalg.hstack(a, b)
     assert stacked.block(0, 2, 2, 3) == b
     assert linalg.direct_sum(a, LinearMap.identity(1)).entry(2, 2) == 1
+
+
+@pytest.mark.parametrize("table, message", [
+    ({}, "cell at a has wrong shape"),
+    ({"a": LinearMap.zero(2, 1)}, "cell at a has wrong shape"),
+    ({"a": LinearMap.zero(1, 2), "b": LinearMap.zero(1, 2)}, "cell at b is outside its table"),
+])
+def test_check_table_rejects_missing_misshapen_and_stray_entries(table, message):
+    linalg.check_table("cell", {"a": LinearMap.zero(1, 2)}, {"a": (1, 2)})
+    with pytest.raises(StructureError, match=message):
+        linalg.check_table("cell", table, {"a": (1, 2)})

@@ -14,10 +14,11 @@ from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, sign_twisted_ruth,
                                      z2_ruth)
 from ruthvb.linalg import LinearMap
+from ruthvb.reports import CheckEntry
 from ruthvb.ruth import compose_morphisms
 from ruthvb.semidirect import semidirect
-from ruthvb.vb import validate_vb, validate_vb_map, compose_vb_maps
-from ruthvb.weak import (ActionChart, WeakRepresentation, act_on_morphism,
+from ruthvb.vb import VBGroupoid, validate_vb, validate_vb_map, compose_vb_maps
+from ruthvb.weak import (ActionChart, EquivariantMap, WeakRepresentation, act_on_morphism,
                          action_groupoid, compose_equivariant, identity_equivariant,
                          validate_equivariant, validate_weak_representation)
 from ruthvb.equivalences import (reconstruct_equivariant, wrep_from_ruth,
@@ -177,3 +178,43 @@ def test_action_chart_encode_agrees_with_solve(data):
         coords = chart.encode(a, x, k)
         assert coords == linalg.vec_concat(x, want)
         assert chart.decode(a, coords) == (x, k)
+
+
+def _bump_first_entry(table, key):
+    m = table[key]
+    return {**table, key: m.with_entry(0, 0, m.entry(0, 0) + 1)}
+
+
+def _vb_with_bumped_stilde():
+    """semidirect(pair_strict_ruth()) with one source-map entry changed and
+    the stored multiplication kept."""
+    v = semidirect(pair_strict_ruth())
+    return validate_vb(VBGroupoid(v.base, v.objdim, v.arrdim,
+                                  _bump_first_entry(v.stilde, "p:x>x:0"), v.ttilde,
+                                  v.utilde, v.inv_map, v.mult))
+
+
+def _wrep_with_bumped_alpha():
+    w = wrep_from_ruth(pair_strict_ruth())
+    return validate_weak_representation(WeakRepresentation(
+        w.groupoid, w.bundle, w.a0, w.a1,
+        _bump_first_entry(w.alpha, ("p:x>x:0", "p:x>x:0"))))
+
+
+def _equivariant_with_bumped_delta():
+    e = identity_equivariant(wrep_from_ruth(pair_strict_ruth()))
+    return validate_equivariant(EquivariantMap(e.source, e.target, e.f0, e.f1,
+                                               _bump_first_entry(e.delta, "p:x>x:0")))
+
+
+@pytest.mark.parametrize("report, entry", [
+    (_vb_with_bumped_stilde,
+     CheckEntry("right-inverse-law", "p:x>x:0 basis 0", "unit", "not composable")),
+    (_wrep_with_bumped_alpha,
+     CheckEntry("associator-naturality", "(p:x>x:0,p:x>x:0) basis 1",
+                "composable cells", "not composable")),
+    (_equivariant_with_bumped_delta,
+     CheckEntry("cell-naturality", "p:x>x:0 basis 1", "composable cells", "not composable")),
+])
+def test_product_that_cannot_be_formed_is_reported_not_composable(report, entry):
+    assert entry in report().entries
