@@ -9,8 +9,7 @@ verified isomorphism witnesses.
 
 from .errors import (CompositionError, DegreeError, DimensionError,
                      NotInducedError, NotInvertibleError, NotSurjectiveError,
-                     PinningError, RuthVBError, StructureError, UsageError,
-                     ValidationError)
+                     RuthVBError, StructureError, UsageError, ValidationError)
 from .linalg import (LinearMap, compose, inverse, kernel_basis, rat,
                      right_inverse_on_image, solve)
 from .groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,

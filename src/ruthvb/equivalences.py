@@ -13,7 +13,7 @@ from .errors import NotInducedError, StructureError, ValidationError
 from .linalg import LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .semidirect import semidirect
-from .twoterm import phi_object, split_bundle
+from .twoterm import diagonal_blocks, phi_object, split_bundle
 from .vb import (Connection, VBGroupoid, VBMap, connection_report,
                  find_unital_connection, kernel_groupoid, validate_vb,
                  validate_vb_map, vb_map_is_isomorphism)
@@ -27,10 +27,7 @@ def wrep_from_ruth(r: Ruth, validate: bool = True) -> WeakRepresentation:
     composable pair has degree-0 part the transformation cochain and
     degree-1 part the composite quasi-action."""
     if validate:
-        rep = validate_ruth(r)
-        if not rep.passed:
-            raise ValidationError("wrep_from_ruth needs a valid representation:\n"
-                                  + rep.to_text())
+        validate_ruth(r).require(ValidationError, "wrep_from_ruth needs a valid representation")
     g = r.groupoid
     bundle = phi_object(r.complex)
     a0 = {a: r.lambda1[a] for a in g.arrows}
@@ -53,6 +50,22 @@ def ruth_from_wrep(w: WeakRepresentation) -> Ruth:
     return _ruth_and_splitting(w)[0]
 
 
+def ruth_from_wrep_with_witness(w: WeakRepresentation) -> tuple[Ruth, EquivariantMap]:
+    """:func:`ruth_from_wrep` together with a strictly intertwining
+    equivariant map from the canonical-basis weak representation of the
+    recovered structure onto ``w``, built on the same bundle splitting."""
+    r, iso = _ruth_and_splitting(w)
+    g = w.groupoid
+    witness = EquivariantMap(
+        wrep_from_ruth(r, validate=False), w,
+        {x: iso.obj_maps[x] for x in g.objects},
+        {x: iso.arr_maps[x] for x in g.objects},
+        {a: linalg.compose(w.fiber_unit(g.tgt[a]),
+                           linalg.compose(w.a0[a], iso.obj_maps[g.src[a]]))
+         for a in g.arrows})
+    return r, witness
+
+
 def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, VBMap]:
     """:func:`ruth_from_wrep` together with the bundle splitting it used."""
     g = w.groupoid
@@ -63,17 +76,10 @@ def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, VBMap]:
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         m = linalg.compose(rho_inv[t], linalg.compose(w.a1[a], rho[s]))
-        d0s, d0t = complex_.dim0[s], complex_.dim0[t]
-        d1s, d1t = complex_.dim1[s], complex_.dim1[t]
-        blk_x = m.block(d0t, d0t + d1t, 0, d0s)
-        blk_y = m.block(0, d0t, d0s, d0s + d1s)
-        blk_z = m.block(d0t, d0t + d1t, d0s, d0s + d1s)
-        if not blk_x.is_zero() or not blk_y.is_zero():
-            raise NotInducedError(f"action at {a} has nonzero off-diagonal blocks")
-        if blk_z != w.a0[a]:
+        lambda0[a], lambda1[a] = diagonal_blocks(m, complex_.dim0[t], complex_.dim0[s],
+                                                 f"action at {a}")
+        if lambda1[a] != w.a0[a]:
             raise NotInducedError(f"degree-1 block at {a} differs from the object action")
-        lambda0[a] = m.block(0, d0t, 0, d0s)
-        lambda1[a] = blk_z
     omega = {}
     for (g1, g2), cell in w.alpha.items():
         t1 = g.tgt[g1]
@@ -86,9 +92,7 @@ def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, VBMap]:
                                   "composite action")
         omega[(g1, g2)] = m.block(0, d0t, 0, m.cols)
     out = Ruth(g, complex_, lambda0, lambda1, omega)
-    rep = validate_ruth(out)
-    if not rep.passed:
-        raise ValidationError("recovered representation fails validation:\n" + rep.to_text())
+    validate_ruth(out).require(ValidationError, "recovered representation fails validation")
     return out, iso
 
 
@@ -101,10 +105,8 @@ def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> Equivaria
     cell must start at F(g.x); so the cell's degree-0 part is -mu and its
     degree-1 part the whiskered action."""
     if validate:
-        rep = validate_morphism(m)
-        if not rep.passed:
-            raise ValidationError("wrep_from_ruth_morphism needs a valid morphism:\n"
-                                  + rep.to_text())
+        validate_morphism(m).require(ValidationError,
+                                     "wrep_from_ruth_morphism needs a valid morphism")
     g = m.source.groupoid
     src = wrep_from_ruth(m.source, validate=False)
     tgt = wrep_from_ruth(m.target, validate=False)
@@ -133,16 +135,9 @@ def ruth_morphism_from_wrep_map(e: EquivariantMap) -> RuthMorphism:
     phi0, phi1 = {}, {}
     for x in g.objects:
         m = linalg.compose(rho_t_inv[x], linalg.compose(e.f1[x], rho_s[x]))
-        d0s, d1s = cs.dim0[x], cs.dim1[x]
-        d0t, d1t = ct.dim0[x], ct.dim1[x]
-        if not m.block(d0t, d0t + d1t, 0, d0s).is_zero() \
-                or not m.block(0, d0t, d0s, d0s + d1s).is_zero():
-            raise NotInducedError(f"functor at {x} has nonzero off-diagonal blocks")
-        blk_z = m.block(d0t, d0t + d1t, d0s, d0s + d1s)
-        if blk_z != e.f0[x]:
+        phi0[x], phi1[x] = diagonal_blocks(m, ct.dim0[x], cs.dim0[x], f"functor at {x}")
+        if phi1[x] != e.f0[x]:
             raise NotInducedError(f"degree-1 block at {x} differs from the object component")
-        phi0[x] = m.block(0, d0t, 0, d0s)
-        phi1[x] = blk_z
     mu = {}
     for a in g.arrows:
         t = g.tgt[a]
@@ -176,18 +171,14 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     The returned map sends an action-groupoid arrow (g, x, k) to
     ``inverse(k) . sigma_g(x)`` and is verified to be an isomorphism."""
     if validate:
-        rep = validate_vb(v)
-        if not rep.passed:
-            raise ValidationError("vb_to_wrep needs a valid VB-groupoid:\n" + rep.to_text())
+        validate_vb(v).require(ValidationError, "vb_to_wrep needs a valid VB-groupoid")
     g = v.base
     if connection is None:
         connection = find_unital_connection(v)
     else:
         if connection.vb != v:
             raise StructureError("connection belongs to a different VB-groupoid")
-        crep = connection_report(connection)
-        if not crep.passed:
-            raise ValidationError("invalid connection:\n" + crep.to_text())
+        connection_report(connection).require(ValidationError, "invalid connection")
     sigma = connection.sigma
     kernel = kernel_groupoid(v)
     a0, a1, alpha = {}, {}, {}
@@ -216,10 +207,8 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
                                    v.invert(g1, sigma[g1].apply(a0[g2].apply(x)))))
         alpha[(g1, g2)] = LinearMap.from_columns(cols, v.arrdim[g.unit[g.tgt[g1]]])
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
-    wrep_report = validate_weak_representation(wrep)
-    if not wrep_report.passed:
-        raise ValidationError("kernel action failed weak-representation validation:\n"
-                              + wrep_report.to_text())
+    validate_weak_representation(wrep).require(
+        ValidationError, "kernel action failed weak-representation validation")
     chart = ActionChart(wrep)
     ag = action_groupoid_bundle(wrep, chart)
     arr = {}
@@ -232,10 +221,8 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
             cols.append(v.multiply(ut, a, v.invert(ut, k), sigma[a].apply(x)))
         arr[a] = LinearMap.from_columns(cols, v.arrdim[a])
     iso = VBMap(ag, v, {x: LinearMap.identity(v.objdim[x]) for x in g.objects}, arr)
-    iso_rep = validate_vb_map(iso)
-    if not iso_rep.passed:
-        raise ValidationError("kernel-action identification is not a VB map:\n"
-                              + iso_rep.to_text())
+    validate_vb_map(iso).require(ValidationError,
+                                 "kernel-action identification is not a VB map")
     if not vb_map_is_isomorphism(iso):
         raise ValidationError("kernel-action identification is not invertible")
     return KernelActionResult(wrep, iso, connection)
@@ -326,9 +313,7 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
             cols.append(linalg.vec_concat(tuple(-c for c in e0), x))
         arr[a] = LinearMap.from_columns(cols, sd.arrdim[a])
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
-    rep = validate_vb_map(iso)
-    if not rep.passed:
-        raise ValidationError("triangle identification is not a VB map:\n" + rep.to_text())
+    validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")
     if not vb_map_is_isomorphism(iso):
         raise ValidationError("triangle identification is not invertible")
     return iso

@@ -13,10 +13,6 @@ class NotSurjectiveError(RuthVBError):
     """A right inverse was requested for a map that is not onto."""
 
 
-class PinningError(RuthVBError):
-    """A pinned partial section is inconsistent with the map or with itself."""
-
-
 class NotInvertibleError(RuthVBError):
     """A square map has no inverse."""
 

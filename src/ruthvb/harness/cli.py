@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 
-from .. import linalg
 from ..errors import RuthVBError, StructureError, UsageError
 from ..groupoid import validate_groupoid
 from ..reports import Report
@@ -22,9 +21,10 @@ from ..twoterm import (extract_chain_map, extract_homotopy, phi_object,
                        phi_onemorphism, phi_twomorphism, split_bundle)
 from ..vb import validate_vb
 from ..weak import (action_groupoid, act_on_morphism, validate_equivariant,
-                    validate_weak_representation, EquivariantMap)
+                    validate_weak_representation)
 from ..equivalences import (reconstruct_equivariant, ruth_from_wrep,
-                            triangle_witness, vb_to_wrep, wrep_from_ruth)
+                            ruth_from_wrep_with_witness, triangle_witness, vb_to_wrep,
+                            wrep_from_ruth)
 from . import fixtures, generators, serialize
 
 
@@ -81,8 +81,7 @@ def cmd_convert(args) -> int:
     if (args.from_kind, args.to_kind) == ("ruth", "wrep"):
         out = wrep_from_ruth(obj, validate=False)
     elif (args.from_kind, args.to_kind) == ("wrep", "ruth"):
-        out = ruth_from_wrep(obj)
-        witness = _wrep_recovery_witness(obj, out)
+        out, witness = ruth_from_wrep_with_witness(obj)
         wrep_report = validate_equivariant(witness)
         if not wrep_report.passed:
             print(wrep_report.to_text(), file=sys.stderr)
@@ -108,21 +107,6 @@ def cmd_convert(args) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _wrep_recovery_witness(w, r) -> EquivariantMap:
-    """Strictly intertwining equivariant map from the canonical-basis weak
-    representation of the recovered structure onto the given one."""
-    w2 = wrep_from_ruth(r, validate=False)
-    _, iso = split_bundle(w.bundle)
-    g = w.groupoid
-    return EquivariantMap(
-        w2, w,
-        {x: iso.obj_maps[x] for x in g.objects},
-        {x: iso.arr_maps[x] for x in g.objects},
-        {a: linalg.compose(w.fiber_unit(g.tgt[a]),
-                           linalg.compose(w.a0[a], iso.obj_maps[g.src[a]]))
-         for a in g.arrows})
 
 
 def _trial_ruth(args, rng, obj):
@@ -152,10 +136,10 @@ def _pipeline_vb_wrep(args, rng, obj, report, trial):
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):
     w = obj if obj is not None else generators.random_wrep(rng, max_dim=args.max_dim)
-    r = ruth_from_wrep(w)
+    r, witness = ruth_from_wrep_with_witness(w)
     rep = validate_ruth(r)
     report.extend(rep, prefix=f"trial {trial}: recovered: ")
-    rep = validate_equivariant(_wrep_recovery_witness(w, r))
+    rep = validate_equivariant(witness)
     report.extend(rep, prefix=f"trial {trial}: witness: ")
 
 

@@ -229,6 +229,7 @@ def load_instance(text: str, expect_kind: str | None = None):
         obj = _FROM[kind](doc["payload"])
     except StructureError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RuthVBError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+            RuthVBError) as exc:
         raise StructureError(f"malformed {kind} payload: {exc}") from exc
     return kind, obj, doc.get("metadata", {})

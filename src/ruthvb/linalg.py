@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
-from .errors import (DimensionError, NotInvertibleError, NotSurjectiveError, PinningError,
-                     StructureError)
+from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -334,56 +333,23 @@ def solve(f: LinearMap, b: Vector) -> Optional[Vector]:
     return tuple(x)
 
 
-def right_inverse_on_image(
-    f: LinearMap,
-    pinned: Sequence[tuple[Vector, Vector]] | None = None,
-) -> LinearMap:
+def right_inverse_on_image(f: LinearMap) -> LinearMap:
     """A section g of a surjective f (f @ g = identity), deterministically.
 
-    ``pinned`` is a list of (target, preimage) pairs; the section must send
-    each pinned target to its preimage.  Targets may be linearly dependent
-    as long as the preimages agree on the dependency.  Off the pinned
-    subspace the section is the leftmost-pivot particular solution.
+    Column i of g is the leftmost-pivot solution of f x = e_i, free
+    variables zero; all columns are read off one row reduction of
+    ``[f | identity]``.  f is onto exactly when no pivot falls in the
+    identity block, and the first such pivot names the first basis vector
+    with no preimage.
     """
-    n = f.rows
-    span: list[Vector] = []    # columns of the invertible change of basis
-    images: list[Vector] = []  # chosen preimages, aligned with span
-    for tgt, pre in (pinned or ()):
-        if len(tgt) != n or len(pre) != f.cols:
-            raise DimensionError("pinned pair has wrong shape")
-        if f.apply(pre) != tuple(tgt):
-            raise PinningError("pinned preimage does not map to its target")
-        trial = LinearMap.from_columns(span + [tuple(tgt)], n)
-        if rank(trial) == len(span) + 1:
-            span.append(tuple(tgt))
-            images.append(tuple(pre))
-        else:
-            # dependent target: the induced preimage must agree
-            coeffs = solve(LinearMap.from_columns(span, n), tuple(tgt)) if span else None
-            if coeffs is None:
-                raise PinningError("dependent pinned target with no expansion")
-            induced = vec_zero(f.cols)
-            for c, img in zip(coeffs, images):
-                induced = vec_add(induced, vec_scale(c, img))
-            if induced != tuple(pre):
-                raise PinningError("pinned preimages disagree on a dependent target")
-    for i in range(n):
-        if len(span) == n:
-            break
-        e = vec_basis(n, i)
-        trial = LinearMap.from_columns(span + [e], n)
-        if rank(trial) != len(span) + 1:
-            continue
-        pre = solve(f, e)
-        if pre is None:
-            raise NotSurjectiveError(f"no preimage for basis vector {i}")
-        span.append(e)
-        images.append(pre)
-    if len(span) < n:
-        raise NotSurjectiveError("map is not surjective")
-    basis = LinearMap.from_columns(span, n)
-    img = LinearMap.from_columns(images, f.cols)
-    return compose(img, inverse(basis))
+    a, pivots = _rref(hstack(f, LinearMap.identity(f.rows)))
+    blocked = [pc - f.cols for pc in pivots if pc >= f.cols]
+    if blocked:
+        raise NotSurjectiveError(f"no preimage for basis vector {blocked[0]}")
+    ent = [ZERO] * (f.cols * f.rows)
+    for r, pc in enumerate(pivots):
+        ent[pc * f.rows:(pc + 1) * f.rows] = a[r][f.cols:]
+    return LinearMap(f.cols, f.rows, tuple(ent))
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -401,6 +367,16 @@ def is_invertible(f: LinearMap) -> bool:
     return f.rows == f.cols and rank(f) == f.rows
 
 
+def check_keys(what: str, table: dict, keys: Collection) -> None:
+    """Raise StructureError unless ``table`` has exactly the given keys."""
+    for key in keys:
+        if key not in table:
+            raise StructureError(f"missing {what} at {key}")
+    for key in table:
+        if key not in keys:
+            raise StructureError(f"{what} at {key} is outside its table")
+
+
 def check_table(what: str, table: dict, shapes: dict) -> None:
     """Raise StructureError unless ``table`` has exactly the keys of
     ``shapes`` and each entry is a map of the listed (rows, cols)."""
@@ -408,9 +384,7 @@ def check_table(what: str, table: dict, shapes: dict) -> None:
         m = table.get(key)
         if m is None or (m.rows, m.cols) != shape:
             raise StructureError(f"{what} at {key} has wrong shape")
-    for key in table:
-        if key not in shapes:
-            raise StructureError(f"{what} at {key} is outside its table")
+    check_keys(what, table, shapes)
 
 
 # -- serialization helpers ---------------------------------------------------

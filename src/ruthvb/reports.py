@@ -60,6 +60,11 @@ class Report:
             return
         self.expect(check, location, want, got)
 
+    def require(self, error: type[Exception], message: str) -> None:
+        """Raise ``error`` with ``message`` and this report's text unless it passed."""
+        if not self.passed:
+            raise error(f"{message}:\n{self.to_text()}")
+
     def extend(self, other: "Report", prefix: str = "") -> None:
         for e in other.entries:
             loc = f"{prefix}{e.location}" if prefix else e.location

@@ -19,9 +19,7 @@ from .vb import VBGroupoid, VBMap
 def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
     """Semi-direct product VB-groupoid of a valid representation."""
     if validate:
-        rep = validate_ruth(r)
-        if not rep.passed:
-            raise ValidationError("semidirect needs a valid representation:\n" + rep.to_text())
+        validate_ruth(r).require(ValidationError, "semidirect needs a valid representation")
     g, c = r.groupoid, r.complex
     objdim = {x: c.dim1[x] for x in g.objects}
     arrdim = {a: c.dim0[g.tgt[a]] + c.dim1[g.src[a]] for a in g.arrows}
@@ -57,9 +55,7 @@ def psi_morphism(m: RuthMorphism, validate: bool = True) -> VBMap:
     """VB-groupoid map of the semi-direct products:
     phi1 on objects, (e0, e1) -> (phi0 e0 + mu e1, phi1 e1) over each arrow."""
     if validate:
-        rep = validate_morphism(m)
-        if not rep.passed:
-            raise ValidationError("psi_morphism needs a valid morphism:\n" + rep.to_text())
+        validate_morphism(m).require(ValidationError, "psi_morphism needs a valid morphism")
     g = m.source.groupoid
     sv = semidirect(m.source, validate=False)
     tv = semidirect(m.target, validate=False)

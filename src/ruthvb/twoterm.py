@@ -33,9 +33,8 @@ class TwoTermComplex:
         self.dim0: dict[str, int] = dict(dim0)
         self.dim1: dict[str, int] = dict(dim1)
         self.diff: dict[str, LinearMap] = dict(diff)
-        for x in self.base:
-            if x not in self.dim0 or x not in self.dim1:
-                raise StructureError(f"missing fiber dimensions at {x}")
+        linalg.check_keys("fiber dimensions", self.dim0, self.base)
+        linalg.check_keys("fiber dimensions", self.dim1, self.base)
         linalg.check_table("differential", self.diff,
                            {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
@@ -205,10 +204,8 @@ def phi_onemorphism(f: ChainMap) -> VBMap:
                 {x: f.f1[x] for x in f.source.base},
                 {x: linalg.direct_sum(f.f0[x], f.f1[x]) for x in f.source.base},
                 base_obj=dict(f.basemap), base_arr=dict(f.basemap))
-    rep = validate_vb_map(out)
-    if not rep.passed:
-        raise StructureError("bundle functor of a chain map failed verification:\n"
-                             + rep.to_text())
+    validate_vb_map(out).require(StructureError,
+                                 "bundle functor of a chain map failed verification")
     return out
 
 
@@ -219,10 +216,8 @@ def phi_twomorphism(h: ChainHomotopy) -> BundleTransformation:
     out = BundleTransformation(
         phi_onemorphism(h.from_map), phi_onemorphism(h.to_map),
         {x: linalg.vstack(h.omega[x], h.from_map.f1[x]) for x in h.from_map.source.base})
-    rep = validate_bundle_transformation(out)
-    if not rep.passed:
-        raise StructureError("bundle transformation of a homotopy failed verification:\n"
-                             + rep.to_text())
+    validate_bundle_transformation(out).require(
+        StructureError, "bundle transformation of a homotopy failed verification")
     return out
 
 
@@ -254,9 +249,7 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
                 {p: linalg.hstack(inj[p], v.utilde[p]) for p in points},
                 base_obj={p: p for p in points},
                 base_arr={p: v.base.unit[p] for p in points})
-    rep = validate_vb_map(iso)
-    if not rep.passed:
-        raise StructureError("bundle splitting failed verification:\n" + rep.to_text())
+    validate_vb_map(iso).require(StructureError, "bundle splitting failed verification")
     for p in points:
         if not linalg.is_invertible(iso.arr_maps[p]):
             raise StructureError(f"bundle splitting is not invertible at {p}")
@@ -279,6 +272,18 @@ def _phi_image_complex(v: VBGroupoid) -> TwoTermComplex:
     return TwoTermComplex(points, dim0, dim1, diff)
 
 
+def diagonal_blocks(m: LinearMap, d0_target: int, d0_source: int,
+                    where: str) -> tuple[LinearMap, LinearMap]:
+    """The degree-0 and degree-1 diagonal blocks of a map between
+    sum-groupoid fibers (degree-0 block first on both sides).  Raises
+    NotInducedError when an off-diagonal block is nonzero."""
+    if (not m.block(d0_target, m.rows, 0, d0_source).is_zero()
+            or not m.block(0, d0_target, d0_source, m.cols).is_zero()):
+        raise NotInducedError(f"{where} has nonzero off-diagonal blocks")
+    return (m.block(0, d0_target, 0, d0_source),
+            m.block(d0_target, m.rows, d0_source, m.cols))
+
+
 def extract_chain_map(F: VBMap) -> ChainMap:
     """Invert the bundle-functor construction.
 
@@ -290,16 +295,8 @@ def extract_chain_map(F: VBMap) -> ChainMap:
     ct = _phi_image_complex(F.target)
     f0, f1 = {}, {}
     for p in cs.base:
-        q = F.base_obj[p]
-        d0s, d1s = cs.dim0[p], cs.dim1[p]
-        d0t, d1t = ct.dim0[q], ct.dim1[q]
-        m = F.arr_maps[p]
-        w = m.block(0, d0t, 0, d0s)
-        xblk = m.block(d0t, d0t + d1t, 0, d0s)
-        yblk = m.block(0, d0t, d0s, d0s + d1s)
-        z = m.block(d0t, d0t + d1t, d0s, d0s + d1s)
-        if not xblk.is_zero() or not yblk.is_zero():
-            raise NotInducedError(f"arrow map at {p} has nonzero off-diagonal blocks")
+        w, z = diagonal_blocks(F.arr_maps[p], ct.dim0[F.base_obj[p]], cs.dim0[p],
+                               f"arrow map at {p}")
         if z != F.obj_maps[p]:
             raise NotInducedError(f"degree-1 block at {p} differs from the object map")
         f0[p], f1[p] = w, z

@@ -46,12 +46,8 @@ class VBGroupoid:
         self.inv_map: dict[str, LinearMap] = dict(inv_map)
         self._pair_charts: dict[tuple[str, str], KernelChart] = {}
         g, od, ad = base, self.objdim, self.arrdim
-        for x in g.objects:
-            if x not in od:
-                raise StructureError(f"missing object fiber dimension at {x}")
-        for a in g.arrows:
-            if a not in ad:
-                raise StructureError(f"missing arrow fiber dimension at {a}")
+        linalg.check_keys("object fiber dimension", od, g.objects)
+        linalg.check_keys("arrow fiber dimension", ad, g.arrows)
         linalg.check_table("stilde", self.stilde, {a: (od[g.src[a]], ad[a]) for a in g.arrows})
         linalg.check_table("ttilde", self.ttilde, {a: (od[g.tgt[a]], ad[a]) for a in g.arrows})
         linalg.check_table("inverse map", self.inv_map,

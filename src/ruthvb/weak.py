@@ -248,10 +248,8 @@ def action_groupoid(w: WeakRepresentation, validate: bool = True) -> VBGroupoid:
     """Action groupoid of a weak representation, as a VB-groupoid over the
     acting groupoid."""
     if validate:
-        rep = validate_weak_representation(w)
-        if not rep.passed:
-            raise ValidationError("action groupoid needs a valid weak action:\n"
-                                  + rep.to_text())
+        validate_weak_representation(w).require(ValidationError,
+                                                "action groupoid needs a valid weak action")
     return action_groupoid_bundle(w)
 
 
@@ -373,10 +371,8 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
     """The action-groupoid functor on morphisms:
     objects through f0, arrows (g, x, k) -> (g, f0(x), delta(g,x) . f1(k))."""
     if validate:
-        rep = validate_equivariant(e)
-        if not rep.passed:
-            raise ValidationError("act_on_morphism needs a valid equivariant map:\n"
-                                  + rep.to_text())
+        validate_equivariant(e).require(ValidationError,
+                                        "act_on_morphism needs a valid equivariant map")
     g = e.source.groupoid
     src_chart, tgt_chart = ActionChart(e.source), ActionChart(e.target)
     src_ag = action_groupoid_bundle(e.source, src_chart)

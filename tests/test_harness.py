@@ -70,6 +70,8 @@ def test_cli_fixtures_match_repo_fixtures_byte_for_byte(tmp_path, capsys):
     (("complex", "dims0", "*"), 1.5),
     (("complex", "diff", "*", "rows"), 1.0),
     (("complex", "diff", "*", "entries", 0), False),
+    (("complex", "dims0"), [1]),
+    (("lambda0",), [1]),
 ])
 def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
@@ -87,12 +89,17 @@ def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     ("pair-strict-wrep", "alpha", ["p:x>x:0", "p:x>y:0"]),
     ("pair-strict-ruth", "omega", ["p:x>x:0", "p:x>y:0"]),
     ("pair-strict-ruth", "lambda0", "zz"),
+    ("pair-strict-semidirect", "arrdim", "zz"),
+    ("pair-strict-semidirect", "objdim", "w"),
+    ("z2-ruth-1", "complex.dims0", "q"),
 ])
 def test_cli_validate_stray_table_entry_exits_2(tmp_path, capsys, name, table, key):
     """An entry keyed off its table (a non-composable pair, an unknown
-    arrow) makes the file malformed, whatever matrix it holds."""
+    arrow or object) makes the file malformed, whatever it holds."""
     doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
-    node = doc["payload"][table]
+    node = doc["payload"]
+    for step in table.split("."):
+        node = node[step]
     if isinstance(node, list):
         node.append(key + [node[0][-1]])
     else:

@@ -38,6 +38,14 @@ def test_semidirect_rejects_invalid_input():
         semidirect(z2_ruth_broken4())
 
 
+def test_rejection_message_carries_the_report_text():
+    with pytest.raises(ValidationError) as info:
+        semidirect(z2_ruth_broken4())
+    text = str(info.value)
+    assert text.startswith("semidirect needs a valid representation:\nFAIL ruth")
+    assert "[identity-4] at (g,g,g)" in text
+
+
 def test_semidirect_multiplication_frozen_formula():
     # for the one-dimensional fixture with parameter 1:
     # (g,e0,e1).(g,f0,f1) = (e, e0 - f0 - f1, f1)
