@@ -40,9 +40,6 @@ class ScalarCochain:
             raise StructureError("scalar cochain keys do not match the nerve")
         self.values: dict[Key, Fraction] = {k: vals[k] for k in keys}
 
-    def __call__(self, key: Key) -> Fraction:
-        return self.values[key]
-
     def __eq__(self, other):
         if not isinstance(other, ScalarCochain):
             return NotImplemented
@@ -85,9 +82,6 @@ class SectionCochain:
     def fiber_dim(self, obj: str) -> int:
         dims = self.coeffs.dim0 if self.layer == 0 else self.coeffs.dim1
         return dims[obj]
-
-    def __call__(self, key: Key) -> Vector:
-        return self.values[key]
 
     def value_over(self, prefix_dropped_key: Key, obj: str) -> Vector:
         """Value at a possibly-empty key; degree-0 lookups go through the

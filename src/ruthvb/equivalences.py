@@ -183,29 +183,25 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     kernel = kernel_groupoid(v)
     a0, a1, alpha = {}, {}, {}
     for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        us, ut = g.unit[s], g.unit[t]
+        us, ut = g.unit[g.src[a]], g.unit[g.tgt[a]]
         a0[a] = linalg.compose(v.ttilde[a], sigma[a])
-        cols = []
-        for i in range(v.arrdim[us]):
-            k = linalg.vec_basis(v.arrdim[us], i)
-            tk = v.ttilde[us].apply(k)
-            sk = v.stilde[us].apply(k)
-            left = v.multiply(a, us, sigma[a].apply(tk), k)
-            cols.append(v.multiply(a, g.inv[a], left,
-                                   v.invert(a, sigma[a].apply(sk))))
-        a1[a] = LinearMap.from_columns(cols, v.arrdim[ut])
-    for (g1, g2) in g.comp:
-        g12 = g.comp[(g1, g2)]
-        s2 = g.src[g2]
-        cols = []
-        for i in range(v.objdim[s2]):
-            x = linalg.vec_basis(v.objdim[s2], i)
+
+        def conjugate(k):
+            left = v.multiply(a, us, sigma[a].apply(v.ttilde[us].apply(k)), k)
+            return v.multiply(a, g.inv[a], left,
+                              v.invert(a, sigma[a].apply(v.stilde[us].apply(k))))
+
+        a1[a] = linalg.matrix_of(conjugate, v.arrdim[us], v.arrdim[ut])
+    for (g1, g2), g12 in g.comp.items():
+
+        def cell(x):
             left = v.multiply(g12, g.inv[g2], sigma[g12].apply(x),
                               v.invert(g2, sigma[g2].apply(x)))
-            cols.append(v.multiply(g1, g.inv[g1], left,
-                                   v.invert(g1, sigma[g1].apply(a0[g2].apply(x)))))
-        alpha[(g1, g2)] = LinearMap.from_columns(cols, v.arrdim[g.unit[g.tgt[g1]]])
+            return v.multiply(g1, g.inv[g1], left,
+                              v.invert(g1, sigma[g1].apply(a0[g2].apply(x))))
+
+        alpha[(g1, g2)] = linalg.matrix_of(cell, v.objdim[g.src[g2]],
+                                           v.arrdim[g.unit[g.tgt[g1]]])
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
     validate_weak_representation(wrep).require(
         ValidationError, "kernel action failed weak-representation validation")
@@ -213,13 +209,13 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     ag = action_groupoid_bundle(wrep, chart)
     arr = {}
     for a in g.arrows:
-        t = g.tgt[a]
-        ut = g.unit[t]
-        cols = []
-        for i in range(ag.arrdim[a]):
-            x, k = chart.decode(a, linalg.vec_basis(ag.arrdim[a], i))
-            cols.append(v.multiply(ut, a, v.invert(ut, k), sigma[a].apply(x)))
-        arr[a] = LinearMap.from_columns(cols, v.arrdim[a])
+        ut = g.unit[g.tgt[a]]
+
+        def arrow(c):
+            x, k = chart.decode(a, c)
+            return v.multiply(ut, a, v.invert(ut, k), sigma[a].apply(x))
+
+        arr[a] = linalg.matrix_of(arrow, ag.arrdim[a], v.arrdim[a])
     iso = VBMap(ag, v, {x: LinearMap.identity(v.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError,
                                  "kernel-action identification is not a VB map")
@@ -236,16 +232,11 @@ def connection_change_witness(v: VBGroupoid, first: Connection,
     res1 = vb_to_wrep(v, first, validate=False)
     res2 = vb_to_wrep(v, second, validate=False)
     g = v.base
-    delta = {}
-    for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        ut = g.unit[t]
-        cols = []
-        for i in range(v.objdim[s]):
-            x = linalg.vec_basis(v.objdim[s], i)
-            cols.append(v.multiply(a, g.inv[a], second.sigma[a].apply(x),
-                                   v.invert(a, first.sigma[a].apply(x))))
-        delta[a] = LinearMap.from_columns(cols, v.arrdim[ut])
+    delta = {a: linalg.matrix_of(
+                 lambda x: v.multiply(a, g.inv[a], second.sigma[a].apply(x),
+                                      v.invert(a, first.sigma[a].apply(x))),
+                 v.objdim[g.src[a]], v.arrdim[g.unit[g.tgt[a]]])
+             for a in g.arrows}
     w1 = res1.wrep
     return EquivariantMap(
         w1, res2.wrep,
@@ -271,25 +262,22 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     f1 = {}
     for x in g.objects:
         u = g.unit[x]
-        cols = []
-        for i in range(w_src.arrdim(x)):
-            vb = linalg.vec_basis(w_src.arrdim(x), i)
+
+        def restricted(vb):
             coords = src_chart.encode(u, w_src.fiber_source(x).apply(vb),
                                       w_src.fiber_invert(x, vb))
-            _, wv = tgt_chart.decode(u, phi.arr_maps[u].apply(coords))
-            cols.append(w_tgt.fiber_invert(x, wv))
-        f1[x] = LinearMap.from_columns(cols, w_tgt.arrdim(x))
+            return w_tgt.fiber_invert(x, tgt_chart.decode(u, phi.arr_maps[u].apply(coords))[1])
+
+        f1[x] = linalg.matrix_of(restricted, w_src.arrdim(x), w_tgt.arrdim(x))
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        cols = []
-        for i in range(w_src.objdim(s)):
-            xb = linalg.vec_basis(w_src.objdim(s), i)
-            unit_at = w_src.fiber_unit(t).apply(w_src.a0[a].apply(xb))
-            coords = src_chart.encode(a, xb, unit_at)
-            _, wv = tgt_chart.decode(a, phi.arr_maps[a].apply(coords))
-            cols.append(wv)
-        delta[a] = LinearMap.from_columns(cols, w_tgt.arrdim(t))
+
+        def kernel_part(xb):
+            coords = src_chart.encode(a, xb, w_src.fiber_unit(t).apply(w_src.a0[a].apply(xb)))
+            return tgt_chart.decode(a, phi.arr_maps[a].apply(coords))[1]
+
+        delta[a] = linalg.matrix_of(kernel_part, w_src.objdim(s), w_tgt.arrdim(t))
     return EquivariantMap(w_src, w_tgt, f0, f1, delta)
 
 
@@ -304,14 +292,13 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     g = r.groupoid
     arr = {}
     for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        d0t = r.complex.dim0[t]
-        cols = []
-        for i in range(ag.arrdim[a]):
-            x, k = chart.decode(a, linalg.vec_basis(ag.arrdim[a], i))
-            e0 = k[:d0t]
-            cols.append(linalg.vec_concat(tuple(-c for c in e0), x))
-        arr[a] = LinearMap.from_columns(cols, sd.arrdim[a])
+        d0t = r.complex.dim0[g.tgt[a]]
+
+        def swap(c):
+            x, k = chart.decode(a, c)
+            return linalg.vec_concat(tuple(-e for e in k[:d0t]), x)
+
+        arr[a] = linalg.matrix_of(swap, ag.arrdim[a], sd.arrdim[a])
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")
     if not vb_map_is_isomorphism(iso):

@@ -146,7 +146,7 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
 
 # -- builders ----------------------------------------------------------------
 
-def trivial_groupoid(objects, max_degree: int = 4) -> FiniteGroupoid:
+def trivial_groupoid(objects) -> FiniteGroupoid:
     """Unit groupoid on a set: the only arrows are the identities,
     each named after its object."""
     objs = sorted(objects)
@@ -158,7 +158,6 @@ def trivial_groupoid(objects, max_degree: int = 4) -> FiniteGroupoid:
         unit={x: x for x in objs},
         comp={(x, x): x for x in objs},
         inv={x: x for x in objs},
-        max_degree=max_degree,
     )
 
 

@@ -109,14 +109,17 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _trial_ruth(args, rng, obj):
+def _draw(args, rng, obj, generate):
+    """The trial's input: the given instance, or one drawn by ``generate``
+    over a base groupoid within the bounds flags."""
     if obj is not None:
         return obj
-    return generators.random_ruth(rng, max_dim=args.max_dim)
+    g = generators.random_groupoid(rng, args.max_objects, args.max_arrows)
+    return generate(rng, g, args.max_dim)
 
 
 def _pipeline_ruth_vb(args, rng, obj, report, trial):
-    r = _trial_ruth(args, rng, obj)
+    r = _draw(args, rng, obj, generators.random_ruth)
     sd = semidirect(r, validate=False)
     rep = validate_vb(sd)
     report.extend(rep, prefix=f"trial {trial}: semidirect: ")
@@ -128,14 +131,14 @@ def _pipeline_ruth_vb(args, rng, obj, report, trial):
 
 
 def _pipeline_vb_wrep(args, rng, obj, report, trial):
-    v = obj if obj is not None else generators.random_vb(rng, max_dim=args.max_dim)
+    v = _draw(args, rng, obj, generators.random_vb)
     res = vb_to_wrep(v, validate=False)
     rep = validate_weak_representation(res.wrep)
     report.extend(rep, prefix=f"trial {trial}: kernel action: ")
 
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):
-    w = obj if obj is not None else generators.random_wrep(rng, max_dim=args.max_dim)
+    w = _draw(args, rng, obj, generators.random_wrep)
     r, witness = ruth_from_wrep_with_witness(w)
     rep = validate_ruth(r)
     report.extend(rep, prefix=f"trial {trial}: recovered: ")
@@ -144,7 +147,7 @@ def _pipeline_wrep_ruth(args, rng, obj, report, trial):
 
 
 def _pipeline_triangle(args, rng, obj, report, trial):
-    r = _trial_ruth(args, rng, obj)
+    r = _draw(args, rng, obj, generators.random_ruth)
     try:
         triangle_witness(r, validate=False)
     except RuthVBError as exc:
@@ -167,7 +170,7 @@ def _pipeline_phi_hom(args, rng, obj, report, trial):
 
 
 def _pipeline_act_ff(args, rng, obj, report, trial):
-    e = obj if obj is not None else generators.random_equivariant(rng, max_dim=args.max_dim)
+    e = _draw(args, rng, obj, generators.random_equivariant)
     phi = act_on_morphism(e, validate=False)
     back = reconstruct_equivariant(phi, e.source, e.target)
     if back != e:
@@ -208,7 +211,7 @@ def cmd_roundtrip(args) -> int:
 
 
 FUZZ_KINDS = {
-    "groupoid": (generators.random_groupoid, validate_groupoid,
+    "groupoid": (lambda rng, g, max_dim: g, validate_groupoid,
                  generators.mutate_groupoid_comp),
     "ruth": (generators.random_ruth, validate_ruth, generators.mutate_ruth_unit_cell),
     "vb": (generators.random_vb, validate_vb, generators.mutate_vb_cell),
@@ -234,10 +237,8 @@ def run_fuzz(rng: random.Random, trials: int, max_objects: int = 4,
         generate, validator, mutate = FUZZ_KINDS[kind]
         pool = pools[kind]
         if len(pool) < FUZZ_POOL_CAP:
-            if kind == "groupoid":
-                base = generate(rng, max_objects, max_arrows)
-            else:
-                base = generate(rng, max_dim=max_dim)
+            base = generate(rng, generators.random_groupoid(rng, max_objects, max_arrows),
+                            max_dim)
             if not validator(base).passed:
                 report.add("generator", f"trial {trial} ({kind})",
                            "valid generated instance", "invalid")

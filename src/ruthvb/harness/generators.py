@@ -56,7 +56,8 @@ def random_groupoid(rng: random.Random, max_objects: int = 4,
     groupoids with cyclic isotropy."""
     choices = []
     if max_arrows >= 2:
-        choices += [lambda: z2_groupoid(), lambda: cyclic_groupoid(rng.randint(2, 3))]
+        choices += [lambda: z2_groupoid(),
+                    lambda: cyclic_groupoid(rng.randint(2, min(3, max_arrows)))]
     if max_objects >= 2 and max_arrows >= 4:
         choices.append(lambda: pair_groupoid(["x", "y"]))
     if max_objects >= 2 and max_arrows >= 8:
@@ -128,16 +129,13 @@ def random_gauge(rng, target: Ruth):
     return phi0, phi1, mu
 
 
-def random_ruth(rng, g: FiniteGroupoid | None = None, max_dim: int = 2,
-                transports: int = 1) -> Ruth:
+def random_ruth(rng, g: FiniteGroupoid | None = None, max_dim: int = 2) -> Ruth:
     """Valid, generally non-strict representation: a strict seed pulled back
-    along one or more random gauges."""
+    along a random gauge."""
     if g is None:
         g = random_groupoid(rng)
     r = random_strict_ruth(rng, g, max_dim)
-    for _ in range(transports):
-        r, _ = gauge_transport(r, *random_gauge(rng, r))
-    return r
+    return gauge_transport(r, *random_gauge(rng, r))[0]
 
 
 def random_ruth_morphism(rng, target: Ruth) -> RuthMorphism:
@@ -168,30 +166,19 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
         a0, b0 = d.dim0[x], c.dim0[x]
         a1, b1 = d.dim1[x], c.dim1[x]
         n0, n1 = a0 * b0, a1 * b1
-        if n0 + n1 == 0:
-            f0[x] = LinearMap.zero(a0, b0)
-            f1[x] = LinearMap.zero(a1, b1)
-            continue
-        # constraint rows: (f1 . diff_c - diff_d . f0)[i][j] = 0
-        rows = []
-        for i in range(a1):
-            for j in range(b0):
-                row = [Fraction(0)] * (n0 + n1)
-                for k in range(a0):
-                    row[k * b0 + j] -= d.diff[x].entry(i, k)
-                for k in range(b1):
-                    row[n0 + i * b1 + k] += c.diff[x].entry(k, j)
-                rows.append(row)
-        if rows:
-            ker = linalg.kernel_basis(LinearMap.from_rows(rows))
-        else:
-            ker = tuple(linalg.vec_basis(n0 + n1, i) for i in range(n0 + n1))
-        sol = [Fraction(0)] * (n0 + n1)
-        for kv in ker:
-            coeff = rand_fraction(rng)
-            sol = [s + coeff * e for s, e in zip(sol, kv)]
-        f0[x] = LinearMap(a0, b0, tuple(sol[:n0]))
-        f1[x] = LinearMap(a1, b1, tuple(sol[n0:]))
+
+        def residual(z):
+            """The chain square f1 . diff_c - diff_d . f0 on the row-major
+            entries z of (f0, f1)."""
+            square = (linalg.compose(LinearMap(a1, b1, z[n0:]), c.diff[x])
+                      - linalg.compose(d.diff[x], LinearMap(a0, b0, z[:n0])))
+            return square.entries
+
+        sol = linalg.vec_zero(n0 + n1)
+        for kv in linalg.kernel_basis(linalg.matrix_of(residual, n0 + n1, a1 * b0)):
+            sol = linalg.vec_add(sol, linalg.vec_scale(rand_fraction(rng), kv))
+        f0[x] = LinearMap(a0, b0, sol[:n0])
+        f1[x] = LinearMap(a1, b1, sol[n0:])
     return ChainMap(c, d, {x: x for x in c.base}, f0, f1)
 
 
@@ -225,12 +212,12 @@ def random_interchange_square(rng, max_dim: int = 2):
 # -- VB-groupoids ----------------------------------------------------------------
 
 
-def scramble_vb(rng, v: VBGroupoid, span: int = 1):
+def scramble_vb(rng, v: VBGroupoid):
     """Conjugate every fiber by a random invertible map; returns the new
     VB-groupoid together with the change-of-basis tables."""
     g = v.base
-    t_obj = {x: rand_invertible(rng, v.objdim[x], span) for x in g.objects}
-    t_arr = {a: rand_invertible(rng, v.arrdim[a], span) for a in g.arrows}
+    t_obj = {x: rand_invertible(rng, v.objdim[x], 1) for x in g.objects}
+    t_arr = {a: rand_invertible(rng, v.arrdim[a], 1) for a in g.arrows}
     t_obj_inv = {x: linalg.inverse(t_obj[x]) for x in g.objects}
     t_arr_inv = {a: linalg.inverse(t_arr[a]) for a in g.arrows}
     stilde = {a: linalg.compose(t_obj[g.src[a]],
@@ -271,13 +258,12 @@ def random_wrep(rng, g: FiniteGroupoid | None = None, max_dim: int = 2) -> WeakR
     return wrep_from_ruth(random_ruth(rng, g, max_dim), validate=False)
 
 
-def scramble_wrep(rng, w: WeakRepresentation, span: int = 1):
+def scramble_wrep(rng, w: WeakRepresentation):
     """Conjugate the underlying bundle by a random change of basis and carry
     the action data along; returns the new weak representation together with
     the strictly intertwining equivariant isomorphism from the original."""
-    from ..weak import EquivariantMap
     g = w.groupoid
-    bundle, t_obj, t_arr = scramble_vb(rng, w.bundle, span)
+    bundle, t_obj, t_arr = scramble_vb(rng, w.bundle)
     t_obj_inv = {x: linalg.inverse(t_obj[x]) for x in g.objects}
     t_arr_inv = {x: linalg.inverse(t_arr[x]) for x in g.objects}
     a0 = {a: linalg.compose(t_obj[g.tgt[a]],
@@ -330,13 +316,32 @@ def mutate_groupoid_comp(rng, g: FiniteGroupoid):
     return mutated, f"compose[{pair}] {old} -> {new_comp[pair]}"
 
 
-def _bump(rng, m: LinearMap):
-    if m.rows * m.cols == 0:
+def _mutant(rng, tables: dict, sites, build):
+    """Bump one entry of one table by 1, -1 or 2 and rebuild the structure.
+
+    ``sites`` lists ``(table name, key)`` pairs into ``tables``; a site whose
+    matrix is empty is skipped, and with no site left the result is None.
+    Otherwise ``build`` receives ``tables`` with the one changed entry."""
+    sites = [(name, key) for name, key in sites
+             if tables[name][key].rows * tables[name][key].cols > 0]
+    if not sites:
         return None
-    i = rng.randrange(m.rows)
-    j = rng.randrange(m.cols)
+    name, key = sites[rng.randrange(len(sites))]
+    m = tables[name][key]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
     delta = Fraction(rng.choice((1, -1, 2)))
-    return m.with_entry(i, j, m.entry(i, j) + delta), (i, j, delta)
+    changed = dict(tables)
+    changed[name] = {**tables[name], key: m.with_entry(i, j, m.entry(i, j) + delta)}
+    return build(changed), f"{name}[{key}] entry {(i, j, delta)}"
+
+
+def _ruth_mutant(rng, r: Ruth, sites):
+    c = r.complex
+    tables = {"lambda0": r.lambda0, "lambda1": r.lambda1, "omega": r.omega,
+              "diff": c.diff}
+    return _mutant(rng, tables, sites, lambda t: Ruth(
+        r.groupoid, TwoTermComplex(c.base, c.dim0, c.dim1, t["diff"]),
+        t["lambda0"], t["lambda1"], t["omega"]))
 
 
 def mutate_ruth_unit_cell(rng, r: Ruth):
@@ -344,128 +349,45 @@ def mutate_ruth_unit_cell(rng, r: Ruth):
     at a pair containing a unit: unitality/normalization reads these cells
     directly."""
     g = r.groupoid
-    sites = []
-    for x in g.objects:
-        u = g.unit[x]
-        if r.complex.dim0[x] > 0:
-            sites.append(("lambda0", u))
-        if r.complex.dim1[x] > 0:
-            sites.append(("lambda1", u))
-    for pair in g.comp:
-        if (g.is_unit(pair[0]) or g.is_unit(pair[1])) \
-                and r.omega[pair].rows * r.omega[pair].cols > 0:
-            sites.append(("omega", pair))
-    if not sites:
-        return None
-    kind, key = sites[rng.randrange(len(sites))]
-    table = {"lambda0": r.lambda0, "lambda1": r.lambda1, "omega": r.omega}[kind]
-    bumped = _bump(rng, table[key])
-    if bumped is None:
-        return None
-    new_table = dict(table)
-    new_table[key] = bumped[0]
-    args = {"lambda0": dict(r.lambda0), "lambda1": dict(r.lambda1),
-            "omega": dict(r.omega)}
-    args[kind] = new_table
-    mutated = Ruth(g, r.complex, args["lambda0"], args["lambda1"], args["omega"])
-    return mutated, f"{kind}[{key}] entry {bumped[1]}"
+    return _ruth_mutant(rng, r, [(name, g.unit[x]) for x in g.objects
+                                 for name in ("lambda0", "lambda1")]
+                        + [("omega", pair) for pair in g.comp
+                           if g.is_unit(pair[0]) or g.is_unit(pair[1])])
 
 
 def mutate_ruth_entry(rng, r: Ruth):
     """Free single-entry perturbation anywhere in the structure tables;
     the caller decides validity (used for detector-equivalence runs)."""
     g = r.groupoid
-    sites = []
-    for a in g.arrows:
-        if r.lambda0[a].rows * r.lambda0[a].cols > 0:
-            sites.append(("lambda0", a))
-        if r.lambda1[a].rows * r.lambda1[a].cols > 0:
-            sites.append(("lambda1", a))
-    for pair in g.comp:
-        if r.omega[pair].rows * r.omega[pair].cols > 0:
-            sites.append(("omega", pair))
-    for x in g.objects:
-        if r.complex.diff[x].rows * r.complex.diff[x].cols > 0:
-            sites.append(("diff", x))
-    if not sites:
-        return None
-    kind, key = sites[rng.randrange(len(sites))]
-    if kind == "diff":
-        bumped = _bump(rng, r.complex.diff[key])
-        new_diff = dict(r.complex.diff)
-        new_diff[key] = bumped[0]
-        complex_ = TwoTermComplex(r.complex.base, r.complex.dim0, r.complex.dim1,
-                                  new_diff)
-        mutated = Ruth(g, complex_, r.lambda0, r.lambda1, r.omega)
-    else:
-        table = {"lambda0": r.lambda0, "lambda1": r.lambda1, "omega": r.omega}[kind]
-        bumped = _bump(rng, table[key])
-        new_table = dict(table)
-        new_table[key] = bumped[0]
-        args = {"lambda0": dict(r.lambda0), "lambda1": dict(r.lambda1),
-                "omega": dict(r.omega)}
-        args[kind] = new_table
-        mutated = Ruth(g, r.complex, args["lambda0"], args["lambda1"], args["omega"])
-    return mutated, f"{kind}[{key}] entry {bumped[1]}"
+    return _ruth_mutant(rng, r, [(name, a) for a in g.arrows
+                                 for name in ("lambda0", "lambda1")]
+                        + [("omega", pair) for pair in g.comp]
+                        + [("diff", x) for x in g.objects])
 
 
 def mutate_vb_cell(rng, v: VBGroupoid):
     """Perturb one multiplication-matrix entry or one unit-section entry;
     both families are pinned by the axiom sweep."""
     g = v.base
-    sites = []
-    for pair in g.comp:
-        if v.mult[pair].rows * v.mult[pair].cols > 0:
-            sites.append(("mult", pair))
-    for x in g.objects:
-        if v.utilde[x].rows * v.utilde[x].cols > 0:
-            sites.append(("utilde", x))
-    if not sites:
-        return None
-    kind, key = sites[rng.randrange(len(sites))]
-    if kind == "mult":
-        bumped = _bump(rng, v.mult[key])
-        new_mult = dict(v.mult)
-        new_mult[key] = bumped[0]
-        mutated = VBGroupoid(g, v.objdim, v.arrdim, v.stilde, v.ttilde,
-                             v.utilde, v.inv_map, new_mult)
-    else:
-        bumped = _bump(rng, v.utilde[key])
-        new_ut = dict(v.utilde)
-        new_ut[key] = bumped[0]
-        mutated = VBGroupoid(g, v.objdim, v.arrdim, v.stilde, v.ttilde,
-                             new_ut, v.inv_map, v.mult)
-    return mutated, f"{kind}[{key}] entry {bumped[1]}"
+    return _mutant(rng, {"mult": v.mult, "utilde": v.utilde},
+                   [("mult", pair) for pair in g.comp] + [("utilde", x) for x in g.objects],
+                   lambda t: VBGroupoid(g, v.objdim, v.arrdim, v.stilde, v.ttilde,
+                                        t["utilde"], v.inv_map, t["mult"]))
 
 
 def mutate_wrep_alpha_unit(rng, w: WeakRepresentation):
     """Perturb an associator cell at a pair containing a unit: the unit
     coherences read these cells directly."""
     g = w.groupoid
-    sites = [pair for pair in g.comp
-             if (g.is_unit(pair[0]) or g.is_unit(pair[1]))
-             and w.alpha[pair].rows * w.alpha[pair].cols > 0]
-    if not sites:
-        return None
-    key = sites[rng.randrange(len(sites))]
-    bumped = _bump(rng, w.alpha[key])
-    new_alpha = dict(w.alpha)
-    new_alpha[key] = bumped[0]
-    mutated = WeakRepresentation(g, w.bundle, w.a0, w.a1, new_alpha)
-    return mutated, f"alpha[{key}] entry {bumped[1]}"
+    return _mutant(rng, {"alpha": w.alpha},
+                   [("alpha", pair) for pair in g.comp
+                    if g.is_unit(pair[0]) or g.is_unit(pair[1])],
+                   lambda t: WeakRepresentation(g, w.bundle, w.a0, w.a1, t["alpha"]))
 
 
 def mutate_equivariant_delta_unit(rng, e: EquivariantMap):
     """Perturb the equivariance cell at a unit arrow: the unit triangle
     reads it directly."""
     g = e.source.groupoid
-    sites = [g.unit[x] for x in g.objects
-             if e.delta[g.unit[x]].rows * e.delta[g.unit[x]].cols > 0]
-    if not sites:
-        return None
-    key = sites[rng.randrange(len(sites))]
-    bumped = _bump(rng, e.delta[key])
-    new_delta = dict(e.delta)
-    new_delta[key] = bumped[0]
-    mutated = EquivariantMap(e.source, e.target, e.f0, e.f1, new_delta)
-    return mutated, f"delta[{key}] entry {bumped[1]}"
+    return _mutant(rng, {"delta": e.delta}, [("delta", g.unit[x]) for x in g.objects],
+                   lambda t: EquivariantMap(e.source, e.target, e.f0, e.f1, t["delta"]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
 
@@ -37,10 +37,6 @@ def rat(value) -> Fraction:
 
 
 # -- vectors ----------------------------------------------------------------
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(e) for e in entries)
-
 
 def vec_zero(n: int) -> Vector:
     return (ZERO,) * n
@@ -134,12 +130,6 @@ class LinearMap:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def with_entry(self, i: int, j: int, value) -> "LinearMap":
         ent = list(self.entries)
         ent[i * self.cols + j] = rat(value)
@@ -165,13 +155,6 @@ class LinearMap:
 
     def __neg__(self) -> "LinearMap":
         return LinearMap(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "LinearMap":
-        c = rat(c)
-        return LinearMap(self.rows, self.cols, tuple(c * a for a in self.entries))
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return compose(self, other)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -203,6 +186,12 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         for j in range(g.cols):
             ent.append(sum((frow[k] * g.entry(k, j) for k in range(f.cols)), ZERO))
     return LinearMap(f.rows, g.cols, tuple(ent))
+
+
+def matrix_of(rule: Callable[[Vector], Vector], cols: int, rows: int) -> LinearMap:
+    """The rows x cols matrix whose column i is ``rule(e_i)``: a linear rule
+    tabulated on the standard basis."""
+    return LinearMap.from_columns([rule(vec_basis(cols, i)) for i in range(cols)], rows)
 
 
 def hstack(*maps: LinearMap) -> LinearMap:

@@ -78,11 +78,12 @@ class Report:
             "seconds": round(self.seconds, 6),
         }
 
-    def to_text(self, max_entries: int = 20) -> str:
+    def to_text(self) -> str:
+        """A verdict line, then the first 20 violations."""
         lines = [f"{'PASS' if self.passed else 'FAIL'} {self.subject}"
                  f" ({len(self.entries)} violation(s), {self.seconds:.3f}s)"]
-        for e in self.entries[:max_entries]:
+        for e in self.entries[:20]:
             lines.append(f"  [{e.check}] at {e.location}: expected {e.expected}, got {e.actual}")
-        if len(self.entries) > max_entries:
-            lines.append(f"  ... and {len(self.entries) - max_entries} more")
+        if len(self.entries) > 20:
+            lines.append(f"  ... and {len(self.entries) - 20} more")
         return "\n".join(lines)

@@ -30,6 +30,9 @@ class TwoTermComplex:
 
     def __init__(self, base, dim0, dim1, diff):
         self.base: tuple[str, ...] = tuple(sorted(base))
+        for x, y in zip(self.base, self.base[1:]):
+            if x == y:
+                raise StructureError(f"base point {x} is repeated")
         self.dim0: dict[str, int] = dict(dim0)
         self.dim1: dict[str, int] = dict(dim1)
         self.diff: dict[str, LinearMap] = dict(diff)

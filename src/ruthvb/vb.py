@@ -356,7 +356,7 @@ class Connection:
 
     vb: VBGroupoid
     sigma: dict[str, LinearMap] = field(compare=False)
-    rule: str = "pivot"
+    rule: str
 
     def __post_init__(self):
         v = self.vb

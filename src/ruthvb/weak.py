@@ -210,29 +210,24 @@ def action_groupoid_bundle(w: WeakRepresentation,
         n = objdim[s]
         stilde[a] = linalg.hstack(LinearMap.identity(n),
                                   LinearMap.zero(n, arrdim[a] - n))
-        cols = []
-        for i in range(arrdim[a]):
-            x, k = chart.decode(a, linalg.vec_basis(arrdim[a], i))
-            cols.append(w.fiber_source(t).apply(k))
-        ttilde[a] = LinearMap.from_columns(cols, objdim[t])
+        ttilde[a] = linalg.matrix_of(
+            lambda c: w.fiber_source(t).apply(chart.decode(a, c)[1]), arrdim[a], objdim[t])
     for x in g.objects:
         u = g.unit[x]
-        cols = []
-        for i in range(objdim[x]):
-            xb = linalg.vec_basis(objdim[x], i)
-            cols.append(chart.encode(u, xb, w.fiber_unit(x).apply(xb)))
-        utilde[x] = LinearMap.from_columns(cols, arrdim[u])
+        utilde[x] = linalg.matrix_of(
+            lambda xb: chart.encode(u, xb, w.fiber_unit(x).apply(xb)), objdim[x], arrdim[u])
     for a in g.arrows:
         b = g.inv[a]
         s, t = g.src[a], g.tgt[a]
-        cols = []
-        for i in range(arrdim[a]):
-            x, k = chart.decode(a, linalg.vec_basis(arrdim[a], i))
+
+        def inverse_of(c):
+            x, k = chart.decode(a, c)
             gk = w.a1[b].apply(k)
             cell = w.alpha[(b, a)].apply(x)
             arrow = w.fiber_multiply(s, w.fiber_invert(s, gk), w.fiber_invert(s, cell))
-            cols.append(chart.encode(b, w.fiber_source(t).apply(k), arrow))
-        inv_map[a] = LinearMap.from_columns(cols, arrdim[b])
+            return chart.encode(b, w.fiber_source(t).apply(k), arrow)
+
+        inv_map[a] = linalg.matrix_of(inverse_of, arrdim[a], arrdim[b])
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
@@ -353,13 +348,10 @@ def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMa
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        cols = []
-        for i in range(e1.source.objdim(s)):
-            xb = linalg.vec_basis(e1.source.objdim(s), i)
-            first = e2.f1[t].apply(e1.delta[a].apply(xb))
-            second = e2.delta[a].apply(e1.f0[s].apply(xb))
-            cols.append(x_rep.fiber_multiply(t, second, first))
-        delta[a] = LinearMap.from_columns(cols, x_rep.arrdim(t))
+        delta[a] = linalg.matrix_of(
+            lambda xb: x_rep.fiber_multiply(t, e2.delta[a].apply(e1.f0[s].apply(xb)),
+                                            e2.f1[t].apply(e1.delta[a].apply(xb))),
+            e1.source.objdim(s), x_rep.arrdim(t))
     return EquivariantMap(
         e1.source, e2.target,
         {x: linalg.compose(e2.f0[x], e1.f0[x]) for x in g.objects},
@@ -380,11 +372,11 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        cols = []
-        for i in range(src_ag.arrdim[a]):
-            x, k = src_chart.decode(a, linalg.vec_basis(src_ag.arrdim[a], i))
-            image = e.target.fiber_multiply(t, e.delta[a].apply(x),
-                                            e.f1[t].apply(k))
-            cols.append(tgt_chart.encode(a, e.f0[s].apply(x), image))
-        arr[a] = LinearMap.from_columns(cols, tgt_ag.arrdim[a])
+
+        def image(c):
+            x, k = src_chart.decode(a, c)
+            arrow = e.target.fiber_multiply(t, e.delta[a].apply(x), e.f1[t].apply(k))
+            return tgt_chart.encode(a, e.f0[s].apply(x), arrow)
+
+        arr[a] = linalg.matrix_of(image, src_ag.arrdim[a], tgt_ag.arrdim[a])
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ruthvb.harness import fixtures, generators as gen, serialize
+from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
-from ruthvb.groupoid import z2_groupoid
+from ruthvb.groupoid import FiniteGroupoid, z2_groupoid
+from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
-from ruthvb.equivalences import wrep_from_ruth
+from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
 
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -122,6 +123,17 @@ def test_cli_validate_fails_on_invalid_base_groupoid(tmp_path, capsys, name):
     assert "[right-inverse] at groupoid: g: expected e, got g" in out
 
 
+def test_cli_validate_repeated_base_point_exits_2(tmp_path, capsys):
+    doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
+    complex_ = doc["payload"]["complex"]
+    complex_["base"] = ["*", "*"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "complex", "payload": complex_, "metadata": {}}))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = REPO_FIXTURES / "z2-ruth-1.json"
     bad = REPO_FIXTURES / "z2-ruth-broken4.json"
@@ -209,3 +221,83 @@ def test_cli_report_verb(tmp_path, capsys):
     path.write_text(doc)
     assert main(["report", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+MUTANT_DESCRIPTIONS = [
+    ("mutate_ruth_unit_cell", lambda: fixtures.pair_strict_ruth(), [
+        "omega[('p:x>y:0', 'p:x>x:0')] entry (0, 0, Fraction(-1, 1))",
+        "lambda0[p:y>y:0] entry (0, 0, Fraction(1, 1))",
+        "lambda0[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_ruth_entry", lambda: fixtures.pair_strict_ruth(), [
+        "omega[('p:y>x:0', 'p:x>y:0')] entry (0, 0, Fraction(-1, 1))",
+        "lambda0[p:y>x:0] entry (0, 0, Fraction(1, 1))",
+        "lambda1[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_vb_cell", lambda: fixtures.fixture("pair-strict-vb-scrambled")[1], [
+        "mult[('p:y>y:0', 'p:x>y:0')] entry (1, 0, Fraction(-1, 1))",
+        "mult[('p:x>y:0', 'p:x>x:0')] entry (2, 0, Fraction(-1, 1))",
+        "mult[('p:x>x:0', 'p:x>x:0')] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_wrep_alpha_unit", lambda: fixtures.fixture("pair-strict-wrep")[1], [
+        "alpha[('p:y>x:0', 'p:y>y:0')] entry (1, 0, Fraction(-1, 1))",
+        "alpha[('p:x>x:0', 'p:y>x:0')] entry (2, 0, Fraction(-1, 1))",
+        "alpha[('p:x>x:0', 'p:x>x:0')] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_equivariant_delta_unit",
+     lambda: wrep_from_ruth_morphism(identity_morphism(fixtures.pair_strict_ruth())), [
+         "delta[p:y>y:0] entry (1, 0, Fraction(-1, 1))",
+         "delta[p:x>x:0] entry (2, 0, Fraction(-1, 1))",
+         "delta[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+]
+
+
+@pytest.mark.parametrize("mutator, instance, descriptions", MUTANT_DESCRIPTIONS,
+                         ids=[case[0] for case in MUTANT_DESCRIPTIONS])
+def test_mutants_are_pinned_by_the_seed(mutator, instance, descriptions):
+    obj = instance()
+    assert [getattr(gen, mutator)(random.Random(seed), obj)[1]
+            for seed in range(3)] == descriptions
+
+
+def test_random_groupoid_stays_within_its_bounds():
+    for max_objects in range(1, 5):
+        for max_arrows in range(1, 13):
+            for seed in range(50):
+                g = gen.random_groupoid(random.Random(seed), max_objects, max_arrows)
+                assert len(g.objects) <= max_objects and len(g.arrows) <= max_arrows, \
+                    (max_objects, max_arrows, seed)
+
+
+def _base_of(obj) -> FiniteGroupoid:
+    if isinstance(obj, FiniteGroupoid):
+        return obj
+    for attr in ("groupoid", "base", "source"):
+        if hasattr(obj, attr):
+            return _base_of(getattr(obj, attr))
+    raise TypeError(obj)
+
+
+def test_bounds_flags_cap_every_drawn_instance(monkeypatch, capsys):
+    """With --max-objects 1 --max-arrows 3, fuzz and roundtrip draw every
+    kind over a one-object groupoid with at most 3 arrows."""
+    drawn = []
+
+    def recording(kind, generate):
+        def draw(*args, **kwargs):
+            out = generate(*args, **kwargs)
+            drawn.append((kind, _base_of(out)))
+            return out
+        return draw
+
+    for kind, (generate, validator, mutate) in list(cli.FUZZ_KINDS.items()):
+        monkeypatch.setitem(cli.FUZZ_KINDS, kind,
+                            (recording(kind, generate), validator, mutate))
+    bounds = ["--max-objects", "1", "--max-arrows", "3", "--max-dim", "1"]
+    assert main(["fuzz", "--trials", "60", "--seed", "3"] + bounds) == 0
+    assert {kind for kind, _ in drawn} == set(cli.FUZZ_KINDS)
+    for name in ("random_ruth", "random_vb", "random_wrep", "random_equivariant"):
+        monkeypatch.setattr(gen, name, recording(name, getattr(gen, name)))
+    for pipeline in ("ruth-vb", "vb-wrep", "wrep-ruth", "triangle", "act-ff"):
+        assert main(["roundtrip", "--pipeline", pipeline, "--trials", "4",
+                     "--seed", "3"] + bounds) == 0
+    assert {kind for kind, _ in drawn} >= {"random_ruth", "random_vb", "random_wrep",
+                                          "random_equivariant"}
+    for kind, g in drawn:
+        assert len(g.objects) == 1 and len(g.arrows) <= 3, (kind, g.objects, g.arrows)

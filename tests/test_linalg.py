@@ -111,6 +111,11 @@ def test_right_inverse_section_property(f):
         [solve(f, linalg.vec_basis(f.rows, i)) for i in range(f.rows)], f.cols)
 
 
+@given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
+def test_matrix_of_tabulates_a_map(m):
+    assert linalg.matrix_of(m.apply, m.cols, m.rows) == m
+
+
 def test_solve_examples():
     assert solve(LinearMap.identity(2), (Fraction(3), Fraction(4))) == \
         (Fraction(3), Fraction(4))
