@@ -24,7 +24,7 @@ from .cochains import (ScalarCochain, SectionCochain, coboundary, is_normalized,
                        star, twisted_differential)
 from .ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
                    compose_morphisms, gauge_transport, identity_morphism,
-                   invert_morphism, square_is_zero, total_basis, total_operator,
+                   invert_morphism, square_is_zero, total_operator,
                    validate_morphism, validate_ruth)
 from .vb import (BundleTransformation, Connection, VBGroupoid, VBMap,
                  compose_vb_maps, connection_report, find_unital_connection,

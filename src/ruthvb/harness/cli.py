@@ -155,7 +155,7 @@ def _pipeline_triangle(args, rng, obj, report, trial):
 
 
 def _pipeline_phi_hom(args, rng, obj, report, trial):
-    c = generators.random_complex(rng, max_dim=args.max_dim)
+    c = generators.random_complex(rng, max_dim=args.max_dim, max_points=args.max_objects)
     d = generators.random_complex(rng, c.base, max_dim=args.max_dim)
     f = generators.random_chain_map(rng, c, d)
     if extract_chain_map(phi_onemorphism(f)) != f:
@@ -292,6 +292,17 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ruthvb",
@@ -302,6 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
+
+    def bounds(sp, trials):
+        # a run of no trials, or over no groupoid, would pass vacuously
+        sp.add_argument("--trials", type=_at_least(1), default=trials)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--max-objects", type=_at_least(1), default=4)
+        sp.add_argument("--max-arrows", type=_at_least(1), default=12)
+        sp.add_argument("--max-dim", type=_at_least(0), default=3)
 
     sp = sub.add_parser("validate", help="run the kind's validator on an instance file")
     sp.add_argument("file")
@@ -320,20 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("roundtrip", help="run an equivalence pipeline with witnesses")
     sp.add_argument("file", nargs="?")
     sp.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-objects", type=int, default=4)
-    sp.add_argument("--max-arrows", type=int, default=12)
-    sp.add_argument("--max-dim", type=int, default=3)
+    bounds(sp, 10)
     common(sp)
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("fuzz", help="mutation-kill run over generated instances")
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-objects", type=int, default=4)
-    sp.add_argument("--max-arrows", type=int, default=12)
-    sp.add_argument("--max-dim", type=int, default=3)
+    bounds(sp, 50)
     common(sp)
     sp.set_defaults(func=cmd_fuzz)
 

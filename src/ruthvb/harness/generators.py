@@ -147,9 +147,11 @@ def random_ruth_morphism(rng, target: Ruth) -> RuthMorphism:
 # -- chain complexes, maps, homotopies ------------------------------------------
 
 
-def random_complex(rng, base=None, max_dim: int = 2) -> TwoTermComplex:
+def random_complex(rng, base=None, max_dim: int = 2,
+                   max_points: int = 2) -> TwoTermComplex:
+    """A complex over ``base``, or over 1 to min(2, max_points) drawn points."""
     if base is None:
-        base = ["p", "q"][:rng.randint(1, 2)]
+        base = ["p", "q"][:rng.randint(1, min(2, max_points))]
     dim0 = {x: rng.randint(0, max_dim) for x in base}
     dim1 = {x: rng.randint(0, max_dim) for x in base}
     diff = {x: rand_matrix(rng, dim1[x], dim0[x]) for x in base}

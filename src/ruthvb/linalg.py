@@ -74,6 +74,75 @@ def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
+class LinearForm:
+    """A sparse linear form sum_i c_i x_i with exact coefficients.
+
+    Forms stand in for scalars in vectors: ``Fraction`` returns
+    ``NotImplemented`` for them, so sums, differences and products by a
+    scalar reach the reflected operators here, and any linear rule written
+    for Fraction vectors also runs on vectors of forms.  Zero coefficients
+    are never stored, so a form equals 0 exactly when it has no terms.
+    Forms are immutable by convention.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms: dict[int, Fraction]):
+        self.terms = {i: c for i, c in terms.items() if c != 0}
+
+    @staticmethod
+    def variable(i: int) -> "LinearForm":
+        return LinearForm({i: ONE})
+
+    def _combine(self, other, sign: int):
+        if not isinstance(other, LinearForm):
+            if isinstance(other, (int, Fraction)) and other == 0:
+                return self
+            return NotImplemented
+        out = dict(self.terms)
+        for i, c in other.terms.items():
+            s = out.get(i, ZERO) + c if sign > 0 else out.get(i, ZERO) - c
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+        form = LinearForm.__new__(LinearForm)
+        form.terms = out
+        return form
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
+
+    def __neg__(self) -> "LinearForm":
+        return LinearForm({i: -c for i, c in self.terms.items()})
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return LinearForm({i: c * v for i, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, LinearForm):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return other == 0 and not self.terms
+        return NotImplemented
+
+    def __repr__(self):
+        return f"LinearForm({self.terms})"
+
+
 # -- matrices ---------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -18,10 +18,14 @@ Omega^(w1)(g1,...,g_{k+2}) = Omega[g1,g2](w1(g3,...)).  With these signs
 D reduces to the scalar coboundary in the trivial degenerate case,
 satisfies the graded Leibniz rule D(w*f) = (Dw)*f + (-1)^|w| w*(df)
 on the nose, and squares to zero exactly when the four identities hold.
+``square_is_zero`` checks that by applying D twice to the generic element,
+whose coordinate at basis index i is the linear form x_i: D is linear, so
+D(D(x)) holds the matrix of D_{n+1} D_n, one column per basis element.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from . import linalg
@@ -30,7 +34,7 @@ from .cochains import (ScalarCochain, SectionCochain, coboundary, star,
 from .errors import (CompositionError, DegreeError, NotInvertibleError,
                      StructureError)
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .linalg import LinearMap
+from .linalg import LinearForm, LinearMap
 from .reports import Report
 from .twoterm import TwoTermComplex
 
@@ -321,48 +325,41 @@ def total_operator(r: Ruth, c: TotalCochain) -> TotalCochain:
     return TotalCochain(out0, out1)
 
 
-def total_zero(r: Ruth, degree: int) -> TotalCochain:
-    part0 = SectionCochain.zero(r.groupoid, r.complex, 0, degree)
-    part1 = (SectionCochain.zero(r.groupoid, r.complex, 1, degree - 1)
-             if degree > 0 else None)
-    return TotalCochain(part0, part1)
-
-
-def total_basis(r: Ruth, degree: int):
-    """All basis elements of the total-degree-n space, layer-0 ones first."""
+def generic_element(r: Ruth, degree: int) -> TotalCochain:
+    """The element of total degree n whose coordinate at basis index i is
+    the form x_i; layer 0 comes first, each part in nerve, then fiber order."""
     g = r.groupoid
-    out = []
-    for tup in g.nerve_tuples(degree):
-        fib = g.tuple_target(tup, degree)
-        for i in range(r.complex.dim0[fib]):
-            part0 = SectionCochain.basis(g, r.complex, 0, degree, tup, i)
-            part1 = (SectionCochain.zero(g, r.complex, 1, degree - 1)
-                     if degree > 0 else None)
-            out.append(TotalCochain(part0, part1))
-    if degree > 0:
-        for tup in g.nerve_tuples(degree - 1):
-            fib = g.tuple_target(tup, degree - 1)
-            for i in range(r.complex.dim1[fib]):
-                part1 = SectionCochain.basis(g, r.complex, 1, degree - 1, tup, i)
-                part0 = SectionCochain.zero(g, r.complex, 0, degree)
-                out.append(TotalCochain(part0, part1))
-    return out
+    index = itertools.count()
+
+    def part(layer: int, k: int) -> SectionCochain:
+        dims = r.complex.dim0 if layer == 0 else r.complex.dim1
+        return SectionCochain(g, r.complex, layer, k, {
+            tup: tuple(LinearForm.variable(next(index))
+                       for _ in range(dims[g.tuple_target(tup, k)]))
+            for tup in g.nerve_tuples(k)})
+
+    part0 = part(0, degree)
+    return TotalCochain(part0, part(1, degree - 1) if degree > 0 else None)
 
 
 def square_is_zero(r: Ruth, max_total_degree: int = 2,
                    stop_early: bool = False) -> Report:
-    """Apply the operator twice to every basis element of total degrees
-    0..max_total_degree and report any nonzero result.  With ``stop_early``
-    the sweep returns at the first counterexample."""
+    """Apply the operator twice to the generic element x of each total
+    degree n = 0..max_total_degree.  D is linear, so coordinate j of D(D(x))
+    is row j of D_{n+1} D_n as a form in the x_i, and basis element i
+    squares to nonzero exactly when x_i appears in some coordinate.  Such
+    i are reported in ascending order; with ``stop_early`` only the first."""
     rep = Report("square-zero")
     for n in range(max_total_degree + 1):
-        for idx, b in enumerate(total_basis(r, n)):
-            dd = total_operator(r, total_operator(r, b))
-            if not dd.is_zero():
-                rep.add("square-zero", f"total degree {n}, basis {idx}",
-                        "zero", "nonzero")
-                if stop_early:
-                    return rep
+        dd = total_operator(r, total_operator(r, generic_element(r, n)))
+        coords = [e for part in (dd.part0, dd.part1) for v in part.values.values() for e in v]
+        bad = [e for e in coords if not isinstance(e, LinearForm) and e != 0]
+        if bad:
+            raise TypeError(f"coordinate {bad[0]!r} of D(D(x)) is not a linear form")
+        for i in sorted({i for e in coords if isinstance(e, LinearForm) for i in e.terms}):
+            rep.add("square-zero", f"total degree {n}, basis {i}", "zero", "nonzero")
+            if stop_early:
+                return rep
     return rep
 
 

@@ -200,10 +200,39 @@ def test_cli_roundtrip_with_file(capsys):
                  "--pipeline", "triangle", "--trials", "1", "--seed", "1"]) == 0
 
 
-def test_cli_roundtrip_zero_trials(capsys):
-    assert main(["roundtrip", "--pipeline", "triangle", "--trials", "0",
-                 "--seed", "1"]) == 0
-    assert "PASS" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, message", [
+    (["roundtrip", "--pipeline", "triangle", "--trials", "0"], "--trials: must be at least 1"),
+    (["fuzz", "--trials", "0"], "--trials: must be at least 1"),
+    (["fuzz", "--trials", "-2"], "--trials: must be at least 1"),
+    (["fuzz", "--trials", "3", "--max-dim", "-1"], "--max-dim: must be at least 0"),
+    (["fuzz", "--max-objects", "0", "--max-arrows", "0"], "--max-objects: must be at least 1"),
+    (["roundtrip", "--pipeline", "ruth-vb", "--max-arrows", "0"],
+     "--max-arrows: must be at least 1"),
+], ids=["roundtrip-trials-0", "fuzz-trials-0", "fuzz-trials-negative", "fuzz-max-dim-negative",
+        "fuzz-empty-groupoid", "roundtrip-max-arrows-0"])
+def test_cli_bounds_below_minimum_exit_2(argv, message, capsys):
+    """A run of no trials or over an empty groupoid would pass vacuously,
+    and a negative dimension cannot be drawn: both are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_phi_hom_honours_max_objects(monkeypatch, capsys):
+    """With --max-objects 1 the phi-hom pipeline draws one-point complexes."""
+    bases = []
+    draw = gen.random_complex
+
+    def recording(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        bases.append(out.base)
+        return out
+
+    monkeypatch.setattr(gen, "random_complex", recording)
+    assert main(["roundtrip", "--pipeline", "phi-hom", "--trials", "10", "--seed", "1",
+                 "--max-objects", "1"]) == 0
+    assert len(bases) == 20 and all(len(base) == 1 for base in bases), bases
 
 
 def test_run_fuzz_kills_everything():

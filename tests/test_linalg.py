@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ruthvb import linalg
 from ruthvb.errors import (DimensionError, NotInvertibleError,
                            NotSurjectiveError, StructureError)
-from ruthvb.linalg import (LinearMap, compose, inverse, kernel_basis, rank,
-                           right_inverse_on_image, solve)
+from ruthvb.linalg import (LinearForm, LinearMap, compose, inverse, kernel_basis,
+                           rank, right_inverse_on_image, solve)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -114,6 +114,43 @@ def test_right_inverse_section_property(f):
 @given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
 def test_matrix_of_tabulates_a_map(m):
     assert linalg.matrix_of(m.apply, m.cols, m.rows) == m
+
+
+def test_linear_form_arithmetic_stores_only_nonzero_terms():
+    x, y = LinearForm.variable(0), LinearForm.variable(1)
+    assert (x - x).terms == {} and x - x == 0 and Fraction(0) == x - x
+    assert (Fraction(0) * x).terms == {} and (x * 0).terms == {}
+    assert (2 * x + y - x).terms == {0: 1, 1: 1}
+    assert (Fraction(0) - x) == -x == LinearForm({0: -1, 1: 0})
+    assert x + Fraction(0) == x and x != 0 and x != y
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        x * y
+
+
+def _at(e, point):
+    """A coordinate evaluated at a point: a form sum c_i x_i, or a scalar."""
+    if isinstance(e, LinearForm):
+        return sum((c * point[i] for i, c in e.terms.items()), Fraction(0))
+    return e
+
+
+forms = st.dictionaries(st.integers(0, 3), fractions, max_size=4).map(LinearForm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(
+           lambda rc: st.tuples(small_matrix(*rc), st.lists(forms, min_size=rc[1],
+                                                            max_size=rc[1]))),
+       st.lists(fractions, min_size=4, max_size=4))
+def test_apply_on_forms_evaluates_to_apply(mv, point):
+    """A map applied to a vector of forms, then evaluated at a point, is the
+    map applied to the vector evaluated there; no zero term is stored."""
+    m, v = mv
+    out = m.apply(tuple(v))
+    assert tuple(_at(e, point) for e in out) == m.apply(tuple(_at(e, point) for e in v))
+    assert all(c != 0 for e in out if isinstance(e, LinearForm) for c in e.terms.values())
 
 
 def test_solve_examples():

@@ -13,12 +13,27 @@ from ruthvb.groupoid import pair_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (pair_strict_ruth, stretched_line_ruth,
                                      z2_ruth, z2_ruth_broken4)
-from ruthvb.linalg import LinearMap
+from ruthvb.linalg import LinearForm, LinearMap
 from ruthvb.ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
-                         compose_morphisms, gauge_transport, identity_morphism,
-                         invert_morphism, square_is_zero, total_basis,
-                         total_operator, total_zero, validate_morphism,
-                         validate_ruth)
+                         compose_morphisms, gauge_transport, generic_element,
+                         identity_morphism, invert_morphism, square_is_zero,
+                         total_operator, validate_morphism, validate_ruth)
+
+
+def _total_basis(r, n):
+    """The basis of total degree n in the order square-zero reports use:
+    layer-0 elements first, each layer in nerve order, then fiber order."""
+    g, c = r.groupoid, r.complex
+    out = []
+    for tup in g.nerve_tuples(n):
+        for i in range(c.dim0[g.tuple_target(tup, n)]):
+            part1 = SectionCochain.zero(g, c, 1, n - 1) if n > 0 else None
+            out.append(TotalCochain(SectionCochain.basis(g, c, 0, n, tup, i), part1))
+    for tup in g.nerve_tuples(n - 1) if n > 0 else ():
+        for i in range(c.dim1[g.tuple_target(tup, n - 1)]):
+            out.append(TotalCochain(SectionCochain.zero(g, c, 0, n),
+                                    SectionCochain.basis(g, c, 1, n - 1, tup, i)))
+    return out
 
 
 def test_strict_action_valid():
@@ -142,8 +157,10 @@ def test_total_operator_detects_broken_identity():
 
 def test_total_operator_degree_bound():
     r = z2_ruth(1)
-    r.groupoid.max_degree = 2
-    c = total_zero(r, 2)
+    g = r.groupoid
+    g.max_degree = 2
+    c = TotalCochain(SectionCochain.zero(g, r.complex, 0, 2),
+                     SectionCochain.zero(g, r.complex, 1, 1))
     with pytest.raises(DegreeError):
         total_operator(r, c)
 
@@ -165,13 +182,74 @@ def test_square_zero_iff_identities_by_mutation():
         assert not square_is_zero(instance, max_total_degree=2).passed
 
 
+def _coordinates(c: TotalCochain) -> list:
+    """The coordinates of a total cochain in total-basis order."""
+    return [e for part in (c.part0, c.part1) if part is not None
+            for v in part.values.values() for e in v]
+
+
+def _terms(e) -> dict:
+    """The stored terms of a coordinate of an operator applied to forms;
+    a coordinate that is not a form must be the scalar 0."""
+    if isinstance(e, LinearForm):
+        return e.terms
+    assert e == 0, e
+    return {}
+
+
+def test_generic_element_tabulates_the_operator():
+    """Column i of D(x) and of D(D(x)), for x the generic element of total
+    degree n <= 2, is D resp. D(D) of basis element i: every coordinate
+    form stores exactly the nonzero entries of its row."""
+    rng = random.Random(13)
+    instances = []
+    while len(instances) < 16:
+        r = gen.random_ruth(rng, gen.random_groupoid(rng, 3, 6), max_dim=2)
+        mut = gen.mutate_ruth_entry(rng, r)
+        instances += [r] + ([mut[0]] if mut else [])
+    for r in instances:
+        for n in range(3):
+            basis = _total_basis(r, n)
+            x = generic_element(r, n)
+            assert [_terms(e) for e in _coordinates(x)] == [{i: 1} for i in range(len(basis))]
+            dx = total_operator(r, x)
+            for got, columns in ((dx, [total_operator(r, b) for b in basis]),
+                                 (total_operator(r, dx),
+                                  [total_operator(r, total_operator(r, b)) for b in basis])):
+                columns = [_coordinates(col) for col in columns]
+                for j, e in enumerate(_coordinates(got)):
+                    assert _terms(e) == {i: col[j] for i, col in enumerate(columns)
+                                         if col[j] != 0}, (n, j)
+
+
+def test_square_zero_agrees_with_the_identities_on_free_mutants():
+    """Differential test of two independent detectors: on free single-entry
+    mutants, D squares to zero exactly when validate_ruth reports no
+    violated structure identity."""
+    rng = random.Random(14)
+    mutants = survivors = 0
+    while mutants < 500:
+        r = gen.random_ruth(rng, gen.random_groupoid(rng, 3, 6), max_dim=2)
+        for _ in range(3):
+            mut = gen.mutate_ruth_entry(rng, r)
+            if mut is None:
+                break
+            instance, desc = mut
+            mutants += 1
+            identities_hold = not any(e.check.startswith("identity-")
+                                      for e in validate_ruth(instance).entries)
+            assert square_is_zero(instance).passed == identities_hold, desc
+            survivors += identities_hold
+    assert survivors > 0
+
+
 def test_leibniz_on_bases():
     rng = random.Random(12)
     for r in (z2_ruth(1), pair_strict_ruth()):
         g = r.groupoid
         samples = []
         for n in (0, 1):
-            for b in total_basis(r, n)[:3]:
+            for b in _total_basis(r, n)[:3]:
                 for q in (0, 1):
                     f = ScalarCochain(g, q, {k: gen.rand_fraction(rng)
                                              for k in g.nerve_tuples(q)})
@@ -183,9 +261,10 @@ def test_leibniz_trivial_cases():
     r = z2_ruth(1)
     g = r.groupoid
     ones = ScalarCochain.constant(g, 0, 1)
-    b = total_basis(r, 1)[0]
+    b = _total_basis(r, 1)[0]
     assert check_leibniz(r, [(b, ones)]).passed
-    z = total_zero(r, 1)
+    z = TotalCochain(SectionCochain.zero(g, r.complex, 0, 1),
+                     SectionCochain.zero(g, r.complex, 1, 0))
     f = ScalarCochain(g, 1, {("e",): 1, ("g",): 2})
     assert check_leibniz(r, [(z, f)]).passed
 
