@@ -14,13 +14,16 @@ from typing import Any
 
 from ..errors import RuthVBError, StructureError, UsageError
 from ..groupoid import FiniteGroupoid
-from ..linalg import json_int, map_from_dict, map_to_dict
+from ..linalg import MAX_DIM, json_int, map_from_dict, map_to_dict
 from ..ruth import Ruth, RuthMorphism
 from ..twoterm import TwoTermComplex
 from ..vb import VBGroupoid
 from ..weak import EquivariantMap, WeakRepresentation
 
 KINDS = ("groupoid", "complex", "ruth", "morphism", "vb", "wrep", "equivariant")
+
+# The largest nerve degree a groupoid file may allow; the default is 4.
+MAX_DEGREE = 8
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
@@ -44,7 +47,7 @@ def groupoid_from_dict(d: dict) -> FiniteGroupoid:
         unit=d["units"],
         comp={(g1, g2): g12 for g1, g2, g12 in d["compose"]},
         inv=d["inverse"],
-        max_degree=json_int(d.get("max_degree", 4), "max_degree"),
+        max_degree=json_int(d.get("max_degree", 4), "max_degree", MAX_DEGREE),
     )
 
 
@@ -60,8 +63,8 @@ def complex_to_dict(c: TwoTermComplex) -> dict:
 def complex_from_dict(d: dict) -> TwoTermComplex:
     return TwoTermComplex(
         base=d["base"],
-        dim0={x: json_int(v, f"dims0 at {x}") for x, v in d["dims0"].items()},
-        dim1={x: json_int(v, f"dims1 at {x}") for x, v in d["dims1"].items()},
+        dim0={x: json_int(v, f"dims0 at {x}", MAX_DIM) for x, v in d["dims0"].items()},
+        dim1={x: json_int(v, f"dims1 at {x}", MAX_DIM) for x, v in d["dims1"].items()},
         diff={x: map_from_dict(m) for x, m in d["diff"].items()},
     )
 
@@ -130,8 +133,8 @@ def vb_to_dict(v: VBGroupoid) -> dict:
 def vb_from_dict(d: dict) -> VBGroupoid:
     return VBGroupoid(
         groupoid_from_dict(d["groupoid"]),
-        {x: json_int(n, f"objdim at {x}") for x, n in d["objdim"].items()},
-        {a: json_int(n, f"arrdim at {a}") for a, n in d["arrdim"].items()},
+        {x: json_int(n, f"objdim at {x}", MAX_DIM) for x, n in d["objdim"].items()},
+        {a: json_int(n, f"arrdim at {a}", MAX_DIM) for a, n in d["arrdim"].items()},
         {a: map_from_dict(m) for a, m in d["stilde"].items()},
         {a: map_from_dict(m) for a, m in d["ttilde"].items()},
         {x: map_from_dict(m) for x, m in d["utilde"].items()},

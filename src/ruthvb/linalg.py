@@ -7,6 +7,16 @@ inverses, particular solutions) uses the same deterministic rule: row
 reduce with the leftmost pivot in the earliest row, set free variables
 to zero, and emit one kernel vector per free column with entry 1 at that
 column.  This makes downstream splittings and connections reproducible.
+
+Most matrices here are identity or zero blocks, so the kernels skip zero
+terms.  :meth:`LinearMap.apply` is the one multiply-accumulate loop: it
+forms a product only where the matrix entry and the vector entry are both
+nonzero, takes the other factor as the term when one of them is 1, and
+starts each sum from its first term.  ``compose`` and
+:meth:`KernelChart.from_coords` run on it; ``vec_add``, ``vec_sub`` and
+the row operations of the row reduction pass zero operands through.  A
+skipped term is an exact zero, so every result is the same exact
+``Fraction`` the dense sums give.
 """
 
 from __future__ import annotations
@@ -49,13 +59,13 @@ def vec_basis(n: int, i: int) -> Vector:
 def vec_add(a: Vector, b: Vector) -> Vector:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple((x - y if x else -y) if y else x for x, y in zip(a, b))
 
 
 def vec_scale(c, a: Vector) -> Vector:
@@ -71,7 +81,7 @@ def vec_concat(*vs: Vector) -> Vector:
 
 
 def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 class LinearForm:
@@ -81,8 +91,9 @@ class LinearForm:
     ``NotImplemented`` for them, so sums, differences and products by a
     scalar reach the reflected operators here, and any linear rule written
     for Fraction vectors also runs on vectors of forms.  Zero coefficients
-    are never stored, so a form equals 0 exactly when it has no terms.
-    Forms are immutable by convention.
+    are never stored, so a form equals 0, and is false, exactly when it has
+    no terms; the zero-skipping kernels rely on that.  Forms are immutable
+    by convention.
     """
 
     __slots__ = ("terms",)
@@ -138,6 +149,9 @@ class LinearForm:
         if isinstance(other, (int, Fraction)):
             return other == 0 and not self.terms
         return NotImplemented
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __repr__(self):
         return f"LinearForm({self.terms})"
@@ -226,19 +240,31 @@ class LinearMap:
         return LinearMap(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def apply(self, v: Vector) -> Vector:
+        """The product of this map with v, skipping every zero term.
+
+        v may hold any scalars that are false exactly when zero, such as
+        :class:`LinearForm`; a coordinate with no nonzero term is ``ZERO``."""
         if len(v) != self.cols:
             raise DimensionError(f"map with {self.cols} columns applied to length-{len(v)} vector")
-        out = []
+        live = [(j, x) for j, x in enumerate(v) if x]
+        ent, cols, out = self.entries, self.cols, []
         for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * v[j] for j in range(self.cols)), ZERO))
+            base, acc = i * cols, None
+            for j, x in live:
+                a = ent[base + j]
+                if a:
+                    term = x if a == 1 else a if x == 1 else a * x
+                    acc = term if acc is None else acc + term
+            out.append(ZERO if acc is None else acc)
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == LinearMap.identity(self.rows)
+        n = self.cols
+        return self.rows == n and all(a == 1 if k % (n + 1) == 0 else not a
+                                      for k, a in enumerate(self.entries))
 
     def __repr__(self):
         rows = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
@@ -246,15 +272,12 @@ class LinearMap:
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Matrix product f*g, i.e. the map applying g first."""
+    """Matrix product f*g, i.e. the map applying g first: column j is f
+    applied to column j of g."""
     if f.cols != g.rows:
         raise DimensionError(f"cannot compose {f.rows}x{f.cols} after {g.rows}x{g.cols}")
-    ent = []
-    for i in range(f.rows):
-        frow = f.row(i)
-        for j in range(g.cols):
-            ent.append(sum((frow[k] * g.entry(k, j) for k in range(f.cols)), ZERO))
-    return LinearMap(f.rows, g.cols, tuple(ent))
+    return LinearMap.from_columns([f.apply(g.entries[j::g.cols]) for j in range(g.cols)],
+                                  f.rows)
 
 
 def matrix_of(rule: Callable[[Vector], Vector], cols: int, rows: int) -> LinearMap:
@@ -308,11 +331,11 @@ def _rref(m: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
         a[pr], a[hit] = a[hit], a[pr]
         pv = a[pr][pc]
         if pv != 1:
-            a[pr] = [x / pv for x in a[pr]]
+            a[pr] = [x / pv if x else x for x in a[pr]]
         for r in range(m.rows):
-            if r != pr and a[r][pc] != 0:
-                fac = a[r][pc]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[pr])]
+            fac = a[r][pc]
+            if r != pr and fac:
+                a[r] = [x - fac * y if y else x for x, y in zip(a[r], a[pr])]
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
@@ -347,8 +370,7 @@ class KernelChart:
         """The kernel vector with coordinates c; the inverse of :meth:`coords`."""
         if len(c) != len(self.basis):
             raise DimensionError(f"{len(self.basis)} kernel coordinates, got {len(c)}")
-        return tuple(sum((x * b[i] for x, b in zip(c, self.basis)), ZERO)
-                     for i in range(self.constraint.cols))
+        return LinearMap.from_columns(self.basis, self.constraint.cols).apply(c)
 
 
 def kernel_chart(f: LinearMap) -> KernelChart:
@@ -451,15 +473,25 @@ def map_to_dict(f: LinearMap) -> dict:
     return {"rows": f.rows, "cols": f.cols, "entries": [str(e) for e in f.entries]}
 
 
-def json_int(value, what: str) -> int:
-    """A declared integer of an instance file.  Only JSON integers are
-    accepted: ``int()`` would silently truncate a float and read a boolean
-    as 0 or 1."""
+# The largest dimension an instance file may declare: a fiber dimension, or
+# the row or column count of a matrix.  Empty N x 0 and 0 x N tables make
+# N free in file size, while the maps a validator builds from them grow
+# with N squared.
+MAX_DIM = 64
+
+
+def json_int(value, what: str, limit: int) -> int:
+    """A declared integer of an instance file, at most ``limit``.  Only JSON
+    integers are accepted: ``int()`` would silently truncate a float and
+    read a boolean as 0 or 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise StructureError(f"{what} must be an integer, got {value!r}")
+    if value > limit:
+        raise StructureError(f"{what} is {value}, above the bound {limit}")
     return value
 
 
 def map_from_dict(d: dict) -> LinearMap:
-    return LinearMap(json_int(d["rows"], "rows"), json_int(d["cols"], "cols"),
+    return LinearMap(json_int(d["rows"], "rows", MAX_DIM),
+                     json_int(d["cols"], "cols", MAX_DIM),
                      tuple(rat(e) for e in d["entries"]))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ruthvb import linalg
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
 from ruthvb.groupoid import FiniteGroupoid, z2_groupoid
@@ -132,6 +133,58 @@ def test_cli_validate_repeated_base_point_exits_2(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, path", [
+    ("z2-ruth-1", ("groupoid", "max_degree")),
+    ("z2-ruth-1", ("complex", "dims0", "*")),
+    ("z2-ruth-1", ("complex", "dims1", "*")),
+    ("z2-ruth-1", ("complex", "diff", "*", "rows")),
+    ("z2-ruth-1", ("complex", "diff", "*", "cols")),
+    ("z2-ruth-1-semidirect", ("objdim", "*")),
+    ("z2-ruth-1-semidirect", ("arrdim", "g")),
+])
+def test_cli_validate_declared_size_above_bound_exits_2(tmp_path, capsys, name, path):
+    bound = serialize.MAX_DEGREE if path[-1] == "max_degree" else linalg.MAX_DIM
+    doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bound + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and f"is {bound + 1}, above the bound {bound}" in err
+
+
+def _empty_table_vb(n: int) -> str:
+    """z2-ruth-1-semidirect with object fiber dimension n and arrow fibers
+    0: every table is an empty n x 0, 0 x n or 0 x 0 matrix, so the file
+    has the same size for every n."""
+    def empty(rows, cols):
+        return {"rows": rows, "cols": cols, "entries": []}
+
+    doc = json.loads((REPO_FIXTURES / "z2-ruth-1-semidirect.json").read_text())
+    p = doc["payload"]
+    p["objdim"], p["arrdim"] = {"*": n}, {"e": 0, "g": 0}
+    p["stilde"] = p["ttilde"] = {a: empty(n, 0) for a in ("e", "g")}
+    p["utilde"] = {"*": empty(0, n)}
+    p["inverse"] = {a: empty(0, 0) for a in ("e", "g")}
+    p["mult"] = [[g1, g2, empty(0, 0)] for g1, g2, _ in p["mult"]]
+    return json.dumps(doc)
+
+
+def test_cli_validate_refuses_a_small_file_declaring_a_large_fiber(tmp_path, capsys):
+    """Validating the empty-table file builds n x n maps; one past the
+    bound it is refused at parse time, at the bound it is checked."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(_empty_table_vb(linalg.MAX_DIM + 1))
+    assert main(["validate", str(bad)]) == 2
+    assert f"objdim at * is {linalg.MAX_DIM + 1}, above the bound" in capsys.readouterr().err
+    bad.write_text(_empty_table_vb(linalg.MAX_DIM))
+    assert main(["validate", str(bad)]) == 1
+    assert "[unit-source] at object *: expected identity" in capsys.readouterr().out
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):

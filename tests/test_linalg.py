@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: frozen examples, errors, and algebraic laws."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,95 @@ def test_apply_on_forms_evaluates_to_apply(mv, point):
     out = m.apply(tuple(v))
     assert tuple(_at(e, point) for e in out) == m.apply(tuple(_at(e, point) for e in v))
     assert all(c != 0 for e in out if isinstance(e, LinearForm) for c in e.terms.values())
+
+
+def _dense_apply(m, v):
+    """Reference product: every term formed, zero or not."""
+    return tuple(sum((m.entry(i, j) * v[j] for j in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def _dense_compose(f, g):
+    return LinearMap(f.rows, g.cols, tuple(
+        sum((f.entry(i, k) * g.entry(k, j) for k in range(f.cols)), Fraction(0))
+        for i in range(f.rows) for j in range(g.cols)))
+
+
+# Zeros and units are the terms the kernel skips or does not multiply.
+sparse_fractions = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                             fractions)
+
+
+def sparse_matrix(rows, cols):
+    return st.lists(sparse_fractions, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: LinearMap(rows, cols, tuple(es)))
+
+
+@pytest.mark.parametrize("rows, cols", [(r, c) for r in range(5) for c in range(5)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_zero_skipping_kernel_matches_dense_reference(rows, cols, data):
+    """apply, compose and from_coords give exactly the dense sums on every
+    shape up to 4 x 4, empty ones included, on Fraction vectors and on
+    vectors of forms."""
+    m = data.draw(sparse_matrix(rows, cols))
+    for scalars in (sparse_fractions, forms):
+        v = tuple(data.draw(st.lists(scalars, min_size=cols, max_size=cols)))
+        assert m.apply(v) == _dense_apply(m, v)
+        chart = linalg.kernel_chart(m)
+        c = tuple(data.draw(st.lists(scalars, min_size=len(chart.free),
+                                     max_size=len(chart.free))))
+        assert chart.from_coords(c) == tuple(
+            sum((x * b[i] for x, b in zip(c, chart.basis)), Fraction(0)) for i in range(cols))
+    g = data.draw(st.integers(0, 4).flatmap(lambda k: sparse_matrix(cols, k)))
+    assert compose(m, g) == _dense_compose(m, g)
+
+
+class Counting:
+    """A stand-in scalar that counts the products and sums formed with it;
+    it is false when it stands for zero."""
+
+    def __init__(self, log: Counter, zero: bool = False):
+        self.log, self.zero = log, zero
+
+    def __bool__(self):
+        return not self.zero
+
+    def __rmul__(self, a):
+        self.log["products"] += 1
+        return self
+
+    def __radd__(self, other):
+        self.log["sums"] += 1
+        return self
+
+    __add__ = __radd__
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_apply_forms_no_product_with_a_zero_factor(n):
+    """Operation counts, independent of the machine: a product is formed
+    only where the matrix entry and the vector entry are both nonzero, and
+    a unit entry passes its vector entry through unmultiplied."""
+    def count(m, zeros=()):
+        log = Counter()
+        m.apply(tuple(Counting(log, j in zeros) for j in range(m.cols)))
+        return log["products"], log["sums"]
+
+    twice = LinearMap(n, n, tuple(2 * e for e in LinearMap.identity(n).entries))
+    assert count(LinearMap.identity(n)) == (0, 0)
+    assert count(twice) == (n, 0)
+    assert count(LinearMap.zero(n, n)) == (0, 0)
+    full = LinearMap(n, n, (Fraction(3),) * (n * n))
+    assert count(full) == (n * n, n * (n - 1))
+    assert count(full, zeros=range(0, n, 2)) == (n * (n // 2), n * (n // 2 - 1))
+
+
+def test_is_identity_reads_entries():
+    assert LinearMap.identity(0).is_identity() and LinearMap.identity(3).is_identity()
+    assert not LinearMap.identity(3).with_entry(0, 2, 1).is_identity()
+    assert not LinearMap.identity(3).with_entry(1, 1, 2).is_identity()
+    assert not LinearMap.zero(2, 3).is_identity() and not LinearMap.zero(0, 1).is_identity()
 
 
 def test_solve_examples():
