@@ -32,7 +32,7 @@ from .vb import (BundleTransformation, Connection, VBGroupoid, VBMap,
                  validate_vb, validate_vb_map, vb_map_is_isomorphism)
 from .semidirect import psi_morphism, semidirect
 from .weak import (ActionChart, EquivariantMap, WeakRepresentation,
-                   act_on_morphism, action_groupoid, compose_equivariant,
+                   act_on_morphism, action_groupoid_bundle, compose_equivariant,
                    identity_equivariant, validate_equivariant,
                    validate_weak_representation)
 from .equivalences import (KernelActionResult, connection_change_witness,

@@ -20,7 +20,7 @@ from ..semidirect import semidirect
 from ..twoterm import (extract_chain_map, extract_homotopy, phi_object,
                        phi_onemorphism, phi_twomorphism, split_bundle)
 from ..vb import validate_vb
-from ..weak import (action_groupoid, act_on_morphism, validate_equivariant,
+from ..weak import (action_groupoid_bundle, act_on_morphism, validate_equivariant,
                     validate_weak_representation)
 from ..equivalences import (reconstruct_equivariant, ruth_from_wrep,
                             ruth_from_wrep_with_witness, triangle_witness, vb_to_wrep,
@@ -90,7 +90,7 @@ def cmd_convert(args) -> int:
     elif (args.from_kind, args.to_kind) == ("ruth", "vb"):
         out = semidirect(obj, validate=False)
     elif (args.from_kind, args.to_kind) == ("wrep", "vb"):
-        out = action_groupoid(obj, validate=False)
+        out = action_groupoid_bundle(obj)
     else:
         result = vb_to_wrep(obj, validate=False)
         out = result.wrep

@@ -433,14 +433,13 @@ def right_inverse_on_image(f: LinearMap) -> LinearMap:
 
 
 def inverse(f: LinearMap) -> LinearMap:
+    """A square f's section, which exists exactly when f is onto."""
     if f.rows != f.cols:
         raise NotInvertibleError(f"{f.rows}x{f.cols} map is not square")
-    aug = hstack(f, LinearMap.identity(f.rows))
-    a, pivots = _rref(aug)
-    if pivots != list(range(f.rows)):
-        raise NotInvertibleError("map is singular")
-    ent = tuple(a[i][f.cols + j] for i in range(f.rows) for j in range(f.rows))
-    return LinearMap(f.rows, f.cols, ent)
+    try:
+        return right_inverse_on_image(f)
+    except NotSurjectiveError:
+        raise NotInvertibleError("map is singular") from None
 
 
 def is_invertible(f: LinearMap) -> bool:
@@ -491,7 +490,18 @@ def json_int(value, what: str, limit: int) -> int:
     return value
 
 
+_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+
+
+def json_typed(value, json_type: type, what: str):
+    """``value`` if it has the JSON type ``json_type`` (list, dict or str): a
+    string iterated as a list, or a list of pairs read by dict(), would pass."""
+    if not isinstance(value, json_type):
+        raise StructureError(f"{what} must be a JSON {_JSON_TYPES[json_type]}, got {value!r:.40}")
+    return value
+
+
 def map_from_dict(d: dict) -> LinearMap:
     return LinearMap(json_int(d["rows"], "rows", MAX_DIM),
                      json_int(d["cols"], "cols", MAX_DIM),
-                     tuple(rat(e) for e in d["entries"]))
+                     tuple(rat(e) for e in json_typed(d["entries"], list, "entries")))

@@ -342,15 +342,17 @@ def generic_element(r: Ruth, degree: int) -> TotalCochain:
     return TotalCochain(part0, part(1, degree - 1) if degree > 0 else None)
 
 
-def square_is_zero(r: Ruth, max_total_degree: int = 2,
-                   stop_early: bool = False) -> Report:
+def square_is_zero(r: Ruth) -> Report:
     """Apply the operator twice to the generic element x of each total
-    degree n = 0..max_total_degree.  D is linear, so coordinate j of D(D(x))
-    is row j of D_{n+1} D_n as a form in the x_i, and basis element i
-    squares to nonzero exactly when x_i appears in some coordinate.  Such
-    i are reported in ascending order; with ``stop_early`` only the first."""
+    degree n = 0..2.  D is linear, so coordinate j of D(D(x)) is row j of
+    D_{n+1} D_n as a form in the x_i, and basis element i squares to
+    nonzero exactly when x_i appears in some coordinate.  Such i are
+    reported in ascending order."""
     rep = Report("square-zero")
-    for n in range(max_total_degree + 1):
+    # D_{n+1} D_n reads composable (n + 2)-tuples.  n = 1 already reaches the
+    # triples of identity-4; n = 2 reaches nerve degree 4, a groupoid's
+    # default max_degree.
+    for n in range(3):
         dd = total_operator(r, total_operator(r, generic_element(r, n)))
         coords = [e for part in (dd.part0, dd.part1) for v in part.values.values() for e in v]
         bad = [e for e in coords if not isinstance(e, LinearForm) and e != 0]
@@ -358,8 +360,6 @@ def square_is_zero(r: Ruth, max_total_degree: int = 2,
             raise TypeError(f"coordinate {bad[0]!r} of D(D(x)) is not a linear form")
         for i in sorted({i for e in coords if isinstance(e, LinearForm) for i in e.terms}):
             rep.add("square-zero", f"total degree {n}, basis {i}", "zero", "nonzero")
-            if stop_early:
-                return rep
     return rep
 
 

@@ -51,11 +51,10 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
 
-def psi_morphism(m: RuthMorphism, validate: bool = True) -> VBMap:
+def psi_morphism(m: RuthMorphism) -> VBMap:
     """VB-groupoid map of the semi-direct products:
     phi1 on objects, (e0, e1) -> (phi0 e0 + mu e1, phi1 e1) over each arrow."""
-    if validate:
-        validate_morphism(m).require(ValidationError, "psi_morphism needs a valid morphism")
+    validate_morphism(m).require(ValidationError, "psi_morphism needs a valid morphism")
     g = m.source.groupoid
     sv = semidirect(m.source, validate=False)
     tv = semidirect(m.target, validate=False)

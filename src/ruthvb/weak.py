@@ -239,15 +239,6 @@ def action_groupoid_bundle(w: WeakRepresentation,
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
 
-def action_groupoid(w: WeakRepresentation, validate: bool = True) -> VBGroupoid:
-    """Action groupoid of a weak representation, as a VB-groupoid over the
-    acting groupoid."""
-    if validate:
-        validate_weak_representation(w).require(ValidationError,
-                                                "action groupoid needs a valid weak action")
-    return action_groupoid_bundle(w)
-
-
 # -- equivariant maps ---------------------------------------------------------------
 
 

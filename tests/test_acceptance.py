@@ -85,7 +85,7 @@ def test_criterion_1_square_zero_iff_identities():
         rep = validate_ruth(instance)
         if not any(e.check.startswith("identity-") for e in rep.entries):
             continue
-        assert not square_is_zero(instance, stop_early=True).passed, \
+        assert not square_is_zero(instance).passed, \
             "identity violation invisible to the operator"
         detected += 1
     _line(1, True, f"square-zero on {len(pool)} + 2 valid instances, "
@@ -127,11 +127,10 @@ def test_criterion_4_semidirect_validity_and_psi_functoriality():
         r = pool[rng.randrange(len(pool))]
         m1 = gen.random_ruth_morphism(rng, r)
         m2 = gen.random_ruth_morphism(rng, m1.source)
-        lhs = compose_vb_maps(psi_morphism(m1, validate=False),
-                              psi_morphism(m2, validate=False))
-        rhs = psi_morphism(compose_morphisms(m1, m2), validate=False)
+        lhs = compose_vb_maps(psi_morphism(m1), psi_morphism(m2))
+        rhs = psi_morphism(compose_morphisms(m1, m2))
         assert lhs == rhs
-        assert validate_vb_map(psi_morphism(m1, validate=False)).passed
+        assert validate_vb_map(psi_morphism(m1)).passed
         pairs += 1
     _line(4, True, f"semidirect sweeps on {len(pool) + len(FIXTURE_RUTHS)} "
                    f"instances; semidirect functor exact on {pairs} composites")

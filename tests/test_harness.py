@@ -1,5 +1,6 @@
 """Instance files, CLI verbs, determinism, and the mutation-kill harness."""
 
+import copy
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from ruthvb import linalg
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
-from ruthvb.groupoid import FiniteGroupoid, z2_groupoid
+from ruthvb.groupoid import FiniteGroupoid, disjoint_union, z2_groupoid
 from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
 from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
@@ -19,20 +20,22 @@ REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_serialization_round_trips():
     rng = random.Random(40)
-    r = gen.random_ruth(rng, z2_groupoid(), max_dim=2)
-    cases = [
-        ("groupoid", r.groupoid),
-        ("complex", r.complex),
-        ("ruth", r),
-        ("morphism", gen.random_ruth_morphism(rng, r)),
-        ("vb", semidirect(r, validate=False)),
-        ("wrep", wrep_from_ruth(r, validate=False)),
-        ("equivariant", gen.random_equivariant(rng, z2_groupoid(), max_dim=2)),
-    ]
-    for kind, obj in cases:
-        text = serialize.dumps_instance(kind, obj, {"seed": 40})
-        kind2, obj2, meta = serialize.load_instance(text)
-        assert kind2 == kind and obj2 == obj and meta == {"seed": 40}
+    for g in (z2_groupoid(), disjoint_union(z2_groupoid(), fixtures.pair_groupoid_xy())):
+        r = gen.random_ruth(rng, g, max_dim=2)
+        cases = [
+            ("groupoid", r.groupoid),
+            ("complex", r.complex),
+            ("ruth", r),
+            ("morphism", gen.random_ruth_morphism(rng, r)),
+            ("vb", semidirect(r, validate=False)),
+            ("wrep", wrep_from_ruth(r, validate=False)),
+            ("equivariant", gen.random_equivariant(rng, g, max_dim=2)),
+        ]
+        for kind, obj in cases:
+            text = serialize.dumps_instance(kind, obj, {"seed": 40})
+            kind2, obj2, meta = serialize.load_instance(text)
+            assert kind2 == kind and obj2 == obj and meta == {"seed": 40}
+            assert serialize.dumps_instance(kind, obj2, meta) == text
 
 
 def test_dump_is_byte_deterministic():
@@ -64,6 +67,18 @@ def test_cli_fixtures_match_repo_fixtures_byte_for_byte(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (REPO_FIXTURES / name).read_bytes(), name
 
 
+def _edited_file(tmp_path, doc: dict, edits) -> str:
+    """Write ``doc`` with each (payload path, value) of ``edits`` set."""
+    for path, value in edits:
+        node = doc["payload"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
 @pytest.mark.parametrize("path, value", [
     (("complex", "diff", "*", "entries", 0), "1/0"),
     (("groupoid", "max_degree"), -3),
@@ -77,14 +92,51 @@ def test_cli_fixtures_match_repo_fixtures_byte_for_byte(tmp_path, capsys):
 ])
 def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
-    node = doc["payload"]
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    assert main(["validate", _edited_file(tmp_path, doc, [(path, value)])]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edits", [
+    ("pair", [(("objects",), "xy")]),
+    ("z2", [(("units",), ["*e"]), (("inverse",), ["ee", "gg"])]),
+    ("z2", [(("compose",), ["eee", "egg", "geg", "gge"])]),
+    ("z2-ruth-1", [(("complex", "base"), "*"), (("complex", "diff", "*", "entries"), "0")]),
+    ("pair-strict-ruth", [(("complex", "diff", x, "entries"), "12") for x in "xy"]),
+], ids=["objects", "units-inverse", "compose", "base-entries", "entries"])
+def test_cli_validate_wrongly_typed_field_exits_2(tmp_path, capsys, name, edits):
+    """Each edit is a string where the format has a list, or a list where it
+    has an object; iterated or passed to dict(), it would read as a valid
+    instance."""
+    doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
+    assert main(["validate", _edited_file(tmp_path, doc, edits)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "must be a JSON" in err
+    assert "Traceback" not in err
+
+
+def _one_instance_per_kind() -> dict:
+    r = fixtures.z2_ruth(1)
+    m = identity_morphism(r)
+    objs = {"groupoid": r.groupoid, "complex": r.complex, "ruth": r, "morphism": m,
+            "vb": semidirect(r), "wrep": wrep_from_ruth(r),
+            "equivariant": wrep_from_ruth_morphism(m)}
+    return {kind: serialize.instance_to_dict(kind, obj) for kind, obj in objs.items()}
+
+
+INSTANCE_DOCS = _one_instance_per_kind()
+
+
+# max_degree is the one optional field: a groupoid file without it allows degree 4.
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, doc in INSTANCE_DOCS.items()
+                                       for key in sorted(doc["payload"]) if key != "max_degree"])
+def test_cli_validate_missing_field_exits_2(tmp_path, capsys, kind, key):
+    doc = copy.deepcopy(INSTANCE_DOCS[kind])
+    del doc["payload"][key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, table, key", [
@@ -147,13 +199,7 @@ def test_cli_validate_repeated_base_point_exits_2(tmp_path, capsys):
 def test_cli_validate_declared_size_above_bound_exits_2(tmp_path, capsys, name, path):
     bound = serialize.MAX_DEGREE if path[-1] == "max_degree" else linalg.MAX_DIM
     doc = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
-    node = doc["payload"]
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = bound + 1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["validate", str(bad)]) == 2
+    assert main(["validate", _edited_file(tmp_path, doc, [(path, bound + 1)])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and f"is {bound + 1}, above the bound {bound}" in err
 

