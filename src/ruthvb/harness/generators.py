@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 from .. import linalg
+from ..errors import StructureError
 from ..groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
                         pair_groupoid, transitive_groupoid, z2_groupoid)
 from ..linalg import LinearMap
@@ -323,7 +324,9 @@ def _mutant(rng, tables: dict, sites, build):
 
     ``sites`` lists ``(table name, key)`` pairs into ``tables``; a site whose
     matrix is empty is skipped, and with no site left the result is None.
-    Otherwise ``build`` receives ``tables`` with the one changed entry."""
+    Otherwise ``build`` receives ``tables`` with the one changed entry; when
+    it returns None, because the changed entry leaves the structure
+    unrepresentable, so does this."""
     sites = [(name, key) for name, key in sites
              if tables[name][key].rows * tables[name][key].cols > 0]
     if not sites:
@@ -334,7 +337,8 @@ def _mutant(rng, tables: dict, sites, build):
     delta = Fraction(rng.choice((1, -1, 2)))
     changed = dict(tables)
     changed[name] = {**tables[name], key: m.with_entry(i, j, m.entry(i, j) + delta)}
-    return build(changed), f"{name}[{key}] entry {(i, j, delta)}"
+    built = build(changed)
+    return None if built is None else (built, f"{name}[{key}] entry {(i, j, delta)}")
 
 
 def _ruth_mutant(rng, r: Ruth, sites):
@@ -377,6 +381,25 @@ def mutate_vb_cell(rng, v: VBGroupoid):
                                         t["utilde"], v.inv_map, t["mult"]))
 
 
+def mutate_vb_entry(rng, v: VBGroupoid):
+    """Free single-entry perturbation of a source, target or inverse map;
+    the caller decides validity.  A source or target change that moves the
+    dimension of a fibered product leaves the stored multiplication without
+    a shape, and gives None."""
+    g = v.base
+
+    def build(t):
+        try:
+            return VBGroupoid(g, v.objdim, v.arrdim, t["stilde"], t["ttilde"], v.utilde,
+                              t["inv_map"], v.mult)
+        except StructureError:
+            return None
+
+    return _mutant(rng, {"stilde": v.stilde, "ttilde": v.ttilde, "inv_map": v.inv_map},
+                   [(name, a) for a in g.arrows for name in ("stilde", "ttilde", "inv_map")],
+                   build)
+
+
 def mutate_wrep_alpha_unit(rng, w: WeakRepresentation):
     """Perturb an associator cell at a pair containing a unit: the unit
     coherences read these cells directly."""
@@ -385,6 +408,23 @@ def mutate_wrep_alpha_unit(rng, w: WeakRepresentation):
                    [("alpha", pair) for pair in g.comp
                     if g.is_unit(pair[0]) or g.is_unit(pair[1])],
                    lambda t: WeakRepresentation(g, w.bundle, w.a0, w.a1, t["alpha"]))
+
+
+def mutate_wrep_entry(rng, w: WeakRepresentation):
+    """Free single-entry perturbation of the action on objects or arrows;
+    the caller decides validity."""
+    g = w.groupoid
+    return _mutant(rng, {"a0": w.a0, "a1": w.a1},
+                   [(name, a) for a in g.arrows for name in ("a0", "a1")],
+                   lambda t: WeakRepresentation(g, w.bundle, t["a0"], t["a1"], w.alpha))
+
+
+def mutate_equivariant_entry(rng, e: EquivariantMap):
+    """Free single-entry perturbation of the object or arrow component;
+    the caller decides validity."""
+    return _mutant(rng, {"f0": e.f0, "f1": e.f1},
+                   [(name, x) for x in e.source.groupoid.objects for name in ("f0", "f1")],
+                   lambda t: EquivariantMap(e.source, e.target, t["f0"], t["f1"], e.delta))
 
 
 def mutate_equivariant_delta_unit(rng, e: EquivariantMap):

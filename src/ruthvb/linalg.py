@@ -9,20 +9,28 @@ to zero, and emit one kernel vector per free column with entry 1 at that
 column.  This makes downstream splittings and connections reproducible.
 
 Most matrices here are identity or zero blocks, so the kernels skip zero
-terms.  :meth:`LinearMap.apply` is the one multiply-accumulate loop: it
+terms.  There are two multiply-accumulate loops.  :meth:`LinearMap.apply`
+multiplies one vector of ``Fraction`` s (or of :class:`LinearForm` s): it
 forms a product only where the matrix entry and the vector entry are both
 nonzero, takes the other factor as the term when one of them is 1, and
-starts each sum from its first term.  ``compose`` and
-:meth:`KernelChart.from_coords` run on it; ``vec_add``, ``vec_sub`` and
-the row operations of the row reduction pass zero operands through.  A
-skipped term is an exact zero, so every result is the same exact
-``Fraction`` the dense sums give.
+starts each sum from its first term; ``compose`` and
+:meth:`KernelChart.from_coords` run on it.  ``IntegerForm @ IntegerForm``
+multiplies whole blocks of columns in integer numerators over one common
+denominator, also only where both factors are nonzero; every map carries
+its integer form (:attr:`LinearMap.integer`), computed once.  The row
+reduction is fraction-free Gauss-Jordan elimination on that form, so it
+divides only exactly.  ``vec_add`` and ``vec_sub`` pass zero operands
+through.  A skipped term is an exact zero, so every result is the same
+exact ``Fraction`` the dense sums give.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Collection, Optional, Sequence
 
 from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
@@ -34,15 +42,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The most digits either side of a rational literal may have.  Exponent
+# notation is not a literal: "1e99999999" is ten characters, and reading it
+# would build an integer of a hundred million digits.
+MAX_DIGITS = 256
+
+_LITERAL = re.compile(rf"([+-]?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
+
+
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"p/q"``, or Fractions to a Fraction.
-    Booleans are refused, so an instance file cannot smuggle one in as 0 or 1."""
+    """Coerce ints, strings ``"p/q"`` or ``"p"``, or Fractions to a Fraction.
+    Booleans are refused, so an instance file cannot smuggle one in as 0 or 1,
+    and so is a string of any other form or with more than ``MAX_DIGITS``
+    digits on either side."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        literal = _LITERAL.fullmatch(value)
+        if literal is None:
+            raise ValueError(f"{value!r:.40} is not a rational p/q of at most "
+                             f"{MAX_DIGITS} digits each")
+        num, den = literal.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -159,6 +182,89 @@ class LinearForm:
 
 # -- matrices ---------------------------------------------------------------
 
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else ZERO
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """A rational matrix in integers: entry (i, j) is ``nums[i * cols + j] / den``
+    over one positive common denominator.
+
+    The form of a :class:`LinearMap` (:attr:`LinearMap.integer`) is
+    canonical, with ``den`` the lcm of its entries' denominators.  A
+    product's denominator is the product of its factors', exact but not
+    necessarily the least one, so two forms are compared by
+    :meth:`unequal_columns`, not by ``==``.
+    """
+
+    rows: int
+    cols: int
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def identity(n: int) -> "IntegerForm":
+        return IntegerForm(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+    @staticmethod
+    def stack(top: "IntegerForm", bottom: "IntegerForm") -> "IntegerForm":
+        """``top`` above ``bottom``, over the lcm of their denominators."""
+        if top.cols != bottom.cols:
+            raise DimensionError("stack needs equal column counts")
+        if top.den == bottom.den:
+            return IntegerForm(top.rows + bottom.rows, top.cols, top.nums + bottom.nums, top.den)
+        den = math.lcm(top.den, bottom.den)
+        p, q = den // top.den, den // bottom.den
+        return IntegerForm(top.rows + bottom.rows, top.cols,
+                           tuple([p * x for x in top.nums] + [q * x for x in bottom.nums]), den)
+
+    def split(self, k: int) -> tuple["IntegerForm", "IntegerForm"]:
+        """The first k rows and the rest."""
+        cut = k * self.cols
+        return (IntegerForm(k, self.cols, self.nums[:cut], self.den),
+                IntegerForm(self.rows - k, self.cols, self.nums[cut:], self.den))
+
+    def __matmul__(self, other: "IntegerForm") -> "IntegerForm":
+        """The product self * other, forming a term only where both factors
+        are nonzero."""
+        if self.cols != other.rows:
+            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by "
+                                 f"{other.rows}x{other.cols}")
+        n, b = other.cols, other.nums
+        live = [[(j, y) for j, y in enumerate(b[k * n:(k + 1) * n]) if y]
+                for k in range(other.rows)]
+        a, width, out = self.nums, self.cols, []
+        for i in range(self.rows):
+            acc = [0] * n
+            for x, row in zip(a[i * width:(i + 1) * width], live):
+                if x:
+                    for j, y in row:
+                        acc[j] += x * y
+            out.extend(acc)
+        return IntegerForm(self.rows, n, tuple(out), self.den * other.den)
+
+    def column(self, k: int) -> Vector:
+        return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
+
+    def nonzero_columns(self) -> set[int]:
+        n = self.cols
+        return {k % n for k, x in enumerate(self.nums) if x} if any(self.nums) else set()
+
+    def unequal_columns(self, other: "IntegerForm") -> set[int]:
+        """The columns k at which column k of other differs from column k of
+        self; every column, when the two differ in shape."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return set(range(max(self.cols, other.cols)))
+        a, b = self.nums, other.nums
+        if self.den != other.den:
+            a, b = [other.den * x for x in a], [self.den * y for y in b]
+        if a == b:
+            return set()
+        n = self.cols
+        return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Dense exact matrix, row-major.  Immutable and hashable."""
@@ -206,6 +312,18 @@ class LinearMap:
         return LinearMap(rows, cols, (ZERO,) * (rows * cols))
 
     # access ----------------------------------------------------------------
+
+    @cached_property
+    def integer(self) -> IntegerForm:
+        """This map's canonical integer form, computed on first use.  It is not
+        a field, so it takes no part in ``==`` or ``hash``."""
+        den = 1
+        for e in self.entries:
+            if den % e.denominator:
+                den = math.lcm(den, e.denominator)
+        nums = tuple(e.numerator if den == 1 else e.numerator * (den // e.denominator)
+                     for e in self.entries)
+        return IntegerForm(self.rows, self.cols, nums, den)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -315,36 +433,47 @@ def direct_sum(f: LinearMap, g: LinearMap) -> LinearMap:
 
 # -- elimination ------------------------------------------------------------
 
-def _rref(m: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the leftmost-pivot, earliest-row rule."""
-    a = [list(m.row(i)) for i in range(m.rows)]
+def _rref(m: LinearMap) -> tuple[list[list[int]], int, list[int]]:
+    """Reduced row echelon form with the leftmost-pivot, earliest-row rule.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the integer form:
+    each step scales every other row by the pivot and divides by the
+    previous pivot, a division that is exact, so every pivot row ends with
+    the last pivot at its pivot column.  Returns the integer rows, one
+    positive denominator d and the pivot columns; the reduced rows are the
+    integer rows over d, and the rows after the pivot rows are zero.
+    """
+    c, nums = m.cols, m.integer.nums
+    a = [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)]
     pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        hit = None
-        for r in range(pr, m.rows):
-            if a[r][pc] != 0:
-                hit = r
-                break
+    pr, prev = 0, 1
+    for pc in range(c):
+        hit = next((r for r in range(pr, m.rows) if a[r][pc]), None)
         if hit is None:
             continue
         a[pr], a[hit] = a[hit], a[pr]
-        pv = a[pr][pc]
-        if pv != 1:
-            a[pr] = [x / pv if x else x for x in a[pr]]
-        for r in range(m.rows):
-            fac = a[r][pc]
-            if r != pr and fac:
-                a[r] = [x - fac * y if y else x for x, y in zip(a[r], a[pr])]
+        top = a[pr]
+        p = top[pc]
+        for r, row in enumerate(a):
+            if r == pr:
+                continue
+            fac = row[pc]
+            if fac:
+                a[r] = [(p * x - fac * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[r] = [p * x // prev for x in row]
+        prev = p
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
-    return a, pivots
+    if prev < 0:
+        a, prev = [[-x for x in row] for row in a], -prev
+    return a, prev, pivots
 
 
 def rank(f: LinearMap) -> int:
-    return len(_rref(f)[1])
+    return len(_rref(f)[2])
 
 
 @dataclass(frozen=True)
@@ -354,11 +483,24 @@ class KernelChart:
     Each basis vector has entry 1 at its own free column and 0 at the other
     free columns, so the coordinates of a kernel vector are its entries at
     the free columns, and membership is the one check ``constraint . z == 0``.
+    ``basis_form`` holds the basis vectors as the columns of one integer
+    matrix; ``basis_map`` and ``basis`` read them in ``Fraction`` s.
     """
 
     constraint: LinearMap
     free: tuple[int, ...]
-    basis: tuple[Vector, ...]
+    basis_form: IntegerForm
+
+    @cached_property
+    def basis_map(self) -> LinearMap:
+        """The basis vectors as the columns of one map."""
+        f = self.basis_form
+        return LinearMap(f.rows, f.cols, tuple(_ratio(x, f.den) for x in f.nums))
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        n = len(self.free)
+        return tuple(self.basis_map.entries[k::n] for k in range(n))
 
     def coords(self, z: Vector) -> Optional[Vector]:
         """Coordinates of z in ``basis``, or None when z is not in the kernel."""
@@ -368,9 +510,9 @@ class KernelChart:
 
     def from_coords(self, c: Vector) -> Vector:
         """The kernel vector with coordinates c; the inverse of :meth:`coords`."""
-        if len(c) != len(self.basis):
-            raise DimensionError(f"{len(self.basis)} kernel coordinates, got {len(c)}")
-        return LinearMap.from_columns(self.basis, self.constraint.cols).apply(c)
+        if len(c) != len(self.free):
+            raise DimensionError(f"{len(self.free)} kernel coordinates, got {len(c)}")
+        return self.basis_map.apply(c)
 
 
 def kernel_chart(f: LinearMap) -> KernelChart:
@@ -381,17 +523,17 @@ def kernel_chart(f: LinearMap) -> KernelChart:
     the basis matrix is in reduced column echelon form up to the sign
     convention above.
     """
-    a, pivots = _rref(f)
+    a, d, pivots = _rref(f)
     pivot_set = set(pivots)
     free = tuple(j for j in range(f.cols) if j not in pivot_set)
-    basis = []
-    for j in free:
-        v = [ZERO] * f.cols
-        v[j] = ONE
+    n = len(free)
+    nums = [0] * (f.cols * n)
+    for k, j in enumerate(free):
+        nums[j * n + k] = d
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][j]
-        basis.append(tuple(v))
-    return KernelChart(f, free, tuple(basis))
+            nums[pc * n + k] = -a[r][j]
+    g = math.gcd(d, *nums)
+    return KernelChart(f, free, IntegerForm(f.cols, n, tuple(x // g for x in nums), d // g))
 
 
 def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
@@ -404,12 +546,12 @@ def solve(f: LinearMap, b: Vector) -> Optional[Vector]:
     if len(b) != f.rows:
         raise DimensionError(f"solve: {f.rows} rows but length-{len(b)} target")
     aug = hstack(f, LinearMap.from_columns([b], f.rows))
-    a, pivots = _rref(aug)
+    a, d, pivots = _rref(aug)
     if f.cols in pivots:
         return None
     x = [ZERO] * f.cols
     for r, pc in enumerate(pivots):
-        x[pc] = a[r][f.cols]
+        x[pc] = _ratio(a[r][f.cols], d)
     return tuple(x)
 
 
@@ -422,13 +564,13 @@ def right_inverse_on_image(f: LinearMap) -> LinearMap:
     identity block, and the first such pivot names the first basis vector
     with no preimage.
     """
-    a, pivots = _rref(hstack(f, LinearMap.identity(f.rows)))
+    a, d, pivots = _rref(hstack(f, LinearMap.identity(f.rows)))
     blocked = [pc - f.cols for pc in pivots if pc >= f.cols]
     if blocked:
         raise NotSurjectiveError(f"no preimage for basis vector {blocked[0]}")
     ent = [ZERO] * (f.cols * f.rows)
     for r, pc in enumerate(pivots):
-        ent[pc * f.rows:(pc + 1) * f.rows] = a[r][f.cols:]
+        ent[pc * f.rows:(pc + 1) * f.rows] = [_ratio(x, d) for x in a[r][f.cols:]]
     return LinearMap(f.cols, f.rows, tuple(ent))
 
 

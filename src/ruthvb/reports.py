@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Optional, Sequence
 
-from .errors import CompositionError
+from .linalg import IntegerForm
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,21 @@ class CheckEntry:
             "expected": self.expected,
             "actual": self.actual,
         }
+
+
+@dataclass(frozen=True)
+class ColumnCheck:
+    """One identity on a block of basis columns: column k of ``got`` should
+    equal column k of ``want``.  The two sides could not be formed at column
+    k when column k of any block in ``residuals`` is nonzero; that is
+    recorded as ``label`` (by default, column k of ``want``) against
+    "not composable"."""
+
+    check: str
+    want: IntegerForm
+    got: IntegerForm
+    residuals: Sequence[IntegerForm] = ()
+    label: Optional[str] = None
 
 
 @dataclass
@@ -48,17 +63,25 @@ class Report:
         if got != want:
             self.add(check, location, str(want), str(got))
 
-    def expect_composable(self, check: str, location: str,
-                          sides: Callable[[], tuple[Any, Any]], label: str) -> None:
-        """:meth:`expect` on ``sides() -> (want, got)``.  When a side cannot
-        be formed because some product is not composable, the violation is
-        recorded as ``label`` against "not composable"."""
-        try:
-            want, got = sides()
-        except CompositionError:
-            self.add(check, location, label, "not composable")
-            return
-        self.expect(check, location, want, got)
+    def expect_columns(self, where: str, checks: Sequence[ColumnCheck]) -> None:
+        """Record each violated column of ``checks`` at ``"{where} basis {k}"``,
+        by basis index k, then in the order of ``checks``.  Both sides of a
+        violation are shown as ``Fraction`` vectors."""
+        failed = []
+        for c in checks:
+            broken = set().union(*(r.nonzero_columns() for r in c.residuals))
+            unequal = c.want.unequal_columns(c.got) - broken
+            if broken or unequal:
+                failed.append((c, broken, unequal))
+        columns = set().union(*(b | u for _, b, u in failed))
+        for k in sorted(columns):
+            location = f"{where} basis {k}"
+            for c, broken, unequal in failed:
+                if k in broken:
+                    label = str(c.want.column(k)) if c.label is None else c.label
+                    self.add(c.check, location, label, "not composable")
+                elif k in unequal:
+                    self.add(c.check, location, str(c.want.column(k)), str(c.got.column(k)))
 
     def require(self, error: type[Exception], message: str) -> None:
         """Raise ``error`` with ``message`` and this report's text unless it passed."""

@@ -7,7 +7,12 @@ linear map on the fibered-product subspace, whose canonical basis is the
 deterministic kernel basis of ``[stilde_g | -ttilde_h]``.  Each pair keeps
 the kernel chart of that constraint: a pair (v, w) is composable when
 ``stilde_g v = ttilde_h w``, and its coordinates are then its entries at
-the chart's free columns, so a product needs no row reduction.
+the chart's free columns, so a product needs no row reduction.  Next to
+the chart each pair keeps its pair operator, the constraint stacked on the
+multiplication read at the free columns: applied to (v, w) it gives the
+composability residual and then the product.  ``multiply`` applies it to
+one pair of vectors, ``multiply_block`` to a block of them in integers,
+which is how the validators check every basis vector of a fiber at once.
 
 A linear groupoid bundle is the special case whose base is a trivial
 (unit) groupoid; the same class covers both.
@@ -20,8 +25,10 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import CompositionError, StructureError
 from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
-from .linalg import KernelChart, LinearMap, Vector, kernel_basis, kernel_chart, vec_concat
-from .reports import Report
+# kernel_basis is re-exported: callers reach it as ruthvb.vb.kernel_basis.
+from .linalg import (IntegerForm, KernelChart, LinearMap, Vector, kernel_basis,  # noqa: F401
+                     kernel_chart, vec_concat)
+from .reports import ColumnCheck, Report
 
 
 class VBGroupoid:
@@ -45,6 +52,7 @@ class VBGroupoid:
         self.utilde: dict[str, LinearMap] = dict(utilde)
         self.inv_map: dict[str, LinearMap] = dict(inv_map)
         self._pair_charts: dict[tuple[str, str], KernelChart] = {}
+        self._pair_operators: dict[tuple[str, str], LinearMap] = {}
         g, od, ad = base, self.objdim, self.arrdim
         linalg.check_keys("object fiber dimension", od, g.objects)
         linalg.check_keys("arrow fiber dimension", ad, g.arrows)
@@ -56,7 +64,7 @@ class VBGroupoid:
         self.mult: dict[tuple[str, str], LinearMap] = (
             self._tabulate(mult) if callable(mult) else dict(mult))
         linalg.check_table("multiplication", self.mult,
-                           {pair: (ad[g12], len(self.pair_basis(*pair)))
+                           {pair: (ad[g12], len(self.pair_chart(*pair).free))
                             for pair, g12 in g.comp.items()})
 
     def _tabulate(self, product) -> dict[tuple[str, str], LinearMap]:
@@ -69,7 +77,8 @@ class VBGroupoid:
 
     # -- fibered products -----------------------------------------------------
 
-    def _pair_chart(self, g1: str, g2: str) -> KernelChart:
+    def pair_chart(self, g1: str, g2: str) -> KernelChart:
+        """The kernel chart of ``[stilde_g1 | -ttilde_g2]``, cached."""
         key = (g1, g2)
         if key not in self._pair_charts:
             if self.base.src[g1] != self.base.tgt[g2]:
@@ -80,18 +89,41 @@ class VBGroupoid:
 
     def pair_basis(self, g1: str, g2: str) -> tuple[Vector, ...]:
         """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
-        return self._pair_chart(g1, g2).basis
+        return self.pair_chart(g1, g2).basis
 
-    def pair_coords(self, g1: str, g2: str, v: Vector, w: Vector) -> Vector:
-        coords = self._pair_chart(g1, g2).coords(vec_concat(v, w))
-        if coords is None:
-            raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
-        return coords
+    def pair_operator(self, g1: str, g2: str) -> LinearMap:
+        """The constraint ``[stilde_g1 | -ttilde_g2]`` stacked on the pair's
+        multiplication read at its chart's free columns, cached.  Applied to
+        a pair (v, w), its first ``objdim[src g1]`` rows give the
+        composability residual and the rest the product."""
+        key = (g1, g2)
+        if key not in self._pair_operators:
+            chart, m = self.pair_chart(g1, g2), self.mult[key]
+            width = chart.constraint.cols
+            product = [linalg.ZERO] * (m.rows * width)
+            for i in range(m.rows):
+                for k, j in enumerate(chart.free):
+                    product[i * width + j] = m.entry(i, k)
+            self._pair_operators[key] = linalg.vstack(
+                chart.constraint, LinearMap(m.rows, width, tuple(product)))
+        return self._pair_operators[key]
 
     def multiply(self, g1: str, g2: str, v: Vector, w: Vector) -> Vector:
         """Product of composable fiber vectors v over g1 and w over g2."""
-        coords = self.pair_coords(g1, g2, v, w)
-        return self.mult[(g1, g2)].apply(coords)
+        out = self.pair_operator(g1, g2).apply(vec_concat(v, w))
+        split = self.objdim[self.base.src[g1]]
+        if any(out[:split]):
+            raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
+        return out[split:]
+
+    def multiply_block(self, g1: str, g2: str, left: IntegerForm,
+                       right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+        """:meth:`multiply` on every column at once: column k of the result is
+        the composability residual and the product of column k of ``left``
+        over g1 with column k of ``right`` over g2, from one integer
+        product.  The column is composable exactly when its residual is zero."""
+        out = self.pair_operator(g1, g2).integer @ IntegerForm.stack(left, right)
+        return out.split(self.objdim[self.base.src[g1]])
 
     def invert(self, g: str, v: Vector) -> Vector:
         return self.inv_map[g].apply(v)
@@ -137,46 +169,46 @@ def validate_vb(v: VBGroupoid) -> Report:
             rep.add("inverse-source", a, "ttilde", repr(si))
         if ti != v.stilde[a]:
             rep.add("inverse-target", a, "stilde", repr(ti))
+    # the structure maps on each composable pair's chart basis: the basis
+    # vector k has coordinates e_k, so its product is column k of mult
     for (g1, g2), m in v.mult.items():
         g12 = g.comp[(g1, g2)]
-        basis = v.pair_basis(g1, g2)
-        d1 = v.arrdim[g1]
-        for idx, pb in enumerate(basis):
-            vv, ww = pb[:d1], pb[d1:]
-            prod = m.apply(linalg.vec_basis(len(basis), idx))
-            loc = f"({g1},{g2}) basis {idx}"
-            rep.expect("product-source", loc, v.stilde[g2].apply(ww), v.stilde[g12].apply(prod))
-            rep.expect("product-target", loc, v.ttilde[g1].apply(vv), v.ttilde[g12].apply(prod))
+        vv, ww = v.pair_chart(g1, g2).basis_form.split(v.arrdim[g1])
+        rep.expect_columns(f"({g1},{g2})", [
+            ColumnCheck("product-source", v.stilde[g2].integer @ ww,
+                        v.stilde[g12].integer @ m.integer),
+            ColumnCheck("product-target", v.ttilde[g1].integer @ vv,
+                        v.ttilde[g12].integer @ m.integer)])
     # unit laws and inverse laws on arrow fiber bases
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
-        for i in range(v.arrdim[a]):
-            vec = linalg.vec_basis(v.arrdim[a], i)
-            ut = v.unit_vector(t, v.ttilde[a].apply(vec))
-            us = v.unit_vector(s, v.stilde[a].apply(vec))
-            iv = v.invert(a, vec)
-            loc = f"{a} basis {i}"
-            rep.expect_composable("left-unit-law", loc,
-                                  lambda: (vec, v.multiply(g.unit[t], a, ut, vec)), str(vec))
-            rep.expect_composable("right-unit-law", loc,
-                                  lambda: (vec, v.multiply(a, g.unit[s], vec, us)), str(vec))
-            rep.expect_composable("right-inverse-law", loc,
-                                  lambda: (ut, v.multiply(a, b, vec, iv)), "unit")
-            rep.expect_composable("left-inverse-law", loc,
-                                  lambda: (us, v.multiply(b, a, iv, vec)), "unit")
+        vec = IntegerForm.identity(v.arrdim[a])
+        ut = v.utilde[t].integer @ v.ttilde[a].integer
+        us = v.utilde[s].integer @ v.stilde[a].integer
+        iv = v.inv_map[a].integer
+        r_lu, left_unit = v.multiply_block(g.unit[t], a, ut, vec)
+        r_ru, right_unit = v.multiply_block(a, g.unit[s], vec, us)
+        r_ri, right_inverse = v.multiply_block(a, b, vec, iv)
+        r_li, left_inverse = v.multiply_block(b, a, iv, vec)
+        rep.expect_columns(a, [
+            ColumnCheck("left-unit-law", vec, left_unit, (r_lu,)),
+            ColumnCheck("right-unit-law", vec, right_unit, (r_ru,)),
+            ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
+            ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
     # associativity on a basis of each composable-triple subspace
     for (g1, g2, g3) in g.nerve_tuples(3):
         d1, d2, d3 = v.arrdim[g1], v.arrdim[g2], v.arrdim[g3]
         c1 = linalg.hstack(v.stilde[g1], -v.ttilde[g2], LinearMap.zero(v.objdim[g.src[g1]], d3))
         c2 = linalg.hstack(LinearMap.zero(v.objdim[g.src[g2]], d1), v.stilde[g2], -v.ttilde[g3])
-        triple = kernel_basis(linalg.vstack(c1, c2))
-        for idx, tb in enumerate(triple):
-            a1, a2, a3 = tb[:d1], tb[d1:d1 + d2], tb[d1 + d2:]
-            rep.expect_composable(
-                "associativity", f"({g1},{g2},{g3}) basis {idx}",
-                lambda: (v.multiply(g.comp[(g1, g2)], g3, v.multiply(g1, g2, a1, a2), a3),
-                         v.multiply(g1, g.comp[(g2, g3)], a1, v.multiply(g2, g3, a2, a3))),
-                "composable products")
+        a1, a23 = kernel_chart(linalg.vstack(c1, c2)).basis_form.split(d1)
+        a2, a3 = a23.split(d2)
+        r12, p12 = v.multiply_block(g1, g2, a1, a2)
+        r_left, left = v.multiply_block(g.comp[(g1, g2)], g3, p12, a3)
+        r23, p23 = v.multiply_block(g2, g3, a2, a3)
+        r_right, right = v.multiply_block(g1, g.comp[(g2, g3)], a1, p23)
+        rep.expect_columns(f"({g1},{g2},{g3})", [
+            ColumnCheck("associativity", left, right, (r12, r_left, r23, r_right),
+                        "composable products")])
     return rep
 
 
@@ -267,16 +299,21 @@ def validate_vb_map(m: VBMap) -> Report:
         rep.expect("unit-compatibility", f"object {x}",
                    linalg.compose(tgt.utilde[m.base_obj[x]], m.obj_maps[x]),
                    linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x]))
+    f = {a: m.arr_maps[a].integer for a in gb.arrows}
     for (g1, g2), g12 in gb.comp.items():
-        d1 = src.arrdim[g1]
-        for idx, pb in enumerate(src.pair_basis(g1, g2)):
-            vv, ww = pb[:d1], pb[d1:]
-            rep.expect_composable(
-                "multiplicativity", f"({g1},{g2}) basis {idx}",
-                lambda: (tgt.multiply(m.base_arr[g1], m.base_arr[g2],
-                                      m.arr_maps[g1].apply(vv), m.arr_maps[g2].apply(ww)),
-                         m.arr_maps[g12].apply(src.multiply(g1, g2, vv, ww))),
-                "composable images")
+        vv, ww = src.pair_chart(g1, g2).basis_form.split(src.arrdim[g1])
+        where = f"({g1},{g2})"
+        try:
+            residual, images = tgt.multiply_block(m.base_arr[g1], m.base_arr[g2],
+                                                  f[g1] @ vv, f[g2] @ ww)
+        except CompositionError:
+            for k in range(vv.cols):
+                rep.add("multiplicativity", f"{where} basis {k}", "composable images",
+                        "not composable")
+            continue
+        rep.expect_columns(where, [
+            ColumnCheck("multiplicativity", images, f[g12] @ src.mult[(g1, g2)].integer,
+                        (residual,), "composable images")])
     return rep
 
 
@@ -333,17 +370,14 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
                    t.to_map.obj_maps[x], linalg.compose(tgt.ttilde[uy], t.comp[x]))
     for x in src.base.objects:
         ux = src.base.unit[x]
-        y = t.from_map.base_obj[x]
-        uy = tgt.base.unit[y]
-        for i in range(src.arrdim[ux]):
-            vec = linalg.vec_basis(src.arrdim[ux], i)
-            rep.expect_composable(
-                "naturality", f"{x} basis {i}",
-                lambda: (tgt.multiply(uy, uy, t.to_map.arr_maps[ux].apply(vec),
-                                      t.comp[x].apply(src.stilde[ux].apply(vec))),
-                         tgt.multiply(uy, uy, t.comp[x].apply(src.ttilde[ux].apply(vec)),
-                                      t.from_map.arr_maps[ux].apply(vec))),
-                "composable")
+        uy = tgt.base.unit[t.from_map.base_obj[x]]
+        comp = t.comp[x].integer
+        r_want, want = tgt.multiply_block(uy, uy, t.to_map.arr_maps[ux].integer,
+                                          comp @ src.stilde[ux].integer)
+        r_got, got = tgt.multiply_block(uy, uy, comp @ src.ttilde[ux].integer,
+                                        t.from_map.arr_maps[ux].integer)
+        rep.expect_columns(x, [ColumnCheck("naturality", want, got, (r_want, r_got),
+                                           "composable")])
     return rep
 
 

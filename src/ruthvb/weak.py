@@ -17,8 +17,8 @@ from __future__ import annotations
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .linalg import KernelChart, LinearMap, Vector, vec_concat
-from .reports import Report
+from .linalg import IntegerForm, KernelChart, LinearMap, Vector, vec_concat
+from .reports import ColumnCheck, Report
 from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 
 
@@ -57,6 +57,13 @@ class WeakRepresentation:
     def fiber_multiply(self, x: str, a: Vector, b: Vector) -> Vector:
         u = self.bundle.base.unit[x]
         return self.bundle.multiply(u, u, a, b)
+
+    def fiber_multiply_block(self, x: str, left: IntegerForm,
+                             right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+        """:meth:`fiber_multiply` on every column at once: the residuals, then
+        the products (see :meth:`VBGroupoid.multiply_block`)."""
+        u = self.bundle.base.unit[x]
+        return self.bundle.multiply_block(u, u, left, right)
 
     def fiber_invert(self, x: str, a: Vector) -> Vector:
         return self.bundle.invert(self.bundle.base.unit[x], a)
@@ -97,15 +104,14 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
                    linalg.compose(w.fiber_target(t), w.a1[a]))
         rep.expect("action-units", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
                    linalg.compose(w.a1[a], w.fiber_unit(s)))
+        # on the chart basis of (us, us): basis vector k multiplies to column k of mult
         us = w.bundle.base.unit[s]
-        d1 = w.bundle.arrdim[us]
-        for idx, pb in enumerate(w.bundle.pair_basis(us, us)):
-            v1, v2 = pb[:d1], pb[d1:]
-            rep.expect_composable(
-                "action-multiplicative", f"{a} basis {idx}",
-                lambda: (w.fiber_multiply(t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
-                         w.a1[a].apply(w.fiber_multiply(s, v1, v2))),
-                "composable images")
+        a1 = w.a1[a].integer
+        v1, v2 = w.bundle.pair_chart(us, us).basis_form.split(w.bundle.arrdim[us])
+        residual, images = w.fiber_multiply_block(t, a1 @ v1, a1 @ v2)
+        rep.expect_columns(a, [
+            ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(us, us)].integer,
+                        (residual,), "composable images")])
     for x in g.objects:
         u = g.unit[x]
         if not w.a0[u].is_identity():
@@ -119,28 +125,24 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
                    linalg.compose(w.fiber_source(t1), cell))
         rep.expect("associator-target", loc, w.a0[g12],
                    linalg.compose(w.fiber_target(t1), cell))
-        # naturality on basis arrows of the fiber at src(g2)
-        for i in range(w.arrdim(s2)):
-            vb = linalg.vec_basis(w.arrdim(s2), i)
-            rep.expect_composable(
-                "associator-naturality", f"{loc} basis {i}",
-                lambda: (w.fiber_multiply(t1, w.a1[g12].apply(vb),
-                                          cell.apply(w.fiber_source(s2).apply(vb))),
-                         w.fiber_multiply(t1, cell.apply(w.fiber_target(s2).apply(vb)),
-                                          w.a1[g1].apply(w.a1[g2].apply(vb)))),
-                "composable cells")
+        # naturality on the basis arrows of the fiber at src(g2)
+        c = cell.integer
+        r_want, want = w.fiber_multiply_block(t1, w.a1[g12].integer,
+                                              c @ w.fiber_source(s2).integer)
+        r_got, got = w.fiber_multiply_block(t1, c @ w.fiber_target(s2).integer,
+                                            w.a1[g1].integer @ w.a1[g2].integer)
+        rep.expect_columns(loc, [ColumnCheck("associator-naturality", want, got,
+                                             (r_want, r_got), "composable cells")])
+    # the pentagon on the basis of the object fiber at src(g3)
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
-        t1, s3 = g.tgt[g1], g.src[g3]
-        for i in range(w.objdim(s3)):
-            xb = linalg.vec_basis(w.objdim(s3), i)
-            rep.expect_composable(
-                "pentagon", f"({g1},{g2},{g3}) basis {i}",
-                lambda: (w.fiber_multiply(t1, w.alpha[(g12, g3)].apply(xb),
-                                          w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb))),
-                         w.fiber_multiply(t1, w.alpha[(g1, g23)].apply(xb),
-                                          w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))),
-                "composable cells")
+        t1 = g.tgt[g1]
+        r_want, want = w.fiber_multiply_block(
+            t1, w.alpha[(g12, g3)].integer, w.alpha[(g1, g2)].integer @ w.a0[g3].integer)
+        r_got, got = w.fiber_multiply_block(
+            t1, w.alpha[(g1, g23)].integer, w.a1[g1].integer @ w.alpha[(g2, g3)].integer)
+        rep.expect_columns(f"({g1},{g2},{g3})", [
+            ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.fiber_unit(s)),
@@ -291,29 +293,23 @@ def validate_equivariant(e: EquivariantMap) -> Report:
                    linalg.compose(w.fiber_source(t), e.delta[a]))
         rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
                    linalg.compose(w.fiber_target(t), e.delta[a]))
-        for i in range(v.arrdim(s)):
-            vb = linalg.vec_basis(v.arrdim(s), i)
-            rep.expect_composable(
-                "cell-naturality", f"{a} basis {i}",
-                lambda: (w.fiber_multiply(t, w.a1[a].apply(e.f1[s].apply(vb)),
-                                          e.delta[a].apply(v.fiber_source(s).apply(vb))),
-                         w.fiber_multiply(t, e.delta[a].apply(v.fiber_target(s).apply(vb)),
-                                          e.f1[t].apply(v.a1[a].apply(vb)))),
-                "composable cells")
+        delta = e.delta[a].integer
+        r_want, want = w.fiber_multiply_block(t, w.a1[a].integer @ e.f1[s].integer,
+                                              delta @ v.fiber_source(s).integer)
+        r_got, got = w.fiber_multiply_block(t, delta @ v.fiber_target(s).integer,
+                                            e.f1[t].integer @ v.a1[a].integer)
+        rep.expect_columns(a, [ColumnCheck("cell-naturality", want, got, (r_want, r_got),
+                                           "composable cells")])
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
-        for i in range(v.objdim(s2)):
-            xb = linalg.vec_basis(v.objdim(s2), i)
-            rep.expect_composable(
-                "hexagon", f"({g1},{g2}) basis {i}",
-                lambda: (w.fiber_multiply(t1, e.delta[g12].apply(xb),
-                                          e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb))),
-                         w.fiber_multiply(
-                             t1,
-                             w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
-                                              w.a1[g1].apply(e.delta[g2].apply(xb))),
-                             e.delta[g1].apply(v.a0[g2].apply(xb)))),
-                "composable cells")
+        r_want, want = w.fiber_multiply_block(
+            t1, e.delta[g12].integer, e.f1[t1].integer @ v.alpha[(g1, g2)].integer)
+        r_inner, inner = w.fiber_multiply_block(
+            t1, w.alpha[(g1, g2)].integer @ e.f0[s2].integer,
+            w.a1[g1].integer @ e.delta[g2].integer)
+        r_got, got = w.fiber_multiply_block(t1, inner, e.delta[g1].integer @ v.a0[g2].integer)
+        rep.expect_columns(f"({g1},{g2})", [
+            ColumnCheck("hexagon", want, got, (r_want, r_inner, r_got), "composable cells")])
     for x in g.objects:
         rep.expect("unit-triangle", f"object {x}",
                    linalg.compose(w.fiber_unit(x), e.f0[x]), e.delta[g.unit[x]])

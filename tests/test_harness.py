@@ -89,6 +89,11 @@ def _edited_file(tmp_path, doc: dict, edits) -> str:
     (("complex", "diff", "*", "entries", 0), False),
     (("complex", "dims0"), [1]),
     (("lambda0",), [1]),
+    # Exponent notation: the first parsed and crashed while printing the
+    # report, the second ran for minutes building a huge integer.
+    (("lambda0", "g", "entries", 0), "1e999999"),
+    (("lambda0", "g", "entries", 0), "1e99999999"),
+    (("lambda0", "g", "entries", 0), "1" * 257),
 ])
 def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
@@ -373,6 +378,19 @@ MUTANT_DESCRIPTIONS = [
          "delta[p:y>y:0] entry (1, 0, Fraction(-1, 1))",
          "delta[p:x>x:0] entry (2, 0, Fraction(-1, 1))",
          "delta[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_vb_entry", lambda: fixtures.fixture("pair-strict-vb-scrambled")[1], [
+        "stilde[p:y>x:0] entry (1, 0, Fraction(-1, 1))",
+        "inv_map[p:x>x:0] entry (2, 0, Fraction(-1, 1))",
+        "stilde[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_wrep_entry", lambda: fixtures.fixture("pair-strict-wrep")[1], [
+        "a0[p:y>y:0] entry (1, 0, Fraction(-1, 1))",
+        "a0[p:x>y:0] entry (0, 1, Fraction(1, 1))",
+        "a0[p:x>x:0] entry (0, 0, Fraction(-1, 1))"]),
+    ("mutate_equivariant_entry",
+     lambda: wrep_from_ruth_morphism(identity_morphism(fixtures.pair_strict_ruth())), [
+         "f1[y] entry (1, 0, Fraction(-1, 1))",
+         "f1[x] entry (2, 0, Fraction(-1, 1))",
+         "f0[x] entry (0, 0, Fraction(-1, 1))"]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: frozen examples, errors, and algebraic laws."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -297,3 +298,125 @@ def test_check_table_rejects_missing_misshapen_and_stray_entries(table, message)
     linalg.check_table("cell", {"a": LinearMap.zero(1, 2)}, {"a": (1, 2)})
     with pytest.raises(StructureError, match=message):
         linalg.check_table("cell", table, {"a": (1, 2)})
+
+
+# -- the integer form and fraction-free elimination ------------------------------
+
+wide_fractions = st.one_of(sparse_fractions, fractions,
+                           st.fractions(min_value=-10**6, max_value=10**6,
+                                        max_denominator=10**12))
+
+
+@st.composite
+def rational_maps(draw, max_rows=4, max_cols=5):
+    """Maps of every shape up to max_rows x max_cols, empty ones included,
+    with zeros, units, small and large-denominator rationals; often rank
+    deficient, with the last row a combination of the others."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    ent = draw(st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols))
+    if rows > 1 and draw(st.booleans()):
+        c = draw(st.lists(fractions, min_size=rows - 1, max_size=rows - 1))
+        ent[(rows - 1) * cols:] = [sum((c[i] * ent[i * cols + j] for i in range(rows - 1)),
+                                       Fraction(0)) for j in range(cols)]
+    return LinearMap(rows, cols, tuple(ent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_maps())
+def test_integer_form_reconstructs_entries_over_the_least_denominator(m):
+    form = m.integer
+    assert (form.rows, form.cols) == (m.rows, m.cols)
+    assert tuple(Fraction(x, form.den) for x in form.nums) == m.entries
+    assert form.den == math.lcm(*(e.denominator for e in m.entries))
+    assert m.integer is form and "integer" not in repr(m) and m == LinearMap(
+        m.rows, m.cols, m.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_product_equals_compose(data):
+    f = data.draw(rational_maps())
+    g = data.draw(st.integers(0, 4).flatmap(lambda k: small_matrix(f.cols, k)))
+    h = f.integer @ g.integer
+    assert LinearMap(h.rows, h.cols, tuple(Fraction(x, h.den) for x in h.nums)) == compose(f, g)
+    assert h.unequal_columns(compose(f, g).integer) == set()
+    with pytest.raises(DimensionError):
+        f.integer @ LinearMap.zero(f.cols + 1, 1).integer
+
+
+def _fraction_rref(m):
+    """The reference: Gauss-Jordan elimination in Fractions, leftmost pivot
+    in the earliest row."""
+    a = [list(m.row(i)) for i in range(m.rows)]
+    pivots, pr = [], 0
+    for pc in range(m.cols):
+        hit = next((r for r in range(pr, m.rows) if a[r][pc]), None)
+        if hit is None:
+            continue
+        a[pr], a[hit] = a[hit], a[pr]
+        a[pr] = [x / a[pr][pc] for x in a[pr]]
+        for r in range(m.rows):
+            if r != pr and a[r][pc]:
+                a[r] = [x - a[r][pc] * y for x, y in zip(a[r], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return a, pivots
+
+
+def _reference_kernel(m):
+    a, pivots = _fraction_rref(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [Fraction(0)] * m.cols
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][j]
+        basis.append(tuple(v))
+    return tuple(free), tuple(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_maps(), st.data())
+def test_fraction_free_elimination_matches_a_fraction_reference(m, data):
+    a, d, pivots = linalg._rref(m)
+    want, want_pivots = _fraction_rref(m)
+    assert d > 0 and pivots == want_pivots
+    assert [[Fraction(x, d) for x in row] for row in a] == want
+    chart = linalg.kernel_chart(m)
+    free, basis = _reference_kernel(m)
+    assert (chart.free, chart.basis) == (free, basis)
+    form = chart.basis_form
+    assert (form.rows, form.cols) == (m.cols, len(free))
+    assert tuple(form.column(k) for k in range(len(free))) == basis
+    b = tuple(data.draw(st.lists(wide_fractions, min_size=m.rows, max_size=m.rows)))
+    aug, aug_pivots = _fraction_rref(linalg.hstack(m, LinearMap.from_columns([b], m.rows)))
+    want_x = None
+    if m.cols not in aug_pivots:
+        x = [Fraction(0)] * m.cols
+        for r, pc in enumerate(aug_pivots):
+            x[pc] = aug[r][m.cols]
+        want_x = tuple(x)
+    assert solve(m, b) == want_x
+    if len(pivots) < m.rows:
+        with pytest.raises(NotSurjectiveError):
+            right_inverse_on_image(m)
+    else:
+        section = right_inverse_on_image(m)
+        assert section == LinearMap.from_columns(
+            [solve(m, linalg.vec_basis(m.rows, i)) for i in range(m.rows)], m.cols)
+
+
+def test_integer_form_blocks():
+    f = LinearMap.from_rows([[Fraction(1, 2), 0], [0, 3]])
+    g = LinearMap.from_rows([[1, 0], [0, Fraction(2, 3)]])
+    top, rest = linalg.IntegerForm.stack(f.integer, g.integer).split(2)
+    assert top.unequal_columns(f.integer) == set() and rest.unequal_columns(g.integer) == set()
+    assert f.integer.unequal_columns(g.integer) == {0, 1}
+    assert f.integer.unequal_columns(LinearMap.zero(1, 2).integer) == {0, 1}
+    assert (f - LinearMap.from_rows([[Fraction(1, 2), 0], [0, 0]])).integer.nonzero_columns() \
+        == {1}
+    assert LinearMap.zero(0, 3).integer.nonzero_columns() == set()
+    assert f.integer.column(0) == (Fraction(1, 2), Fraction(0))

@@ -223,8 +223,9 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pair_coords_agree_with_solve(data):
-    """Free-column coordinates equal a full solve against the pair basis,
-    and a pair is rejected exactly when that solve has no solution."""
+    """Free-column coordinates equal a full solve against the pair basis, and
+    a pair is rejected exactly when that solve has no solution; multiply,
+    on one vector or on a block in integers, reads the product off them."""
     v = data.draw(st.sampled_from(CHART_VBS))
     g1, g2 = data.draw(st.sampled_from(sorted(v.base.comp)))
     d1, d2 = v.arrdim[g1], v.arrdim[g2]
@@ -235,8 +236,14 @@ def test_pair_coords_agree_with_solve(data):
     if data.draw(st.booleans()):
         z = linalg.vec_add(z, tuple(data.draw(entries) for _ in range(d1 + d2)))
     want = linalg.solve(LinearMap.from_columns(list(basis), d1 + d2), z)
+    residual, product = v.multiply_block(
+        g1, g2, *LinearMap.from_columns([z], d1 + d2).integer.split(d1))
+    assert v.pair_chart(g1, g2).coords(z) == want
     if want is None:
         with pytest.raises(CompositionError):
-            v.pair_coords(g1, g2, z[:d1], z[d1:])
+            v.multiply(g1, g2, z[:d1], z[d1:])
+        assert residual.nonzero_columns() == {0}
     else:
-        assert v.pair_coords(g1, g2, z[:d1], z[d1:]) == want
+        assert v.multiply(g1, g2, z[:d1], z[d1:]) == v.mult[(g1, g2)].apply(want)
+        assert residual.nonzero_columns() == set()
+        assert product.column(0) == v.mult[(g1, g2)].apply(want)
