@@ -9,6 +9,7 @@ groupoid, degree 0 using singleton object tuples.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -27,50 +28,50 @@ def _check_degree(g: FiniteGroupoid, degree: int):
         raise DegreeError("negative cochain degree")
 
 
+@dataclass(repr=False)
 class ScalarCochain:
     """Rational-valued function on the degree-k nerve."""
 
-    def __init__(self, groupoid: FiniteGroupoid, degree: int, values: Mapping[Key, object]):
-        _check_degree(groupoid, degree)
-        self.groupoid = groupoid
-        self.degree = degree
-        keys = groupoid.nerve_tuples(degree)
-        vals = {k: rat(values[k]) for k in values}
+    groupoid: FiniteGroupoid
+    degree: int
+    values: dict[Key, Fraction]
+
+    def __post_init__(self):
+        _check_degree(self.groupoid, self.degree)
+        keys = self.groupoid.nerve_tuples(self.degree)
+        vals = {k: rat(self.values[k]) for k in self.values}
         if set(vals) != set(keys):
             raise StructureError("scalar cochain keys do not match the nerve")
-        self.values: dict[Key, Fraction] = {k: vals[k] for k in keys}
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarCochain):
-            return NotImplemented
-        return (self.groupoid == other.groupoid and self.degree == other.degree
-                and self.values == other.values)
+        self.values = {k: vals[k] for k in keys}
 
     @staticmethod
     def constant(g: FiniteGroupoid, degree: int, value) -> "ScalarCochain":
         return ScalarCochain(g, degree, {k: rat(value) for k in g.nerve_tuples(degree)})
 
 
+@dataclass(repr=False)
 class SectionCochain:
     """Cochain valued in one layer (0 or 1) of a two-term coefficient complex
     over the groupoid's objects."""
 
-    def __init__(self, groupoid: FiniteGroupoid, coeffs: TwoTermComplex,
-                 layer: int, degree: int, values: Mapping[Key, Vector]):
+    groupoid: FiniteGroupoid
+    coeffs: TwoTermComplex
+    layer: int
+    degree: int
+    values: dict[Key, Vector]
+
+    def __post_init__(self):
+        groupoid, coeffs, degree, values = self.groupoid, self.coeffs, self.degree, self.values
         _check_degree(groupoid, degree)
-        if layer not in (0, 1):
+        if self.layer not in (0, 1):
             raise StructureError("layer must be 0 or 1")
         if tuple(coeffs.base) != tuple(groupoid.objects):
             raise StructureError("coefficient complex lives over a different object set")
-        self.groupoid = groupoid
-        self.coeffs = coeffs
-        self.layer = layer
-        self.degree = degree
-        dims = coeffs.dim0 if layer == 0 else coeffs.dim1
+        dims = coeffs.dim0 if self.layer == 0 else coeffs.dim1
         keys = groupoid.nerve_tuples(degree)
         if set(values) != set(keys):
             raise StructureError("section cochain keys do not match the nerve")
-        self.values: dict[Key, Vector] = {}
+        self.values = {}
         for k in keys:
             fib = groupoid.tuple_target(k, degree)
             v = tuple(values[k])
@@ -92,13 +93,6 @@ class SectionCochain:
 
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in v) for v in self.values.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, SectionCochain):
-            return NotImplemented
-        return (self.groupoid == other.groupoid and self.coeffs == other.coeffs
-                and self.layer == other.layer and self.degree == other.degree
-                and self.values == other.values)
 
     def __add__(self, other: "SectionCochain") -> "SectionCochain":
         if (self.degree, self.layer) != (other.degree, other.layer):

@@ -8,25 +8,38 @@ source/target convention ``comp(g1, g2)`` defined exactly when
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import CompositionError, StructureError
 from .reports import Report
 
 
+@dataclass(repr=False)
 class FiniteGroupoid:
     """Explicit groupoid tables.  Well-formedness is enforced at construction;
     the algebraic axioms are checked separately by :func:`validate_groupoid`
-    so that deliberately broken fixtures remain representable."""
+    so that deliberately broken fixtures remain representable.  Equality
+    compares the tables, not ``max_degree``."""
 
-    def __init__(self, objects, arrows, src, tgt, unit, comp, inv, max_degree: int = 4):
-        self.objects: tuple[str, ...] = tuple(sorted(objects))
-        self.arrows: tuple[str, ...] = tuple(sorted(arrows))
-        self.src: dict[str, str] = dict(src)
-        self.tgt: dict[str, str] = dict(tgt)
-        self.unit: dict[str, str] = dict(unit)
-        self.comp: dict[tuple[str, str], str] = dict(comp)
-        self.inv: dict[str, str] = dict(inv)
-        self.max_degree = max_degree
-        self._nerves: dict[int, tuple[tuple[str, ...], ...]] = {}
+    objects: tuple[str, ...]
+    arrows: tuple[str, ...]
+    src: dict[str, str]
+    tgt: dict[str, str]
+    unit: dict[str, str]
+    comp: dict[tuple[str, str], str]
+    inv: dict[str, str]
+    max_degree: int = field(default=4, compare=False)
+    _nerves: dict[int, tuple[tuple[str, ...], ...]] = field(
+        default_factory=dict, init=False, compare=False)
+
+    def __post_init__(self):
+        self.objects = tuple(sorted(self.objects))
+        self.arrows = tuple(sorted(self.arrows))
+        self.src = dict(self.src)
+        self.tgt = dict(self.tgt)
+        self.unit = dict(self.unit)
+        self.comp = dict(self.comp)
+        self.inv = dict(self.inv)
         self._check_well_formed()
         self.unit_arrows = frozenset(self.unit.values())
 
@@ -68,12 +81,6 @@ class FiniteGroupoid:
         except KeyError:
             raise CompositionError(f"arrows {g1}, {g2} are not composable") from None
 
-    def compose_tuple(self, tup: tuple[str, ...]) -> str:
-        out = tup[0]
-        for g in tup[1:]:
-            out = self.compose(out, g)
-        return out
-
     # -- nerve ---------------------------------------------------------------
 
     def nerve_tuples(self, p: int) -> tuple[tuple[str, ...], ...]:
@@ -105,13 +112,6 @@ class FiniteGroupoid:
 
     def tuple_source(self, tup: tuple[str, ...], degree: int) -> str:
         return tup[0] if degree == 0 else self.src[tup[-1]]
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroupoid):
-            return NotImplemented
-        return (self.objects, self.arrows, self.src, self.tgt, self.unit,
-                self.comp, self.inv) == (other.objects, other.arrows, other.src,
-                                         other.tgt, other.unit, other.comp, other.inv)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> Report:

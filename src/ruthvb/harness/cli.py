@@ -14,6 +14,7 @@ from pathlib import Path
 
 from ..errors import RuthVBError, StructureError, UsageError
 from ..groupoid import validate_groupoid
+from ..linalg import json_typed
 from ..reports import Report
 from ..ruth import validate_morphism, validate_ruth
 from ..semidirect import semidirect
@@ -276,12 +277,16 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.file).read_text())
+    # integers parse as floats, so that any JSON number formats as seconds
+    doc = json.loads(Path(args.file).read_text(), parse_int=float)
     if not isinstance(doc, dict) or "verdict" not in doc:
         raise StructureError("not a report file")
-    rep = Report(doc.get("subject", args.file), seconds=doc.get("seconds", 0.0))
-    for e in doc.get("entries", []):
-        rep.add(e["check"], e["location"], e["expected"], e["actual"])
+    rep = Report(json_typed(doc.get("subject", args.file), str, "subject"),
+                 seconds=json_typed(doc.get("seconds", 0.0), float, "seconds"))
+    for e in json_typed(doc.get("entries", []), list, "entries"):
+        e = json_typed(e, dict, "entries entry")
+        rep.add(*[json_typed(e.get(k), str, k)
+                  for k in ("check", "location", "expected", "actual")])
     print(rep.to_text())
     return 0 if rep.passed else 1
 

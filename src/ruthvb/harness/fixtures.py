@@ -4,10 +4,11 @@ as JSON instance files."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from ..groupoid import FiniteGroupoid, pair_groupoid, z2_groupoid
-from ..linalg import LinearMap, rat
+from ..linalg import LinearMap
 from ..ruth import Ruth
 from ..semidirect import semidirect
 from ..twoterm import TwoTermComplex
@@ -21,33 +22,35 @@ def pair_groupoid_xy() -> FiniteGroupoid:
 
 
 def line_complex_over_point(delta=0) -> TwoTermComplex:
-    return TwoTermComplex(["*"], {"*": 1}, {"*": 1},
-                          {"*": LinearMap.from_rows([[rat(delta)]])})
+    return TwoTermComplex(["*"], {"*": 1}, {"*": 1}, {"*": LinearMap.from_rows([[delta]])})
+
+
+def _z2_line_ruth(lambda0_g, lambda1_g, diff, omega_gg) -> Ruth:
+    """Z2 on a line in each degree: g acts by ``lambda0_g`` and ``lambda1_g``
+    on the two layers over the differential ``diff``, and the transformation
+    cochain is ``omega_gg`` at (g, g) and zero elsewhere."""
+    one, zero = LinearMap.identity(1), LinearMap.zero(1, 1)
+    line = lambda c: LinearMap.from_rows([[c]])
+    return Ruth(
+        z2_groupoid(), line_complex_over_point(diff),
+        lambda0={"e": one, "g": line(lambda0_g)},
+        lambda1={"e": one, "g": line(lambda1_g)},
+        omega={("e", "e"): zero, ("e", "g"): zero, ("g", "e"): zero,
+               ("g", "g"): line(omega_gg)})
 
 
 def z2_ruth(omega) -> Ruth:
     """One-dimensional representation of Z2 with both layers acting by -1,
     zero differential, and a free transformation parameter at (g, g).
     Valid for every rational value of the parameter."""
-    g = z2_groupoid()
-    one = LinearMap.identity(1)
-    neg = LinearMap.from_rows([[-1]])
-    zero = LinearMap.zero(1, 1)
-    return Ruth(
-        g, line_complex_over_point(0),
-        lambda0={"e": one, "g": neg},
-        lambda1={"e": one, "g": neg},
-        omega={("e", "e"): zero, ("e", "g"): zero, ("g", "e"): zero,
-               ("g", "g"): LinearMap.from_rows([[rat(omega)]])})
+    return _z2_line_ruth(-1, -1, 0, omega)
 
 
 def z2_ruth_broken4() -> Ruth:
     """Mutant of z2_ruth(1) with the layer-1 action flipped to +1: the
     fourth identity fails at (g, g, g) and nowhere else."""
     r = z2_ruth(1)
-    lambda1 = dict(r.lambda1)
-    lambda1["g"] = LinearMap.identity(1)
-    return Ruth(r.groupoid, r.complex, r.lambda0, lambda1, r.omega)
+    return replace(r, lambda1={**r.lambda1, "g": LinearMap.identity(1)})
 
 
 def sign_twisted_ruth() -> Ruth:
@@ -55,32 +58,14 @@ def sign_twisted_ruth() -> Ruth:
     zero differential.  Here the transformation cochain is rigid (the
     fourth identity forces it to vanish), which makes this the right
     fixture for pentagon-breaking mutations."""
-    g = z2_groupoid()
-    one = LinearMap.identity(1)
-    neg = LinearMap.from_rows([[-1]])
-    zero = LinearMap.zero(1, 1)
-    return Ruth(
-        g, line_complex_over_point(0),
-        lambda0={"e": one, "g": one},
-        lambda1={"e": one, "g": neg},
-        omega={("e", "e"): zero, ("e", "g"): zero, ("g", "e"): zero,
-               ("g", "g"): zero})
+    return _z2_line_ruth(1, -1, 0, 0)
 
 
 def stretched_line_ruth() -> Ruth:
     """Representation of Z2 with both layers acting by 2 and identity
     differential: the transformation cochain is forced to be -3 at (g, g),
     so sign flips in derived structures genuinely break validity."""
-    g = z2_groupoid()
-    one = LinearMap.identity(1)
-    two = LinearMap.from_rows([[2]])
-    zero = LinearMap.zero(1, 1)
-    return Ruth(
-        g, line_complex_over_point(1),
-        lambda0={"e": one, "g": two},
-        lambda1={"e": one, "g": two},
-        omega={("e", "e"): zero, ("e", "g"): zero, ("g", "e"): zero,
-               ("g", "g"): LinearMap.from_rows([[-3]])})
+    return _z2_line_ruth(2, 2, 1, -3)
 
 
 def pair_strict_ruth() -> Ruth:

@@ -13,7 +13,9 @@ decides validity through the validator itself.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .. import linalg
 from ..errors import StructureError
@@ -314,40 +316,38 @@ def mutate_groupoid_comp(rng, g: FiniteGroupoid):
         return None
     new_comp = dict(g.comp)
     new_comp[pair] = rng.choice(others)
-    mutated = FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit,
-                             new_comp, g.inv, g.max_degree)
-    return mutated, f"compose[{pair}] {old} -> {new_comp[pair]}"
+    return replace(g, comp=new_comp), f"compose[{pair}] {old} -> {new_comp[pair]}"
 
 
-def _mutant(rng, tables: dict, sites, build):
-    """Bump one entry of one table by 1, -1 or 2 and rebuild the structure.
+def _replaced(obj, path: str, value):
+    """``obj`` with the field at the dotted ``path`` set to ``value``; each
+    record on the path is rebuilt by ``dataclasses.replace``."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _replaced(getattr(obj, name), rest, value) if rest else value})
 
-    ``sites`` lists ``(table name, key)`` pairs into ``tables``; a site whose
-    matrix is empty is skipped, and with no site left the result is None.
-    Otherwise ``build`` receives ``tables`` with the one changed entry; when
-    it returns None, because the changed entry leaves the structure
-    unrepresentable, so does this."""
-    sites = [(name, key) for name, key in sites
-             if tables[name][key].rows * tables[name][key].cols > 0]
+
+def _mutant(rng, obj, sites):
+    """Bump one entry of one table of ``obj`` by 1, -1 or 2 and rebuild it.
+
+    ``sites`` lists ``(path, key)`` pairs: ``path`` names a table field of
+    ``obj``, or dotted, of a record inside it, and the mutation is labelled
+    by its last name.  A site whose matrix is empty is skipped, and with no
+    site left the result is None.  The rebuilt records run their checks
+    again; when one raises StructureError, because the changed entry leaves
+    the structure unrepresentable, the result is None too."""
+    sites = [(path, key) for path, key in sites if attrgetter(path)(obj)[key].entries]
     if not sites:
         return None
-    name, key = sites[rng.randrange(len(sites))]
-    m = tables[name][key]
+    path, key = sites[rng.randrange(len(sites))]
+    table = attrgetter(path)(obj)
+    m = table[key]
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
     delta = Fraction(rng.choice((1, -1, 2)))
-    changed = dict(tables)
-    changed[name] = {**tables[name], key: m.with_entry(i, j, m.entry(i, j) + delta)}
-    built = build(changed)
-    return None if built is None else (built, f"{name}[{key}] entry {(i, j, delta)}")
-
-
-def _ruth_mutant(rng, r: Ruth, sites):
-    c = r.complex
-    tables = {"lambda0": r.lambda0, "lambda1": r.lambda1, "omega": r.omega,
-              "diff": c.diff}
-    return _mutant(rng, tables, sites, lambda t: Ruth(
-        r.groupoid, TwoTermComplex(c.base, c.dim0, c.dim1, t["diff"]),
-        t["lambda0"], t["lambda1"], t["omega"]))
+    try:
+        built = _replaced(obj, path, {**table, key: m.with_entry(i, j, m.entry(i, j) + delta)})
+    except StructureError:
+        return None
+    return built, f"{path.rpartition('.')[2]}[{key}] entry {(i, j, delta)}"
 
 
 def mutate_ruth_unit_cell(rng, r: Ruth):
@@ -355,30 +355,27 @@ def mutate_ruth_unit_cell(rng, r: Ruth):
     at a pair containing a unit: unitality/normalization reads these cells
     directly."""
     g = r.groupoid
-    return _ruth_mutant(rng, r, [(name, g.unit[x]) for x in g.objects
-                                 for name in ("lambda0", "lambda1")]
-                        + [("omega", pair) for pair in g.comp
-                           if g.is_unit(pair[0]) or g.is_unit(pair[1])])
+    return _mutant(rng, r, [(name, g.unit[x]) for x in g.objects
+                            for name in ("lambda0", "lambda1")]
+                   + [("omega", pair) for pair in g.comp
+                      if g.is_unit(pair[0]) or g.is_unit(pair[1])])
 
 
 def mutate_ruth_entry(rng, r: Ruth):
     """Free single-entry perturbation anywhere in the structure tables;
     the caller decides validity (used for detector-equivalence runs)."""
     g = r.groupoid
-    return _ruth_mutant(rng, r, [(name, a) for a in g.arrows
-                                 for name in ("lambda0", "lambda1")]
-                        + [("omega", pair) for pair in g.comp]
-                        + [("diff", x) for x in g.objects])
+    return _mutant(rng, r, [(name, a) for a in g.arrows for name in ("lambda0", "lambda1")]
+                   + [("omega", pair) for pair in g.comp]
+                   + [("complex.diff", x) for x in g.objects])
 
 
 def mutate_vb_cell(rng, v: VBGroupoid):
     """Perturb one multiplication-matrix entry or one unit-section entry;
     both families are pinned by the axiom sweep."""
     g = v.base
-    return _mutant(rng, {"mult": v.mult, "utilde": v.utilde},
-                   [("mult", pair) for pair in g.comp] + [("utilde", x) for x in g.objects],
-                   lambda t: VBGroupoid(g, v.objdim, v.arrdim, v.stilde, v.ttilde,
-                                        t["utilde"], v.inv_map, t["mult"]))
+    return _mutant(rng, v, [("mult", pair) for pair in g.comp]
+                   + [("utilde", x) for x in g.objects])
 
 
 def mutate_vb_entry(rng, v: VBGroupoid):
@@ -386,50 +383,33 @@ def mutate_vb_entry(rng, v: VBGroupoid):
     the caller decides validity.  A source or target change that moves the
     dimension of a fibered product leaves the stored multiplication without
     a shape, and gives None."""
-    g = v.base
-
-    def build(t):
-        try:
-            return VBGroupoid(g, v.objdim, v.arrdim, t["stilde"], t["ttilde"], v.utilde,
-                              t["inv_map"], v.mult)
-        except StructureError:
-            return None
-
-    return _mutant(rng, {"stilde": v.stilde, "ttilde": v.ttilde, "inv_map": v.inv_map},
-                   [(name, a) for a in g.arrows for name in ("stilde", "ttilde", "inv_map")],
-                   build)
+    return _mutant(rng, v, [(name, a) for a in v.base.arrows
+                            for name in ("stilde", "ttilde", "inv_map")])
 
 
 def mutate_wrep_alpha_unit(rng, w: WeakRepresentation):
     """Perturb an associator cell at a pair containing a unit: the unit
     coherences read these cells directly."""
     g = w.groupoid
-    return _mutant(rng, {"alpha": w.alpha},
-                   [("alpha", pair) for pair in g.comp
-                    if g.is_unit(pair[0]) or g.is_unit(pair[1])],
-                   lambda t: WeakRepresentation(g, w.bundle, w.a0, w.a1, t["alpha"]))
+    return _mutant(rng, w, [("alpha", pair) for pair in g.comp
+                            if g.is_unit(pair[0]) or g.is_unit(pair[1])])
 
 
 def mutate_wrep_entry(rng, w: WeakRepresentation):
     """Free single-entry perturbation of the action on objects or arrows;
     the caller decides validity."""
-    g = w.groupoid
-    return _mutant(rng, {"a0": w.a0, "a1": w.a1},
-                   [(name, a) for a in g.arrows for name in ("a0", "a1")],
-                   lambda t: WeakRepresentation(g, w.bundle, t["a0"], t["a1"], w.alpha))
+    return _mutant(rng, w, [(name, a) for a in w.groupoid.arrows for name in ("a0", "a1")])
 
 
 def mutate_equivariant_entry(rng, e: EquivariantMap):
     """Free single-entry perturbation of the object or arrow component;
     the caller decides validity."""
-    return _mutant(rng, {"f0": e.f0, "f1": e.f1},
-                   [(name, x) for x in e.source.groupoid.objects for name in ("f0", "f1")],
-                   lambda t: EquivariantMap(e.source, e.target, t["f0"], t["f1"], e.delta))
+    return _mutant(rng, e, [(name, x) for x in e.source.groupoid.objects
+                            for name in ("f0", "f1")])
 
 
 def mutate_equivariant_delta_unit(rng, e: EquivariantMap):
     """Perturb the equivariance cell at a unit arrow: the unit triangle
     reads it directly."""
     g = e.source.groupoid
-    return _mutant(rng, {"delta": e.delta}, [("delta", g.unit[x]) for x in g.objects],
-                   lambda t: EquivariantMap(e.source, e.target, e.f0, e.f1, t["delta"]))
+    return _mutant(rng, e, [("delta", g.unit[x]) for x in g.objects])

@@ -11,6 +11,7 @@ list field must be an array, a table an object, an identifier a string.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Callable, NamedTuple
 
@@ -67,15 +68,17 @@ def groupoid_from_dict(d: dict) -> FiniteGroupoid:
 
 
 def _schema(cls, *fields) -> Codec:
-    """The codec of a kind whose constructor takes its fields positionally;
-    ``fields`` are (JSON key, attribute, codec) triples in that order, and
-    are decoded in that order."""
+    """The codec of a dataclass kind: ``fields`` are (JSON key, codec) pairs,
+    one per init field of ``cls`` in order, and are decoded in that order."""
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    columns = list(zip(names, fields, strict=True))
+
     def encode(obj) -> dict:
-        return {key: codec.encode(getattr(obj, attr)) for key, attr, codec in fields}
+        return {key: codec.encode(getattr(obj, name)) for name, (key, codec) in columns}
 
     def decode(d, key: str):
         d = json_typed(d, dict, key)
-        return cls(*[codec.decode(d[k], k) for k, _, codec in fields])
+        return cls(*[codec.decode(d[k], k) for k, codec in fields])
 
     return Codec(encode, decode)
 
@@ -89,23 +92,19 @@ _PAIRS = Codec(lambda t: sorted([g1, g2, map_to_dict(m)] for (g1, g2), m in t.it
                lambda v, key: {(g1, g2): map_from_dict(m) for g1, g2, m in _triples(v, key)})
 
 _GROUPOID = Codec(groupoid_to_dict, lambda d, key: groupoid_from_dict(json_typed(d, dict, key)))
-_COMPLEX = _schema(TwoTermComplex, ("base", "base", _IDS), ("dims0", "dim0", _DIMS),
-                   ("dims1", "dim1", _DIMS), ("diff", "diff", _MAPS))
-_RUTH = _schema(Ruth, ("groupoid", "groupoid", _GROUPOID), ("complex", "complex", _COMPLEX),
-                ("lambda0", "lambda0", _MAPS), ("lambda1", "lambda1", _MAPS),
-                ("omega", "omega", _PAIRS))
-_MORPHISM = _schema(RuthMorphism, ("source", "source", _RUTH), ("target", "target", _RUTH),
-                    ("phi0", "phi0", _MAPS), ("phi1", "phi1", _MAPS), ("mu", "mu", _MAPS))
-_VB = _schema(VBGroupoid, ("groupoid", "base", _GROUPOID), ("objdim", "objdim", _DIMS),
-              ("arrdim", "arrdim", _DIMS), ("stilde", "stilde", _MAPS),
-              ("ttilde", "ttilde", _MAPS), ("utilde", "utilde", _MAPS),
-              ("inverse", "inv_map", _MAPS), ("mult", "mult", _PAIRS))
-_WREP = _schema(WeakRepresentation, ("groupoid", "groupoid", _GROUPOID),
-                ("bundle", "bundle", _VB), ("a0", "a0", _MAPS), ("a1", "a1", _MAPS),
-                ("alpha", "alpha", _PAIRS))
-_EQUIVARIANT = _schema(EquivariantMap, ("source", "source", _WREP),
-                       ("target", "target", _WREP), ("f0", "f0", _MAPS),
-                       ("f1", "f1", _MAPS), ("delta", "delta", _MAPS))
+_COMPLEX = _schema(TwoTermComplex, ("base", _IDS), ("dims0", _DIMS), ("dims1", _DIMS),
+                   ("diff", _MAPS))
+_RUTH = _schema(Ruth, ("groupoid", _GROUPOID), ("complex", _COMPLEX), ("lambda0", _MAPS),
+                ("lambda1", _MAPS), ("omega", _PAIRS))
+_MORPHISM = _schema(RuthMorphism, ("source", _RUTH), ("target", _RUTH), ("phi0", _MAPS),
+                    ("phi1", _MAPS), ("mu", _MAPS))
+_VB = _schema(VBGroupoid, ("groupoid", _GROUPOID), ("objdim", _DIMS), ("arrdim", _DIMS),
+              ("stilde", _MAPS), ("ttilde", _MAPS), ("utilde", _MAPS), ("inverse", _MAPS),
+              ("mult", _PAIRS))
+_WREP = _schema(WeakRepresentation, ("groupoid", _GROUPOID), ("bundle", _VB), ("a0", _MAPS),
+                ("a1", _MAPS), ("alpha", _PAIRS))
+_EQUIVARIANT = _schema(EquivariantMap, ("source", _WREP), ("target", _WREP), ("f0", _MAPS),
+                       ("f1", _MAPS), ("delta", _MAPS))
 
 _CODECS = {"groupoid": _GROUPOID, "complex": _COMPLEX, "ruth": _RUTH, "morphism": _MORPHISM,
            "vb": _VB, "wrep": _WREP, "equivariant": _EQUIVARIANT}

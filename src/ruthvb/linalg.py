@@ -632,12 +632,13 @@ def json_int(value, what: str, limit: int) -> int:
     return value
 
 
-_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+_JSON_TYPES = {list: "array", dict: "object", str: "string", float: "number"}
 
 
 def json_typed(value, json_type: type, what: str):
-    """``value`` if it has the JSON type ``json_type`` (list, dict or str): a
-    string iterated as a list, or a list of pairs read by dict(), would pass."""
+    """``value`` if it has the JSON type ``json_type`` (list, dict, str, or
+    float for a number parsed as float): a string iterated as a list, or a
+    list of pairs read by dict(), would pass."""
     if not isinstance(value, json_type):
         raise StructureError(f"{what} must be a JSON {_JSON_TYPES[json_type]}, got {value!r:.40}")
     return value

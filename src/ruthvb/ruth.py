@@ -26,6 +26,7 @@ D(D(x)) holds the matrix of D_{n+1} D_n, one column per basis element.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
@@ -39,20 +40,24 @@ from .reports import Report
 from .twoterm import TwoTermComplex
 
 
+@dataclass(repr=False)
 class Ruth:
     """A two-term representation up to homotopy; shapes checked here,
     the structure identities by :func:`validate_ruth`."""
 
-    def __init__(self, groupoid: FiniteGroupoid, complex: TwoTermComplex,
-                 lambda0, lambda1, omega):
-        if tuple(complex.base) != tuple(groupoid.objects):
+    groupoid: FiniteGroupoid
+    complex: TwoTermComplex
+    lambda0: dict[str, LinearMap]
+    lambda1: dict[str, LinearMap]
+    omega: dict[tuple[str, str], LinearMap]
+
+    def __post_init__(self):
+        g, c = self.groupoid, self.complex
+        if tuple(c.base) != tuple(g.objects):
             raise StructureError("coefficient complex must live over the groupoid objects")
-        self.groupoid = groupoid
-        self.complex = complex
-        self.lambda0: dict[str, LinearMap] = dict(lambda0)
-        self.lambda1: dict[str, LinearMap] = dict(lambda1)
-        self.omega: dict[tuple[str, str], LinearMap] = dict(omega)
-        g, c = groupoid, complex
+        self.lambda0 = dict(self.lambda0)
+        self.lambda1 = dict(self.lambda1)
+        self.omega = dict(self.omega)
         linalg.check_table("layer-0 quasi-action", self.lambda0,
                            {a: (c.dim0[g.tgt[a]], c.dim0[g.src[a]]) for a in g.arrows})
         linalg.check_table("layer-1 quasi-action", self.lambda1,
@@ -60,13 +65,6 @@ class Ruth:
         linalg.check_table("transformation cochain", self.omega,
                            {(g1, g2): (c.dim0[g.tgt[g1]], c.dim1[g.src[g2]])
                             for (g1, g2) in g.comp})
-
-    def __eq__(self, other):
-        if not isinstance(other, Ruth):
-            return NotImplemented
-        return (self.groupoid == other.groupoid and self.complex == other.complex
-                and self.lambda0 == other.lambda0 and self.lambda1 == other.lambda1
-                and self.omega == other.omega)
 
 
 def validate_ruth(r: Ruth) -> Report:
@@ -107,34 +105,32 @@ def validate_ruth(r: Ruth) -> Report:
     return rep
 
 
+@dataclass(repr=False)
 class RuthMorphism:
     """Morphism between representations up to homotopy over one groupoid:
     a chain map (phi0, phi1) covering the identity and a per-arrow homotopy
     operator mu, vanishing at units."""
 
-    def __init__(self, source: Ruth, target: Ruth, phi0, phi1, mu):
-        if source.groupoid != target.groupoid:
+    source: Ruth
+    target: Ruth
+    phi0: dict[str, LinearMap]
+    phi1: dict[str, LinearMap]
+    mu: dict[str, LinearMap]
+
+    def __post_init__(self):
+        if self.source.groupoid != self.target.groupoid:
             raise StructureError("morphism endpoints live over different groupoids")
-        self.source = source
-        self.target = target
-        self.phi0: dict[str, LinearMap] = dict(phi0)
-        self.phi1: dict[str, LinearMap] = dict(phi1)
-        self.mu: dict[str, LinearMap] = dict(mu)
-        g = source.groupoid
-        cs, ct = source.complex, target.complex
+        self.phi0 = dict(self.phi0)
+        self.phi1 = dict(self.phi1)
+        self.mu = dict(self.mu)
+        g = self.source.groupoid
+        cs, ct = self.source.complex, self.target.complex
         linalg.check_table("degree-0 component", self.phi0,
                            {x: (ct.dim0[x], cs.dim0[x]) for x in g.objects})
         linalg.check_table("degree-1 component", self.phi1,
                            {x: (ct.dim1[x], cs.dim1[x]) for x in g.objects})
         linalg.check_table("homotopy operator", self.mu,
                            {a: (ct.dim0[g.tgt[a]], cs.dim1[g.src[a]]) for a in g.arrows})
-
-    def __eq__(self, other):
-        if not isinstance(other, RuthMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.phi0 == other.phi0 and self.phi1 == other.phi1
-                and self.mu == other.mu)
 
 
 def validate_morphism(m: RuthMorphism) -> Report:

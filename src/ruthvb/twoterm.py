@@ -16,6 +16,8 @@ transformation whose component at c is the arrow with degree-0 part
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import linalg
 from .errors import CompositionError, NotInducedError, StructureError
 from .groupoid import trivial_groupoid
@@ -24,46 +26,45 @@ from .vb import (BundleTransformation, VBGroupoid, VBMap, validate_bundle_transf
                  validate_vb_map)
 
 
+@dataclass(repr=False)
 class TwoTermComplex:
     """Per-point two-term complex: diff maps the degree-0 fiber to the
     degree-1 fiber over the same point."""
 
-    def __init__(self, base, dim0, dim1, diff):
-        self.base: tuple[str, ...] = tuple(sorted(base))
+    base: tuple[str, ...]
+    dim0: dict[str, int]
+    dim1: dict[str, int]
+    diff: dict[str, LinearMap]
+
+    def __post_init__(self):
+        self.base = tuple(sorted(self.base))
         for x, y in zip(self.base, self.base[1:]):
             if x == y:
                 raise StructureError(f"base point {x} is repeated")
-        self.dim0: dict[str, int] = dict(dim0)
-        self.dim1: dict[str, int] = dict(dim1)
-        self.diff: dict[str, LinearMap] = dict(diff)
+        self.dim0 = dict(self.dim0)
+        self.dim1 = dict(self.dim1)
+        self.diff = dict(self.diff)
         linalg.check_keys("fiber dimensions", self.dim0, self.base)
         linalg.check_keys("fiber dimensions", self.dim1, self.base)
         linalg.check_table("differential", self.diff,
                            {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
-    def __eq__(self, other):
-        if not isinstance(other, TwoTermComplex):
-            return NotImplemented
-        return (self.base == other.base and self.dim0 == other.dim0
-                and self.dim1 == other.dim1 and self.diff == other.diff)
 
-
-def zero_complex(base) -> TwoTermComplex:
-    base = list(base)
-    return TwoTermComplex(base, {x: 0 for x in base}, {x: 0 for x in base},
-                          {x: LinearMap.zero(0, 0) for x in base})
-
-
+@dataclass(repr=False)
 class ChainMap:
     """Chain map over a base map; the chain square is enforced at construction."""
 
-    def __init__(self, source: TwoTermComplex, target: TwoTermComplex,
-                 basemap, f0, f1):
-        self.source = source
-        self.target = target
-        self.basemap: dict[str, str] = dict(basemap)
-        self.f0: dict[str, LinearMap] = dict(f0)
-        self.f1: dict[str, LinearMap] = dict(f1)
+    source: TwoTermComplex
+    target: TwoTermComplex
+    basemap: dict[str, str]
+    f0: dict[str, LinearMap]
+    f1: dict[str, LinearMap]
+
+    def __post_init__(self):
+        source, target = self.source, self.target
+        self.basemap = dict(self.basemap)
+        self.f0 = dict(self.f0)
+        self.f1 = dict(self.f1)
         for x in source.base:
             if self.basemap.get(x) not in target.dim0:
                 raise StructureError(f"base map undefined or unknown at {x}")
@@ -76,13 +77,6 @@ class ChainMap:
             if (linalg.compose(self.f1[x], source.diff[x])
                     != linalg.compose(target.diff[bm[x]], self.f0[x])):
                 raise StructureError(f"chain square fails at {x}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.basemap == other.basemap and self.f0 == other.f0
-                and self.f1 == other.f1)
 
 
 def identity_chain_map(c: TwoTermComplex) -> ChainMap:
@@ -101,17 +95,21 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         {x: linalg.compose(g.f1[f.basemap[x]], f.f1[x]) for x in f.source.base})
 
 
+@dataclass(repr=False)
 class ChainHomotopy:
     """Homotopy between two parallel chain maps; both defining equations
     are enforced at construction, so invalid homotopies cannot be built."""
 
-    def __init__(self, from_map: ChainMap, to_map: ChainMap, omega):
+    from_map: ChainMap
+    to_map: ChainMap
+    omega: dict[str, LinearMap]
+
+    def __post_init__(self):
+        from_map, to_map = self.from_map, self.to_map
         if (from_map.source != to_map.source or from_map.target != to_map.target
                 or from_map.basemap != to_map.basemap):
             raise StructureError("homotopy endpoints are not parallel")
-        self.from_map = from_map
-        self.to_map = to_map
-        self.omega: dict[str, LinearMap] = dict(omega)
+        self.omega = dict(self.omega)
         src, tgt = from_map.source, from_map.target
         linalg.check_table("homotopy component", self.omega,
                            {x: (tgt.dim0[from_map.basemap[x]], src.dim1[x]) for x in src.base})
@@ -121,12 +119,6 @@ class ChainHomotopy:
                 raise StructureError(f"homotopy equation (degree 1) fails at {x}")
             if linalg.compose(w, src.diff[x]) != to_map.f0[x] - from_map.f0[x]:
                 raise StructureError(f"homotopy equation (degree 0) fails at {x}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainHomotopy):
-            return NotImplemented
-        return (self.from_map == other.from_map and self.to_map == other.to_map
-                and self.omega == other.omega)
 
 
 def zero_homotopy(f: ChainMap) -> ChainHomotopy:

@@ -21,6 +21,7 @@ A linear groupoid bundle is the special case whose base is a trivial
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import linalg
 from .errors import CompositionError, StructureError
@@ -31,29 +32,39 @@ from .linalg import (IntegerForm, KernelChart, LinearMap, Vector, kernel_basis, 
 from .reports import ColumnCheck, Report
 
 
+@dataclass(repr=False)
 class VBGroupoid:
     """Fiberwise-linear groupoid over ``base``.
 
     Shape consistency is enforced here; the groupoid axioms are checked by
-    :func:`validate_vb` so corrupted instances can be represented.
+    :func:`validate_vb` so corrupted instances can be represented.  ``mult``
+    is given either as a stored table, one matrix per composable pair acting
+    on that pair's chart coordinates, or as a product rule
+    ``mult(g1, g2, v, w) -> Vector`` on composable fiber vectors, which is
+    tabulated at construction on each pair's chart basis.
     """
 
-    def __init__(self, base: FiniteGroupoid, objdim, arrdim,
-                 stilde, ttilde, utilde, inv_map, mult):
-        """``mult`` is either a stored table, one matrix per composable pair
-        acting on that pair's chart coordinates, or a product rule
-        ``mult(g1, g2, v, w) -> Vector`` on composable fiber vectors, which
-        is tabulated here on each pair's chart basis."""
-        self.base = base
-        self.objdim: dict[str, int] = dict(objdim)
-        self.arrdim: dict[str, int] = dict(arrdim)
-        self.stilde: dict[str, LinearMap] = dict(stilde)
-        self.ttilde: dict[str, LinearMap] = dict(ttilde)
-        self.utilde: dict[str, LinearMap] = dict(utilde)
-        self.inv_map: dict[str, LinearMap] = dict(inv_map)
-        self._pair_charts: dict[tuple[str, str], KernelChart] = {}
-        self._pair_operators: dict[tuple[str, str], LinearMap] = {}
-        g, od, ad = base, self.objdim, self.arrdim
+    base: FiniteGroupoid
+    objdim: dict[str, int]
+    arrdim: dict[str, int]
+    stilde: dict[str, LinearMap]
+    ttilde: dict[str, LinearMap]
+    utilde: dict[str, LinearMap]
+    inv_map: dict[str, LinearMap]
+    mult: dict[tuple[str, str], LinearMap]
+    _pair_charts: dict[tuple[str, str], KernelChart] = field(
+        default_factory=dict, init=False, compare=False)
+    _pair_operators: dict[tuple[str, str], LinearMap] = field(
+        default_factory=dict, init=False, compare=False)
+
+    def __post_init__(self):
+        self.objdim = dict(self.objdim)
+        self.arrdim = dict(self.arrdim)
+        self.stilde = dict(self.stilde)
+        self.ttilde = dict(self.ttilde)
+        self.utilde = dict(self.utilde)
+        self.inv_map = dict(self.inv_map)
+        g, od, ad = self.base, self.objdim, self.arrdim
         linalg.check_keys("object fiber dimension", od, g.objects)
         linalg.check_keys("arrow fiber dimension", ad, g.arrows)
         linalg.check_table("stilde", self.stilde, {a: (od[g.src[a]], ad[a]) for a in g.arrows})
@@ -61,8 +72,7 @@ class VBGroupoid:
         linalg.check_table("inverse map", self.inv_map,
                            {a: (ad[g.inv[a]], ad[a]) for a in g.arrows})
         linalg.check_table("utilde", self.utilde, {x: (ad[g.unit[x]], od[x]) for x in g.objects})
-        self.mult: dict[tuple[str, str], LinearMap] = (
-            self._tabulate(mult) if callable(mult) else dict(mult))
+        self.mult = self._tabulate(self.mult) if callable(self.mult) else dict(self.mult)
         linalg.check_table("multiplication", self.mult,
                            {pair: (ad[g12], len(self.pair_chart(*pair).free))
                             for pair, g12 in g.comp.items()})
@@ -128,20 +138,9 @@ class VBGroupoid:
     def invert(self, g: str, v: Vector) -> Vector:
         return self.inv_map[g].apply(v)
 
-    def unit_vector(self, x: str, v: Vector) -> Vector:
-        return self.utilde[x].apply(v)
-
     def is_linear_bundle(self) -> bool:
         """True when the base is a trivial groupoid (all arrows units)."""
         return all(self.base.is_unit(a) for a in self.base.arrows)
-
-    def __eq__(self, other):
-        if not isinstance(other, VBGroupoid):
-            return NotImplemented
-        return (self.base == other.base and self.objdim == other.objdim
-                and self.arrdim == other.arrdim and self.stilde == other.stilde
-                and self.ttilde == other.ttilde and self.utilde == other.utilde
-                and self.inv_map == other.inv_map and self.mult == other.mult)
 
 
 def validate_vb(v: VBGroupoid) -> Report:
@@ -215,6 +214,7 @@ def validate_vb(v: VBGroupoid) -> Report:
 # -- maps of VB-groupoids ------------------------------------------------------
 
 
+@dataclass(repr=False)
 class VBMap:
     """Map of VB-groupoids covering a map of base groupoids.
 
@@ -223,16 +223,21 @@ class VBMap:
     identities.  Only shapes are checked here; see :func:`validate_vb_map`.
     """
 
-    def __init__(self, source: VBGroupoid, target: VBGroupoid,
-                 obj_maps, arr_maps, base_obj=None, base_arr=None):
-        self.source = source
-        self.target = target
-        self.base_obj: dict[str, str] = (dict(base_obj) if base_obj is not None
-                                         else {x: x for x in source.base.objects})
-        self.base_arr: dict[str, str] = (dict(base_arr) if base_arr is not None
-                                         else {a: a for a in source.base.arrows})
-        self.obj_maps: dict[str, LinearMap] = dict(obj_maps)
-        self.arr_maps: dict[str, LinearMap] = dict(arr_maps)
+    source: VBGroupoid
+    target: VBGroupoid
+    obj_maps: dict[str, LinearMap]
+    arr_maps: dict[str, LinearMap]
+    base_obj: Optional[dict[str, str]] = None
+    base_arr: Optional[dict[str, str]] = None
+
+    def __post_init__(self):
+        source, target = self.source, self.target
+        self.base_obj = (dict(self.base_obj) if self.base_obj is not None
+                         else {x: x for x in source.base.objects})
+        self.base_arr = (dict(self.base_arr) if self.base_arr is not None
+                         else {a: a for a in source.base.arrows})
+        self.obj_maps = dict(self.obj_maps)
+        self.arr_maps = dict(self.arr_maps)
         objects, arrows = source.base.objects, source.base.arrows
         for x in objects:
             if self.base_obj.get(x) not in target.objdim:
@@ -250,13 +255,6 @@ class VBMap:
     def covers_identity(self) -> bool:
         return (all(x == y for x, y in self.base_obj.items())
                 and all(a == b for a, b in self.base_arr.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, VBMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.base_obj == other.base_obj and self.base_arr == other.base_arr
-                and self.obj_maps == other.obj_maps and self.arr_maps == other.arr_maps)
 
 
 def identity_vb_map(v: VBGroupoid) -> VBMap:
@@ -330,6 +328,7 @@ def vb_map_is_isomorphism(m: VBMap) -> bool:
 # -- natural transformations between bundle maps -------------------------------
 
 
+@dataclass(repr=False)
 class BundleTransformation:
     """Natural transformation between two maps of linear groupoid bundles.
 
@@ -337,24 +336,21 @@ class BundleTransformation:
     to arrow fibers of the target, over the shared base map.
     """
 
-    def __init__(self, from_map: VBMap, to_map: VBMap, comp):
+    from_map: VBMap
+    to_map: VBMap
+    comp: dict[str, LinearMap]
+
+    def __post_init__(self):
+        from_map, to_map = self.from_map, self.to_map
         if from_map.source != to_map.source or from_map.target != to_map.target:
             raise StructureError("transformation endpoints differ")
         if from_map.base_obj != to_map.base_obj:
             raise StructureError("transformation between maps over different base maps")
-        self.from_map = from_map
-        self.to_map = to_map
-        self.comp: dict[str, LinearMap] = dict(comp)
+        self.comp = dict(self.comp)
         src, tgt = from_map.source, from_map.target
         linalg.check_table("transformation component", self.comp,
                            {x: (tgt.arrdim[tgt.base.unit[from_map.base_obj[x]]], src.objdim[x])
                             for x in src.base.objects})
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleTransformation):
-            return NotImplemented
-        return (self.from_map == other.from_map and self.to_map == other.to_map
-                and self.comp == other.comp)
 
 
 def validate_bundle_transformation(t: BundleTransformation) -> Report:
@@ -441,4 +437,4 @@ def kernel_groupoid(v: VBGroupoid) -> VBGroupoid:
         {x: v.ttilde[unit[x]] for x in points},
         {x: v.utilde[x] for x in points},
         {x: v.inv_map[unit[x]] for x in points},
-        lambda x, _, a, b: v.multiply(unit[x], unit[x], a, b))
+        {(x, x): v.mult[(unit[x], unit[x])] for x in points})

@@ -14,6 +14,8 @@ section of ttilde, then the kernel basis of ttilde).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
 from .groupoid import FiniteGroupoid, validate_groupoid
@@ -25,21 +27,26 @@ from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 # -- weak representations ---------------------------------------------------------
 
 
+@dataclass(repr=False)
 class WeakRepresentation:
     """Unital weak action on a linear groupoid bundle over the acting
     groupoid's objects; every piece of data is a fiberwise linear map."""
 
-    def __init__(self, groupoid: FiniteGroupoid, bundle: VBGroupoid, a0, a1, alpha):
-        if not bundle.is_linear_bundle():
+    groupoid: FiniteGroupoid
+    bundle: VBGroupoid
+    a0: dict[str, LinearMap]
+    a1: dict[str, LinearMap]
+    alpha: dict[tuple[str, str], LinearMap]
+
+    def __post_init__(self):
+        if not self.bundle.is_linear_bundle():
             raise StructureError("weak representations act on linear groupoid bundles")
-        if tuple(bundle.base.objects) != tuple(groupoid.objects):
+        if tuple(self.bundle.base.objects) != tuple(self.groupoid.objects):
             raise StructureError("bundle must live over the groupoid objects")
-        self.groupoid = groupoid
-        self.bundle = bundle
-        self.a0: dict[str, LinearMap] = dict(a0)
-        self.a1: dict[str, LinearMap] = dict(a1)
-        self.alpha: dict[tuple[str, str], LinearMap] = dict(alpha)
-        g, od, ad = groupoid, self.objdim, self.arrdim
+        self.a0 = dict(self.a0)
+        self.a1 = dict(self.a1)
+        self.alpha = dict(self.alpha)
+        g, od, ad = self.groupoid, self.objdim, self.arrdim
         linalg.check_table("action object map", self.a0,
                            {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
         linalg.check_table("action arrow map", self.a1,
@@ -76,13 +83,6 @@ class WeakRepresentation:
 
     def fiber_unit(self, x: str) -> LinearMap:
         return self.bundle.utilde[x]
-
-    def __eq__(self, other):
-        if not isinstance(other, WeakRepresentation):
-            return NotImplemented
-        return (self.groupoid == other.groupoid and self.bundle == other.bundle
-                and self.a0 == other.a0 and self.a1 == other.a1
-                and self.alpha == other.alpha)
 
 
 def validate_weak_representation(w: WeakRepresentation) -> Report:
@@ -244,20 +244,25 @@ def action_groupoid_bundle(w: WeakRepresentation,
 # -- equivariant maps ---------------------------------------------------------------
 
 
+@dataclass(repr=False)
 class EquivariantMap:
     """Map of weak representations: a bundle functor over the identity base
     together with the per-arrow equivariance cell delta(g, -) from object
     fibers at src(g) to arrow fibers at tgt(g)."""
 
-    def __init__(self, source: WeakRepresentation, target: WeakRepresentation,
-                 f0, f1, delta):
+    source: WeakRepresentation
+    target: WeakRepresentation
+    f0: dict[str, LinearMap]
+    f1: dict[str, LinearMap]
+    delta: dict[str, LinearMap]
+
+    def __post_init__(self):
+        source, target = self.source, self.target
         if source.groupoid != target.groupoid:
             raise StructureError("equivariant map across different acting groupoids")
-        self.source = source
-        self.target = target
-        self.f0: dict[str, LinearMap] = dict(f0)
-        self.f1: dict[str, LinearMap] = dict(f1)
-        self.delta: dict[str, LinearMap] = dict(delta)
+        self.f0 = dict(self.f0)
+        self.f1 = dict(self.f1)
+        self.delta = dict(self.delta)
         g = source.groupoid
         linalg.check_table("object component", self.f0,
                            {x: (target.objdim(x), source.objdim(x)) for x in g.objects})
@@ -271,13 +276,6 @@ class EquivariantMap:
         src, tgt = self.source.bundle, self.target.bundle
         return VBMap(src, tgt, dict(self.f0),
                      {src.base.unit[x]: self.f1[x] for x in src.base.objects})
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivariantMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.f0 == other.f0 and self.f1 == other.f1
-                and self.delta == other.delta)
 
 
 def validate_equivariant(e: EquivariantMap) -> Report:

@@ -25,7 +25,7 @@ from ruthvb.vb import (BundleTransformation, VBGroupoid, VBMap, identity_vb_map,
                        validate_vb_map)
 from ruthvb.weak import (EquivariantMap, WeakRepresentation, identity_equivariant,
                          validate_equivariant, validate_weak_representation)
-from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
+from ruthvb.equivalences import vb_to_wrep, wrep_from_ruth, wrep_from_ruth_morphism
 
 
 # -- the per-basis-vector oracle -----------------------------------------------
@@ -75,8 +75,8 @@ def reference_vb(v):
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
         for i in range(v.arrdim[a]):
             vec = linalg.vec_basis(v.arrdim[a], i)
-            ut = v.unit_vector(t, v.ttilde[a].apply(vec))
-            us = v.unit_vector(s, v.stilde[a].apply(vec))
+            ut = v.utilde[t].apply(v.ttilde[a].apply(vec))
+            us = v.utilde[s].apply(v.stilde[a].apply(vec))
             iv = v.invert(a, vec)
             loc = f"{a} basis {i}"
             _expect_composable(rep, "left-unit-law", loc,
@@ -465,5 +465,5 @@ def test_validators_make_no_per_vector_multiply(monkeypatch):
     for obj in instances:
         VALIDATORS[type(obj)][0](obj)
     assert calls == []
-    kernel_groupoid(next(o for o in instances if isinstance(o, VBGroupoid)))
-    assert calls  # the counter does count: the kernel's product rule multiplies
+    vb_to_wrep(next(o for o in instances if isinstance(o, VBGroupoid)))
+    assert calls  # the counter does count: the conversion multiplies per vector

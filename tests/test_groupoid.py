@@ -1,6 +1,7 @@
 """Finite groupoids: axiom checker, nerves against a brute-force oracle,
 and builders."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -23,6 +24,13 @@ ALL_BUILDERS = [
 @pytest.mark.parametrize("build", ALL_BUILDERS)
 def test_builders_valid(build):
     assert validate_groupoid(build()).passed
+
+
+def test_equality_compares_the_tables_only():
+    g = z2_groupoid()
+    g.nerve_tuples(3)
+    assert g == dataclasses.replace(z2_groupoid(), max_degree=2)
+    assert g != dataclasses.replace(g, comp={**g.comp, ("g", "g"): "g"})
 
 
 def test_pair_groupoid_relations():
@@ -84,6 +92,6 @@ def test_nerve_against_brute_force(build, degree):
 def test_tuple_endpoints_match_composite(build):
     g = build()
     for tup in g.nerve_tuples(3):
-        full = g.compose_tuple(tup)
+        full = g.compose(g.compose(tup[0], tup[1]), tup[2])
         assert g.tuple_target(tup, 3) == g.tgt[full]
         assert g.tuple_source(tup, 3) == g.src[full]

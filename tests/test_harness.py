@@ -1,6 +1,7 @@
 """Instance files, CLI verbs, determinism, and the mutation-kill harness."""
 
 import copy
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -13,6 +14,7 @@ from ruthvb.harness.cli import main, run_fuzz
 from ruthvb.groupoid import FiniteGroupoid, disjoint_union, z2_groupoid
 from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
+from ruthvb.weak import identity_equivariant
 from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
 
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,6 +38,23 @@ def test_serialization_round_trips():
             kind2, obj2, meta = serialize.load_instance(text)
             assert kind2 == kind and obj2 == obj and meta == {"seed": 40}
             assert serialize.dumps_instance(kind, obj2, meta) == text
+
+
+# by kind, the JSON keys that differ from the init field they hold
+RENAMED_KEYS = {"complex": {"dim0": "dims0", "dim1": "dims1"},
+                "vb": {"base": "groupoid", "inv_map": "inverse"}}
+
+
+def test_each_schema_names_its_class_init_fields_in_order():
+    r = fixtures.z2_ruth(1)
+    w = wrep_from_ruth(r)
+    for kind, obj in [("complex", r.complex), ("ruth", r), ("morphism", identity_morphism(r)),
+                      ("vb", semidirect(r)), ("wrep", w),
+                      ("equivariant", identity_equivariant(w))]:
+        keys = list(serialize.instance_to_dict(kind, obj)["payload"])
+        names = [f.name for f in dataclasses.fields(obj) if f.init]
+        renamed = RENAMED_KEYS.get(kind, {})
+        assert keys == [renamed.get(n, n) for n in names], kind
 
 
 def test_dump_is_byte_deterministic():
@@ -352,6 +371,29 @@ def test_cli_report_verb(tmp_path, capsys):
     doc = capsys.readouterr().out
     path = tmp_path / "rep.json"
     path.write_text(doc)
+    assert main(["report", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+ENTRY = {"check": "identity-4", "location": "(g,g,g)", "expected": "zero", "actual": "2"}
+
+
+@pytest.mark.parametrize("edits", [
+    {"entries": 5},
+    {"entries": [{k: v for k, v in ENTRY.items() if k != "location"}]},
+    {"seconds": "abc"},
+], ids=["entries-not-a-list", "entry-without-location", "seconds-not-a-number"])
+def test_cli_report_malformed_file_exits_2(tmp_path, capsys, edits):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"subject": "s", "verdict": "fail", "entries": [ENTRY],
+                                "seconds": 0.5, **edits}))
+    assert main(["report", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_report_renders_seconds_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"verdict": "pass", "seconds": 10 ** 400}))
     assert main(["report", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
 

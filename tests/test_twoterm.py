@@ -14,8 +14,7 @@ from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             check_interchange, compose_chain_maps,
                             extract_chain_map, extract_homotopy, hcompose,
                             identity_chain_map, phi_object, phi_onemorphism,
-                            phi_twomorphism, split_bundle, vcompose,
-                            zero_complex, zero_homotopy)
+                            phi_twomorphism, split_bundle, vcompose, zero_homotopy)
 from ruthvb.vb import VBMap, validate_vb, validate_vb_map
 
 
@@ -28,6 +27,11 @@ def point_complex(d0, d1, diff_rows):
 def scalar_map(c, d, f0, f1):
     return ChainMap(c, d, {"p": "p"}, {"p": LinearMap.from_rows([[f0]])},
                     {"p": LinearMap.from_rows([[f1]])})
+
+
+def zero_complex(base):
+    return TwoTermComplex(base, {x: 0 for x in base}, {x: 0 for x in base},
+                          {x: LinearMap.zero(0, 0) for x in base})
 
 
 LINE = point_complex(1, 1, [[0]])

@@ -73,7 +73,7 @@ def test_multiply_rejects_non_composable_pair():
 def test_semidirect_units():
     v = semidirect(z2_ruth(1))
     e = (Fraction(3),)
-    u = v.unit_vector("*", e)
+    u = v.utilde["*"].apply(e)
     assert v.stilde["e"].apply(u) == e
     assert v.ttilde["e"].apply(u) == e
 
