@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import NotInducedError, StructureError, ValidationError
-from .linalg import LinearMap
+from .linalg import IntegerForm, LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .semidirect import semidirect
 from .twoterm import diagonal_blocks, phi_object, split_bundle
@@ -181,27 +181,25 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
         connection_report(connection).require(ValidationError, "invalid connection")
     sigma = connection.sigma
     kernel = kernel_groupoid(v)
+    sig = {a: sigma[a].integer for a in g.arrows}
+    inv_map = {a: v.inv_map[a].integer for a in g.arrows}
     a0, a1, alpha = {}, {}, {}
     for a in g.arrows:
-        us, ut = g.unit[g.src[a]], g.unit[g.tgt[a]]
+        us = g.unit[g.src[a]]
         a0[a] = linalg.compose(v.ttilde[a], sigma[a])
 
         def conjugate(k):
-            left = v.multiply(a, us, sigma[a].apply(v.ttilde[us].apply(k)), k)
-            return v.multiply(a, g.inv[a], left,
-                              v.invert(a, sigma[a].apply(v.stilde[us].apply(k))))
+            left = v.product(a, us, sig[a] @ v.ttilde[us].integer @ k, k)
+            return v.product(a, g.inv[a], left, inv_map[a] @ sig[a] @ v.stilde[us].integer @ k)
 
-        a1[a] = linalg.matrix_of(conjugate, v.arrdim[us], v.arrdim[ut])
+        a1[a] = linalg.tabulate(conjugate, IntegerForm.identity(v.arrdim[us]))
     for (g1, g2), g12 in g.comp.items():
 
         def cell(x):
-            left = v.multiply(g12, g.inv[g2], sigma[g12].apply(x),
-                              v.invert(g2, sigma[g2].apply(x)))
-            return v.multiply(g1, g.inv[g1], left,
-                              v.invert(g1, sigma[g1].apply(a0[g2].apply(x))))
+            left = v.product(g12, g.inv[g2], sig[g12] @ x, inv_map[g2] @ sig[g2] @ x)
+            return v.product(g1, g.inv[g1], left, inv_map[g1] @ sig[g1] @ a0[g2].integer @ x)
 
-        alpha[(g1, g2)] = linalg.matrix_of(cell, v.objdim[g.src[g2]],
-                                           v.arrdim[g.unit[g.tgt[g1]]])
+        alpha[(g1, g2)] = linalg.tabulate(cell, IntegerForm.identity(v.objdim[g.src[g2]]))
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
     validate_weak_representation(wrep).require(
         ValidationError, "kernel action failed weak-representation validation")
@@ -210,12 +208,8 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     arr = {}
     for a in g.arrows:
         ut = g.unit[g.tgt[a]]
-
-        def arrow(c):
-            x, k = chart.decode(a, c)
-            return v.multiply(ut, a, v.invert(ut, k), sigma[a].apply(x))
-
-        arr[a] = linalg.matrix_of(arrow, ag.arrdim[a], v.arrdim[a])
+        x, k = chart.decode(a, IntegerForm.identity(ag.arrdim[a]))
+        arr[a] = v.product(ut, a, inv_map[ut] @ k, sig[a] @ x).map()
     iso = VBMap(ag, v, {x: LinearMap.identity(v.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError,
                                  "kernel-action identification is not a VB map")
@@ -232,10 +226,8 @@ def connection_change_witness(v: VBGroupoid, first: Connection,
     res1 = vb_to_wrep(v, first, validate=False)
     res2 = vb_to_wrep(v, second, validate=False)
     g = v.base
-    delta = {a: linalg.matrix_of(
-                 lambda x: v.multiply(a, g.inv[a], second.sigma[a].apply(x),
-                                      v.invert(a, first.sigma[a].apply(x))),
-                 v.objdim[g.src[a]], v.arrdim[g.unit[g.tgt[a]]])
+    delta = {a: v.product(a, g.inv[a], second.sigma[a].integer,
+                          v.inv_map[a].integer @ first.sigma[a].integer).map()
              for a in g.arrows}
     w1 = res1.wrep
     return EquivariantMap(
@@ -262,22 +254,16 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     f1 = {}
     for x in g.objects:
         u = g.unit[x]
-
-        def restricted(vb):
-            coords = src_chart.encode(u, w_src.fiber_source(x).apply(vb),
-                                      w_src.fiber_invert(x, vb))
-            return w_tgt.fiber_invert(x, tgt_chart.decode(u, phi.arr_maps[u].apply(coords))[1])
-
-        f1[x] = linalg.matrix_of(restricted, w_src.arrdim(x), w_tgt.arrdim(x))
+        coords = src_chart.encode(u, w_src.fiber_source(x).integer,
+                                  w_src.fiber_inverse(x).integer)
+        _, k = tgt_chart.decode(u, phi.arr_maps[u].integer @ coords)
+        f1[x] = (w_tgt.fiber_inverse(x).integer @ k).map()
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-
-        def kernel_part(xb):
-            coords = src_chart.encode(a, xb, w_src.fiber_unit(t).apply(w_src.a0[a].apply(xb)))
-            return tgt_chart.decode(a, phi.arr_maps[a].apply(coords))[1]
-
-        delta[a] = linalg.matrix_of(kernel_part, w_src.objdim(s), w_tgt.arrdim(t))
+        coords = src_chart.encode(a, IntegerForm.identity(w_src.objdim(s)),
+                                  w_src.fiber_unit(t).integer @ w_src.a0[a].integer)
+        delta[a] = tgt_chart.decode(a, phi.arr_maps[a].integer @ coords)[1].map()
     return EquivariantMap(w_src, w_tgt, f0, f1, delta)
 
 
@@ -292,13 +278,8 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     g = r.groupoid
     arr = {}
     for a in g.arrows:
-        d0t = r.complex.dim0[g.tgt[a]]
-
-        def swap(c):
-            x, k = chart.decode(a, c)
-            return linalg.vec_concat(tuple(-e for e in k[:d0t]), x)
-
-        arr[a] = linalg.matrix_of(swap, ag.arrdim[a], sd.arrdim[a])
+        x, k = (f.map() for f in chart.decode(a, IntegerForm.identity(ag.arrdim[a])))
+        arr[a] = linalg.vstack(-k.block(0, r.complex.dim0[g.tgt[a]], 0, k.cols), x)
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")
     if not vb_map_is_isomorphism(iso):

@@ -278,7 +278,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_report(args) -> int:
     # integers parse as floats, so that any JSON number formats as seconds
-    doc = json.loads(Path(args.file).read_text(), parse_int=float)
+    doc = serialize.parse_json(Path(args.file).read_text(), parse_int=float)
     if not isinstance(doc, dict) or "verdict" not in doc:
         raise StructureError("not a report file")
     rep = Report(json_typed(doc.get("subject", args.file), str, "subject"),
@@ -372,7 +372,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, StructureError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, StructureError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RuthVBError as exc:

@@ -239,8 +239,8 @@ def scramble_vb(rng, v: VBGroupoid):
                for a in g.arrows}
 
     def product(g1, g2, vv, ww):
-        prod = v.multiply(g1, g2, t_arr_inv[g1].apply(vv), t_arr_inv[g2].apply(ww))
-        return t_arr[g.comp[(g1, g2)]].apply(prod)
+        prod = v.product(g1, g2, t_arr_inv[g1].integer @ vv, t_arr_inv[g2].integer @ ww)
+        return t_arr[g.comp[(g1, g2)]].integer @ prod
 
     out = VBGroupoid(g, dict(v.objdim), dict(v.arrdim), stilde, ttilde,
                      utilde, inv_map, product)

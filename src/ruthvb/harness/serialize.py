@@ -7,12 +7,14 @@ pair-indexed tables are sorted lists of [key..., matrix].  All dumps sort
 keys, so identical content is byte-identical.  Each kind but the groupoid
 is one schema, and every codec checks the JSON type of what it reads: a
 list field must be an array, a table an object, an identifier a string.
+A key stated twice, in an object or a pair-keyed table, is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from ..errors import RuthVBError, StructureError, UsageError
@@ -42,6 +44,15 @@ def _triples(value, key: str):
     return (json_typed(e, list, f"{key} entry") for e in json_typed(value, list, key))
 
 
+def _table(pairs: list, what: str) -> dict:
+    """``dict(pairs)``, refusing a key stated twice where dict() keeps the last."""
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise StructureError(f"{what} {twice!r} is stated twice")
+    return table
+
+
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     return {
         "objects": list(g.objects),
@@ -61,7 +72,8 @@ def groupoid_from_dict(d: dict) -> FiniteGroupoid:
         src={a["id"]: a["src"] for a in arrows},
         tgt={a["id"]: a["tgt"] for a in arrows},
         unit=json_typed(d["units"], dict, "units"),
-        comp={(g1, g2): g12 for g1, g2, g12 in _triples(d["compose"], "compose")},
+        comp=_table([((g1, g2), g12) for g1, g2, g12 in _triples(d["compose"], "compose")],
+                    "compose pair"),
         inv=json_typed(d["inverse"], dict, "inverse"),
         max_degree=json_int(d.get("max_degree", 4), "max_degree", MAX_DEGREE),
     )
@@ -89,7 +101,8 @@ _DIMS = Codec(dict, lambda v, key: {x: json_int(n, f"{key} at {x}", MAX_DIM)
 _MAPS = Codec(lambda t: {k: map_to_dict(m) for k, m in t.items()},
               lambda v, key: {k: map_from_dict(m) for k, m in json_typed(v, dict, key).items()})
 _PAIRS = Codec(lambda t: sorted([g1, g2, map_to_dict(m)] for (g1, g2), m in t.items()),
-               lambda v, key: {(g1, g2): map_from_dict(m) for g1, g2, m in _triples(v, key)})
+               lambda v, key: _table([((g1, g2), map_from_dict(m))
+                                      for g1, g2, m in _triples(v, key)], f"{key} pair"))
 
 _GROUPOID = Codec(groupoid_to_dict, lambda d, key: groupoid_from_dict(json_typed(d, dict, key)))
 _COMPLEX = _schema(TwoTermComplex, ("base", _IDS), ("dims0", _DIMS), ("dims1", _DIMS),
@@ -125,12 +138,21 @@ def dumps_instance(kind: str, obj: Any, metadata: dict | None = None) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
+def parse_json(text: str, **options):
+    """``json.loads`` that refuses, as StructureError, an object key stated
+    twice and a document nested deeper than the parser can go."""
+    try:
+        return json.loads(text, object_pairs_hook=partial(_table, what="object key"), **options)
+    except RecursionError:
+        raise StructureError("JSON nested too deeply to parse") from None
+
+
 def load_instance(text: str, expect_kind: str | None = None):
     """Parse an instance file; returns (kind, object, metadata).
 
     Raises StructureError for malformed payloads and UsageError for an
     unexpected kind; JSON syntax errors propagate as ValueError."""
-    doc = json.loads(text)
+    doc = parse_json(text)
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise StructureError("instance file needs 'kind' and 'payload' fields")
     kind = doc["kind"]

@@ -13,15 +13,16 @@ terms.  There are two multiply-accumulate loops.  :meth:`LinearMap.apply`
 multiplies one vector of ``Fraction`` s (or of :class:`LinearForm` s): it
 forms a product only where the matrix entry and the vector entry are both
 nonzero, takes the other factor as the term when one of them is 1, and
-starts each sum from its first term; ``compose`` and
-:meth:`KernelChart.from_coords` run on it.  ``IntegerForm @ IntegerForm``
-multiplies whole blocks of columns in integer numerators over one common
-denominator, also only where both factors are nonzero; every map carries
-its integer form (:attr:`LinearMap.integer`), computed once.  The row
-reduction is fraction-free Gauss-Jordan elimination on that form, so it
-divides only exactly.  ``vec_add`` and ``vec_sub`` pass zero operands
-through.  A skipped term is an exact zero, so every result is the same
-exact ``Fraction`` the dense sums give.
+starts each sum from its first term; ``compose`` runs on it.
+``IntegerForm @ IntegerForm`` multiplies whole blocks of columns in integer
+numerators over one common denominator, also only where both factors are
+nonzero; every map carries its integer form (:attr:`LinearMap.integer`),
+computed once, :meth:`IntegerForm.map` reads a block back as a map, and
+:func:`tabulate` applies a rule on blocks to one identity or basis block.
+The row reduction is fraction-free Gauss-Jordan elimination on the integer
+form, so it divides only exactly.  ``vec_add`` and ``vec_sub`` pass zero
+operands through.  A skipped term is an exact zero, so every result is the
+same exact ``Fraction`` the dense sums give.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Collection, Optional, Sequence
 
-from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
+from .errors import (CompositionError, DimensionError, NotInvertibleError, NotSurjectiveError,
+                     StructureError)
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -94,17 +96,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 def vec_scale(c, a: Vector) -> Vector:
     c = rat(c)
     return tuple(c * x for x in a)
-
-
-def vec_concat(*vs: Vector) -> Vector:
-    out: list[Fraction] = []
-    for v in vs:
-        out.extend(v)
-    return tuple(out)
-
-
-def is_zero_vec(a: Vector) -> bool:
-    return not any(a)
 
 
 class LinearForm:
@@ -243,6 +234,10 @@ class IntegerForm:
                         acc[j] += x * y
             out.extend(acc)
         return IntegerForm(self.rows, n, tuple(out), self.den * other.den)
+
+    def map(self) -> "LinearMap":
+        """This block as a map of ``Fraction`` s."""
+        return LinearMap(self.rows, self.cols, tuple(_ratio(x, self.den) for x in self.nums))
 
     def column(self, k: int) -> Vector:
         return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
@@ -404,6 +399,18 @@ def matrix_of(rule: Callable[[Vector], Vector], cols: int, rows: int) -> LinearM
     return LinearMap.from_columns([rule(vec_basis(cols, i)) for i in range(cols)], rows)
 
 
+def tabulate(rule: Callable[[IntegerForm], IntegerForm], block: IntegerForm) -> LinearMap:
+    """``rule(block)`` as a map, for a linear rule on blocks that acts on each
+    column alone.  On a CompositionError the rule runs again column by
+    column, so the error raised is the first one a column-by-column run meets."""
+    try:
+        return rule(block).map()
+    except CompositionError:
+        for k in range(block.cols):
+            rule(IntegerForm(block.rows, 1, block.nums[k::block.cols], block.den))
+        raise
+
+
 def hstack(*maps: LinearMap) -> LinearMap:
     rows = maps[0].rows
     if any(m.rows != rows for m in maps):
@@ -482,7 +489,8 @@ class KernelChart:
 
     Each basis vector has entry 1 at its own free column and 0 at the other
     free columns, so the coordinates of a kernel vector are its entries at
-    the free columns, and membership is the one check ``constraint . z == 0``.
+    the free columns (``coordinates . z``), and membership is the one check
+    ``constraint . z == 0``.
     ``basis_form`` holds the basis vectors as the columns of one integer
     matrix; ``basis_map`` and ``basis`` read them in ``Fraction`` s.
     """
@@ -494,25 +502,19 @@ class KernelChart:
     @cached_property
     def basis_map(self) -> LinearMap:
         """The basis vectors as the columns of one map."""
-        f = self.basis_form
-        return LinearMap(f.rows, f.cols, tuple(_ratio(x, f.den) for x in f.nums))
+        return self.basis_form.map()
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
         n = len(self.free)
         return tuple(self.basis_map.entries[k::n] for k in range(n))
 
-    def coords(self, z: Vector) -> Optional[Vector]:
-        """Coordinates of z in ``basis``, or None when z is not in the kernel."""
-        if not is_zero_vec(self.constraint.apply(z)):
-            return None
-        return tuple(z[j] for j in self.free)
-
-    def from_coords(self, c: Vector) -> Vector:
-        """The kernel vector with coordinates c; the inverse of :meth:`coords`."""
-        if len(c) != len(self.free):
-            raise DimensionError(f"{len(self.free)} kernel coordinates, got {len(c)}")
-        return self.basis_map.apply(c)
+    @cached_property
+    def coordinates(self) -> IntegerForm:
+        """The matrix that reads a vector's entries at the free columns."""
+        n = self.constraint.cols
+        return IntegerForm(len(self.free), n, tuple(int(j == i) for i in self.free
+                                                    for j in range(n)))
 
 
 def kernel_chart(f: LinearMap) -> KernelChart:

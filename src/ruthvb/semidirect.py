@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .linalg import LinearMap
+from .linalg import IntegerForm, LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .vb import VBGroupoid, VBMap
 
@@ -41,12 +41,13 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
 
     def product(g1, g2, e, f):
         # (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)
-        e0 = e[:c.dim0[g.tgt[g1]]]
-        d0_2 = c.dim0[g.tgt[g2]]
-        f0, f1 = f[:d0_2], f[d0_2:]
-        out0 = linalg.vec_add(e0, r.lambda0[g1].apply(f0))
-        out0 = linalg.vec_sub(out0, r.omega[(g1, g2)].apply(f1))
-        return linalg.vec_concat(out0, f1)
+        d0t, d1s, d1s2 = c.dim0[g.tgt[g1]], c.dim1[g.src[g1]], c.dim1[g.src[g2]]
+        m = linalg.vstack(
+            linalg.hstack(LinearMap.identity(d0t), LinearMap.zero(d0t, d1s),
+                          r.lambda0[g1], -r.omega[(g1, g2)]),
+            linalg.hstack(LinearMap.zero(d1s2, arrdim[g1] + arrdim[g2] - d1s2),
+                          LinearMap.identity(d1s2)))
+        return m.integer @ IntegerForm.stack(e, f)
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import CompositionError, NotInducedError, StructureError
 from .groupoid import trivial_groupoid
-from .linalg import LinearMap, kernel_basis
+from .linalg import IntegerForm, LinearMap, kernel_basis
 from .vb import (BundleTransformation, VBGroupoid, VBMap, validate_bundle_transformation,
                  validate_vb_map)
 
@@ -172,7 +172,7 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
     """Sum groupoid of a complex: per point, objects the degree-1 fiber and
     arrows the direct sum with source the projection and target diff + proj."""
     base = trivial_groupoid(c.base)
-    objdim, arrdim, stilde, ttilde, utilde, inv_map = {}, {}, {}, {}, {}, {}
+    objdim, arrdim, stilde, ttilde, utilde, inv_map, sums = {}, {}, {}, {}, {}, {}, {}
     for p in c.base:
         d0, d1 = c.dim0[p], c.dim1[p]
         objdim[p] = d1
@@ -183,10 +183,12 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
         inv_map[p] = linalg.vstack(
             linalg.hstack(-LinearMap.identity(d0), LinearMap.zero(d0, d1)),
             linalg.hstack(c.diff[p], LinearMap.identity(d1)))
+        # (a0, a1).(b0, b1) = (a0 + b0, b1), on the stacked pair
+        sums[p] = linalg.hstack(linalg.vstack(LinearMap.identity(d0), LinearMap.zero(d1, d0)),
+                                LinearMap.zero(d0 + d1, d1), LinearMap.identity(d0 + d1)).integer
 
     def product(p, _, a, b):
-        d0 = c.dim0[p]
-        return linalg.vec_concat(linalg.vec_add(a[:d0], b[:d0]), b[d0:])
+        return sums[p] @ IntegerForm.stack(a, b)
 
     return VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 

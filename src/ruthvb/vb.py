@@ -11,8 +11,9 @@ the chart's free columns, so a product needs no row reduction.  Next to
 the chart each pair keeps its pair operator, the constraint stacked on the
 multiplication read at the free columns: applied to (v, w) it gives the
 composability residual and then the product.  ``multiply`` applies it to
-one pair of vectors, ``multiply_block`` to a block of them in integers,
-which is how the validators check every basis vector of a fiber at once.
+a block of pairs in integers, one pair per column, and ``product`` also
+insists that each column compose: the one product path, for the
+validators and the conversions alike.
 
 A linear groupoid bundle is the special case whose base is a trivial
 (unit) groupoid; the same class covers both.
@@ -28,7 +29,7 @@ from .errors import CompositionError, StructureError
 from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
 # kernel_basis is re-exported: callers reach it as ruthvb.vb.kernel_basis.
 from .linalg import (IntegerForm, KernelChart, LinearMap, Vector, kernel_basis,  # noqa: F401
-                     kernel_chart, vec_concat)
+                     kernel_chart)
 from .reports import ColumnCheck, Report
 
 
@@ -40,8 +41,9 @@ class VBGroupoid:
     :func:`validate_vb` so corrupted instances can be represented.  ``mult``
     is given either as a stored table, one matrix per composable pair acting
     on that pair's chart coordinates, or as a product rule
-    ``mult(g1, g2, v, w) -> Vector`` on composable fiber vectors, which is
-    tabulated at construction on each pair's chart basis.
+    ``mult(g1, g2, left, right) -> IntegerForm`` on blocks of composable
+    fiber vectors, one pair per column, which is tabulated at construction
+    by one call per pair on that pair's chart basis.
     """
 
     base: FiniteGroupoid
@@ -54,7 +56,7 @@ class VBGroupoid:
     mult: dict[tuple[str, str], LinearMap]
     _pair_charts: dict[tuple[str, str], KernelChart] = field(
         default_factory=dict, init=False, compare=False)
-    _pair_operators: dict[tuple[str, str], LinearMap] = field(
+    _pair_operators: dict[tuple[str, str], IntegerForm] = field(
         default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
@@ -79,10 +81,10 @@ class VBGroupoid:
 
     def _tabulate(self, product) -> dict[tuple[str, str], LinearMap]:
         mult = {}
-        for (g1, g2), g12 in self.base.comp.items():
+        for g1, g2 in self.base.comp:
             d1 = self.arrdim[g1]
-            cols = [product(g1, g2, pb[:d1], pb[d1:]) for pb in self.pair_basis(g1, g2)]
-            mult[(g1, g2)] = LinearMap.from_columns(cols, self.arrdim[g12])
+            mult[(g1, g2)] = linalg.tabulate(lambda pairs: product(g1, g2, *pairs.split(d1)),
+                                             self.pair_chart(g1, g2).basis_form)
         return mult
 
     # -- fibered products -----------------------------------------------------
@@ -101,42 +103,34 @@ class VBGroupoid:
         """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
         return self.pair_chart(g1, g2).basis
 
-    def pair_operator(self, g1: str, g2: str) -> LinearMap:
+    def pair_operator(self, g1: str, g2: str) -> IntegerForm:
         """The constraint ``[stilde_g1 | -ttilde_g2]`` stacked on the pair's
-        multiplication read at its chart's free columns, cached.  Applied to
-        a pair (v, w), its first ``objdim[src g1]`` rows give the
+        multiplication read at its chart's free columns, in integers, cached.
+        Applied to a pair (v, w), its first ``objdim[src g1]`` rows give the
         composability residual and the rest the product."""
         key = (g1, g2)
         if key not in self._pair_operators:
-            chart, m = self.pair_chart(g1, g2), self.mult[key]
-            width = chart.constraint.cols
-            product = [linalg.ZERO] * (m.rows * width)
-            for i in range(m.rows):
-                for k, j in enumerate(chart.free):
-                    product[i * width + j] = m.entry(i, k)
-            self._pair_operators[key] = linalg.vstack(
-                chart.constraint, LinearMap(m.rows, width, tuple(product)))
+            chart = self.pair_chart(g1, g2)
+            self._pair_operators[key] = IntegerForm.stack(
+                chart.constraint.integer, self.mult[key].integer @ chart.coordinates)
         return self._pair_operators[key]
 
-    def multiply(self, g1: str, g2: str, v: Vector, w: Vector) -> Vector:
-        """Product of composable fiber vectors v over g1 and w over g2."""
-        out = self.pair_operator(g1, g2).apply(vec_concat(v, w))
-        split = self.objdim[self.base.src[g1]]
-        if any(out[:split]):
-            raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
-        return out[split:]
-
-    def multiply_block(self, g1: str, g2: str, left: IntegerForm,
-                       right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
-        """:meth:`multiply` on every column at once: column k of the result is
-        the composability residual and the product of column k of ``left``
-        over g1 with column k of ``right`` over g2, from one integer
-        product.  The column is composable exactly when its residual is zero."""
-        out = self.pair_operator(g1, g2).integer @ IntegerForm.stack(left, right)
+    def multiply(self, g1: str, g2: str, left: IntegerForm,
+                 right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+        """Column k of the result is the composability residual and the
+        product of column k of ``left`` over g1 with column k of ``right``
+        over g2, from one integer product.  The column is composable exactly
+        when its residual is zero."""
+        out = self.pair_operator(g1, g2) @ IntegerForm.stack(left, right)
         return out.split(self.objdim[self.base.src[g1]])
 
-    def invert(self, g: str, v: Vector) -> Vector:
-        return self.inv_map[g].apply(v)
+    def product(self, g1: str, g2: str, left: IntegerForm,
+                right: IntegerForm) -> IntegerForm:
+        """The products of :meth:`multiply`, which must all be composable."""
+        residual, out = self.multiply(g1, g2, left, right)
+        if any(residual.nums):
+            raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
+        return out
 
     def is_linear_bundle(self) -> bool:
         """True when the base is a trivial groupoid (all arrows units)."""
@@ -185,10 +179,10 @@ def validate_vb(v: VBGroupoid) -> Report:
         ut = v.utilde[t].integer @ v.ttilde[a].integer
         us = v.utilde[s].integer @ v.stilde[a].integer
         iv = v.inv_map[a].integer
-        r_lu, left_unit = v.multiply_block(g.unit[t], a, ut, vec)
-        r_ru, right_unit = v.multiply_block(a, g.unit[s], vec, us)
-        r_ri, right_inverse = v.multiply_block(a, b, vec, iv)
-        r_li, left_inverse = v.multiply_block(b, a, iv, vec)
+        r_lu, left_unit = v.multiply(g.unit[t], a, ut, vec)
+        r_ru, right_unit = v.multiply(a, g.unit[s], vec, us)
+        r_ri, right_inverse = v.multiply(a, b, vec, iv)
+        r_li, left_inverse = v.multiply(b, a, iv, vec)
         rep.expect_columns(a, [
             ColumnCheck("left-unit-law", vec, left_unit, (r_lu,)),
             ColumnCheck("right-unit-law", vec, right_unit, (r_ru,)),
@@ -201,10 +195,10 @@ def validate_vb(v: VBGroupoid) -> Report:
         c2 = linalg.hstack(LinearMap.zero(v.objdim[g.src[g2]], d1), v.stilde[g2], -v.ttilde[g3])
         a1, a23 = kernel_chart(linalg.vstack(c1, c2)).basis_form.split(d1)
         a2, a3 = a23.split(d2)
-        r12, p12 = v.multiply_block(g1, g2, a1, a2)
-        r_left, left = v.multiply_block(g.comp[(g1, g2)], g3, p12, a3)
-        r23, p23 = v.multiply_block(g2, g3, a2, a3)
-        r_right, right = v.multiply_block(g1, g.comp[(g2, g3)], a1, p23)
+        r12, p12 = v.multiply(g1, g2, a1, a2)
+        r_left, left = v.multiply(g.comp[(g1, g2)], g3, p12, a3)
+        r23, p23 = v.multiply(g2, g3, a2, a3)
+        r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, p23)
         rep.expect_columns(f"({g1},{g2},{g3})", [
             ColumnCheck("associativity", left, right, (r12, r_left, r23, r_right),
                         "composable products")])
@@ -302,8 +296,8 @@ def validate_vb_map(m: VBMap) -> Report:
         vv, ww = src.pair_chart(g1, g2).basis_form.split(src.arrdim[g1])
         where = f"({g1},{g2})"
         try:
-            residual, images = tgt.multiply_block(m.base_arr[g1], m.base_arr[g2],
-                                                  f[g1] @ vv, f[g2] @ ww)
+            residual, images = tgt.multiply(m.base_arr[g1], m.base_arr[g2],
+                                            f[g1] @ vv, f[g2] @ ww)
         except CompositionError:
             for k in range(vv.cols):
                 rep.add("multiplicativity", f"{where} basis {k}", "composable images",
@@ -368,10 +362,10 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
         ux = src.base.unit[x]
         uy = tgt.base.unit[t.from_map.base_obj[x]]
         comp = t.comp[x].integer
-        r_want, want = tgt.multiply_block(uy, uy, t.to_map.arr_maps[ux].integer,
-                                          comp @ src.stilde[ux].integer)
-        r_got, got = tgt.multiply_block(uy, uy, comp @ src.ttilde[ux].integer,
-                                        t.from_map.arr_maps[ux].integer)
+        r_want, want = tgt.multiply(uy, uy, t.to_map.arr_maps[ux].integer,
+                                    comp @ src.stilde[ux].integer)
+        r_got, got = tgt.multiply(uy, uy, comp @ src.ttilde[ux].integer,
+                                  t.from_map.arr_maps[ux].integer)
         rep.expect_columns(x, [ColumnCheck("naturality", want, got, (r_want, r_got),
                                            "composable")])
     return rep

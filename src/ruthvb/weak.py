@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .linalg import IntegerForm, KernelChart, LinearMap, Vector, vec_concat
+from .linalg import IntegerForm, LinearMap
 from .reports import ColumnCheck, Report
 from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 
@@ -61,19 +61,18 @@ class WeakRepresentation:
         """Dimension of the bundle's arrow fiber at a point."""
         return self.bundle.arrdim[self.bundle.base.unit[x]]
 
-    def fiber_multiply(self, x: str, a: Vector, b: Vector) -> Vector:
+    def fiber_multiply(self, x: str, left: IntegerForm,
+                       right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+        """:meth:`VBGroupoid.multiply` on the bundle's arrows at x."""
         u = self.bundle.base.unit[x]
-        return self.bundle.multiply(u, u, a, b)
+        return self.bundle.multiply(u, u, left, right)
 
-    def fiber_multiply_block(self, x: str, left: IntegerForm,
-                             right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
-        """:meth:`fiber_multiply` on every column at once: the residuals, then
-        the products (see :meth:`VBGroupoid.multiply_block`)."""
+    def fiber_product(self, x: str, left: IntegerForm, right: IntegerForm) -> IntegerForm:
         u = self.bundle.base.unit[x]
-        return self.bundle.multiply_block(u, u, left, right)
+        return self.bundle.product(u, u, left, right)
 
-    def fiber_invert(self, x: str, a: Vector) -> Vector:
-        return self.bundle.invert(self.bundle.base.unit[x], a)
+    def fiber_inverse(self, x: str) -> LinearMap:
+        return self.bundle.inv_map[self.bundle.base.unit[x]]
 
     def fiber_source(self, x: str) -> LinearMap:
         return self.bundle.stilde[self.bundle.base.unit[x]]
@@ -108,7 +107,7 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
         us = w.bundle.base.unit[s]
         a1 = w.a1[a].integer
         v1, v2 = w.bundle.pair_chart(us, us).basis_form.split(w.bundle.arrdim[us])
-        residual, images = w.fiber_multiply_block(t, a1 @ v1, a1 @ v2)
+        residual, images = w.fiber_multiply(t, a1 @ v1, a1 @ v2)
         rep.expect_columns(a, [
             ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(us, us)].integer,
                         (residual,), "composable images")])
@@ -127,19 +126,19 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
                    linalg.compose(w.fiber_target(t1), cell))
         # naturality on the basis arrows of the fiber at src(g2)
         c = cell.integer
-        r_want, want = w.fiber_multiply_block(t1, w.a1[g12].integer,
-                                              c @ w.fiber_source(s2).integer)
-        r_got, got = w.fiber_multiply_block(t1, c @ w.fiber_target(s2).integer,
-                                            w.a1[g1].integer @ w.a1[g2].integer)
+        r_want, want = w.fiber_multiply(t1, w.a1[g12].integer,
+                                        c @ w.fiber_source(s2).integer)
+        r_got, got = w.fiber_multiply(t1, c @ w.fiber_target(s2).integer,
+                                      w.a1[g1].integer @ w.a1[g2].integer)
         rep.expect_columns(loc, [ColumnCheck("associator-naturality", want, got,
                                              (r_want, r_got), "composable cells")])
     # the pentagon on the basis of the object fiber at src(g3)
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
         t1 = g.tgt[g1]
-        r_want, want = w.fiber_multiply_block(
+        r_want, want = w.fiber_multiply(
             t1, w.alpha[(g12, g3)].integer, w.alpha[(g1, g2)].integer @ w.a0[g3].integer)
-        r_got, got = w.fiber_multiply_block(
+        r_got, got = w.fiber_multiply(
             t1, w.alpha[(g1, g23)].integer, w.a1[g1].integer @ w.alpha[(g2, g3)].integer)
         rep.expect_columns(f"({g1},{g2},{g3})", [
             ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
@@ -160,83 +159,81 @@ class ActionChart:
     representation.
 
     The arrow fiber over g is {(x, k) : ttilde(k) = A0(g) x}; its basis is
-    the object-fiber basis lifted through the leftmost-pivot section of
-    ttilde at tgt(g), followed by the kernel-chart basis of that ttilde."""
+    the object-fiber basis lifted through the leftmost-pivot section tau of
+    ttilde at tgt(g), followed by the kernel-chart basis of that ttilde.
+    Each arrow keeps two integer matrices: its decoder sends coordinates to
+    (x, k), and its encoder sends (x, k) to the residual
+    ``ttilde(k - tau A0 x)`` stacked on the coordinates, which are x and the
+    entries of ``k - tau A0 x`` at the kernel chart's free columns."""
 
     def __init__(self, w: WeakRepresentation):
         self.w = w
         g = w.groupoid
-        self.tau: dict[str, LinearMap] = {}
-        self.ker: dict[str, KernelChart] = {}
-        for x in g.objects:
-            tt = w.fiber_target(x)
-            self.tau[x] = linalg.right_inverse_on_image(tt)
-            self.ker[x] = linalg.kernel_chart(tt)
+        self.tau = {x: linalg.right_inverse_on_image(w.fiber_target(x)) for x in g.objects}
+        self.ker = {x: linalg.kernel_chart(w.fiber_target(x)) for x in g.objects}
+        self.encoder: dict[str, IntegerForm] = {}
+        self.decoder: dict[str, IntegerForm] = {}
+        for a in g.arrows:
+            n, t = w.objdim(g.src[a]), g.tgt[a]
+            ker, m = self.ker[t], w.arrdim(t)
+            lift = linalg.compose(self.tau[t], w.a0[a])
+            rem = linalg.hstack(-lift, LinearMap.identity(m))  # (x, k) -> k - tau A0 x
+            self.encoder[a] = linalg.vstack(
+                linalg.compose(ker.constraint, rem),
+                linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, m)),
+                linalg.compose(ker.coordinates.map(), rem)).integer
+            self.decoder[a] = linalg.vstack(
+                linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, len(ker.free))),
+                linalg.hstack(lift, ker.basis_map)).integer
 
-    def arrfiber_dim(self, g_arrow: str) -> int:
-        g = self.w.groupoid
-        return self.w.objdim(g.src[g_arrow]) + len(self.ker[g.tgt[g_arrow]].free)
-
-    def encode(self, g_arrow: str, x: Vector, k: Vector) -> Vector:
-        """Coordinates of a concrete pair in the chart basis."""
-        g = self.w.groupoid
-        t = g.tgt[g_arrow]
-        base = self.tau[t].apply(self.w.a0[g_arrow].apply(x))
-        rem = linalg.vec_sub(k, base)
-        coords = self.ker[t].coords(rem)
-        if coords is None:
+    def encode(self, g_arrow: str, x: IntegerForm, k: IntegerForm) -> IntegerForm:
+        """Coordinates of a block of pairs in the chart basis, one per column."""
+        residual, coords = (self.encoder[g_arrow] @ IntegerForm.stack(x, k)).split(
+            self.w.objdim(self.w.groupoid.tgt[g_arrow]))
+        if any(residual.nums):
             raise CompositionError(f"pair over {g_arrow} violates the fiber constraint")
-        return vec_concat(x, coords)
+        return coords
 
-    def decode(self, g_arrow: str, coords: Vector) -> tuple[Vector, Vector]:
-        g = self.w.groupoid
-        s, t = g.src[g_arrow], g.tgt[g_arrow]
-        n = self.w.objdim(s)
-        x, kc = coords[:n], coords[n:]
-        k = linalg.vec_add(self.tau[t].apply(self.w.a0[g_arrow].apply(x)),
-                           self.ker[t].from_coords(kc))
-        return x, k
+    def decode(self, g_arrow: str, coords: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+        """The pairs (x, k) with the coordinates of each column."""
+        return (self.decoder[g_arrow] @ coords).split(self.w.objdim(self.w.groupoid.src[g_arrow]))
 
 
 def action_groupoid_bundle(w: WeakRepresentation,
                            chart: ActionChart | None = None) -> VBGroupoid:
     """Action groupoid of a weak representation, as a VB-groupoid over the
-    acting groupoid in the coordinates of ``chart`` (default ``ActionChart(w)``)."""
+    acting groupoid in the coordinates of ``chart`` (default ``ActionChart(w)``).
+    Each table is a chain of block products on the fiber's identity block."""
     g = w.groupoid
     chart = chart or ActionChart(w)
     objdim = {x: w.objdim(x) for x in g.objects}
-    arrdim = {a: chart.arrfiber_dim(a) for a in g.arrows}
-    stilde, ttilde, utilde, inv_map = {}, {}, {}, {}
+    arrdim = {a: chart.decoder[a].cols for a in g.arrows}
+    stilde, ttilde, inv_map = {}, {}, {}
     for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        n = objdim[s]
-        stilde[a] = linalg.hstack(LinearMap.identity(n),
-                                  LinearMap.zero(n, arrdim[a] - n))
-        ttilde[a] = linalg.matrix_of(
-            lambda c: w.fiber_source(t).apply(chart.decode(a, c)[1]), arrdim[a], objdim[t])
-    for x in g.objects:
-        u = g.unit[x]
-        utilde[x] = linalg.matrix_of(
-            lambda xb: chart.encode(u, xb, w.fiber_unit(x).apply(xb)), objdim[x], arrdim[u])
+        # the source of (x, k) is x, its target the source of k
+        x, k = chart.decode(a, IntegerForm.identity(arrdim[a]))
+        stilde[a], ttilde[a] = x.map(), (w.fiber_source(g.tgt[a]).integer @ k).map()
+    utilde = {x: chart.encode(g.unit[x], IntegerForm.identity(objdim[x]),
+                              w.fiber_unit(x).integer).map()
+              for x in g.objects}
     for a in g.arrows:
-        b = g.inv[a]
-        s, t = g.src[a], g.tgt[a]
+        s, t, b = g.src[a], g.tgt[a], g.inv[a]
+        inv = w.fiber_inverse(s).integer
 
         def inverse_of(c):
             x, k = chart.decode(a, c)
-            gk = w.a1[b].apply(k)
-            cell = w.alpha[(b, a)].apply(x)
-            arrow = w.fiber_multiply(s, w.fiber_invert(s, gk), w.fiber_invert(s, cell))
-            return chart.encode(b, w.fiber_source(t).apply(k), arrow)
+            arrow = w.fiber_product(s, inv @ w.a1[b].integer @ k,
+                                    inv @ w.alpha[(b, a)].integer @ x)
+            return chart.encode(b, w.fiber_source(t).integer @ k, arrow)
 
-        inv_map[a] = linalg.matrix_of(inverse_of, arrdim[a], arrdim[b])
+        inv_map[a] = linalg.tabulate(inverse_of, IntegerForm.identity(arrdim[a]))
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
         _, k1 = chart.decode(g1, left)
         x2, k2 = chart.decode(g2, right)
-        inner = w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(x2), w.a1[g1].apply(k2))
-        return chart.encode(g.comp[(g1, g2)], x2, w.fiber_multiply(t1, inner, k1))
+        inner = w.fiber_product(t1, w.alpha[(g1, g2)].integer @ x2, w.a1[g1].integer @ k2)
+        return chart.encode(g.comp[(g1, g2)], x2, w.fiber_product(t1, inner, k1))
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
@@ -292,20 +289,20 @@ def validate_equivariant(e: EquivariantMap) -> Report:
         rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
                    linalg.compose(w.fiber_target(t), e.delta[a]))
         delta = e.delta[a].integer
-        r_want, want = w.fiber_multiply_block(t, w.a1[a].integer @ e.f1[s].integer,
-                                              delta @ v.fiber_source(s).integer)
-        r_got, got = w.fiber_multiply_block(t, delta @ v.fiber_target(s).integer,
-                                            e.f1[t].integer @ v.a1[a].integer)
+        r_want, want = w.fiber_multiply(t, w.a1[a].integer @ e.f1[s].integer,
+                                        delta @ v.fiber_source(s).integer)
+        r_got, got = w.fiber_multiply(t, delta @ v.fiber_target(s).integer,
+                                      e.f1[t].integer @ v.a1[a].integer)
         rep.expect_columns(a, [ColumnCheck("cell-naturality", want, got, (r_want, r_got),
                                            "composable cells")])
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
-        r_want, want = w.fiber_multiply_block(
+        r_want, want = w.fiber_multiply(
             t1, e.delta[g12].integer, e.f1[t1].integer @ v.alpha[(g1, g2)].integer)
-        r_inner, inner = w.fiber_multiply_block(
+        r_inner, inner = w.fiber_multiply(
             t1, w.alpha[(g1, g2)].integer @ e.f0[s2].integer,
             w.a1[g1].integer @ e.delta[g2].integer)
-        r_got, got = w.fiber_multiply_block(t1, inner, e.delta[g1].integer @ v.a0[g2].integer)
+        r_got, got = w.fiber_multiply(t1, inner, e.delta[g1].integer @ v.a0[g2].integer)
         rep.expect_columns(f"({g1},{g2})", [
             ColumnCheck("hexagon", want, got, (r_want, r_inner, r_got), "composable cells")])
     for x in g.objects:
@@ -330,13 +327,9 @@ def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMa
         raise CompositionError("equivariant map boundaries do not match")
     g = e1.source.groupoid
     x_rep = e2.target
-    delta = {}
-    for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        delta[a] = linalg.matrix_of(
-            lambda xb: x_rep.fiber_multiply(t, e2.delta[a].apply(e1.f0[s].apply(xb)),
-                                            e2.f1[t].apply(e1.delta[a].apply(xb))),
-            e1.source.objdim(s), x_rep.arrdim(t))
+    delta = {a: x_rep.fiber_product(g.tgt[a], e2.delta[a].integer @ e1.f0[g.src[a]].integer,
+                                    e2.f1[g.tgt[a]].integer @ e1.delta[a].integer).map()
+             for a in g.arrows}
     return EquivariantMap(
         e1.source, e2.target,
         {x: linalg.compose(e2.f0[x], e1.f0[x]) for x in g.objects},
@@ -360,8 +353,8 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
 
         def image(c):
             x, k = src_chart.decode(a, c)
-            arrow = e.target.fiber_multiply(t, e.delta[a].apply(x), e.f1[t].apply(k))
-            return tgt_chart.encode(a, e.f0[s].apply(x), arrow)
+            arrow = e.target.fiber_product(t, e.delta[a].integer @ x, e.f1[t].integer @ k)
+            return tgt_chart.encode(a, e.f0[s].integer @ x, arrow)
 
-        arr[a] = linalg.matrix_of(image, src_ag.arrdim[a], tgt_ag.arrdim[a])
+        arr[a] = linalg.tabulate(image, IntegerForm.identity(src_ag.arrdim[a]))
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

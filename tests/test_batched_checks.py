@@ -1,34 +1,52 @@
 """The whole-block validator checks against a per-basis-vector oracle.
 
 Each reference validator below checks every identity one basis vector at
-a time through ``VBGroupoid.multiply``, the way the validators did before
-they checked whole blocks of basis columns in integers.  Both must report
-the same entries (check, location, expected, actual) in the same order,
-on the fixtures, on seeded valid instances and on the mutants of every
-mutator.  A final test counts ``multiply`` calls: the validators make
-none, so no sweep slides back to the per-vector path unnoticed.
+a time, through its own product of one pair of ``Fraction`` vectors, the
+way the validators did before they checked whole blocks of basis columns
+in integers.  Both must report the same entries (check, location,
+expected, actual) in the same order, on the fixtures, on seeded valid
+instances and on the mutants of every mutator.  A final test counts
+``VBGroupoid.multiply`` calls: a validator or conversion makes as many on
+fibers of dimension 2 as on fibers of dimension 1, so none slides back to
+one product per basis vector unnoticed.
 """
 
 import random
 
 from ruthvb import linalg
 from ruthvb.errors import CompositionError, StructureError
-from ruthvb.groupoid import validate_groupoid
+from ruthvb.groupoid import pair_groupoid, validate_groupoid
 from ruthvb.harness import fixtures, generators as gen
 from ruthvb.linalg import LinearMap, kernel_basis
 from ruthvb.reports import Report
-from ruthvb.ruth import identity_morphism
+from ruthvb.ruth import Ruth, gauge_transport, identity_morphism
 from ruthvb.semidirect import psi_morphism, semidirect
-from ruthvb.twoterm import phi_twomorphism
+from ruthvb.twoterm import TwoTermComplex, phi_twomorphism
 from ruthvb.vb import (BundleTransformation, VBGroupoid, VBMap, identity_vb_map,
                        kernel_groupoid, validate_bundle_transformation, validate_vb,
                        validate_vb_map)
-from ruthvb.weak import (EquivariantMap, WeakRepresentation, identity_equivariant,
-                         validate_equivariant, validate_weak_representation)
+from ruthvb.weak import (EquivariantMap, WeakRepresentation, action_groupoid_bundle,
+                         identity_equivariant, validate_equivariant,
+                         validate_weak_representation)
 from ruthvb.equivalences import vb_to_wrep, wrep_from_ruth, wrep_from_ruth_morphism
 
 
 # -- the per-basis-vector oracle -----------------------------------------------
+
+def _multiply(v, g1, g2, a, b):
+    """The product of one composable pair of fiber vectors, read off the pair
+    operator applied to the one vector (a, b)."""
+    out = v.pair_operator(g1, g2).map().apply(tuple(a) + tuple(b))
+    split = v.objdim[v.base.src[g1]]
+    if any(out[:split]):
+        raise CompositionError(f"vectors over ({g1},{g2}) are not composable")
+    return out[split:]
+
+
+def _fiber_multiply(w, x, a, b):
+    u = w.bundle.base.unit[x]
+    return _multiply(w.bundle, u, u, a, b)
+
 
 def _expect_composable(rep, check, location, sides, label):
     try:
@@ -77,16 +95,16 @@ def reference_vb(v):
             vec = linalg.vec_basis(v.arrdim[a], i)
             ut = v.utilde[t].apply(v.ttilde[a].apply(vec))
             us = v.utilde[s].apply(v.stilde[a].apply(vec))
-            iv = v.invert(a, vec)
+            iv = v.inv_map[a].apply(vec)
             loc = f"{a} basis {i}"
             _expect_composable(rep, "left-unit-law", loc,
-                               lambda: (vec, v.multiply(g.unit[t], a, ut, vec)), str(vec))
+                               lambda: (vec, _multiply(v, g.unit[t], a, ut, vec)), str(vec))
             _expect_composable(rep, "right-unit-law", loc,
-                               lambda: (vec, v.multiply(a, g.unit[s], vec, us)), str(vec))
+                               lambda: (vec, _multiply(v, a, g.unit[s], vec, us)), str(vec))
             _expect_composable(rep, "right-inverse-law", loc,
-                               lambda: (ut, v.multiply(a, b, vec, iv)), "unit")
+                               lambda: (ut, _multiply(v, a, b, vec, iv)), "unit")
             _expect_composable(rep, "left-inverse-law", loc,
-                               lambda: (us, v.multiply(b, a, iv, vec)), "unit")
+                               lambda: (us, _multiply(v, b, a, iv, vec)), "unit")
     for (g1, g2, g3) in g.nerve_tuples(3):
         d1, d2, d3 = v.arrdim[g1], v.arrdim[g2], v.arrdim[g3]
         c1 = linalg.hstack(v.stilde[g1], -v.ttilde[g2], LinearMap.zero(v.objdim[g.src[g1]], d3))
@@ -95,8 +113,8 @@ def reference_vb(v):
             a1, a2, a3 = tb[:d1], tb[d1:d1 + d2], tb[d1 + d2:]
             _expect_composable(
                 rep, "associativity", f"({g1},{g2},{g3}) basis {idx}",
-                lambda: (v.multiply(g.comp[(g1, g2)], g3, v.multiply(g1, g2, a1, a2), a3),
-                         v.multiply(g1, g.comp[(g2, g3)], a1, v.multiply(g2, g3, a2, a3))),
+                lambda: (_multiply(v, g.comp[(g1, g2)], g3, _multiply(v, g1, g2, a1, a2), a3),
+                         _multiply(v, g1, g.comp[(g2, g3)], a1, _multiply(v, g2, g3, a2, a3))),
                 "composable products")
     return rep
 
@@ -126,9 +144,9 @@ def reference_vb_map(m):
             vv, ww = pb[:d1], pb[d1:]
             _expect_composable(
                 rep, "multiplicativity", f"({g1},{g2}) basis {idx}",
-                lambda: (tgt.multiply(m.base_arr[g1], m.base_arr[g2],
-                                      m.arr_maps[g1].apply(vv), m.arr_maps[g2].apply(ww)),
-                         m.arr_maps[g12].apply(src.multiply(g1, g2, vv, ww))),
+                lambda: (_multiply(tgt, m.base_arr[g1], m.base_arr[g2],
+                                   m.arr_maps[g1].apply(vv), m.arr_maps[g2].apply(ww)),
+                         m.arr_maps[g12].apply(_multiply(src, g1, g2, vv, ww))),
                 "composable images")
     return rep
 
@@ -149,10 +167,10 @@ def reference_bundle_transformation(t):
             vec = linalg.vec_basis(src.arrdim[ux], i)
             _expect_composable(
                 rep, "naturality", f"{x} basis {i}",
-                lambda: (tgt.multiply(uy, uy, t.to_map.arr_maps[ux].apply(vec),
-                                      t.comp[x].apply(src.stilde[ux].apply(vec))),
-                         tgt.multiply(uy, uy, t.comp[x].apply(src.ttilde[ux].apply(vec)),
-                                      t.from_map.arr_maps[ux].apply(vec))),
+                lambda: (_multiply(tgt, uy, uy, t.to_map.arr_maps[ux].apply(vec),
+                                   t.comp[x].apply(src.stilde[ux].apply(vec))),
+                         _multiply(tgt, uy, uy, t.comp[x].apply(src.ttilde[ux].apply(vec)),
+                                   t.from_map.arr_maps[ux].apply(vec))),
                 "composable")
     return rep
 
@@ -178,8 +196,8 @@ def reference_weak_representation(w):
             v1, v2 = pb[:d1], pb[d1:]
             _expect_composable(
                 rep, "action-multiplicative", f"{a} basis {idx}",
-                lambda: (w.fiber_multiply(t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
-                         w.a1[a].apply(w.fiber_multiply(s, v1, v2))),
+                lambda: (_fiber_multiply(w, t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
+                         w.a1[a].apply(_fiber_multiply(w, s, v1, v2))),
                 "composable images")
     for x in g.objects:
         u = g.unit[x]
@@ -198,10 +216,10 @@ def reference_weak_representation(w):
             vb = linalg.vec_basis(w.arrdim(s2), i)
             _expect_composable(
                 rep, "associator-naturality", f"{loc} basis {i}",
-                lambda: (w.fiber_multiply(t1, w.a1[g12].apply(vb),
-                                          cell.apply(w.fiber_source(s2).apply(vb))),
-                         w.fiber_multiply(t1, cell.apply(w.fiber_target(s2).apply(vb)),
-                                          w.a1[g1].apply(w.a1[g2].apply(vb)))),
+                lambda: (_fiber_multiply(w, t1, w.a1[g12].apply(vb),
+                                         cell.apply(w.fiber_source(s2).apply(vb))),
+                         _fiber_multiply(w, t1, cell.apply(w.fiber_target(s2).apply(vb)),
+                                         w.a1[g1].apply(w.a1[g2].apply(vb)))),
                 "composable cells")
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
@@ -210,10 +228,10 @@ def reference_weak_representation(w):
             xb = linalg.vec_basis(w.objdim(s3), i)
             _expect_composable(
                 rep, "pentagon", f"({g1},{g2},{g3}) basis {i}",
-                lambda: (w.fiber_multiply(t1, w.alpha[(g12, g3)].apply(xb),
-                                          w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb))),
-                         w.fiber_multiply(t1, w.alpha[(g1, g23)].apply(xb),
-                                          w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))),
+                lambda: (_fiber_multiply(w, t1, w.alpha[(g12, g3)].apply(xb),
+                                         w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb))),
+                         _fiber_multiply(w, t1, w.alpha[(g1, g23)].apply(xb),
+                                         w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))),
                 "composable cells")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
@@ -239,10 +257,10 @@ def reference_equivariant(e):
             vb = linalg.vec_basis(v.arrdim(s), i)
             _expect_composable(
                 rep, "cell-naturality", f"{a} basis {i}",
-                lambda: (w.fiber_multiply(t, w.a1[a].apply(e.f1[s].apply(vb)),
-                                          e.delta[a].apply(v.fiber_source(s).apply(vb))),
-                         w.fiber_multiply(t, e.delta[a].apply(v.fiber_target(s).apply(vb)),
-                                          e.f1[t].apply(v.a1[a].apply(vb)))),
+                lambda: (_fiber_multiply(w, t, w.a1[a].apply(e.f1[s].apply(vb)),
+                                         e.delta[a].apply(v.fiber_source(s).apply(vb))),
+                         _fiber_multiply(w, t, e.delta[a].apply(v.fiber_target(s).apply(vb)),
+                                         e.f1[t].apply(v.a1[a].apply(vb)))),
                 "composable cells")
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
@@ -250,12 +268,12 @@ def reference_equivariant(e):
             xb = linalg.vec_basis(v.objdim(s2), i)
             _expect_composable(
                 rep, "hexagon", f"({g1},{g2}) basis {i}",
-                lambda: (w.fiber_multiply(t1, e.delta[g12].apply(xb),
-                                          e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb))),
-                         w.fiber_multiply(
-                             t1,
-                             w.fiber_multiply(t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
-                                              w.a1[g1].apply(e.delta[g2].apply(xb))),
+                lambda: (_fiber_multiply(w, t1, e.delta[g12].apply(xb),
+                                         e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb))),
+                         _fiber_multiply(
+                             w, t1,
+                             _fiber_multiply(w, t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
+                                             w.a1[g1].apply(e.delta[g2].apply(xb))),
                              e.delta[g1].apply(v.a0[g2].apply(xb)))),
                 "composable cells")
     for x in g.objects:
@@ -449,11 +467,22 @@ def test_seeded_reports_and_mutants_match_the_per_basis_oracle():
     assert valid >= 500 and failing >= 400 and empty > 0 and not_composable > 0
 
 
-def test_validators_make_no_per_vector_multiply(monkeypatch):
-    """Operation count, independent of the machine: on every fixture, the
-    five validators read every product off whole-block integer products
-    and never call VBGroupoid.multiply."""
-    instances = _fixture_instances()
+def _pair_semidirect(n):
+    """The semi-direct product over the pair groupoid on x, y of a gauged
+    strict representation with both fibers of dimension n."""
+    g = pair_groupoid(["x", "y"])
+    dims = {x: n for x in g.objects}
+    c = TwoTermComplex(g.objects, dims, dims, {x: LinearMap.identity(n) for x in g.objects})
+    strict = Ruth(g, c, {a: LinearMap.identity(n) for a in g.arrows},
+                  {a: LinearMap.identity(n) for a in g.arrows},
+                  {pair: LinearMap.zero(n, n) for pair in g.comp})
+    return semidirect(gauge_transport(strict, *gen.random_gauge(random.Random(n), strict))[0])
+
+
+def test_multiply_count_does_not_grow_with_the_fiber(monkeypatch):
+    """Operation count, independent of the machine: validate_vb, vb_to_wrep
+    and action_groupoid_bundle call VBGroupoid.multiply as often on fibers
+    (2, 2) as on fibers (1, 1), because each product takes a whole block."""
     calls = []
     plain = VBGroupoid.multiply
 
@@ -461,9 +490,18 @@ def test_validators_make_no_per_vector_multiply(monkeypatch):
         calls.append(args[:2])
         return plain(self, *args)
 
+    def count(f, *args):
+        calls.clear()
+        return f(*args), len(calls)
+
     monkeypatch.setattr(VBGroupoid, "multiply", counting)
-    for obj in instances:
-        VALIDATORS[type(obj)][0](obj)
-    assert calls == []
-    vb_to_wrep(next(o for o in instances if isinstance(o, VBGroupoid)))
-    assert calls  # the counter does count: the conversion multiplies per vector
+    counts = []
+    for n in (1, 2):
+        v = _pair_semidirect(n)
+        assert set(v.objdim.values()) == {n} and set(v.arrdim.values()) == {2 * n}
+        _, checks = count(validate_vb, v)
+        res, conversions = count(vb_to_wrep, v)
+        _, actions = count(action_groupoid_bundle, res.wrep)
+        counts.append((checks, conversions, actions))
+    assert counts[0] == counts[1]
+    assert all(counts[0])

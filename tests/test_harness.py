@@ -1,12 +1,16 @@
 """Instance files, CLI verbs, determinism, and the mutation-kill harness."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ruthvb import linalg
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
@@ -373,6 +377,147 @@ def test_cli_report_verb(tmp_path, capsys):
     path.write_text(doc)
     assert main(["report", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def _fixture_doc(name: str) -> dict:
+    return json.loads((REPO_FIXTURES / f"{name}.json").read_text())
+
+
+def _repeated_compose_row() -> bytes:
+    doc = _fixture_doc("z2")
+    doc["payload"]["compose"].insert(0, ["g", "g", "g"])
+    return json.dumps(doc).encode()
+
+
+def _repeated_omega_row() -> bytes:
+    doc = _fixture_doc("z2-ruth-1")
+    omega = doc["payload"]["omega"]
+    omega.insert(0, [*omega[0][:2], {**omega[0][2], "entries": ["7"]}])
+    return json.dumps(doc).encode()
+
+
+def _repeated_unit_key() -> bytes:
+    text = json.dumps(_fixture_doc("z2"))
+    return text.replace('"units": {"*": "e"}', '"units": {"*": "g", "*": "e"}').encode()
+
+
+@pytest.mark.parametrize("content, named", [
+    (_repeated_compose_row(), "compose pair ('g', 'g') is stated twice"),
+    (_repeated_omega_row(), "omega pair ('e', 'e') is stated twice"),
+    (_repeated_unit_key(), "object key '*' is stated twice"),
+], ids=["compose-row", "omega-row", "units-key"])
+def test_cli_validate_repeated_key_exits_2(tmp_path, capsys, content, named):
+    """Each file would validate if its last statement of the key were read."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"parse error: {named}\n"
+
+
+# Files that the reader or the JSON parser cannot take: a UTF-16 byte order
+# mark, and arrays nested beyond the parser's depth at the top and inside
+# the payload.
+UNREADABLE = {
+    "utf16-bom": b"\xff\xfe" + (REPO_FIXTURES / "z2.json").read_bytes(),
+    "nested-top": b"[" * 200_000,
+    "nested-payload": json.dumps(_fixture_doc("z2")).replace(
+        '"payload": {', '"payload": ' + "[" * 5000 + "{", 1).encode(),
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "report"])
+@pytest.mark.parametrize("name", [*UNREADABLE, "directory"])
+def test_cli_unreadable_file_exits_2_with_one_line(tmp_path, capsys, verb, name):
+    path = tmp_path / "bad.json"
+    if name == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE[name])
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+class _Pairs(list):
+    """A JSON object as its list of (key, value) pairs, so a key may repeat."""
+
+
+def _dumps(node) -> str:
+    if isinstance(node, dict):
+        node = _Pairs(node.items())
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(x) for x in node) + "]"
+    return json.dumps(node)
+
+
+# Values that break types, shapes, identifiers, rationals and dimensions.
+HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.floats(allow_nan=False),
+    st.sampled_from([10 ** 9, 2 ** 64, "", "1/0", "0/0", "-2/4", "1e5", " 1", "1/" + "9" * 300,
+                     "*", "e", "g", "x", "7", [], {}, ["1"], {"rows": 1, "cols": 1}]),
+).map(copy.deepcopy)  # an edit may land inside a drawn list or object
+
+
+@st.composite
+def _hostile_files(draw) -> bytes:
+    """A fixture file with one to three edits, each at a random node: a value
+    replaced, removed, renamed, repeated or appended."""
+    doc = _fixture_doc(draw(st.sampled_from(sorted(p.stem for p in REPO_FIXTURES.glob("*.json")))))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while True:
+            inner = [k for k, v in (node.items() if isinstance(node, dict) else enumerate(node))
+                     if isinstance(v, (dict, list)) and not isinstance(v, _Pairs) and v]
+            if not inner or draw(st.booleans()):
+                break
+            parent, key = node, draw(st.sampled_from(inner))
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["replace", "remove", "rename", "repeat", "append"]))
+        k = draw(st.sampled_from(keys)) if keys else None
+        if op == "append" or k is None:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["extra", "rows", "kind", "*"]))] = draw(HOSTILE)
+            else:
+                node.append(draw(HOSTILE))
+        elif op == "replace":
+            node[k] = draw(HOSTILE)
+        elif op == "remove":
+            del node[k]
+        elif op == "rename" and isinstance(node, dict):
+            node[draw(st.sampled_from(["", "*", "g", "x", "rows", "objdim"]))] = node.pop(k)
+        elif isinstance(node, list):
+            node.insert(k, copy.deepcopy(node[draw(st.sampled_from(keys))]))
+        else:
+            twice = _Pairs([*node.items(), (k, draw(st.one_of(st.just(node[k]), HOSTILE)))])
+            if parent is None:
+                return _dumps(twice).encode()
+            parent[key] = twice
+    return _dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hostile_files())
+@example(_repeated_compose_row())
+@example(_repeated_omega_row())
+@example(_repeated_unit_key())
+@example(UNREADABLE["utf16-bom"])
+@example(UNREADABLE["nested-top"])
+@example(UNREADABLE["nested-payload"])
+@example(None)
+def test_cli_validate_answers_every_hostile_file(content):
+    """``validate`` on a damaged fixture, or on a directory (None), returns
+    an exit code and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hostile.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", str(path)]) in (0, 1, 2)
 
 
 ENTRY = {"check": "identity-4", "location": "(g,g,g)", "expected": "zero", "actual": "2"}

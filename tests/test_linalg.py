@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
-from ruthvb.errors import (DimensionError, NotInvertibleError,
+from ruthvb.errors import (CompositionError, DimensionError, NotInvertibleError,
                            NotSurjectiveError, StructureError)
-from ruthvb.linalg import (LinearForm, LinearMap, compose, inverse, kernel_basis,
-                           rank, right_inverse_on_image, solve)
+from ruthvb.linalg import (IntegerForm, LinearForm, LinearMap, compose, inverse,
+                           kernel_basis, rank, right_inverse_on_image, solve)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -79,9 +79,12 @@ def test_kernel_chart_coords_agree_with_solve(f, coeffs, off_kernel):
     if off_kernel:
         z = linalg.vec_add(z, linalg.vec_basis(f.cols, 0))
     want = solve(LinearMap.from_columns(list(chart.basis), f.cols), z)
-    assert chart.coords(z) == want
+    # a vector is in the kernel when the constraint kills it, and its
+    # coordinates are then its entries at the free columns
+    in_kernel = not any(chart.constraint.apply(z))
+    assert (chart.coordinates.map().apply(z) if in_kernel else None) == want
     if want is not None:
-        assert chart.from_coords(want) == z
+        assert chart.basis_map.apply(want) == z
 
 
 def test_right_inverse_identity():
@@ -116,6 +119,28 @@ def test_right_inverse_section_property(f):
 @given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
 def test_matrix_of_tabulates_a_map(m):
     assert linalg.matrix_of(m.apply, m.cols, m.rows) == m
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
+def test_tabulate_applies_a_block_rule_to_a_block(m):
+    assert linalg.tabulate(lambda b: m.integer @ b, IntegerForm.identity(m.cols)) == m
+    assert m.integer.map() == m
+
+
+def test_tabulate_raises_the_error_a_column_by_column_run_meets_first():
+    """Column 1 fails the first step and column 0 only the second: run
+    column by column, the rule fails first at column 0, in the second step."""
+    def rule(block):
+        if any(block.split(1)[1].nums):
+            raise CompositionError("first step")
+        if any(block.split(1)[0].nums):
+            raise CompositionError("second step")
+        return block
+
+    with pytest.raises(CompositionError, match="second step"):
+        linalg.tabulate(rule, IntegerForm.identity(2))
+    with pytest.raises(CompositionError, match="first step"):
+        linalg.tabulate(rule, IntegerForm(2, 1, (0, 1)))
 
 
 def test_linear_form_arithmetic_stores_only_nonzero_terms():
@@ -181,18 +206,13 @@ def sparse_matrix(rows, cols):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_zero_skipping_kernel_matches_dense_reference(rows, cols, data):
-    """apply, compose and from_coords give exactly the dense sums on every
-    shape up to 4 x 4, empty ones included, on Fraction vectors and on
-    vectors of forms."""
+    """apply and compose give exactly the dense sums on every shape up to
+    4 x 4, empty ones included, on Fraction vectors and on vectors of
+    forms."""
     m = data.draw(sparse_matrix(rows, cols))
     for scalars in (sparse_fractions, forms):
         v = tuple(data.draw(st.lists(scalars, min_size=cols, max_size=cols)))
         assert m.apply(v) == _dense_apply(m, v)
-        chart = linalg.kernel_chart(m)
-        c = tuple(data.draw(st.lists(scalars, min_size=len(chart.free),
-                                     max_size=len(chart.free))))
-        assert chart.from_coords(c) == tuple(
-            sum((x * b[i] for x, b in zip(c, chart.basis)), Fraction(0)) for i in range(cols))
     g = data.draw(st.integers(0, 4).flatmap(lambda k: sparse_matrix(cols, k)))
     assert compose(m, g) == _dense_compose(m, g)
 

@@ -21,6 +21,11 @@ from ruthvb.vb import (VBGroupoid, connection_report, find_unital_connection,
                        compose_vb_maps, identity_vb_map)
 
 
+def _column(vec):
+    """A fiber vector as a one-column block."""
+    return LinearMap.from_columns([tuple(vec)], len(vec)).integer
+
+
 def test_phi_object_is_valid_over_trivial_base():
     rng = random.Random(0)
     for _ in range(5):
@@ -54,20 +59,21 @@ def test_semidirect_multiplication_frozen_formula():
     f0 = Fraction(2)
     f1 = e1  # composability: e1 = delta f0 + lambda1_g f1 = -f1 -> f1 = -e1
     f1 = -e1
-    prod = v.multiply("g", "g", (e0, e1), (f0, f1))
-    assert prod == (e0 - f0 - f1, f1)
+    prod = v.product("g", "g", _column((e0, e1)), _column((f0, f1)))
+    assert prod.column(0) == (e0 - f0 - f1, f1)
 
 
 def test_multiply_rejects_non_composable_pair():
     # composable over (g, g) needs f1 = -e1, as in the frozen formula above
     v = semidirect(z2_ruth(1))
     with pytest.raises(CompositionError):
-        v.multiply("g", "g", (Fraction(5), Fraction(7)), (Fraction(2), Fraction(7)))
+        v.product("g", "g", _column((Fraction(5), Fraction(7))),
+                  _column((Fraction(2), Fraction(7))))
     # the base arrows do not compose: p:x>y:0 lands at y, p:x>x:0 starts at x
     v = semidirect(pair_strict_ruth())
     zero = (Fraction(0),) * 3
     with pytest.raises(CompositionError):
-        v.multiply("p:x>x:0", "p:x>y:0", zero, zero)
+        v.multiply("p:x>x:0", "p:x>y:0", _column(zero), _column(zero))
 
 
 def test_semidirect_units():
@@ -87,7 +93,7 @@ def test_semidirect_strict_degeneration():
         d0t = r.complex.dim0[g.tgt[a]]
         for pb in v.pair_basis(a, g.unit[g.src[a]]):
             vv, ww = pb[:v.arrdim[a]], pb[v.arrdim[a]:]
-            prod = v.multiply(a, g.unit[g.src[a]], vv, ww)
+            prod = v.product(a, g.unit[g.src[a]], _column(vv), _column(ww)).column(0)
             assert prod[:d0t] == tuple(x + y for x, y in zip(vv[:d0t], ww[:d0t]))
 
 
@@ -105,7 +111,7 @@ def test_semidirect_omega_sign_flip_breaks_associativity():
             f1 = pb[v.arrdim[g1] + d0_2:]
             out0 = linalg.vec_add(e0, r.lambda0[g1].apply(f0))
             out0 = linalg.vec_add(out0, r.omega[(g1, g2)].apply(f1))  # sign flip
-            cols.append(linalg.vec_concat(out0, f1))
+            cols.append(out0 + f1)
         flipped[(g1, g2)] = LinearMap.from_columns(
             cols, v.arrdim[r.groupoid.comp[(g1, g2)]])
     mutated = VBGroupoid(v.base, v.objdim, v.arrdim, v.stilde, v.ttilde,
@@ -224,8 +230,9 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 @given(st.data())
 def test_pair_coords_agree_with_solve(data):
     """Free-column coordinates equal a full solve against the pair basis, and
-    a pair is rejected exactly when that solve has no solution; multiply,
-    on one vector or on a block in integers, reads the product off them."""
+    a pair is rejected exactly when that solve has no solution; multiply
+    and product, on a one-column block in integers, read the product off
+    them."""
     v = data.draw(st.sampled_from(CHART_VBS))
     g1, g2 = data.draw(st.sampled_from(sorted(v.base.comp)))
     d1, d2 = v.arrdim[g1], v.arrdim[g2]
@@ -236,14 +243,14 @@ def test_pair_coords_agree_with_solve(data):
     if data.draw(st.booleans()):
         z = linalg.vec_add(z, tuple(data.draw(entries) for _ in range(d1 + d2)))
     want = linalg.solve(LinearMap.from_columns(list(basis), d1 + d2), z)
-    residual, product = v.multiply_block(
-        g1, g2, *LinearMap.from_columns([z], d1 + d2).integer.split(d1))
-    assert v.pair_chart(g1, g2).coords(z) == want
+    left, right = _column(z[:d1]), _column(z[d1:])
+    residual, product = v.multiply(g1, g2, left, right)
     if want is None:
         with pytest.raises(CompositionError):
-            v.multiply(g1, g2, z[:d1], z[d1:])
+            v.product(g1, g2, left, right)
         assert residual.nonzero_columns() == {0}
     else:
-        assert v.multiply(g1, g2, z[:d1], z[d1:]) == v.mult[(g1, g2)].apply(want)
+        assert v.pair_chart(g1, g2).coordinates.map().apply(z) == want
+        assert v.product(g1, g2, left, right).column(0) == v.mult[(g1, g2)].apply(want)
         assert residual.nonzero_columns() == set()
         assert product.column(0) == v.mult[(g1, g2)].apply(want)

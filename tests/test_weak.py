@@ -25,6 +25,11 @@ from ruthvb.equivalences import (reconstruct_equivariant, wrep_from_ruth,
                                  wrep_from_ruth_morphism)
 
 
+def _column(vec):
+    """A fiber vector as a one-column block."""
+    return LinearMap.from_columns([tuple(vec)], len(vec)).integer
+
+
 def test_wrep_of_fixtures_valid():
     for r in (z2_ruth(0), z2_ruth(1), sign_twisted_ruth(), pair_strict_ruth()):
         assert validate_weak_representation(wrep_from_ruth(r)).passed
@@ -164,11 +169,21 @@ def test_action_chart_encode_agrees_with_solve(data):
                         linalg.vec_sub(k, base))
     if want is None:
         with pytest.raises(CompositionError):
-            chart.encode(a, x, k)
+            chart.encode(a, _column(x), _column(k))
     else:
-        coords = chart.encode(a, x, k)
-        assert coords == linalg.vec_concat(x, want)
-        assert chart.decode(a, coords) == (x, k)
+        coords = chart.encode(a, _column(x), _column(k))
+        assert coords.column(0) == x + want
+        assert tuple(b.column(0) for b in chart.decode(a, coords)) == (x, k)
+
+
+def test_action_groupoid_raises_what_a_column_by_column_run_meets_first():
+    """On this free mutant the first failing basis column of a table breaks
+    the fiber constraint in the last step of its rule, while a later column
+    is not composable in an earlier step: the error is the first column's."""
+    w = gen.scramble_wrep(random.Random(3), gen.random_wrep(random.Random(3)))[0]
+    mutant, _ = gen.mutate_wrep_entry(random.Random(7), w)
+    with pytest.raises(CompositionError, match="pair over r1 violates the fiber constraint"):
+        action_groupoid_bundle(mutant)
 
 
 def _bump_first_entry(table, key):
