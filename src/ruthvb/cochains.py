@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .errors import DegreeError, StructureError
 from .groupoid import FiniteGroupoid
-from .linalg import LinearMap, Vector, rat, vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import ZERO, LinearMap, Vector, rat, vec_add, vec_scale, vec_sub, vec_zero
 from .twoterm import TwoTermComplex
 
 Key = tuple[str, ...]
@@ -84,13 +84,6 @@ class SectionCochain:
         dims = self.coeffs.dim0 if self.layer == 0 else self.coeffs.dim1
         return dims[obj]
 
-    def value_over(self, prefix_dropped_key: Key, obj: str) -> Vector:
-        """Value at a possibly-empty key; degree-0 lookups go through the
-        carrying object."""
-        if self.degree == 0:
-            return self.values[(obj,)]
-        return self.values[prefix_dropped_key]
-
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in v) for v in self.values.values())
 
@@ -141,28 +134,32 @@ def is_normalized(w) -> bool:
     return True
 
 
-def coboundary(f: ScalarCochain) -> ScalarCochain:
-    """Simplicial coboundary of scalar cochains.
+def faces(g: FiniteGroupoid, tup: Key) -> list[tuple[Key, int]]:
+    """The faces of a composable (k+1)-tuple as degree-k keys, each with its
+    sign in the coboundary: face 0 drops the first arrow (+1), face i
+    composes arrows i-1 and i ((-1)^i), and face k+1 drops the last
+    ((-1)^(k+1)).  The faces of one arrow are its source and its target
+    object.  This is the one statement of the simplicial sign convention."""
+    k = len(tup) - 1
+    if k == 0:
+        return [((g.src[tup[0]],), 1), ((g.tgt[tup[0]],), -1)]
+    inner = [(tup[:i - 1] + (g.compose(tup[i - 1], tup[i]),) + tup[i + 1:], -1 if i % 2 else 1)
+             for i in range(1, k + 1)]
+    return [(tup[1:], 1), *inner, (tup[:-1], -1 if k % 2 == 0 else 1)]
 
-    Degree 0: (df)(g) = f(src g) - f(tgt g).  Higher degrees alternate the
-    drop-first, contract, drop-last terms with sign (-1)^i and the final
-    (-1)^(n+1)."""
+
+def coboundary(f: ScalarCochain) -> ScalarCochain:
+    """Simplicial coboundary of scalar cochains: the signed sum of the
+    values at the faces (:func:`faces`).  Degree 0 gives
+    (df)(g) = f(src g) - f(tgt g)."""
     g = f.groupoid
     n = f.degree
     _check_degree(g, n + 1)
     out = {}
-    if n == 0:
-        for (a,) in g.nerve_tuples(1):
-            out[(a,)] = f.values[(g.src[a],)] - f.values[(g.tgt[a],)]
-        return ScalarCochain(g, 1, out)
     for tup in g.nerve_tuples(n + 1):
-        total = f.values[tup[1:]]
-        for i in range(1, n + 1):
-            contracted = tup[:i - 1] + (g.compose(tup[i - 1], tup[i]),) + tup[i + 1:]
-            term = f.values[contracted]
-            total = total + term if i % 2 == 0 else total - term
-        last = f.values[tup[:-1]]
-        total = total + last if (n + 1) % 2 == 0 else total - last
+        total = ZERO
+        for key, sign in faces(g, tup):
+            total = total + f.values[key] if sign > 0 else total - f.values[key]
         out[tup] = total
     return ScalarCochain(g, n + 1, out)
 
@@ -192,10 +189,9 @@ def star(w: SectionCochain, f: ScalarCochain) -> SectionCochain:
 
 
 def twisted_differential(lam: Mapping[str, LinearMap], w: SectionCochain) -> SectionCochain:
-    """Degree-one operator of a quasi-action on the coefficient layer:
-    the first argument acts through lam, interior arguments contract with
-    alternating signs, and the last argument is dropped with sign
-    (-1)^(k+1)."""
+    """Degree-one operator of a quasi-action on the coefficient layer: the
+    coboundary's signed sum over :func:`faces`, with the value at face 0
+    acted on by lam at the first argument."""
     g = w.groupoid
     k = w.degree
     _check_degree(g, k + 1)
@@ -204,13 +200,9 @@ def twisted_differential(lam: Mapping[str, LinearMap], w: SectionCochain) -> Sec
         raise StructureError("quasi-action table missing arrows")
     out = {}
     for tup in g.nerve_tuples(k + 1):
-        first = lam[tup[0]].apply(w.value_over(tup[1:], g.src[tup[0]]))
-        total = first
-        for i in range(1, k + 1):
-            contracted = tup[:i - 1] + (g.compose(tup[i - 1], tup[i]),) + tup[i + 1:]
-            term = w.values[contracted]
-            total = vec_add(total, term) if i % 2 == 0 else vec_sub(total, term)
-        last = w.value_over(tup[:-1], g.tgt[tup[0]])
-        total = vec_add(total, last) if (k + 1) % 2 == 0 else vec_sub(total, last)
+        (first, _), *rest = faces(g, tup)
+        total = lam[tup[0]].apply(w.values[first])
+        for key, sign in rest:
+            total = vec_add(total, w.values[key]) if sign > 0 else vec_sub(total, w.values[key])
         out[tup] = total
     return SectionCochain(g, w.coeffs, w.layer, k + 1, out)

@@ -372,8 +372,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, StructureError, FileNotFoundError,
-            IsADirectoryError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, StructureError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RuthVBError as exc:

@@ -10,10 +10,10 @@ column.  This makes downstream splittings and connections reproducible.
 
 Most matrices here are identity or zero blocks, so the kernels skip zero
 terms.  There are two multiply-accumulate loops.  :meth:`LinearMap.apply`
-multiplies one vector of ``Fraction`` s (or of :class:`LinearForm` s): it
-forms a product only where the matrix entry and the vector entry are both
-nonzero, takes the other factor as the term when one of them is 1, and
-starts each sum from its first term; ``compose`` runs on it.
+multiplies one vector of ``Fraction`` s: it forms a product only where the
+matrix entry and the vector entry are both nonzero, takes the other factor
+as the term when one of them is 1, and starts each sum from its first
+term; ``compose`` runs on it.
 ``IntegerForm @ IntegerForm`` multiplies whole blocks of columns in integer
 numerators over one common denominator, also only where both factors are
 nonzero; every map carries its integer form (:attr:`LinearMap.integer`),
@@ -96,79 +96,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 def vec_scale(c, a: Vector) -> Vector:
     c = rat(c)
     return tuple(c * x for x in a)
-
-
-class LinearForm:
-    """A sparse linear form sum_i c_i x_i with exact coefficients.
-
-    Forms stand in for scalars in vectors: ``Fraction`` returns
-    ``NotImplemented`` for them, so sums, differences and products by a
-    scalar reach the reflected operators here, and any linear rule written
-    for Fraction vectors also runs on vectors of forms.  Zero coefficients
-    are never stored, so a form equals 0, and is false, exactly when it has
-    no terms; the zero-skipping kernels rely on that.  Forms are immutable
-    by convention.
-    """
-
-    __slots__ = ("terms",)
-    __hash__ = None
-
-    def __init__(self, terms: dict[int, Fraction]):
-        self.terms = {i: c for i, c in terms.items() if c != 0}
-
-    @staticmethod
-    def variable(i: int) -> "LinearForm":
-        return LinearForm({i: ONE})
-
-    def _combine(self, other, sign: int):
-        if not isinstance(other, LinearForm):
-            if isinstance(other, (int, Fraction)) and other == 0:
-                return self
-            return NotImplemented
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            s = out.get(i, ZERO) + c if sign > 0 else out.get(i, ZERO) - c
-            if s:
-                out[i] = s
-            else:
-                del out[i]
-        form = LinearForm.__new__(LinearForm)
-        form.terms = out
-        return form
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._combine(other, 1)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm({i: -c for i, c in self.terms.items()})
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        return LinearForm({i: c * v for i, v in self.terms.items()} if c else {})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, LinearForm):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return other == 0 and not self.terms
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"LinearForm({self.terms})"
 
 
 # -- matrices ---------------------------------------------------------------
@@ -353,10 +280,8 @@ class LinearMap:
         return LinearMap(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def apply(self, v: Vector) -> Vector:
-        """The product of this map with v, skipping every zero term.
-
-        v may hold any scalars that are false exactly when zero, such as
-        :class:`LinearForm`; a coordinate with no nonzero term is ``ZERO``."""
+        """The product of this map with v, skipping every zero term; a
+        coordinate with no nonzero term is ``ZERO``."""
         if len(v) != self.cols:
             raise DimensionError(f"map with {self.cols} columns applied to length-{len(v)} vector")
         live = [(j, x) for j, x in enumerate(v) if x]

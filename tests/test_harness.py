@@ -438,6 +438,28 @@ def test_cli_unreadable_file_exits_2_with_one_line(tmp_path, capsys, verb, name)
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+# Paths that cannot be opened at all: a file used as a directory, a name
+# longer than the file system allows, and a symbolic link to itself.
+UNOPENABLE = {
+    "not-a-directory": lambda tmp: REPO_FIXTURES / "z2.json" / "x",
+    "name-too-long": lambda tmp: tmp / ("x" * 5000),
+    "symlink-loop": lambda tmp: _symlink_loop(tmp / "loop.json"),
+}
+
+
+def _symlink_loop(path):
+    path.symlink_to(path.name)
+    return path
+
+
+@pytest.mark.parametrize("verb", ["validate", "report"])
+@pytest.mark.parametrize("name", UNOPENABLE)
+def test_cli_unopenable_path_exits_2_with_one_line(tmp_path, capsys, verb, name):
+    assert main([verb, str(UNOPENABLE[name](tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 class _Pairs(list):
     """A JSON object as its list of (key, value) pairs, so a key may repeat."""
 

@@ -1,23 +1,32 @@
 """Representations up to homotopy: the four identities, morphisms, gauge
 transport, and the square-zero total operator."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ruthvb.cochains import ScalarCochain, SectionCochain, is_normalized
+from ruthvb.cochains import (ScalarCochain, SectionCochain, is_normalized,
+                             twisted_differential)
+from ruthvb.equivalences import wrep_from_ruth
 from ruthvb.errors import (CompositionError, DegreeError, NotInvertibleError,
                            StructureError)
-from ruthvb.groupoid import pair_groupoid, z2_groupoid
+from ruthvb.groupoid import (cyclic_groupoid, pair_groupoid, transitive_groupoid,
+                             z2_groupoid)
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (pair_strict_ruth, stretched_line_ruth,
                                      z2_ruth, z2_ruth_broken4)
-from ruthvb.linalg import LinearForm, LinearMap
+from ruthvb.linalg import LinearMap
 from ruthvb.ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
-                         compose_morphisms, gauge_transport, generic_element,
-                         identity_morphism, invert_morphism, square_is_zero,
-                         total_operator, validate_morphism, validate_ruth)
+                         common_denominator, compose_morphisms, gauge_transport,
+                         identity_morphism, invert_morphism, operator_columns,
+                         square_is_zero, total_operator, validate_morphism,
+                         validate_ruth)
+from ruthvb.semidirect import semidirect
+from ruthvb.vb import validate_vb
+from ruthvb.weak import validate_weak_representation
 
 
 def _total_basis(r, n):
@@ -165,6 +174,14 @@ def test_total_operator_degree_bound():
         total_operator(r, c)
 
 
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3])
+def test_square_zero_needs_nerve_degree_4(max_degree):
+    r = z2_ruth(1)
+    r.groupoid.max_degree = max_degree
+    with pytest.raises(DegreeError, match=f"total degree {max_degree + 1} exceeds"):
+        square_is_zero(r)
+
+
 def test_square_zero_iff_identities_by_mutation():
     rng = random.Random(11)
     hits = 0
@@ -188,19 +205,30 @@ def _coordinates(c: TotalCochain) -> list:
             for v in part.values.values() for e in v]
 
 
-def _terms(e) -> dict:
-    """The stored terms of a coordinate of an operator applied to forms;
-    a coordinate that is not a form must be the scalar 0."""
-    if isinstance(e, LinearForm):
-        return e.terms
-    assert e == 0, e
-    return {}
+def _reference_operator(r, c: TotalCochain) -> TotalCochain:
+    """D at the cochain level: the twisted differentials of both layers,
+    omega inserted at the first two arguments, and diff post-composed."""
+    g, co = r.groupoid, r.complex
+    n = c.degree
+    out0 = twisted_differential(r.lambda0, c.part0)
+    out1 = SectionCochain(g, co, 1, n, {tup: co.diff[g.tuple_target(tup, n)].apply(v)
+                                        for tup, v in c.part0.values.items()})
+    if c.part1 is not None:
+        w1 = c.part1.values
+        out0 = out0 + SectionCochain(g, co, 0, n + 1, {
+            tup: r.omega[tup[:2]].apply(w1[tup[2:] if n > 1 else (g.src[tup[1]],)])
+            for tup in g.nerve_tuples(n + 1)})
+        out1 = out1 - twisted_differential(r.lambda1, c.part1)
+    return TotalCochain(out0, out1)
 
 
-def test_generic_element_tabulates_the_operator():
-    """Column i of D(x) and of D(D(x)), for x the generic element of total
-    degree n <= 2, is D resp. D(D) of basis element i: every coordinate
-    form stores exactly the nonzero entries of its row."""
+def _dense(column: dict, den: int, size: int) -> list:
+    return [Fraction(column.get(j, 0), den) for j in range(size)]
+
+
+def test_operator_columns_match_the_cochain_level_reference():
+    """Column i of the tabulated D_n and of D_{n+1} D_n, for total degree
+    n <= 2, is the reference D resp. D(D) of basis element i."""
     rng = random.Random(13)
     instances = []
     while len(instances) < 16:
@@ -208,18 +236,19 @@ def test_generic_element_tabulates_the_operator():
         mut = gen.mutate_ruth_entry(rng, r)
         instances += [r] + ([mut[0]] if mut else [])
     for r in instances:
+        den = common_denominator(r)
         for n in range(3):
-            basis = _total_basis(r, n)
-            x = generic_element(r, n)
-            assert [_terms(e) for e in _coordinates(x)] == [{i: 1} for i in range(len(basis))]
-            dx = total_operator(r, x)
-            for got, columns in ((dx, [total_operator(r, b) for b in basis]),
-                                 (total_operator(r, dx),
-                                  [total_operator(r, total_operator(r, b)) for b in basis])):
-                columns = [_coordinates(col) for col in columns]
-                for j, e in enumerate(_coordinates(got)):
-                    assert _terms(e) == {i: col[j] for i, col in enumerate(columns)
-                                         if col[j] != 0}, (n, j)
+            d_n, d_next = operator_columns(r, n), operator_columns(r, n + 1)
+            for i, b in enumerate(_total_basis(r, n)):
+                once = _reference_operator(r, b)
+                twice = _coordinates(_reference_operator(r, once))
+                assert total_operator(r, b) == once, (n, i)
+                assert _dense(d_n[i], den, len(_coordinates(once))) == _coordinates(once), (n, i)
+                product: dict = {}
+                for k, x in d_n[i].items():
+                    for j, y in d_next[k].items():
+                        product[j] = product.get(j, 0) + x * y
+                assert _dense(product, den * den, len(twice)) == twice, (n, i)
 
 
 def test_square_zero_agrees_with_the_identities_on_free_mutants():
@@ -241,6 +270,68 @@ def test_square_zero_agrees_with_the_identities_on_free_mutants():
             assert square_is_zero(instance).passed == identities_hold, desc
             survivors += identities_hold
     assert survivors > 0
+
+
+def test_four_detectors_agree_on_free_mutants():
+    """The square-zero test agrees with the structure identities, and the
+    semi-direct VB axioms and the weak-representation axioms agree with
+    the whole of validate_ruth, on free single-entry mutants."""
+    rng = random.Random(14)
+    mutants = failing = 0
+    while mutants < 300:
+        r = gen.random_ruth(rng, gen.random_groupoid(rng, 3, 6), max_dim=2)
+        for _ in range(3):
+            mut = gen.mutate_ruth_entry(rng, r)
+            if mut is None:
+                break
+            instance, desc = mut
+            mutants += 1
+            rep = validate_ruth(instance)
+            identities_hold = not any(e.check.startswith("identity-") for e in rep.entries)
+            assert square_is_zero(instance).passed == identities_hold, desc
+            assert validate_vb(semidirect(instance, validate=False)).passed == rep.passed, desc
+            wrep = wrep_from_ruth(instance, validate=False)
+            assert validate_weak_representation(wrep).passed == rep.passed, desc
+            failing += not rep.passed
+    assert 0 < failing < mutants
+
+
+def _shaped_ruth(key: str, g, dims):
+    """The first valid representation over g, drawn from sub-seeds of key,
+    with fiber dimensions dims = (dim0, dim1) at every object; and the rng
+    that drew it."""
+    for attempt in range(10_000):
+        rng = random.Random(f"{key}/{attempt}")
+        strict = gen.random_strict_ruth(rng, g, max(dims))
+        if all((strict.complex.dim0[x], strict.complex.dim1[x]) == dims for x in g.objects):
+            return gauge_transport(strict, *gen.random_gauge(rng, strict))[0], rng
+    raise AssertionError(f"no shape {dims} over {key}")
+
+
+# sha256 of each report's to_dict(), as JSON with sorted keys: the valid
+# instance, then three free mutants.  The C8 mutants break the same 164
+# basis columns.
+PASS_DIGEST = "8a5cb0610074b1adc878b59290c00cc6b984b90dd648698e96ffcc2943a8a780"
+ABOVE_DESK_C8 = (PASS_DIGEST,) + (
+    "5ad8978ecbfb826ea600aa7e337db3395856cf62ea89267839a9b163ed7bb6cc",) * 3
+ABOVE_DESK_T3I2 = (PASS_DIGEST,
+                   "1c032bf37cbe8094af96d666643ff8d0e5c0d401f9139714f493055047fbcc1f",
+                   "d9d1aac2a5162590237bde3992fb43e319783cf83d5f7f5eea51fd43a186d74f",
+                   "d9d1aac2a5162590237bde3992fb43e319783cf83d5f7f5eea51fd43a186d74f")
+ABOVE_DESK = {
+    "c8": (cyclic_groupoid(8), (2, 2), ABOVE_DESK_C8),
+    "t3i2": (transitive_groupoid(["x", "y", "z"], 2), (2, 1), ABOVE_DESK_T3I2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_DESK))
+def test_square_zero_reports_above_desk_scale(name):
+    g, dims, pinned = ABOVE_DESK[name]
+    r, rng = _shaped_ruth(name, g, dims)
+    instances = [r] + [gen.mutate_ruth_entry(rng, r)[0] for _ in range(3)]
+    digests = [hashlib.sha256(json.dumps(square_is_zero(x).to_dict(), sort_keys=True)
+                              .encode()).hexdigest() for x in instances]
+    assert digests == list(pinned)
 
 
 def test_leibniz_on_bases():
