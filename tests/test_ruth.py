@@ -226,9 +226,10 @@ def _dense(column: dict, den: int, size: int) -> list:
     return [Fraction(column.get(j, 0), den) for j in range(size)]
 
 
-def test_operator_columns_match_the_cochain_level_reference():
-    """Column i of the tabulated D_n and of D_{n+1} D_n, for total degree
-    n <= 2, is the reference D resp. D(D) of basis element i."""
+def test_generic_element_tabulates_the_operator():
+    """D applied to the generic element sum_i x_i b_i of total degree
+    n <= 2 is the table operator_columns: column i of D_n and of
+    D_{n+1} D_n is the reference D resp. D(D) of basis element i."""
     rng = random.Random(13)
     instances = []
     while len(instances) < 16:
