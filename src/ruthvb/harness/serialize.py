@@ -164,7 +164,6 @@ def load_instance(text: str, expect_kind: str | None = None):
         obj = _CODECS[kind].decode(doc["payload"], "payload")
     except StructureError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
-            RuthVBError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RuthVBError) as exc:
         raise StructureError(f"malformed {kind} payload: {exc}") from exc
     return kind, obj, doc.get("metadata", {})

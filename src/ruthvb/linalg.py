@@ -8,21 +8,27 @@ reduce with the leftmost pivot in the earliest row, set free variables
 to zero, and emit one kernel vector per free column with entry 1 at that
 column.  This makes downstream splittings and connections reproducible.
 
+A map holds its entries as integers: its canonical integer form
+(:attr:`LinearMap.integer`), numerators over the lcm of the entries'
+denominators, so that equal maps have equal forms and ``==`` and ``hash``
+read the integers.  ``compose``, sums, negation, stacks and blocks run on
+the integers, and :meth:`IntegerForm.map` makes a result canonical with
+one gcd.  :attr:`LinearMap.entries` reads the entries as ``Fraction`` s,
+built on first use, where text or single vectors need them.
+
 Most matrices here are identity or zero blocks, so the kernels skip zero
-terms.  There are two multiply-accumulate loops.  :meth:`LinearMap.apply`
-multiplies one vector of ``Fraction`` s: it forms a product only where the
-matrix entry and the vector entry are both nonzero, takes the other factor
-as the term when one of them is 1, and starts each sum from its first
-term; ``compose`` runs on it.
-``IntegerForm @ IntegerForm`` multiplies whole blocks of columns in integer
-numerators over one common denominator, also only where both factors are
-nonzero; every map carries its integer form (:attr:`LinearMap.integer`),
-computed once, :meth:`IntegerForm.map` reads a block back as a map, and
-:func:`tabulate` applies a rule on blocks to one identity or basis block.
-The row reduction is fraction-free Gauss-Jordan elimination on the integer
-form, so it divides only exactly.  ``vec_add`` and ``vec_sub`` pass zero
-operands through.  A skipped term is an exact zero, so every result is the
-same exact ``Fraction`` the dense sums give.
+terms.  ``IntegerForm @ IntegerForm`` multiplies whole blocks of columns
+in integer numerators over one common denominator, forming a term only
+where both factors are nonzero, and :func:`tabulate` applies a rule on
+blocks to one identity or basis block.  One ``Fraction`` loop is left:
+:meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s, forms a
+product only where the matrix entry and the vector entry are both
+nonzero, takes the other factor as the term when one of them is 1, and
+starts each sum from its first term.  The row reduction is fraction-free
+Gauss-Jordan elimination on the integer form, so it divides only exactly.
+``vec_add`` and ``vec_sub`` pass zero operands through.  A skipped term is
+an exact zero, so every result is the same exact rational the dense sums
+give.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ def rat(value) -> Fraction:
     """Coerce ints, strings ``"p/q"`` or ``"p"``, or Fractions to a Fraction.
     Booleans are refused, so an instance file cannot smuggle one in as 0 or 1,
     and so is a string of any other form or with more than ``MAX_DIGITS``
-    digits on either side."""
+    digits on either side, or with a zero denominator."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -67,6 +73,8 @@ def rat(value) -> Fraction:
             raise ValueError(f"{value!r:.40} is not a rational p/q of at most "
                              f"{MAX_DIGITS} digits each")
         num, den = literal.groups()
+        if den is not None and not int(den):
+            raise ValueError(f"{value!r:.40} has a zero denominator")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -101,19 +109,26 @@ def vec_scale(c, a: Vector) -> Vector:
 # -- matrices ---------------------------------------------------------------
 
 def _ratio(num: int, den: int) -> Fraction:
-    return Fraction(num, den) if num else ZERO
+    return ZERO if not num else Fraction(num) if den == 1 else Fraction(num, den)
 
 
-@dataclass(frozen=True)
+def _over_lcm(forms: Sequence["IntegerForm"]) -> tuple[int, list[Sequence[int]]]:
+    """The lcm of the forms' denominators, and each form's numerators over it."""
+    dens = [f.den for f in forms]
+    den = dens[0] if dens.count(dens[0]) == len(dens) else math.lcm(*dens)
+    return den, [f.nums if f.den == den else [den // f.den * x for x in f.nums] for f in forms]
+
+
+@dataclass(frozen=True, init=False)
 class IntegerForm:
     """A rational matrix in integers: entry (i, j) is ``nums[i * cols + j] / den``
     over one positive common denominator.
 
-    The form of a :class:`LinearMap` (:attr:`LinearMap.integer`) is
-    canonical, with ``den`` the lcm of its entries' denominators.  A
-    product's denominator is the product of its factors', exact but not
-    necessarily the least one, so two forms are compared by
-    :meth:`unequal_columns`, not by ``==``.
+    A :class:`LinearMap` holds the canonical form (:attr:`LinearMap.integer`),
+    with ``den`` the lcm of its entries' denominators.  A product's
+    denominator is the product of its factors', exact but not necessarily
+    the least one, so two forms are compared by :meth:`unequal_columns`, or
+    made canonical by :meth:`map`, not compared by ``==``.
     """
 
     rows: int
@@ -121,9 +136,21 @@ class IntegerForm:
     nums: tuple[int, ...]
     den: int = 1
 
+    def __init__(self, rows: int, cols: int, nums: tuple[int, ...], den: int = 1):
+        # The generated __init__ of a frozen dataclass sets each field through
+        # object.__setattr__; writing the instance dict does the same at half
+        # the cost, and this is the kernel's most-built object.
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
+        fields["nums"] = nums
+        fields["den"] = den
+
     @staticmethod
     def identity(n: int) -> "IntegerForm":
-        return IntegerForm(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        nums = [0] * (n * n)
+        nums[::n + 1] = [1] * n
+        return IntegerForm(n, n, tuple(nums))
 
     @staticmethod
     def stack(top: "IntegerForm", bottom: "IntegerForm") -> "IntegerForm":
@@ -132,10 +159,8 @@ class IntegerForm:
             raise DimensionError("stack needs equal column counts")
         if top.den == bottom.den:
             return IntegerForm(top.rows + bottom.rows, top.cols, top.nums + bottom.nums, top.den)
-        den = math.lcm(top.den, bottom.den)
-        p, q = den // top.den, den // bottom.den
-        return IntegerForm(top.rows + bottom.rows, top.cols,
-                           tuple([p * x for x in top.nums] + [q * x for x in bottom.nums]), den)
+        den, (a, b) = _over_lcm((top, bottom))
+        return IntegerForm(top.rows + bottom.rows, top.cols, (*a, *b), den)
 
     def split(self, k: int) -> tuple["IntegerForm", "IntegerForm"]:
         """The first k rows and the rest."""
@@ -163,8 +188,12 @@ class IntegerForm:
         return IntegerForm(self.rows, n, tuple(out), self.den * other.den)
 
     def map(self) -> "LinearMap":
-        """This block as a map of ``Fraction`` s."""
-        return LinearMap(self.rows, self.cols, tuple(_ratio(x, self.den) for x in self.nums))
+        """This block as a map: the canonical form, from one gcd."""
+        g = math.gcd(self.den, *self.nums)
+        if g == 1:
+            return LinearMap._held(self)
+        return LinearMap._held(IntegerForm(self.rows, self.cols,
+                                          tuple(x // g for x in self.nums), self.den // g))
 
     def column(self, k: int) -> Vector:
         return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
@@ -187,21 +216,61 @@ class IntegerForm:
         return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
 
 
-@dataclass(frozen=True)
 class LinearMap:
-    """Dense exact matrix, row-major.  Immutable and hashable."""
+    """Dense exact matrix, row-major.  Immutable and hashable.
+
+    Its data is its canonical integer form :attr:`integer`: numerators over
+    the lcm of the entries' denominators, so ``gcd(den, *nums) == 1`` and
+    equal maps have equal forms; ``==`` and ``hash`` compare forms.
+    ``LinearMap(rows, cols, entries)`` builds a map from its entries, and
+    :meth:`IntegerForm.map` from a block of integers.  :attr:`entries`
+    reads the entries as ``Fraction`` s: those the map was built from, or,
+    for a map built from integers, a view built on first use.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    integer: IntegerForm
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise DimensionError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimensionError(
-                f"{self.rows}x{self.cols} map needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}")
+                f"{rows}x{cols} map needs {rows * cols} entries, got {len(entries)}")
+        den = 1
+        for e in entries:
+            if den % e.denominator:
+                den = math.lcm(den, e.denominator)
+        nums = tuple([e.numerator for e in entries] if den == 1 else
+                     [e.numerator * (den // e.denominator) for e in entries])
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
+        fields["integer"] = IntegerForm(rows, cols, nums, den)
+        fields["entries"] = entries
+
+    @staticmethod
+    def _held(form: IntegerForm) -> "LinearMap":
+        """The map whose canonical integer form is ``form``."""
+        m = object.__new__(LinearMap)
+        fields = m.__dict__
+        fields["rows"] = form.rows
+        fields["cols"] = form.cols
+        fields["integer"] = form
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearMap is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return self.integer == other.integer
+
+    def __hash__(self):
+        return hash(self.integer)
 
     # construction ----------------------------------------------------------
 
@@ -214,70 +283,65 @@ class LinearMap:
             if len(row) != c:
                 raise DimensionError("ragged rows")
             ent.extend(rat(x) for x in row)
-        return LinearMap(r, c, tuple(ent))
+        return LinearMap(r, c, ent)
 
     @staticmethod
     def from_columns(cols: Sequence[Vector], rows: int) -> "LinearMap":
         for col in cols:
             if len(col) != rows:
                 raise DimensionError("column has wrong length")
-        ent = tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
-        return LinearMap(rows, len(cols), ent)
+        return LinearMap(rows, len(cols), [cols[j][i] for i in range(rows)
+                                           for j in range(len(cols))])
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
-        return LinearMap(n, n, tuple(ONE if i == j else ZERO
-                                     for i in range(n) for j in range(n)))
+        return IntegerForm.identity(n).map()
 
     @staticmethod
     def zero(rows: int, cols: int) -> "LinearMap":
-        return LinearMap(rows, cols, (ZERO,) * (rows * cols))
+        return IntegerForm(rows, cols, (0,) * (rows * cols)).map()
 
     # access ----------------------------------------------------------------
 
     @cached_property
-    def integer(self) -> IntegerForm:
-        """This map's canonical integer form, computed on first use.  It is not
-        a field, so it takes no part in ``==`` or ``hash``."""
-        den = 1
-        for e in self.entries:
-            if den % e.denominator:
-                den = math.lcm(den, e.denominator)
-        nums = tuple(e.numerator if den == 1 else e.numerator * (den // e.denominator)
-                     for e in self.entries)
-        return IntegerForm(self.rows, self.cols, nums, den)
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction`` s, for text and single vectors; the
+        constructor sets them for a map built from them."""
+        den = self.integer.den
+        return tuple(_ratio(x, den) for x in self.integer.nums)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def with_entry(self, i: int, j: int, value) -> "LinearMap":
         ent = list(self.entries)
         ent[i * self.cols + j] = rat(value)
-        return LinearMap(self.rows, self.cols, tuple(ent))
+        return LinearMap(self.rows, self.cols, ent)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":
-        ent = tuple(self.entry(i, j) for i in range(r0, r1) for j in range(c0, c1))
-        return LinearMap(r1 - r0, c1 - c0, ent)
+        nums, cols = self.integer.nums, self.cols
+        return IntegerForm(r1 - r0, c1 - c0,
+                           tuple(x for i in range(r0, r1)
+                                 for x in nums[i * cols + c0:i * cols + c1]),
+                           self.integer.den).map()
 
     # algebra ---------------------------------------------------------------
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sum")
-        return LinearMap(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den, (a, b) = _over_lcm((self.integer, other.integer))
+        return IntegerForm(self.rows, self.cols, tuple(x + y for x, y in zip(a, b)), den).map()
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in difference")
-        return LinearMap(self.rows, self.cols,
-                         tuple(a - b for a, b in zip(self.entries, other.entries)))
+        den, (a, b) = _over_lcm((self.integer, other.integer))
+        return IntegerForm(self.rows, self.cols, tuple(x - y for x, y in zip(a, b)), den).map()
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.rows, self.cols, tuple(-a for a in self.entries))
+        f = self.integer
+        return IntegerForm(f.rows, f.cols, tuple(-x for x in f.nums), f.den).map()
 
     def apply(self, v: Vector) -> Vector:
         """The product of this map with v, skipping every zero term; a
@@ -297,12 +361,12 @@ class LinearMap:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.integer.nums)
 
     def is_identity(self) -> bool:
-        n = self.cols
-        return self.rows == n and all(a == 1 if k % (n + 1) == 0 else not a
-                                      for k, a in enumerate(self.entries))
+        n, f = self.cols, self.integer
+        return self.rows == n and f.den == 1 and all(
+            x == 1 if k % (n + 1) == 0 else not x for k, x in enumerate(f.nums))
 
     def __repr__(self):
         rows = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
@@ -310,12 +374,10 @@ class LinearMap:
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Matrix product f*g, i.e. the map applying g first: column j is f
-    applied to column j of g."""
+    """Matrix product f*g, i.e. the map applying g first."""
     if f.cols != g.rows:
         raise DimensionError(f"cannot compose {f.rows}x{f.cols} after {g.rows}x{g.cols}")
-    return LinearMap.from_columns([f.apply(g.entries[j::g.cols]) for j in range(g.cols)],
-                                  f.rows)
+    return (f.integer @ g.integer).map()
 
 
 def matrix_of(rule: Callable[[Vector], Vector], cols: int, rows: int) -> LinearMap:
@@ -340,21 +402,21 @@ def hstack(*maps: LinearMap) -> LinearMap:
     rows = maps[0].rows
     if any(m.rows != rows for m in maps):
         raise DimensionError("hstack needs equal row counts")
-    ent = []
+    den, parts = _over_lcm([m.integer for m in maps])
+    nums = []
     for i in range(rows):
-        for m in maps:
-            ent.extend(m.row(i))
-    return LinearMap(rows, sum(m.cols for m in maps), tuple(ent))
+        for m, part in zip(maps, parts):
+            nums.extend(part[i * m.cols:(i + 1) * m.cols])
+    return IntegerForm(rows, sum(m.cols for m in maps), tuple(nums), den).map()
 
 
 def vstack(*maps: LinearMap) -> LinearMap:
     cols = maps[0].cols
     if any(m.cols != cols for m in maps):
         raise DimensionError("vstack needs equal column counts")
-    ent = []
-    for m in maps:
-        ent.extend(m.entries)
-    return LinearMap(sum(m.rows for m in maps), cols, tuple(ent))
+    den, parts = _over_lcm([m.integer for m in maps])
+    return IntegerForm(sum(m.rows for m in maps), cols,
+                       tuple(x for part in parts for x in part), den).map()
 
 
 def direct_sum(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -495,10 +557,10 @@ def right_inverse_on_image(f: LinearMap) -> LinearMap:
     blocked = [pc - f.cols for pc in pivots if pc >= f.cols]
     if blocked:
         raise NotSurjectiveError(f"no preimage for basis vector {blocked[0]}")
-    ent = [ZERO] * (f.cols * f.rows)
+    nums = [0] * (f.cols * f.rows)
     for r, pc in enumerate(pivots):
-        ent[pc * f.rows:(pc + 1) * f.rows] = [_ratio(x, d) for x in a[r][f.cols:]]
-    return LinearMap(f.cols, f.rows, tuple(ent))
+        nums[pc * f.rows:(pc + 1) * f.rows] = a[r][f.cols:]
+    return IntegerForm(f.cols, f.rows, tuple(nums), d).map()
 
 
 def inverse(f: LinearMap) -> LinearMap:

@@ -4,8 +4,9 @@ A VB-groupoid assigns a rational vector space to every object and arrow of
 the base groupoid, with linear structure maps covering the base structure
 maps.  Multiplication is stored per composable pair of base arrows as one
 linear map on the fibered-product subspace, whose canonical basis is the
-deterministic kernel basis of ``[stilde_g | -ttilde_h]``.  Each pair keeps
-the kernel chart of that constraint: a pair (v, w) is composable when
+deterministic kernel basis of ``[stilde_g | -ttilde_h]``.  Each pair reads
+the kernel chart of that constraint, row-reduced once for all pairs with
+the same two maps: a pair (v, w) is composable when
 ``stilde_g v = ttilde_h w``, and its coordinates are then its entries at
 the chart's free columns, so a product needs no row reduction.  Next to
 the chart each pair keeps its pair operator, the constraint stacked on the
@@ -54,7 +55,7 @@ class VBGroupoid:
     utilde: dict[str, LinearMap]
     inv_map: dict[str, LinearMap]
     mult: dict[tuple[str, str], LinearMap]
-    _pair_charts: dict[tuple[str, str], KernelChart] = field(
+    _pair_charts: dict[tuple[LinearMap, LinearMap], KernelChart] = field(
         default_factory=dict, init=False, compare=False)
     _pair_operators: dict[tuple[str, str], IntegerForm] = field(
         default_factory=dict, init=False, compare=False)
@@ -90,14 +91,15 @@ class VBGroupoid:
     # -- fibered products -----------------------------------------------------
 
     def pair_chart(self, g1: str, g2: str) -> KernelChart:
-        """The kernel chart of ``[stilde_g1 | -ttilde_g2]``, cached."""
-        key = (g1, g2)
-        if key not in self._pair_charts:
-            if self.base.src[g1] != self.base.tgt[g2]:
-                raise CompositionError(f"{g1}, {g2} not composable in the base")
-            constraint = linalg.hstack(self.stilde[g1], -self.ttilde[g2])
-            self._pair_charts[key] = kernel_chart(constraint)
-        return self._pair_charts[key]
+        """The kernel chart of ``[stilde_g1 | -ttilde_g2]``, cached by the two
+        maps, so pairs with equal maps share one row reduction."""
+        if self.base.src[g1] != self.base.tgt[g2]:
+            raise CompositionError(f"{g1}, {g2} not composable in the base")
+        key = (self.stilde[g1], self.ttilde[g2])
+        chart = self._pair_charts.get(key)
+        if chart is None:
+            chart = self._pair_charts[key] = kernel_chart(linalg.hstack(key[0], -key[1]))
+        return chart
 
     def pair_basis(self, g1: str, g2: str) -> tuple[Vector, ...]:
         """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
@@ -188,12 +190,20 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("right-unit-law", vec, right_unit, (r_ru,)),
             ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
             ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
-    # associativity on a basis of each composable-triple subspace
+    # associativity on a basis of each composable-triple subspace: the kernel
+    # of [C12 | 0; 0 | C23] for the pair constraints C12 and C23, row-reduced
+    # once for each distinct four maps it is built from
+    triple_charts: dict[tuple[LinearMap, ...], KernelChart] = {}
     for (g1, g2, g3) in g.nerve_tuples(3):
-        d1, d2, d3 = v.arrdim[g1], v.arrdim[g2], v.arrdim[g3]
-        c1 = linalg.hstack(v.stilde[g1], -v.ttilde[g2], LinearMap.zero(v.objdim[g.src[g1]], d3))
-        c2 = linalg.hstack(LinearMap.zero(v.objdim[g.src[g2]], d1), v.stilde[g2], -v.ttilde[g3])
-        a1, a23 = kernel_chart(linalg.vstack(c1, c2)).basis_form.split(d1)
+        d1, d2 = v.arrdim[g1], v.arrdim[g2]
+        key = (v.stilde[g1], v.ttilde[g2], v.stilde[g2], v.ttilde[g3])
+        chart = triple_charts.get(key)
+        if chart is None:
+            c12, c23 = v.pair_chart(g1, g2).constraint, v.pair_chart(g2, g3).constraint
+            chart = triple_charts[key] = kernel_chart(linalg.vstack(
+                linalg.hstack(c12, LinearMap.zero(c12.rows, v.arrdim[g3])),
+                linalg.hstack(LinearMap.zero(c23.rows, d1), c23)))
+        a1, a23 = chart.basis_form.split(d1)
         a2, a3 = a23.split(d2)
         r12, p12 = v.multiply(g1, g2, a1, a2)
         r_left, left = v.multiply(g.comp[(g1, g2)], g3, p12, a3)

@@ -3,10 +3,13 @@
 import contextlib
 import copy
 import dataclasses
+import importlib
 import io
 import json
 import random
+import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,15 @@ def test_cli_validate_malformed_payload_exits_2(tmp_path, capsys, path, value):
     doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
     assert main(["validate", _edited_file(tmp_path, doc, [(path, value)])]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1/0", "0/0", "-3/000"])
+def test_cli_validate_zero_denominator_names_the_literal(tmp_path, capsys, literal):
+    doc = json.loads((REPO_FIXTURES / "z2-ruth-1.json").read_text())
+    edits = [(("lambda0", "g", "entries", 0), literal)]
+    assert main(["validate", _edited_file(tmp_path, doc, edits)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: malformed ruth payload: {literal!r} has a zero denominator\n")
 
 
 @pytest.mark.parametrize("name, edits", [
@@ -656,3 +668,30 @@ def test_bounds_flags_cap_every_drawn_instance(monkeypatch, capsys):
                                           "random_equivariant"}
     for kind, g in drawn:
         assert len(g.objects) == 1 and len(g.arrows) <= 3, (kind, g.objects, g.arrows)
+
+
+# -- the benchmark's span tracer on this tree ----------------------------------------
+
+TRACER = REPO_FIXTURES.parent / "perfbench" / "tracer.py"
+
+
+def test_benchmark_tracer_patches_every_traced_name():
+    """perfbench/tracer.py, read and run here without writing under perfbench/,
+    must find each traced name where it looks for it (a method on its class,
+    a function in its module), wrap every reference and put each back."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), vars(module))
+    for name in module.TRACED:
+        importlib.import_module(f"ruthvb.{name}")
+    apply, compose = linalg.LinearMap.apply, linalg.compose
+    tracer = module.Tracer()
+    with tracer.patched():
+        assert tracer.unpatched_references() == []
+        assert linalg.LinearMap.apply is not apply and linalg.compose is not compose
+        tracer.mark_pass()
+        v = sys.modules["ruthvb.semidirect"].semidirect(fixtures.z2_ruth(1))
+        assert sys.modules["ruthvb.vb"].validate_vb(v).passed
+    assert linalg.LinearMap.apply is apply and linalg.compose is compose
+    metrics, repeatable = tracer.layer_metrics()
+    assert metrics["vb.validate_vb.calls"] == 1 and metrics["semidirect.semidirect.calls"] == 1
+    assert metrics["traced.errors"] == 0 and repeatable

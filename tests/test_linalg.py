@@ -328,7 +328,7 @@ def test_integer_product_equals_compose(data):
 def _fraction_rref(m):
     """The reference: Gauss-Jordan elimination in Fractions, leftmost pivot
     in the earliest row."""
-    a = [list(m.row(i)) for i in range(m.rows)]
+    a = [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
     pivots, pr = [], 0
     for pc in range(m.cols):
         hit = next((r for r in range(pr, m.rows) if a[r][pc]), None)
@@ -401,3 +401,80 @@ def test_integer_form_blocks():
         == {1}
     assert LinearMap.zero(0, 3).integer.nonzero_columns() == set()
     assert f.integer.column(0) == (Fraction(1, 2), Fraction(0))
+
+
+# -- maps held as canonical integer forms ----------------------------------------
+
+def _is_canonical(m):
+    f = m.integer
+    return ((f.rows, f.cols) == (m.rows, m.cols) and len(f.nums) == m.rows * m.cols
+            and f.den > 0 and math.gcd(f.den, *f.nums) == 1)
+
+
+def _reference_hstack(*maps):
+    """The entries of maps built from their Fractions, side by side."""
+    return tuple(x for i in range(maps[0].rows)
+                 for m in maps for x in m.entries[i * m.cols:(i + 1) * m.cols])
+
+
+def wide_matrix(rows, cols):
+    return st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: LinearMap(rows, cols, es))
+
+
+shapes = st.integers(0, 4)
+
+
+@st.composite
+def one_map_four_ways(draw):
+    """A map built from its Fractions, and the same map built by a product,
+    by a sum and by a stack: products and sums leave common factors in
+    their denominators, and stacks put blocks over a common one."""
+    rows, cols = draw(shapes), draw(shapes)
+    m = draw(wide_matrix(rows, cols))
+    scale = draw(st.lists(fractions.filter(bool), min_size=cols, max_size=cols))
+    d = LinearMap(cols, cols, [scale[i] if i == j else 0 for i in range(cols) for j in range(cols)])
+    other = draw(small_matrix(rows, cols))
+    cut_row, cut_col = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+    return m, [compose(compose(m, d), inverse(d)),
+               (m - other) + other,
+               linalg.vstack(m.block(0, cut_row, 0, cols), m.block(cut_row, rows, 0, cols)),
+               linalg.hstack(m.block(0, rows, 0, cut_col), m.block(0, rows, cut_col, cols))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_map_four_ways(), st.data())
+def test_maps_are_canonical_and_compare_by_their_entries(built, data):
+    m, ways = built
+    assert all(_is_canonical(x) for x in [m, *ways])
+    assert all(x == m and hash(x) == hash(m) and x.entries == m.entries for x in ways)
+    other = data.draw(small_matrix(m.rows, m.cols) | rational_maps())
+    assert _is_canonical(other)
+    same = (other.rows, other.cols) == (m.rows, m.cols) and other.entries == m.entries
+    assert (other == m) == same and (other != m) == (not same)
+    if same:
+        assert hash(other) == hash(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_arithmetic_matches_a_fraction_reference(data):
+    rows, cols, more = data.draw(shapes), data.draw(shapes), data.draw(shapes)
+    f, g = data.draw(wide_matrix(rows, cols)), data.draw(small_matrix(rows, cols))
+    wide, tall = data.draw(wide_matrix(rows, more)), data.draw(small_matrix(more, cols))
+    a, b = f.entries, g.entries
+    results = {
+        "sum": (f + g, tuple(x + y for x, y in zip(a, b))),
+        "difference": (f - g, tuple(x - y for x, y in zip(a, b))),
+        "negation": (-f, tuple(-x for x in a)),
+        "hstack": (linalg.hstack(f, wide, g), _reference_hstack(f, wide, g)),
+        "vstack": (linalg.vstack(f, tall, g), a + tall.entries + b),
+    }
+    for name, (got, want) in results.items():
+        assert _is_canonical(got) and got.entries == want, name
+    with pytest.raises(DimensionError):
+        f + LinearMap.zero(rows + 1, cols)
+    with pytest.raises(DimensionError):
+        linalg.hstack(f, LinearMap.zero(rows + 1, 1))
+    with pytest.raises(DimensionError):
+        linalg.vstack(f, LinearMap.zero(1, cols + 1))

@@ -1,14 +1,18 @@
 """VB-groupoids: validation sweeps, semi-direct products, connections,
 kernels, and functoriality of the semi-direct construction."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruthvb import linalg
+from ruthvb import linalg, vb
+from ruthvb.equivalences import vb_to_wrep, wrep_from_ruth
 from ruthvb.errors import CompositionError, StructureError, ValidationError
+from ruthvb.groupoid import cyclic_groupoid, pair_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, stretched_line_ruth,
                                      z2_ruth, z2_ruth_broken4)
@@ -19,6 +23,7 @@ from ruthvb.twoterm import phi_object, split_bundle
 from ruthvb.vb import (VBGroupoid, connection_report, find_unital_connection,
                        kernel_groupoid, validate_vb, validate_vb_map,
                        compose_vb_maps, identity_vb_map)
+from ruthvb.weak import validate_weak_representation
 
 
 def _column(vec):
@@ -254,3 +259,68 @@ def test_pair_coords_agree_with_solve(data):
         assert v.product(g1, g2, left, right).column(0) == v.mult[(g1, g2)].apply(want)
         assert residual.nonzero_columns() == set()
         assert product.column(0) == v.mult[(g1, g2)].apply(want)
+
+
+# -- one row reduction per distinct fibered-product constraint ------------------------
+
+
+def _pair_constraint(v, g1, g2):
+    return linalg.hstack(v.stilde[g1], -v.ttilde[g2])
+
+
+def _triple_constraint(v, g1, g2, g3):
+    zero = LinearMap.zero
+    return linalg.vstack(
+        linalg.hstack(v.stilde[g1], -v.ttilde[g2], zero(v.objdim[v.base.src[g1]], v.arrdim[g3])),
+        linalg.hstack(zero(v.objdim[v.base.src[g2]], v.arrdim[g1]), v.stilde[g2], -v.ttilde[g3]))
+
+
+@pytest.mark.parametrize("base", [cyclic_groupoid(4), pair_groupoid(["x", "y", "z"])],
+                         ids=["c4", "pair3"])
+def test_each_distinct_constraint_is_row_reduced_once(base, monkeypatch):
+    """Building a semi-direct product row-reduces each distinct pair
+    constraint once, and validating it each distinct triple constraint once,
+    however many composable pairs and triples share them."""
+    calls = []
+    monkeypatch.setattr(vb, "kernel_chart", lambda f: calls.append(f) or linalg.kernel_chart(f))
+    rng = random.Random(7)
+    draws = (gen.random_ruth(rng, base, max_dim=2) for _ in range(100))
+    full = [r for r in draws if all(r.complex.dim0[x] and r.complex.dim1[x] for x in base.objects)]
+    assert len(full) >= 3
+    for r in full[:3]:
+        calls.clear()
+        v = semidirect(r, validate=False)
+        pairs = {_pair_constraint(v, *pair) for pair in base.comp}
+        assert sorted(map(repr, calls)) == sorted(map(repr, pairs))
+        calls.clear()
+        assert validate_vb(v).passed
+        triples = {_triple_constraint(v, *t) for t in base.nerve_tuples(3)}
+        assert sorted(map(repr, calls)) == sorted(map(repr, triples))
+        assert len(pairs) < len(base.comp) and len(triples) < len(base.nerve_tuples(3))
+
+
+# sha256 of the validate_vb and validate_weak_representation reports, seconds
+# masked, on the semi-direct product of 20 seeded representations, its
+# scrambled copy, their free mutants, the weak representations of the
+# representation and of the scrambled copy, and their free mutants.
+REPORTS_DIGEST = "f704af8a89deeeab37e1cdde351507cc1003b12bae76b67877c34a31e2fcdce3"
+
+
+def _pinned_reports():
+    for seed in range(20):
+        rng = random.Random(f"parity/{seed}")
+        r = gen.random_ruth(rng, gen.random_groupoid(rng, 3, 6))
+        v = semidirect(r)
+        s, _, _ = gen.scramble_vb(rng, v)
+        wreps = [wrep_from_ruth(r), vb_to_wrep(s).wrep]
+        vbs = [v, s] + [m[0] for m in (gen.mutate_vb_entry(rng, x) for x in (v, s, v, s)) if m]
+        wreps += [m[0] for m in (gen.mutate_wrep_entry(rng, w) for w in wreps * 2) if m]
+        yield from (validate_vb(x) for x in vbs)
+        yield from (validate_weak_representation(w) for w in wreps)
+
+
+def test_vb_and_wrep_reports_are_pinned():
+    reports = [{**rep.to_dict(), "seconds": 0} for rep in _pinned_reports()]
+    assert (len(reports), sum(not rep["entries"] for rep in reports)) == (232, 80)
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() \
+        == REPORTS_DIGEST
