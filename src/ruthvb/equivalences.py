@@ -17,8 +17,7 @@ from .twoterm import diagonal_blocks, phi_object, split_bundle
 from .vb import (Connection, VBGroupoid, VBMap, connection_report,
                  find_unital_connection, kernel_groupoid, validate_vb,
                  validate_vb_map, vb_map_is_isomorphism)
-from .weak import (ActionChart, EquivariantMap, WeakRepresentation,
-                   action_groupoid_bundle, validate_weak_representation)
+from .weak import EquivariantMap, WeakRepresentation, validate_weak_representation
 
 
 def wrep_from_ruth(r: Ruth, validate: bool = True) -> WeakRepresentation:
@@ -203,8 +202,7 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
     validate_weak_representation(wrep).require(
         ValidationError, "kernel action failed weak-representation validation")
-    chart = ActionChart(wrep)
-    ag = action_groupoid_bundle(wrep, chart)
+    chart, ag = wrep.chart, wrep.action_groupoid
     arr = {}
     for a in g.arrows:
         ut = g.unit[g.tgt[a]]
@@ -248,8 +246,7 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     if not phi.covers_identity():
         raise StructureError("action-groupoid map must cover the identity")
     g = w_src.groupoid
-    src_chart = ActionChart(w_src)
-    tgt_chart = ActionChart(w_tgt)
+    src_chart, tgt_chart = w_src.chart, w_tgt.chart
     f0 = {x: phi.obj_maps[x] for x in g.objects}
     f1 = {}
     for x in g.objects:
@@ -272,8 +269,7 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     representation onto the semi-direct product:
     (g, x, (e0, e1)) -> (g, -e0, x), verified as a VB map and invertible."""
     w = wrep_from_ruth(r, validate=validate)
-    chart = ActionChart(w)
-    ag = action_groupoid_bundle(w, chart)
+    chart, ag = w.chart, w.action_groupoid
     sd = semidirect(r, validate=False)
     g = r.groupoid
     arr = {}

@@ -58,25 +58,33 @@ MAX_DIGITS = 256
 _LITERAL = re.compile(rf"([+-]?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings ``"p/q"`` or ``"p"``, or Fractions to a Fraction.
-    Booleans are refused, so an instance file cannot smuggle one in as 0 or 1,
-    and so is a string of any other form or with more than ``MAX_DIGITS``
-    digits on either side, or with a zero denominator."""
+def _parts(value) -> tuple[int, int]:
+    """The numerator and positive denominator of what :func:`rat` reads, a
+    literal as written (not reduced); refuses what :func:`rat` refuses."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         literal = _LITERAL.fullmatch(value)
         if literal is None:
             raise ValueError(f"{value!r:.40} is not a rational p/q of at most "
                              f"{MAX_DIGITS} digits each")
         num, den = literal.groups()
-        if den is not None and not int(den):
+        if den is None:
+            return int(num), 1
+        if not int(den):
             raise ValueError(f"{value!r:.40} has a zero denominator")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return int(num), int(den)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def rat(value) -> Fraction:
+    """Coerce ints, strings ``"p/q"`` or ``"p"``, or Fractions to a Fraction.
+    Booleans are refused, so an instance file cannot smuggle one in as 0 or 1,
+    and so is a string of any other form or with more than ``MAX_DIGITS``
+    digits on either side, or with a zero denominator."""
+    return value if isinstance(value, Fraction) else Fraction(*_parts(value))
 
 
 # -- vectors ----------------------------------------------------------------
@@ -216,6 +224,13 @@ class IntegerForm:
         return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
 
 
+def _check_shape(rows: int, cols: int, count: int) -> None:
+    if rows < 0 or cols < 0:
+        raise DimensionError("negative dimensions")
+    if count != rows * cols:
+        raise DimensionError(f"{rows}x{cols} map needs {rows * cols} entries, got {count}")
+
+
 class LinearMap:
     """Dense exact matrix, row-major.  Immutable and hashable.
 
@@ -234,11 +249,7 @@ class LinearMap:
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
         entries = tuple(entries)
-        if rows < 0 or cols < 0:
-            raise DimensionError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise DimensionError(
-                f"{rows}x{cols} map needs {rows * cols} entries, got {len(entries)}")
+        _check_shape(rows, cols, len(entries))
         den = 1
         for e in entries:
             if den % e.denominator:
@@ -419,10 +430,22 @@ def vstack(*maps: LinearMap) -> LinearMap:
                        tuple(x for part in parts for x in part), den).map()
 
 
-def direct_sum(f: LinearMap, g: LinearMap) -> LinearMap:
-    top = hstack(f, LinearMap.zero(f.rows, g.cols))
-    bot = hstack(LinearMap.zero(g.rows, f.cols), g)
-    return vstack(top, bot)
+def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
+    """``[f | 0; 0 | g]``, with g's first ``overlap`` columns under f's last
+    ones; in integers over the lcm of the two denominators."""
+    if not 0 <= overlap <= min(f.cols, g.cols):
+        raise DimensionError(f"overlap {overlap} of a {f.cols}- and a {g.cols}-column map")
+    den, (a, b) = _over_lcm((f.integer, g.integer))
+    shift = f.cols - overlap
+    right, left = [0] * (g.cols - overlap), [0] * shift
+    nums = []
+    for i in range(f.rows):
+        nums += a[i * f.cols:(i + 1) * f.cols]
+        nums += right
+    for i in range(g.rows):
+        nums += left
+        nums += b[i * g.cols:(i + 1) * g.cols]
+    return IntegerForm(f.rows + g.rows, shift + g.cols, tuple(nums), den).map()
 
 
 # -- elimination ------------------------------------------------------------
@@ -634,6 +657,12 @@ def json_typed(value, json_type: type, what: str):
 
 
 def map_from_dict(d: dict) -> LinearMap:
-    return LinearMap(json_int(d["rows"], "rows", MAX_DIM),
-                     json_int(d["cols"], "cols", MAX_DIM),
-                     tuple(rat(e) for e in json_typed(d["entries"], list, "entries")))
+    """The map of a ``{"rows", "cols", "entries"}`` record, read straight to
+    its canonical integer form: the literals' numerators over the lcm of
+    their denominators, reduced by one gcd."""
+    rows = json_int(d["rows"], "rows", MAX_DIM)
+    cols = json_int(d["cols"], "cols", MAX_DIM)
+    parts = [_parts(e) for e in json_typed(d["entries"], list, "entries")]
+    _check_shape(rows, cols, len(parts))
+    den = math.lcm(*(q for _, q in parts))
+    return IntegerForm(rows, cols, tuple(p * (den // q) for p, q in parts), den).map()

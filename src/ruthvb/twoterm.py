@@ -196,7 +196,12 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
 def phi_onemorphism(f: ChainMap) -> VBMap:
     """Bundle functor of a chain map: f1 on objects, f0 + f1 blockwise on
     arrows.  Functoriality is re-verified before returning."""
-    sv, tv = phi_object(f.source), phi_object(f.target)
+    return _bundle_functor(f, phi_object(f.source), phi_object(f.target))
+
+
+def _bundle_functor(f: ChainMap, sv: VBGroupoid, tv: VBGroupoid) -> VBMap:
+    """:func:`phi_onemorphism` between the given sum groupoids of f's
+    source and target."""
     out = VBMap(sv, tv,
                 {x: f.f1[x] for x in f.source.base},
                 {x: linalg.direct_sum(f.f0[x], f.f1[x]) for x in f.source.base},
@@ -209,10 +214,13 @@ def phi_onemorphism(f: ChainMap) -> VBMap:
 def phi_twomorphism(h: ChainHomotopy) -> BundleTransformation:
     """Bundle transformation of a homotopy: the component at a degree-1
     vector c is the arrow with degree-0 part omega(c) and degree-1 part
-    f1(c).  Naturality is verified before returning."""
+    f1(c).  Both bundle functors run between the same two sum groupoids,
+    built once.  Naturality is verified before returning."""
+    f = h.from_map
+    sv, tv = phi_object(f.source), phi_object(f.target)
     out = BundleTransformation(
-        phi_onemorphism(h.from_map), phi_onemorphism(h.to_map),
-        {x: linalg.vstack(h.omega[x], h.from_map.f1[x]) for x in h.from_map.source.base})
+        _bundle_functor(f, sv, tv), _bundle_functor(h.to_map, sv, tv),
+        {x: linalg.vstack(h.omega[x], f.f1[x]) for x in f.source.base})
     validate_bundle_transformation(out).require(
         StructureError, "bundle transformation of a homotopy failed verification")
     return out

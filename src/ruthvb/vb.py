@@ -191,18 +191,17 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
             ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
     # associativity on a basis of each composable-triple subspace: the kernel
-    # of [C12 | 0; 0 | C23] for the pair constraints C12 and C23, row-reduced
-    # once for each distinct four maps it is built from
+    # of [C12 | 0; 0 | C23] for the pair constraints C12 and C23, which share
+    # the columns of the middle arrow, row-reduced once for each distinct
+    # four maps it is built from
     triple_charts: dict[tuple[LinearMap, ...], KernelChart] = {}
     for (g1, g2, g3) in g.nerve_tuples(3):
         d1, d2 = v.arrdim[g1], v.arrdim[g2]
         key = (v.stilde[g1], v.ttilde[g2], v.stilde[g2], v.ttilde[g3])
         chart = triple_charts.get(key)
         if chart is None:
-            c12, c23 = v.pair_chart(g1, g2).constraint, v.pair_chart(g2, g3).constraint
-            chart = triple_charts[key] = kernel_chart(linalg.vstack(
-                linalg.hstack(c12, LinearMap.zero(c12.rows, v.arrdim[g3])),
-                linalg.hstack(LinearMap.zero(c23.rows, d1), c23)))
+            chart = triple_charts[key] = kernel_chart(linalg.direct_sum(
+                v.pair_chart(g1, g2).constraint, v.pair_chart(g2, g3).constraint, overlap=d2))
         a1, a23 = chart.basis_form.split(d1)
         a2, a3 = a23.split(d2)
         r12, p12 = v.multiply(g1, g2, a1, a2)

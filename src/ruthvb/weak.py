@@ -9,12 +9,15 @@ its coherences are exact matrix identities checked on canonical bases.
 The action groupoid of a weak representation is a VB-groupoid whose arrow
 fibers over g are charted on the subspace {(x, k) : ttilde(k) = A0(g) x}
 with the deterministic basis (object-fiber basis lifted through the pivot
-section of ttilde, then the kernel basis of ttilde).
+section of ttilde, then the kernel basis of ttilde).  A weak representation
+builds that chart and its action groupoid once, on first use, and keeps
+them; the conversions that meet it again read them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
@@ -53,6 +56,18 @@ class WeakRepresentation:
                            {a: (ad(g.tgt[a]), ad(g.src[a])) for a in g.arrows})
         linalg.check_table("associator cell", self.alpha,
                            {(g1, g2): (ad(g.tgt[g1]), od(g.src[g2])) for (g1, g2) in g.comp})
+
+    @cached_property
+    def chart(self) -> "ActionChart":
+        """The coordinates of this representation's action groupoid, built
+        on first use and kept with the instance (not compared by ``==``)."""
+        return ActionChart(self)
+
+    @cached_property
+    def action_groupoid(self) -> VBGroupoid:
+        """:func:`action_groupoid_bundle` of this representation, built on
+        first use and kept with the instance (not compared by ``==``)."""
+        return action_groupoid_bundle(self)
 
     def objdim(self, x: str) -> int:
         return self.bundle.objdim[x]
@@ -199,13 +214,12 @@ class ActionChart:
         return (self.decoder[g_arrow] @ coords).split(self.w.objdim(self.w.groupoid.src[g_arrow]))
 
 
-def action_groupoid_bundle(w: WeakRepresentation,
-                           chart: ActionChart | None = None) -> VBGroupoid:
+def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
     """Action groupoid of a weak representation, as a VB-groupoid over the
-    acting groupoid in the coordinates of ``chart`` (default ``ActionChart(w)``).
-    Each table is a chain of block products on the fiber's identity block."""
-    g = w.groupoid
-    chart = chart or ActionChart(w)
+    acting groupoid in the coordinates of ``w.chart``.  Each table is a
+    chain of block products on the fiber's identity block;
+    ``w.action_groupoid`` keeps the result."""
+    g, chart = w.groupoid, w.chart
     objdim = {x: w.objdim(x) for x in g.objects}
     arrdim = {a: chart.decoder[a].cols for a in g.arrows}
     stilde, ttilde, inv_map = {}, {}, {}
@@ -344,9 +358,8 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
         validate_equivariant(e).require(ValidationError,
                                         "act_on_morphism needs a valid equivariant map")
     g = e.source.groupoid
-    src_chart, tgt_chart = ActionChart(e.source), ActionChart(e.target)
-    src_ag = action_groupoid_bundle(e.source, src_chart)
-    tgt_ag = action_groupoid_bundle(e.target, tgt_chart)
+    src_chart, tgt_chart = e.source.chart, e.target.chart
+    src_ag, tgt_ag = e.source.action_groupoid, e.target.action_groupoid
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]

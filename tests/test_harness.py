@@ -695,3 +695,43 @@ def test_benchmark_tracer_patches_every_traced_name():
     metrics, repeatable = tracer.layer_metrics()
     assert metrics["vb.validate_vb.calls"] == 1 and metrics["semidirect.semidirect.calls"] == 1
     assert metrics["traced.errors"] == 0 and repeatable
+
+
+WORKLOADS = REPO_FIXTURES.parent / "perfbench" / "workloads.py"
+
+
+def _reachable(obj, seen):
+    """obj and every ``ruthvb`` object, container and dict value under it."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif type(obj).__module__.startswith("ruthvb."):
+        children = vars(obj).values()
+    else:
+        return
+    for child in children:
+        yield from _reachable(child, seen)
+
+
+@pytest.mark.parametrize("workload", ["convert-desk", "detect-scale"])
+def test_benchmark_payloads_hold_no_cached_action_groupoid(workload, monkeypatch):
+    """perfbench/workloads.py, read and run here without writing under
+    perfbench/: no input its set-up builds at seed 1 holds a weak
+    representation's chart or action groupoid, so no timed operation starts
+    from work done in set-up."""
+    module = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), vars(module))
+    ops = module.build(module.Library(), workload, 1, REPO_FIXTURES.parent)
+    seen: set[int] = set()
+    reached = [x for op in ops for x in _reachable(op.payload, seen)]
+    assert any(type(x).__name__ == "Ruth" for x in reached)
+    assert workload == "detect-scale" or any(
+        type(x).__name__ == "WeakRepresentation" for x in reached)
+    assert not [x for x in reached if hasattr(x, "__dict__")
+                and {"chart", "action_groupoid"} & vars(x).keys()]

@@ -417,6 +417,15 @@ def _reference_hstack(*maps):
                  for m in maps for x in m.entries[i * m.cols:(i + 1) * m.cols])
 
 
+def _reference_direct_sum(f, g, overlap):
+    """[f | 0; 0 | g] from the maps' Fractions, g's first overlap columns
+    under f's last ones."""
+    zero = Fraction(0)
+    right, left = (zero,) * (g.cols - overlap), (zero,) * (f.cols - overlap)
+    return (tuple(x for i in range(f.rows) for x in f.entries[i * f.cols:(i + 1) * f.cols] + right)
+            + tuple(x for i in range(g.rows) for x in left + g.entries[i * g.cols:(i + 1) * g.cols]))
+
+
 def wide_matrix(rows, cols):
     return st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols).map(
         lambda es: LinearMap(rows, cols, es))
@@ -463,12 +472,15 @@ def test_integer_arithmetic_matches_a_fraction_reference(data):
     f, g = data.draw(wide_matrix(rows, cols)), data.draw(small_matrix(rows, cols))
     wide, tall = data.draw(wide_matrix(rows, more)), data.draw(small_matrix(more, cols))
     a, b = f.entries, g.entries
+    overlap = data.draw(st.integers(0, min(cols, more)))
     results = {
         "sum": (f + g, tuple(x + y for x, y in zip(a, b))),
         "difference": (f - g, tuple(x - y for x, y in zip(a, b))),
         "negation": (-f, tuple(-x for x in a)),
         "hstack": (linalg.hstack(f, wide, g), _reference_hstack(f, wide, g)),
         "vstack": (linalg.vstack(f, tall, g), a + tall.entries + b),
+        "direct sum": (linalg.direct_sum(f, wide, overlap),
+                       _reference_direct_sum(f, wide, overlap)),
     }
     for name, (got, want) in results.items():
         assert _is_canonical(got) and got.entries == want, name
@@ -478,3 +490,50 @@ def test_integer_arithmetic_matches_a_fraction_reference(data):
         linalg.hstack(f, LinearMap.zero(rows + 1, 1))
     with pytest.raises(DimensionError):
         linalg.vstack(f, LinearMap.zero(1, cols + 1))
+    with pytest.raises(DimensionError):
+        linalg.direct_sum(f, wide, min(cols, more) + 1)
+
+
+# -- matrix literals read straight to integers ----------------------------------
+
+literals = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(0, 12)),
+    st.integers(-30, 30).map(str),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from(["-0", "+3", "007/010", "1.5", "1e3", "", " 1", "1/-2", "x",
+                     "9" * (linalg.MAX_DIGITS + 1), f"1/{'3' * (linalg.MAX_DIGITS + 1)}",
+                     True, False, 0.5, None, [1]]))
+
+
+def _fraction_path(d):
+    """The map of a record read through one Fraction per entry."""
+    return LinearMap(linalg.json_int(d["rows"], "rows", linalg.MAX_DIM),
+                     linalg.json_int(d["cols"], "cols", linalg.MAX_DIM),
+                     tuple(linalg.rat(e) for e in d["entries"]))
+
+
+def _outcome(read, d):
+    try:
+        return read(d).integer
+    except (ValueError, TypeError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 3), st.integers(-1, 3), st.data())
+def test_map_from_dict_matches_the_fraction_path(rows, cols, data):
+    """The canonical form, or the error type and text, of a record's map
+    read straight to integers equals that of the map built from one
+    Fraction per entry; mostly well-formed entries, and sometimes one too
+    many or too few."""
+    count = max(rows, 0) * max(cols, 0) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    well_formed = literals.filter(lambda e: isinstance(e, (int, Fraction)) or (
+        isinstance(e, str) and "/" in e and not e.endswith("/0")))
+    entries = data.draw(st.lists(st.one_of(well_formed, well_formed, literals),
+                                 min_size=max(count, 0), max_size=max(count, 0)))
+    d = {"rows": rows, "cols": cols, "entries": entries}
+    got = _outcome(linalg.map_from_dict, d)
+    assert got == _outcome(_fraction_path, d)
+    if isinstance(got, IntegerForm):
+        assert _is_canonical(linalg.map_from_dict(d))

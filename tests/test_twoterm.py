@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ruthvb import linalg
+from ruthvb import linalg, twoterm
 from ruthvb.errors import CompositionError, NotInducedError, StructureError
 from ruthvb.harness import generators as gen
 from ruthvb.linalg import LinearMap
@@ -150,6 +150,24 @@ def test_phi_twomorphism_component_blocks():
     z = phi_twomorphism(zero_homotopy(f))
     # unit-section transformation
     assert z.comp["p"].apply((Fraction(1),)) == (Fraction(0), Fraction(3))
+
+
+def test_phi_twomorphism_builds_each_sum_groupoid_once(monkeypatch):
+    """Operation count: both bundle functors of a homotopy run between the
+    sum groupoids of its two complexes, built once each."""
+    built = []
+    plain = twoterm.phi_object
+
+    def counting(c):
+        built.append(c)
+        return plain(c)
+
+    monkeypatch.setattr(twoterm, "phi_object", counting)
+    rng = random.Random(5)
+    c, d = gen.random_complex(rng, ["p", "q"], 2), gen.random_complex(rng, ["p", "q"], 2)
+    h = gen.random_homotopy_from(rng, gen.random_chain_map(rng, c, d))
+    assert extract_homotopy(phi_twomorphism(h)) == h
+    assert built == [c, d]
 
 
 def test_split_bundle_round_trip_identity():

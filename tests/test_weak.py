@@ -1,13 +1,15 @@
 """Weak representations: validators, pentagon mutations, action groupoids,
 and equivariant maps."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruthvb import linalg
+from ruthvb import linalg, weak
 from ruthvb.errors import CompositionError, ValidationError
 from ruthvb.groupoid import z2_groupoid
 from ruthvb.harness import generators as gen
@@ -119,6 +121,47 @@ def test_act_reconstruct_round_trips():
         back = reconstruct_equivariant(phi, e.source, e.target)
         assert back == e
         assert act_on_morphism(back, validate=False) == phi
+
+
+def test_act_reconstruct_act_builds_one_chart_and_action_groupoid_per_representation(
+        monkeypatch):
+    """Operation count: the act-ff round trip meets two weak
+    representations, and builds each one's chart and action groupoid once."""
+    built = []
+    plain_chart, plain_bundle = ActionChart.__init__, weak.action_groupoid_bundle
+
+    def counting_chart(self, w):
+        built.append(("chart", id(w)))
+        plain_chart(self, w)
+
+    def counting_bundle(w):
+        built.append(("action groupoid", id(w)))
+        return plain_bundle(w)
+
+    monkeypatch.setattr(ActionChart, "__init__", counting_chart)
+    monkeypatch.setattr(weak, "action_groupoid_bundle", counting_bundle)
+    e = gen.random_equivariant(random.Random(23), z2_groupoid(), max_dim=2)
+    assert e.source is not e.target
+    phi = act_on_morphism(e, validate=False)
+    back = reconstruct_equivariant(phi, e.source, e.target)
+    assert back == e and act_on_morphism(back, validate=False) == phi
+    assert sorted(built) == sorted((kind, id(w)) for kind in ("chart", "action groupoid")
+                                   for w in (e.source, e.target))
+
+
+def test_chart_and_action_groupoid_are_kept_per_instance():
+    """The caches live on the instance they were built from: ``==`` ignores
+    them, a copy made before first use and a mutant made by
+    ``dataclasses.replace`` carry none, and the mutant builds its own."""
+    w = wrep_from_ruth(sign_twisted_ruth())
+    before = copy.deepcopy(w)
+    assert w.chart is w.chart and w.action_groupoid is w.action_groupoid
+    assert w.action_groupoid == action_groupoid_bundle(w)
+    mutant = dataclasses.replace(w, a0={**w.a0, "g": -w.a0["g"]})
+    for other in (before, mutant):
+        assert "chart" not in vars(other) and "action_groupoid" not in vars(other)
+    assert before == w
+    assert mutant.chart.w is mutant and mutant.chart.decoder["g"] != w.chart.decoder["g"]
 
 
 def test_act_trivial_cell_is_kernel_pushforward():
