@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -337,6 +338,118 @@ def test_cli_roundtrip_pipelines(pipeline, capsys):
 def test_cli_roundtrip_with_file(capsys):
     assert main(["roundtrip", str(REPO_FIXTURES / "z2-ruth-1.json"),
                  "--pipeline", "triangle", "--trials", "1", "--seed", "1"]) == 0
+
+
+# sha256 of each CLI output, with the report's seconds dropped: the exit code,
+# a newline, then the JSON report (validate, roundtrip, fuzz) or the file that
+# convert --out writes (empty when it writes none).
+CLI_DIGESTS = {
+    "validate pair-strict-ruth.json":
+        "43bb0098e9e731ed74c3e68dd57241d965f77a4bd5bc003e7832d39534b1e631",
+    "validate pair-strict-semidirect.json":
+        "e90058e0e97828e0348a31ebef37c396acf0e1a459d7f4679126e1a54a3e8a6c",
+    "validate pair-strict-vb-scrambled.json":
+        "4ae121654b3ffbf282c1785933f8ba607df02ba02213674c1a1ff488ebfb347f",
+    "validate pair-strict-wrep.json":
+        "31121cf737e3a6988b1d625e10820f0894f2fef02b9c5f63522ed42335a22ebc",
+    "validate pair.json":
+        "03707cd9d2fc75b904f7bfc166019de907922c808278fddf60dbb8cfa22683d0",
+    "validate z2-ruth-0.json":
+        "4a8dd3567a442439a81f3fb0405d7b6f10b7884e19147fe9361add293ff8d9d1",
+    "validate z2-ruth-1-semidirect.json":
+        "d964fbae973e698491ffe8a241dd1fd633d11145d9a38391550cbeeba5e4af40",
+    "validate z2-ruth-1-vb-scrambled.json":
+        "68e39fcda000c57a86f7cedd8375017794f9cf43ddd99014c72bbd495d6336b2",
+    "validate z2-ruth-1-wrep.json":
+        "f85d21f6bdb1954cba5aa7c233c540888af2035b97a8afaee313c4b97499c678",
+    "validate z2-ruth-1.json":
+        "80592cd741511b4b575ec463c270c4b5a06186d6d04f200f64f91bae0d96f547",
+    "validate z2-ruth-broken4.json":
+        "e55c64a55f27c0c54006924266bb16847262569cd71cbdd94ccd509d699622d9",
+    "validate z2.json":
+        "a83f7deb9a804e2ff45ea379dd823a3cf4a33b72b3c3f6837bcbd25655c35edb",
+    "convert pair-strict-ruth.json ruth->wrep":
+        "17ff0935192f9ee381f8ea7bbbe92f00756d023a9f738fe1ae0da19db2ee5022",
+    "convert pair-strict-ruth.json ruth->vb":
+        "72f806d4b0aadfc80471cd9f24f6384daa77f22fd662a4ed33c71d5fa1330dea",
+    "convert pair-strict-semidirect.json vb->wrep":
+        "4094f7a0270d3126e7c3bc064695487002bee62a0af0079fb508e3aea06bec17",
+    "convert pair-strict-vb-scrambled.json vb->wrep":
+        "5523d0c1c386b30b43432f998b048b912c378547a92e5924ebb28b870de2d9f2",
+    "convert pair-strict-wrep.json wrep->ruth":
+        "0a8ba97284d7ce12cf6ac2a87e0c76fbf18a5b963059bb13f4408237dddb4895",
+    "convert pair-strict-wrep.json wrep->vb":
+        "e7f33285f5e31ea23267c4c0a74992f09321d836fbc53fe775ddff11b56fcf57",
+    "convert z2-ruth-0.json ruth->wrep":
+        "e1ab8392e26879138775873e43b1c6a18db718cd2309175a5522088fb2906ac1",
+    "convert z2-ruth-0.json ruth->vb":
+        "b134b55e92e8445e5aaf7758649b147b20374e40f01f4cbee7eafa5f3fa67580",
+    "convert z2-ruth-1-semidirect.json vb->wrep":
+        "037ea474a8011069ed9476d9287fe0956ad629a52be62d0fc45fec5965c21ddd",
+    "convert z2-ruth-1-vb-scrambled.json vb->wrep":
+        "7e842153947f2d7b8ed305cba34aa5975b6a54df2282973468a2ac37e759bf32",
+    "convert z2-ruth-1-wrep.json wrep->ruth":
+        "5d931354cdb8a88d02e346ebb6b714ca7bf58b25edcc36839ec04d318e9d4804",
+    "convert z2-ruth-1-wrep.json wrep->vb":
+        "b73ae92a65b67cdc67d5299e541464a1717b7b338979e4ed42406288d409549c",
+    "convert z2-ruth-1.json ruth->wrep":
+        "e6afb932f625e828679f7b8633b8145759bba2638bedc47b1c658b8c82a61f0a",
+    "convert z2-ruth-1.json ruth->vb":
+        "352b681892bcdbfda58b71b1c8eb874dfbe38f70b87caa39e1dad7fbb274def0",
+    "convert z2-ruth-broken4.json ruth->wrep":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "convert z2-ruth-broken4.json ruth->vb":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "roundtrip act-ff":
+        "b2cb4bfdd914e109273f4038ff5e26cc7135b759a33817456478d98783d8f572",
+    "roundtrip phi-hom":
+        "c4d18519cb1f7ce501eaf9273f5227678e022fd19c92b0f0a085ba3846da56e9",
+    "roundtrip ruth-vb":
+        "13163b8d939dc0b254496b41a9caa8c91ac4ccd1a389716a9097f6fcfb68b5f3",
+    "roundtrip triangle":
+        "fe97535cee98e979285019e05a914588d4952f3438c8936d98a7d4267797266d",
+    "roundtrip vb-wrep":
+        "4af1f92a6e92c98221d2c6779796b14216932e720f341c87eeed2adb00cb42c0",
+    "roundtrip wrep-ruth":
+        "051153014eceea02fc29e972e5060ae0cee3fbef2c2201d4cc0482c236d7ceb0",
+    "fuzz":
+        "188f5aa66780f5b3a5d900676d466085f42c08d9e5cf506afa0849906b4afe2f",
+}
+
+
+def _cli_outputs(tmp_path, capsys):
+    """Each pinned CLI run's name and its exit code and output, as bytes."""
+    def run(argv, out=None):
+        code = main(argv)
+        text = capsys.readouterr().out
+        if out is not None:
+            body = out.read_bytes() if out.exists() else b""
+        else:
+            doc = json.loads(text)
+            del doc["seconds"]
+            body = json.dumps(doc, sort_keys=True).encode()
+        return f"{code}\n".encode() + body
+
+    for path in sorted(REPO_FIXTURES.glob("*.json")):
+        yield f"validate {path.name}", run(["validate", str(path), "--format", "json"])
+    for path in sorted(REPO_FIXTURES.glob("*.json")):
+        kind = json.loads(path.read_text())["kind"]
+        for source, target in cli.CONVERSIONS:
+            if source == kind:
+                out = tmp_path / f"{path.stem}-{target}.json"
+                yield f"convert {path.name} {source}->{target}", run(
+                    ["convert", str(path), "--from", source, "--to", target,
+                     "--out", str(out)], out)
+    for pipeline in sorted(cli.PIPELINES):
+        yield f"roundtrip {pipeline}", run(["roundtrip", "--pipeline", pipeline, "--format",
+                                            "json", "--trials", "2", "--seed", "1"])
+    yield "fuzz", run(["fuzz", "--trials", "60", "--seed", "424251", "--format", "json"])
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    digests = {name: hashlib.sha256(body).hexdigest()
+               for name, body in _cli_outputs(tmp_path, capsys)}
+    assert digests == CLI_DIGESTS
 
 
 @pytest.mark.parametrize("argv, message", [
