@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import NotInducedError, StructureError, ValidationError
-from .linalg import IntegerForm, LinearMap
+from .linalg import LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .semidirect import semidirect
 from .twoterm import diagonal_blocks, phi_object, split_bundle
@@ -180,25 +180,23 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
         connection_report(connection).require(ValidationError, "invalid connection")
     sigma = connection.sigma
     kernel = kernel_groupoid(v)
-    sig = {a: sigma[a].integer for a in g.arrows}
-    inv_map = {a: v.inv_map[a].integer for a in g.arrows}
     a0, a1, alpha = {}, {}, {}
     for a in g.arrows:
         us = g.unit[g.src[a]]
         a0[a] = linalg.compose(v.ttilde[a], sigma[a])
 
         def conjugate(k):
-            left = v.product(a, us, sig[a] @ v.ttilde[us].integer @ k, k)
-            return v.product(a, g.inv[a], left, inv_map[a] @ sig[a] @ v.stilde[us].integer @ k)
+            left = v.product(a, us, sigma[a] @ v.ttilde[us] @ k, k)
+            return v.product(a, g.inv[a], left, v.inv_map[a] @ sigma[a] @ v.stilde[us] @ k)
 
-        a1[a] = linalg.tabulate(conjugate, IntegerForm.identity(v.arrdim[us]))
+        a1[a] = linalg.tabulate(conjugate, LinearMap.identity(v.arrdim[us]))
     for (g1, g2), g12 in g.comp.items():
 
         def cell(x):
-            left = v.product(g12, g.inv[g2], sig[g12] @ x, inv_map[g2] @ sig[g2] @ x)
-            return v.product(g1, g.inv[g1], left, inv_map[g1] @ sig[g1] @ a0[g2].integer @ x)
+            left = v.product(g12, g.inv[g2], sigma[g12] @ x, v.inv_map[g2] @ sigma[g2] @ x)
+            return v.product(g1, g.inv[g1], left, v.inv_map[g1] @ sigma[g1] @ a0[g2] @ x)
 
-        alpha[(g1, g2)] = linalg.tabulate(cell, IntegerForm.identity(v.objdim[g.src[g2]]))
+        alpha[(g1, g2)] = linalg.tabulate(cell, LinearMap.identity(v.objdim[g.src[g2]]))
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
     validate_weak_representation(wrep).require(
         ValidationError, "kernel action failed weak-representation validation")
@@ -206,8 +204,8 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     arr = {}
     for a in g.arrows:
         ut = g.unit[g.tgt[a]]
-        x, k = chart.decode(a, IntegerForm.identity(ag.arrdim[a]))
-        arr[a] = v.product(ut, a, inv_map[ut] @ k, sig[a] @ x).map()
+        x, k = chart.decode(a, LinearMap.identity(ag.arrdim[a]))
+        arr[a] = v.product(ut, a, v.inv_map[ut] @ k, sigma[a] @ x)
     iso = VBMap(ag, v, {x: LinearMap.identity(v.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError,
                                  "kernel-action identification is not a VB map")
@@ -224,8 +222,7 @@ def connection_change_witness(v: VBGroupoid, first: Connection,
     res1 = vb_to_wrep(v, first, validate=False)
     res2 = vb_to_wrep(v, second, validate=False)
     g = v.base
-    delta = {a: v.product(a, g.inv[a], second.sigma[a].integer,
-                          v.inv_map[a].integer @ first.sigma[a].integer).map()
+    delta = {a: v.product(a, g.inv[a], second.sigma[a], v.inv_map[a] @ first.sigma[a])
              for a in g.arrows}
     w1 = res1.wrep
     return EquivariantMap(
@@ -251,16 +248,15 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     f1 = {}
     for x in g.objects:
         u = g.unit[x]
-        coords = src_chart.encode(u, w_src.fiber_source(x).integer,
-                                  w_src.fiber_inverse(x).integer)
-        _, k = tgt_chart.decode(u, phi.arr_maps[u].integer @ coords)
-        f1[x] = (w_tgt.fiber_inverse(x).integer @ k).map()
+        coords = src_chart.encode(u, w_src.fiber_source(x), w_src.fiber_inverse(x))
+        _, k = tgt_chart.decode(u, phi.arr_maps[u] @ coords)
+        f1[x] = w_tgt.fiber_inverse(x) @ k
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        coords = src_chart.encode(a, IntegerForm.identity(w_src.objdim(s)),
-                                  w_src.fiber_unit(t).integer @ w_src.a0[a].integer)
-        delta[a] = tgt_chart.decode(a, phi.arr_maps[a].integer @ coords)[1].map()
+        coords = src_chart.encode(a, LinearMap.identity(w_src.objdim(s)),
+                                  w_src.fiber_unit(t) @ w_src.a0[a])
+        delta[a] = tgt_chart.decode(a, phi.arr_maps[a] @ coords)[1]
     return EquivariantMap(w_src, w_tgt, f0, f1, delta)
 
 
@@ -274,7 +270,7 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     g = r.groupoid
     arr = {}
     for a in g.arrows:
-        x, k = (f.map() for f in chart.decode(a, IntegerForm.identity(ag.arrdim[a])))
+        x, k = chart.decode(a, LinearMap.identity(ag.arrdim[a]))
         arr[a] = linalg.vstack(-k.block(0, r.complex.dim0[g.tgt[a]], 0, k.cols), x)
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")

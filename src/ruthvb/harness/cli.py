@@ -132,10 +132,8 @@ def _pipeline_ruth_vb(args, rng, obj, report, trial):
 
 
 def _pipeline_vb_wrep(args, rng, obj, report, trial):
-    v = _draw(args, rng, obj, generators.random_vb)
-    res = vb_to_wrep(v, validate=False)
-    rep = validate_weak_representation(res.wrep)
-    report.extend(rep, prefix=f"trial {trial}: kernel action: ")
+    # vb_to_wrep validates the kernel action it builds and raises if it fails
+    vb_to_wrep(_draw(args, rng, obj, generators.random_vb), validate=False)
 
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):

@@ -37,8 +37,8 @@ def rand_fraction(rng: random.Random, span: int = 2) -> Fraction:
 
 
 def rand_matrix(rng, rows, cols, span=2) -> LinearMap:
-    return LinearMap(rows, cols,
-                     tuple(rand_fraction(rng, span) for _ in range(rows * cols)))
+    return LinearMap.from_entries(rows, cols,
+                                  [rand_fraction(rng, span) for _ in range(rows * cols)])
 
 
 def rand_invertible(rng, n, span=2) -> LinearMap:
@@ -173,17 +173,22 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
         n0, n1 = a0 * b0, a1 * b1
 
         def residual(z):
-            """The chain square f1 . diff_c - diff_d . f0 on the row-major
-            entries z of (f0, f1)."""
-            square = (linalg.compose(LinearMap(a1, b1, z[n0:]), c.diff[x])
-                      - linalg.compose(d.diff[x], LinearMap(a0, b0, z[:n0])))
-            return square.entries
+            """Column k is the chain square f1 . diff_c - diff_d . f0, row-major,
+            of column k of z, the row-major entries of (f0, f1)."""
+            def square(col):
+                s = (LinearMap(a1, b1, col[n0:], z.den) @ c.diff[x]
+                     - d.diff[x] @ LinearMap(a0, b0, col[:n0], z.den))
+                return LinearMap(a1 * b0, 1, s.nums, s.den)
 
-        sol = linalg.vec_zero(n0 + n1)
-        for kv in linalg.kernel_basis(linalg.matrix_of(residual, n0 + n1, a1 * b0)):
-            sol = linalg.vec_add(sol, linalg.vec_scale(rand_fraction(rng), kv))
-        f0[x] = LinearMap(a0, b0, sol[:n0])
-        f1[x] = LinearMap(a1, b1, sol[n0:])
+            # the empty first block keeps the row count when z has no columns
+            return linalg.hstack(LinearMap.zero(a1 * b0, 0),
+                                 *(square(z.nums[k::z.cols]) for k in range(z.cols)))
+
+        chart = linalg.kernel_chart(linalg.tabulate(residual, LinearMap.identity(n0 + n1)))
+        draws = LinearMap.from_columns([[rand_fraction(rng) for _ in chart.free]], len(chart.free))
+        sol0, sol1 = (chart.basis_map @ draws).split(n0)
+        f0[x] = LinearMap(a0, b0, sol0.nums, sol0.den)
+        f1[x] = LinearMap(a1, b1, sol1.nums, sol1.den)
     return ChainMap(c, d, {x: x for x in c.base}, f0, f1)
 
 
@@ -239,8 +244,8 @@ def scramble_vb(rng, v: VBGroupoid):
                for a in g.arrows}
 
     def product(g1, g2, vv, ww):
-        prod = v.product(g1, g2, t_arr_inv[g1].integer @ vv, t_arr_inv[g2].integer @ ww)
-        return t_arr[g.comp[(g1, g2)]].integer @ prod
+        prod = v.product(g1, g2, t_arr_inv[g1] @ vv, t_arr_inv[g2] @ ww)
+        return t_arr[g.comp[(g1, g2)]] @ prod
 
     out = VBGroupoid(g, dict(v.objdim), dict(v.arrdim), stilde, ttilde,
                      utilde, inv_map, product)

@@ -8,27 +8,28 @@ reduce with the leftmost pivot in the earliest row, set free variables
 to zero, and emit one kernel vector per free column with entry 1 at that
 column.  This makes downstream splittings and connections reproducible.
 
-A map holds its entries as integers: its canonical integer form
-(:attr:`LinearMap.integer`), numerators over the lcm of the entries'
-denominators, so that equal maps have equal forms and ``==`` and ``hash``
-read the integers.  ``compose``, sums, negation, stacks and blocks run on
-the integers, and :meth:`IntegerForm.map` makes a result canonical with
-one gcd.  :attr:`LinearMap.entries` reads the entries as ``Fraction`` s,
-built on first use, where text or single vectors need them.
+A :class:`LinearMap` is the one matrix class: integer numerators over one
+positive denominator, which need not be the least.  Products, sums,
+negation, stacks and blocks run on the integers and reduce nothing; a
+product's denominator is the product of its factors'.  A map is made
+canonical when it is compared: ``==``, ``hash``, ``is_identity`` and the
+row reduction read :attr:`LinearMap.canonical`, the numerators over the
+least denominator, found with one gcd and kept on first use.
+:attr:`LinearMap.entries` reads the entries as ``Fraction`` s, built on
+first use, where text or single vectors need them.
 
 Most matrices here are identity or zero blocks, so the kernels skip zero
-terms.  ``IntegerForm @ IntegerForm`` multiplies whole blocks of columns
-in integer numerators over one common denominator, forming a term only
-where both factors are nonzero, and :func:`tabulate` applies a rule on
-blocks to one identity or basis block.  One ``Fraction`` loop is left:
-:meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s, forms a
-product only where the matrix entry and the vector entry are both
-nonzero, takes the other factor as the term when one of them is 1, and
-starts each sum from its first term.  The row reduction is fraction-free
-Gauss-Jordan elimination on the integer form, so it divides only exactly.
-``vec_add`` and ``vec_sub`` pass zero operands through.  A skipped term is
-an exact zero, so every result is the same exact rational the dense sums
-give.
+terms.  ``LinearMap @ LinearMap`` multiplies whole blocks of columns in
+integer numerators, forming a term only where both factors are nonzero,
+and :func:`tabulate` applies a rule on blocks to one identity or basis
+block.  One ``Fraction`` loop is left: :meth:`LinearMap.apply` multiplies
+one vector of ``Fraction`` s, forms a product only where the matrix entry
+and the vector entry are both nonzero, takes the other factor as the term
+when one of them is 1, and starts each sum from its first term.  The row
+reduction is fraction-free Gauss-Jordan elimination on the canonical
+numerators, so it divides only exactly.  ``vec_add`` and ``vec_sub`` pass
+zero operands through.  A skipped term is an exact zero, so every result
+is the same exact rational the dense sums give.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Collection, Optional, Sequence
 
 from .errors import (CompositionError, DimensionError, NotInvertibleError, NotSurjectiveError,
@@ -120,63 +122,173 @@ def _ratio(num: int, den: int) -> Fraction:
     return ZERO if not num else Fraction(num) if den == 1 else Fraction(num, den)
 
 
-def _over_lcm(forms: Sequence["IntegerForm"]) -> tuple[int, list[Sequence[int]]]:
-    """The lcm of the forms' denominators, and each form's numerators over it."""
-    dens = [f.den for f in forms]
-    den = dens[0] if dens.count(dens[0]) == len(dens) else math.lcm(*dens)
-    return den, [f.nums if f.den == den else [den // f.den * x for x in f.nums] for f in forms]
+def _over_lcm(maps: Sequence["LinearMap"]) -> tuple[int, list[Sequence[int]]]:
+    """The lcm of the maps' denominators, and each map's numerators over it."""
+    den = maps[0].den
+    for m in maps:
+        if m.den != den:
+            den = math.lcm(*(f.den for f in maps))
+            return den, [f.nums if f.den == den else [den // f.den * x for x in f.nums]
+                         for f in maps]
+    return den, [m.nums for m in maps]
 
 
-@dataclass(frozen=True, init=False)
-class IntegerForm:
-    """A rational matrix in integers: entry (i, j) is ``nums[i * cols + j] / den``
-    over one positive common denominator.
+def _check_shape(rows: int, cols: int, count: int) -> None:
+    if rows < 0 or cols < 0:
+        raise DimensionError("negative dimensions")
+    if count != rows * cols:
+        raise DimensionError(f"{rows}x{cols} map needs {rows * cols} entries, got {count}")
 
-    A :class:`LinearMap` holds the canonical form (:attr:`LinearMap.integer`),
-    with ``den`` the lcm of its entries' denominators.  A product's
-    denominator is the product of its factors', exact but not necessarily
-    the least one, so two forms are compared by :meth:`unequal_columns`, or
-    made canonical by :meth:`map`, not compared by ``==``.
+
+class LinearMap:
+    """Dense exact matrix, row-major: entry (i, j) is ``nums[i * cols + j] / den``
+    over one positive common denominator.  Immutable and hashable.
+
+    The denominator need not be the least one: a product's is the product
+    of its factors'.  ``==``, ``hash``, :meth:`is_identity` and the row
+    reduction read :attr:`canonical`, the numerators over the least
+    denominator, so equal maps compare equal however they were built.
+    :attr:`entries` reads the entries as ``Fraction`` s, built on first use,
+    where text or single vectors need them.
     """
 
     rows: int
     cols: int
     nums: tuple[int, ...]
-    den: int = 1
+    den: int
 
     def __init__(self, rows: int, cols: int, nums: tuple[int, ...], den: int = 1):
-        # The generated __init__ of a frozen dataclass sets each field through
-        # object.__setattr__; writing the instance dict does the same at half
-        # the cost, and this is the kernel's most-built object.
+        # Writing the instance dict skips __setattr__, which refuses; this
+        # is the kernel's most-built object.
         fields = self.__dict__
         fields["rows"] = rows
         fields["cols"] = cols
         fields["nums"] = nums
         fields["den"] = den
 
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearMap is immutable")
+
+    @cached_property
+    def canonical(self) -> tuple[tuple[int, ...], int]:
+        """The numerators and the denominator over the least denominator,
+        from one gcd on first use: ``gcd(den, *nums) == 1``."""
+        g = 1 if self.den == 1 else math.gcd(self.den, *self.nums)
+        if g == 1:
+            return self.nums, self.den
+        return tuple(x // g for x in self.nums), self.den // g
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        # over one denominator, equal numerators are equal maps
+        if self.den == other.den:
+            return self.nums == other.nums
+        return self.canonical == other.canonical
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, *self.canonical))
+
+    # construction ----------------------------------------------------------
+
     @staticmethod
-    def identity(n: int) -> "IntegerForm":
+    def from_entries(rows: int, cols: int, entries: Sequence[Fraction]) -> "LinearMap":
+        """The map with these ``Fraction`` entries, row-major, over the lcm
+        of their denominators."""
+        entries = tuple(entries)
+        _check_shape(rows, cols, len(entries))
+        den = 1
+        for e in entries:
+            if den % e.denominator:
+                den = math.lcm(den, e.denominator)
+        nums = tuple([e.numerator for e in entries] if den == 1 else
+                     [e.numerator * (den // e.denominator) for e in entries])
+        m = LinearMap(rows, cols, nums, den)
+        m.__dict__["entries"] = entries
+        return m
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence]) -> "LinearMap":
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        ent: list[Fraction] = []
+        for row in rows:
+            if len(row) != c:
+                raise DimensionError("ragged rows")
+            ent.extend(rat(x) for x in row)
+        return LinearMap.from_entries(r, c, ent)
+
+    @staticmethod
+    def from_columns(cols: Sequence[Vector], rows: int) -> "LinearMap":
+        for col in cols:
+            if len(col) != rows:
+                raise DimensionError("column has wrong length")
+        return LinearMap.from_entries(rows, len(cols), [cols[j][i] for i in range(rows)
+                                                        for j in range(len(cols))])
+
+    @staticmethod
+    def identity(n: int) -> "LinearMap":
         nums = [0] * (n * n)
         nums[::n + 1] = [1] * n
-        return IntegerForm(n, n, tuple(nums))
+        return LinearMap(n, n, tuple(nums))
 
     @staticmethod
-    def stack(top: "IntegerForm", bottom: "IntegerForm") -> "IntegerForm":
-        """``top`` above ``bottom``, over the lcm of their denominators."""
-        if top.cols != bottom.cols:
-            raise DimensionError("stack needs equal column counts")
-        if top.den == bottom.den:
-            return IntegerForm(top.rows + bottom.rows, top.cols, top.nums + bottom.nums, top.den)
-        den, (a, b) = _over_lcm((top, bottom))
-        return IntegerForm(top.rows + bottom.rows, top.cols, (*a, *b), den)
+    def zero(rows: int, cols: int) -> "LinearMap":
+        return LinearMap(rows, cols, (0,) * (rows * cols))
 
-    def split(self, k: int) -> tuple["IntegerForm", "IntegerForm"]:
+    # access ----------------------------------------------------------------
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction`` s, for text and single vectors."""
+        den = self.den
+        return tuple(_ratio(x, den) for x in self.nums)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.entries[i * self.cols + j]
+
+    def column(self, k: int) -> Vector:
+        return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
+
+    def with_entry(self, i: int, j: int, value) -> "LinearMap":
+        ent = list(self.entries)
+        ent[i * self.cols + j] = rat(value)
+        return LinearMap.from_entries(self.rows, self.cols, ent)
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":
+        nums, cols = self.nums, self.cols
+        return LinearMap(r1 - r0, c1 - c0, tuple(x for i in range(r0, r1)
+                                                 for x in nums[i * cols + c0:i * cols + c1]),
+                         self.den)
+
+    def split(self, k: int) -> tuple["LinearMap", "LinearMap"]:
         """The first k rows and the rest."""
         cut = k * self.cols
-        return (IntegerForm(k, self.cols, self.nums[:cut], self.den),
-                IntegerForm(self.rows - k, self.cols, self.nums[cut:], self.den))
+        return (LinearMap(k, self.cols, self.nums[:cut], self.den),
+                LinearMap(self.rows - k, self.cols, self.nums[cut:], self.den))
 
-    def __matmul__(self, other: "IntegerForm") -> "IntegerForm":
+    def nonzero_columns(self) -> set[int]:
+        n = self.cols
+        return {k % n for k, x in enumerate(self.nums) if x} if any(self.nums) else set()
+
+    def unequal_columns(self, other: "LinearMap") -> set[int]:
+        """The columns k at which column k of other differs from column k of
+        self; every column, when the two differ in shape."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return set(range(max(self.cols, other.cols)))
+        a, b = self.nums, other.nums
+        if self.den != other.den:
+            a, b = [other.den * x for x in a], [self.den * y for y in b]
+        if a == b:
+            return set()
+        n = self.cols
+        return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
+
+    # algebra ---------------------------------------------------------------
+
+    def __matmul__(self, other: "LinearMap") -> "LinearMap":
         """The product self * other, forming a term only where both factors
         are nonzero."""
         if self.cols != other.rows:
@@ -193,166 +305,22 @@ class IntegerForm:
                     for j, y in row:
                         acc[j] += x * y
             out.extend(acc)
-        return IntegerForm(self.rows, n, tuple(out), self.den * other.den)
-
-    def map(self) -> "LinearMap":
-        """This block as a map: the canonical form, from one gcd."""
-        g = math.gcd(self.den, *self.nums)
-        if g == 1:
-            return LinearMap._held(self)
-        return LinearMap._held(IntegerForm(self.rows, self.cols,
-                                          tuple(x // g for x in self.nums), self.den // g))
-
-    def column(self, k: int) -> Vector:
-        return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
-
-    def nonzero_columns(self) -> set[int]:
-        n = self.cols
-        return {k % n for k, x in enumerate(self.nums) if x} if any(self.nums) else set()
-
-    def unequal_columns(self, other: "IntegerForm") -> set[int]:
-        """The columns k at which column k of other differs from column k of
-        self; every column, when the two differ in shape."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return set(range(max(self.cols, other.cols)))
-        a, b = self.nums, other.nums
-        if self.den != other.den:
-            a, b = [other.den * x for x in a], [self.den * y for y in b]
-        if a == b:
-            return set()
-        n = self.cols
-        return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
-
-
-def _check_shape(rows: int, cols: int, count: int) -> None:
-    if rows < 0 or cols < 0:
-        raise DimensionError("negative dimensions")
-    if count != rows * cols:
-        raise DimensionError(f"{rows}x{cols} map needs {rows * cols} entries, got {count}")
-
-
-class LinearMap:
-    """Dense exact matrix, row-major.  Immutable and hashable.
-
-    Its data is its canonical integer form :attr:`integer`: numerators over
-    the lcm of the entries' denominators, so ``gcd(den, *nums) == 1`` and
-    equal maps have equal forms; ``==`` and ``hash`` compare forms.
-    ``LinearMap(rows, cols, entries)`` builds a map from its entries, and
-    :meth:`IntegerForm.map` from a block of integers.  :attr:`entries`
-    reads the entries as ``Fraction`` s: those the map was built from, or,
-    for a map built from integers, a view built on first use.
-    """
-
-    rows: int
-    cols: int
-    integer: IntegerForm
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
-        entries = tuple(entries)
-        _check_shape(rows, cols, len(entries))
-        den = 1
-        for e in entries:
-            if den % e.denominator:
-                den = math.lcm(den, e.denominator)
-        nums = tuple([e.numerator for e in entries] if den == 1 else
-                     [e.numerator * (den // e.denominator) for e in entries])
-        fields = self.__dict__
-        fields["rows"] = rows
-        fields["cols"] = cols
-        fields["integer"] = IntegerForm(rows, cols, nums, den)
-        fields["entries"] = entries
-
-    @staticmethod
-    def _held(form: IntegerForm) -> "LinearMap":
-        """The map whose canonical integer form is ``form``."""
-        m = object.__new__(LinearMap)
-        fields = m.__dict__
-        fields["rows"] = form.rows
-        fields["cols"] = form.cols
-        fields["integer"] = form
-        return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.integer == other.integer
-
-    def __hash__(self):
-        return hash(self.integer)
-
-    # construction ----------------------------------------------------------
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "LinearMap":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        ent: list[Fraction] = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionError("ragged rows")
-            ent.extend(rat(x) for x in row)
-        return LinearMap(r, c, ent)
-
-    @staticmethod
-    def from_columns(cols: Sequence[Vector], rows: int) -> "LinearMap":
-        for col in cols:
-            if len(col) != rows:
-                raise DimensionError("column has wrong length")
-        return LinearMap(rows, len(cols), [cols[j][i] for i in range(rows)
-                                           for j in range(len(cols))])
-
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return IntegerForm.identity(n).map()
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "LinearMap":
-        return IntegerForm(rows, cols, (0,) * (rows * cols)).map()
-
-    # access ----------------------------------------------------------------
-
-    @cached_property
-    def entries(self) -> tuple[Fraction, ...]:
-        """The entries as ``Fraction`` s, for text and single vectors; the
-        constructor sets them for a map built from them."""
-        den = self.integer.den
-        return tuple(_ratio(x, den) for x in self.integer.nums)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def with_entry(self, i: int, j: int, value) -> "LinearMap":
-        ent = list(self.entries)
-        ent[i * self.cols + j] = rat(value)
-        return LinearMap(self.rows, self.cols, ent)
-
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":
-        nums, cols = self.integer.nums, self.cols
-        return IntegerForm(r1 - r0, c1 - c0,
-                           tuple(x for i in range(r0, r1)
-                                 for x in nums[i * cols + c0:i * cols + c1]),
-                           self.integer.den).map()
-
-    # algebra ---------------------------------------------------------------
+        return LinearMap(self.rows, n, tuple(out), self.den * other.den)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sum")
-        den, (a, b) = _over_lcm((self.integer, other.integer))
-        return IntegerForm(self.rows, self.cols, tuple(x + y for x, y in zip(a, b)), den).map()
+        den, (a, b) = _over_lcm((self, other))
+        return LinearMap(self.rows, self.cols, tuple(x + y for x, y in zip(a, b)), den)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in difference")
-        den, (a, b) = _over_lcm((self.integer, other.integer))
-        return IntegerForm(self.rows, self.cols, tuple(x - y for x, y in zip(a, b)), den).map()
+        den, (a, b) = _over_lcm((self, other))
+        return LinearMap(self.rows, self.cols, tuple(x - y for x, y in zip(a, b)), den)
 
     def __neg__(self) -> "LinearMap":
-        f = self.integer
-        return IntegerForm(f.rows, f.cols, tuple(-x for x in f.nums), f.den).map()
+        return LinearMap(self.rows, self.cols, tuple(-x for x in self.nums), self.den)
 
     def apply(self, v: Vector) -> Vector:
         """The product of this map with v, skipping every zero term; a
@@ -372,12 +340,12 @@ class LinearMap:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.integer.nums)
+        return not any(self.nums)
 
     def is_identity(self) -> bool:
-        n, f = self.cols, self.integer
-        return self.rows == n and f.den == 1 and all(
-            x == 1 if k % (n + 1) == 0 else not x for k, x in enumerate(f.nums))
+        n, (nums, den) = self.cols, self.canonical
+        return self.rows == n and den == 1 and all(
+            x == 1 if k % (n + 1) == 0 else not x for k, x in enumerate(nums))
 
     def __repr__(self):
         rows = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
@@ -386,26 +354,18 @@ class LinearMap:
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Matrix product f*g, i.e. the map applying g first."""
-    if f.cols != g.rows:
-        raise DimensionError(f"cannot compose {f.rows}x{f.cols} after {g.rows}x{g.cols}")
-    return (f.integer @ g.integer).map()
+    return f @ g
 
 
-def matrix_of(rule: Callable[[Vector], Vector], cols: int, rows: int) -> LinearMap:
-    """The rows x cols matrix whose column i is ``rule(e_i)``: a linear rule
-    tabulated on the standard basis."""
-    return LinearMap.from_columns([rule(vec_basis(cols, i)) for i in range(cols)], rows)
-
-
-def tabulate(rule: Callable[[IntegerForm], IntegerForm], block: IntegerForm) -> LinearMap:
-    """``rule(block)`` as a map, for a linear rule on blocks that acts on each
-    column alone.  On a CompositionError the rule runs again column by
-    column, so the error raised is the first one a column-by-column run meets."""
+def tabulate(rule: Callable[[LinearMap], LinearMap], block: LinearMap) -> LinearMap:
+    """``rule(block)``, for a linear rule on blocks that acts on each column
+    alone.  On a CompositionError the rule runs again column by column, so
+    the error raised is the first one a column-by-column run meets."""
     try:
-        return rule(block).map()
+        return rule(block)
     except CompositionError:
         for k in range(block.cols):
-            rule(IntegerForm(block.rows, 1, block.nums[k::block.cols], block.den))
+            rule(block.block(0, block.rows, k, k + 1))
         raise
 
 
@@ -413,21 +373,24 @@ def hstack(*maps: LinearMap) -> LinearMap:
     rows = maps[0].rows
     if any(m.rows != rows for m in maps):
         raise DimensionError("hstack needs equal row counts")
-    den, parts = _over_lcm([m.integer for m in maps])
+    den, parts = _over_lcm(maps)
     nums = []
     for i in range(rows):
         for m, part in zip(maps, parts):
             nums.extend(part[i * m.cols:(i + 1) * m.cols])
-    return IntegerForm(rows, sum(m.cols for m in maps), tuple(nums), den).map()
+    return LinearMap(rows, sum(m.cols for m in maps), tuple(nums), den)
 
 
 def vstack(*maps: LinearMap) -> LinearMap:
-    cols = maps[0].cols
-    if any(m.cols != cols for m in maps):
-        raise DimensionError("vstack needs equal column counts")
-    den, parts = _over_lcm([m.integer for m in maps])
-    return IntegerForm(sum(m.rows for m in maps), cols,
-                       tuple(x for part in parts for x in part), den).map()
+    """The maps stacked top to bottom, over the lcm of their denominators;
+    maps over one denominator keep it."""
+    cols, rows = maps[0].cols, 0
+    for m in maps:
+        if m.cols != cols:
+            raise DimensionError("vstack needs equal column counts")
+        rows += m.rows
+    den, parts = _over_lcm(maps)
+    return LinearMap(rows, cols, tuple(chain.from_iterable(parts)), den)
 
 
 def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
@@ -435,7 +398,7 @@ def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
     ones; in integers over the lcm of the two denominators."""
     if not 0 <= overlap <= min(f.cols, g.cols):
         raise DimensionError(f"overlap {overlap} of a {f.cols}- and a {g.cols}-column map")
-    den, (a, b) = _over_lcm((f.integer, g.integer))
+    den, (a, b) = _over_lcm((f, g))
     shift = f.cols - overlap
     right, left = [0] * (g.cols - overlap), [0] * shift
     nums = []
@@ -445,7 +408,7 @@ def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
     for i in range(g.rows):
         nums += left
         nums += b[i * g.cols:(i + 1) * g.cols]
-    return IntegerForm(f.rows + g.rows, shift + g.cols, tuple(nums), den).map()
+    return LinearMap(f.rows + g.rows, shift + g.cols, tuple(nums), den)
 
 
 # -- elimination ------------------------------------------------------------
@@ -453,14 +416,15 @@ def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
 def _rref(m: LinearMap) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form with the leftmost-pivot, earliest-row rule.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on the integer form:
-    each step scales every other row by the pivot and divides by the
-    previous pivot, a division that is exact, so every pivot row ends with
-    the last pivot at its pivot column.  Returns the integer rows, one
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the canonical
+    numerators, which are m up to a positive scale: each step scales every
+    other row by the pivot and divides by the previous pivot, a division
+    that is exact, so every pivot row ends with the last pivot at its
+    pivot column.  Returns the integer rows, one
     positive denominator d and the pivot columns; the reduced rows are the
     integer rows over d, and the rows after the pivot rows are zero.
     """
-    c, nums = m.cols, m.integer.nums
+    c, (nums, _) = m.cols, m.canonical
     a = [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)]
     pivots: list[int] = []
     pr, prev = 0, 1
@@ -501,18 +465,13 @@ class KernelChart:
     free columns, so the coordinates of a kernel vector are its entries at
     the free columns (``coordinates . z``), and membership is the one check
     ``constraint . z == 0``.
-    ``basis_form`` holds the basis vectors as the columns of one integer
-    matrix; ``basis_map`` and ``basis`` read them in ``Fraction`` s.
+    ``basis_map`` holds the basis vectors as the columns of one map;
+    ``basis`` reads them as ``Fraction`` vectors.
     """
 
     constraint: LinearMap
     free: tuple[int, ...]
-    basis_form: IntegerForm
-
-    @cached_property
-    def basis_map(self) -> LinearMap:
-        """The basis vectors as the columns of one map."""
-        return self.basis_form.map()
+    basis_map: LinearMap
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
@@ -520,11 +479,11 @@ class KernelChart:
         return tuple(self.basis_map.entries[k::n] for k in range(n))
 
     @cached_property
-    def coordinates(self) -> IntegerForm:
+    def coordinates(self) -> LinearMap:
         """The matrix that reads a vector's entries at the free columns."""
         n = self.constraint.cols
-        return IntegerForm(len(self.free), n, tuple(int(j == i) for i in self.free
-                                                    for j in range(n)))
+        return LinearMap(len(self.free), n, tuple(int(j == i) for i in self.free
+                                                  for j in range(n)))
 
 
 def kernel_chart(f: LinearMap) -> KernelChart:
@@ -545,7 +504,7 @@ def kernel_chart(f: LinearMap) -> KernelChart:
         for r, pc in enumerate(pivots):
             nums[pc * n + k] = -a[r][j]
     g = math.gcd(d, *nums)
-    return KernelChart(f, free, IntegerForm(f.cols, n, tuple(x // g for x in nums), d // g))
+    return KernelChart(f, free, LinearMap(f.cols, n, tuple(x // g for x in nums), d // g))
 
 
 def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
@@ -583,7 +542,7 @@ def right_inverse_on_image(f: LinearMap) -> LinearMap:
     nums = [0] * (f.cols * f.rows)
     for r, pc in enumerate(pivots):
         nums[pc * f.rows:(pc + 1) * f.rows] = a[r][f.cols:]
-    return IntegerForm(f.cols, f.rows, tuple(nums), d).map()
+    return LinearMap(f.cols, f.rows, tuple(nums), d)
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -658,11 +617,10 @@ def json_typed(value, json_type: type, what: str):
 
 def map_from_dict(d: dict) -> LinearMap:
     """The map of a ``{"rows", "cols", "entries"}`` record, read straight to
-    its canonical integer form: the literals' numerators over the lcm of
-    their denominators, reduced by one gcd."""
+    integers: the literals' numerators over the lcm of their denominators."""
     rows = json_int(d["rows"], "rows", MAX_DIM)
     cols = json_int(d["cols"], "cols", MAX_DIM)
     parts = [_parts(e) for e in json_typed(d["entries"], list, "entries")]
     _check_shape(rows, cols, len(parts))
     den = math.lcm(*(q for _, q in parts))
-    return IntegerForm(rows, cols, tuple(p * (den // q) for p, q in parts), den).map()
+    return LinearMap(rows, cols, tuple(p * (den // q) for p, q in parts), den)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from .linalg import IntegerForm
+from .linalg import LinearMap
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class ColumnCheck:
     "not composable"."""
 
     check: str
-    want: IntegerForm
-    got: IntegerForm
-    residuals: Sequence[IntegerForm] = ()
+    want: LinearMap
+    got: LinearMap
+    residuals: Sequence[LinearMap] = ()
     label: Optional[str] = None
 
 

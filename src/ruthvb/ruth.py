@@ -308,7 +308,7 @@ def common_denominator(r: Ruth) -> int:
     the least integer that makes den * D integral."""
     maps = (*r.lambda0.values(), *r.lambda1.values(), *r.omega.values(),
             *r.complex.diff.values())
-    return math.lcm(*(m.integer.den for m in maps))
+    return math.lcm(*(m.canonical[1] for m in maps))
 
 
 def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
@@ -331,9 +331,8 @@ def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
     def scaled(table):
         out = {}
         for key, m in table.items():
-            f = m.integer
-            out[key] = [(k // f.cols, k % f.cols, x * (den // f.den))
-                        for k, x in enumerate(f.nums) if x]
+            nums, d = m.canonical
+            out[key] = [(k // m.cols, k % m.cols, x * (den // d)) for k, x in enumerate(nums) if x]
         return out
 
     def put(block, row, col, sign):

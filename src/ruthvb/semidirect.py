@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import ValidationError
-from .linalg import IntegerForm, LinearMap
+from .linalg import LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .vb import VBGroupoid, VBMap
 
@@ -47,7 +47,7 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
                           r.lambda0[g1], -r.omega[(g1, g2)]),
             linalg.hstack(LinearMap.zero(d1s2, arrdim[g1] + arrdim[g2] - d1s2),
                           LinearMap.identity(d1s2)))
-        return m.integer @ IntegerForm.stack(e, f)
+        return m @ linalg.vstack(e, f)
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 

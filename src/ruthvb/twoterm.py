@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import CompositionError, NotInducedError, StructureError
 from .groupoid import trivial_groupoid
-from .linalg import IntegerForm, LinearMap, kernel_basis
+from .linalg import LinearMap, kernel_chart
 from .vb import (BundleTransformation, VBGroupoid, VBMap, validate_bundle_transformation,
                  validate_vb_map)
 
@@ -185,10 +185,10 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
             linalg.hstack(c.diff[p], LinearMap.identity(d1)))
         # (a0, a1).(b0, b1) = (a0 + b0, b1), on the stacked pair
         sums[p] = linalg.hstack(linalg.vstack(LinearMap.identity(d0), LinearMap.zero(d1, d0)),
-                                LinearMap.zero(d0 + d1, d1), LinearMap.identity(d0 + d1)).integer
+                                LinearMap.zero(d0 + d1, d1), LinearMap.identity(d0 + d1))
 
     def product(p, _, a, b):
-        return sums[p] @ IntegerForm.stack(a, b)
+        return sums[p] @ linalg.vstack(a, b)
 
     return VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
@@ -239,11 +239,10 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     points = list(v.base.objects)
     dim0, dim1, diff, inj = {}, {}, {}, {}
     for p in points:
-        ker = kernel_basis(v.stilde[p])
-        if len(ker) + v.objdim[p] != v.arrdim[p]:
+        j = kernel_chart(v.stilde[p]).basis_map
+        if j.cols + v.objdim[p] != v.arrdim[p]:
             raise StructureError(f"source map at {p} is not surjective")
-        j = LinearMap.from_columns(list(ker), v.arrdim[p])
-        dim0[p] = len(ker)
+        dim0[p] = j.cols
         dim1[p] = v.objdim[p]
         diff[p] = linalg.compose(v.ttilde[p], j)
         inj[p] = j

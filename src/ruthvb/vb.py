@@ -29,8 +29,7 @@ from . import linalg
 from .errors import CompositionError, StructureError
 from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
 # kernel_basis is re-exported: callers reach it as ruthvb.vb.kernel_basis.
-from .linalg import (IntegerForm, KernelChart, LinearMap, Vector, kernel_basis,  # noqa: F401
-                     kernel_chart)
+from .linalg import KernelChart, LinearMap, Vector, kernel_basis, kernel_chart  # noqa: F401
 from .reports import ColumnCheck, Report
 
 
@@ -42,7 +41,7 @@ class VBGroupoid:
     :func:`validate_vb` so corrupted instances can be represented.  ``mult``
     is given either as a stored table, one matrix per composable pair acting
     on that pair's chart coordinates, or as a product rule
-    ``mult(g1, g2, left, right) -> IntegerForm`` on blocks of composable
+    ``mult(g1, g2, left, right) -> LinearMap`` on blocks of composable
     fiber vectors, one pair per column, which is tabulated at construction
     by one call per pair on that pair's chart basis.
     """
@@ -57,7 +56,7 @@ class VBGroupoid:
     mult: dict[tuple[str, str], LinearMap]
     _pair_charts: dict[tuple[LinearMap, LinearMap], KernelChart] = field(
         default_factory=dict, init=False, compare=False)
-    _pair_operators: dict[tuple[str, str], IntegerForm] = field(
+    _pair_operators: dict[tuple[str, str], LinearMap] = field(
         default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
@@ -85,7 +84,7 @@ class VBGroupoid:
         for g1, g2 in self.base.comp:
             d1 = self.arrdim[g1]
             mult[(g1, g2)] = linalg.tabulate(lambda pairs: product(g1, g2, *pairs.split(d1)),
-                                             self.pair_chart(g1, g2).basis_form)
+                                             self.pair_chart(g1, g2).basis_map)
         return mult
 
     # -- fibered products -----------------------------------------------------
@@ -105,29 +104,29 @@ class VBGroupoid:
         """Canonical basis of {(v,w) : stilde(v) = ttilde(w)} in V1(g1)+V1(g2)."""
         return self.pair_chart(g1, g2).basis
 
-    def pair_operator(self, g1: str, g2: str) -> IntegerForm:
+    def pair_operator(self, g1: str, g2: str) -> LinearMap:
         """The constraint ``[stilde_g1 | -ttilde_g2]`` stacked on the pair's
-        multiplication read at its chart's free columns, in integers, cached.
+        multiplication read at its chart's free columns, cached.
         Applied to a pair (v, w), its first ``objdim[src g1]`` rows give the
         composability residual and the rest the product."""
         key = (g1, g2)
         if key not in self._pair_operators:
             chart = self.pair_chart(g1, g2)
-            self._pair_operators[key] = IntegerForm.stack(
-                chart.constraint.integer, self.mult[key].integer @ chart.coordinates)
+            self._pair_operators[key] = linalg.vstack(
+                chart.constraint, self.mult[key] @ chart.coordinates)
         return self._pair_operators[key]
 
-    def multiply(self, g1: str, g2: str, left: IntegerForm,
-                 right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+    def multiply(self, g1: str, g2: str, left: LinearMap,
+                 right: LinearMap) -> tuple[LinearMap, LinearMap]:
         """Column k of the result is the composability residual and the
         product of column k of ``left`` over g1 with column k of ``right``
         over g2, from one integer product.  The column is composable exactly
         when its residual is zero."""
-        out = self.pair_operator(g1, g2) @ IntegerForm.stack(left, right)
+        out = self.pair_operator(g1, g2) @ linalg.vstack(left, right)
         return out.split(self.objdim[self.base.src[g1]])
 
-    def product(self, g1: str, g2: str, left: IntegerForm,
-                right: IntegerForm) -> IntegerForm:
+    def product(self, g1: str, g2: str, left: LinearMap,
+                right: LinearMap) -> LinearMap:
         """The products of :meth:`multiply`, which must all be composable."""
         residual, out = self.multiply(g1, g2, left, right)
         if any(residual.nums):
@@ -168,19 +167,17 @@ def validate_vb(v: VBGroupoid) -> Report:
     # vector k has coordinates e_k, so its product is column k of mult
     for (g1, g2), m in v.mult.items():
         g12 = g.comp[(g1, g2)]
-        vv, ww = v.pair_chart(g1, g2).basis_form.split(v.arrdim[g1])
+        vv, ww = v.pair_chart(g1, g2).basis_map.split(v.arrdim[g1])
         rep.expect_columns(f"({g1},{g2})", [
-            ColumnCheck("product-source", v.stilde[g2].integer @ ww,
-                        v.stilde[g12].integer @ m.integer),
-            ColumnCheck("product-target", v.ttilde[g1].integer @ vv,
-                        v.ttilde[g12].integer @ m.integer)])
+            ColumnCheck("product-source", v.stilde[g2] @ ww, v.stilde[g12] @ m),
+            ColumnCheck("product-target", v.ttilde[g1] @ vv, v.ttilde[g12] @ m)])
     # unit laws and inverse laws on arrow fiber bases
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
-        vec = IntegerForm.identity(v.arrdim[a])
-        ut = v.utilde[t].integer @ v.ttilde[a].integer
-        us = v.utilde[s].integer @ v.stilde[a].integer
-        iv = v.inv_map[a].integer
+        vec = LinearMap.identity(v.arrdim[a])
+        ut = v.utilde[t] @ v.ttilde[a]
+        us = v.utilde[s] @ v.stilde[a]
+        iv = v.inv_map[a]
         r_lu, left_unit = v.multiply(g.unit[t], a, ut, vec)
         r_ru, right_unit = v.multiply(a, g.unit[s], vec, us)
         r_ri, right_inverse = v.multiply(a, b, vec, iv)
@@ -202,7 +199,7 @@ def validate_vb(v: VBGroupoid) -> Report:
         if chart is None:
             chart = triple_charts[key] = kernel_chart(linalg.direct_sum(
                 v.pair_chart(g1, g2).constraint, v.pair_chart(g2, g3).constraint, overlap=d2))
-        a1, a23 = chart.basis_form.split(d1)
+        a1, a23 = chart.basis_map.split(d1)
         a2, a3 = a23.split(d2)
         r12, p12 = v.multiply(g1, g2, a1, a2)
         r_left, left = v.multiply(g.comp[(g1, g2)], g3, p12, a3)
@@ -300,9 +297,9 @@ def validate_vb_map(m: VBMap) -> Report:
         rep.expect("unit-compatibility", f"object {x}",
                    linalg.compose(tgt.utilde[m.base_obj[x]], m.obj_maps[x]),
                    linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x]))
-    f = {a: m.arr_maps[a].integer for a in gb.arrows}
+    f = m.arr_maps
     for (g1, g2), g12 in gb.comp.items():
-        vv, ww = src.pair_chart(g1, g2).basis_form.split(src.arrdim[g1])
+        vv, ww = src.pair_chart(g1, g2).basis_map.split(src.arrdim[g1])
         where = f"({g1},{g2})"
         try:
             residual, images = tgt.multiply(m.base_arr[g1], m.base_arr[g2],
@@ -313,7 +310,7 @@ def validate_vb_map(m: VBMap) -> Report:
                         "not composable")
             continue
         rep.expect_columns(where, [
-            ColumnCheck("multiplicativity", images, f[g12] @ src.mult[(g1, g2)].integer,
+            ColumnCheck("multiplicativity", images, f[g12] @ src.mult[(g1, g2)],
                         (residual,), "composable images")])
     return rep
 
@@ -370,11 +367,9 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
     for x in src.base.objects:
         ux = src.base.unit[x]
         uy = tgt.base.unit[t.from_map.base_obj[x]]
-        comp = t.comp[x].integer
-        r_want, want = tgt.multiply(uy, uy, t.to_map.arr_maps[ux].integer,
-                                    comp @ src.stilde[ux].integer)
-        r_got, got = tgt.multiply(uy, uy, comp @ src.ttilde[ux].integer,
-                                  t.from_map.arr_maps[ux].integer)
+        comp = t.comp[x]
+        r_want, want = tgt.multiply(uy, uy, t.to_map.arr_maps[ux], comp @ src.stilde[ux])
+        r_got, got = tgt.multiply(uy, uy, comp @ src.ttilde[ux], t.from_map.arr_maps[ux])
         rep.expect_columns(x, [ColumnCheck("naturality", want, got, (r_want, r_got),
                                            "composable")])
     return rep

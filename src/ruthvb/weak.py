@@ -22,7 +22,7 @@ from functools import cached_property
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .linalg import IntegerForm, LinearMap
+from .linalg import LinearMap
 from .reports import ColumnCheck, Report
 from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 
@@ -76,13 +76,13 @@ class WeakRepresentation:
         """Dimension of the bundle's arrow fiber at a point."""
         return self.bundle.arrdim[self.bundle.base.unit[x]]
 
-    def fiber_multiply(self, x: str, left: IntegerForm,
-                       right: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+    def fiber_multiply(self, x: str, left: LinearMap,
+                       right: LinearMap) -> tuple[LinearMap, LinearMap]:
         """:meth:`VBGroupoid.multiply` on the bundle's arrows at x."""
         u = self.bundle.base.unit[x]
         return self.bundle.multiply(u, u, left, right)
 
-    def fiber_product(self, x: str, left: IntegerForm, right: IntegerForm) -> IntegerForm:
+    def fiber_product(self, x: str, left: LinearMap, right: LinearMap) -> LinearMap:
         u = self.bundle.base.unit[x]
         return self.bundle.product(u, u, left, right)
 
@@ -120,11 +120,11 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
                    linalg.compose(w.a1[a], w.fiber_unit(s)))
         # on the chart basis of (us, us): basis vector k multiplies to column k of mult
         us = w.bundle.base.unit[s]
-        a1 = w.a1[a].integer
-        v1, v2 = w.bundle.pair_chart(us, us).basis_form.split(w.bundle.arrdim[us])
+        a1 = w.a1[a]
+        v1, v2 = w.bundle.pair_chart(us, us).basis_map.split(w.bundle.arrdim[us])
         residual, images = w.fiber_multiply(t, a1 @ v1, a1 @ v2)
         rep.expect_columns(a, [
-            ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(us, us)].integer,
+            ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(us, us)],
                         (residual,), "composable images")])
     for x in g.objects:
         u = g.unit[x]
@@ -140,21 +140,16 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
         rep.expect("associator-target", loc, w.a0[g12],
                    linalg.compose(w.fiber_target(t1), cell))
         # naturality on the basis arrows of the fiber at src(g2)
-        c = cell.integer
-        r_want, want = w.fiber_multiply(t1, w.a1[g12].integer,
-                                        c @ w.fiber_source(s2).integer)
-        r_got, got = w.fiber_multiply(t1, c @ w.fiber_target(s2).integer,
-                                      w.a1[g1].integer @ w.a1[g2].integer)
+        r_want, want = w.fiber_multiply(t1, w.a1[g12], cell @ w.fiber_source(s2))
+        r_got, got = w.fiber_multiply(t1, cell @ w.fiber_target(s2), w.a1[g1] @ w.a1[g2])
         rep.expect_columns(loc, [ColumnCheck("associator-naturality", want, got,
                                              (r_want, r_got), "composable cells")])
     # the pentagon on the basis of the object fiber at src(g3)
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
         t1 = g.tgt[g1]
-        r_want, want = w.fiber_multiply(
-            t1, w.alpha[(g12, g3)].integer, w.alpha[(g1, g2)].integer @ w.a0[g3].integer)
-        r_got, got = w.fiber_multiply(
-            t1, w.alpha[(g1, g23)].integer, w.a1[g1].integer @ w.alpha[(g2, g3)].integer)
+        r_want, want = w.fiber_multiply(t1, w.alpha[(g12, g3)], w.alpha[(g1, g2)] @ w.a0[g3])
+        r_got, got = w.fiber_multiply(t1, w.alpha[(g1, g23)], w.a1[g1] @ w.alpha[(g2, g3)])
         rep.expect_columns(f"({g1},{g2},{g3})", [
             ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
     for a in g.arrows:
@@ -176,7 +171,7 @@ class ActionChart:
     The arrow fiber over g is {(x, k) : ttilde(k) = A0(g) x}; its basis is
     the object-fiber basis lifted through the leftmost-pivot section tau of
     ttilde at tgt(g), followed by the kernel-chart basis of that ttilde.
-    Each arrow keeps two integer matrices: its decoder sends coordinates to
+    Each arrow keeps two matrices: its decoder sends coordinates to
     (x, k), and its encoder sends (x, k) to the residual
     ``ttilde(k - tau A0 x)`` stacked on the coordinates, which are x and the
     entries of ``k - tau A0 x`` at the kernel chart's free columns."""
@@ -186,8 +181,8 @@ class ActionChart:
         g = w.groupoid
         self.tau = {x: linalg.right_inverse_on_image(w.fiber_target(x)) for x in g.objects}
         self.ker = {x: linalg.kernel_chart(w.fiber_target(x)) for x in g.objects}
-        self.encoder: dict[str, IntegerForm] = {}
-        self.decoder: dict[str, IntegerForm] = {}
+        self.encoder: dict[str, LinearMap] = {}
+        self.decoder: dict[str, LinearMap] = {}
         for a in g.arrows:
             n, t = w.objdim(g.src[a]), g.tgt[a]
             ker, m = self.ker[t], w.arrdim(t)
@@ -196,20 +191,20 @@ class ActionChart:
             self.encoder[a] = linalg.vstack(
                 linalg.compose(ker.constraint, rem),
                 linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, m)),
-                linalg.compose(ker.coordinates.map(), rem)).integer
+                linalg.compose(ker.coordinates, rem))
             self.decoder[a] = linalg.vstack(
                 linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, len(ker.free))),
-                linalg.hstack(lift, ker.basis_map)).integer
+                linalg.hstack(lift, ker.basis_map))
 
-    def encode(self, g_arrow: str, x: IntegerForm, k: IntegerForm) -> IntegerForm:
+    def encode(self, g_arrow: str, x: LinearMap, k: LinearMap) -> LinearMap:
         """Coordinates of a block of pairs in the chart basis, one per column."""
-        residual, coords = (self.encoder[g_arrow] @ IntegerForm.stack(x, k)).split(
+        residual, coords = (self.encoder[g_arrow] @ linalg.vstack(x, k)).split(
             self.w.objdim(self.w.groupoid.tgt[g_arrow]))
         if any(residual.nums):
             raise CompositionError(f"pair over {g_arrow} violates the fiber constraint")
         return coords
 
-    def decode(self, g_arrow: str, coords: IntegerForm) -> tuple[IntegerForm, IntegerForm]:
+    def decode(self, g_arrow: str, coords: LinearMap) -> tuple[LinearMap, LinearMap]:
         """The pairs (x, k) with the coordinates of each column."""
         return (self.decoder[g_arrow] @ coords).split(self.w.objdim(self.w.groupoid.src[g_arrow]))
 
@@ -225,28 +220,26 @@ def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
     stilde, ttilde, inv_map = {}, {}, {}
     for a in g.arrows:
         # the source of (x, k) is x, its target the source of k
-        x, k = chart.decode(a, IntegerForm.identity(arrdim[a]))
-        stilde[a], ttilde[a] = x.map(), (w.fiber_source(g.tgt[a]).integer @ k).map()
-    utilde = {x: chart.encode(g.unit[x], IntegerForm.identity(objdim[x]),
-                              w.fiber_unit(x).integer).map()
+        stilde[a], k = chart.decode(a, LinearMap.identity(arrdim[a]))
+        ttilde[a] = w.fiber_source(g.tgt[a]) @ k
+    utilde = {x: chart.encode(g.unit[x], LinearMap.identity(objdim[x]), w.fiber_unit(x))
               for x in g.objects}
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
-        inv = w.fiber_inverse(s).integer
+        inv = w.fiber_inverse(s)
 
         def inverse_of(c):
             x, k = chart.decode(a, c)
-            arrow = w.fiber_product(s, inv @ w.a1[b].integer @ k,
-                                    inv @ w.alpha[(b, a)].integer @ x)
-            return chart.encode(b, w.fiber_source(t).integer @ k, arrow)
+            arrow = w.fiber_product(s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
+            return chart.encode(b, w.fiber_source(t) @ k, arrow)
 
-        inv_map[a] = linalg.tabulate(inverse_of, IntegerForm.identity(arrdim[a]))
+        inv_map[a] = linalg.tabulate(inverse_of, LinearMap.identity(arrdim[a]))
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
         _, k1 = chart.decode(g1, left)
         x2, k2 = chart.decode(g2, right)
-        inner = w.fiber_product(t1, w.alpha[(g1, g2)].integer @ x2, w.a1[g1].integer @ k2)
+        inner = w.fiber_product(t1, w.alpha[(g1, g2)] @ x2, w.a1[g1] @ k2)
         return chart.encode(g.comp[(g1, g2)], x2, w.fiber_product(t1, inner, k1))
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
@@ -302,21 +295,17 @@ def validate_equivariant(e: EquivariantMap) -> Report:
                    linalg.compose(w.fiber_source(t), e.delta[a]))
         rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
                    linalg.compose(w.fiber_target(t), e.delta[a]))
-        delta = e.delta[a].integer
-        r_want, want = w.fiber_multiply(t, w.a1[a].integer @ e.f1[s].integer,
-                                        delta @ v.fiber_source(s).integer)
-        r_got, got = w.fiber_multiply(t, delta @ v.fiber_target(s).integer,
-                                      e.f1[t].integer @ v.a1[a].integer)
+        delta = e.delta[a]
+        r_want, want = w.fiber_multiply(t, w.a1[a] @ e.f1[s], delta @ v.fiber_source(s))
+        r_got, got = w.fiber_multiply(t, delta @ v.fiber_target(s), e.f1[t] @ v.a1[a])
         rep.expect_columns(a, [ColumnCheck("cell-naturality", want, got, (r_want, r_got),
                                            "composable cells")])
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
-        r_want, want = w.fiber_multiply(
-            t1, e.delta[g12].integer, e.f1[t1].integer @ v.alpha[(g1, g2)].integer)
-        r_inner, inner = w.fiber_multiply(
-            t1, w.alpha[(g1, g2)].integer @ e.f0[s2].integer,
-            w.a1[g1].integer @ e.delta[g2].integer)
-        r_got, got = w.fiber_multiply(t1, inner, e.delta[g1].integer @ v.a0[g2].integer)
+        r_want, want = w.fiber_multiply(t1, e.delta[g12], e.f1[t1] @ v.alpha[(g1, g2)])
+        r_inner, inner = w.fiber_multiply(t1, w.alpha[(g1, g2)] @ e.f0[s2],
+                                          w.a1[g1] @ e.delta[g2])
+        r_got, got = w.fiber_multiply(t1, inner, e.delta[g1] @ v.a0[g2])
         rep.expect_columns(f"({g1},{g2})", [
             ColumnCheck("hexagon", want, got, (r_want, r_inner, r_got), "composable cells")])
     for x in g.objects:
@@ -341,8 +330,8 @@ def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMa
         raise CompositionError("equivariant map boundaries do not match")
     g = e1.source.groupoid
     x_rep = e2.target
-    delta = {a: x_rep.fiber_product(g.tgt[a], e2.delta[a].integer @ e1.f0[g.src[a]].integer,
-                                    e2.f1[g.tgt[a]].integer @ e1.delta[a].integer).map()
+    delta = {a: x_rep.fiber_product(g.tgt[a], e2.delta[a] @ e1.f0[g.src[a]],
+                                    e2.f1[g.tgt[a]] @ e1.delta[a])
              for a in g.arrows}
     return EquivariantMap(
         e1.source, e2.target,
@@ -366,8 +355,8 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
 
         def image(c):
             x, k = src_chart.decode(a, c)
-            arrow = e.target.fiber_product(t, e.delta[a].integer @ x, e.f1[t].integer @ k)
-            return tgt_chart.encode(a, e.f0[s].integer @ x, arrow)
+            arrow = e.target.fiber_product(t, e.delta[a] @ x, e.f1[t] @ k)
+            return tgt_chart.encode(a, e.f0[s] @ x, arrow)
 
-        arr[a] = linalg.tabulate(image, IntegerForm.identity(src_ag.arrdim[a]))
+        arr[a] = linalg.tabulate(image, LinearMap.identity(src_ag.arrdim[a]))
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

@@ -36,7 +36,7 @@ from ruthvb.equivalences import vb_to_wrep, wrep_from_ruth, wrep_from_ruth_morph
 def _multiply(v, g1, g2, a, b):
     """The product of one composable pair of fiber vectors, read off the pair
     operator applied to the one vector (a, b)."""
-    out = v.pair_operator(g1, g2).map().apply(tuple(a) + tuple(b))
+    out = v.pair_operator(g1, g2).apply(tuple(a) + tuple(b))
     split = v.objdim[v.base.src[g1]]
     if any(out[:split]):
         raise CompositionError(f"vectors over ({g1},{g2}) are not composable")

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 from ruthvb import linalg
 from ruthvb.errors import (CompositionError, DimensionError, NotInvertibleError,
                            NotSurjectiveError, StructureError)
-from ruthvb.linalg import (IntegerForm, LinearMap, compose, inverse,
-                           kernel_basis, rank, right_inverse_on_image, solve)
+from ruthvb.linalg import (LinearMap, compose, inverse, kernel_basis, rank,
+                           right_inverse_on_image, solve)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def small_matrix(rows, cols):
     return st.lists(fractions, min_size=rows * cols, max_size=rows * cols).map(
-        lambda es: LinearMap(rows, cols, tuple(es)))
+        lambda es: LinearMap.from_entries(rows, cols, es))
 
 
 def test_compose_identity_and_zero():
@@ -82,7 +82,7 @@ def test_kernel_chart_coords_agree_with_solve(f, coeffs, off_kernel):
     # a vector is in the kernel when the constraint kills it, and its
     # coordinates are then its entries at the free columns
     in_kernel = not any(chart.constraint.apply(z))
-    assert (chart.coordinates.map().apply(z) if in_kernel else None) == want
+    assert (chart.coordinates.apply(z) if in_kernel else None) == want
     if want is not None:
         assert chart.basis_map.apply(want) == z
 
@@ -117,14 +117,9 @@ def test_right_inverse_section_property(f):
 
 
 @given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
-def test_matrix_of_tabulates_a_map(m):
-    assert linalg.matrix_of(m.apply, m.cols, m.rows) == m
-
-
-@given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
 def test_tabulate_applies_a_block_rule_to_a_block(m):
-    assert linalg.tabulate(lambda b: m.integer @ b, IntegerForm.identity(m.cols)) == m
-    assert m.integer.map() == m
+    assert linalg.tabulate(lambda b: m @ b, LinearMap.identity(m.cols)) == m
+    assert LinearMap(m.rows, m.cols, m.nums, m.den) == m
 
 
 def test_tabulate_raises_the_error_a_column_by_column_run_meets_first():
@@ -138,9 +133,9 @@ def test_tabulate_raises_the_error_a_column_by_column_run_meets_first():
         return block
 
     with pytest.raises(CompositionError, match="second step"):
-        linalg.tabulate(rule, IntegerForm.identity(2))
+        linalg.tabulate(rule, LinearMap.identity(2))
     with pytest.raises(CompositionError, match="first step"):
-        linalg.tabulate(rule, IntegerForm(2, 1, (0, 1)))
+        linalg.tabulate(rule, LinearMap(2, 1, (0, 1)))
 
 
 def _dense_apply(m, v):
@@ -150,7 +145,7 @@ def _dense_apply(m, v):
 
 
 def _dense_compose(f, g):
-    return LinearMap(f.rows, g.cols, tuple(
+    return LinearMap.from_entries(f.rows, g.cols, tuple(
         sum((f.entry(i, k) * g.entry(k, j) for k in range(f.cols)), Fraction(0))
         for i in range(f.rows) for j in range(g.cols)))
 
@@ -162,7 +157,7 @@ sparse_fractions = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction
 
 def sparse_matrix(rows, cols):
     return st.lists(sparse_fractions, min_size=rows * cols, max_size=rows * cols).map(
-        lambda es: LinearMap(rows, cols, tuple(es)))
+        lambda es: LinearMap.from_entries(rows, cols, es))
 
 
 @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(5) for c in range(5)])
@@ -209,11 +204,11 @@ def test_apply_forms_no_product_with_a_zero_factor(n):
         m.apply(tuple(Counting(log, j in zeros) for j in range(m.cols)))
         return log["products"], log["sums"]
 
-    twice = LinearMap(n, n, tuple(2 * e for e in LinearMap.identity(n).entries))
+    twice = LinearMap.from_entries(n, n, [2 * e for e in LinearMap.identity(n).entries])
     assert count(LinearMap.identity(n)) == (0, 0)
     assert count(twice) == (n, 0)
     assert count(LinearMap.zero(n, n)) == (0, 0)
-    full = LinearMap(n, n, (Fraction(3),) * (n * n))
+    full = LinearMap.from_entries(n, n, (Fraction(3),) * (n * n))
     assert count(full) == (n * n, n * (n - 1))
     assert count(full, zeros=range(0, n, 2)) == (n * (n // 2), n * (n // 2 - 1))
 
@@ -299,18 +294,17 @@ def rational_maps(draw, max_rows=4, max_cols=5):
         c = draw(st.lists(fractions, min_size=rows - 1, max_size=rows - 1))
         ent[(rows - 1) * cols:] = [sum((c[i] * ent[i * cols + j] for i in range(rows - 1)),
                                        Fraction(0)) for j in range(cols)]
-    return LinearMap(rows, cols, tuple(ent))
+    return LinearMap.from_entries(rows, cols, ent)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rational_maps())
 def test_integer_form_reconstructs_entries_over_the_least_denominator(m):
-    form = m.integer
-    assert (form.rows, form.cols) == (m.rows, m.cols)
-    assert tuple(Fraction(x, form.den) for x in form.nums) == m.entries
-    assert form.den == math.lcm(*(e.denominator for e in m.entries))
-    assert m.integer is form and "integer" not in repr(m) and m == LinearMap(
-        m.rows, m.cols, m.entries)
+    assert len(m.nums) == m.rows * m.cols
+    assert tuple(Fraction(x, m.den) for x in m.nums) == m.entries
+    assert m.den == math.lcm(*(e.denominator for e in m.entries))
+    assert m.canonical == (m.nums, m.den)
+    assert "nums" not in repr(m) and m == LinearMap.from_entries(m.rows, m.cols, m.entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,11 +312,13 @@ def test_integer_form_reconstructs_entries_over_the_least_denominator(m):
 def test_integer_product_equals_compose(data):
     f = data.draw(rational_maps())
     g = data.draw(st.integers(0, 4).flatmap(lambda k: small_matrix(f.cols, k)))
-    h = f.integer @ g.integer
-    assert LinearMap(h.rows, h.cols, tuple(Fraction(x, h.den) for x in h.nums)) == compose(f, g)
-    assert h.unequal_columns(compose(f, g).integer) == set()
+    h = f @ g
+    assert (h.rows, h.cols, h.den) == (f.rows, g.cols, f.den * g.den)
+    assert LinearMap.from_entries(h.rows, h.cols,
+                                  tuple(Fraction(x, h.den) for x in h.nums)) == compose(f, g)
+    assert h.unequal_columns(compose(f, g)) == set()
     with pytest.raises(DimensionError):
-        f.integer @ LinearMap.zero(f.cols + 1, 1).integer
+        f @ LinearMap.zero(f.cols + 1, 1)
 
 
 def _fraction_rref(m):
@@ -369,7 +365,7 @@ def test_fraction_free_elimination_matches_a_fraction_reference(m, data):
     chart = linalg.kernel_chart(m)
     free, basis = _reference_kernel(m)
     assert (chart.free, chart.basis) == (free, basis)
-    form = chart.basis_form
+    form = chart.basis_map
     assert (form.rows, form.cols) == (m.cols, len(free))
     assert tuple(form.column(k) for k in range(len(free))) == basis
     b = tuple(data.draw(st.lists(wide_fractions, min_size=m.rows, max_size=m.rows)))
@@ -393,22 +389,22 @@ def test_fraction_free_elimination_matches_a_fraction_reference(m, data):
 def test_integer_form_blocks():
     f = LinearMap.from_rows([[Fraction(1, 2), 0], [0, 3]])
     g = LinearMap.from_rows([[1, 0], [0, Fraction(2, 3)]])
-    top, rest = linalg.IntegerForm.stack(f.integer, g.integer).split(2)
-    assert top.unequal_columns(f.integer) == set() and rest.unequal_columns(g.integer) == set()
-    assert f.integer.unequal_columns(g.integer) == {0, 1}
-    assert f.integer.unequal_columns(LinearMap.zero(1, 2).integer) == {0, 1}
-    assert (f - LinearMap.from_rows([[Fraction(1, 2), 0], [0, 0]])).integer.nonzero_columns() \
-        == {1}
-    assert LinearMap.zero(0, 3).integer.nonzero_columns() == set()
-    assert f.integer.column(0) == (Fraction(1, 2), Fraction(0))
+    top, rest = linalg.vstack(f, g).split(2)
+    assert top.unequal_columns(f) == set() and rest.unequal_columns(g) == set()
+    assert f.unequal_columns(g) == {0, 1}
+    assert f.unequal_columns(LinearMap.zero(1, 2)) == {0, 1}
+    assert (f - LinearMap.from_rows([[Fraction(1, 2), 0], [0, 0]])).nonzero_columns() == {1}
+    assert LinearMap.zero(0, 3).nonzero_columns() == set()
+    assert f.column(0) == (Fraction(1, 2), Fraction(0))
 
 
-# -- maps held as canonical integer forms ----------------------------------------
+# -- maps made canonical when compared --------------------------------------------
 
 def _is_canonical(m):
-    f = m.integer
-    return ((f.rows, f.cols) == (m.rows, m.cols) and len(f.nums) == m.rows * m.cols
-            and f.den > 0 and math.gcd(f.den, *f.nums) == 1)
+    """m's canonical form holds its entries over the least denominator."""
+    nums, den = m.canonical
+    return (len(nums) == m.rows * m.cols and den > 0 and math.gcd(den, *nums) == 1
+            and tuple(Fraction(x, den) for x in nums) == m.entries)
 
 
 def _reference_hstack(*maps):
@@ -428,7 +424,7 @@ def _reference_direct_sum(f, g, overlap):
 
 def wide_matrix(rows, cols):
     return st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols).map(
-        lambda es: LinearMap(rows, cols, es))
+        lambda es: LinearMap.from_entries(rows, cols, es))
 
 
 shapes = st.integers(0, 4)
@@ -438,23 +434,30 @@ shapes = st.integers(0, 4)
 def one_map_four_ways(draw):
     """A map built from its Fractions, and the same map built by a product,
     by a sum and by a stack: products and sums leave common factors in
-    their denominators, and stacks put blocks over a common one."""
+    their denominators, and stacks put blocks over a common one.  Last, the
+    identity as the product of a diagonal map and its inverse, held over
+    the product of their denominators."""
     rows, cols = draw(shapes), draw(shapes)
     m = draw(wide_matrix(rows, cols))
     scale = draw(st.lists(fractions.filter(bool), min_size=cols, max_size=cols))
-    d = LinearMap(cols, cols, [scale[i] if i == j else 0 for i in range(cols) for j in range(cols)])
+    d = LinearMap.from_rows([[scale[i] if i == j else 0 for j in range(cols)]
+                             for i in range(cols)])
     other = draw(small_matrix(rows, cols))
     cut_row, cut_col = draw(st.integers(0, rows)), draw(st.integers(0, cols))
     return m, [compose(compose(m, d), inverse(d)),
                (m - other) + other,
                linalg.vstack(m.block(0, cut_row, 0, cols), m.block(cut_row, rows, 0, cols)),
-               linalg.hstack(m.block(0, rows, 0, cut_col), m.block(0, rows, cut_col, cols))]
+               linalg.hstack(m.block(0, rows, 0, cut_col), m.block(0, rows, cut_col, cols))], \
+        compose(d, inverse(d))
 
 
 @settings(max_examples=100, deadline=None)
 @given(one_map_four_ways(), st.data())
 def test_maps_are_canonical_and_compare_by_their_entries(built, data):
-    m, ways = built
+    m, ways, unit = built
+    identity = LinearMap.identity(m.cols)
+    assert _is_canonical(unit) and unit.is_identity()
+    assert unit == identity and identity == unit and hash(unit) == hash(identity)
     assert all(_is_canonical(x) for x in [m, *ways])
     assert all(x == m and hash(x) == hash(m) and x.entries == m.entries for x in ways)
     other = data.draw(small_matrix(m.rows, m.cols) | rational_maps())
@@ -463,6 +466,20 @@ def test_maps_are_canonical_and_compare_by_their_entries(built, data):
     assert (other == m) == same and (other != m) == (not same)
     if same:
         assert hash(other) == hash(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_a_product_over_a_larger_denominator_is_the_identity(n):
+    """(1/2 I) @ (2 I) is held over 2 with numerators 2, not reduced; it
+    equals, hashes and reads as the identity, and its canonical form is the
+    identity's."""
+    half = LinearMap.from_entries(n, n, [Fraction(int(i == j), 2) for i in range(n)
+                                         for j in range(n)])
+    one = half @ LinearMap.from_rows([[2 * int(i == j) for j in range(n)] for i in range(n)])
+    identity = LinearMap.identity(n)
+    assert one.den == (2 if n else 1) and one.nums == tuple(2 * x for x in identity.nums)
+    assert one == identity and hash(one) == hash(identity) and one.is_identity()
+    assert one.canonical == (identity.nums, 1) and one.entries == identity.entries
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,14 +525,15 @@ literals = st.one_of(
 
 def _fraction_path(d):
     """The map of a record read through one Fraction per entry."""
-    return LinearMap(linalg.json_int(d["rows"], "rows", linalg.MAX_DIM),
-                     linalg.json_int(d["cols"], "cols", linalg.MAX_DIM),
-                     tuple(linalg.rat(e) for e in d["entries"]))
+    return LinearMap.from_entries(linalg.json_int(d["rows"], "rows", linalg.MAX_DIM),
+                                  linalg.json_int(d["cols"], "cols", linalg.MAX_DIM),
+                                  tuple(linalg.rat(e) for e in d["entries"]))
 
 
 def _outcome(read, d):
     try:
-        return read(d).integer
+        m = read(d)
+        return m.rows, m.cols, m.canonical
     except (ValueError, TypeError, DimensionError) as exc:
         return type(exc), str(exc)
 
@@ -535,5 +553,5 @@ def test_map_from_dict_matches_the_fraction_path(rows, cols, data):
     d = {"rows": rows, "cols": cols, "entries": entries}
     got = _outcome(linalg.map_from_dict, d)
     assert got == _outcome(_fraction_path, d)
-    if isinstance(got, IntegerForm):
+    if len(got) == 3:
         assert _is_canonical(linalg.map_from_dict(d))

@@ -1,6 +1,7 @@
 """Representations up to homotopy: the four identities, morphisms, gauge
 transport, and the square-zero total operator."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -250,6 +251,21 @@ def test_generic_element_tabulates_the_operator():
                     for j, y in d_next[k].items():
                         product[j] = product.get(j, 0) + x * y
                 assert _dense(product, den * den, len(twice)) == twice, (n, i)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+def test_operator_reads_the_least_denominator_of_a_product(scale):
+    """A unit's lambda0 given as (s I) @ (1/s I), held over den(s) den(1/s),
+    adds only its least denominator, 1, to den: the representation, den and
+    the operator columns are those of the one given the identity."""
+    r = z2_ruth(1)
+    one = LinearMap.from_rows([[scale]]) @ LinearMap.from_rows([[1 / scale]])
+    assert one.den == scale.denominator * abs(scale.numerator) > 1
+    r2 = dataclasses.replace(r, lambda0={**r.lambda0, "e": one})
+    assert r2 == r and common_denominator(r2) == common_denominator(r) == 1
+    assert [operator_columns(r2, n) for n in range(3)] == [operator_columns(r, n)
+                                                           for n in range(3)]
+    assert square_is_zero(r2).passed and validate_ruth(r2).passed
 
 
 def test_square_zero_agrees_with_the_identities_on_free_mutants():

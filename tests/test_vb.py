@@ -28,7 +28,7 @@ from ruthvb.weak import validate_weak_representation
 
 def _column(vec):
     """A fiber vector as a one-column block."""
-    return LinearMap.from_columns([tuple(vec)], len(vec)).integer
+    return LinearMap.from_columns([tuple(vec)], len(vec))
 
 
 def test_phi_object_is_valid_over_trivial_base():
@@ -255,7 +255,7 @@ def test_pair_coords_agree_with_solve(data):
             v.product(g1, g2, left, right)
         assert residual.nonzero_columns() == {0}
     else:
-        assert v.pair_chart(g1, g2).coordinates.map().apply(z) == want
+        assert v.pair_chart(g1, g2).coordinates.apply(z) == want
         assert v.product(g1, g2, left, right).column(0) == v.mult[(g1, g2)].apply(want)
         assert residual.nonzero_columns() == set()
         assert product.column(0) == v.mult[(g1, g2)].apply(want)

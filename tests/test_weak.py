@@ -29,7 +29,7 @@ from ruthvb.equivalences import (reconstruct_equivariant, wrep_from_ruth,
 
 def _column(vec):
     """A fiber vector as a one-column block."""
-    return LinearMap.from_columns([tuple(vec)], len(vec)).integer
+    return LinearMap.from_columns([tuple(vec)], len(vec))
 
 
 def test_wrep_of_fixtures_valid():
