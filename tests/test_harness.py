@@ -345,29 +345,29 @@ def test_cli_roundtrip_with_file(capsys):
 # convert --out writes (empty when it writes none).
 CLI_DIGESTS = {
     "validate pair-strict-ruth.json":
-        "43bb0098e9e731ed74c3e68dd57241d965f77a4bd5bc003e7832d39534b1e631",
+        "39a865009ac011741a837faf9d07ae72bc9ccccbbf44d751b4ea110365b7469e",
     "validate pair-strict-semidirect.json":
-        "e90058e0e97828e0348a31ebef37c396acf0e1a459d7f4679126e1a54a3e8a6c",
+        "3b09e993c997a24820606ffa3ac42c034ccdaa160aa2ad0bb5c590d4c2cd3996",
     "validate pair-strict-vb-scrambled.json":
-        "4ae121654b3ffbf282c1785933f8ba607df02ba02213674c1a1ff488ebfb347f",
+        "dd4f7dd39fefa893191722d8e36387f134bb8850b6aabb0bf86afdd401369362",
     "validate pair-strict-wrep.json":
-        "31121cf737e3a6988b1d625e10820f0894f2fef02b9c5f63522ed42335a22ebc",
+        "a15a56fe400f2a85d1db28485ff5638d8905d6b152503a6c36ed46f09b2e4287",
     "validate pair.json":
-        "03707cd9d2fc75b904f7bfc166019de907922c808278fddf60dbb8cfa22683d0",
+        "24b4f89182b7d3c74681b893594298d87f6cd73a559baa03bfef8333f38f83c1",
     "validate z2-ruth-0.json":
-        "4a8dd3567a442439a81f3fb0405d7b6f10b7884e19147fe9361add293ff8d9d1",
+        "ab5cccf5e0271d30af67b854d75056ba8cfb08a76998aafc09d2355d2fc7e70c",
     "validate z2-ruth-1-semidirect.json":
-        "d964fbae973e698491ffe8a241dd1fd633d11145d9a38391550cbeeba5e4af40",
+        "c431dd05299bb81918f268864bdc9840e89eb1522d8d8db2507c9e25e1e77913",
     "validate z2-ruth-1-vb-scrambled.json":
-        "68e39fcda000c57a86f7cedd8375017794f9cf43ddd99014c72bbd495d6336b2",
+        "5e709b1a5f13a766056bf43413c84c8f6f4d2df861ba1e51949d4a5b94932178",
     "validate z2-ruth-1-wrep.json":
-        "f85d21f6bdb1954cba5aa7c233c540888af2035b97a8afaee313c4b97499c678",
+        "714259ce387f3206d3214c3a063f27d5efc531af5c231094053248b1657e7c1a",
     "validate z2-ruth-1.json":
-        "80592cd741511b4b575ec463c270c4b5a06186d6d04f200f64f91bae0d96f547",
+        "90366b05db230370194bfd64452f658b55815327eb37e02f8d075b4759119838",
     "validate z2-ruth-broken4.json":
-        "e55c64a55f27c0c54006924266bb16847262569cd71cbdd94ccd509d699622d9",
+        "cc628ab4c5cae9a7e98f20ce45a6d93afa56db8f0d55eab08dc886ecb9448e15",
     "validate z2.json":
-        "a83f7deb9a804e2ff45ea379dd823a3cf4a33b72b3c3f6837bcbd25655c35edb",
+        "d0e8bcab877b88cbf4b35dc8b07de8080ca18f9f9d603872b51e09edf764e848",
     "convert pair-strict-ruth.json ruth->wrep":
         "17ff0935192f9ee381f8ea7bbbe92f00756d023a9f738fe1ae0da19db2ee5022",
     "convert pair-strict-ruth.json ruth->vb":
@@ -417,8 +417,12 @@ CLI_DIGESTS = {
 }
 
 
-def _cli_outputs(tmp_path, capsys):
-    """Each pinned CLI run's name and its exit code and output, as bytes."""
+def _cli_outputs(tmp_path, capsys, monkeypatch):
+    """Each pinned CLI run's name and its exit code and output, as bytes.
+    Runs from the repository root on relative fixture paths, because a
+    validate report names the file it read."""
+    monkeypatch.chdir(REPO_FIXTURES.parent)
+
     def run(argv, out=None):
         code = main(argv)
         text = capsys.readouterr().out
@@ -430,9 +434,10 @@ def _cli_outputs(tmp_path, capsys):
             body = json.dumps(doc, sort_keys=True).encode()
         return f"{code}\n".encode() + body
 
-    for path in sorted(REPO_FIXTURES.glob("*.json")):
+    fixtures = sorted(Path("fixtures").glob("*.json"))
+    for path in fixtures:
         yield f"validate {path.name}", run(["validate", str(path), "--format", "json"])
-    for path in sorted(REPO_FIXTURES.glob("*.json")):
+    for path in fixtures:
         kind = json.loads(path.read_text())["kind"]
         for source, target in cli.CONVERSIONS:
             if source == kind:
@@ -446,9 +451,9 @@ def _cli_outputs(tmp_path, capsys):
     yield "fuzz", run(["fuzz", "--trials", "60", "--seed", "424251", "--format", "json"])
 
 
-def test_cli_outputs_are_pinned(tmp_path, capsys):
+def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     digests = {name: hashlib.sha256(body).hexdigest()
-               for name, body in _cli_outputs(tmp_path, capsys)}
+               for name, body in _cli_outputs(tmp_path, capsys, monkeypatch)}
     assert digests == CLI_DIGESTS
 
 
