@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import NotInducedError, StructureError, ValidationError
+from .errors import StructureError, ValidationError
 from .linalg import LinearMap
 from .ruth import Ruth, RuthMorphism, validate_morphism, validate_ruth
 from .semidirect import semidirect
-from .twoterm import diagonal_blocks, phi_object, split_bundle
+from .twoterm import cell_block, chain_block, phi_object, split_bundle
 from .vb import (Connection, VBGroupoid, VBMap, connection_report,
                  find_unital_connection, kernel_groupoid, validate_vb,
                  validate_vb_map, vb_map_is_isomorphism)
@@ -45,7 +45,10 @@ def ruth_from_wrep(w: WeakRepresentation) -> Ruth:
 
     On the image of :func:`wrep_from_ruth` the splitting is the identity and
     the round trip recovers the representation on the nose.  Corrupted input
-    surfaces as NotInducedError (blocks that should vanish do not)."""
+    surfaces as the error of :func:`twoterm.chain_block` or
+    :func:`twoterm.cell_block` (a block is not what the sum-groupoid form
+    requires), or as ValidationError when the blocks read off do not form a
+    representation up to homotopy."""
     return _ruth_and_splitting(w)[0]
 
 
@@ -53,46 +56,34 @@ def ruth_from_wrep_with_witness(w: WeakRepresentation) -> tuple[Ruth, Equivarian
     """:func:`ruth_from_wrep` together with a strictly intertwining
     equivariant map from the canonical-basis weak representation of the
     recovered structure onto ``w``, built on the same bundle splitting."""
-    r, iso = _ruth_and_splitting(w)
+    r, rho, _ = _ruth_and_splitting(w)
     g = w.groupoid
     witness = EquivariantMap(
         wrep_from_ruth(r, validate=False), w,
-        {x: iso.obj_maps[x] for x in g.objects},
-        {x: iso.arr_maps[x] for x in g.objects},
-        {a: linalg.compose(w.fiber_unit(g.tgt[a]),
-                           linalg.compose(w.a0[a], iso.obj_maps[g.src[a]]))
-         for a in g.arrows})
+        {x: LinearMap.identity(w.objdim(x)) for x in g.objects}, rho,
+        {a: linalg.compose(w.fiber_unit(g.tgt[a]), w.a0[a]) for a in g.arrows})
     return r, witness
 
 
-def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, VBMap]:
-    """:func:`ruth_from_wrep` together with the bundle splitting it used."""
+def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, dict[str, LinearMap],
+                                                        dict[str, LinearMap]]:
+    """:func:`ruth_from_wrep` together with the arrow maps of the bundle
+    splitting it used and their inverses; its object maps are identities."""
     g = w.groupoid
     complex_, iso = split_bundle(w.bundle)
-    rho = {x: iso.arr_maps[x] for x in g.objects}
+    rho, dim0 = iso.arr_maps, complex_.dim0
     rho_inv = {x: linalg.inverse(rho[x]) for x in g.objects}
-    lambda0, lambda1 = {}, {}
-    for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        m = linalg.compose(rho_inv[t], linalg.compose(w.a1[a], rho[s]))
-        lambda0[a], lambda1[a] = diagonal_blocks(m, complex_.dim0[t], complex_.dim0[s],
-                                                 f"action at {a}")
-        if lambda1[a] != w.a0[a]:
-            raise NotInducedError(f"degree-1 block at {a} differs from the object action")
-    omega = {}
-    for (g1, g2), cell in w.alpha.items():
-        t1 = g.tgt[g1]
-        m = linalg.compose(rho_inv[t1], cell)
-        d0t, d1t = complex_.dim0[t1], complex_.dim1[t1]
-        one_part = m.block(d0t, d0t + d1t, 0, m.cols)
-        want = linalg.compose(lambda1[g1], lambda1[g2])
-        if one_part != want:
-            raise NotInducedError(f"associator at ({g1},{g2}) does not ride over the "
-                                  "composite action")
-        omega[(g1, g2)] = m.block(0, d0t, 0, m.cols)
-    out = Ruth(g, complex_, lambda0, lambda1, omega)
+    lambda0 = {a: chain_block(linalg.compose(rho_inv[g.tgt[a]],
+                                             linalg.compose(w.a1[a], rho[g.src[a]])),
+                              dim0[g.tgt[a]], dim0[g.src[a]], w.a0[a], f"action at {a}")
+               for a in g.arrows}
+    omega = {(g1, g2): cell_block(linalg.compose(rho_inv[g.tgt[g1]], cell), dim0[g.tgt[g1]],
+                                  linalg.compose(w.a0[g1], w.a0[g2]),
+                                  f"associator at ({g1},{g2})")
+             for (g1, g2), cell in w.alpha.items()}
+    out = Ruth(g, complex_, lambda0, w.a0, omega)
     validate_ruth(out).require(ValidationError, "recovered representation fails validation")
-    return out, iso
+    return out, rho, rho_inv
 
 
 def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> EquivariantMap:
@@ -126,28 +117,16 @@ def ruth_morphism_from_wrep_map(e: EquivariantMap) -> RuthMorphism:
     """Quasi-inverse on morphisms: conjugate through both splittings and
     read off the chain-map blocks and the homotopy operator."""
     g = e.source.groupoid
-    r_src, iso_s = _ruth_and_splitting(e.source)
-    r_tgt, iso_t = _ruth_and_splitting(e.target)
-    rho_s = {x: iso_s.arr_maps[x] for x in g.objects}
-    rho_t_inv = {x: linalg.inverse(iso_t.arr_maps[x]) for x in g.objects}
+    r_src, rho_s, _ = _ruth_and_splitting(e.source)
+    r_tgt, _, rho_t_inv = _ruth_and_splitting(e.target)
     cs, ct = r_src.complex, r_tgt.complex
-    phi0, phi1 = {}, {}
-    for x in g.objects:
-        m = linalg.compose(rho_t_inv[x], linalg.compose(e.f1[x], rho_s[x]))
-        phi0[x], phi1[x] = diagonal_blocks(m, ct.dim0[x], cs.dim0[x], f"functor at {x}")
-        if phi1[x] != e.f0[x]:
-            raise NotInducedError(f"degree-1 block at {x} differs from the object component")
-    mu = {}
-    for a in g.arrows:
-        t = g.tgt[a]
-        m = linalg.compose(rho_t_inv[t], e.delta[a])
-        d0t, d1t = ct.dim0[t], ct.dim1[t]
-        one_part = m.block(d0t, d0t + d1t, 0, m.cols)
-        want = linalg.compose(phi1[t], r_src.lambda1[a])
-        if one_part != want:
-            raise NotInducedError(f"cell at {a} does not ride over the whiskered action")
-        mu[a] = -m.block(0, d0t, 0, m.cols)
-    return RuthMorphism(r_src, r_tgt, phi0, phi1, mu)
+    phi0 = {x: chain_block(linalg.compose(rho_t_inv[x], linalg.compose(e.f1[x], rho_s[x])),
+                           ct.dim0[x], cs.dim0[x], e.f0[x], f"functor at {x}")
+            for x in g.objects}
+    mu = {a: -cell_block(linalg.compose(rho_t_inv[g.tgt[a]], e.delta[a]), ct.dim0[g.tgt[a]],
+                         linalg.compose(e.f0[g.tgt[a]], r_src.lambda1[a]), f"cell at {a}")
+          for a in g.arrows}
+    return RuthMorphism(r_src, r_tgt, phi0, e.f0, mu)
 
 
 # -- kernels of VB-groupoids as weak representations -----------------------------
@@ -271,7 +250,7 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     arr = {}
     for a in g.arrows:
         x, k = chart.decode(a, LinearMap.identity(ag.arrdim[a]))
-        arr[a] = linalg.vstack(-k.block(0, r.complex.dim0[g.tgt[a]], 0, k.cols), x)
+        arr[a] = linalg.vstack(-k.split(r.complex.dim0[g.tgt[a]])[0], x)
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")
     if not vb_map_is_isomorphism(iso):

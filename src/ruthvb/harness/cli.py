@@ -138,9 +138,8 @@ def _pipeline_vb_wrep(args, rng, obj, report, trial):
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):
     w = _draw(args, rng, obj, generators.random_wrep)
-    r, witness = ruth_from_wrep_with_witness(w)
-    rep = validate_ruth(r)
-    report.extend(rep, prefix=f"trial {trial}: recovered: ")
+    # ruth_from_wrep_with_witness validates the representation it recovers
+    _, witness = ruth_from_wrep_with_witness(w)
     rep = validate_equivariant(witness)
     report.extend(rep, prefix=f"trial {trial}: witness: ")
 

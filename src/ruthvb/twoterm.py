@@ -276,36 +276,41 @@ def _phi_image_complex(v: VBGroupoid) -> TwoTermComplex:
     return TwoTermComplex(points, dim0, dim1, diff)
 
 
-def diagonal_blocks(m: LinearMap, d0_target: int, d0_source: int,
-                    where: str) -> tuple[LinearMap, LinearMap]:
-    """The degree-0 and degree-1 diagonal blocks of a map between
-    sum-groupoid fibers (degree-0 block first on both sides).  Raises
-    NotInducedError when an off-diagonal block is nonzero."""
+def chain_block(m: LinearMap, d0_target: int, d0_source: int, one: LinearMap,
+                where: str) -> LinearMap:
+    """The degree-0 block of a map between sum-groupoid fibers (degree-0
+    block first on both sides) that is blockwise over ``one``.  Raises
+    NotInducedError when an off-diagonal block is nonzero or the degree-1
+    block is not ``one``."""
     if (not m.block(d0_target, m.rows, 0, d0_source).is_zero()
             or not m.block(0, d0_target, d0_source, m.cols).is_zero()):
         raise NotInducedError(f"{where} has nonzero off-diagonal blocks")
-    return (m.block(0, d0_target, 0, d0_source),
-            m.block(d0_target, m.rows, d0_source, m.cols))
+    if m.block(d0_target, m.rows, d0_source, m.cols) != one:
+        raise NotInducedError(f"{where} has the wrong degree-1 block")
+    return m.block(0, d0_target, 0, d0_source)
+
+
+def cell_block(m: LinearMap, d0_target: int, one: LinearMap, where: str) -> LinearMap:
+    """The degree-0 part of a map into a sum-groupoid fiber whose degree-1
+    part is ``one``.  Raises NotInducedError when it is not."""
+    zero_part, one_part = m.split(d0_target)
+    if one_part != one:
+        raise NotInducedError(f"{where} has the wrong degree-1 part")
+    return zero_part
 
 
 def extract_chain_map(F: VBMap) -> ChainMap:
     """Invert the bundle-functor construction.
 
-    Decomposes the arrow map into four blocks; the off-diagonal blocks must
-    vanish and the degree-1 block must agree with the object map, otherwise
-    the functor does not come from a chain map and NotInducedError is raised.
-    """
-    cs = _phi_image_complex(F.source)
-    ct = _phi_image_complex(F.target)
-    f0, f1 = {}, {}
-    for p in cs.base:
-        w, z = diagonal_blocks(F.arr_maps[p], ct.dim0[F.base_obj[p]], cs.dim0[p],
-                               f"arrow map at {p}")
-        if z != F.obj_maps[p]:
-            raise NotInducedError(f"degree-1 block at {p} differs from the object map")
-        f0[p], f1[p] = w, z
+    The off-diagonal blocks of each arrow map must vanish and its degree-1
+    block must agree with the object map, otherwise the functor does not
+    come from a chain map and NotInducedError is raised."""
+    cs, ct = _phi_image_complex(F.source), _phi_image_complex(F.target)
+    f0 = {p: chain_block(F.arr_maps[p], ct.dim0[F.base_obj[p]], cs.dim0[p], F.obj_maps[p],
+                         f"arrow map at {p}")
+          for p in cs.base}
     try:
-        return ChainMap(cs, ct, dict(F.base_obj), f0, f1)
+        return ChainMap(cs, ct, dict(F.base_obj), f0, F.obj_maps)
     except StructureError as exc:
         raise NotInducedError(str(exc)) from exc
 
@@ -316,17 +321,10 @@ def extract_homotopy(alpha: BundleTransformation) -> ChainHomotopy:
     The degree-1 part of each component must equal the degree-1 component of
     the source functor; the degree-0 part is the homotopy, re-verified via
     the ChainHomotopy constructor."""
-    f = extract_chain_map(alpha.from_map)
-    g = extract_chain_map(alpha.to_map)
-    omega = {}
-    for p in f.source.base:
-        q = f.basemap[p]
-        d0t, d1t = f.target.dim0[q], f.target.dim1[q]
-        comp = alpha.comp[p]
-        one_part = comp.block(d0t, d0t + d1t, 0, comp.cols)
-        if one_part != f.f1[p]:
-            raise NotInducedError(f"component at {p} does not ride over the source functor")
-        omega[p] = comp.block(0, d0t, 0, comp.cols)
+    f, g = extract_chain_map(alpha.from_map), extract_chain_map(alpha.to_map)
+    omega = {p: cell_block(alpha.comp[p], f.target.dim0[f.basemap[p]], f.f1[p],
+                           f"component at {p}")
+             for p in f.source.base}
     try:
         return ChainHomotopy(f, g, omega)
     except StructureError as exc:

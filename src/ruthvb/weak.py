@@ -174,17 +174,20 @@ class ActionChart:
     Each arrow keeps two matrices: its decoder sends coordinates to
     (x, k), and its encoder sends (x, k) to the residual
     ``ttilde(k - tau A0 x)`` stacked on the coordinates, which are x and the
-    entries of ``k - tau A0 x`` at the kernel chart's free columns."""
+    entries of ``k - tau A0 x`` at the kernel chart's free columns.  The
+    chart keeps no reference to w, which holds it."""
 
     def __init__(self, w: WeakRepresentation):
-        self.w = w
         g = w.groupoid
         self.tau = {x: linalg.right_inverse_on_image(w.fiber_target(x)) for x in g.objects}
         self.ker = {x: linalg.kernel_chart(w.fiber_target(x)) for x in g.objects}
         self.encoder: dict[str, LinearMap] = {}
         self.decoder: dict[str, LinearMap] = {}
+        self.residual_rows: dict[str, int] = {}
+        self.object_rows: dict[str, int] = {}
         for a in g.arrows:
             n, t = w.objdim(g.src[a]), g.tgt[a]
+            self.residual_rows[a], self.object_rows[a] = w.objdim(t), n
             ker, m = self.ker[t], w.arrdim(t)
             lift = linalg.compose(self.tau[t], w.a0[a])
             rem = linalg.hstack(-lift, LinearMap.identity(m))  # (x, k) -> k - tau A0 x
@@ -199,14 +202,14 @@ class ActionChart:
     def encode(self, g_arrow: str, x: LinearMap, k: LinearMap) -> LinearMap:
         """Coordinates of a block of pairs in the chart basis, one per column."""
         residual, coords = (self.encoder[g_arrow] @ linalg.vstack(x, k)).split(
-            self.w.objdim(self.w.groupoid.tgt[g_arrow]))
+            self.residual_rows[g_arrow])
         if any(residual.nums):
             raise CompositionError(f"pair over {g_arrow} violates the fiber constraint")
         return coords
 
     def decode(self, g_arrow: str, coords: LinearMap) -> tuple[LinearMap, LinearMap]:
         """The pairs (x, k) with the coordinates of each column."""
-        return (self.decoder[g_arrow] @ coords).split(self.w.objdim(self.w.groupoid.src[g_arrow]))
+        return (self.decoder[g_arrow] @ coords).split(self.object_rows[g_arrow])
 
 
 def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:

@@ -15,7 +15,7 @@ from ruthvb.semidirect import semidirect
 from ruthvb.twoterm import phi_object
 from ruthvb.vb import (Connection, connection_report, find_unital_connection,
                        validate_vb_map, vb_map_is_isomorphism)
-from ruthvb.weak import WeakRepresentation, validate_weak_representation
+from ruthvb.weak import EquivariantMap, WeakRepresentation, validate_weak_representation
 from ruthvb.equivalences import (connection_change_witness,
                                  ruth_from_wrep, ruth_morphism_from_wrep_map,
                                  triangle_witness, vb_to_wrep, wrep_from_ruth,
@@ -63,13 +63,50 @@ def test_morphism_round_trip():
     assert ruth_morphism_from_wrep_map(wrep_from_ruth_morphism(m)) == m
 
 
-def test_ruth_from_corrupted_wrep_raises():
+def _bumped(table: dict, key, i: int, j: int) -> dict:
+    """A copy of table whose map at key has 1 added at entry (i, j)."""
+    m = table[key]
+    return {**table, key: m.with_entry(i, j, m.entry(i, j) + 1)}
+
+
+def _corrupted_wrep(table: str, key, i: int, j: int) -> WeakRepresentation:
     w = wrep_from_ruth(z2_ruth(1))
-    a1 = dict(w.a1)
-    a1["g"] = LinearMap.from_rows([[-1, 1], [0, -1]])  # nonzero off-diagonal block
-    broken = WeakRepresentation(w.groupoid, w.bundle, w.a0, a1, w.alpha)
-    with pytest.raises(NotInducedError):
-        ruth_from_wrep(broken)
+    tables = {"a1": w.a1, "alpha": w.alpha}
+    tables[table] = _bumped(tables[table], key, i, j)
+    return WeakRepresentation(w.groupoid, w.bundle, w.a0, tables["a1"], tables["alpha"])
+
+
+def _corrupted_wrep_map(table: str, key, i: int, j: int) -> EquivariantMap:
+    m = gen.random_ruth_morphism(random.Random(37), z2_ruth(1))
+    e = wrep_from_ruth_morphism(m)
+    tables = {"f1": e.f1, "delta": e.delta}
+    tables[table] = _bumped(tables[table], key, i, j)
+    return EquivariantMap(e.source, e.target, e.f0, tables["f1"], tables["delta"])
+
+
+# Every fiber of z2_ruth(1) is one-dimensional in each degree, so entry
+# (0, 1) of an arrow-fiber map is an off-diagonal block and (1, 1) its
+# degree-1 block, and row 1 of a cell is its degree-1 part.
+@pytest.mark.parametrize("invert, corrupt, message", [
+    (ruth_from_wrep, lambda: _corrupted_wrep("a1", "g", 0, 1),
+     "action at g has nonzero off-diagonal blocks"),
+    (ruth_from_wrep, lambda: _corrupted_wrep("a1", "g", 1, 1),
+     "action at g has the wrong degree-1 block"),
+    (ruth_from_wrep, lambda: _corrupted_wrep("alpha", ("g", "g"), 1, 0),
+     r"associator at \(g,g\) has the wrong degree-1 part"),
+    (ruth_morphism_from_wrep_map, lambda: _corrupted_wrep_map("f1", "*", 0, 1),
+     r"functor at \* has nonzero off-diagonal blocks"),
+    (ruth_morphism_from_wrep_map, lambda: _corrupted_wrep_map("f1", "*", 1, 1),
+     r"functor at \* has the wrong degree-1 block"),
+    (ruth_morphism_from_wrep_map, lambda: _corrupted_wrep_map("delta", "g", 1, 0),
+     "cell at g has the wrong degree-1 part"),
+], ids=["action-off-diagonal", "action-degree-1", "associator-degree-1",
+        "functor-off-diagonal", "functor-degree-1", "cell-degree-1"])
+def test_ruth_from_corrupted_wrep_raises(invert, corrupt, message):
+    """Each block the inverse functors read is pinned: a corrupted block
+    raises NotInducedError at the check that reads it."""
+    with pytest.raises(NotInducedError, match=message):
+        invert(corrupt())
 
 
 @pytest.mark.parametrize("idx", range(len(FIXTURE_RUTHS)))
