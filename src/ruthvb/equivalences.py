@@ -163,19 +163,11 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     for a in g.arrows:
         us = g.unit[g.src[a]]
         a0[a] = linalg.compose(v.ttilde[a], sigma[a])
-
-        def conjugate(k):
-            left = v.product(a, us, sigma[a] @ v.ttilde[us] @ k, k)
-            return v.product(a, g.inv[a], left, v.inv_map[a] @ sigma[a] @ v.stilde[us] @ k)
-
-        a1[a] = linalg.tabulate(conjugate, LinearMap.identity(v.arrdim[us]))
+        left = v.product(a, us, sigma[a] @ v.ttilde[us], LinearMap.identity(v.arrdim[us]))
+        a1[a] = v.product(a, g.inv[a], left, v.inv_map[a] @ sigma[a] @ v.stilde[us])
     for (g1, g2), g12 in g.comp.items():
-
-        def cell(x):
-            left = v.product(g12, g.inv[g2], sigma[g12] @ x, v.inv_map[g2] @ sigma[g2] @ x)
-            return v.product(g1, g.inv[g1], left, v.inv_map[g1] @ sigma[g1] @ a0[g2] @ x)
-
-        alpha[(g1, g2)] = linalg.tabulate(cell, LinearMap.identity(v.objdim[g.src[g2]]))
+        left = v.product(g12, g.inv[g2], sigma[g12], v.inv_map[g2] @ sigma[g2])
+        alpha[(g1, g2)] = v.product(g1, g.inv[g1], left, v.inv_map[g1] @ sigma[g1] @ a0[g2])
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
     validate_weak_representation(wrep).require(
         ValidationError, "kernel action failed weak-representation validation")

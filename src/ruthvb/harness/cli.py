@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..errors import RuthVBError, StructureError, UsageError
+from ..errors import RuthVBError, StructureError, UsageError, ValidationError
 from ..groupoid import validate_groupoid
 from ..linalg import json_typed
 from ..reports import Report
@@ -29,16 +29,15 @@ from ..equivalences import (reconstruct_equivariant, ruth_from_wrep,
 from . import fixtures, generators, serialize
 
 
-def _validator_for(kind: str):
-    return {
-        "groupoid": validate_groupoid,
-        "complex": lambda c: Report("complex"),
-        "ruth": validate_ruth,
-        "morphism": validate_morphism,
-        "vb": validate_vb,
-        "wrep": validate_weak_representation,
-        "equivariant": validate_equivariant,
-    }[kind]
+VALIDATORS = {
+    "groupoid": validate_groupoid,
+    "complex": lambda c: Report("complex"),
+    "ruth": validate_ruth,
+    "morphism": validate_morphism,
+    "vb": validate_vb,
+    "wrep": validate_weak_representation,
+    "equivariant": validate_equivariant,
+}
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -53,51 +52,49 @@ def cmd_validate(args) -> int:
     kind, obj, _ = serialize.load_instance(Path(args.file).read_text(),
                                            expect_kind=args.kind)
     t0 = time.perf_counter()
-    report = _validator_for(kind)(obj)
+    report = VALIDATORS[kind](obj)
     report.subject = f"{kind} {args.file}"
     report.seconds = time.perf_counter() - t0
     return _emit(report, args.format)
 
 
+def _wrep_to_ruth(w):
+    out, witness = ruth_from_wrep_with_witness(w)
+    validate_equivariant(witness).require(ValidationError, "witness fails validation")
+    return out, {"witness": "validated equivariant isomorphism onto the input"}
+
+
+def _vb_to_wrep(v):
+    result = vb_to_wrep(v, validate=False)
+    return result.wrep, {"connection": result.connection.rule,
+                         "witness": "validated action-groupoid isomorphism onto the input"}
+
+
+# Each supported edge's converter: a validated input to the output and the
+# metadata written with it.
 CONVERSIONS = {
-    ("ruth", "wrep"): "wrep",
-    ("wrep", "ruth"): "ruth",
-    ("ruth", "vb"): "vb",
-    ("wrep", "vb"): "vb",
-    ("vb", "wrep"): "wrep",
+    ("ruth", "wrep"): lambda r: (wrep_from_ruth(r, validate=False), {}),
+    ("wrep", "ruth"): _wrep_to_ruth,
+    ("ruth", "vb"): lambda r: (semidirect(r, validate=False), {}),
+    ("wrep", "vb"): lambda w: (action_groupoid_bundle(w), {}),
+    ("vb", "wrep"): _vb_to_wrep,
 }
 
 
 def cmd_convert(args) -> int:
-    if (args.from_kind, args.to_kind) not in CONVERSIONS:
+    convert = CONVERSIONS.get((args.from_kind, args.to_kind))
+    if convert is None:
         raise UsageError(f"unsupported conversion {args.from_kind} -> {args.to_kind}")
     kind, obj, _ = serialize.load_instance(Path(args.file).read_text(),
                                            expect_kind=args.from_kind)
-    pre = _validator_for(kind)(obj)
+    pre = VALIDATORS[kind](obj)
     if not pre.passed:
         pre.subject = f"input {kind} {args.file}"
         print(pre.to_text(), file=sys.stderr)
         return 1
-    metadata = {"conversion": f"{args.from_kind}->{args.to_kind}"}
-    if (args.from_kind, args.to_kind) == ("ruth", "wrep"):
-        out = wrep_from_ruth(obj, validate=False)
-    elif (args.from_kind, args.to_kind) == ("wrep", "ruth"):
-        out, witness = ruth_from_wrep_with_witness(obj)
-        wrep_report = validate_equivariant(witness)
-        if not wrep_report.passed:
-            print(wrep_report.to_text(), file=sys.stderr)
-            return 1
-        metadata["witness"] = "validated equivariant isomorphism onto the input"
-    elif (args.from_kind, args.to_kind) == ("ruth", "vb"):
-        out = semidirect(obj, validate=False)
-    elif (args.from_kind, args.to_kind) == ("wrep", "vb"):
-        out = action_groupoid_bundle(obj)
-    else:
-        result = vb_to_wrep(obj, validate=False)
-        out = result.wrep
-        metadata["connection"] = result.connection.rule
-        metadata["witness"] = "validated action-groupoid isomorphism onto the input"
-    post = _validator_for(args.to_kind)(out)
+    out, metadata = convert(obj)
+    metadata["conversion"] = f"{args.from_kind}->{args.to_kind}"
+    post = VALIDATORS[args.to_kind](out)
     if not post.passed:
         post.subject = "converted output"
         print(post.to_text(), file=sys.stderr)
@@ -195,7 +192,7 @@ def cmd_roundtrip(args) -> int:
             raise UsageError(f"pipeline {args.pipeline} does not take an input file")
         _, obj, _ = serialize.load_instance(Path(args.file).read_text(),
                                             expect_kind=file_kind)
-        pre = _validator_for(file_kind)(obj)
+        pre = VALIDATORS[file_kind](obj)
         if not pre.passed:
             print(pre.to_text(), file=sys.stderr)
             return 1

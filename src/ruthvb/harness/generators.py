@@ -77,22 +77,13 @@ def random_groupoid(rng: random.Random, max_objects: int = 4,
 
 
 def _components(g: FiniteGroupoid) -> list[set[str]]:
-    parent = {x: x for x in g.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in g.arrows:
-        rx, ry = find(g.src[a]), find(g.tgt[a])
-        if rx != ry:
-            parent[rx] = ry
-    comps: dict[str, set[str]] = {}
+    """The orbits of g, in order of their least object: in a groupoid, the
+    component of x is the set of targets of the arrows out of x."""
+    comps: list[set[str]] = []
     for x in g.objects:
-        comps.setdefault(find(x), set()).add(x)
-    return list(comps.values())
+        if not any(x in comp for comp in comps):
+            comps.append({g.tgt[a] for a in g.arrows if g.src[a] == x})
+    return comps
 
 
 # -- representations up to homotopy -------------------------------------------
@@ -184,7 +175,7 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
             return linalg.hstack(LinearMap.zero(a1 * b0, 0),
                                  *(square(z.nums[k::z.cols]) for k in range(z.cols)))
 
-        chart = linalg.kernel_chart(linalg.tabulate(residual, LinearMap.identity(n0 + n1)))
+        chart = linalg.kernel_chart(residual(LinearMap.identity(n0 + n1)))
         draws = LinearMap.from_columns([[rand_fraction(rng) for _ in chart.free]], len(chart.free))
         sol0, sol1 = (chart.basis_map @ draws).split(n0)
         f0[x] = LinearMap(a0, b0, sol0.nums, sol0.den)
@@ -199,7 +190,7 @@ def random_homotopy_from(rng, f: ChainMap) -> ChainHomotopy:
     omega = {x: rand_matrix(rng, d.dim0[f.basemap[x]], c.dim1[x]) for x in c.base}
     g0 = {x: f.f0[x] + linalg.compose(omega[x], c.diff[x]) for x in c.base}
     g1 = {x: f.f1[x] + linalg.compose(d.diff[f.basemap[x]], omega[x]) for x in c.base}
-    g = ChainMap(c, d, dict(f.basemap), g0, g1)
+    g = ChainMap(c, d, f.basemap, g0, g1)
     return ChainHomotopy(f, g, omega)
 
 
@@ -247,8 +238,7 @@ def scramble_vb(rng, v: VBGroupoid):
         prod = v.product(g1, g2, t_arr_inv[g1] @ vv, t_arr_inv[g2] @ ww)
         return t_arr[g.comp[(g1, g2)]] @ prod
 
-    out = VBGroupoid(g, dict(v.objdim), dict(v.arrdim), stilde, ttilde,
-                     utilde, inv_map, product)
+    out = VBGroupoid(g, v.objdim, v.arrdim, stilde, ttilde, utilde, inv_map, product)
     return out, t_obj, t_arr
 
 

@@ -21,7 +21,7 @@ first use, where text or single vectors need them.
 Most matrices here are identity or zero blocks, so the kernels skip zero
 terms.  ``LinearMap @ LinearMap`` multiplies whole blocks of columns in
 integer numerators, forming a term only where both factors are nonzero,
-and :func:`tabulate` applies a rule on blocks to one identity or basis
+so a structure table is one block expression on an identity or basis
 block.  One ``Fraction`` loop is left: :meth:`LinearMap.apply` multiplies
 one vector of ``Fraction`` s, forms a product only where the matrix entry
 and the vector entry are both nonzero, takes the other factor as the term
@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from .errors import (CompositionError, DimensionError, NotInvertibleError, NotSurjectiveError,
-                     StructureError)
+from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -357,18 +356,6 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     return f @ g
 
 
-def tabulate(rule: Callable[[LinearMap], LinearMap], block: LinearMap) -> LinearMap:
-    """``rule(block)``, for a linear rule on blocks that acts on each column
-    alone.  On a CompositionError the rule runs again column by column, so
-    the error raised is the first one a column-by-column run meets."""
-    try:
-        return rule(block)
-    except CompositionError:
-        for k in range(block.cols):
-            rule(block.block(0, block.rows, k, k + 1))
-        raise
-
-
 def hstack(*maps: LinearMap) -> LinearMap:
     rows = maps[0].rows
     if any(m.rows != rows for m in maps):
@@ -559,24 +546,27 @@ def is_invertible(f: LinearMap) -> bool:
     return f.rows == f.cols and rank(f) == f.rows
 
 
-def check_keys(what: str, table: dict, keys: Collection) -> None:
-    """Raise StructureError unless ``table`` has exactly the given keys."""
+def check_keys(what: str, table: dict, keys: Collection) -> dict:
+    """A copy of ``table``, for the record that admits it to hold; raise
+    StructureError unless ``table`` has exactly the given keys."""
     for key in keys:
         if key not in table:
             raise StructureError(f"missing {what} at {key}")
     for key in table:
         if key not in keys:
             raise StructureError(f"{what} at {key} is outside its table")
+    return dict(table)
 
 
-def check_table(what: str, table: dict, shapes: dict) -> None:
-    """Raise StructureError unless ``table`` has exactly the keys of
-    ``shapes`` and each entry is a map of the listed (rows, cols)."""
+def check_table(what: str, table: dict, shapes: dict) -> dict:
+    """A copy of ``table``, for the record that admits it to hold; raise
+    StructureError unless ``table`` has exactly the keys of ``shapes`` and
+    each entry is a map of the listed (rows, cols)."""
     for key, shape in shapes.items():
         m = table.get(key)
         if m is None or (m.rows, m.cols) != shape:
             raise StructureError(f"{what} at {key} has wrong shape")
-    check_keys(what, table, shapes)
+    return check_keys(what, table, shapes)
 
 
 # -- serialization helpers ---------------------------------------------------

@@ -58,16 +58,15 @@ class Ruth:
         g, c = self.groupoid, self.complex
         if tuple(c.base) != tuple(g.objects):
             raise StructureError("coefficient complex must live over the groupoid objects")
-        self.lambda0 = dict(self.lambda0)
-        self.lambda1 = dict(self.lambda1)
-        self.omega = dict(self.omega)
-        linalg.check_table("layer-0 quasi-action", self.lambda0,
-                           {a: (c.dim0[g.tgt[a]], c.dim0[g.src[a]]) for a in g.arrows})
-        linalg.check_table("layer-1 quasi-action", self.lambda1,
-                           {a: (c.dim1[g.tgt[a]], c.dim1[g.src[a]]) for a in g.arrows})
-        linalg.check_table("transformation cochain", self.omega,
-                           {(g1, g2): (c.dim0[g.tgt[g1]], c.dim1[g.src[g2]])
-                            for (g1, g2) in g.comp})
+        self.lambda0 = linalg.check_table(
+            "layer-0 quasi-action", self.lambda0,
+            {a: (c.dim0[g.tgt[a]], c.dim0[g.src[a]]) for a in g.arrows})
+        self.lambda1 = linalg.check_table(
+            "layer-1 quasi-action", self.lambda1,
+            {a: (c.dim1[g.tgt[a]], c.dim1[g.src[a]]) for a in g.arrows})
+        self.omega = linalg.check_table(
+            "transformation cochain", self.omega,
+            {(g1, g2): (c.dim0[g.tgt[g1]], c.dim1[g.src[g2]]) for (g1, g2) in g.comp})
 
 
 def validate_ruth(r: Ruth) -> Report:
@@ -123,17 +122,14 @@ class RuthMorphism:
     def __post_init__(self):
         if self.source.groupoid != self.target.groupoid:
             raise StructureError("morphism endpoints live over different groupoids")
-        self.phi0 = dict(self.phi0)
-        self.phi1 = dict(self.phi1)
-        self.mu = dict(self.mu)
         g = self.source.groupoid
         cs, ct = self.source.complex, self.target.complex
-        linalg.check_table("degree-0 component", self.phi0,
-                           {x: (ct.dim0[x], cs.dim0[x]) for x in g.objects})
-        linalg.check_table("degree-1 component", self.phi1,
-                           {x: (ct.dim1[x], cs.dim1[x]) for x in g.objects})
-        linalg.check_table("homotopy operator", self.mu,
-                           {a: (ct.dim0[g.tgt[a]], cs.dim1[g.src[a]]) for a in g.arrows})
+        self.phi0 = linalg.check_table("degree-0 component", self.phi0,
+                                       {x: (ct.dim0[x], cs.dim0[x]) for x in g.objects})
+        self.phi1 = linalg.check_table("degree-1 component", self.phi1,
+                                       {x: (ct.dim1[x], cs.dim1[x]) for x in g.objects})
+        self.mu = linalg.check_table("homotopy operator", self.mu,
+                                     {a: (ct.dim0[g.tgt[a]], cs.dim1[g.src[a]]) for a in g.arrows})
 
 
 def validate_morphism(m: RuthMorphism) -> Report:
@@ -220,7 +216,7 @@ def gauge_transport(target: Ruth, phi0, phi1, mu) -> tuple[Ruth, RuthMorphism]:
             raise StructureError("gauge operator must vanish at unit arrows")
     diff = {x: linalg.compose(inv1[x], linalg.compose(ct.diff[x], phi0[x]))
             for x in g.objects}
-    source_complex = TwoTermComplex(g.objects, dict(ct.dim0), dict(ct.dim1), diff)
+    source_complex = TwoTermComplex(g.objects, ct.dim0, ct.dim1, diff)
     lambda0, lambda1 = {}, {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]

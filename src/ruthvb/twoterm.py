@@ -41,13 +41,10 @@ class TwoTermComplex:
         for x, y in zip(self.base, self.base[1:]):
             if x == y:
                 raise StructureError(f"base point {x} is repeated")
-        self.dim0 = dict(self.dim0)
-        self.dim1 = dict(self.dim1)
-        self.diff = dict(self.diff)
-        linalg.check_keys("fiber dimensions", self.dim0, self.base)
-        linalg.check_keys("fiber dimensions", self.dim1, self.base)
-        linalg.check_table("differential", self.diff,
-                           {x: (self.dim1[x], self.dim0[x]) for x in self.base})
+        self.dim0 = linalg.check_keys("fiber dimensions", self.dim0, self.base)
+        self.dim1 = linalg.check_keys("fiber dimensions", self.dim1, self.base)
+        self.diff = linalg.check_table("differential", self.diff,
+                                       {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
 
 @dataclass(repr=False)
@@ -63,16 +60,16 @@ class ChainMap:
     def __post_init__(self):
         source, target = self.source, self.target
         self.basemap = dict(self.basemap)
-        self.f0 = dict(self.f0)
-        self.f1 = dict(self.f1)
         for x in source.base:
             if self.basemap.get(x) not in target.dim0:
                 raise StructureError(f"base map undefined or unknown at {x}")
         bm = self.basemap
-        linalg.check_table("degree-0 component", self.f0,
-                           {x: (target.dim0[bm[x]], source.dim0[x]) for x in source.base})
-        linalg.check_table("degree-1 component", self.f1,
-                           {x: (target.dim1[bm[x]], source.dim1[x]) for x in source.base})
+        self.f0 = linalg.check_table(
+            "degree-0 component", self.f0,
+            {x: (target.dim0[bm[x]], source.dim0[x]) for x in source.base})
+        self.f1 = linalg.check_table(
+            "degree-1 component", self.f1,
+            {x: (target.dim1[bm[x]], source.dim1[x]) for x in source.base})
         for x in source.base:
             if (linalg.compose(self.f1[x], source.diff[x])
                     != linalg.compose(target.diff[bm[x]], self.f0[x])):
@@ -109,10 +106,10 @@ class ChainHomotopy:
         if (from_map.source != to_map.source or from_map.target != to_map.target
                 or from_map.basemap != to_map.basemap):
             raise StructureError("homotopy endpoints are not parallel")
-        self.omega = dict(self.omega)
         src, tgt = from_map.source, from_map.target
-        linalg.check_table("homotopy component", self.omega,
-                           {x: (tgt.dim0[from_map.basemap[x]], src.dim1[x]) for x in src.base})
+        self.omega = linalg.check_table(
+            "homotopy component", self.omega,
+            {x: (tgt.dim0[from_map.basemap[x]], src.dim1[x]) for x in src.base})
         for x in src.base:
             y, w = from_map.basemap[x], self.omega[x]
             if linalg.compose(tgt.diff[y], w) != to_map.f1[x] - from_map.f1[x]:
@@ -205,7 +202,7 @@ def _bundle_functor(f: ChainMap, sv: VBGroupoid, tv: VBGroupoid) -> VBMap:
     out = VBMap(sv, tv,
                 {x: f.f1[x] for x in f.source.base},
                 {x: linalg.direct_sum(f.f0[x], f.f1[x]) for x in f.source.base},
-                base_obj=dict(f.basemap), base_arr=dict(f.basemap))
+                base_obj=f.basemap, base_arr=f.basemap)
     validate_vb_map(out).require(StructureError,
                                  "bundle functor of a chain map failed verification")
     return out

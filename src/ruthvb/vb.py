@@ -42,8 +42,8 @@ class VBGroupoid:
     is given either as a stored table, one matrix per composable pair acting
     on that pair's chart coordinates, or as a product rule
     ``mult(g1, g2, left, right) -> LinearMap`` on blocks of composable
-    fiber vectors, one pair per column, which is tabulated at construction
-    by one call per pair on that pair's chart basis.
+    fiber vectors, one pair per column, which is applied at construction
+    once per composable pair, to that pair's chart basis.
     """
 
     base: FiniteGroupoid
@@ -60,32 +60,24 @@ class VBGroupoid:
         default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
-        self.objdim = dict(self.objdim)
-        self.arrdim = dict(self.arrdim)
-        self.stilde = dict(self.stilde)
-        self.ttilde = dict(self.ttilde)
-        self.utilde = dict(self.utilde)
-        self.inv_map = dict(self.inv_map)
-        g, od, ad = self.base, self.objdim, self.arrdim
-        linalg.check_keys("object fiber dimension", od, g.objects)
-        linalg.check_keys("arrow fiber dimension", ad, g.arrows)
-        linalg.check_table("stilde", self.stilde, {a: (od[g.src[a]], ad[a]) for a in g.arrows})
-        linalg.check_table("ttilde", self.ttilde, {a: (od[g.tgt[a]], ad[a]) for a in g.arrows})
-        linalg.check_table("inverse map", self.inv_map,
-                           {a: (ad[g.inv[a]], ad[a]) for a in g.arrows})
-        linalg.check_table("utilde", self.utilde, {x: (ad[g.unit[x]], od[x]) for x in g.objects})
-        self.mult = self._tabulate(self.mult) if callable(self.mult) else dict(self.mult)
-        linalg.check_table("multiplication", self.mult,
-                           {pair: (ad[g12], len(self.pair_chart(*pair).free))
-                            for pair, g12 in g.comp.items()})
-
-    def _tabulate(self, product) -> dict[tuple[str, str], LinearMap]:
-        mult = {}
-        for g1, g2 in self.base.comp:
-            d1 = self.arrdim[g1]
-            mult[(g1, g2)] = linalg.tabulate(lambda pairs: product(g1, g2, *pairs.split(d1)),
-                                             self.pair_chart(g1, g2).basis_map)
-        return mult
+        g = self.base
+        od = self.objdim = linalg.check_keys("object fiber dimension", self.objdim, g.objects)
+        ad = self.arrdim = linalg.check_keys("arrow fiber dimension", self.arrdim, g.arrows)
+        self.stilde = linalg.check_table("stilde", self.stilde,
+                                         {a: (od[g.src[a]], ad[a]) for a in g.arrows})
+        self.ttilde = linalg.check_table("ttilde", self.ttilde,
+                                         {a: (od[g.tgt[a]], ad[a]) for a in g.arrows})
+        self.inv_map = linalg.check_table("inverse map", self.inv_map,
+                                          {a: (ad[g.inv[a]], ad[a]) for a in g.arrows})
+        self.utilde = linalg.check_table("utilde", self.utilde,
+                                         {x: (ad[g.unit[x]], od[x]) for x in g.objects})
+        mult = self.mult
+        if callable(mult):
+            mult = {(g1, g2): mult(g1, g2, *self.pair_chart(g1, g2).basis_map.split(ad[g1]))
+                    for g1, g2 in g.comp}
+        self.mult = linalg.check_table("multiplication", mult,
+                                       {pair: (ad[g12], len(self.pair_chart(*pair).free))
+                                        for pair, g12 in g.comp.items()})
 
     # -- fibered products -----------------------------------------------------
 
@@ -236,8 +228,6 @@ class VBMap:
                          else {x: x for x in source.base.objects})
         self.base_arr = (dict(self.base_arr) if self.base_arr is not None
                          else {a: a for a in source.base.arrows})
-        self.obj_maps = dict(self.obj_maps)
-        self.arr_maps = dict(self.arr_maps)
         objects, arrows = source.base.objects, source.base.arrows
         for x in objects:
             if self.base_obj.get(x) not in target.objdim:
@@ -245,12 +235,12 @@ class VBMap:
         for a in arrows:
             if self.base_arr.get(a) not in target.arrdim:
                 raise StructureError(f"base arrow map undefined or unknown at {a}")
-        linalg.check_table("object map", self.obj_maps,
-                           {x: (target.objdim[self.base_obj[x]], source.objdim[x])
-                            for x in objects})
-        linalg.check_table("arrow map", self.arr_maps,
-                           {a: (target.arrdim[self.base_arr[a]], source.arrdim[a])
-                            for a in arrows})
+        self.obj_maps = linalg.check_table(
+            "object map", self.obj_maps,
+            {x: (target.objdim[self.base_obj[x]], source.objdim[x]) for x in objects})
+        self.arr_maps = linalg.check_table(
+            "arrow map", self.arr_maps,
+            {a: (target.arrdim[self.base_arr[a]], source.arrdim[a]) for a in arrows})
 
     def covers_identity(self) -> bool:
         return (all(x == y for x, y in self.base_obj.items())
@@ -346,11 +336,11 @@ class BundleTransformation:
             raise StructureError("transformation endpoints differ")
         if from_map.base_obj != to_map.base_obj:
             raise StructureError("transformation between maps over different base maps")
-        self.comp = dict(self.comp)
         src, tgt = from_map.source, from_map.target
-        linalg.check_table("transformation component", self.comp,
-                           {x: (tgt.arrdim[tgt.base.unit[from_map.base_obj[x]]], src.objdim[x])
-                            for x in src.base.objects})
+        self.comp = linalg.check_table(
+            "transformation component", self.comp,
+            {x: (tgt.arrdim[tgt.base.unit[from_map.base_obj[x]]], src.objdim[x])
+             for x in src.base.objects})
 
 
 def validate_bundle_transformation(t: BundleTransformation) -> Report:
@@ -388,8 +378,9 @@ class Connection:
 
     def __post_init__(self):
         v = self.vb
-        linalg.check_table("connection component", self.sigma,
-                           {a: (v.arrdim[a], v.objdim[v.base.src[a]]) for a in v.base.arrows})
+        object.__setattr__(self, "sigma", linalg.check_table(
+            "connection component", self.sigma,
+            {a: (v.arrdim[a], v.objdim[v.base.src[a]]) for a in v.base.arrows}))
 
 
 def connection_report(c: Connection) -> Report:

@@ -46,16 +46,14 @@ class WeakRepresentation:
             raise StructureError("weak representations act on linear groupoid bundles")
         if tuple(self.bundle.base.objects) != tuple(self.groupoid.objects):
             raise StructureError("bundle must live over the groupoid objects")
-        self.a0 = dict(self.a0)
-        self.a1 = dict(self.a1)
-        self.alpha = dict(self.alpha)
         g, od, ad = self.groupoid, self.objdim, self.arrdim
-        linalg.check_table("action object map", self.a0,
-                           {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
-        linalg.check_table("action arrow map", self.a1,
-                           {a: (ad(g.tgt[a]), ad(g.src[a])) for a in g.arrows})
-        linalg.check_table("associator cell", self.alpha,
-                           {(g1, g2): (ad(g.tgt[g1]), od(g.src[g2])) for (g1, g2) in g.comp})
+        self.a0 = linalg.check_table("action object map", self.a0,
+                                     {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
+        self.a1 = linalg.check_table("action arrow map", self.a1,
+                                     {a: (ad(g.tgt[a]), ad(g.src[a])) for a in g.arrows})
+        self.alpha = linalg.check_table(
+            "associator cell", self.alpha,
+            {(g1, g2): (ad(g.tgt[g1]), od(g.src[g2])) for (g1, g2) in g.comp})
 
     @cached_property
     def chart(self) -> "ActionChart":
@@ -230,13 +228,9 @@ def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
         inv = w.fiber_inverse(s)
-
-        def inverse_of(c):
-            x, k = chart.decode(a, c)
-            arrow = w.fiber_product(s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
-            return chart.encode(b, w.fiber_source(t) @ k, arrow)
-
-        inv_map[a] = linalg.tabulate(inverse_of, LinearMap.identity(arrdim[a]))
+        x, k = chart.decode(a, LinearMap.identity(arrdim[a]))
+        arrow = w.fiber_product(s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
+        inv_map[a] = chart.encode(b, w.fiber_source(t) @ k, arrow)
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
@@ -267,21 +261,18 @@ class EquivariantMap:
         source, target = self.source, self.target
         if source.groupoid != target.groupoid:
             raise StructureError("equivariant map across different acting groupoids")
-        self.f0 = dict(self.f0)
-        self.f1 = dict(self.f1)
-        self.delta = dict(self.delta)
         g = source.groupoid
-        linalg.check_table("object component", self.f0,
-                           {x: (target.objdim(x), source.objdim(x)) for x in g.objects})
-        linalg.check_table("arrow component", self.f1,
-                           {x: (target.arrdim(x), source.arrdim(x)) for x in g.objects})
-        linalg.check_table("equivariance cell", self.delta,
-                           {a: (target.arrdim(g.tgt[a]), source.objdim(g.src[a]))
-                            for a in g.arrows})
+        self.f0 = linalg.check_table("object component", self.f0,
+                                     {x: (target.objdim(x), source.objdim(x)) for x in g.objects})
+        self.f1 = linalg.check_table("arrow component", self.f1,
+                                     {x: (target.arrdim(x), source.arrdim(x)) for x in g.objects})
+        self.delta = linalg.check_table("equivariance cell", self.delta,
+                                        {a: (target.arrdim(g.tgt[a]), source.objdim(g.src[a]))
+                                         for a in g.arrows})
 
     def bundle_map(self) -> VBMap:
         src, tgt = self.source.bundle, self.target.bundle
-        return VBMap(src, tgt, dict(self.f0),
+        return VBMap(src, tgt, self.f0,
                      {src.base.unit[x]: self.f1[x] for x in src.base.objects})
 
 
@@ -355,11 +346,7 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-
-        def image(c):
-            x, k = src_chart.decode(a, c)
-            arrow = e.target.fiber_product(t, e.delta[a] @ x, e.f1[t] @ k)
-            return tgt_chart.encode(a, e.f0[s] @ x, arrow)
-
-        arr[a] = linalg.tabulate(image, LinearMap.identity(src_ag.arrdim[a]))
+        x, k = src_chart.decode(a, LinearMap.identity(src_ag.arrdim[a]))
+        arrow = e.target.fiber_product(t, e.delta[a] @ x, e.f1[t] @ k)
+        arr[a] = tgt_chart.encode(a, e.f0[s] @ x, arrow)
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

@@ -22,6 +22,8 @@ from ruthvb.harness.cli import main, run_fuzz
 from ruthvb.groupoid import FiniteGroupoid, disjoint_union, z2_groupoid
 from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
+from ruthvb.twoterm import identity_chain_map, phi_twomorphism, zero_homotopy
+from ruthvb.vb import find_unital_connection, identity_vb_map
 from ruthvb.weak import identity_equivariant
 from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
 
@@ -63,6 +65,28 @@ def test_each_schema_names_its_class_init_fields_in_order():
         names = [f.name for f in dataclasses.fields(obj) if f.init]
         renamed = RENAMED_KEYS.get(kind, {})
         assert keys == [renamed.get(n, n) for n in names], kind
+
+
+def _records():
+    r = fixtures.z2_ruth(1)
+    w, v, f = wrep_from_ruth(r), semidirect(r), identity_chain_map(r.complex)
+    h = zero_homotopy(f)
+    return [r.complex, r, identity_morphism(r), f, h, v, identity_vb_map(v),
+            phi_twomorphism(h), w, identity_equivariant(w), find_unital_connection(v)]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_a_record_holds_its_own_copy_of_each_table(record):
+    """Clearing the dicts passed to the constructor leaves the record equal,
+    field by field, to a fresh build from the same tables."""
+    args = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init}
+    passed = {k: dict(a) if isinstance(a, dict) else a for k, a in args.items()}
+    built = type(record)(**passed)
+    for a in passed.values():
+        if isinstance(a, dict):
+            a.clear()
+    fresh = type(record)(**args)
+    assert {k: getattr(built, k) for k in args} == {k: getattr(fresh, k) for k in args}
 
 
 def test_dump_is_byte_deterministic():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg
-from ruthvb.errors import (CompositionError, DimensionError, NotInvertibleError,
-                           NotSurjectiveError, StructureError)
+from ruthvb.errors import (DimensionError, NotInvertibleError, NotSurjectiveError,
+                           StructureError)
 from ruthvb.linalg import (LinearMap, compose, inverse, kernel_basis, rank,
                            right_inverse_on_image, solve)
 
@@ -114,28 +114,6 @@ def test_right_inverse_section_property(f):
     assert compose(f, g).is_identity()
     assert g == LinearMap.from_columns(
         [solve(f, linalg.vec_basis(f.rows, i)) for i in range(f.rows)], f.cols)
-
-
-@given(st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(lambda rc: small_matrix(*rc)))
-def test_tabulate_applies_a_block_rule_to_a_block(m):
-    assert linalg.tabulate(lambda b: m @ b, LinearMap.identity(m.cols)) == m
-    assert LinearMap(m.rows, m.cols, m.nums, m.den) == m
-
-
-def test_tabulate_raises_the_error_a_column_by_column_run_meets_first():
-    """Column 1 fails the first step and column 0 only the second: run
-    column by column, the rule fails first at column 0, in the second step."""
-    def rule(block):
-        if any(block.split(1)[1].nums):
-            raise CompositionError("first step")
-        if any(block.split(1)[0].nums):
-            raise CompositionError("second step")
-        return block
-
-    with pytest.raises(CompositionError, match="second step"):
-        linalg.tabulate(rule, LinearMap.identity(2))
-    with pytest.raises(CompositionError, match="first step"):
-        linalg.tabulate(rule, LinearMap(2, 1, (0, 1)))
 
 
 def _dense_apply(m, v):

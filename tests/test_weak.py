@@ -218,13 +218,13 @@ def test_action_chart_encode_agrees_with_solve(data):
         assert tuple(b.column(0) for b in chart.decode(a, coords)) == (x, k)
 
 
-def test_action_groupoid_raises_what_a_column_by_column_run_meets_first():
-    """On this free mutant the first failing basis column of a table breaks
-    the fiber constraint in the last step of its rule, while a later column
-    is not composable in an earlier step: the error is the first column's."""
+def test_action_groupoid_of_an_unvalidated_mutant_raises_composition_error():
+    """On this free mutant some table's block of basis columns does not
+    compose: building the action groupoid raises, and does not return a
+    groupoid built on pairs that do not compose."""
     w = gen.scramble_wrep(random.Random(3), gen.random_wrep(random.Random(3)))[0]
     mutant, _ = gen.mutate_wrep_entry(random.Random(7), w)
-    with pytest.raises(CompositionError, match="pair over r1 violates the fiber constraint"):
+    with pytest.raises(CompositionError):
         action_groupoid_bundle(mutant)
 
 
