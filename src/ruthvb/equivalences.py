@@ -211,8 +211,6 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     embedding v -> (unit, source(v), inverse(v)); the cell reads off the
     kernel component of phi at (g, x, unit at g.x).  By construction
     ``act_on_morphism`` of the result reproduces phi."""
-    if not phi.covers_identity():
-        raise StructureError("action-groupoid map must cover the identity")
     g = w_src.groupoid
     src_chart, tgt_chart = w_src.chart, w_tgt.chart
     f0 = {x: phi.obj_maps[x] for x in g.objects}

@@ -154,7 +154,7 @@ def random_complex(rng, base=None, max_dim: int = 2,
 
 def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
     """Uniform-ish sample of the solution space of the chain square,
-    per object, over the identity base map."""
+    per point."""
     if tuple(c.base) != tuple(d.base):
         raise ValueError("random chain maps are generated over a shared base")
     f0, f1 = {}, {}
@@ -180,17 +180,17 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
         sol0, sol1 = (chart.basis_map @ draws).split(n0)
         f0[x] = LinearMap(a0, b0, sol0.nums, sol0.den)
         f1[x] = LinearMap(a1, b1, sol1.nums, sol1.den)
-    return ChainMap(c, d, {x: x for x in c.base}, f0, f1)
+    return ChainMap(c, d, f0, f1)
 
 
 def random_homotopy_from(rng, f: ChainMap) -> ChainHomotopy:
     """Homotopy with the given source: a random operator determines the
     target chain map."""
     c, d = f.source, f.target
-    omega = {x: rand_matrix(rng, d.dim0[f.basemap[x]], c.dim1[x]) for x in c.base}
+    omega = {x: rand_matrix(rng, d.dim0[x], c.dim1[x]) for x in c.base}
     g0 = {x: f.f0[x] + linalg.compose(omega[x], c.diff[x]) for x in c.base}
-    g1 = {x: f.f1[x] + linalg.compose(d.diff[f.basemap[x]], omega[x]) for x in c.base}
-    g = ChainMap(c, d, f.basemap, g0, g1)
+    g1 = {x: f.f1[x] + linalg.compose(d.diff[x], omega[x]) for x in c.base}
+    g = ChainMap(c, d, g0, g1)
     return ChainHomotopy(f, g, omega)
 
 

@@ -1,12 +1,14 @@
 """Exact rational linear algebra kernel.
 
-Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Vectors are columns, maps act on the left, and ``compose(f, g)`` applies
-``g`` first.  Every routine with a choice to make (kernel bases, right
-inverses, particular solutions) uses the same deterministic rule: row
-reduce with the leftmost pivot in the earliest row, set free variables
-to zero, and emit one kernel vector per free column with entry 1 at that
-column.  This makes downstream splittings and connections reproducible.
+Scalars are integer numerators over one positive denominator per matrix;
+``fractions.Fraction`` appears only at the text edges (parsing and printing
+entries), in single vectors and in the cochain layer.  Vectors are
+columns, maps act on the left, and ``compose(f, g)`` applies ``g`` first.
+Every routine with a choice to make (kernel bases, right inverses,
+particular solutions) uses the same deterministic rule: row reduce with
+the leftmost pivot in the earliest row, set free variables to zero, and
+emit one kernel vector per free column with entry 1 at that column.  This
+makes downstream splittings and connections reproducible.
 
 A :class:`LinearMap` is the one matrix class: integer numerators over one
 positive denominator, which need not be the least.  Products, sums,

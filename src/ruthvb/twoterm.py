@@ -2,7 +2,8 @@
 groupoid bundles.
 
 Objects are two-term complexes of rational vector spaces over a finite base
-set.  1-morphisms are chain maps over a base map, 2-morphisms are chain
+set.  1-morphisms are chain maps between complexes over the same base set,
+point by point (they cover its identity), and 2-morphisms are chain
 homotopies; homotopies compose vertically by sum and horizontally by the
 whiskering formula ``k0 . psi + omega . g1``.
 
@@ -49,35 +50,32 @@ class TwoTermComplex:
 
 @dataclass(repr=False)
 class ChainMap:
-    """Chain map over a base map; the chain square is enforced at construction."""
+    """Chain map between complexes over one base set, point by point; the
+    chain square is enforced at construction."""
 
     source: TwoTermComplex
     target: TwoTermComplex
-    basemap: dict[str, str]
     f0: dict[str, LinearMap]
     f1: dict[str, LinearMap]
 
     def __post_init__(self):
         source, target = self.source, self.target
-        self.basemap = dict(self.basemap)
-        for x in source.base:
-            if self.basemap.get(x) not in target.dim0:
-                raise StructureError(f"base map undefined or unknown at {x}")
-        bm = self.basemap
+        if source.base != target.base:
+            raise StructureError("chain map between complexes over different base sets")
         self.f0 = linalg.check_table(
             "degree-0 component", self.f0,
-            {x: (target.dim0[bm[x]], source.dim0[x]) for x in source.base})
+            {x: (target.dim0[x], source.dim0[x]) for x in source.base})
         self.f1 = linalg.check_table(
             "degree-1 component", self.f1,
-            {x: (target.dim1[bm[x]], source.dim1[x]) for x in source.base})
+            {x: (target.dim1[x], source.dim1[x]) for x in source.base})
         for x in source.base:
             if (linalg.compose(self.f1[x], source.diff[x])
-                    != linalg.compose(target.diff[bm[x]], self.f0[x])):
+                    != linalg.compose(target.diff[x], self.f0[x])):
                 raise StructureError(f"chain square fails at {x}")
 
 
 def identity_chain_map(c: TwoTermComplex) -> ChainMap:
-    return ChainMap(c, c, {x: x for x in c.base},
+    return ChainMap(c, c,
                     {x: LinearMap.identity(c.dim0[x]) for x in c.base},
                     {x: LinearMap.identity(c.dim1[x]) for x in c.base})
 
@@ -87,9 +85,8 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         raise CompositionError("chain map boundaries do not match")
     return ChainMap(
         f.source, g.target,
-        {x: g.basemap[f.basemap[x]] for x in f.source.base},
-        {x: linalg.compose(g.f0[f.basemap[x]], f.f0[x]) for x in f.source.base},
-        {x: linalg.compose(g.f1[f.basemap[x]], f.f1[x]) for x in f.source.base})
+        {x: linalg.compose(g.f0[x], f.f0[x]) for x in f.source.base},
+        {x: linalg.compose(g.f1[x], f.f1[x]) for x in f.source.base})
 
 
 @dataclass(repr=False)
@@ -103,24 +100,22 @@ class ChainHomotopy:
 
     def __post_init__(self):
         from_map, to_map = self.from_map, self.to_map
-        if (from_map.source != to_map.source or from_map.target != to_map.target
-                or from_map.basemap != to_map.basemap):
+        if from_map.source != to_map.source or from_map.target != to_map.target:
             raise StructureError("homotopy endpoints are not parallel")
         src, tgt = from_map.source, from_map.target
         self.omega = linalg.check_table(
             "homotopy component", self.omega,
-            {x: (tgt.dim0[from_map.basemap[x]], src.dim1[x]) for x in src.base})
+            {x: (tgt.dim0[x], src.dim1[x]) for x in src.base})
         for x in src.base:
-            y, w = from_map.basemap[x], self.omega[x]
-            if linalg.compose(tgt.diff[y], w) != to_map.f1[x] - from_map.f1[x]:
+            w = self.omega[x]
+            if linalg.compose(tgt.diff[x], w) != to_map.f1[x] - from_map.f1[x]:
                 raise StructureError(f"homotopy equation (degree 1) fails at {x}")
             if linalg.compose(w, src.diff[x]) != to_map.f0[x] - from_map.f0[x]:
                 raise StructureError(f"homotopy equation (degree 0) fails at {x}")
 
 
 def zero_homotopy(f: ChainMap) -> ChainHomotopy:
-    return ChainHomotopy(f, f, {x: LinearMap.zero(f.target.dim0[f.basemap[x]],
-                                                  f.source.dim1[x])
+    return ChainHomotopy(f, f, {x: LinearMap.zero(f.target.dim0[x], f.source.dim1[x])
                                 for x in f.source.base})
 
 
@@ -140,11 +135,8 @@ def hcompose(psi: ChainHomotopy, omega: ChainHomotopy) -> ChainHomotopy:
         raise CompositionError("horizontal boundaries do not match")
     f, g = psi.from_map, psi.to_map
     k, l = omega.from_map, omega.to_map
-    comp = {}
-    for x in f.source.base:
-        y = f.basemap[x]
-        comp[x] = (linalg.compose(k.f0[y], psi.omega[x])
-                   + linalg.compose(omega.omega[y], g.f1[x]))
+    comp = {x: linalg.compose(k.f0[x], psi.omega[x]) + linalg.compose(omega.omega[x], g.f1[x])
+            for x in f.source.base}
     return ChainHomotopy(compose_chain_maps(k, f), compose_chain_maps(l, g), comp)
 
 
@@ -201,8 +193,7 @@ def _bundle_functor(f: ChainMap, sv: VBGroupoid, tv: VBGroupoid) -> VBMap:
     source and target."""
     out = VBMap(sv, tv,
                 {x: f.f1[x] for x in f.source.base},
-                {x: linalg.direct_sum(f.f0[x], f.f1[x]) for x in f.source.base},
-                base_obj=f.basemap, base_arr=f.basemap)
+                {x: linalg.direct_sum(f.f0[x], f.f1[x]) for x in f.source.base})
     validate_vb_map(out).require(StructureError,
                                  "bundle functor of a chain map failed verification")
     return out
@@ -232,7 +223,7 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     differential is the target map restricted to them.  The returned map
     sends (c0, c1) to ``J c0 + unit(c1)`` and is verified invertible."""
     if not v.is_linear_bundle():
-        raise StructureError("split_bundle needs a bundle over a trivial groupoid")
+        raise StructureError("split_bundle needs a bundle over the unit groupoid of its points")
     points = list(v.base.objects)
     dim0, dim1, diff, inj = {}, {}, {}, {}
     for p in points:
@@ -247,9 +238,7 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     model = phi_object(c)
     iso = VBMap(model, v,
                 {p: LinearMap.identity(v.objdim[p]) for p in points},
-                {p: linalg.hstack(inj[p], v.utilde[p]) for p in points},
-                base_obj={p: p for p in points},
-                base_arr={p: v.base.unit[p] for p in points})
+                {p: linalg.hstack(inj[p], v.utilde[p]) for p in points})
     validate_vb_map(iso).require(StructureError, "bundle splitting failed verification")
     for p in points:
         if not linalg.is_invertible(iso.arr_maps[p]):
@@ -303,11 +292,11 @@ def extract_chain_map(F: VBMap) -> ChainMap:
     block must agree with the object map, otherwise the functor does not
     come from a chain map and NotInducedError is raised."""
     cs, ct = _phi_image_complex(F.source), _phi_image_complex(F.target)
-    f0 = {p: chain_block(F.arr_maps[p], ct.dim0[F.base_obj[p]], cs.dim0[p], F.obj_maps[p],
+    f0 = {p: chain_block(F.arr_maps[p], ct.dim0[p], cs.dim0[p], F.obj_maps[p],
                          f"arrow map at {p}")
           for p in cs.base}
     try:
-        return ChainMap(cs, ct, dict(F.base_obj), f0, F.obj_maps)
+        return ChainMap(cs, ct, f0, F.obj_maps)
     except StructureError as exc:
         raise NotInducedError(str(exc)) from exc
 
@@ -319,7 +308,7 @@ def extract_homotopy(alpha: BundleTransformation) -> ChainHomotopy:
     the source functor; the degree-0 part is the homotopy, re-verified via
     the ChainHomotopy constructor."""
     f, g = extract_chain_map(alpha.from_map), extract_chain_map(alpha.to_map)
-    omega = {p: cell_block(alpha.comp[p], f.target.dim0[f.basemap[p]], f.f1[p],
+    omega = {p: cell_block(alpha.comp[p], f.target.dim0[p], f.f1[p],
                            f"component at {p}")
              for p in f.source.base}
     try:

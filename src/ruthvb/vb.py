@@ -16,14 +16,15 @@ a block of pairs in integers, one pair per column, and ``product`` also
 insists that each column compose: the one product path, for the
 validators and the conversions alike.
 
-A linear groupoid bundle is the special case whose base is a trivial
-(unit) groupoid; the same class covers both.
+A linear groupoid bundle is the special case whose base is the unit
+groupoid of its points, in which the arrow at point x is named x; the same
+class covers both.  Maps of VB-groupoids and transformations between them
+cover the identity of one base groupoid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import linalg
 from .errors import CompositionError, StructureError
@@ -126,8 +127,9 @@ class VBGroupoid:
         return out
 
     def is_linear_bundle(self) -> bool:
-        """True when the base is a trivial groupoid (all arrows units)."""
-        return all(self.base.is_unit(a) for a in self.base.arrows)
+        """True when the base is the unit groupoid of its objects, whose
+        arrow at x is named x."""
+        return self.base == trivial_groupoid(self.base.objects)
 
 
 def validate_vb(v: VBGroupoid) -> Report:
@@ -208,43 +210,27 @@ def validate_vb(v: VBGroupoid) -> Report:
 
 @dataclass(repr=False)
 class VBMap:
-    """Map of VB-groupoids covering a map of base groupoids.
+    """Map of VB-groupoids over one base groupoid, covering its identity.
 
-    ``base_obj``/``base_arr`` send base objects/arrows of the source to the
-    target; for maps of VB-groupoids over one fixed groupoid both are
-    identities.  Only shapes are checked here; see :func:`validate_vb_map`.
+    Only shapes are checked here; see :func:`validate_vb_map`.
     """
 
     source: VBGroupoid
     target: VBGroupoid
     obj_maps: dict[str, LinearMap]
     arr_maps: dict[str, LinearMap]
-    base_obj: Optional[dict[str, str]] = None
-    base_arr: Optional[dict[str, str]] = None
 
     def __post_init__(self):
         source, target = self.source, self.target
-        self.base_obj = (dict(self.base_obj) if self.base_obj is not None
-                         else {x: x for x in source.base.objects})
-        self.base_arr = (dict(self.base_arr) if self.base_arr is not None
-                         else {a: a for a in source.base.arrows})
-        objects, arrows = source.base.objects, source.base.arrows
-        for x in objects:
-            if self.base_obj.get(x) not in target.objdim:
-                raise StructureError(f"base object map undefined or unknown at {x}")
-        for a in arrows:
-            if self.base_arr.get(a) not in target.arrdim:
-                raise StructureError(f"base arrow map undefined or unknown at {a}")
+        if source.base != target.base:
+            raise StructureError("VB map between VB-groupoids over different groupoids")
+        g = source.base
         self.obj_maps = linalg.check_table(
             "object map", self.obj_maps,
-            {x: (target.objdim[self.base_obj[x]], source.objdim[x]) for x in objects})
+            {x: (target.objdim[x], source.objdim[x]) for x in g.objects})
         self.arr_maps = linalg.check_table(
             "arrow map", self.arr_maps,
-            {a: (target.arrdim[self.base_arr[a]], source.arrdim[a]) for a in arrows})
-
-    def covers_identity(self) -> bool:
-        return (all(x == y for x, y in self.base_obj.items())
-                and all(a == b for a, b in self.base_arr.items()))
+            {a: (target.arrdim[a], source.arrdim[a]) for a in g.arrows})
 
 
 def identity_vb_map(v: VBGroupoid) -> VBMap:
@@ -258,13 +244,8 @@ def compose_vb_maps(m2: VBMap, m1: VBMap) -> VBMap:
         raise CompositionError("VB map boundaries do not match")
     return VBMap(
         m1.source, m2.target,
-        {x: linalg.compose(m2.obj_maps[m1.base_obj[x]], m1.obj_maps[x])
-         for x in m1.source.base.objects},
-        {a: linalg.compose(m2.arr_maps[m1.base_arr[a]], m1.arr_maps[a])
-         for a in m1.source.base.arrows},
-        {x: m2.base_obj[m1.base_obj[x]] for x in m1.source.base.objects},
-        {a: m2.base_arr[m1.base_arr[a]] for a in m1.source.base.arrows},
-    )
+        {x: linalg.compose(m2.obj_maps[x], m1.obj_maps[x]) for x in m1.source.base.objects},
+        {a: linalg.compose(m2.arr_maps[a], m1.arr_maps[a]) for a in m1.source.base.arrows})
 
 
 def validate_vb_map(m: VBMap) -> Report:
@@ -273,44 +254,28 @@ def validate_vb_map(m: VBMap) -> Report:
     src, tgt = m.source, m.target
     gb = src.base
     for a in gb.arrows:
-        b = m.base_arr[a]
-        if tgt.base.src[b] != m.base_obj[gb.src[a]] or tgt.base.tgt[b] != m.base_obj[gb.tgt[a]]:
-            rep.add("base-compatibility", a, "arrow over matching endpoints", b)
-            continue
         rep.expect("source-compatibility", a,
                    linalg.compose(m.obj_maps[gb.src[a]], src.stilde[a]),
-                   linalg.compose(tgt.stilde[b], m.arr_maps[a]))
+                   linalg.compose(tgt.stilde[a], m.arr_maps[a]))
         rep.expect("target-compatibility", a,
                    linalg.compose(m.obj_maps[gb.tgt[a]], src.ttilde[a]),
-                   linalg.compose(tgt.ttilde[b], m.arr_maps[a]))
+                   linalg.compose(tgt.ttilde[a], m.arr_maps[a]))
     for x in gb.objects:
         rep.expect("unit-compatibility", f"object {x}",
-                   linalg.compose(tgt.utilde[m.base_obj[x]], m.obj_maps[x]),
+                   linalg.compose(tgt.utilde[x], m.obj_maps[x]),
                    linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x]))
     f = m.arr_maps
     for (g1, g2), g12 in gb.comp.items():
         vv, ww = src.pair_chart(g1, g2).basis_map.split(src.arrdim[g1])
-        where = f"({g1},{g2})"
-        try:
-            residual, images = tgt.multiply(m.base_arr[g1], m.base_arr[g2],
-                                            f[g1] @ vv, f[g2] @ ww)
-        except CompositionError:
-            for k in range(vv.cols):
-                rep.add("multiplicativity", f"{where} basis {k}", "composable images",
-                        "not composable")
-            continue
-        rep.expect_columns(where, [
+        residual, images = tgt.multiply(g1, g2, f[g1] @ vv, f[g2] @ ww)
+        rep.expect_columns(f"({g1},{g2})", [
             ColumnCheck("multiplicativity", images, f[g12] @ src.mult[(g1, g2)],
                         (residual,), "composable images")])
     return rep
 
 
 def vb_map_is_isomorphism(m: VBMap) -> bool:
-    """Fiberwise invertibility on objects and arrows (base maps bijective)."""
-    if sorted(m.base_obj.values()) != sorted(m.target.base.objects):
-        return False
-    if sorted(m.base_arr.values()) != sorted(m.target.base.arrows):
-        return False
+    """Fiberwise invertibility on objects and arrows."""
     return (all(linalg.is_invertible(f) for f in m.obj_maps.values())
             and all(linalg.is_invertible(f) for f in m.arr_maps.values()))
 
@@ -323,7 +288,7 @@ class BundleTransformation:
     """Natural transformation between two maps of linear groupoid bundles.
 
     Stored as one linear map per base point from object fibers of the source
-    to arrow fibers of the target, over the shared base map.
+    to arrow fibers of the target.
     """
 
     from_map: VBMap
@@ -334,32 +299,26 @@ class BundleTransformation:
         from_map, to_map = self.from_map, self.to_map
         if from_map.source != to_map.source or from_map.target != to_map.target:
             raise StructureError("transformation endpoints differ")
-        if from_map.base_obj != to_map.base_obj:
-            raise StructureError("transformation between maps over different base maps")
         src, tgt = from_map.source, from_map.target
         self.comp = linalg.check_table(
             "transformation component", self.comp,
-            {x: (tgt.arrdim[tgt.base.unit[from_map.base_obj[x]]], src.objdim[x])
-             for x in src.base.objects})
+            {x: (tgt.arrdim[tgt.base.unit[x]], src.objdim[x]) for x in src.base.objects})
 
 
 def validate_bundle_transformation(t: BundleTransformation) -> Report:
     """Source/target typing plus the naturality square on every basis arrow."""
     rep = Report("bundle-transformation")
     src, tgt = t.from_map.source, t.from_map.target
+    unit = src.base.unit
     for x in src.base.objects:
-        y = t.from_map.base_obj[x]
-        uy = tgt.base.unit[y]
         rep.expect("component-source", f"object {x}",
-                   t.from_map.obj_maps[x], linalg.compose(tgt.stilde[uy], t.comp[x]))
+                   t.from_map.obj_maps[x], linalg.compose(tgt.stilde[unit[x]], t.comp[x]))
         rep.expect("component-target", f"object {x}",
-                   t.to_map.obj_maps[x], linalg.compose(tgt.ttilde[uy], t.comp[x]))
+                   t.to_map.obj_maps[x], linalg.compose(tgt.ttilde[unit[x]], t.comp[x]))
     for x in src.base.objects:
-        ux = src.base.unit[x]
-        uy = tgt.base.unit[t.from_map.base_obj[x]]
-        comp = t.comp[x]
-        r_want, want = tgt.multiply(uy, uy, t.to_map.arr_maps[ux], comp @ src.stilde[ux])
-        r_got, got = tgt.multiply(uy, uy, comp @ src.ttilde[ux], t.from_map.arr_maps[ux])
+        u, comp = unit[x], t.comp[x]
+        r_want, want = tgt.multiply(u, u, t.to_map.arr_maps[u], comp @ src.stilde[u])
+        r_got, got = tgt.multiply(u, u, comp @ src.ttilde[u], t.from_map.arr_maps[u])
         rep.expect_columns(x, [ColumnCheck("naturality", want, got, (r_want, r_got),
                                            "composable")])
     return rep

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
-from .groupoid import FiniteGroupoid, validate_groupoid
+from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
 from .linalg import LinearMap
 from .reports import ColumnCheck, Report
 from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
@@ -33,7 +33,8 @@ from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
 @dataclass(repr=False)
 class WeakRepresentation:
     """Unital weak action on a linear groupoid bundle over the acting
-    groupoid's objects; every piece of data is a fiberwise linear map."""
+    groupoid's objects, whose arrow at point x is named x; every piece of
+    data is a fiberwise linear map."""
 
     groupoid: FiniteGroupoid
     bundle: VBGroupoid
@@ -42,10 +43,9 @@ class WeakRepresentation:
     alpha: dict[tuple[str, str], LinearMap]
 
     def __post_init__(self):
-        if not self.bundle.is_linear_bundle():
-            raise StructureError("weak representations act on linear groupoid bundles")
-        if tuple(self.bundle.base.objects) != tuple(self.groupoid.objects):
-            raise StructureError("bundle must live over the groupoid objects")
+        if self.bundle.base != trivial_groupoid(self.groupoid.objects):
+            raise StructureError("the bundle must be the unit groupoid of the acting"
+                                 " groupoid's objects, with arrow x at point x")
         g, od, ad = self.groupoid, self.objdim, self.arrdim
         self.a0 = linalg.check_table("action object map", self.a0,
                                      {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
@@ -72,26 +72,24 @@ class WeakRepresentation:
 
     def arrdim(self, x: str) -> int:
         """Dimension of the bundle's arrow fiber at a point."""
-        return self.bundle.arrdim[self.bundle.base.unit[x]]
+        return self.bundle.arrdim[x]
 
     def fiber_multiply(self, x: str, left: LinearMap,
                        right: LinearMap) -> tuple[LinearMap, LinearMap]:
         """:meth:`VBGroupoid.multiply` on the bundle's arrows at x."""
-        u = self.bundle.base.unit[x]
-        return self.bundle.multiply(u, u, left, right)
+        return self.bundle.multiply(x, x, left, right)
 
     def fiber_product(self, x: str, left: LinearMap, right: LinearMap) -> LinearMap:
-        u = self.bundle.base.unit[x]
-        return self.bundle.product(u, u, left, right)
+        return self.bundle.product(x, x, left, right)
 
     def fiber_inverse(self, x: str) -> LinearMap:
-        return self.bundle.inv_map[self.bundle.base.unit[x]]
+        return self.bundle.inv_map[x]
 
     def fiber_source(self, x: str) -> LinearMap:
-        return self.bundle.stilde[self.bundle.base.unit[x]]
+        return self.bundle.stilde[x]
 
     def fiber_target(self, x: str) -> LinearMap:
-        return self.bundle.ttilde[self.bundle.base.unit[x]]
+        return self.bundle.ttilde[x]
 
     def fiber_unit(self, x: str) -> LinearMap:
         return self.bundle.utilde[x]
@@ -116,13 +114,12 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
                    linalg.compose(w.fiber_target(t), w.a1[a]))
         rep.expect("action-units", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
                    linalg.compose(w.a1[a], w.fiber_unit(s)))
-        # on the chart basis of (us, us): basis vector k multiplies to column k of mult
-        us = w.bundle.base.unit[s]
+        # on the chart basis of (s, s): basis vector k multiplies to column k of mult
         a1 = w.a1[a]
-        v1, v2 = w.bundle.pair_chart(us, us).basis_map.split(w.bundle.arrdim[us])
+        v1, v2 = w.bundle.pair_chart(s, s).basis_map.split(w.bundle.arrdim[s])
         residual, images = w.fiber_multiply(t, a1 @ v1, a1 @ v2)
         rep.expect_columns(a, [
-            ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(us, us)],
+            ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(s, s)],
                         (residual,), "composable images")])
     for x in g.objects:
         u = g.unit[x]
@@ -271,9 +268,7 @@ class EquivariantMap:
                                          for a in g.arrows})
 
     def bundle_map(self) -> VBMap:
-        src, tgt = self.source.bundle, self.target.bundle
-        return VBMap(src, tgt, self.f0,
-                     {src.base.unit[x]: self.f1[x] for x in src.base.objects})
+        return VBMap(self.source.bundle, self.target.bundle, self.f0, self.f1)
 
 
 def validate_equivariant(e: EquivariantMap) -> Report:

@@ -364,6 +364,40 @@ def test_cli_roundtrip_with_file(capsys):
                  "--pipeline", "triangle", "--trials", "1", "--seed", "1"]) == 0
 
 
+def _wrep_with_renamed_unit_arrows(tmp_path) -> str:
+    """pair-strict-wrep with its bundle's arrows at x and y named ux and uy
+    in every table: a bundle over a unit groupoid whose arrows are not named
+    by their points."""
+    doc = _fixture_doc("pair-strict-wrep")
+    bundle = doc["payload"]["bundle"]
+    base, name = bundle["groupoid"], {"x": "ux", "y": "uy"}
+    for arrow in base["arrows"]:
+        arrow["id"] = name[arrow["id"]]
+    base["compose"] = [[name[a] for a in row] for row in base["compose"]]
+    base["inverse"] = {name[a]: name[b] for a, b in base["inverse"].items()}
+    base["units"] = {x: name[a] for x, a in base["units"].items()}
+    for table in ("arrdim", "inverse", "stilde", "ttilde"):
+        bundle[table] = {name[a]: m for a, m in bundle[table].items()}
+    bundle["mult"] = [[name[g1], name[g2], m] for g1, g2, m in bundle["mult"]]
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb, options", [
+    ("validate", []),
+    ("convert", ["--from", "wrep", "--to", "ruth"]),
+    ("roundtrip", ["--pipeline", "wrep-ruth", "--trials", "1"]),
+])
+def test_cli_refuses_a_bundle_arrow_not_named_by_its_point(tmp_path, capsys, verb, options):
+    """A wrep's bundle is the unit groupoid of its points with arrow x at
+    point x; any other naming is malformed input, on every verb that reads it."""
+    assert main([verb, _wrep_with_renamed_unit_arrows(tmp_path), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "unit groupoid" in err
+    assert "Traceback" not in err
+
+
 # sha256 of each CLI output, with the report's seconds dropped: the exit code,
 # a newline, then the JSON report (validate, roundtrip, fuzz) or the file that
 # convert --out writes (empty when it writes none).

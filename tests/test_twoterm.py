@@ -25,7 +25,7 @@ def point_complex(d0, d1, diff_rows):
 
 
 def scalar_map(c, d, f0, f1):
-    return ChainMap(c, d, {"p": "p"}, {"p": LinearMap.from_rows([[f0]])},
+    return ChainMap(c, d, {"p": LinearMap.from_rows([[f0]])},
                     {"p": LinearMap.from_rows([[f1]])})
 
 
@@ -232,17 +232,24 @@ def test_extract_homotopy_round_trip_and_rejection():
         extract_homotopy(bad)
 
 
-def test_chain_map_across_bases():
-    c = TwoTermComplex(["a", "b"], {"a": 1, "b": 1}, {"a": 1, "b": 1},
-                       {"a": LinearMap.from_rows([[2]]),
-                        "b": LinearMap.from_rows([[2]])})
-    d = point_complex(1, 1, [[2]])
-    f = ChainMap(c, d, {"a": "p", "b": "p"},
-                 {"a": LinearMap.identity(1), "b": LinearMap.from_rows([[3]])},
-                 {"a": LinearMap.identity(1), "b": LinearMap.from_rows([[3]])})
-    F = phi_onemorphism(f)
-    assert validate_vb_map(F).passed
-    assert extract_chain_map(F) == f
+TWO_POINTS = TwoTermComplex(["a", "b"], {"a": 1, "b": 1}, {"a": 1, "b": 1},
+                            {"a": LinearMap.from_rows([[2]]), "b": LinearMap.from_rows([[2]])})
+
+
+def test_chain_map_across_base_sets_is_refused():
+    """Chain maps cover the identity of one base set; a map from a complex
+    over {a, b} to one over {p} has no representation."""
+    one = {x: LinearMap.identity(1) for x in ("a", "b")}
+    with pytest.raises(StructureError, match="different base sets"):
+        ChainMap(TWO_POINTS, point_complex(1, 1, [[2]]), one, one)
+
+
+def test_vb_map_across_groupoids_is_refused():
+    """Maps of VB-groupoids cover the identity of one base groupoid."""
+    v, w = phi_object(TWO_POINTS), phi_object(point_complex(1, 1, [[2]]))
+    with pytest.raises(StructureError, match="different groupoids"):
+        VBMap(v, w, {x: LinearMap.identity(1) for x in ("a", "b")},
+              {x: LinearMap.identity(2) for x in ("a", "b")})
 
 
 def test_hcompose_output_is_valid_homotopy():
