@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: frozen examples, errors, and algebraic laws."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -142,13 +143,68 @@ def sparse_matrix(rows, cols):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_zero_skipping_kernel_matches_dense_reference(rows, cols, data):
-    """apply and compose give exactly the dense sums on every shape up to
-    4 x 4, empty ones included."""
+    """apply gives exactly the dense sums on every shape up to 4 x 4, empty
+    ones included."""
     m = data.draw(sparse_matrix(rows, cols))
     v = tuple(data.draw(st.lists(sparse_fractions, min_size=cols, max_size=cols)))
     assert m.apply(v) == _dense_apply(m, v)
-    g = data.draw(st.integers(0, 4).flatmap(lambda k: sparse_matrix(cols, k)))
-    assert compose(m, g) == _dense_compose(m, g)
+
+
+# Zeros and units, and numerators near +-2**62 and +-2**200 over
+# denominators up to 2**40: word-size and wider integers, and common
+# denominators of thousands of bits.
+wide_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.one_of(*(st.integers(s * 2 ** e - 2, s * 2 ** e + 2)
+                                    for s in (1, -1) for e in (62, 200))),
+              st.integers(1, 2 ** 40)))
+
+
+def wide_matrix(rows, cols):
+    return st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: LinearMap.from_entries(rows, cols, es))
+
+
+# Inner dimension and columns up to 9: rows of at most MAX_ROW_TERMS terms
+# run in a generated function, longer ones in the zero-skipping loop.
+ROW_SHAPES = [(k, n) for k in range(10) for n in range(10)]
+
+
+@pytest.mark.parametrize("over_cap", [False, True], ids=["generated", "loop"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_matches_dense_reference_across_the_row_cap(over_cap, data):
+    """f @ g is exactly the dense sums, over the product of the two
+    denominators, on both sides of the cap, empty shapes included."""
+    k, n = data.draw(st.sampled_from([(k, n) for k, n in ROW_SHAPES
+                                      if (k * n > linalg.MAX_ROW_TERMS) == over_cap]))
+    f = data.draw(wide_matrix(data.draw(st.integers(0, 9)), k))
+    g = data.draw(wide_matrix(k, n))
+    product = f @ g
+    assert product == _dense_compose(f, g)
+    assert product.den == f.den * g.den
+
+
+def test_a_row_kernel_is_built_once_per_shape():
+    linalg._row_kernel.cache_clear()
+    f, g = LinearMap.identity(3), LinearMap.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert f @ g == g and compose(f, g) == g
+    built = linalg._row_kernel.cache_info()
+    assert (built.misses, built.hits, built.currsize) == (1, 1, 1)
+    assert linalg._row_kernel(3, 2) is linalg._row_kernel(3, 2)
+
+
+def test_a_product_at_max_dim_compiles_no_kernel():
+    """An instance file may declare maps of MAX_DIM rows and columns; their
+    product runs in the loop, so no function of more than MAX_ROW_TERMS
+    terms is generated."""
+    d, rng = linalg.MAX_DIM, random.Random(7)
+    f, g = (LinearMap(d, d, tuple(rng.choice((0, 0, 1, -1, 3, 2 ** 70)) for _ in range(d * d)),
+                      den) for den in (3, 5))
+    linalg._row_kernel.cache_clear()
+    product = f @ g
+    assert linalg._row_kernel.cache_info().currsize == 0
+    assert product == _dense_compose(f, g)
 
 
 class Counting:
