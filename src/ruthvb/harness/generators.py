@@ -177,7 +177,7 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
 
         chart = linalg.kernel_chart(residual(LinearMap.identity(n0 + n1)))
         draws = LinearMap.from_columns([[rand_fraction(rng) for _ in chart.free]], len(chart.free))
-        sol0, sol1 = (chart.basis_map @ draws).split(n0)
+        sol0, sol1 = chart.basis_map.split_product(draws, cut=n0)
         f0[x] = LinearMap(a0, b0, sol0.nums, sol0.den)
         f1[x] = LinearMap(a1, b1, sol1.nums, sol1.den)
     return ChainMap(c, d, f0, f1)

@@ -23,20 +23,26 @@ first use, where text or single vectors need them.
 Most matrices here are small identity, zero or basis blocks.
 ``LinearMap @ LinearMap`` multiplies whole blocks of columns in integer
 numerators, so a structure table is one block expression on an identity
-or basis block.  A row of k entries times a k x n block runs in one
-generated function of the shape (k, n), built on first use from k and n
-alone and kept: it writes out all k * n terms, zeros included, which
-costs the interpreter less than testing each factor.  The cost of
-building one grows with k * n, so a row of more than ``MAX_ROW_TERMS``
-terms runs a loop instead, forming a term only where both factors are
-nonzero.  One ``Fraction`` loop is left: :meth:`LinearMap.apply`
-multiplies one vector of ``Fraction`` s, forms a product only where the
-matrix entry and the vector entry are both nonzero, takes the other
-factor as the term when one of them is 1, and starts each sum from its
-first term.  The row reduction is fraction-free Gauss-Jordan elimination
-on the canonical numerators, so it divides only exactly.  ``vec_add`` and
-``vec_sub`` pass zero operands through.  A skipped term is an exact zero,
-so every result is the same exact rational the dense sums give.
+or basis block.  The block products of the fibered products run fused:
+``f.split_product(top, bottom, cut=c)`` is ``f`` times ``top`` stacked on
+``bottom``, split after row c, with neither the stack nor the whole
+product built; each block's partial sums are scaled to the lcm of the two
+denominators.  A product of m x k times k x n runs in one generated
+function of the shape ``(m, k1, k2, n, cut)``, built on first use from the
+shape alone and kept: it unpacks its operands to locals and writes out all
+m * k * n terms, zeros included, which costs the interpreter less than
+testing each factor; ``@`` is the case of no second block and c = m.  The
+cost of building one grows with m * k * n, so a product of more than
+``MAX_PRODUCT_TERMS`` terms, or an empty one, runs a loop instead, forming
+a term only where both factors are nonzero.  One ``Fraction`` loop is
+left: :meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s,
+forms a product only where the matrix entry and the vector entry are both
+nonzero, takes the other factor as the term when one of them is 1, and
+starts each sum from its first term.  The row reduction is fraction-free
+Gauss-Jordan elimination on the canonical numerators, so it divides only
+exactly.  ``vec_add`` and ``vec_sub`` pass zero operands through.  A
+skipped term is an exact zero, so every result is the same exact rational
+the dense sums give.
 """
 
 from __future__ import annotations
@@ -139,21 +145,84 @@ def _over_lcm(maps: Sequence["LinearMap"]) -> tuple[int, list[Sequence[int]]]:
     return den, [m.nums for m in maps]
 
 
-# The most terms (k * n) a row of a product may have and still run in a
-# generated function: building one costs time and memory that grow with
-# k * n (under 1 ms at 64 terms; 0.06 s and 13 MB at 64 x 64 = 4,096).
-MAX_ROW_TERMS = 64
+# The most terms m * k * n a product may have and still run in a generated
+# function: building one takes time and memory that grow with m * k * n
+# (about 2 ms and under 1 MB at 8 x 8 x 8 = 512), so every product of
+# m, k, n <= 8 fits and a product of MAX_DIM x MAX_DIM maps builds nothing.
+MAX_PRODUCT_TERMS = 512
+
+
+def _locals(name: str, count: int) -> str:
+    return "".join(f"{name}{i}, " for i in range(count))
 
 
 @cache
-def _row_kernel(k: int, n: int):
-    """``row(r, b)``: the n entries of the k-entry row ``r`` times the
-    k x n numerators ``b``, every term written out.  The source is built
-    from k and n alone, so no instance data reaches ``exec``."""
-    sums = (" + ".join(f"r[{i}] * b[{i * n + j}]" for i in range(k)) for j in range(n))
+def _product_kernel(m: int, k1: int, k2: int, n: int, cut: int):
+    """``product(a, b, c, s, t)``: the numerators of the m x (k1 + k2)
+    block ``a`` times the k1 x n block ``b`` scaled by ``s`` stacked on the
+    k2 x n block ``c`` scaled by ``t``, as its first ``cut`` rows and the
+    rest, every term written out.  Each sum over one block is scaled once;
+    with no second block nothing is scaled.  The operands are unpacked to
+    locals first, which both compiles and runs faster than indexing them
+    term by term.  The source is built from the shape alone, so no instance
+    data reaches ``exec``."""
+    k, sums = k1 + k2, []
+    for i in range(m):
+        for j in range(n):
+            upper = " + ".join(f"a{i * k + l} * b{l * n + j}" for l in range(k1))
+            lower = " + ".join(f"a{i * k + k1 + l} * c{l * n + j}" for l in range(k2))
+            sums.append(f"({upper}) * s + ({lower}) * t" if upper and lower else
+                        f"({lower}) * t" if lower else upper)
+    cut *= n
     scope: dict = {}
-    exec(f"def row(r, b):\n    return ({', '.join(sums)},)\n", scope)
-    return scope["row"]
+    exec(f"def product(a, b, c, s, t):\n"
+         f"    ({_locals('a', m * k)}) = a\n"
+         f"    ({_locals('b', k1 * n)}) = b\n"
+         f"    ({_locals('c', k2 * n)}) = c\n"
+         f"    return ({''.join(x + ', ' for x in sums[:cut])}), "
+         f"({''.join(x + ', ' for x in sums[cut:])})\n", scope)
+    return scope["product"]
+
+
+def _product(f: "LinearMap", top: "LinearMap", bottom: Optional["LinearMap"],
+             cut: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The numerators of ``f @ vstack(top, bottom)``, as its first ``cut``
+    rows and the rest, and their denominator ``f.den * lcm(top.den,
+    bottom.den)``; the stack is never built.  A product of at most
+    ``MAX_PRODUCT_TERMS`` terms runs in the generated function of its
+    shape, a larger or empty one in a loop that forms a term only where
+    both factors are nonzero."""
+    m, k1, n = f.rows, top.rows, top.cols
+    k2, c, den, s, t = 0, (), top.den, 1, 1
+    if bottom is not None:
+        if bottom.cols != n:
+            raise DimensionError("vstack needs equal column counts")
+        k2, c = bottom.rows, bottom.nums
+        if bottom.den != den:
+            den = math.lcm(den, bottom.den)
+            s, t = den // top.den, den // bottom.den
+    k = k1 + k2
+    if f.cols != k:
+        raise DimensionError(f"cannot multiply {m}x{f.cols} by {k}x{n}")
+    if not 0 <= cut <= m:
+        raise DimensionError(f"cannot split {m} rows after row {cut}")
+    # A kernel with no second block scales nothing, so an empty second
+    # block over another denominator takes the loop.
+    if 0 < m * k * n <= MAX_PRODUCT_TERMS and (k2 or s == 1):
+        upper, lower = _product_kernel(m, k1, k2, n, cut)(f.nums, top.nums, c, s, t)
+        return upper, lower, f.den * den
+    a, b = f.nums, [s * y for y in top.nums] + [t * y for y in c]
+    live = [[(j, y) for j, y in enumerate(b[i * n:(i + 1) * n]) if y] for i in range(k)]
+    out = []
+    for i in range(m):
+        acc = [0] * n
+        for x, terms in zip(a[i * k:(i + 1) * k], live):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.extend(acc)
+    cut *= n
+    return tuple(out[:cut]), tuple(out[cut:]), f.den * den
 
 
 def _check_shape(rows: int, cols: int, count: int) -> None:
@@ -312,29 +381,22 @@ class LinearMap:
     # algebra ---------------------------------------------------------------
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        """The product self * other, over the product of the denominators.
-        Each row of self runs in the generated function of its shape
-        ``(k, n)``; a row of more than ``MAX_ROW_TERMS`` terms forms a term
-        only where both factors are nonzero."""
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by "
-                                 f"{other.rows}x{other.cols}")
-        k, n, a, b, out = self.cols, other.cols, self.nums, other.nums, []
-        if 0 < k * n <= MAX_ROW_TERMS:
-            row = _row_kernel(k, n)
-            for i in range(0, self.rows * k, k):
-                out += row(a[i:i + k], b)
-        else:
-            live = [[(j, y) for j, y in enumerate(b[i * n:(i + 1) * n]) if y]
-                    for i in range(k)]
-            for i in range(self.rows):
-                acc = [0] * n
-                for x, terms in zip(a[i * k:(i + 1) * k], live):
-                    if x:
-                        for j, y in terms:
-                            acc[j] += x * y
-                out.extend(acc)
-        return LinearMap(self.rows, n, tuple(out), self.den * other.den)
+        """The product self * other, over the product of the denominators,
+        from the generated function of its shape ``(m, k, n)``; a product
+        of more than ``MAX_PRODUCT_TERMS`` terms forms a term only where
+        both factors are nonzero."""
+        nums, _, den = _product(self, other, None, self.rows)
+        return LinearMap(self.rows, other.cols, nums, den)
+
+    def split_product(self, top: "LinearMap", bottom: Optional["LinearMap"] = None, *,
+                      cut: int) -> tuple["LinearMap", "LinearMap"]:
+        """``self @ vstack(top, bottom)`` split after its first ``cut`` rows,
+        from one generated function, without building the stack, the whole
+        product or its halves: the same numerators over the same
+        denominator ``self.den * lcm(top.den, bottom.den)``."""
+        upper, lower, den = _product(self, top, bottom, cut)
+        return (LinearMap(cut, top.cols, upper, den),
+                LinearMap(self.rows - cut, top.cols, lower, den))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):

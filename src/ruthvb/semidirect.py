@@ -47,7 +47,7 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
                           r.lambda0[g1], -r.omega[(g1, g2)]),
             linalg.hstack(LinearMap.zero(d1s2, arrdim[g1] + arrdim[g2] - d1s2),
                           LinearMap.identity(d1s2)))
-        return m @ linalg.vstack(e, f)
+        return m.split_product(e, f, cut=m.rows)[0]
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 

@@ -177,7 +177,7 @@ def phi_object(c: TwoTermComplex) -> VBGroupoid:
                                 LinearMap.zero(d0 + d1, d1), LinearMap.identity(d0 + d1))
 
     def product(p, _, a, b):
-        return sums[p] @ linalg.vstack(a, b)
+        return sums[p].split_product(a, b, cut=sums[p].rows)[0]
 
     return VBGroupoid(base, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 

@@ -12,9 +12,10 @@ the chart's free columns, so a product needs no row reduction.  Next to
 the chart each pair keeps its pair operator, the constraint stacked on the
 multiplication read at the free columns: applied to (v, w) it gives the
 composability residual and then the product.  ``multiply`` applies it to
-a block of pairs in integers, one pair per column, and ``product`` also
-insists that each column compose: the one product path, for the
-validators and the conversions alike.
+a block of pairs in integers, one pair per column, in one fused product
+that never builds the stacked pairs, and ``product`` also insists that
+each column compose: the one product path, for the validators and the
+conversions alike.
 
 A linear groupoid bundle is the special case whose base is the unit
 groupoid of its points, in which the arrow at point x is named x; the same
@@ -113,10 +114,12 @@ class VBGroupoid:
                  right: LinearMap) -> tuple[LinearMap, LinearMap]:
         """Column k of the result is the composability residual and the
         product of column k of ``left`` over g1 with column k of ``right``
-        over g2, from one integer product.  The column is composable exactly
+        over g2, from one fused integer product: the pair operator times
+        ``left`` stacked on ``right``, split after the residual rows
+        (:meth:`LinearMap.split_product`).  The column is composable exactly
         when its residual is zero."""
-        out = self.pair_operator(g1, g2) @ linalg.vstack(left, right)
-        return out.split(self.objdim[self.base.src[g1]])
+        return self.pair_operator(g1, g2).split_product(
+            left, right, cut=self.objdim[self.base.src[g1]])
 
     def product(self, g1: str, g2: str, left: LinearMap,
                 right: LinearMap) -> LinearMap:

@@ -195,16 +195,20 @@ class ActionChart:
                 linalg.hstack(lift, ker.basis_map))
 
     def encode(self, g_arrow: str, x: LinearMap, k: LinearMap) -> LinearMap:
-        """Coordinates of a block of pairs in the chart basis, one per column."""
-        residual, coords = (self.encoder[g_arrow] @ linalg.vstack(x, k)).split(
-            self.residual_rows[g_arrow])
+        """Coordinates of a block of pairs in the chart basis, one per column:
+        the encoder times ``x`` stacked on ``k``, split after the residual
+        rows, from one fused product (:meth:`LinearMap.split_product`);
+        raises ``CompositionError`` when a residual is nonzero."""
+        residual, coords = self.encoder[g_arrow].split_product(
+            x, k, cut=self.residual_rows[g_arrow])
         if any(residual.nums):
             raise CompositionError(f"pair over {g_arrow} violates the fiber constraint")
         return coords
 
     def decode(self, g_arrow: str, coords: LinearMap) -> tuple[LinearMap, LinearMap]:
-        """The pairs (x, k) with the coordinates of each column."""
-        return (self.decoder[g_arrow] @ coords).split(self.object_rows[g_arrow])
+        """The pairs (x, k) with the coordinates of each column, from one
+        fused product split after the x rows."""
+        return self.decoder[g_arrow].split_product(coords, cut=self.object_rows[g_arrow])
 
 
 def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:

@@ -165,46 +165,131 @@ def wide_matrix(rows, cols):
         lambda es: LinearMap.from_entries(rows, cols, es))
 
 
-# Inner dimension and columns up to 9: rows of at most MAX_ROW_TERMS terms
-# run in a generated function, longer ones in the zero-skipping loop.
-ROW_SHAPES = [(k, n) for k in range(10) for n in range(10)]
+def _over(f, q):
+    """f with numerators and denominator multiplied by q: the same map
+    over a denominator that is not the least, as products leave them."""
+    return LinearMap(f.rows, f.cols, tuple(q * x for x in f.nums), q * f.den)
 
 
-@pytest.mark.parametrize("over_cap", [False, True], ids=["generated", "loop"])
+def _form(f):
+    return f.rows, f.cols, f.nums, f.den
+
+
+# Rows, both block heights and columns 0..9: products of at most
+# MAX_PRODUCT_TERMS terms m * k * n run in the generated function of their
+# shape; larger ones and empty ones in the zero-skipping loop.
+PRODUCT_SHAPES = [(m, k1, k2, n) for m in range(10) for k1 in range(10)
+                  for k2 in range(10) for n in range(10)]
+
+
+def _terms(m, k1, k2, n):
+    return m * (k1 + k2) * n
+
+
+# On the loop's side, products above the cap and empty ones, half each.
+SHAPES_BY_PATH = {
+    True: st.sampled_from([s for s in PRODUCT_SHAPES
+                           if 0 < _terms(*s) <= linalg.MAX_PRODUCT_TERMS]),
+    False: st.sampled_from([s for s in PRODUCT_SHAPES if _terms(*s) > linalg.MAX_PRODUCT_TERMS])
+    | st.sampled_from([s for s in PRODUCT_SHAPES if not _terms(*s)]),
+}
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["generated", "loop"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_product_matches_dense_reference_across_the_row_cap(over_cap, data):
-    """f @ g is exactly the dense sums, over the product of the two
-    denominators, on both sides of the cap, empty shapes included."""
-    k, n = data.draw(st.sampled_from([(k, n) for k, n in ROW_SHAPES
-                                      if (k * n > linalg.MAX_ROW_TERMS) == over_cap]))
-    f = data.draw(wide_matrix(data.draw(st.integers(0, 9)), k))
-    g = data.draw(wide_matrix(k, n))
-    product = f @ g
-    assert product == _dense_compose(f, g)
-    assert product.den == f.den * g.den
+def test_split_product_matches_dense_reference_across_the_cap(kernel, data):
+    """f.split_product(top, bottom, cut=c) is, for every c in 0..m, exactly
+    the unfused (f @ vstack(top, bottom)).split(c): the same numerators
+    over the same denominator f.den * lcm(top.den, bottom.den), equal to
+    the dense Fraction sums.  Blocks come over equal and over different
+    denominators, 0-row blocks included, and without a second block; f @ g
+    is the case of no second block and c = m."""
+    m, k1, k2, n = data.draw(SHAPES_BY_PATH[kernel])
+    f = data.draw(wide_matrix(m, k1 + k2))
+    top, bottom = data.draw(wide_matrix(k1, n)), data.draw(wide_matrix(k2, n))
+    if data.draw(st.booleans(), label="equal denominators"):
+        top, bottom = _over(top, bottom.den), _over(bottom, top.den)
+    else:
+        scales = st.sampled_from([1, 2, 3, 2 ** 40 + 1])
+        top, bottom = _over(top, data.draw(scales)), _over(bottom, data.draw(scales))
+    blocks = (top, bottom)
+    if k2 == 0 and data.draw(st.booleans(), label="no second block"):
+        blocks = (top,)
+    stack = linalg.vstack(*blocks)
+    whole = f @ stack
+    assert whole == _dense_compose(f, stack) and whole.den == f.den * stack.den
+    assert stack.den == math.lcm(*(b.den for b in blocks))
+    for cut in range(m + 1):
+        halves = f.split_product(*blocks, cut=cut)
+        assert [_form(h) for h in halves] == [_form(h) for h in whole.split(cut)]
 
 
-def test_a_row_kernel_is_built_once_per_shape():
-    linalg._row_kernel.cache_clear()
+@pytest.mark.parametrize("m, k1, k2, n", [(3, 2, 0, 3), (3, 0, 2, 3), (3, 0, 0, 3),
+                                         (9, 9, 0, 9), (9, 0, 9, 9)])
+def test_an_empty_block_over_another_denominator_scales_the_other(m, k1, k2, n):
+    """A 0-row block still sets the denominator of the stack, so the other
+    block is scaled to the lcm, in the generated function and in the loop
+    alike."""
+    rng = random.Random(m * k1 + k2)
+
+    def draw(rows, cols, den):
+        return LinearMap(rows, cols, tuple(rng.choice((0, 1, -1, 2 ** 200 + 1, 3 - 2 ** 200))
+                                           for _ in range(rows * cols)), den)
+
+    f, top, bottom = draw(m, k1 + k2, 5), draw(k1, n, 3), draw(k2, n, 2)
+    for cut in range(m + 1):
+        assert [_form(h) for h in f.split_product(top, bottom, cut=cut)] == [
+            _form(h) for h in (f @ linalg.vstack(top, bottom)).split(cut)]
+        assert f.split_product(top, bottom, cut=cut)[0].den == 5 * 6
+
+
+def test_a_product_kernel_is_built_once_per_key():
+    """One generated function per (m, k1, k2, n, cut), whichever call
+    needs it: f @ g and compose share the key (m, k, 0, n, m)."""
+    linalg._product_kernel.cache_clear()
     f, g = LinearMap.identity(3), LinearMap.from_rows([[1, 2], [3, 4], [5, 6]])
     assert f @ g == g and compose(f, g) == g
-    built = linalg._row_kernel.cache_info()
+    built = linalg._product_kernel.cache_info()
     assert (built.misses, built.hits, built.currsize) == (1, 1, 1)
-    assert linalg._row_kernel(3, 2) is linalg._row_kernel(3, 2)
+    top, bottom = g.split(1)
+    for _ in range(2):
+        assert f.split_product(top, bottom, cut=1) == g.split(1)
+    assert f.split_product(top, bottom, cut=2) == g.split(2)
+    built = linalg._product_kernel.cache_info()
+    assert (built.misses, built.hits, built.currsize) == (3, 2, 3)
+    assert linalg._product_kernel(3, 1, 2, 2, 1) is linalg._product_kernel(3, 1, 2, 2, 1)
 
 
 def test_a_product_at_max_dim_compiles_no_kernel():
     """An instance file may declare maps of MAX_DIM rows and columns; their
-    product runs in the loop, so no function of more than MAX_ROW_TERMS
-    terms is generated."""
+    products, whole or split over two blocks, run in the loop, so no
+    function of more than MAX_PRODUCT_TERMS terms is generated."""
     d, rng = linalg.MAX_DIM, random.Random(7)
     f, g = (LinearMap(d, d, tuple(rng.choice((0, 0, 1, -1, 3, 2 ** 70)) for _ in range(d * d)),
                       den) for den in (3, 5))
-    linalg._row_kernel.cache_clear()
+    top, bottom = g.split(d // 2)
+    linalg._product_kernel.cache_clear()
     product = f @ g
-    assert linalg._row_kernel.cache_info().currsize == 0
+    halves = f.split_product(top, _over(bottom, 7), cut=d // 4)
+    assert linalg._product_kernel.cache_info().currsize == 0
     assert product == _dense_compose(f, g)
+    assert [_form(h) for h in halves] == [
+        _form(h) for h in (f @ linalg.vstack(top, _over(bottom, 7))).split(d // 4)]
+
+
+@pytest.mark.parametrize("shape, top, bottom, cut", [
+    ((3, 3), (1, 2), (2, 3), 1),   # blocks of different widths
+    ((3, 2), (1, 2), (2, 2), 1),   # a stack one row too tall
+    ((3, 4), (1, 2), (2, 2), 1),   # and one row too short
+    ((3, 3), (2, 2), None, 1),     # one block of the wrong height
+    ((3, 3), (1, 2), (2, 2), 4),   # a cut below the last row
+    ((3, 3), (1, 2), (2, 2), -1),  # and above the first
+])
+def test_a_stack_of_the_wrong_shape_raises_dimension_error(shape, top, bottom, cut):
+    blocks = [LinearMap.zero(*top)] + ([] if bottom is None else [LinearMap.zero(*bottom)])
+    with pytest.raises(DimensionError):
+        LinearMap.zero(*shape).split_product(*blocks, cut=cut)
 
 
 class Counting:
