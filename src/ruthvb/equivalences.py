@@ -60,8 +60,8 @@ def ruth_from_wrep_with_witness(w: WeakRepresentation) -> tuple[Ruth, Equivarian
     g = w.groupoid
     witness = EquivariantMap(
         wrep_from_ruth(r, validate=False), w,
-        {x: LinearMap.identity(w.objdim(x)) for x in g.objects}, rho,
-        {a: linalg.compose(w.fiber_unit(g.tgt[a]), w.a0[a]) for a in g.arrows})
+        {x: LinearMap.identity(w.bundle.objdim[x]) for x in g.objects}, rho,
+        {a: linalg.compose(w.bundle.utilde[g.tgt[a]], w.a0[a]) for a in g.arrows})
     return r, witness
 
 
@@ -198,8 +198,8 @@ def connection_change_witness(v: VBGroupoid, first: Connection,
     w1 = res1.wrep
     return EquivariantMap(
         w1, res2.wrep,
-        {x: LinearMap.identity(w1.objdim(x)) for x in g.objects},
-        {x: LinearMap.identity(w1.arrdim(x)) for x in g.objects},
+        {x: LinearMap.identity(w1.bundle.objdim[x]) for x in g.objects},
+        {x: LinearMap.identity(w1.bundle.arrdim[x]) for x in g.objects},
         delta)
 
 
@@ -217,14 +217,14 @@ def reconstruct_equivariant(phi: VBMap, w_src: WeakRepresentation,
     f1 = {}
     for x in g.objects:
         u = g.unit[x]
-        coords = src_chart.encode(u, w_src.fiber_source(x), w_src.fiber_inverse(x))
+        coords = src_chart.encode(u, w_src.bundle.stilde[x], w_src.bundle.inv_map[x])
         _, k = tgt_chart.decode(u, phi.arr_maps[u] @ coords)
-        f1[x] = w_tgt.fiber_inverse(x) @ k
+        f1[x] = w_tgt.bundle.inv_map[x] @ k
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        coords = src_chart.encode(a, LinearMap.identity(w_src.objdim(s)),
-                                  w_src.fiber_unit(t) @ w_src.a0[a])
+        coords = src_chart.encode(a, LinearMap.identity(w_src.bundle.objdim[s]),
+                                  w_src.bundle.utilde[t] @ w_src.a0[a])
         delta[a] = tgt_chart.decode(a, phi.arr_maps[a] @ coords)[1]
     return EquivariantMap(w_src, w_tgt, f0, f1, delta)
 

@@ -357,6 +357,8 @@ class LinearMap:
 
     def split(self, k: int) -> tuple["LinearMap", "LinearMap"]:
         """The first k rows and the rest."""
+        if not 0 <= k <= self.rows:
+            raise DimensionError(f"cannot split {self.rows} rows after row {k}")
         cut = k * self.cols
         return (LinearMap(k, self.cols, self.nums[:cut], self.den),
                 LinearMap(self.rows - k, self.cols, self.nums[cut:], self.den))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional, Sequence
 
 from .linalg import LinearMap
@@ -14,14 +14,6 @@ class CheckEntry:
     location: str
     expected: str
     actual: str
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "location": self.location,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ class Report:
         return {
             "subject": self.subject,
             "verdict": "pass" if self.passed else "fail",
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
             "seconds": round(self.seconds, 6),
         }
 

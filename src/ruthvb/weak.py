@@ -46,14 +46,14 @@ class WeakRepresentation:
         if self.bundle.base != trivial_groupoid(self.groupoid.objects):
             raise StructureError("the bundle must be the unit groupoid of the acting"
                                  " groupoid's objects, with arrow x at point x")
-        g, od, ad = self.groupoid, self.objdim, self.arrdim
+        g, od, ad = self.groupoid, self.bundle.objdim, self.bundle.arrdim
         self.a0 = linalg.check_table("action object map", self.a0,
-                                     {a: (od(g.tgt[a]), od(g.src[a])) for a in g.arrows})
+                                     {a: (od[g.tgt[a]], od[g.src[a]]) for a in g.arrows})
         self.a1 = linalg.check_table("action arrow map", self.a1,
-                                     {a: (ad(g.tgt[a]), ad(g.src[a])) for a in g.arrows})
+                                     {a: (ad[g.tgt[a]], ad[g.src[a]]) for a in g.arrows})
         self.alpha = linalg.check_table(
             "associator cell", self.alpha,
-            {(g1, g2): (ad(g.tgt[g1]), od(g.src[g2])) for (g1, g2) in g.comp})
+            {(g1, g2): (ad[g.tgt[g1]], od[g.src[g2]]) for (g1, g2) in g.comp})
 
     @cached_property
     def chart(self) -> "ActionChart":
@@ -67,31 +67,9 @@ class WeakRepresentation:
         first use and kept with the instance (not compared by ``==``)."""
         return action_groupoid_bundle(self)
 
-    def objdim(self, x: str) -> int:
-        return self.bundle.objdim[x]
-
-    def arrdim(self, x: str) -> int:
-        """Dimension of the bundle's arrow fiber at a point."""
-        return self.bundle.arrdim[x]
-
-    def fiber_multiply(self, x: str, left: LinearMap,
-                       right: LinearMap) -> tuple[LinearMap, LinearMap]:
-        """:meth:`VBGroupoid.multiply` on the bundle's arrows at x."""
-        return self.bundle.multiply(x, x, left, right)
-
-    def fiber_product(self, x: str, left: LinearMap, right: LinearMap) -> LinearMap:
-        return self.bundle.product(x, x, left, right)
-
-    def fiber_inverse(self, x: str) -> LinearMap:
-        return self.bundle.inv_map[x]
-
-    def fiber_source(self, x: str) -> LinearMap:
-        return self.bundle.stilde[x]
-
-    def fiber_target(self, x: str) -> LinearMap:
-        return self.bundle.ttilde[x]
-
     def fiber_unit(self, x: str) -> LinearMap:
+        """``self.bundle.utilde[x]``.  Nothing in the package calls this; it is
+        kept only because the benchmark's convert-desk workload still does."""
         return self.bundle.utilde[x]
 
 
@@ -108,16 +86,16 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
     rep.extend(validate_vb(w.bundle), prefix="bundle: ")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("action-source", a, linalg.compose(w.a0[a], w.fiber_source(s)),
-                   linalg.compose(w.fiber_source(t), w.a1[a]))
-        rep.expect("action-target", a, linalg.compose(w.a0[a], w.fiber_target(s)),
-                   linalg.compose(w.fiber_target(t), w.a1[a]))
-        rep.expect("action-units", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
-                   linalg.compose(w.a1[a], w.fiber_unit(s)))
+        rep.expect("action-source", a, linalg.compose(w.a0[a], w.bundle.stilde[s]),
+                   linalg.compose(w.bundle.stilde[t], w.a1[a]))
+        rep.expect("action-target", a, linalg.compose(w.a0[a], w.bundle.ttilde[s]),
+                   linalg.compose(w.bundle.ttilde[t], w.a1[a]))
+        rep.expect("action-units", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
+                   linalg.compose(w.a1[a], w.bundle.utilde[s]))
         # on the chart basis of (s, s): basis vector k multiplies to column k of mult
         a1 = w.a1[a]
         v1, v2 = w.bundle.pair_chart(s, s).basis_map.split(w.bundle.arrdim[s])
-        residual, images = w.fiber_multiply(t, a1 @ v1, a1 @ v2)
+        residual, images = w.bundle.multiply(t, t, a1 @ v1, a1 @ v2)
         rep.expect_columns(a, [
             ColumnCheck("action-multiplicative", images, a1 @ w.bundle.mult[(s, s)],
                         (residual,), "composable images")])
@@ -131,27 +109,27 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
         t1, s2, g12 = g.tgt[g1], g.src[g2], g.comp[(g1, g2)]
         loc = f"({g1},{g2})"
         rep.expect("associator-source", loc, linalg.compose(w.a0[g1], w.a0[g2]),
-                   linalg.compose(w.fiber_source(t1), cell))
+                   linalg.compose(w.bundle.stilde[t1], cell))
         rep.expect("associator-target", loc, w.a0[g12],
-                   linalg.compose(w.fiber_target(t1), cell))
+                   linalg.compose(w.bundle.ttilde[t1], cell))
         # naturality on the basis arrows of the fiber at src(g2)
-        r_want, want = w.fiber_multiply(t1, w.a1[g12], cell @ w.fiber_source(s2))
-        r_got, got = w.fiber_multiply(t1, cell @ w.fiber_target(s2), w.a1[g1] @ w.a1[g2])
+        r_want, want = w.bundle.multiply(t1, t1, w.a1[g12], cell @ w.bundle.stilde[s2])
+        r_got, got = w.bundle.multiply(t1, t1, cell @ w.bundle.ttilde[s2], w.a1[g1] @ w.a1[g2])
         rep.expect_columns(loc, [ColumnCheck("associator-naturality", want, got,
                                              (r_want, r_got), "composable cells")])
     # the pentagon on the basis of the object fiber at src(g3)
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
         t1 = g.tgt[g1]
-        r_want, want = w.fiber_multiply(t1, w.alpha[(g12, g3)], w.alpha[(g1, g2)] @ w.a0[g3])
-        r_got, got = w.fiber_multiply(t1, w.alpha[(g1, g23)], w.a1[g1] @ w.alpha[(g2, g3)])
+        r_want, want = w.bundle.multiply(t1, t1, w.alpha[(g12, g3)], w.alpha[(g1, g2)] @ w.a0[g3])
+        r_got, got = w.bundle.multiply(t1, t1, w.alpha[(g1, g23)], w.a1[g1] @ w.alpha[(g2, g3)])
         rep.expect_columns(f"({g1},{g2},{g3})", [
             ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.fiber_unit(s)),
+        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.bundle.utilde[s]),
                    w.alpha[(a, g.unit[s])])
-        rep.expect("unit-coherence-left", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
+        rep.expect("unit-coherence-left", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
                    w.alpha[(g.unit[t], a)])
     return rep
 
@@ -174,16 +152,16 @@ class ActionChart:
 
     def __init__(self, w: WeakRepresentation):
         g = w.groupoid
-        self.tau = {x: linalg.right_inverse_on_image(w.fiber_target(x)) for x in g.objects}
-        self.ker = {x: linalg.kernel_chart(w.fiber_target(x)) for x in g.objects}
+        self.tau = {x: linalg.right_inverse_on_image(w.bundle.ttilde[x]) for x in g.objects}
+        self.ker = {x: linalg.kernel_chart(w.bundle.ttilde[x]) for x in g.objects}
         self.encoder: dict[str, LinearMap] = {}
         self.decoder: dict[str, LinearMap] = {}
         self.residual_rows: dict[str, int] = {}
         self.object_rows: dict[str, int] = {}
         for a in g.arrows:
-            n, t = w.objdim(g.src[a]), g.tgt[a]
-            self.residual_rows[a], self.object_rows[a] = w.objdim(t), n
-            ker, m = self.ker[t], w.arrdim(t)
+            n, t = w.bundle.objdim[g.src[a]], g.tgt[a]
+            self.residual_rows[a], self.object_rows[a] = w.bundle.objdim[t], n
+            ker, m = self.ker[t], w.bundle.arrdim[t]
             lift = linalg.compose(self.tau[t], w.a0[a])
             rem = linalg.hstack(-lift, LinearMap.identity(m))  # (x, k) -> k - tau A0 x
             self.encoder[a] = linalg.vstack(
@@ -217,28 +195,28 @@ def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
     chain of block products on the fiber's identity block;
     ``w.action_groupoid`` keeps the result."""
     g, chart = w.groupoid, w.chart
-    objdim = {x: w.objdim(x) for x in g.objects}
+    objdim = {x: w.bundle.objdim[x] for x in g.objects}
     arrdim = {a: chart.decoder[a].cols for a in g.arrows}
     stilde, ttilde, inv_map = {}, {}, {}
     for a in g.arrows:
         # the source of (x, k) is x, its target the source of k
         stilde[a], k = chart.decode(a, LinearMap.identity(arrdim[a]))
-        ttilde[a] = w.fiber_source(g.tgt[a]) @ k
-    utilde = {x: chart.encode(g.unit[x], LinearMap.identity(objdim[x]), w.fiber_unit(x))
+        ttilde[a] = w.bundle.stilde[g.tgt[a]] @ k
+    utilde = {x: chart.encode(g.unit[x], LinearMap.identity(objdim[x]), w.bundle.utilde[x])
               for x in g.objects}
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
-        inv = w.fiber_inverse(s)
+        inv = w.bundle.inv_map[s]
         x, k = chart.decode(a, LinearMap.identity(arrdim[a]))
-        arrow = w.fiber_product(s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
-        inv_map[a] = chart.encode(b, w.fiber_source(t) @ k, arrow)
+        arrow = w.bundle.product(s, s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
+        inv_map[a] = chart.encode(b, w.bundle.stilde[t] @ k, arrow)
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
         _, k1 = chart.decode(g1, left)
         x2, k2 = chart.decode(g2, right)
-        inner = w.fiber_product(t1, w.alpha[(g1, g2)] @ x2, w.a1[g1] @ k2)
-        return chart.encode(g.comp[(g1, g2)], x2, w.fiber_product(t1, inner, k1))
+        inner = w.bundle.product(t1, t1, w.alpha[(g1, g2)] @ x2, w.a1[g1] @ k2)
+        return chart.encode(g.comp[(g1, g2)], x2, w.bundle.product(t1, t1, inner, k1))
 
     return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
 
@@ -262,13 +240,13 @@ class EquivariantMap:
         source, target = self.source, self.target
         if source.groupoid != target.groupoid:
             raise StructureError("equivariant map across different acting groupoids")
-        g = source.groupoid
+        g, sb, tb = source.groupoid, source.bundle, target.bundle
         self.f0 = linalg.check_table("object component", self.f0,
-                                     {x: (target.objdim(x), source.objdim(x)) for x in g.objects})
+                                     {x: (tb.objdim[x], sb.objdim[x]) for x in g.objects})
         self.f1 = linalg.check_table("arrow component", self.f1,
-                                     {x: (target.arrdim(x), source.arrdim(x)) for x in g.objects})
+                                     {x: (tb.arrdim[x], sb.arrdim[x]) for x in g.objects})
         self.delta = linalg.check_table("equivariance cell", self.delta,
-                                        {a: (target.arrdim(g.tgt[a]), source.objdim(g.src[a]))
+                                        {a: (tb.arrdim[g.tgt[a]], sb.objdim[g.src[a]])
                                          for a in g.arrows})
 
     def bundle_map(self) -> VBMap:
@@ -285,25 +263,25 @@ def validate_equivariant(e: EquivariantMap) -> Report:
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         rep.expect("cell-source", a, linalg.compose(e.f0[t], v.a0[a]),
-                   linalg.compose(w.fiber_source(t), e.delta[a]))
+                   linalg.compose(w.bundle.stilde[t], e.delta[a]))
         rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
-                   linalg.compose(w.fiber_target(t), e.delta[a]))
+                   linalg.compose(w.bundle.ttilde[t], e.delta[a]))
         delta = e.delta[a]
-        r_want, want = w.fiber_multiply(t, w.a1[a] @ e.f1[s], delta @ v.fiber_source(s))
-        r_got, got = w.fiber_multiply(t, delta @ v.fiber_target(s), e.f1[t] @ v.a1[a])
+        r_want, want = w.bundle.multiply(t, t, w.a1[a] @ e.f1[s], delta @ v.bundle.stilde[s])
+        r_got, got = w.bundle.multiply(t, t, delta @ v.bundle.ttilde[s], e.f1[t] @ v.a1[a])
         rep.expect_columns(a, [ColumnCheck("cell-naturality", want, got, (r_want, r_got),
                                            "composable cells")])
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
-        r_want, want = w.fiber_multiply(t1, e.delta[g12], e.f1[t1] @ v.alpha[(g1, g2)])
-        r_inner, inner = w.fiber_multiply(t1, w.alpha[(g1, g2)] @ e.f0[s2],
-                                          w.a1[g1] @ e.delta[g2])
-        r_got, got = w.fiber_multiply(t1, inner, e.delta[g1] @ v.a0[g2])
+        r_want, want = w.bundle.multiply(t1, t1, e.delta[g12], e.f1[t1] @ v.alpha[(g1, g2)])
+        r_inner, inner = w.bundle.multiply(t1, t1, w.alpha[(g1, g2)] @ e.f0[s2],
+                                           w.a1[g1] @ e.delta[g2])
+        r_got, got = w.bundle.multiply(t1, t1, inner, e.delta[g1] @ v.a0[g2])
         rep.expect_columns(f"({g1},{g2})", [
             ColumnCheck("hexagon", want, got, (r_want, r_inner, r_got), "composable cells")])
     for x in g.objects:
         rep.expect("unit-triangle", f"object {x}",
-                   linalg.compose(w.fiber_unit(x), e.f0[x]), e.delta[g.unit[x]])
+                   linalg.compose(w.bundle.utilde[x], e.f0[x]), e.delta[g.unit[x]])
     return rep
 
 
@@ -311,9 +289,9 @@ def identity_equivariant(w: WeakRepresentation) -> EquivariantMap:
     g = w.groupoid
     return EquivariantMap(
         w, w,
-        {x: LinearMap.identity(w.objdim(x)) for x in g.objects},
-        {x: LinearMap.identity(w.arrdim(x)) for x in g.objects},
-        {a: linalg.compose(w.fiber_unit(g.tgt[a]), w.a0[a]) for a in g.arrows})
+        {x: LinearMap.identity(w.bundle.objdim[x]) for x in g.objects},
+        {x: LinearMap.identity(w.bundle.arrdim[x]) for x in g.objects},
+        {a: linalg.compose(w.bundle.utilde[g.tgt[a]], w.a0[a]) for a in g.arrows})
 
 
 def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMap:
@@ -323,8 +301,8 @@ def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMa
         raise CompositionError("equivariant map boundaries do not match")
     g = e1.source.groupoid
     x_rep = e2.target
-    delta = {a: x_rep.fiber_product(g.tgt[a], e2.delta[a] @ e1.f0[g.src[a]],
-                                    e2.f1[g.tgt[a]] @ e1.delta[a])
+    delta = {a: x_rep.bundle.product(g.tgt[a], g.tgt[a], e2.delta[a] @ e1.f0[g.src[a]],
+                                     e2.f1[g.tgt[a]] @ e1.delta[a])
              for a in g.arrows}
     return EquivariantMap(
         e1.source, e2.target,
@@ -346,6 +324,6 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         x, k = src_chart.decode(a, LinearMap.identity(src_ag.arrdim[a]))
-        arrow = e.target.fiber_product(t, e.delta[a] @ x, e.f1[t] @ k)
+        arrow = e.target.bundle.product(t, t, e.delta[a] @ x, e.f1[t] @ k)
         arr[a] = tgt_chart.encode(a, e.f0[s] @ x, arrow)
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

@@ -43,7 +43,7 @@ def _multiply(v, g1, g2, a, b):
     return out[split:]
 
 
-def _fiber_multiply(w, x, a, b):
+def _point_multiply(w, x, a, b):
     u = w.bundle.base.unit[x]
     return _multiply(w.bundle, u, u, a, b)
 
@@ -179,20 +179,20 @@ def reference_weak_representation(w):
     rep.extend(reference_vb(w.bundle), prefix="bundle: ")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("action-source", a, linalg.compose(w.a0[a], w.fiber_source(s)),
-                   linalg.compose(w.fiber_source(t), w.a1[a]))
-        rep.expect("action-target", a, linalg.compose(w.a0[a], w.fiber_target(s)),
-                   linalg.compose(w.fiber_target(t), w.a1[a]))
-        rep.expect("action-units", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
-                   linalg.compose(w.a1[a], w.fiber_unit(s)))
+        rep.expect("action-source", a, linalg.compose(w.a0[a], w.bundle.stilde[s]),
+                   linalg.compose(w.bundle.stilde[t], w.a1[a]))
+        rep.expect("action-target", a, linalg.compose(w.a0[a], w.bundle.ttilde[s]),
+                   linalg.compose(w.bundle.ttilde[t], w.a1[a]))
+        rep.expect("action-units", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
+                   linalg.compose(w.a1[a], w.bundle.utilde[s]))
         us = w.bundle.base.unit[s]
         d1 = w.bundle.arrdim[us]
         for idx, pb in enumerate(w.bundle.pair_basis(us, us)):
             v1, v2 = pb[:d1], pb[d1:]
             _expect_composable(
                 rep, "action-multiplicative", f"{a} basis {idx}",
-                lambda: (_fiber_multiply(w, t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
-                         w.a1[a].apply(_fiber_multiply(w, s, v1, v2))),
+                lambda: (_point_multiply(w, t, w.a1[a].apply(v1), w.a1[a].apply(v2)),
+                         w.a1[a].apply(_point_multiply(w, s, v1, v2))),
                 "composable images")
     for x in g.objects:
         u = g.unit[x]
@@ -204,35 +204,35 @@ def reference_weak_representation(w):
         t1, s2, g12 = g.tgt[g1], g.src[g2], g.comp[(g1, g2)]
         loc = f"({g1},{g2})"
         rep.expect("associator-source", loc, linalg.compose(w.a0[g1], w.a0[g2]),
-                   linalg.compose(w.fiber_source(t1), cell))
+                   linalg.compose(w.bundle.stilde[t1], cell))
         rep.expect("associator-target", loc, w.a0[g12],
-                   linalg.compose(w.fiber_target(t1), cell))
-        for i in range(w.arrdim(s2)):
-            vb = linalg.vec_basis(w.arrdim(s2), i)
+                   linalg.compose(w.bundle.ttilde[t1], cell))
+        for i in range(w.bundle.arrdim[s2]):
+            vb = linalg.vec_basis(w.bundle.arrdim[s2], i)
             _expect_composable(
                 rep, "associator-naturality", f"{loc} basis {i}",
-                lambda: (_fiber_multiply(w, t1, w.a1[g12].apply(vb),
-                                         cell.apply(w.fiber_source(s2).apply(vb))),
-                         _fiber_multiply(w, t1, cell.apply(w.fiber_target(s2).apply(vb)),
+                lambda: (_point_multiply(w, t1, w.a1[g12].apply(vb),
+                                         cell.apply(w.bundle.stilde[s2].apply(vb))),
+                         _point_multiply(w, t1, cell.apply(w.bundle.ttilde[s2].apply(vb)),
                                          w.a1[g1].apply(w.a1[g2].apply(vb)))),
                 "composable cells")
     for (g1, g2, g3) in g.nerve_tuples(3):
         g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
         t1, s3 = g.tgt[g1], g.src[g3]
-        for i in range(w.objdim(s3)):
-            xb = linalg.vec_basis(w.objdim(s3), i)
+        for i in range(w.bundle.objdim[s3]):
+            xb = linalg.vec_basis(w.bundle.objdim[s3], i)
             _expect_composable(
                 rep, "pentagon", f"({g1},{g2},{g3}) basis {i}",
-                lambda: (_fiber_multiply(w, t1, w.alpha[(g12, g3)].apply(xb),
+                lambda: (_point_multiply(w, t1, w.alpha[(g12, g3)].apply(xb),
                                          w.alpha[(g1, g2)].apply(w.a0[g3].apply(xb))),
-                         _fiber_multiply(w, t1, w.alpha[(g1, g23)].apply(xb),
+                         _point_multiply(w, t1, w.alpha[(g1, g23)].apply(xb),
                                          w.a1[g1].apply(w.alpha[(g2, g3)].apply(xb)))),
                 "composable cells")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.fiber_unit(s)),
+        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.bundle.utilde[s]),
                    w.alpha[(a, g.unit[s])])
-        rep.expect("unit-coherence-left", a, linalg.compose(w.fiber_unit(t), w.a0[a]),
+        rep.expect("unit-coherence-left", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
                    w.alpha[(g.unit[t], a)])
     return rep
 
@@ -245,35 +245,35 @@ def reference_equivariant(e):
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         rep.expect("cell-source", a, linalg.compose(e.f0[t], v.a0[a]),
-                   linalg.compose(w.fiber_source(t), e.delta[a]))
+                   linalg.compose(w.bundle.stilde[t], e.delta[a]))
         rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
-                   linalg.compose(w.fiber_target(t), e.delta[a]))
-        for i in range(v.arrdim(s)):
-            vb = linalg.vec_basis(v.arrdim(s), i)
+                   linalg.compose(w.bundle.ttilde[t], e.delta[a]))
+        for i in range(v.bundle.arrdim[s]):
+            vb = linalg.vec_basis(v.bundle.arrdim[s], i)
             _expect_composable(
                 rep, "cell-naturality", f"{a} basis {i}",
-                lambda: (_fiber_multiply(w, t, w.a1[a].apply(e.f1[s].apply(vb)),
-                                         e.delta[a].apply(v.fiber_source(s).apply(vb))),
-                         _fiber_multiply(w, t, e.delta[a].apply(v.fiber_target(s).apply(vb)),
+                lambda: (_point_multiply(w, t, w.a1[a].apply(e.f1[s].apply(vb)),
+                                         e.delta[a].apply(v.bundle.stilde[s].apply(vb))),
+                         _point_multiply(w, t, e.delta[a].apply(v.bundle.ttilde[s].apply(vb)),
                                          e.f1[t].apply(v.a1[a].apply(vb)))),
                 "composable cells")
     for (g1, g2), g12 in g.comp.items():
         t1, s2 = g.tgt[g1], g.src[g2]
-        for i in range(v.objdim(s2)):
-            xb = linalg.vec_basis(v.objdim(s2), i)
+        for i in range(v.bundle.objdim[s2]):
+            xb = linalg.vec_basis(v.bundle.objdim[s2], i)
             _expect_composable(
                 rep, "hexagon", f"({g1},{g2}) basis {i}",
-                lambda: (_fiber_multiply(w, t1, e.delta[g12].apply(xb),
+                lambda: (_point_multiply(w, t1, e.delta[g12].apply(xb),
                                          e.f1[t1].apply(v.alpha[(g1, g2)].apply(xb))),
-                         _fiber_multiply(
+                         _point_multiply(
                              w, t1,
-                             _fiber_multiply(w, t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
+                             _point_multiply(w, t1, w.alpha[(g1, g2)].apply(e.f0[s2].apply(xb)),
                                              w.a1[g1].apply(e.delta[g2].apply(xb))),
                              e.delta[g1].apply(v.a0[g2].apply(xb)))),
                 "composable cells")
     for x in g.objects:
         rep.expect("unit-triangle", f"object {x}",
-                   linalg.compose(w.fiber_unit(x), e.f0[x]), e.delta[g.unit[x]])
+                   linalg.compose(w.bundle.utilde[x], e.f0[x]), e.delta[g.unit[x]])
     return rep
 
 

@@ -6,17 +6,18 @@ import random
 import pytest
 
 from ruthvb.errors import NotInducedError
-from ruthvb.groupoid import pair_groupoid, z2_groupoid
+from ruthvb.groupoid import pair_groupoid, transitive_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import pair_strict_ruth, stretched_line_ruth, z2_ruth
 from ruthvb.linalg import LinearMap, kernel_basis, compose
-from ruthvb.ruth import validate_morphism, validate_ruth
+from ruthvb.ruth import Ruth, validate_morphism, validate_ruth
 from ruthvb.semidirect import semidirect
-from ruthvb.twoterm import phi_object
+from ruthvb.twoterm import TwoTermComplex, phi_object
 from ruthvb.vb import (Connection, connection_report, find_unital_connection,
-                       validate_vb_map, vb_map_is_isomorphism)
-from ruthvb.weak import EquivariantMap, WeakRepresentation, validate_weak_representation
-from ruthvb.equivalences import (connection_change_witness,
+                       validate_vb, validate_vb_map, vb_map_is_isomorphism)
+from ruthvb.weak import (EquivariantMap, WeakRepresentation, act_on_morphism,
+                         validate_weak_representation)
+from ruthvb.equivalences import (connection_change_witness, reconstruct_equivariant,
                                  ruth_from_wrep, ruth_morphism_from_wrep_map,
                                  triangle_witness, vb_to_wrep, wrep_from_ruth,
                                  wrep_from_ruth_morphism)
@@ -118,6 +119,52 @@ def test_triangle_random():
     rng = random.Random(33)
     for _ in range(5):
         triangle_witness(gen.random_ruth(rng, max_dim=2), validate=False)
+
+
+CONTRACTIBLE_BASES = [pair_groupoid(["x", "y"]), transitive_groupoid(["x", "y"], 2),
+                      pair_groupoid(["x", "y", "z"])]
+
+
+def contractible_ruth(rng, g, max_dim=2) -> Ruth:
+    """A representation on the contractible complex R^n --id--> R^n at each
+    object, n drawn per object, so an arrow may join fibers of different
+    dimensions: lambda0 = lambda1 = L for a random L with L(unit) = 1, and
+    omega(g1, g2) = L(g1 g2) - L(g1) L(g2), which is valid for every such L."""
+    n = {x: rng.randint(0, max_dim) for x in g.objects}
+    complex_ = TwoTermComplex(g.objects, n, n, {x: LinearMap.identity(n[x]) for x in g.objects})
+    lam = {a: LinearMap.identity(n[g.src[a]]) if g.is_unit(a)
+           else gen.rand_matrix(rng, n[g.tgt[a]], n[g.src[a]]) for a in g.arrows}
+    omega = {(g1, g2): lam[g12] - lam[g1] @ lam[g2] for (g1, g2), g12 in g.comp.items()}
+    return Ruth(g, complex_, lam, lam, omega)
+
+
+def test_conversions_on_arrows_between_fibers_of_different_dimensions():
+    """Contractible representations through every conversion, the action on
+    morphisms and its inverse, and the action chart, whose decoder splits
+    after the x rows of the source fiber and whose encoder after the residual
+    rows of the target fiber."""
+    rng = random.Random(38)
+    unequal = 0
+    for i in range(24):
+        g = CONTRACTIBLE_BASES[i % len(CONTRACTIBLE_BASES)]
+        r = contractible_ruth(rng, g)
+        dim = r.complex.dim0
+        unequal += any(dim[g.src[a]] != dim[g.tgt[a]] for a in g.arrows)
+        assert validate_ruth(r).passed
+        w = wrep_from_ruth(r)
+        assert ruth_from_wrep(w) == r
+        sd = semidirect(r)
+        assert validate_vb(sd).passed
+        assert vb_to_wrep(sd).wrep == w
+        triangle_witness(r)
+        for a in g.arrows:
+            x, k = w.chart.decode(a, LinearMap.identity(w.action_groupoid.arrdim[a]))
+            assert w.chart.encode(a, x, k).is_identity()
+        e = wrep_from_ruth_morphism(gen.random_ruth_morphism(rng, r))
+        phi = act_on_morphism(e)
+        assert validate_vb_map(phi).passed
+        assert reconstruct_equivariant(phi, e.source, e.target) == e
+    assert unequal >= 12
 
 
 @pytest.mark.parametrize("idx", range(len(FIXTURE_RUTHS)))

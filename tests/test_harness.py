@@ -7,7 +7,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import pkgutil
 import random
+import subprocess
 import sys
 import tempfile
 import types
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ruthvb
 from ruthvb import linalg
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
@@ -871,6 +875,19 @@ def test_benchmark_tracer_patches_every_traced_name():
     metrics, repeatable = tracer.layer_metrics()
     assert metrics["vb.validate_vb.calls"] == 1 and metrics["semidirect.semidirect.calls"] == 1
     assert metrics["traced.errors"] == 0 and repeatable
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.walk_packages(ruthvb.__path__, "ruthvb.")))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    """The package loads none of its modules itself, so no import order is
+    fixed for them: each one, imported first in a new interpreter, must load
+    without depending on another having been loaded before it."""
+    path = [str(Path(ruthvb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 WORKLOADS = REPO_FIXTURES.parent / "perfbench" / "workloads.py"

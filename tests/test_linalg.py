@@ -285,11 +285,17 @@ def test_a_product_at_max_dim_compiles_no_kernel():
     ((3, 3), (2, 2), None, 1),     # one block of the wrong height
     ((3, 3), (1, 2), (2, 2), 4),   # a cut below the last row
     ((3, 3), (1, 2), (2, 2), -1),  # and above the first
+    ((2, 2), None, None, 3),       # split alone: a cut below the last row
+    ((2, 2), None, None, -1),      # and above the first
 ])
 def test_a_stack_of_the_wrong_shape_raises_dimension_error(shape, top, bottom, cut):
-    blocks = [LinearMap.zero(*top)] + ([] if bottom is None else [LinearMap.zero(*bottom)])
+    f = LinearMap.zero(*shape)
+    blocks = [LinearMap.zero(*b) for b in (top, bottom) if b is not None]
     with pytest.raises(DimensionError):
-        LinearMap.zero(*shape).split_product(*blocks, cut=cut)
+        if blocks:
+            f.split_product(*blocks, cut=cut)
+        else:
+            f.split(cut)
 
 
 class Counting:

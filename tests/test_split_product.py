@@ -24,6 +24,8 @@ from ruthvb.weak import (ActionChart, WeakRepresentation, action_groupoid_bundle
                          validate_weak_representation)
 from ruthvb.equivalences import vb_to_wrep, wrep_from_ruth
 
+from test_equivalences import CONTRACTIBLE_BASES, contractible_ruth
+
 
 def _unfused_multiply(v, g1, g2, left, right):
     out = v.pair_operator(g1, g2) @ linalg.vstack(left, right)
@@ -85,8 +87,9 @@ def calls(monkeypatch):
 def _instances():
     """The fixtures, a seeded pool of representations as VB-groupoids and
     weak representations, scrambled VB-groupoids and weak representations,
-    and a free single-entry mutant of each VB-groupoid and weak
-    representation."""
+    contractible representations (whose arrows may join fibers of different
+    dimensions) as both, and a free single-entry mutant of each VB-groupoid
+    and weak representation."""
     out = []
     for kind, build in fixtures.FIXTURES.values():
         obj = build()
@@ -100,6 +103,10 @@ def _instances():
         r = gen.random_ruth(rng, g, max_dim=2)
         out += [semidirect(r), wrep_from_ruth(r), gen.random_vb(rng, g, max_dim=2),
                 gen.random_wrep(rng, g, max_dim=2)]
+    contractible = random.Random(38)
+    for g in CONTRACTIBLE_BASES * 2:
+        r = contractible_ruth(contractible, g)
+        out += [semidirect(r), wrep_from_ruth(r)]
     for obj in list(out):
         mutate = gen.mutate_vb_entry if isinstance(obj, VBGroupoid) else gen.mutate_wrep_entry
         mutant = mutate(rng, obj)

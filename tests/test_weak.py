@@ -199,15 +199,15 @@ def test_action_chart_encode_agrees_with_solve(data):
     w, chart = data.draw(st.sampled_from(CHARTS))
     a = data.draw(st.sampled_from(w.groupoid.arrows))
     s, t = w.groupoid.src[a], w.groupoid.tgt[a]
-    x = tuple(data.draw(entries) for _ in range(w.objdim(s)))
+    x = tuple(data.draw(entries) for _ in range(w.bundle.objdim[s]))
     base = chart.tau[t].apply(w.a0[a].apply(x))
-    ker = linalg.kernel_basis(w.fiber_target(t))
+    ker = linalg.kernel_basis(w.bundle.ttilde[t])
     k = base
     for b in ker:
         k = linalg.vec_add(k, linalg.vec_scale(data.draw(entries), b))
     if data.draw(st.booleans()):
-        k = linalg.vec_add(k, tuple(data.draw(entries) for _ in range(w.arrdim(t))))
-    want = linalg.solve(LinearMap.from_columns(list(ker), w.arrdim(t)),
+        k = linalg.vec_add(k, tuple(data.draw(entries) for _ in range(w.bundle.arrdim[t])))
+    want = linalg.solve(LinearMap.from_columns(list(ker), w.bundle.arrdim[t]),
                         linalg.vec_sub(k, base))
     if want is None:
         with pytest.raises(CompositionError):
