@@ -118,22 +118,6 @@ class SectionCochain:
         return SectionCochain(g, coeffs, layer, degree, vals)
 
 
-def is_normalized(w) -> bool:
-    """A cochain is normalized when it vanishes on every tuple containing a
-    unit arrow."""
-    if w.degree == 0:
-        return True
-    g = w.groupoid
-    for k, v in w.values.items():
-        if any(g.is_unit(a) for a in k):
-            if isinstance(v, tuple):
-                if any(e != 0 for e in v):
-                    return False
-            elif v != 0:
-                return False
-    return True
-
-
 def faces(g: FiniteGroupoid, tup: Key) -> list[tuple[Key, int]]:
     """The faces of a composable (k+1)-tuple as degree-k keys, each with its
     sign in the coboundary: face 0 drops the first arrow (+1), face i

@@ -194,22 +194,6 @@ def random_homotopy_from(rng, f: ChainMap) -> ChainHomotopy:
     return ChainHomotopy(f, g, omega)
 
 
-def random_interchange_square(rng, max_dim: int = 2):
-    """Four homotopies pasting as two vertical pairs over two horizontal
-    legs, for interchange checks."""
-    base = ["p"]
-    c = random_complex(rng, base, max_dim)
-    d = random_complex(rng, base, max_dim)
-    e = random_complex(rng, base, max_dim)
-    f = random_chain_map(rng, c, d)
-    phi = random_homotopy_from(rng, f)
-    x = random_homotopy_from(rng, phi.to_map)
-    k = random_chain_map(rng, d, e)
-    psi = random_homotopy_from(rng, k)
-    om = random_homotopy_from(rng, psi.to_map)
-    return phi, x, psi, om
-
-
 # -- VB-groupoids ----------------------------------------------------------------
 
 

@@ -18,7 +18,10 @@ canonical when it is compared: ``==``, ``hash``, ``is_identity`` and the
 row reduction read :attr:`LinearMap.canonical`, the numerators over the
 least denominator, found with one gcd and kept on first use.
 :attr:`LinearMap.entries` reads the entries as ``Fraction`` s, built on
-first use, where text or single vectors need them.
+first use, where text or single vectors need them.  Every structure check
+builds thousands of small maps, so a map has no instance dict: its fields
+and both cached forms live in ``__slots__``, the public fields are
+read-only properties over them, and only this module touches the slots.
 
 Most matrices here are small identity, zero or basis blocks.
 ``LinearMap @ LinearMap`` multiplies whole blocks of columns in integer
@@ -29,14 +32,15 @@ or basis block.  The block products of the fibered products run fused:
 product built; each block's partial sums are scaled to the lcm of the two
 denominators.  A product of m x k times k x n runs in one generated
 function of the shape ``(m, k1, k2, n, cut)``, built on first use from the
-shape alone and kept: it unpacks its operands to locals and writes out all
+shape alone and kept: it unpacks its operands to locals, writes out all
 m * k * n terms, zeros included, which costs the interpreter less than
-testing each factor; ``@`` is the case of no second block and c = m.  The
-cost of building one grows with m * k * n, so a product of more than
-``MAX_PRODUCT_TERMS`` terms, or an empty one, runs a loop instead, forming
-a term only where both factors are nonzero.  One ``Fraction`` loop is
-left: :meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s,
-forms a product only where the matrix entry and the vector entry are both
+testing each factor, and builds the maps it returns; ``@`` is the case of
+no second block and no cut, and returns one map.  The cost of building one
+grows with m * k * n, so a product of more than ``MAX_PRODUCT_TERMS``
+terms, or an empty one, runs a loop instead, forming a term only where
+both factors are nonzero.  One ``Fraction`` loop is left:
+:meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s, forms a
+product only where the matrix entry and the vector entry are both
 nonzero, takes the other factor as the term when one of them is 1, and
 starts each sum from its first term.  The row reduction is fraction-free
 Gauss-Jordan elimination on the canonical numerators, so it divides only
@@ -53,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Collection, Optional, Sequence
 
 from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
@@ -136,13 +141,13 @@ def _ratio(num: int, den: int) -> Fraction:
 
 def _over_lcm(maps: Sequence["LinearMap"]) -> tuple[int, list[Sequence[int]]]:
     """The lcm of the maps' denominators, and each map's numerators over it."""
-    den = maps[0].den
+    den = maps[0]._den
     for m in maps:
-        if m.den != den:
-            den = math.lcm(*(f.den for f in maps))
-            return den, [f.nums if f.den == den else [den // f.den * x for x in f.nums]
+        if m._den != den:
+            den = math.lcm(*(f._den for f in maps))
+            return den, [f._nums if f._den == den else [den // f._den * x for x in f._nums]
                          for f in maps]
-    return den, [m.nums for m in maps]
+    return den, [m._nums for m in maps]
 
 
 # The most terms m * k * n a product may have and still run in a generated
@@ -157,15 +162,15 @@ def _locals(name: str, count: int) -> str:
 
 
 @cache
-def _product_kernel(m: int, k1: int, k2: int, n: int, cut: int):
-    """``product(a, b, c, s, t)``: the numerators of the m x (k1 + k2)
-    block ``a`` times the k1 x n block ``b`` scaled by ``s`` stacked on the
-    k2 x n block ``c`` scaled by ``t``, as its first ``cut`` rows and the
-    rest, every term written out.  Each sum over one block is scaled once;
-    with no second block nothing is scaled.  The operands are unpacked to
-    locals first, which both compiles and runs faster than indexing them
-    term by term.  The source is built from the shape alone, so no instance
-    data reaches ``exec``."""
+def _product_kernel(m: int, k1: int, k2: int, n: int, cut: Optional[int]):
+    """``product(a, b, c, s, t, den)``: the m x (k1 + k2) block ``a`` times
+    the k1 x n block ``b`` scaled by ``s`` stacked on the k2 x n block ``c``
+    scaled by ``t``, over ``den``, every term written out: one map, or with
+    a ``cut`` its first ``cut`` rows and the rest as two maps, built here.
+    Each sum over one block is scaled once; with no second block nothing is
+    scaled.  The operands are unpacked to locals first, which both compiles
+    and runs faster than indexing them term by term.  The source is built
+    from the shape alone, so no instance data reaches ``exec``."""
     k, sums = k1 + k2, []
     for i in range(m):
         for j in range(n):
@@ -173,45 +178,48 @@ def _product_kernel(m: int, k1: int, k2: int, n: int, cut: int):
             lower = " + ".join(f"a{i * k + k1 + l} * c{l * n + j}" for l in range(k2))
             sums.append(f"({upper}) * s + ({lower}) * t" if upper and lower else
                         f"({lower}) * t" if lower else upper)
-    cut *= n
-    scope: dict = {}
-    exec(f"def product(a, b, c, s, t):\n"
+
+    def result(rows: int, terms: list[str]) -> str:
+        return f"LinearMap({rows}, {n}, ({''.join(x + ', ' for x in terms)}), den)"
+
+    results = (result(m, sums) if cut is None else
+               f"{result(cut, sums[:cut * n])}, {result(m - cut, sums[cut * n:])}")
+    scope: dict = {"LinearMap": LinearMap}
+    exec(f"def product(a, b, c, s, t, den):\n"
          f"    ({_locals('a', m * k)}) = a\n"
          f"    ({_locals('b', k1 * n)}) = b\n"
          f"    ({_locals('c', k2 * n)}) = c\n"
-         f"    return ({''.join(x + ', ' for x in sums[:cut])}), "
-         f"({''.join(x + ', ' for x in sums[cut:])})\n", scope)
+         f"    return {results}\n", scope)
     return scope["product"]
 
 
 def _product(f: "LinearMap", top: "LinearMap", bottom: Optional["LinearMap"],
-             cut: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The numerators of ``f @ vstack(top, bottom)``, as its first ``cut``
-    rows and the rest, and their denominator ``f.den * lcm(top.den,
-    bottom.den)``; the stack is never built.  A product of at most
-    ``MAX_PRODUCT_TERMS`` terms runs in the generated function of its
+             cut: Optional[int]) -> "LinearMap | tuple[LinearMap, LinearMap]":
+    """``f @ vstack(top, bottom)`` over the denominator ``f.den *
+    lcm(top.den, bottom.den)``, the stack never built: the whole product,
+    or with a ``cut`` its first ``cut`` rows and the rest.  A product of at
+    most ``MAX_PRODUCT_TERMS`` terms runs in the generated function of its
     shape, a larger or empty one in a loop that forms a term only where
-    both factors are nonzero."""
-    m, k1, n = f.rows, top.rows, top.cols
-    k2, c, den, s, t = 0, (), top.den, 1, 1
+    both factors are nonzero; either builds the maps it returns."""
+    m, k1, n = f._rows, top._rows, top._cols
+    k2, c, den, s, t = 0, (), top._den, 1, 1
     if bottom is not None:
-        if bottom.cols != n:
+        if bottom._cols != n:
             raise DimensionError("vstack needs equal column counts")
-        k2, c = bottom.rows, bottom.nums
-        if bottom.den != den:
-            den = math.lcm(den, bottom.den)
-            s, t = den // top.den, den // bottom.den
+        k2, c = bottom._rows, bottom._nums
+        if bottom._den != den:
+            den = math.lcm(den, bottom._den)
+            s, t = den // top._den, den // bottom._den
     k = k1 + k2
-    if f.cols != k:
-        raise DimensionError(f"cannot multiply {m}x{f.cols} by {k}x{n}")
-    if not 0 <= cut <= m:
+    if f._cols != k:
+        raise DimensionError(f"cannot multiply {m}x{f._cols} by {k}x{n}")
+    if cut is not None and not 0 <= cut <= m:
         raise DimensionError(f"cannot split {m} rows after row {cut}")
     # A kernel with no second block scales nothing, so an empty second
     # block over another denominator takes the loop.
     if 0 < m * k * n <= MAX_PRODUCT_TERMS and (k2 or s == 1):
-        upper, lower = _product_kernel(m, k1, k2, n, cut)(f.nums, top.nums, c, s, t)
-        return upper, lower, f.den * den
-    a, b = f.nums, [s * y for y in top.nums] + [t * y for y in c]
+        return _product_kernel(m, k1, k2, n, cut)(f._nums, top._nums, c, s, t, f._den * den)
+    a, b = f._nums, [s * y for y in top._nums] + [t * y for y in c]
     live = [[(j, y) for j, y in enumerate(b[i * n:(i + 1) * n]) if y] for i in range(k)]
     out = []
     for i in range(m):
@@ -221,8 +229,11 @@ def _product(f: "LinearMap", top: "LinearMap", bottom: Optional["LinearMap"],
                 for j, y in terms:
                     acc[j] += x * y
         out.extend(acc)
-    cut *= n
-    return tuple(out[:cut]), tuple(out[cut:]), f.den * den
+    den *= f._den
+    if cut is None:
+        return LinearMap(m, n, tuple(out), den)
+    return (LinearMap(cut, n, tuple(out[:cut * n]), den),
+            LinearMap(m - cut, n, tuple(out[cut * n:]), den))
 
 
 def _check_shape(rows: int, cols: int, count: int) -> None:
@@ -242,46 +253,58 @@ class LinearMap:
     denominator, so equal maps compare equal however they were built.
     :attr:`entries` reads the entries as ``Fraction`` s, built on first use,
     where text or single vectors need them.
+
+    This is the kernel's most-built object, so it has no instance dict:
+    the four fields and the two caches live in slots (``_rows``, ``_cols``,
+    ``_nums``, ``_den``, ``_canonical``, ``_entries``), which cost less to
+    fill and to read than dict entries.  ``rows``, ``cols``, ``nums`` and
+    ``den`` are read-only properties, the contract ``fractions.Fraction``
+    keeps with ``_numerator`` and ``_denominator``: assigning one of them,
+    or any attribute a slot does not name, raises ``AttributeError``.  Only
+    this module reads or writes the slots.  There is no ``__setattr__``
+    guard: ``copy`` and ``pickle`` restore a slotted object by assigning its
+    slots, so a guard would make every copy raise.
     """
 
-    rows: int
-    cols: int
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("_rows", "_cols", "_nums", "_den", "_canonical", "_entries")
 
     def __init__(self, rows: int, cols: int, nums: tuple[int, ...], den: int = 1):
-        # Writing the instance dict skips __setattr__, which refuses; this
-        # is the kernel's most-built object.
-        fields = self.__dict__
-        fields["rows"] = rows
-        fields["cols"] = cols
-        fields["nums"] = nums
-        fields["den"] = den
+        self._rows = rows
+        self._cols = cols
+        self._nums = nums
+        self._den = den
+        self._canonical = self._entries = None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
+    # attrgetter reads a slot in C, so these getters cost less than methods.
+    rows = property(attrgetter("_rows"), doc="The number of rows.")
+    cols = property(attrgetter("_cols"), doc="The number of columns.")
+    nums = property(attrgetter("_nums"), doc="The integer numerators, row-major.")
+    den = property(attrgetter("_den"), doc="The positive common denominator.")
 
-    @cached_property
+    @property
     def canonical(self) -> tuple[tuple[int, ...], int]:
         """The numerators and the denominator over the least denominator,
         from one gcd on first use: ``gcd(den, *nums) == 1``."""
-        g = 1 if self.den == 1 else math.gcd(self.den, *self.nums)
-        if g == 1:
-            return self.nums, self.den
-        return tuple(x // g for x in self.nums), self.den // g
+        form = self._canonical
+        if form is None:
+            nums, den = self._nums, self._den
+            g = 1 if den == 1 else math.gcd(den, *nums)
+            form = self._canonical = (nums, den) if g == 1 else (
+                tuple(x // g for x in nums), den // g)
+        return form
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self._rows != other._rows or self._cols != other._cols:
             return False
         # over one denominator, equal numerators are equal maps
-        if self.den == other.den:
-            return self.nums == other.nums
+        if self._den == other._den:
+            return self._nums == other._nums
         return self.canonical == other.canonical
 
     def __hash__(self):
-        return hash((self.rows, self.cols, *self.canonical))
+        return hash((self._rows, self._cols, *self.canonical))
 
     # construction ----------------------------------------------------------
 
@@ -298,7 +321,7 @@ class LinearMap:
         nums = tuple([e.numerator for e in entries] if den == 1 else
                      [e.numerator * (den // e.denominator) for e in entries])
         m = LinearMap(rows, cols, nums, den)
-        m.__dict__["entries"] = entries
+        m._entries = entries
         return m
 
     @staticmethod
@@ -332,52 +355,56 @@ class LinearMap:
 
     # access ----------------------------------------------------------------
 
-    @cached_property
+    @property
     def entries(self) -> tuple[Fraction, ...]:
-        """The entries as ``Fraction`` s, for text and single vectors."""
-        den = self.den
-        return tuple(_ratio(x, den) for x in self.nums)
+        """The entries as ``Fraction`` s, for text and single vectors, built
+        on first use."""
+        entries = self._entries
+        if entries is None:
+            den = self._den
+            entries = self._entries = tuple(_ratio(x, den) for x in self._nums)
+        return entries
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.entries[i * self._cols + j]
 
     def column(self, k: int) -> Vector:
-        return tuple(_ratio(x, self.den) for x in self.nums[k::self.cols])
+        return tuple(_ratio(x, self._den) for x in self._nums[k::self._cols])
 
     def with_entry(self, i: int, j: int, value) -> "LinearMap":
         ent = list(self.entries)
-        ent[i * self.cols + j] = rat(value)
-        return LinearMap.from_entries(self.rows, self.cols, ent)
+        ent[i * self._cols + j] = rat(value)
+        return LinearMap.from_entries(self._rows, self._cols, ent)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":
-        nums, cols = self.nums, self.cols
+        nums, cols = self._nums, self._cols
         return LinearMap(r1 - r0, c1 - c0, tuple(x for i in range(r0, r1)
                                                  for x in nums[i * cols + c0:i * cols + c1]),
-                         self.den)
+                         self._den)
 
     def split(self, k: int) -> tuple["LinearMap", "LinearMap"]:
         """The first k rows and the rest."""
-        if not 0 <= k <= self.rows:
-            raise DimensionError(f"cannot split {self.rows} rows after row {k}")
-        cut = k * self.cols
-        return (LinearMap(k, self.cols, self.nums[:cut], self.den),
-                LinearMap(self.rows - k, self.cols, self.nums[cut:], self.den))
+        if not 0 <= k <= self._rows:
+            raise DimensionError(f"cannot split {self._rows} rows after row {k}")
+        cut = k * self._cols
+        return (LinearMap(k, self._cols, self._nums[:cut], self._den),
+                LinearMap(self._rows - k, self._cols, self._nums[cut:], self._den))
 
     def nonzero_columns(self) -> set[int]:
-        n = self.cols
-        return {k % n for k, x in enumerate(self.nums) if x} if any(self.nums) else set()
+        n = self._cols
+        return {k % n for k, x in enumerate(self._nums) if x} if any(self._nums) else set()
 
     def unequal_columns(self, other: "LinearMap") -> set[int]:
         """The columns k at which column k of other differs from column k of
         self; every column, when the two differ in shape."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return set(range(max(self.cols, other.cols)))
-        a, b = self.nums, other.nums
-        if self.den != other.den:
-            a, b = [other.den * x for x in a], [self.den * y for y in b]
+        if (self._rows, self._cols) != (other._rows, other._cols):
+            return set(range(max(self._cols, other._cols)))
+        a, b = self._nums, other._nums
+        if self._den != other._den:
+            a, b = [other._den * x for x in a], [self._den * y for y in b]
         if a == b:
             return set()
-        n = self.cols
+        n = self._cols
         return {k % n for k, (x, y) in enumerate(zip(a, b)) if x != y}
 
     # algebra ---------------------------------------------------------------
@@ -387,8 +414,7 @@ class LinearMap:
         from the generated function of its shape ``(m, k, n)``; a product
         of more than ``MAX_PRODUCT_TERMS`` terms forms a term only where
         both factors are nonzero."""
-        nums, _, den = _product(self, other, None, self.rows)
-        return LinearMap(self.rows, other.cols, nums, den)
+        return _product(self, other, None, None)
 
     def split_product(self, top: "LinearMap", bottom: Optional["LinearMap"] = None, *,
                       cut: int) -> tuple["LinearMap", "LinearMap"]:
@@ -396,33 +422,31 @@ class LinearMap:
         from one generated function, without building the stack, the whole
         product or its halves: the same numerators over the same
         denominator ``self.den * lcm(top.den, bottom.den)``."""
-        upper, lower, den = _product(self, top, bottom, cut)
-        return (LinearMap(cut, top.cols, upper, den),
-                LinearMap(self.rows - cut, top.cols, lower, den))
+        return _product(self, top, bottom, cut)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if (self._rows, self._cols) != (other._rows, other._cols):
             raise DimensionError("shape mismatch in sum")
         den, (a, b) = _over_lcm((self, other))
-        return LinearMap(self.rows, self.cols, tuple(x + y for x, y in zip(a, b)), den)
+        return LinearMap(self._rows, self._cols, tuple(x + y for x, y in zip(a, b)), den)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if (self._rows, self._cols) != (other._rows, other._cols):
             raise DimensionError("shape mismatch in difference")
         den, (a, b) = _over_lcm((self, other))
-        return LinearMap(self.rows, self.cols, tuple(x - y for x, y in zip(a, b)), den)
+        return LinearMap(self._rows, self._cols, tuple(x - y for x, y in zip(a, b)), den)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.rows, self.cols, tuple(-x for x in self.nums), self.den)
+        return LinearMap(self._rows, self._cols, tuple(-x for x in self._nums), self._den)
 
     def apply(self, v: Vector) -> Vector:
         """The product of this map with v, skipping every zero term; a
         coordinate with no nonzero term is ``ZERO``."""
-        if len(v) != self.cols:
-            raise DimensionError(f"map with {self.cols} columns applied to length-{len(v)} vector")
+        if len(v) != self._cols:
+            raise DimensionError(f"map with {self._cols} columns applied to length-{len(v)} vector")
         live = [(j, x) for j, x in enumerate(v) if x]
-        ent, cols, out = self.entries, self.cols, []
-        for i in range(self.rows):
+        ent, cols, out = self.entries, self._cols, []
+        for i in range(self._rows):
             base, acc = i * cols, None
             for j, x in live:
                 a = ent[base + j]
@@ -433,16 +457,16 @@ class LinearMap:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not any(self._nums)
 
     def is_identity(self) -> bool:
-        n, (nums, den) = self.cols, self.canonical
-        return self.rows == n and den == 1 and all(
+        n, (nums, den) = self._cols, self.canonical
+        return self._rows == n and den == 1 and all(
             x == 1 if k % (n + 1) == 0 else not x for k, x in enumerate(nums))
 
     def __repr__(self):
-        rows = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        return f"LinearMap({self.rows}x{self.cols}: {rows})"
+        rows = [[str(self.entry(i, j)) for j in range(self._cols)] for i in range(self._rows)]
+        return f"LinearMap({self._rows}x{self._cols}: {rows})"
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -451,25 +475,25 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def hstack(*maps: LinearMap) -> LinearMap:
-    rows = maps[0].rows
-    if any(m.rows != rows for m in maps):
+    rows = maps[0]._rows
+    if any(m._rows != rows for m in maps):
         raise DimensionError("hstack needs equal row counts")
     den, parts = _over_lcm(maps)
     nums = []
     for i in range(rows):
         for m, part in zip(maps, parts):
-            nums.extend(part[i * m.cols:(i + 1) * m.cols])
-    return LinearMap(rows, sum(m.cols for m in maps), tuple(nums), den)
+            nums.extend(part[i * m._cols:(i + 1) * m._cols])
+    return LinearMap(rows, sum(m._cols for m in maps), tuple(nums), den)
 
 
 def vstack(*maps: LinearMap) -> LinearMap:
     """The maps stacked top to bottom, over the lcm of their denominators;
     maps over one denominator keep it."""
-    cols, rows = maps[0].cols, 0
+    cols, rows = maps[0]._cols, 0
     for m in maps:
-        if m.cols != cols:
+        if m._cols != cols:
             raise DimensionError("vstack needs equal column counts")
-        rows += m.rows
+        rows += m._rows
     den, parts = _over_lcm(maps)
     return LinearMap(rows, cols, tuple(chain.from_iterable(parts)), den)
 
@@ -477,19 +501,19 @@ def vstack(*maps: LinearMap) -> LinearMap:
 def direct_sum(f: LinearMap, g: LinearMap, overlap: int = 0) -> LinearMap:
     """``[f | 0; 0 | g]``, with g's first ``overlap`` columns under f's last
     ones; in integers over the lcm of the two denominators."""
-    if not 0 <= overlap <= min(f.cols, g.cols):
-        raise DimensionError(f"overlap {overlap} of a {f.cols}- and a {g.cols}-column map")
+    if not 0 <= overlap <= min(f._cols, g._cols):
+        raise DimensionError(f"overlap {overlap} of a {f._cols}- and a {g._cols}-column map")
     den, (a, b) = _over_lcm((f, g))
-    shift = f.cols - overlap
-    right, left = [0] * (g.cols - overlap), [0] * shift
+    shift = f._cols - overlap
+    right, left = [0] * (g._cols - overlap), [0] * shift
     nums = []
-    for i in range(f.rows):
-        nums += a[i * f.cols:(i + 1) * f.cols]
+    for i in range(f._rows):
+        nums += a[i * f._cols:(i + 1) * f._cols]
         nums += right
-    for i in range(g.rows):
+    for i in range(g._rows):
         nums += left
-        nums += b[i * g.cols:(i + 1) * g.cols]
-    return LinearMap(f.rows + g.rows, shift + g.cols, tuple(nums), den)
+        nums += b[i * g._cols:(i + 1) * g._cols]
+    return LinearMap(f._rows + g._rows, shift + g._cols, tuple(nums), den)
 
 
 # -- elimination ------------------------------------------------------------
@@ -505,12 +529,12 @@ def _rref(m: LinearMap) -> tuple[list[list[int]], int, list[int]]:
     positive denominator d and the pivot columns; the reduced rows are the
     integer rows over d, and the rows after the pivot rows are zero.
     """
-    c, (nums, _) = m.cols, m.canonical
-    a = [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)]
+    c, (nums, _) = m._cols, m.canonical
+    a = [list(nums[i * c:(i + 1) * c]) for i in range(m._rows)]
     pivots: list[int] = []
     pr, prev = 0, 1
     for pc in range(c):
-        hit = next((r for r in range(pr, m.rows) if a[r][pc]), None)
+        hit = next((r for r in range(pr, m._rows) if a[r][pc]), None)
         if hit is None:
             continue
         a[pr], a[hit] = a[hit], a[pr]
@@ -527,7 +551,7 @@ def _rref(m: LinearMap) -> tuple[list[list[int]], int, list[int]]:
         prev = p
         pivots.append(pc)
         pr += 1
-        if pr == m.rows:
+        if pr == m._rows:
             break
     if prev < 0:
         a, prev = [[-x for x in row] for row in a], -prev
@@ -562,7 +586,7 @@ class KernelChart:
     @cached_property
     def coordinates(self) -> LinearMap:
         """The matrix that reads a vector's entries at the free columns."""
-        n = self.constraint.cols
+        n = self.constraint._cols
         return LinearMap(len(self.free), n, tuple(int(j == i) for i in self.free
                                                   for j in range(n)))
 
@@ -577,15 +601,15 @@ def kernel_chart(f: LinearMap) -> KernelChart:
     """
     a, d, pivots = _rref(f)
     pivot_set = set(pivots)
-    free = tuple(j for j in range(f.cols) if j not in pivot_set)
+    free = tuple(j for j in range(f._cols) if j not in pivot_set)
     n = len(free)
-    nums = [0] * (f.cols * n)
+    nums = [0] * (f._cols * n)
     for k, j in enumerate(free):
         nums[j * n + k] = d
         for r, pc in enumerate(pivots):
             nums[pc * n + k] = -a[r][j]
     g = math.gcd(d, *nums)
-    return KernelChart(f, free, LinearMap(f.cols, n, tuple(x // g for x in nums), d // g))
+    return KernelChart(f, free, LinearMap(f._cols, n, tuple(x // g for x in nums), d // g))
 
 
 def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
@@ -595,15 +619,15 @@ def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
 
 def solve(f: LinearMap, b: Vector) -> Optional[Vector]:
     """A particular solution of f x = b with free variables zero, or None."""
-    if len(b) != f.rows:
-        raise DimensionError(f"solve: {f.rows} rows but length-{len(b)} target")
-    aug = hstack(f, LinearMap.from_columns([b], f.rows))
+    if len(b) != f._rows:
+        raise DimensionError(f"solve: {f._rows} rows but length-{len(b)} target")
+    aug = hstack(f, LinearMap.from_columns([b], f._rows))
     a, d, pivots = _rref(aug)
-    if f.cols in pivots:
+    if f._cols in pivots:
         return None
-    x = [ZERO] * f.cols
+    x = [ZERO] * f._cols
     for r, pc in enumerate(pivots):
-        x[pc] = _ratio(a[r][f.cols], d)
+        x[pc] = _ratio(a[r][f._cols], d)
     return tuple(x)
 
 
@@ -616,20 +640,20 @@ def right_inverse_on_image(f: LinearMap) -> LinearMap:
     identity block, and the first such pivot names the first basis vector
     with no preimage.
     """
-    a, d, pivots = _rref(hstack(f, LinearMap.identity(f.rows)))
-    blocked = [pc - f.cols for pc in pivots if pc >= f.cols]
+    a, d, pivots = _rref(hstack(f, LinearMap.identity(f._rows)))
+    blocked = [pc - f._cols for pc in pivots if pc >= f._cols]
     if blocked:
         raise NotSurjectiveError(f"no preimage for basis vector {blocked[0]}")
-    nums = [0] * (f.cols * f.rows)
+    nums = [0] * (f._cols * f._rows)
     for r, pc in enumerate(pivots):
-        nums[pc * f.rows:(pc + 1) * f.rows] = a[r][f.cols:]
-    return LinearMap(f.cols, f.rows, tuple(nums), d)
+        nums[pc * f._rows:(pc + 1) * f._rows] = a[r][f._cols:]
+    return LinearMap(f._cols, f._rows, tuple(nums), d)
 
 
 def inverse(f: LinearMap) -> LinearMap:
     """A square f's section, which exists exactly when f is onto."""
-    if f.rows != f.cols:
-        raise NotInvertibleError(f"{f.rows}x{f.cols} map is not square")
+    if f._rows != f._cols:
+        raise NotInvertibleError(f"{f._rows}x{f._cols} map is not square")
     try:
         return right_inverse_on_image(f)
     except NotSurjectiveError:
@@ -637,7 +661,7 @@ def inverse(f: LinearMap) -> LinearMap:
 
 
 def is_invertible(f: LinearMap) -> bool:
-    return f.rows == f.cols and rank(f) == f.rows
+    return f._rows == f._cols and rank(f) == f._rows
 
 
 def check_keys(what: str, table: dict, keys: Collection) -> dict:
@@ -658,7 +682,7 @@ def check_table(what: str, table: dict, shapes: dict) -> dict:
     each entry is a map of the listed (rows, cols)."""
     for key, shape in shapes.items():
         m = table.get(key)
-        if m is None or (m.rows, m.cols) != shape:
+        if m is None or (m._rows, m._cols) != shape:
             raise StructureError(f"{what} at {key} has wrong shape")
     return check_keys(what, table, shapes)
 
@@ -666,7 +690,7 @@ def check_table(what: str, table: dict, shapes: dict) -> dict:
 # -- serialization helpers ---------------------------------------------------
 
 def map_to_dict(f: LinearMap) -> dict:
-    return {"rows": f.rows, "cols": f.cols, "entries": [str(e) for e in f.entries]}
+    return {"rows": f._rows, "cols": f._cols, "entries": [str(e) for e in f.entries]}
 
 
 # The largest dimension an instance file may declare: a fiber dimension, or

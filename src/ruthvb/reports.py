@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .linalg import LinearMap
 
@@ -16,13 +16,13 @@ class CheckEntry:
     actual: str
 
 
-@dataclass(frozen=True)
-class ColumnCheck:
+class ColumnCheck(NamedTuple):
     """One identity on a block of basis columns: column k of ``got`` should
     equal column k of ``want``.  The two sides could not be formed at column
     k when column k of any block in ``residuals`` is nonzero; that is
     recorded as ``label`` (by default, column k of ``want``) against
-    "not composable"."""
+    "not composable".  A named tuple, since the validators build one per
+    identity and block, and a frozen dataclass costs more to build."""
 
     check: str
     want: LinearMap

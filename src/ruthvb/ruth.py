@@ -183,16 +183,6 @@ def compose_morphisms(m2: RuthMorphism, m1: RuthMorphism) -> RuthMorphism:
          for a in g.arrows})
 
 
-def invert_morphism(m: RuthMorphism) -> RuthMorphism:
-    g = m.source.groupoid
-    p0i = {x: linalg.inverse(m.phi0[x]) for x in g.objects}
-    p1i = {x: linalg.inverse(m.phi1[x]) for x in g.objects}
-    return RuthMorphism(
-        m.target, m.source, p0i, p1i,
-        {a: -linalg.compose(linalg.compose(p0i[g.tgt[a]], m.mu[a]), p1i[g.src[a]])
-         for a in g.arrows})
-
-
 def gauge_transport(target: Ruth, phi0, phi1, mu) -> tuple[Ruth, RuthMorphism]:
     """Pull a valid representation back along invertible per-object maps and
     a unit-vanishing per-arrow operator.

@@ -30,6 +30,8 @@ from ruthvb.equivalences import (connection_change_witness,
                                  vb_to_wrep, wrep_from_ruth,
                                  wrep_from_ruth_morphism)
 
+from test_twoterm import random_interchange_square
+
 SEED = 424242
 TRIALS = 100
 
@@ -112,7 +114,7 @@ def test_criterion_2_hom_category_isomorphism():
 def test_criterion_3_interchange():
     rng = random.Random(SEED + 3)
     for _ in range(TRIALS):
-        quad = gen.random_interchange_square(rng, max_dim=3)
+        quad = random_interchange_square(rng, max_dim=3)
         assert check_interchange(*quad)
     _line(3, True, f"interchange exact on {TRIALS} pastable quadruples")
 

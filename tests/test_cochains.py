@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from ruthvb.cochains import (ScalarCochain, SectionCochain, coboundary,
-                             is_normalized, star, twisted_differential)
+from ruthvb.cochains import (ScalarCochain, SectionCochain, coboundary, star,
+                             twisted_differential)
 from ruthvb.errors import DegreeError, StructureError
 from ruthvb.groupoid import pair_groupoid, z2_groupoid
 from ruthvb.harness.fixtures import line_complex_over_point, z2_ruth
 from ruthvb.harness import generators as gen
 from ruthvb.linalg import LinearMap
 from ruthvb.twoterm import TwoTermComplex
+
+from test_ruth import is_normalized
 
 
 def rand_scalar_cochain(rng, g, degree):

@@ -894,7 +894,8 @@ WORKLOADS = REPO_FIXTURES.parent / "perfbench" / "workloads.py"
 
 
 def _reachable(obj, seen):
-    """obj and every ``ruthvb`` object, container and dict value under it."""
+    """obj and every ``ruthvb`` object, container, dict value and slot value
+    under it."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
@@ -904,7 +905,9 @@ def _reachable(obj, seen):
     elif isinstance(obj, dict):
         children = [*obj.keys(), *obj.values()]
     elif type(obj).__module__.startswith("ruthvb."):
-        children = vars(obj).values()
+        slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        children = [*getattr(obj, "__dict__", {}).values(),
+                    *(getattr(obj, name) for name in slots if hasattr(obj, name))]
     else:
         return
     for child in children:
@@ -928,3 +931,25 @@ def test_benchmark_payloads_hold_no_cached_action_groupoid(workload, monkeypatch
         type(x).__name__ == "WeakRepresentation" for x in reached)
     assert not [x for x in reached if hasattr(x, "__dict__")
                 and {"chart", "action_groupoid"} & vars(x).keys()]
+
+
+RUN = REPO_FIXTURES.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["validate-desk", "convert-desk", "detect-scale"])
+def test_benchmark_pass_fails_no_operation(workload, monkeypatch):
+    """perfbench/run.py, read and run here without writing under perfbench/:
+    one pass of each workload at seed 1, on deep copies of its inputs as
+    every timed pass runs, gets every verdict right and raises nowhere."""
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    module = types.ModuleType("perfbench_run")
+    module.__file__ = str(RUN)
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
+    try:
+        exec(compile(RUN.read_text(), str(RUN), "exec"), vars(module))
+        lib = module.workloads.Library()
+        ops = module.workloads.build(lib, workload, 1, REPO_FIXTURES.parent)
+        assert module.run_pass(lib, ops).failures == []
+    finally:
+        for name in ("reference", "tracer", "workloads"):  # run.py's own imports
+            sys.modules.pop(name, None)

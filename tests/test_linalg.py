@@ -1,9 +1,13 @@
 """Exact linear algebra kernel: frozen examples, errors, and algebraic laws."""
 
+import copy
 import math
+import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,7 +250,7 @@ def test_an_empty_block_over_another_denominator_scales_the_other(m, k1, k2, n):
 
 def test_a_product_kernel_is_built_once_per_key():
     """One generated function per (m, k1, k2, n, cut), whichever call
-    needs it: f @ g and compose share the key (m, k, 0, n, m)."""
+    needs it: f @ g and compose share the key (m, k, 0, n, None)."""
     linalg._product_kernel.cache_clear()
     f, g = LinearMap.identity(3), LinearMap.from_rows([[1, 2], [3, 4], [5, 6]])
     assert f @ g == g and compose(f, g) == g
@@ -680,3 +684,58 @@ def test_map_from_dict_matches_the_fraction_path(rows, cols, data):
     assert got == _outcome(_fraction_path, d)
     if len(got) == 3:
         assert _is_canonical(linalg.map_from_dict(d))
+
+
+# -- the slotted map's contract --------------------------------------------------
+
+def _unreduced():
+    """A 2 x 3 map over 4, whose least denominator is 2."""
+    return LinearMap(2, 3, (2, 0, 4, -6, 8, 2), 4)
+
+
+@pytest.mark.parametrize("name", ["rows", "cols", "nums", "den", "label"])
+def test_a_map_refuses_every_assignment(name):
+    m = _unreduced()
+    with pytest.raises(AttributeError):
+        setattr(m, name, 1)
+    assert _form(m) == (2, 3, (2, 0, 4, -6, 8, 2), 4)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("read", [False, True], ids=["before-reads", "after-reads"])
+def test_a_copied_map_is_equal_with_the_same_hash(copier, read):
+    """Copies and pickles made before or after the two cached forms are
+    first read compare equal, hash alike and read the same forms."""
+    m = _unreduced()
+    if read:
+        assert m.canonical and m.entries
+    c = copier(m)
+    assert c == m and hash(c) == hash(m) and _form(c) == _form(m)
+    assert c.canonical == ((1, 0, 2, -3, 4, 1), 2) and c.entries == m.entries
+
+
+def test_no_constructor_gives_a_map_an_instance_dict():
+    """Every way a map is built, the products on both their paths, gives
+    a map with only its slots."""
+    f, g = _unreduced(), LinearMap.from_rows([[1, 0], [2, 1], [0, 3]])
+    big = LinearMap.identity(linalg.MAX_DIM)
+    maps = [f, LinearMap.from_entries(1, 2, [Fraction(1, 2), Fraction(3)]),
+            LinearMap.identity(3), LinearMap.zero(2, 4), f @ g, big @ big,
+            *f.split_product(*g.split(1), cut=1), *big.split_product(big, cut=5),
+            linalg.hstack(f, f), linalg.vstack(f, f), linalg.direct_sum(f, g, 1),
+            linalg.kernel_chart(f).basis_map]
+    assert not [m for m in maps if hasattr(m, "__dict__")]
+
+
+def test_only_linalg_reads_the_slots():
+    """No module or test but ``linalg`` names a map's slots: the rest of
+    the code reads the public properties."""
+    root = Path(__file__).resolve().parent.parent
+    slot = re.compile(rf"\.({'|'.join(LinearMap.__slots__)})\b")
+    texts = {path.relative_to(root): path.read_text()
+             for path in [*root.glob("src/**/*.py"), *root.glob("tests/*.py")]
+             if path.name != "linalg.py"}
+    assert [(path, hit.group()) for path, text in texts.items()
+            if (hit := slot.search(text))] == []

@@ -9,6 +9,7 @@ import pytest
 from ruthvb import linalg, twoterm
 from ruthvb.errors import CompositionError, NotInducedError, StructureError
 from ruthvb.harness import generators as gen
+from ruthvb.harness.generators import random_chain_map, random_complex, random_homotopy_from
 from ruthvb.linalg import LinearMap
 from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             check_interchange, compose_chain_maps,
@@ -16,6 +17,22 @@ from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             identity_chain_map, phi_object, phi_onemorphism,
                             phi_twomorphism, split_bundle, vcompose, zero_homotopy)
 from ruthvb.vb import VBMap, validate_vb, validate_vb_map
+
+
+def random_interchange_square(rng, max_dim: int = 2):
+    """Four homotopies pasting as two vertical pairs over two horizontal
+    legs, for interchange checks."""
+    base = ["p"]
+    c = random_complex(rng, base, max_dim)
+    d = random_complex(rng, base, max_dim)
+    e = random_complex(rng, base, max_dim)
+    f = random_chain_map(rng, c, d)
+    phi = random_homotopy_from(rng, f)
+    x = random_homotopy_from(rng, phi.to_map)
+    k = random_chain_map(rng, d, e)
+    psi = random_homotopy_from(rng, k)
+    om = random_homotopy_from(rng, psi.to_map)
+    return phi, x, psi, om
 
 
 def point_complex(d0, d1, diff_rows):
@@ -96,7 +113,7 @@ def test_interchange_trivial_and_random():
     zk = zero_homotopy(k)
     assert check_interchange(z, z, zk, zk)
     for _ in range(50):
-        quad = gen.random_interchange_square(rng, max_dim=2)
+        quad = random_interchange_square(rng, max_dim=2)
         assert check_interchange(*quad)
 
 
