@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 from ..errors import RuthVBError, StructureError, UsageError
 from ..groupoid import FiniteGroupoid
-from ..linalg import MAX_DIM, json_int, json_typed, map_from_dict, map_to_dict
+from ..linalg import LinearMap, MAX_DIM, json_int, json_typed, map_from_dict, map_to_dict
 from ..ruth import Ruth, RuthMorphism
 from ..twoterm import TwoTermComplex
 from ..vb import VBGroupoid
@@ -30,9 +30,10 @@ MAX_DEGREE = 8
 
 
 class Codec(NamedTuple):
-    """How one field is written, and read by ``decode(value, its JSON key)``."""
+    """How one field is written, and read by ``decode(value, its JSON key,
+    read_map)``, where ``read_map`` reads a matrix record of the file."""
     encode: Callable[[Any], Any]
-    decode: Callable[[Any, str], Any]
+    decode: Callable[[Any, str, Callable[[dict], LinearMap]], Any]
 
 
 def _ids(value, key: str) -> list:
@@ -88,23 +89,26 @@ def _schema(cls, *fields) -> Codec:
     def encode(obj) -> dict:
         return {key: codec.encode(getattr(obj, name)) for name, (key, codec) in columns}
 
-    def decode(d, key: str):
+    def decode(d, key: str, read_map):
         d = json_typed(d, dict, key)
-        return cls(*[codec.decode(d[k], k) for k, codec in fields])
+        return cls(*[codec.decode(d[k], k, read_map) for k, codec in fields])
 
     return Codec(encode, decode)
 
 
-_IDS = Codec(list, _ids)
-_DIMS = Codec(dict, lambda v, key: {x: json_int(n, f"{key} at {x}", MAX_DIM)
-                                    for x, n in json_typed(v, dict, key).items()})
+_IDS = Codec(list, lambda v, key, read_map: _ids(v, key))
+_DIMS = Codec(dict, lambda v, key, read_map: {x: json_int(n, f"{key} at {x}", MAX_DIM)
+                                              for x, n in json_typed(v, dict, key).items()})
 _MAPS = Codec(lambda t: {k: map_to_dict(m) for k, m in t.items()},
-              lambda v, key: {k: map_from_dict(m) for k, m in json_typed(v, dict, key).items()})
+              lambda v, key, read_map: {k: read_map(m)
+                                        for k, m in json_typed(v, dict, key).items()})
 _PAIRS = Codec(lambda t: sorted([g1, g2, map_to_dict(m)] for (g1, g2), m in t.items()),
-               lambda v, key: _table([((g1, g2), map_from_dict(m))
-                                      for g1, g2, m in _triples(v, key)], f"{key} pair"))
+               lambda v, key, read_map: _table([((g1, g2), read_map(m))
+                                                for g1, g2, m in _triples(v, key)],
+                                               f"{key} pair"))
 
-_GROUPOID = Codec(groupoid_to_dict, lambda d, key: groupoid_from_dict(json_typed(d, dict, key)))
+_GROUPOID = Codec(groupoid_to_dict,
+                  lambda d, key, read_map: groupoid_from_dict(json_typed(d, dict, key)))
 _COMPLEX = _schema(TwoTermComplex, ("base", _IDS), ("dims0", _DIMS), ("dims1", _DIMS),
                    ("diff", _MAPS))
 _RUTH = _schema(Ruth, ("groupoid", _GROUPOID), ("complex", _COMPLEX), ("lambda0", _MAPS),
@@ -151,7 +155,11 @@ def load_instance(text: str, expect_kind: str | None = None):
     """Parse an instance file; returns (kind, object, metadata).
 
     Raises StructureError for malformed payloads and UsageError for an
-    unexpected kind; JSON syntax errors propagate as ValueError."""
+    unexpected kind; JSON syntax errors propagate as ValueError.  The
+    matrices are read through decode tables that live for this call (see
+    :func:`linalg.map_from_dict`): each distinct literal, and each distinct
+    record whose entries are all strings, is read once per file, and equal
+    records share one map."""
     doc = parse_json(text)
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise StructureError("instance file needs 'kind' and 'payload' fields")
@@ -161,7 +169,9 @@ def load_instance(text: str, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise UsageError(f"expected kind {expect_kind!r}, file is {kind!r}")
     try:
-        obj = _CODECS[kind].decode(doc["payload"], "payload")
+        literals, records = {}, {}
+        obj = _CODECS[kind].decode(doc["payload"], "payload",
+                                   lambda m: map_from_dict(m, literals, records))
     except StructureError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, RuthVBError) as exc:

@@ -377,7 +377,11 @@ class LinearMap:
         return LinearMap.from_entries(self._rows, self._cols, ent)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":
+        """Rows r0 to r1 and columns c0 to c1, end excluded."""
         nums, cols = self._nums, self._cols
+        if not (0 <= r0 <= r1 <= self._rows and 0 <= c0 <= c1 <= cols):
+            raise DimensionError(f"no block [{r0}:{r1}, {c0}:{c1}] in a "
+                                 f"{self._rows}x{cols} map")
         return LinearMap(r1 - r0, c1 - c0, tuple(x for i in range(r0, r1)
                                                  for x in nums[i * cols + c0:i * cols + c1]),
                          self._den)
@@ -723,12 +727,41 @@ def json_typed(value, json_type: type, what: str):
     return value
 
 
-def map_from_dict(d: dict) -> LinearMap:
+def map_from_dict(d: dict, literals: dict, records: dict) -> LinearMap:
     """The map of a ``{"rows", "cols", "entries"}`` record, read straight to
-    integers: the literals' numerators over the lcm of their denominators."""
+    integers: the literals' numerators over the lcm of their denominators.
+
+    ``literals`` and ``records`` are the decode tables of one file, empty
+    when its first record is read.  ``literals`` maps each literal string
+    read so far to its (numerator, denominator), and ``records`` maps the
+    key ``(rows, cols, *entries)`` of each record read so far whose entries
+    are all strings to its map, which equal records share, since a map is
+    immutable.  A record holding a JSON number or boolean is never stored:
+    ``1``, ``1.0`` and ``true`` are equal keys, and only ``1`` is read as a
+    rational.  ``rows`` and ``cols`` are checked before the lookup, so a
+    key's first two items are integers.  A record is refused with the error
+    the literal rules give, in entry order, before its entry count is read,
+    whether or not its literals were met before."""
     rows = json_int(d["rows"], "rows", MAX_DIM)
     cols = json_int(d["cols"], "cols", MAX_DIM)
-    parts = [_parts(e) for e in json_typed(d["entries"], list, "entries")]
+    entries = json_typed(d["entries"], list, "entries")
+    key = (rows, cols, *entries)
+    try:
+        return records[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable entry, refused below
+        pass
+    parts, strings = [], True
+    for e in entries:
+        if type(e) is str:
+            part = literals.get(e)
+            if part is None:
+                part = literals[e] = _parts(e)
+        else:
+            part, strings = _parts(e), False
+        parts.append(part)
     _check_shape(rows, cols, len(parts))
-    den = math.lcm(*(q for _, q in parts))
-    return LinearMap(rows, cols, tuple(p * (den // q) for p, q in parts), den)
+    den = math.lcm(*{q for _, q in parts})
+    m = LinearMap(rows, cols, tuple([p * (den // q) for p, q in parts]), den)
+    if strings:
+        records[key] = m
+    return m

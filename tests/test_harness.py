@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import random
@@ -21,13 +22,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import ruthvb
 from ruthvb import linalg
+from ruthvb.errors import RuthVBError
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
 from ruthvb.groupoid import FiniteGroupoid, disjoint_union, z2_groupoid
 from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
 from ruthvb.twoterm import identity_chain_map, phi_twomorphism, zero_homotopy
-from ruthvb.vb import find_unital_connection, identity_vb_map
+from ruthvb.vb import find_unital_connection, identity_vb_map, validate_vb
 from ruthvb.weak import identity_equivariant
 from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
 
@@ -732,6 +734,140 @@ def test_cli_validate_answers_every_hostile_file(content):
             path.write_bytes(content)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["validate", str(path)]) in (0, 1, 2)
+
+
+# -- per-file decode tables ------------------------------------------------------
+
+def _per_entry_map(d: dict, literals: dict, records: dict) -> linalg.LinearMap:
+    """A matrix record read with no tables: every entry by the literal rules,
+    in order, then the entry count."""
+    rows = linalg.json_int(d["rows"], "rows", linalg.MAX_DIM)
+    cols = linalg.json_int(d["cols"], "cols", linalg.MAX_DIM)
+    parts = [linalg._parts(e) for e in linalg.json_typed(d["entries"], list, "entries")]
+    linalg._check_shape(rows, cols, len(parts))
+    den = math.lcm(*(q for _, q in parts))
+    return linalg.LinearMap(rows, cols, tuple(p * (den // q) for p, q in parts), den)
+
+
+def _load_outcome(text: str):
+    """The kind and object ``load_instance`` reads, or its error type and text."""
+    try:
+        return serialize.load_instance(text)[:2]
+    except (RuthVBError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+TABLE_STRINGS = ["0", "1", "-1", "1/2", "2/4", "-0"]
+# JSON values that are equal dict keys, of which only 1 is a literal, and
+# strings that are not literals.
+TABLE_ODD = [1, 1.0, True, "1/0", "x", "1.5"]
+
+
+def _vb_records(payload: dict) -> list[dict]:
+    """The matrix records of a vb payload, in the order they are read."""
+    return ([payload[t][k] for t in ("stilde", "ttilde", "utilde", "inverse") for k in payload[t]]
+            + [row[2] for row in payload["mult"]])
+
+
+@st.composite
+def _repeating_vb_files(draw) -> str:
+    """pair-strict-semidirect, whose stilde and ttilde records are four equal
+    records each, with its other records redrawn from a pool of at most
+    three entry lists per entry count, so literals and whole records repeat
+    within the file, and records of two shapes may hold one list.  Then up
+    to three edits, each setting one of the first two entries of a record
+    to "1", to a JSON 1, 1.0 or true, or to a bad literal, and up to one
+    record with an entry too many."""
+    doc = _fixture_doc("pair-strict-semidirect")
+    records = _vb_records(doc["payload"])
+    pools: dict[int, list] = {}
+    for d in records[8:]:
+        n = d["rows"] * d["cols"]
+        if n not in pools:
+            pools[n] = draw(st.lists(st.lists(st.sampled_from(TABLE_STRINGS),
+                                              min_size=n, max_size=n), min_size=1, max_size=3))
+        d["entries"] = list(draw(st.sampled_from(pools[n])))
+    at = st.integers(0, len(records) - 1)
+    for i, j, value in draw(st.lists(st.tuples(at, st.integers(0, 1),
+                                               st.sampled_from(["1", *TABLE_ODD])), max_size=3)):
+        records[i]["entries"][j] = value
+    for i, value in draw(st.lists(st.tuples(at, st.sampled_from([*TABLE_STRINGS, *TABLE_ODD])),
+                                  max_size=1)):
+        records[i]["entries"].append(value)
+    return json.dumps(doc)
+
+
+def _twin_records(first, second, extra=None) -> str:
+    """pair-strict-semidirect, whose stilde records are all equal, with the
+    first entry of its first two set to ``first`` and ``second``, and
+    ``extra`` appended to the second."""
+    doc = _fixture_doc("pair-strict-semidirect")
+    one, two = list(doc["payload"]["stilde"].values())[:2]
+    one["entries"][0], two["entries"][0] = first, second
+    if extra is not None:
+        two["entries"].append(extra)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeating_vb_files())
+@example(_twin_records(1, True))
+@example(_twin_records(1, 1.0))
+@example(_twin_records("1", 1))
+@example(_twin_records("1", True))
+@example(_twin_records("1", 1.0))
+@example(_twin_records("1", "1/0"))
+@example(_twin_records("0", "x"))
+@example(_twin_records("0", "1/0", extra="1"))
+@example(_twin_records("1", "1", extra="1"))
+def test_decode_tables_read_what_the_per_entry_reader_reads(text):
+    """Through its per-file tables of literals and records, ``load_instance``
+    gives objects equal to those of a reader that reads every entry of every
+    record, or the same error type and text."""
+    got = _load_outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "map_from_dict", _per_entry_map)
+        assert got == _load_outcome(text)
+
+
+VB_TABLES = ("stilde", "ttilde", "inv_map")
+
+
+def test_equal_records_of_one_file_share_one_map_that_a_mutant_leaves_alone():
+    """pair-strict-semidirect states each stilde, ttilde and inverse record
+    four times; loaded, the four are one map.  ``mutate_vb_entry`` rebuilds
+    one of them, its twins stay the loaded map, the mutant fails
+    ``validate_vb`` and the loaded instance is unchanged."""
+    text = (REPO_FIXTURES / "pair-strict-semidirect.json").read_text()
+    _, v, _ = serialize.load_instance(text)
+    for name in VB_TABLES:
+        first, *rest = getattr(v, name).values()
+        assert len(rest) == 3 and all(m is first for m in rest)
+    mutants = [m[0] for m in (gen.mutate_vb_entry(random.Random(seed), v) for seed in range(6))
+               if m is not None]
+    assert mutants
+    for mutant in mutants:
+        changed = [(name, a) for name in VB_TABLES for a, m in getattr(v, name).items()
+                   if getattr(mutant, name)[a] is not m]
+        assert len(changed) == 1
+        name, arrow = changed[0]
+        assert getattr(mutant, name)[arrow] != getattr(v, name)[arrow]
+        assert not validate_vb(mutant).passed
+    assert v == serialize.load_instance(text)[1]
+    assert validate_vb(v).passed
+
+
+def test_load_instance_keeps_no_state_between_files():
+    """Two vb files with different literals load to equal objects in either
+    order, and no map read by one call is a map read by another."""
+    texts = [(REPO_FIXTURES / f"{name}.json").read_text()
+             for name in ("pair-strict-semidirect", "pair-strict-vb-scrambled")]
+    forward = [serialize.load_instance(t)[1] for t in texts]
+    backward = [serialize.load_instance(t)[1] for t in reversed(texts)][::-1]
+    assert forward == backward
+    ids = [{id(m) for name in VB_TABLES for m in getattr(v, name).values()}
+           for v in (*forward, *backward)]
+    assert sum(map(len, ids)) == len(set().union(*ids))
 
 
 ENTRY = {"check": "identity-4", "location": "(g,g,g)", "expected": "zero", "actual": "2"}

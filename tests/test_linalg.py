@@ -291,6 +291,9 @@ def test_a_product_at_max_dim_compiles_no_kernel():
     ((3, 3), (1, 2), (2, 2), -1),  # and above the first
     ((2, 2), None, None, 3),       # split alone: a cut below the last row
     ((2, 2), None, None, -1),      # and above the first
+    ((2, 2), None, None, (0, 3, 0, 2)),  # block alone: rows past the last
+    ((2, 2), None, None, (1, 0, 0, 2)),  # rows ending before they start
+    ((2, 2), None, None, (0, 2, 1, 3)),  # columns past the last
 ])
 def test_a_stack_of_the_wrong_shape_raises_dimension_error(shape, top, bottom, cut):
     f = LinearMap.zero(*shape)
@@ -298,6 +301,8 @@ def test_a_stack_of_the_wrong_shape_raises_dimension_error(shape, top, bottom, c
     with pytest.raises(DimensionError):
         if blocks:
             f.split_product(*blocks, cut=cut)
+        elif isinstance(cut, tuple):
+            f.block(*cut)
         else:
             f.split(cut)
 
@@ -383,7 +388,7 @@ def test_serialization_strings():
     f = LinearMap.from_rows([[Fraction(3, 2), 1], [0, Fraction(-5)]])
     d = linalg.map_to_dict(f)
     assert d["entries"] == ["3/2", "1", "0", "-5"]
-    assert linalg.map_from_dict(d) == f
+    assert linalg.map_from_dict(d, {}, {}) == f
 
 
 def test_block_helpers():
@@ -659,6 +664,11 @@ def _fraction_path(d):
                                   tuple(linalg.rat(e) for e in d["entries"]))
 
 
+def _read(d):
+    """The map of one record, read through fresh decode tables."""
+    return linalg.map_from_dict(d, {}, {})
+
+
 def _outcome(read, d):
     try:
         m = read(d)
@@ -680,10 +690,10 @@ def test_map_from_dict_matches_the_fraction_path(rows, cols, data):
     entries = data.draw(st.lists(st.one_of(well_formed, well_formed, literals),
                                  min_size=max(count, 0), max_size=max(count, 0)))
     d = {"rows": rows, "cols": cols, "entries": entries}
-    got = _outcome(linalg.map_from_dict, d)
+    got = _outcome(_read, d)
     assert got == _outcome(_fraction_path, d)
     if len(got) == 3:
-        assert _is_canonical(linalg.map_from_dict(d))
+        assert _is_canonical(_read(d))
 
 
 # -- the slotted map's contract --------------------------------------------------
