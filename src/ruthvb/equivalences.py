@@ -175,7 +175,7 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     arr = {}
     for a in g.arrows:
         ut = g.unit[g.tgt[a]]
-        x, k = chart.decode(a, LinearMap.identity(ag.arrdim[a]))
+        x, k = chart.decoder[a].split(chart.object_rows[a])
         arr[a] = v.product(ut, a, v.inv_map[ut] @ k, sigma[a] @ x)
     iso = VBMap(ag, v, {x: LinearMap.identity(v.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError,
@@ -239,7 +239,7 @@ def triangle_witness(r: Ruth, validate: bool = True) -> VBMap:
     g = r.groupoid
     arr = {}
     for a in g.arrows:
-        x, k = chart.decode(a, LinearMap.identity(ag.arrdim[a]))
+        x, k = chart.decoder[a].split(chart.object_rows[a])
         arr[a] = linalg.vstack(-k.split(r.complex.dim0[g.tgt[a]])[0], x)
     iso = VBMap(ag, sd, {x: LinearMap.identity(sd.objdim[x]) for x in g.objects}, arr)
     validate_vb_map(iso).require(ValidationError, "triangle identification is not a VB map")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..errors import RuthVBError, StructureError, UsageError, ValidationError
 from ..groupoid import validate_groupoid
-from ..linalg import json_typed
+from ..linalg import MAX_DIM, json_typed
 from ..reports import Report
 from ..ruth import validate_morphism, validate_ruth
 from ..semidirect import semidirect
@@ -291,12 +291,15 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _bounded(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than ``low`` and, given
+    ``high``, no larger than ``high``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -315,11 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def bounds(sp, trials):
         # a run of no trials, or over no groupoid, would pass vacuously
-        sp.add_argument("--trials", type=_at_least(1), default=trials)
+        sp.add_argument("--trials", type=_bounded(1), default=trials)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-objects", type=_at_least(1), default=4)
-        sp.add_argument("--max-arrows", type=_at_least(1), default=12)
-        sp.add_argument("--max-dim", type=_at_least(0), default=3)
+        sp.add_argument("--max-objects", type=_bounded(1), default=4)
+        sp.add_argument("--max-arrows", type=_bounded(1), default=12)
+        # a drawn fiber is never larger than an instance file may declare
+        sp.add_argument("--max-dim", type=_bounded(0, MAX_DIM), default=3)
 
     sp = sub.add_parser("validate", help="run the kind's validator on an instance file")
     sp.add_argument("file")

@@ -365,15 +365,23 @@ class LinearMap:
             entries = self._entries = tuple(_ratio(x, den) for x in self._nums)
         return entries
 
+    def _flat(self, i: int, j: int) -> int:
+        """The position of entry (i, j) in the row-major numerators."""
+        if not (0 <= i < self._rows and 0 <= j < self._cols):
+            raise DimensionError(f"no entry ({i}, {j}) in a {self._rows}x{self._cols} map")
+        return i * self._cols + j
+
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self._cols + j]
+        return self.entries[self._flat(i, j)]
 
     def column(self, k: int) -> Vector:
+        if not 0 <= k < self._cols:
+            raise DimensionError(f"no column {k} in a {self._rows}x{self._cols} map")
         return tuple(_ratio(x, self._den) for x in self._nums[k::self._cols])
 
     def with_entry(self, i: int, j: int, value) -> "LinearMap":
         ent = list(self.entries)
-        ent[i * self._cols + j] = rat(value)
+        ent[self._flat(i, j)] = rat(value)
         return LinearMap.from_entries(self._rows, self._cols, ent)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "LinearMap":

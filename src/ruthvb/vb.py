@@ -330,19 +330,21 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
 # -- connections ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Connection:
-    """Fiberwise-linear splitting of the source map, unital over unit arrows."""
+    """Fiberwise-linear splitting of the source map, unital over unit arrows.
+    ``rule`` says how sigma was chosen; the CLI writes it into the metadata
+    of a converted file."""
 
     vb: VBGroupoid
-    sigma: dict[str, LinearMap] = field(compare=False)
+    sigma: dict[str, LinearMap]
     rule: str
 
     def __post_init__(self):
         v = self.vb
-        object.__setattr__(self, "sigma", linalg.check_table(
+        self.sigma = linalg.check_table(
             "connection component", self.sigma,
-            {a: (v.arrdim[a], v.objdim[v.base.src[a]]) for a in v.base.arrows}))
+            {a: (v.arrdim[a], v.objdim[v.base.src[a]]) for a in v.base.arrows})
 
 
 def connection_report(c: Connection) -> Report:

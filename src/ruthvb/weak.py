@@ -191,25 +191,24 @@ class ActionChart:
 
 def action_groupoid_bundle(w: WeakRepresentation) -> VBGroupoid:
     """Action groupoid of a weak representation, as a VB-groupoid over the
-    acting groupoid in the coordinates of ``w.chart``.  Each table is a
-    chain of block products on the fiber's identity block;
-    ``w.action_groupoid`` keeps the result."""
+    acting groupoid in the coordinates of ``w.chart``.  The basis pairs
+    (x, k) of an arrow fiber are the two row blocks of its decoder, and each
+    table is a chain of block products on them; ``w.action_groupoid`` keeps
+    the result."""
     g, chart = w.groupoid, w.chart
     objdim = {x: w.bundle.objdim[x] for x in g.objects}
     arrdim = {a: chart.decoder[a].cols for a in g.arrows}
     stilde, ttilde, inv_map = {}, {}, {}
-    for a in g.arrows:
-        # the source of (x, k) is x, its target the source of k
-        stilde[a], k = chart.decode(a, LinearMap.identity(arrdim[a]))
-        ttilde[a] = w.bundle.stilde[g.tgt[a]] @ k
     utilde = {x: chart.encode(g.unit[x], LinearMap.identity(objdim[x]), w.bundle.utilde[x])
               for x in g.objects}
     for a in g.arrows:
         s, t, b = g.src[a], g.tgt[a], g.inv[a]
+        # the source of (x, k) is x, its target the source of k
+        x, k = chart.decoder[a].split(chart.object_rows[a])
+        stilde[a], ttilde[a] = x, w.bundle.stilde[t] @ k
         inv = w.bundle.inv_map[s]
-        x, k = chart.decode(a, LinearMap.identity(arrdim[a]))
         arrow = w.bundle.product(s, s, inv @ w.a1[b] @ k, inv @ w.alpha[(b, a)] @ x)
-        inv_map[a] = chart.encode(b, w.bundle.stilde[t] @ k, arrow)
+        inv_map[a] = chart.encode(b, ttilde[a], arrow)
 
     def product(g1, g2, left, right):
         t1 = g.tgt[g1]
@@ -323,7 +322,7 @@ def act_on_morphism(e: EquivariantMap, validate: bool = True) -> VBMap:
     arr = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        x, k = src_chart.decode(a, LinearMap.identity(src_ag.arrdim[a]))
+        x, k = src_chart.decoder[a].split(src_chart.object_rows[a])
         arrow = e.target.bundle.product(t, t, e.delta[a] @ x, e.f1[t] @ k)
         arr[a] = tgt_chart.encode(a, e.f0[s] @ x, arrow)
     return VBMap(src_ag, tgt_ag, {x: e.f0[x] for x in g.objects}, arr)

@@ -540,6 +540,18 @@ def test_cli_bounds_below_minimum_exit_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["fuzz"], ["roundtrip", "--pipeline", "triangle"]])
+def test_cli_max_dim_above_the_file_limit_exits_2(verb, capsys):
+    """--max-dim is bounded by the largest fiber an instance file may declare.
+    Only the parser runs, so a missing bound draws nothing."""
+    parser = cli.build_parser()
+    assert parser.parse_args(verb + ["--max-dim", str(linalg.MAX_DIM)]).max_dim == linalg.MAX_DIM
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(verb + ["--max-dim", str(linalg.MAX_DIM + 1)])
+    assert exc.value.code == 2
+    assert f"--max-dim: must be at most {linalg.MAX_DIM}" in capsys.readouterr().err
+
+
 def test_cli_phi_hom_honours_max_objects(monkeypatch, capsys):
     """With --max-objects 1 the phi-hom pipeline draws one-point complexes."""
     bases = []

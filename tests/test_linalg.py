@@ -307,6 +307,21 @@ def test_a_stack_of_the_wrong_shape_raises_dimension_error(shape, top, bottom, c
             f.split(cut)
 
 
+@pytest.mark.parametrize("method, args", [
+    ("entry", (0, 2)), ("entry", (-1, 0)), ("entry", (2, 0)), ("entry", (0, -1)),
+    ("with_entry", (0, 2, 9)), ("with_entry", (-1, 0, 9)),
+    ("column", (2,)), ("column", (-1,)),
+])
+def test_an_index_outside_the_map_raises_dimension_error(method, args):
+    """Entries and columns sit at flat positions of the numerators, where
+    (0, 2) of a 2 x 2 map would be entry (1, 0) and -1 the last one."""
+    f = LinearMap.from_rows([[1, 2], [3, 4]])
+    assert (f.entry(1, 0), f.column(1), f.with_entry(1, 0, 9)) == (
+        3, (2, 4), LinearMap.from_rows([[1, 2], [9, 4]]))
+    with pytest.raises(DimensionError):
+        getattr(f, method)(*args)
+
+
 class Counting:
     """A stand-in scalar that counts the products and sums formed with it;
     it is false when it stands for zero."""

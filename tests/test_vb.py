@@ -20,10 +20,12 @@ from ruthvb.linalg import LinearMap
 from ruthvb.ruth import compose_morphisms, identity_morphism
 from ruthvb.semidirect import psi_morphism, semidirect
 from ruthvb.twoterm import phi_object, split_bundle
-from ruthvb.vb import (VBGroupoid, connection_report, find_unital_connection,
+from ruthvb.vb import (Connection, VBGroupoid, connection_report, find_unital_connection,
                        kernel_groupoid, validate_vb, validate_vb_map,
                        compose_vb_maps, identity_vb_map)
 from ruthvb.weak import validate_weak_representation
+
+from test_acceptance import ruth_pool
 
 
 def _column(vec):
@@ -160,6 +162,14 @@ def test_find_unital_connection_canonical_on_semidirect():
     assert c.sigma["g"] == LinearMap.from_rows([[0], [1]])
 
 
+def test_connections_compare_by_sigma():
+    c = find_unital_connection(semidirect(z2_ruth(1)))
+    assert c == Connection(semidirect(z2_ruth(1)), dict(c.sigma), c.rule)
+    sigma = c.sigma["g"]
+    moved = {**c.sigma, "g": sigma.with_entry(0, 0, sigma.entry(0, 0) + 1)}
+    assert c != Connection(c.vb, moved, c.rule)
+
+
 def test_connection_on_trivial_base_bundle_is_unit_section():
     c0 = gen.random_complex(random.Random(2), max_dim=2)
     v = phi_object(c0)
@@ -181,6 +191,29 @@ def test_kernel_groupoid_of_semidirect_is_sum_groupoid():
         assert k == phi_object(r.complex)
         c2, iso = split_bundle(k)
         assert c2 == r.complex
+
+
+def test_kernel_of_psi_is_phi_of_its_complex():
+    """Two constructions of one VB-groupoid: restricting the semi-direct
+    product to the units, and the sum groupoid of the complex.  A mutant
+    that changes a quasi-action at a unit, or omega at a pair of units,
+    changes the restriction and not the complex, so the two differ."""
+    rng = random.Random(25)
+    mutants = 0
+    for r in ruth_pool():
+        assert kernel_groupoid(semidirect(r, validate=False)) == phi_object(r.complex)
+        g = r.groupoid
+        for _ in range(3):
+            drawn = gen.mutate_ruth_unit_cell(rng, r)
+            if drawn is None:
+                continue
+            m = drawn[0]
+            pairs = [p for p in g.comp if m.omega[p] != r.omega[p]]
+            if pairs and not all(map(g.is_unit, pairs[0])):
+                continue  # omega at (unit, g) lies outside the kernel
+            mutants += 1
+            assert kernel_groupoid(semidirect(m, validate=False)) != phi_object(m.complex)
+    assert mutants >= 100
 
 
 def test_kernel_of_trivial_base_bundle_is_itself():
