@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import DegreeError, StructureError
 from .groupoid import FiniteGroupoid
 from .linalg import ZERO, LinearMap, Vector, rat, vec_add, vec_scale, vec_sub, vec_zero
-from .twoterm import TwoTermComplex
+
+if TYPE_CHECKING:
+    from .ruth import TwoTermComplex
 
 Key = tuple[str, ...]
 

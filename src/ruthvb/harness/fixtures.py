@@ -9,9 +9,8 @@ from pathlib import Path
 
 from ..groupoid import FiniteGroupoid, pair_groupoid, z2_groupoid
 from ..linalg import LinearMap
-from ..ruth import Ruth
+from ..ruth import Ruth, TwoTermComplex
 from ..semidirect import semidirect
-from ..twoterm import TwoTermComplex
 from ..equivalences import wrep_from_ruth
 from . import serialize
 from .generators import scramble_vb

@@ -22,9 +22,9 @@ from ..errors import StructureError
 from ..groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
                         pair_groupoid, transitive_groupoid, z2_groupoid)
 from ..linalg import LinearMap
-from ..ruth import Ruth, RuthMorphism, gauge_transport
+from ..ruth import Ruth, RuthMorphism, TwoTermComplex, gauge_transport
 from ..semidirect import semidirect
-from ..twoterm import ChainHomotopy, ChainMap, TwoTermComplex
+from ..twoterm import ChainHomotopy, ChainMap
 from ..vb import VBGroupoid
 from ..weak import EquivariantMap, WeakRepresentation
 from ..equivalences import wrep_from_ruth, wrep_from_ruth_morphism

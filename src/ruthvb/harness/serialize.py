@@ -20,8 +20,7 @@ from typing import Any, Callable, NamedTuple
 from ..errors import RuthVBError, StructureError, UsageError
 from ..groupoid import FiniteGroupoid
 from ..linalg import LinearMap, MAX_DIM, json_int, json_typed, map_from_dict, map_to_dict
-from ..ruth import Ruth, RuthMorphism
-from ..twoterm import TwoTermComplex
+from ..ruth import Ruth, RuthMorphism, TwoTermComplex
 from ..vb import VBGroupoid
 from ..weak import EquivariantMap, WeakRepresentation
 

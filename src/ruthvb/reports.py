@@ -58,11 +58,18 @@ class Report:
     def expect_columns(self, where: str, checks: Sequence[ColumnCheck]) -> None:
         """Record each violated column of ``checks`` at ``"{where} basis {k}"``,
         by basis index k, then in the order of ``checks``.  Both sides of a
-        violation are shown as ``Fraction`` vectors."""
+        violation are shown as ``Fraction`` vectors.  A check whose two sides
+        differ in shape is one violation at ``where``, shapes shown, recorded
+        first; none of its columns is read."""
         failed = []
         for c in checks:
+            want, got = c.want, c.got
+            if want.rows != got.rows or want.cols != got.cols:
+                self.add(c.check, where, f"{want.rows}x{want.cols} block",
+                         f"{got.rows}x{got.cols} block")
+                continue
             broken = set().union(*(r.nonzero_columns() for r in c.residuals))
-            unequal = c.want.unequal_columns(c.got) - broken
+            unequal = want.unequal_columns(got) - broken
             if broken or unequal:
                 failed.append((c, broken, unequal))
         columns = set().union(*(b | u for _, b, u in failed))

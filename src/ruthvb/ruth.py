@@ -1,6 +1,7 @@
 """Two-term representations up to homotopy over a finite groupoid.
 
-The data is a two-term coefficient complex over the objects, unital
+The data is a two-term coefficient complex over the objects
+(:class:`TwoTermComplex`, also the objects of :mod:`ruthvb.twoterm`), unital
 quasi-actions on both layers, and a normalized transformation cochain
 assigning to each composable pair a map from the degree-1 fiber at the
 pair's source to the degree-0 fiber at its target.  Validity is the four
@@ -40,7 +41,27 @@ from .errors import (CompositionError, DegreeError, NotInvertibleError,
 from .groupoid import FiniteGroupoid, validate_groupoid
 from .linalg import ZERO, LinearMap
 from .reports import Report
-from .twoterm import TwoTermComplex
+
+
+@dataclass(repr=False)
+class TwoTermComplex:
+    """Per-point two-term complex: diff maps the degree-0 fiber to the
+    degree-1 fiber over the same point."""
+
+    base: tuple[str, ...]
+    dim0: dict[str, int]
+    dim1: dict[str, int]
+    diff: dict[str, LinearMap]
+
+    def __post_init__(self):
+        self.base = tuple(sorted(self.base))
+        for x, y in zip(self.base, self.base[1:]):
+            if x == y:
+                raise StructureError(f"base point {x} is repeated")
+        self.dim0 = linalg.check_keys("fiber dimensions", self.dim0, self.base)
+        self.dim1 = linalg.check_keys("fiber dimensions", self.dim1, self.base)
+        self.diff = linalg.check_table("differential", self.diff,
+                                       {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
 
 @dataclass(repr=False)
@@ -258,20 +279,10 @@ class TotalCochain:
     def degree(self) -> int:
         return self.part0.degree
 
-    def is_zero(self) -> bool:
-        return self.part0.is_zero() and (self.part1 is None or self.part1.is_zero())
-
     def __eq__(self, other):
         if not isinstance(other, TotalCochain):
             return NotImplemented
-        p1a = self.part1
-        p1b = other.part1
-        if (p1a is None) != (p1b is None):
-            a = p1a if p1a is not None else p1b
-            if not a.is_zero():
-                return False
-            p1a = p1b = None
-        return self.part0 == other.part0 and (p1a is None or p1a == p1b)
+        return self.part0 == other.part0 and self.part1 == other.part1
 
 
 def _layout(r: Ruth, n: int) -> tuple[dict[Key, int], dict[Key, int], int]:
@@ -414,11 +425,9 @@ def check_leibniz(r: Ruth, samples) -> Report:
         first = star_total(total_operator(r, w), f)
         second = star_total(w, coboundary(f))
         sign = 1 if w.degree % 2 == 0 else -1
+        # Both sides have total degree at least 1, so both carry a part1.
         rhs0 = first.part0 + second.part0 if sign > 0 else first.part0 - second.part0
-        if first.part1 is not None and second.part1 is not None:
-            rhs1 = first.part1 + second.part1 if sign > 0 else first.part1 - second.part1
-        else:
-            rhs1 = first.part1 if first.part1 is not None else second.part1
+        rhs1 = first.part1 + second.part1 if sign > 0 else first.part1 - second.part1
         rhs = TotalCochain(rhs0, rhs1)
         if lhs != rhs:
             rep.add("leibniz", f"sample {idx}, |w|={w.degree}, |f|={f.degree}",

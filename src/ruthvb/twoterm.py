@@ -7,8 +7,9 @@ point by point (they cover its identity), and 2-morphisms are chain
 homotopies; homotopies compose vertically by sum and horizontally by the
 whiskering formula ``k0 . psi + omega . g1``.
 
-The equivalence sends a complex to its sum groupoid (objects the degree-1
-fibers, arrows the direct sum, source the projection, target ``diff + proj``),
+The equivalence sends a complex to its sum groupoid, the semi-direct product
+over the unit groupoid of its points (objects the degree-1 fibers, arrows the
+direct sum, source the projection, target ``diff + proj``),
 a chain map to the blockwise bundle functor, and a homotopy to the bundle
 transformation whose component at c is the arrow with degree-0 part
 ``omega(c)`` and degree-1 part ``f1(c)``.  Arrow fibers are always ordered
@@ -21,31 +22,12 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import CompositionError, NotInducedError, StructureError
-from .groupoid import FiniteGroupoid, trivial_groupoid
+from .groupoid import trivial_groupoid
 from .linalg import LinearMap, kernel_chart
+from .ruth import Ruth, TwoTermComplex
+from .semidirect import semidirect
 from .vb import (BundleTransformation, VBGroupoid, VBMap, validate_bundle_transformation,
                  validate_vb_map)
-
-
-@dataclass(repr=False)
-class TwoTermComplex:
-    """Per-point two-term complex: diff maps the degree-0 fiber to the
-    degree-1 fiber over the same point."""
-
-    base: tuple[str, ...]
-    dim0: dict[str, int]
-    dim1: dict[str, int]
-    diff: dict[str, LinearMap]
-
-    def __post_init__(self):
-        self.base = tuple(sorted(self.base))
-        for x, y in zip(self.base, self.base[1:]):
-            if x == y:
-                raise StructureError(f"base point {x} is repeated")
-        self.dim0 = linalg.check_keys("fiber dimensions", self.dim0, self.base)
-        self.dim1 = linalg.check_keys("fiber dimensions", self.dim1, self.base)
-        self.diff = linalg.check_table("differential", self.diff,
-                                       {x: (self.dim1[x], self.dim0[x]) for x in self.base})
 
 
 @dataclass(repr=False)
@@ -157,58 +139,15 @@ def check_interchange(phi: ChainHomotopy, x: ChainHomotopy,
 # -- the equivalence with linear groupoid bundles --------------------------------
 
 
-def semidirect_bundle(g: FiniteGroupoid, c: TwoTermComplex, lambda0: dict[str, LinearMap],
-                      lambda1: dict[str, LinearMap],
-                      omega: dict[tuple[str, str], LinearMap]) -> VBGroupoid:
-    """Semi-direct product VB-groupoid of ``g`` acting on ``c`` by the
-    quasi-actions and transformation cochain omega, which are not checked.
-    It is here, not in ``semidirect``, because ``ruth`` imports this module.
-
-    Arrow fibers over g are ordered (degree-0 block at tgt g, degree-1 block
-    at src g): the triple (g, e0, e1) is stored as the column (e0; e1).
-    Source picks e1, target is diff(e0) + lambda1(e1), multiplication twists
-    by the transformation cochain, and inverses follow the closed formula,
-    all exactly."""
-    objdim = {x: c.dim1[x] for x in g.objects}
-    arrdim = {a: c.dim0[g.tgt[a]] + c.dim1[g.src[a]] for a in g.arrows}
-    stilde, ttilde, utilde, inv_map = {}, {}, {}, {}
-    for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        d0t, d1s = c.dim0[t], c.dim1[s]
-        stilde[a] = linalg.hstack(LinearMap.zero(c.dim1[s], d0t), LinearMap.identity(d1s))
-        ttilde[a] = linalg.hstack(c.diff[t], lambda1[a])
-        b = g.inv[a]
-        # (g,e0,e1)^{-1} = (g^{-1}, -l0_{g^{-1}} e0 + Omega_{g^{-1},g} e1,
-        #                   diff e0 + l1_g e1)
-        inv_map[a] = linalg.vstack(
-            linalg.hstack(-lambda0[b], omega[(b, a)]),
-            linalg.hstack(c.diff[t], lambda1[a]))
-    for x in g.objects:
-        utilde[x] = linalg.vstack(LinearMap.zero(c.dim0[x], c.dim1[x]),
-                                  LinearMap.identity(c.dim1[x]))
-
-    def product(g1, g2, e, f):
-        # (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)
-        d0t, d1s, d1s2 = c.dim0[g.tgt[g1]], c.dim1[g.src[g1]], c.dim1[g.src[g2]]
-        m = linalg.vstack(
-            linalg.hstack(LinearMap.identity(d0t), LinearMap.zero(d0t, d1s),
-                          lambda0[g1], -omega[(g1, g2)]),
-            linalg.hstack(LinearMap.zero(d1s2, arrdim[g1] + arrdim[g2] - d1s2),
-                          LinearMap.identity(d1s2)))
-        return m.split_product(e, f, cut=m.rows)[0]
-
-    return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
-
-
 def phi_object(c: TwoTermComplex) -> VBGroupoid:
     """Sum groupoid of a complex: the semi-direct product of the unit
     groupoid on its points acting by identities with zero omega, so per
     point the arrows are the direct sum with target diff + proj."""
-    return semidirect_bundle(
+    return semidirect(Ruth(
         trivial_groupoid(c.base), c,
         {x: LinearMap.identity(c.dim0[x]) for x in c.base},
         {x: LinearMap.identity(c.dim1[x]) for x in c.base},
-        {(x, x): LinearMap.zero(c.dim0[x], c.dim1[x]) for x in c.base})
+        {(x, x): LinearMap.zero(c.dim0[x], c.dim1[x]) for x in c.base}), validate=False)
 
 
 def phi_onemorphism(f: ChainMap) -> VBMap:

@@ -18,7 +18,7 @@ from ruthvb.errors import CompositionError, StructureError
 from ruthvb.groupoid import pair_groupoid, validate_groupoid
 from ruthvb.harness import fixtures, generators as gen
 from ruthvb.linalg import LinearMap, kernel_basis
-from ruthvb.reports import Report
+from ruthvb.reports import ColumnCheck, Report
 from ruthvb.ruth import Ruth, gauge_transport, identity_morphism
 from ruthvb.semidirect import psi_morphism, semidirect
 from ruthvb.twoterm import TwoTermComplex, phi_twomorphism
@@ -499,3 +499,18 @@ def test_multiply_count_does_not_grow_with_the_fiber(monkeypatch):
         counts.append((checks, conversions, actions))
     assert counts[0] == counts[1]
     assert all(counts[0])
+
+
+def test_sides_of_different_shape_are_one_violation_at_the_location():
+    """No column of such a check is read; its shapes are the two sides.  An
+    equal-shape check beside it reports exactly as it does alone."""
+    mismatched = ColumnCheck("c", LinearMap.identity(1), LinearMap.from_rows([[1, 0]]))
+    rep = Report("t")
+    rep.expect_columns("w", [mismatched])
+    assert [(e.check, e.location, e.expected, e.actual) for e in rep.entries] == [
+        ("c", "w", "1x1 block", "1x2 block")]
+    unequal = ColumnCheck("d", LinearMap.identity(2), LinearMap.zero(2, 2))
+    alone, both = Report("t"), Report("t")
+    alone.expect_columns("w", [unequal])
+    both.expect_columns("w", [mismatched, unequal])
+    assert both.entries == rep.entries + alone.entries and len(alone.entries) == 2

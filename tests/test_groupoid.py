@@ -50,6 +50,20 @@ def test_invalid_inverse_reported():
     assert any("inverse" in e.check for e in rep.entries)
 
 
+def test_unit_with_wrong_endpoints_reported_at_its_object():
+    g = pair_groupoid(["x", "y"])
+    broken = dataclasses.replace(g, unit={**g.unit, "x": "p:x>y:0"})
+    entries = validate_groupoid(broken).entries
+    assert ("unit-endpoints", "object x") in [(e.check, e.location) for e in entries]
+
+
+def test_inverse_with_wrong_endpoints_reported_once_at_its_arrow():
+    g = pair_groupoid(["x", "y"])
+    broken = dataclasses.replace(g, inv={**g.inv, "p:x>y:0": "p:x>y:0"})
+    entries = validate_groupoid(broken).entries
+    assert [(e.check, e.location) for e in entries] == [("inverse-endpoints", "p:x>y:0")]
+
+
 def test_malformed_tables_raise():
     g = z2_groupoid()
     with pytest.raises(StructureError):

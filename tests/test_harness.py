@@ -1031,11 +1031,27 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
     """The package loads none of its modules itself, so no import order is
     fixed for them: each one, imported first in a new interpreter, must load
     without depending on another having been loaded before it."""
+    result = _run_fresh(f"import {module}")
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_ruth_layer_loads_without_the_two_term_layer():
+    """The two-term complex lives in ``ruth``, and ``twoterm`` builds its sum
+    groupoid through ``semidirect``: both sit above ``ruth``, so importing
+    ``ruth`` first in a new interpreter loads neither of them."""
+    result = _run_fresh("import sys, ruthvb.ruth; print(*sys.modules)")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "ruthvb.ruth" in loaded and "ruthvb.cochains" in loaded
+    assert not loaded & {"ruthvb.twoterm", "ruthvb.semidirect"}
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that finds this checkout's package."""
     path = [str(Path(ruthvb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 WORKLOADS = REPO_FIXTURES.parent / "perfbench" / "workloads.py"

@@ -170,6 +170,29 @@ def test_connections_compare_by_sigma():
     assert c != Connection(c.vb, moved, c.rule)
 
 
+def _bumped(c, arrow, row):
+    s = c.sigma[arrow]
+    return Connection(c.vb, {**c.sigma, arrow: s.with_entry(row, 0, s.entry(row, 0) + 1)},
+                      c.rule)
+
+
+def test_connection_report_locates_a_bumped_section():
+    """A bump at a unit arrow breaks unitality at its object; a bump in the
+    degree-1 rows elsewhere breaks the splitting at that arrow.  A bump in
+    row 0, the degree-0 block, is invisible to stilde = [0 | I]."""
+    c = find_unital_connection(semidirect(pair_strict_ruth()))
+    assert connection_report(c).passed
+
+    def found(rep):
+        return [(e.check, e.location) for e in rep.entries]
+
+    assert found(connection_report(_bumped(c, "p:x>x:0", 0))) == [("unital", "object x")]
+    last = c.sigma["p:x>y:0"].rows - 1
+    assert found(connection_report(_bumped(c, "p:x>y:0", last))) == [
+        ("splits-source", "p:x>y:0")]
+    assert connection_report(_bumped(c, "p:x>y:0", 0)).passed
+
+
 def test_connection_on_trivial_base_bundle_is_unit_section():
     c0 = gen.random_complex(random.Random(2), max_dim=2)
     v = phi_object(c0)
