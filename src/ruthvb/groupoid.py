@@ -161,18 +161,18 @@ def trivial_groupoid(objects) -> FiniteGroupoid:
     )
 
 
-def cyclic_groupoid(n: int, obj: str = "*", prefix: str = "r") -> FiniteGroupoid:
-    """One-object groupoid with cyclic isotropy of order n (r0 is the unit)."""
-    arrows = [f"{prefix}{k}" for k in range(n)]
+def cyclic_groupoid(n: int) -> FiniteGroupoid:
+    """The cyclic group of order n as a groupoid on the one object "*":
+    arrow rk is k steps round, r0 is the unit."""
+    arrows = [f"r{k}" for k in range(n)]
     return FiniteGroupoid(
-        objects=[obj],
+        objects=["*"],
         arrows=arrows,
-        src={a: obj for a in arrows},
-        tgt={a: obj for a in arrows},
-        unit={obj: f"{prefix}0"},
-        comp={(f"{prefix}{i}", f"{prefix}{j}"): f"{prefix}{(i + j) % n}"
-              for i in range(n) for j in range(n)},
-        inv={f"{prefix}{i}": f"{prefix}{(n - i) % n}" for i in range(n)},
+        src={a: "*" for a in arrows},
+        tgt={a: "*" for a in arrows},
+        unit={"*": "r0"},
+        comp={(f"r{i}", f"r{j}"): f"r{(i + j) % n}" for i in range(n) for j in range(n)},
+        inv={f"r{i}": f"r{(n - i) % n}" for i in range(n)},
     )
 
 

@@ -163,19 +163,16 @@ def random_chain_map(rng, c: TwoTermComplex, d: TwoTermComplex) -> ChainMap:
         a1, b1 = d.dim1[x], c.dim1[x]
         n0, n1 = a0 * b0, a1 * b1
 
-        def residual(z):
-            """Column k is the chain square f1 . diff_c - diff_d . f0, row-major,
-            of column k of z, the row-major entries of (f0, f1)."""
-            def square(col):
-                s = (LinearMap(a1, b1, col[n0:], z.den) @ c.diff[x]
-                     - d.diff[x] @ LinearMap(a0, b0, col[:n0], z.den))
-                return LinearMap(a1 * b0, 1, s.nums, s.den)
+        def square(k):
+            """The chain square f1 . diff_c - diff_d . f0, row-major, at the
+            k-th basis vector of the row-major entries of (f0, f1)."""
+            e = tuple(int(i == k) for i in range(n0 + n1))
+            s = LinearMap(a1, b1, e[n0:]) @ c.diff[x] - d.diff[x] @ LinearMap(a0, b0, e[:n0])
+            return LinearMap(a1 * b0, 1, s.nums, s.den)
 
-            # the empty first block keeps the row count when z has no columns
-            return linalg.hstack(LinearMap.zero(a1 * b0, 0),
-                                 *(square(z.nums[k::z.cols]) for k in range(z.cols)))
-
-        chart = linalg.kernel_chart(residual(LinearMap.identity(n0 + n1)))
+        # the empty first block keeps the row count when (f0, f1) has no entries
+        chart = linalg.kernel_chart(linalg.hstack(LinearMap.zero(a1 * b0, 0),
+                                                  *(square(k) for k in range(n0 + n1))))
         draws = LinearMap.from_columns([[rand_fraction(rng) for _ in chart.free]], len(chart.free))
         sol0, sol1 = chart.basis_map.split_product(draws, cut=n0)
         f0[x] = LinearMap(a0, b0, sol0.nums, sol0.den)

@@ -65,9 +65,12 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_dict(d: dict) -> FiniteGroupoid:
+    objects = _ids(d["objects"], "objects")
+    if not objects:
+        raise StructureError("groupoid has no objects: a check over it would pass vacuously")
     arrows = [json_typed(a, dict, "arrows entry") for a in json_typed(d["arrows"], list, "arrows")]
     return FiniteGroupoid(
-        objects=_ids(d["objects"], "objects"),
+        objects=objects,
         arrows=[a["id"] for a in arrows],
         src={a["id"]: a["src"] for a in arrows},
         tgt={a["id"]: a["tgt"] for a in arrows},
@@ -143,11 +146,16 @@ def dumps_instance(kind: str, obj: Any, metadata: dict | None = None) -> str:
 
 def parse_json(text: str, **options):
     """``json.loads`` that refuses, as StructureError, an object key stated
-    twice and a document nested deeper than the parser can go."""
+    twice, a document nested deeper than the parser can go, and an integer
+    longer than Python converts; a syntax error stays JSONDecodeError."""
     try:
         return json.loads(text, object_pairs_hook=partial(_table, what="object key"), **options)
     except RecursionError:
         raise StructureError("JSON nested too deeply to parse") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise StructureError(f"JSON number not readable: {exc}") from None
 
 
 def load_instance(text: str, expect_kind: str | None = None):

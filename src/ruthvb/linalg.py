@@ -38,15 +38,13 @@ testing each factor, and builds the maps it returns; ``@`` is the case of
 no second block and no cut, and returns one map.  The cost of building one
 grows with m * k * n, so a product of more than ``MAX_PRODUCT_TERMS``
 terms, or an empty one, runs a loop instead, forming a term only where
-both factors are nonzero.  One ``Fraction`` loop is left:
-:meth:`LinearMap.apply` multiplies one vector of ``Fraction`` s, forms a
-product only where the matrix entry and the vector entry are both
-nonzero, takes the other factor as the term when one of them is 1, and
-starts each sum from its first term.  The row reduction is fraction-free
-Gauss-Jordan elimination on the canonical numerators, so it divides only
-exactly.  ``vec_add`` and ``vec_sub`` pass zero operands through.  A
-skipped term is an exact zero, so every result is the same exact rational
-the dense sums give.
+both factors are nonzero; a skipped term is an exact zero, so the result
+is the same exact rational the dense sums give.  :meth:`LinearMap.apply`,
+``vec_add`` and ``vec_sub`` act on single vectors of ``Fraction`` s and
+form every term: the structure checks and conversions run on whole
+blocks, so only the cochain layer and reference computations call them.
+The row reduction is fraction-free Gauss-Jordan elimination on the
+canonical numerators, so it divides only exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Collection, Optional, Sequence
 
 from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
@@ -119,13 +117,13 @@ def vec_basis(n: int, i: int) -> Vector:
 def vec_add(a: Vector, b: Vector) -> Vector:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths {len(a)} != {len(b)}")
-    return tuple((x - y if x else -y) if y else x for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c, a: Vector) -> Vector:
@@ -452,21 +450,12 @@ class LinearMap:
         return LinearMap(self._rows, self._cols, tuple(-x for x in self._nums), self._den)
 
     def apply(self, v: Vector) -> Vector:
-        """The product of this map with v, skipping every zero term; a
-        coordinate with no nonzero term is ``ZERO``."""
+        """The product of this map with v, as ``Fraction`` s."""
         if len(v) != self._cols:
             raise DimensionError(f"map with {self._cols} columns applied to length-{len(v)} vector")
-        live = [(j, x) for j, x in enumerate(v) if x]
-        ent, cols, out = self.entries, self._cols, []
-        for i in range(self._rows):
-            base, acc = i * cols, None
-            for j, x in live:
-                a = ent[base + j]
-                if a:
-                    term = x if a == 1 else a if x == 1 else a * x
-                    acc = term if acc is None else acc + term
-            out.append(ZERO if acc is None else acc)
-        return tuple(out)
+        ent, cols = self.entries, self._cols
+        return tuple(sum(map(mul, ent[i * cols:(i + 1) * cols], v), ZERO)
+                     for i in range(self._rows))
 
     def is_zero(self) -> bool:
         return not any(self._nums)

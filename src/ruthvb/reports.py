@@ -87,10 +87,10 @@ class Report:
         if not self.passed:
             raise error(f"{message}:\n{self.to_text()}")
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
+    def extend(self, other: "Report", prefix: str) -> None:
+        """Append ``other``'s entries, each location prefixed by ``prefix``."""
         for e in other.entries:
-            loc = f"{prefix}{e.location}" if prefix else e.location
-            self.entries.append(CheckEntry(e.check, loc, e.expected, e.actual))
+            self.entries.append(CheckEntry(e.check, f"{prefix}{e.location}", e.expected, e.actual))
 
     def to_dict(self) -> dict:
         return {

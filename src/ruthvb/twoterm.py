@@ -189,7 +189,9 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     The degree-1 fibers are the object fibers, the degree-0 fibers are the
     kernels of the source map in the canonical kernel basis, and the
     differential is the target map restricted to them.  The returned map
-    sends (c0, c1) to ``J c0 + unit(c1)`` and is verified invertible."""
+    sends (c0, c1) to ``J c0 + unit(c1)`` and is verified as a VB map, so
+    it is invertible: the square ``[J | unit]`` sends no nonzero (c0, c1)
+    to zero, as J spans the kernel of the source map and unit splits it."""
     if not v.is_linear_bundle():
         raise StructureError("split_bundle needs a bundle over the unit groupoid of its points")
     points = list(v.base.objects)
@@ -208,15 +210,14 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
                 {p: LinearMap.identity(v.objdim[p]) for p in points},
                 {p: linalg.hstack(inj[p], v.utilde[p]) for p in points})
     validate_vb_map(iso).require(StructureError, "bundle splitting failed verification")
-    for p in points:
-        if not linalg.is_invertible(iso.arr_maps[p]):
-            raise StructureError(f"bundle splitting is not invertible at {p}")
     return c, iso
 
 
 def _phi_image_complex(v: VBGroupoid) -> TwoTermComplex:
-    """Read the complex off a sum-groupoid-shaped bundle, insisting on the
-    canonical block form (source map = [0 | id])."""
+    """Read the complex off a sum-groupoid-shaped bundle, insisting on a
+    linear bundle in the canonical block form (source map = [0 | id])."""
+    if not v.is_linear_bundle():
+        raise NotInducedError("bundle is not linear: its base is not the unit groupoid")
     points = list(v.base.objects)
     dim0, dim1, diff = {}, {}, {}
     for p in points:

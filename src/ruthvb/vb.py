@@ -363,16 +363,11 @@ def connection_report(c: Connection) -> Report:
 def find_unital_connection(v: VBGroupoid) -> Connection:
     """Deterministic unital connection: the unit section over units, the
     leftmost-pivot right inverse of the source map elsewhere."""
-    sigma = {}
-    for a in v.base.arrows:
-        if v.base.is_unit(a):
-            x = v.base.src[a]
-            if not linalg.compose(v.stilde[a], v.utilde[x]).is_identity():
-                raise StructureError(f"unit section at {x} does not split the source map")
-            sigma[a] = v.utilde[x]
-        else:
-            sigma[a] = linalg.right_inverse_on_image(v.stilde[a])
-    return Connection(v, sigma, rule="unit-section at units, leftmost pivot elsewhere")
+    sigma = {a: v.utilde[v.base.src[a]] if v.base.is_unit(a)
+             else linalg.right_inverse_on_image(v.stilde[a]) for a in v.base.arrows}
+    c = Connection(v, sigma, rule="unit-section at units, leftmost pivot elsewhere")
+    connection_report(c).require(StructureError, "found connection failed verification")
+    return c
 
 
 def kernel_groupoid(v: VBGroupoid) -> VBGroupoid:

@@ -11,6 +11,7 @@ import math
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,8 @@ from ruthvb import linalg
 from ruthvb.errors import RuthVBError
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
-from ruthvb.groupoid import FiniteGroupoid, disjoint_union, z2_groupoid
+from ruthvb.groupoid import FiniteGroupoid, disjoint_union, validate_groupoid, z2_groupoid
+from ruthvb.reports import CheckEntry, Report
 from ruthvb.ruth import identity_morphism
 from ruthvb.semidirect import semidirect
 from ruthvb.twoterm import identity_chain_map, phi_twomorphism, zero_homotopy
@@ -258,6 +260,35 @@ def test_cli_validate_repeated_base_point_exits_2(tmp_path, capsys):
     assert "parse error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", [["validate"], ["convert", "--from", "ruth", "--to", "vb"]])
+def test_cli_an_integer_too_long_to_convert_exits_2(tmp_path, capsys, verb):
+    """Python converts no integer of more than 4,300 digits.  json.dumps
+    cannot write one either, so the file is written as text."""
+    bad = tmp_path / "long.json"
+    bad.write_text('{"kind": "ruth", "payload": {"groupoid": {"max_degree": '
+                   + "1" * 5000 + "}}}")
+    assert main(verb[:1] + [str(bad)] + verb[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+EMPTY_GROUPOID = {"objects": [], "arrows": [], "units": {}, "compose": [], "inverse": {}}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("groupoid", EMPTY_GROUPOID),
+    ("ruth", {"groupoid": EMPTY_GROUPOID,
+              "complex": {"base": [], "dims0": {}, "dims1": {}, "diff": {}},
+              "lambda0": {}, "lambda1": {}, "omega": []}),
+])
+def test_cli_validate_refuses_a_groupoid_with_no_objects(tmp_path, capsys, kind, payload):
+    """Every check over a groupoid with no objects would pass vacuously."""
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main(["validate", str(bad)]) == 2
+    assert "parse error: groupoid has no objects" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, path", [
     ("z2-ruth-1", ("groupoid", "max_degree")),
     ("z2-ruth-1", ("complex", "dims0", "*")),
@@ -368,6 +399,91 @@ def test_cli_roundtrip_pipelines(pipeline, capsys):
 def test_cli_roundtrip_with_file(capsys):
     assert main(["roundtrip", str(REPO_FIXTURES / "z2-ruth-1.json"),
                  "--pipeline", "triangle", "--trials", "1", "--seed", "1"]) == 0
+
+
+def _failing_roundtrip(capsys, pipeline, *file) -> list[tuple[str, str, str]]:
+    """The (check, location, expected) entries of one failing trial."""
+    assert main(["roundtrip", *file, "--pipeline", pipeline, "--trials", "1", "--seed", "1",
+                 "--max-dim", "2", "--format", "json"]) == 1
+    return [(e["check"], e["location"], e["expected"])
+            for e in json.loads(capsys.readouterr().out)["entries"]]
+
+
+def _differs(*args, **kwargs):
+    return None
+
+
+def _raises(*args, **kwargs):
+    raise RuthVBError("broken witness")
+
+
+@pytest.mark.parametrize("pipeline, name, fake, entry", [
+    ("ruth-vb", "ruth_from_wrep", _differs,
+     ("ruth-vb-roundtrip", "trial 0", "recovered representation equals input")),
+    ("triangle", "triangle_witness", _raises, ("triangle", "trial 0", "verified isomorphism")),
+    ("phi-hom", "extract_chain_map", _differs,
+     ("phi-hom", "trial 0 (chain map)", "exact recovery")),
+    ("phi-hom", "extract_homotopy", _differs, ("phi-hom", "trial 0 (homotopy)", "exact recovery")),
+    ("phi-hom", "split_bundle", lambda v: (None, None),
+     ("phi-hom", "trial 0 (split)", "identity change of basis")),
+], ids=["ruth-vb", "triangle", "phi-hom-chain-map", "phi-hom-homotopy", "phi-hom-split"])
+def test_each_roundtrip_check_can_fail(monkeypatch, capsys, pipeline, name, fake, entry):
+    """A converter that breaks makes its pipeline's check fail, at the trial."""
+    monkeypatch.setattr(cli, name, fake)
+    assert _failing_roundtrip(capsys, pipeline) == [entry]
+
+
+def _identity_equivariant_file(tmp_path) -> str:
+    path = tmp_path / "e.json"
+    path.write_text(serialize.dumps_instance(
+        "equivariant", identity_equivariant(wrep_from_ruth(fixtures.z2_ruth(1)))))
+    return str(path)
+
+
+def test_act_ff_flags_a_reconstruction_that_differs(tmp_path, monkeypatch, capsys):
+    """Twice the reconstruction is still a map the functor can act on."""
+    reconstruct = cli.reconstruct_equivariant
+
+    def doubled(phi, source, target):
+        e = reconstruct(phi, source, target)
+        return dataclasses.replace(e, **{name: {k: m + m for k, m in getattr(e, name).items()}
+                                         for name in ("f0", "f1", "delta")})
+
+    monkeypatch.setattr(cli, "reconstruct_equivariant", doubled)
+    assert _failing_roundtrip(capsys, "act-ff", _identity_equivariant_file(tmp_path)) == [
+        ("act-ff", "trial 0", "reconstruction equals input"),
+        ("act-ff", "trial 0", "round trip fixes the map")]
+
+
+def test_act_ff_flags_a_round_trip_that_moves_the_map(tmp_path, monkeypatch, capsys):
+    act, calls = cli.act_on_morphism, []
+
+    def second_differs(e, validate):
+        calls.append(e)
+        return act(e, validate=validate) if len(calls) == 1 else None
+
+    monkeypatch.setattr(cli, "act_on_morphism", second_differs)
+    assert _failing_roundtrip(capsys, "act-ff", _identity_equivariant_file(tmp_path)) == [
+        ("act-ff", "trial 0", "round trip fixes the map")]
+
+
+def test_vb_wrep_reports_a_failing_kernel_action_as_a_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "vb_to_wrep", _raises)
+    assert main(["roundtrip", "--pipeline", "vb-wrep", "--trials", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "check failure: broken witness\n"
+
+
+def test_wrep_ruth_reports_a_witness_that_fails_under_its_trial(monkeypatch, capsys):
+    recover = cli.ruth_from_wrep_with_witness
+
+    def bumped(w):
+        out, witness = recover(w)
+        return out, dataclasses.replace(witness, f0={
+            x: m.with_entry(0, 0, m.entry(0, 0) + 1) for x, m in witness.f0.items()})
+
+    monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", bumped)
+    found = _failing_roundtrip(capsys, "wrep-ruth", str(REPO_FIXTURES / "z2-ruth-1-wrep.json"))
+    assert found and all(loc.startswith("trial 0: witness: ") for _, loc, _ in found)
 
 
 def _wrep_with_renamed_unit_arrows(tmp_path) -> str:
@@ -573,6 +689,35 @@ def test_run_fuzz_kills_everything():
     report, killed, controls = run_fuzz(rng, trials=60)
     assert report.passed
     assert killed > 0
+
+
+def _fails_when_looked_at_again():
+    seen = set()
+
+    def validator(obj):
+        rep = Report("stub")
+        if id(obj) in seen:
+            rep.add("stub", "anywhere", "pass", "fail")
+        seen.add(id(obj))
+        return rep
+    return validator
+
+
+@pytest.mark.parametrize("validator, mutate, check, location", [
+    (lambda g: Report("stub", [CheckEntry("stub", "anywhere", "pass", "fail")]),
+     gen.mutate_groupoid_comp, "generator", r"trial \d+ \(groupoid\)"),
+    (_fails_when_looked_at_again(), lambda rng, g: None, "control", r"trial \d+ \(groupoid\)"),
+    (validate_groupoid, lambda rng, g: (g, "no-op"), "mutation-escape",
+     r"trial \d+ \(groupoid\) no-op"),
+], ids=["generator", "control", "mutation-escape"])
+def test_each_fuzz_check_can_fail(monkeypatch, validator, mutate, check, location):
+    """An invalid draw, a control the validator flags and a mutation it
+    passes are each reported at their trial."""
+    monkeypatch.setattr(cli, "FUZZ_KINDS",
+                        {"groupoid": (lambda rng, g, max_dim: g, validator, mutate)})
+    report, _, _ = run_fuzz(random.Random(1), trials=30)
+    assert report.entries and all(
+        e.check == check and re.fullmatch(location, e.location) for e in report.entries)
 
 
 def test_cli_report_verb(tmp_path, capsys):

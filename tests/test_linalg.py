@@ -5,7 +5,6 @@ import math
 import pickle
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,7 +132,7 @@ def _dense_compose(f, g):
         for i in range(f.rows) for j in range(g.cols)))
 
 
-# Zeros and units are the terms the kernel skips or does not multiply.
+# Zeros and units are the terms a sum could skip or leave unmultiplied.
 sparse_fractions = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
                              fractions)
 
@@ -320,46 +319,6 @@ def test_an_index_outside_the_map_raises_dimension_error(method, args):
         3, (2, 4), LinearMap.from_rows([[1, 2], [9, 4]]))
     with pytest.raises(DimensionError):
         getattr(f, method)(*args)
-
-
-class Counting:
-    """A stand-in scalar that counts the products and sums formed with it;
-    it is false when it stands for zero."""
-
-    def __init__(self, log: Counter, zero: bool = False):
-        self.log, self.zero = log, zero
-
-    def __bool__(self):
-        return not self.zero
-
-    def __rmul__(self, a):
-        self.log["products"] += 1
-        return self
-
-    def __radd__(self, other):
-        self.log["sums"] += 1
-        return self
-
-    __add__ = __radd__
-
-
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_apply_forms_no_product_with_a_zero_factor(n):
-    """Operation counts, independent of the machine: a product is formed
-    only where the matrix entry and the vector entry are both nonzero, and
-    a unit entry passes its vector entry through unmultiplied."""
-    def count(m, zeros=()):
-        log = Counter()
-        m.apply(tuple(Counting(log, j in zeros) for j in range(m.cols)))
-        return log["products"], log["sums"]
-
-    twice = LinearMap.from_entries(n, n, [2 * e for e in LinearMap.identity(n).entries])
-    assert count(LinearMap.identity(n)) == (0, 0)
-    assert count(twice) == (n, 0)
-    assert count(LinearMap.zero(n, n)) == (0, 0)
-    full = LinearMap.from_entries(n, n, (Fraction(3),) * (n * n))
-    assert count(full) == (n * n, n * (n - 1))
-    assert count(full, zeros=range(0, n, 2)) == (n * (n // 2), n * (n // 2 - 1))
 
 
 def test_is_identity_reads_entries():

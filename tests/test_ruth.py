@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ruthvb import linalg
+from ruthvb import linalg, ruth
 from ruthvb.cochains import ScalarCochain, SectionCochain, twisted_differential
 from ruthvb.equivalences import wrep_from_ruth
 from ruthvb.errors import (CompositionError, DegreeError, NotInvertibleError,
@@ -389,6 +389,25 @@ def test_leibniz_on_bases():
                                              for k in g.nerve_tuples(q)})
                     samples.append((b, f))
         assert check_leibniz(r, samples).passed
+
+
+def test_leibniz_flags_an_operator_that_is_no_derivation(monkeypatch):
+    """Twice the operator breaks the Leibniz rule wherever w * df is nonzero;
+    each failing sample is reported by its index and degrees."""
+    r = z2_ruth(1)
+    g = r.groupoid
+    f = ScalarCochain(g, 1, {("e",): 0, ("g",): 2})
+    samples = [(b, f) for n in (0, 1) for b in _total_basis(r, n)]
+    operator = total_operator
+
+    def doubled(r, c):
+        out = operator(r, c)
+        return TotalCochain(out.part0 + out.part0, out.part1 + out.part1)
+
+    monkeypatch.setattr(ruth, "total_operator", doubled)
+    found = [(e.check, e.location) for e in check_leibniz(r, samples).entries]
+    assert found and set(found) <= {
+        ("leibniz", f"sample {i}, |w|={w.degree}, |f|=1") for i, (w, _) in enumerate(samples)}
 
 
 def test_leibniz_trivial_cases():

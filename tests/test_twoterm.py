@@ -9,14 +9,17 @@ import pytest
 from ruthvb import linalg, twoterm
 from ruthvb.errors import CompositionError, NotInducedError, StructureError
 from ruthvb.harness import generators as gen
+from ruthvb.harness.fixtures import pair_strict_ruth, z2_ruth
 from ruthvb.harness.generators import random_chain_map, random_complex, random_homotopy_from
 from ruthvb.linalg import LinearMap
+from ruthvb.ruth import identity_morphism
+from ruthvb.semidirect import psi_morphism
 from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             check_interchange, compose_chain_maps,
                             extract_chain_map, extract_homotopy, hcompose,
                             identity_chain_map, phi_object, phi_onemorphism,
                             phi_twomorphism, split_bundle, vcompose, zero_homotopy)
-from ruthvb.vb import VBMap, validate_vb, validate_vb_map
+from ruthvb.vb import BundleTransformation, VBMap, validate_vb, validate_vb_map
 
 
 def random_interchange_square(rng, max_dim: int = 2):
@@ -242,11 +245,22 @@ def test_extract_homotopy_round_trip_and_rejection():
         assert extract_homotopy(phi_twomorphism(h)) == h
     f = scalar_map(LINE, LINE, 3, 3)
     t = phi_twomorphism(zero_homotopy(f))
-    from ruthvb.vb import BundleTransformation
     bad = BundleTransformation(t.from_map, t.to_map,
                                {"p": LinearMap.from_rows([[0], [7]])})
     with pytest.raises(NotInducedError):
         extract_homotopy(bad)
+
+
+@pytest.mark.parametrize("ruth", [z2_ruth(1), pair_strict_ruth()], ids=["z2", "pair"])
+def test_extraction_refuses_a_map_of_bundles_that_are_not_linear(ruth):
+    """Psi of a representation over a base with non-unit arrows is no bundle
+    functor of chain data; both extractions raise their documented error,
+    not a KeyError on a base point named like no arrow."""
+    f = psi_morphism(identity_morphism(ruth))
+    with pytest.raises(NotInducedError, match="not linear"):
+        extract_chain_map(f)
+    with pytest.raises(NotInducedError, match="not linear"):
+        extract_homotopy(BundleTransformation(f, f, dict(f.target.utilde)))
 
 
 TWO_POINTS = TwoTermComplex(["a", "b"], {"a": 1, "b": 1}, {"a": 1, "b": 1},
