@@ -9,6 +9,7 @@ groupoid, degree 0 using singleton object tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
@@ -122,16 +123,11 @@ class SectionCochain:
 
 def faces(g: FiniteGroupoid, tup: Key) -> list[tuple[Key, int]]:
     """The faces of a composable (k+1)-tuple as degree-k keys, each with its
-    sign in the coboundary: face 0 drops the first arrow (+1), face i
-    composes arrows i-1 and i ((-1)^i), and face k+1 drops the last
-    ((-1)^(k+1)).  The faces of one arrow are its source and its target
-    object.  This is the one statement of the simplicial sign convention."""
-    k = len(tup) - 1
-    if k == 0:
-        return [((g.src[tup[0]],), 1), ((g.tgt[tup[0]],), -1)]
-    inner = [(tup[:i - 1] + (g.compose(tup[i - 1], tup[i]),) + tup[i + 1:], -1 if i % 2 else 1)
-             for i in range(1, k + 1)]
-    return [(tup[1:], 1), *inner, (tup[:-1], -1 if k % 2 == 0 else 1)]
+    sign in the coboundary, read off :meth:`FiniteGroupoid.face_table`,
+    which states the simplicial sign convention.  The faces of one arrow
+    are its source and its target object."""
+    keys, tuples = g.nerve_tuples(len(tup) - 1), g.nerve_tuples(len(tup))
+    return [(keys[j], sign) for j, sign in g.face_table(len(tup))[bisect_left(tuples, tup)]]
 
 
 def coboundary(f: ScalarCochain) -> ScalarCochain:
@@ -141,13 +137,9 @@ def coboundary(f: ScalarCochain) -> ScalarCochain:
     g = f.groupoid
     n = f.degree
     _check_degree(g, n + 1)
-    out = {}
-    for tup in g.nerve_tuples(n + 1):
-        total = ZERO
-        for key, sign in faces(g, tup):
-            total = total + f.values[key] if sign > 0 else total - f.values[key]
-        out[tup] = total
-    return ScalarCochain(g, n + 1, out)
+    return ScalarCochain(g, n + 1, {
+        tup: sum((sign * f.values[key] for key, sign in faces(g, tup)), ZERO)
+        for tup in g.nerve_tuples(n + 1)})
 
 
 def star(w: SectionCochain, f: ScalarCochain) -> SectionCochain:
@@ -160,16 +152,8 @@ def star(w: SectionCochain, f: ScalarCochain) -> SectionCochain:
     _check_degree(g, p + q)
     out = {}
     for tup in g.nerve_tuples(p + q):
-        wkey = tup if p + q == 0 else tup[:p]
-        fkey = tup[p:]
-        if p == 0:
-            wv = w.values[(g.tuple_target(tup, p + q),)]
-        else:
-            wv = w.values[wkey]
-        if q == 0:
-            fv = f.values[(g.tuple_source(tup, p + q),)]
-        else:
-            fv = f.values[fkey]
+        wv = w.values[tup[:p] if p else (g.tuple_target(tup, p + q),)]
+        fv = f.values[tup[p:] if q else (g.tuple_source(tup, p + q),)]
         out[tup] = vec_scale(fv, wv)
     return SectionCochain(g, w.coeffs, w.layer, p + q, out)
 
@@ -181,8 +165,7 @@ def twisted_differential(lam: Mapping[str, LinearMap], w: SectionCochain) -> Sec
     g = w.groupoid
     k = w.degree
     _check_degree(g, k + 1)
-    dims_ok = all(a in lam for a in g.arrows)
-    if not dims_ok:
+    if not all(a in lam for a in g.arrows):
         raise StructureError("quasi-action table missing arrows")
     out = {}
     for tup in g.nerve_tuples(k + 1):

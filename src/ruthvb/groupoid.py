@@ -9,6 +9,7 @@ source/target convention ``comp(g1, g2)`` defined exactly when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import CompositionError, StructureError
 from .reports import Report
@@ -31,6 +32,8 @@ class FiniteGroupoid:
     max_degree: int = field(default=4, compare=False)
     _nerves: dict[int, tuple[tuple[str, ...], ...]] = field(
         default_factory=dict, init=False, compare=False)
+    _faces: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = field(
+        default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         self.objects = tuple(sorted(self.objects))
@@ -42,6 +45,7 @@ class FiniteGroupoid:
         self.inv = dict(self.inv)
         self._check_well_formed()
         self.unit_arrows = frozenset(self.unit.values())
+        self._into = {x: [a for a in self.arrows if self.tgt[a] == x] for x in self.objects}
 
     def _check_well_formed(self):
         if self.max_degree < 0:
@@ -96,15 +100,46 @@ class FiniteGroupoid:
             elif p == 1:
                 self._nerves[p] = tuple((a,) for a in self.arrows)
             else:
-                prev = self.nerve_tuples(p - 1)
-                out = []
-                for tup in prev:
-                    last_src = self.src[tup[-1]]
-                    for a in self.arrows:
-                        if self.tgt[a] == last_src:
-                            out.append(tup + (a,))
-                self._nerves[p] = tuple(out)
+                self._nerves[p] = tuple(tup + (a,) for tup in self.nerve_tuples(p - 1)
+                                        for a in self._into[self.src[tup[-1]]])
         return self._nerves[p]
+
+    def face_table(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row t: the faces of ``nerve_tuples(k)[t]``, k >= 1, as (index into
+        ``nerve_tuples(k - 1)``, sign): face 0 drops the first arrow, face i
+        composes arrows i - 1 and i (from 0), face k drops the last, and
+        face i has sign (-1)^i; an arrow's faces are its source and target.
+        This is the one statement of the simplicial sign convention.  Row
+        s + (a,) reads row s: faces i <= k - 2 are those of s extended by a,
+        face k - 1 is s[:-1] extended by s[-1] a, and face k is s; a
+        composite with the wrong endpoints raises ``StructureError``."""
+        if k not in self._faces:
+            if k == 1:
+                at = {x: j for j, x in enumerate(self.objects)}
+                faces = [[at[self.src[a]] for a in self.arrows],
+                         [at[self.tgt[a]] for a in self.arrows]]
+            else:
+                # nerve_tuples(k - 2)[j] + (a,) is nerve_tuples(k - 1)[start[j] + pos[a]]
+                if k == 2:  # an object extended by an arrow is the arrow
+                    pos, start = {a: i for i, a in enumerate(self.arrows)}, [0] * len(self.objects)
+                    if any((self.src[c], self.tgt[c]) != (self.src[a], self.tgt[b])
+                           for (b, a), c in self.comp.items()):
+                        raise StructureError("a composite has the wrong endpoints")
+                else:
+                    pos = {a: i for into in self._into.values() for i, a in enumerate(into)}
+                    start = [0, *accumulate(len(self._into[self.src[tup[-1]]])
+                                            for tup in self.nerve_tuples(k - 2))]
+                prev = self.face_table(k - 1)
+                ext = [(s, tup[-1], a) for s, tup in enumerate(self.nerve_tuples(k - 1))
+                       for a in self._into[self.src[tup[-1]]]]
+                faces = [[start[prev[s][i][0]] + pos[a] for s, _, a in ext] for i in range(k - 1)]
+                faces += [[start[prev[s][-1][0]] + pos[self.comp[(b, a)]] for s, b, a in ext],
+                          [s for s, _, _ in ext]]
+            # faces[i][t] is face i of row t; rows share their (index, sign) pairs
+            signed = [[(j, sign) for j in range(len(self.nerve_tuples(k - 1)))] for sign in (1, -1)]
+            self._faces[k] = tuple(zip(*(map(signed[i % 2].__getitem__, face)
+                                         for i, face in enumerate(faces))))
+        return self._faces[k]
 
     def tuple_target(self, tup: tuple[str, ...], degree: int) -> str:
         """t_p: the target of the full composite (the object for degree 0)."""

@@ -194,6 +194,7 @@ def cmd_roundtrip(args) -> int:
                                             expect_kind=file_kind)
         pre = VALIDATORS[file_kind](obj)
         if not pre.passed:
+            pre.subject = f"input {file_kind} {args.file}"
             print(pre.to_text(), file=sys.stderr)
             return 1
     rng = random.Random(args.seed)

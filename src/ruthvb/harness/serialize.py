@@ -35,8 +35,12 @@ class Codec(NamedTuple):
     decode: Callable[[Any, str, Callable[[dict], LinearMap]], Any]
 
 
-def _ids(value, key: str) -> list:
-    return [json_typed(x, str, f"{key} entry") for x in json_typed(value, list, key)]
+def _ids(value, key: str, none: str) -> list:
+    """Identifiers; ``none`` names their absence, refused as vacuous."""
+    ids = [json_typed(x, str, f"{key} entry") for x in json_typed(value, list, key)]
+    if not ids:
+        raise StructureError(f"{none}: a check over it would pass vacuously")
+    return ids
 
 
 def _triples(value, key: str):
@@ -65,9 +69,7 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_dict(d: dict) -> FiniteGroupoid:
-    objects = _ids(d["objects"], "objects")
-    if not objects:
-        raise StructureError("groupoid has no objects: a check over it would pass vacuously")
+    objects = _ids(d["objects"], "objects", "groupoid has no objects")
     arrows = [json_typed(a, dict, "arrows entry") for a in json_typed(d["arrows"], list, "arrows")]
     return FiniteGroupoid(
         objects=objects,
@@ -98,7 +100,7 @@ def _schema(cls, *fields) -> Codec:
     return Codec(encode, decode)
 
 
-_IDS = Codec(list, lambda v, key, read_map: _ids(v, key))
+_BASE = Codec(list, lambda v, key, read_map: _ids(v, key, "complex has no base points"))
 _DIMS = Codec(dict, lambda v, key, read_map: {x: json_int(n, f"{key} at {x}", MAX_DIM)
                                               for x, n in json_typed(v, dict, key).items()})
 _MAPS = Codec(lambda t: {k: map_to_dict(m) for k, m in t.items()},
@@ -111,7 +113,7 @@ _PAIRS = Codec(lambda t: sorted([g1, g2, map_to_dict(m)] for (g1, g2), m in t.it
 
 _GROUPOID = Codec(groupoid_to_dict,
                   lambda d, key, read_map: groupoid_from_dict(json_typed(d, dict, key)))
-_COMPLEX = _schema(TwoTermComplex, ("base", _IDS), ("dims0", _DIMS), ("dims1", _DIMS),
+_COMPLEX = _schema(TwoTermComplex, ("base", _BASE), ("dims0", _DIMS), ("dims1", _DIMS),
                    ("diff", _MAPS))
 _RUTH = _schema(Ruth, ("groupoid", _GROUPOID), ("complex", _COMPLEX), ("lambda0", _MAPS),
                 ("lambda1", _MAPS), ("omega", _PAIRS))

@@ -21,10 +21,10 @@ satisfies the graded Leibniz rule D(w*f) = (Dw)*f + (-1)^|w| w*(df)
 on the nose, and squares to zero exactly when the four identities hold.
 The basis of total degree n lists the layer-0 part first, then the
 layer-1 part, each in nerve order, then fiber order.  ``operator_columns``
-builds D_n in that basis as sparse integer columns, read straight off the
-nerve and scaled by one common denominator; ``total_operator`` applies it
-to a cochain's coordinates, and ``square_is_zero`` multiplies D_{n+1} by
-D_n one column at a time.
+builds D_n in that basis as sparse integer columns scaled by one common
+denominator, each block at integer offsets read through the groupoid's
+face tables; ``total_operator`` applies it to a cochain's coordinates, and
+``square_is_zero`` multiplies D_{n+1} by D_n into dense integer columns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .cochains import Key, ScalarCochain, SectionCochain, coboundary, faces, star
+from .cochains import ScalarCochain, SectionCochain, coboundary, star
 from .cochains import twisted_differential  # noqa: F401  (the benchmark's tracer wraps it here)
 from .errors import (CompositionError, DegreeError, NotInvertibleError,
                      StructureError)
@@ -285,16 +285,16 @@ class TotalCochain:
         return self.part0 == other.part0 and self.part1 == other.part1
 
 
-def _layout(r: Ruth, n: int) -> tuple[dict[Key, int], dict[Key, int], int]:
-    """The basis of total degree n: the offset of each layer-0 key of the
-    degree-n nerve, then of each layer-1 key of the degree-(n-1) nerve, each
-    key's block in fiber order; and the dimension."""
+def _layout(r: Ruth, n: int) -> tuple[list[int], list[int], int]:
+    """The basis of total degree n: the offsets of the layer-0 blocks over the
+    degree-n nerve, then of the layer-1 blocks over the degree-(n-1) nerve,
+    as lists in nerve order, each block in fiber order; and the dimension."""
     g, c = r.groupoid, r.complex
     parts, size = [], 0
     for k, dims in ((n, c.dim0), (n - 1, c.dim1)):
-        offsets = {}
+        offsets = []
         for tup in g.nerve_tuples(k) if k >= 0 else ():
-            offsets[tup] = size
+            offsets.append(size)
             size += dims[g.tuple_target(tup, k)]
         parts.append(offsets)
     return parts[0], parts[1], size
@@ -313,10 +313,10 @@ def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
     den the :func:`common_denominator`: column i maps row indices to
     entries, in the basis order of the module docstring.
 
-    Each output block reads a few input blocks straight off the nerve: the
-    faces of :func:`cochains.faces` through lambda (face 0) or the signed
-    identity (the others), omega at the first two arguments, and diff on the
-    layer-1 rows."""
+    Each output block reads a few input blocks at integer offsets of the
+    nerve, through the groupoid's face tables: lambda at face 0 and the
+    signed identity at the other faces, omega at the first two arguments
+    with its input at face 0 of face 0, and diff on the layer-1 rows."""
     g, c = r.groupoid, r.complex
     if n + 1 > g.max_degree:
         raise DegreeError(f"total degree {n + 1} exceeds the nerve bound {g.max_degree}")
@@ -325,35 +325,33 @@ def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
     out0, out1, _ = _layout(r, n + 1)
     columns: list[dict[int, int]] = [{} for _ in range(size)]
 
-    def scaled(table):
-        out = {}
-        for key, m in table.items():
-            nums, d = m.canonical
-            out[key] = [(k // m.cols, k % m.cols, x * (den // d)) for k, x in enumerate(nums) if x]
-        return out
+    def scaled(table, sign=1):
+        """sign * den times each map, as its nonzero (column, row, entry) triples."""
+        return {key: [(k % m.cols, k // m.cols, x * sign * den // m.canonical[1])
+                      for k, x in enumerate(m.canonical[0]) if x] for key, m in table.items()}
 
-    def put(block, row, col, sign):
-        for i, j, x in block:
-            column = columns[col + j]
-            column[row + i] = column.get(row + i, 0) + sign * x
+    def put(block, row, col):
+        for q, i, x in block:
+            column = columns[col + q]
+            column[row + i] = column.get(row + i, 0) + x
 
-    def twisted(lam, dims, rows, inputs, sign):
-        unit = {x: [(i, i, den) for i in range(d)] for x, d in dims.items()}
-        for tup, row in rows.items():
-            (first, _), *rest = faces(g, tup)
-            put(lam[tup[0]], row, inputs[first], sign)
-            for key, face_sign in rest:
-                put(unit[g.tgt[tup[0]]], row, inputs[key], sign * face_sign)
+    def twisted(lam, dims, k, rows, inputs, sign):
+        for tup, row, ((first, _), *rest) in zip(g.nerve_tuples(k), rows, g.face_table(k)):
+            put(lam[tup[0]], row, inputs[first])
+            for q, i in enumerate(range(row, row + dims[g.tgt[tup[0]]])):
+                for j, s in rest:
+                    column = columns[inputs[j] + q]
+                    column[i] = column.get(i, 0) + s * sign * den
 
-    twisted(scaled(r.lambda0), c.dim0, out0, in0, 1)
+    twisted(scaled(r.lambda0), c.dim0, n + 1, out0, in0, 1)
     diff = scaled(c.diff)
-    for tup, row in out1.items():
-        put(diff[g.tuple_target(tup, n)], row, in0[tup], 1)
+    for tup, row, col in zip(g.nerve_tuples(n), out1, in0):
+        put(diff[g.tuple_target(tup, n)], row, col)
     if n > 0:
-        omega = scaled(r.omega)
-        for tup, row in out0.items():
-            put(omega[tup[:2]], row, in1[tup[2:] if n > 1 else (g.src[tup[1]],)], 1)
-        twisted(scaled(r.lambda1), c.dim1, out1, in1, -1)
+        omega, inner = scaled(r.omega), g.face_table(n)
+        for tup, row, faces in zip(g.nerve_tuples(n + 1), out0, g.face_table(n + 1)):
+            put(omega[tup[:2]], row, in1[inner[faces[0][0]][0][0]])
+        twisted(scaled(r.lambda1, -1), c.dim1, n, out1, in1, -1)
     return columns
 
 
@@ -378,16 +376,17 @@ def total_operator(r: Ruth, c: TotalCochain) -> TotalCochain:
         dims = co.dim0 if layer == 0 else co.dim1
         return SectionCochain(g, co, layer, k, {
             tup: tuple(e / den for e in acc[o:o + dims[g.tuple_target(tup, k)]])
-            for tup, o in offsets.items()})
+            for tup, o in zip(g.nerve_tuples(k), offsets)})
 
     return TotalCochain(part(0, n + 1, out0), part(1, n, out1))
 
 
 def square_is_zero(r: Ruth) -> Report:
-    """Multiply den * D_{n+1} by den * D_n, one column at a time, for each
-    total degree n = 0..2; basis element i of total degree n squares to
-    nonzero exactly when column i of the product is nonzero.  Such i are
-    reported in ascending order.  Only D_n and D_{n+1} are held at once."""
+    """Multiply den * D_{n+1} by den * D_n, one column of D_n at a time into
+    a dense integer accumulator, for each total degree n = 0..2; basis
+    element i of total degree n squares to nonzero exactly when column i of
+    the product is nonzero.  Such i are reported in ascending order.  Only
+    D_n and D_{n+1} are held at once."""
     rep = Report("square-zero")
     # D_{n+1} D_n reads composable (n + 2)-tuples.  n = 1 already reaches the
     # triples of identity-4; n = 2 reaches nerve degree 4, a groupoid's
@@ -395,13 +394,13 @@ def square_is_zero(r: Ruth) -> Report:
     current = operator_columns(r, 0)
     for n in range(3):
         following = operator_columns(r, n + 1)
+        size = _layout(r, n + 2)[2]
         for i, column in enumerate(current):
-            acc: dict[int, int] = {}
+            acc = [0] * size
             for k, x in column.items():
-                if x:
-                    for j, y in following[k].items():
-                        acc[j] = acc.get(j, 0) + x * y
-            if any(acc.values()):
+                for j, y in following[k].items():
+                    acc[j] += x * y
+            if any(acc):
                 rep.add("square-zero", f"total degree {n}, basis {i}", "zero", "nonzero")
         current = following
     return rep

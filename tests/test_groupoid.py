@@ -3,13 +3,16 @@ and builders."""
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
+from ruthvb.cochains import faces
 from ruthvb.errors import CompositionError, StructureError
 from ruthvb.groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
                              pair_groupoid, transitive_groupoid, trivial_groupoid,
                              validate_groupoid, z2_groupoid)
+from ruthvb.harness.generators import random_groupoid
 
 ALL_BUILDERS = [
     z2_groupoid,
@@ -109,3 +112,44 @@ def test_tuple_endpoints_match_composite(build):
         full = g.compose(g.compose(tup[0], tup[1]), tup[2])
         assert g.tuple_target(tup, 3) == g.tgt[full]
         assert g.tuple_source(tup, 3) == g.src[full]
+
+
+def _faces_by_hand(g, tup):
+    """Face i of a composable tuple with its sign (-1)^i: an arrow's source
+    and target; else the tuple without its first arrow, with each pair of
+    neighbours composed, and without its last arrow."""
+    if len(tup) == 1:
+        return [((g.src[tup[0]],), 1), ((g.tgt[tup[0]],), -1)]
+    inner = [tup[:i] + (g.comp[(tup[i], tup[i + 1])],) + tup[i + 2:] for i in range(len(tup) - 1)]
+    return [(face, (-1) ** i) for i, face in enumerate([tup[1:], *inner, tup[:-1]])]
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 4])
+def test_face_tables_match_faces_composed_by_hand(max_degree):
+    """Row t of the degree-k face table names the faces of the t-th k-tuple
+    as indices into the (k-1)-nerve, for k = 1..4, whatever nerve bound the
+    groupoid declares; cochains.faces reads the same faces by key."""
+    rng = random.Random(28)
+    groupoids = [pair_groupoid(["x", "y", "z"]), cyclic_groupoid(4),
+                 transitive_groupoid(["x", "y"], 2),
+                 disjoint_union(z2_groupoid(), pair_groupoid(["x", "y"])),
+                 *(random_groupoid(rng) for _ in range(20))]
+    for g in groupoids:
+        g.max_degree = max_degree
+        for k in range(1, 5):
+            keys = g.nerve_tuples(k - 1)
+            want = [_faces_by_hand(g, tup) for tup in g.nerve_tuples(k)]
+            assert [[(keys[j], sign) for j, sign in row] for row in g.face_table(k)] == want
+            assert [faces(g, tup) for tup in g.nerve_tuples(k)] == want
+
+
+def test_face_table_refuses_a_composite_with_the_wrong_endpoints():
+    """The table finds each face by extending a face of a shorter tuple,
+    which holds only when every composite runs from its second arrow's
+    source to its first arrow's target; a table that does not hold raises."""
+    g = pair_groupoid(["x", "y"])
+    bad = dataclasses.replace(g, comp={**g.comp, ("p:x>y:0", "p:x>x:0"): "p:y>y:0"})
+    assert not validate_groupoid(bad).passed
+    assert bad.face_table(1) == g.face_table(1)
+    with pytest.raises(StructureError, match="wrong endpoints"):
+        bad.face_table(2)

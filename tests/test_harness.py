@@ -289,6 +289,15 @@ def test_cli_validate_refuses_a_groupoid_with_no_objects(tmp_path, capsys, kind,
     assert "parse error: groupoid has no objects" in capsys.readouterr().err
 
 
+def test_cli_validate_refuses_a_complex_with_no_base_points(tmp_path, capsys):
+    """Every check over a complex with no base points would pass vacuously."""
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps({"kind": "complex", "payload": {
+        "base": [], "dims0": {}, "dims1": {}, "diff": {}}}))
+    assert main(["validate", str(bad)]) == 2
+    assert "parse error: complex has no base points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, path", [
     ("z2-ruth-1", ("groupoid", "max_degree")),
     ("z2-ruth-1", ("complex", "dims0", "*")),
@@ -379,6 +388,50 @@ def test_cli_convert_chain_and_usage_error(tmp_path, capsys):
 def test_cli_convert_rejects_invalid_input(capsys):
     bad = str(REPO_FIXTURES / "z2-ruth-broken4.json")
     assert main(["convert", bad, "--from", "ruth", "--to", "vb"]) == 1
+
+
+@pytest.mark.parametrize("verb", [["convert", "--from", "ruth", "--to", "vb"],
+                                  ["roundtrip", "--pipeline", "triangle"]])
+def test_cli_refuses_an_invalid_input_file_under_its_name(capsys, verb):
+    """convert and roundtrip print an invalid input file's report with
+    subject ``input <kind> FILE``, and exit 1 before any conversion."""
+    bad = str(REPO_FIXTURES / "z2-ruth-broken4.json")
+    assert main(verb[:1] + [bad] + verb[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"FAIL input ruth {bad} (")
+    assert "[identity-4]" in err
+
+
+def test_cli_convert_refuses_an_output_that_fails_its_validator(monkeypatch, capsys):
+    """A converter whose output fails the target kind's validator makes
+    convert print that report, subject ``converted output``, and write
+    nothing."""
+    broken = semidirect(fixtures.z2_ruth_broken4(), validate=False)
+    monkeypatch.setitem(cli.CONVERSIONS, ("ruth", "vb"), lambda r: (broken, {}))
+    src = str(REPO_FIXTURES / "z2-ruth-1.json")
+    assert main(["convert", src, "--from", "ruth", "--to", "vb"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("FAIL converted output (")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roundtrip", "z2-ruth-1.json", "--pipeline", "phi-hom"],
+     "usage error: pipeline phi-hom does not take an input file"),
+    (["report", "z2-ruth-1.json"], "parse error: not a report file"),
+])
+def test_cli_refuses_a_file_its_verb_does_not_take(capsys, argv, message):
+    argv = [str(REPO_FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_convert_without_out_writes_the_file_to_stdout(tmp_path, capsys):
+    src = str(REPO_FIXTURES / "z2-ruth-1.json")
+    out = tmp_path / "sd.json"
+    assert main(["convert", src, "--from", "ruth", "--to", "vb", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["convert", src, "--from", "ruth", "--to", "vb"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_convert_deterministic(tmp_path):
@@ -1227,8 +1280,9 @@ def _reachable(obj, seen):
 def test_benchmark_payloads_hold_no_cached_action_groupoid(workload, monkeypatch):
     """perfbench/workloads.py, read and run here without writing under
     perfbench/: no input its set-up builds at seed 1 holds a weak
-    representation's chart or action groupoid, so no timed operation starts
-    from work done in set-up."""
+    representation's chart or action groupoid, nor a groupoid's nerve or
+    face table, so no timed operation starts from work done in set-up:
+    every timed square_is_zero builds its own face tables."""
     module = types.ModuleType("perfbench_workloads")
     monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
     exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), vars(module))
@@ -1240,6 +1294,8 @@ def test_benchmark_payloads_hold_no_cached_action_groupoid(workload, monkeypatch
         type(x).__name__ == "WeakRepresentation" for x in reached)
     assert not [x for x in reached if hasattr(x, "__dict__")
                 and {"chart", "action_groupoid"} & vars(x).keys()]
+    groupoids = [x for x in reached if type(x).__name__ == "FiniteGroupoid"]
+    assert groupoids and not [g for g in groupoids if g._nerves or g._faces]
 
 
 RUN = REPO_FIXTURES.parent / "perfbench" / "run.py"

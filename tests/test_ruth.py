@@ -377,6 +377,25 @@ def test_square_zero_reports_above_desk_scale(name):
     assert digests == list(pinned)
 
 
+@pytest.mark.parametrize("name", sorted(ABOVE_DESK))
+def test_square_zero_agrees_with_the_identities_above_desk_scale(name):
+    """On a valid representation above desk scale and one free mutant of it,
+    D squares to zero exactly when validate_ruth reports no violated
+    structure identity.  Their nerves of degree 4 hold 4,096 (C8) and
+    3,888 (transitive on 3 objects, isotropy 2) tuples, which the random
+    pools above never reach."""
+    g, dims, _ = ABOVE_DESK[name]
+    r, rng = _shaped_ruth(f"agree/{name}", g, dims)
+    instance, desc = gen.mutate_ruth_entry(rng, r)
+    verdicts = []
+    for x in (r, instance):
+        identities_hold = not any(e.check.startswith("identity-")
+                                  for e in validate_ruth(x).entries)
+        assert square_is_zero(x).passed == identities_hold, desc
+        verdicts.append(identities_hold)
+    assert verdicts == [True, False], desc
+
+
 def test_leibniz_on_bases():
     rng = random.Random(12)
     for r in (z2_ruth(1), pair_strict_ruth()):
