@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from ..errors import RuthVBError, StructureError, UsageError
@@ -48,8 +47,10 @@ def _triples(value, key: str):
     return (json_typed(e, list, f"{key} entry") for e in json_typed(value, list, key))
 
 
-def _table(pairs: list, what: str) -> dict:
-    """``dict(pairs)``, refusing a key stated twice where dict() keeps the last."""
+def _table(pairs: list, what: str = "object key") -> dict:
+    """``dict(pairs)``, refusing a key stated twice where dict() keeps the last.
+    With one argument it is the ``object_pairs_hook`` of :func:`parse_json`:
+    a plain function, which costs less per JSON object than a partial."""
     table = dict(pairs)
     if len(table) < len(pairs):
         twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
@@ -151,7 +152,7 @@ def parse_json(text: str, **options):
     twice, a document nested deeper than the parser can go, and an integer
     longer than Python converts; a syntax error stays JSONDecodeError."""
     try:
-        return json.loads(text, object_pairs_hook=partial(_table, what="object key"), **options)
+        return json.loads(text, object_pairs_hook=_table, **options)
     except RecursionError:
         raise StructureError("JSON nested too deeply to parse") from None
     except json.JSONDecodeError:

@@ -400,6 +400,15 @@ class LinearMap:
         return (LinearMap(k, self._cols, self._nums[:cut], self._den),
                 LinearMap(self._rows - k, self._cols, self._nums[cut:], self._den))
 
+    def take_rows(self, rows: Sequence[int]) -> "LinearMap":
+        """The rows at these indices, in this order."""
+        nums, cols = self._nums, self._cols
+        if not all(0 <= i < self._rows for i in rows):
+            raise DimensionError(f"no rows {list(rows)} in a {self._rows}x{cols} map")
+        return LinearMap(len(rows), cols, tuple(x for i in rows
+                                                for x in nums[i * cols:(i + 1) * cols]),
+                         self._den)
+
     def nonzero_columns(self) -> set[int]:
         n = self._cols
         return {k % n for k, x in enumerate(self._nums) if x} if any(self._nums) else set()
@@ -563,7 +572,7 @@ def rank(f: LinearMap) -> int:
     return len(_rref(f)[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelChart:
     """Coordinates on ker f in the basis of :func:`kernel_basis`.
 
@@ -572,7 +581,8 @@ class KernelChart:
     the free columns (``coordinates . z``), and membership is the one check
     ``constraint . z == 0``.
     ``basis_map`` holds the basis vectors as the columns of one map;
-    ``basis`` reads them as ``Fraction`` vectors.
+    ``basis`` reads them as ``Fraction`` vectors.  A chart compares and
+    hashes by identity, so a table can be keyed by the charts it reads.
     """
 
     constraint: LinearMap

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Optional
 
 from . import linalg
@@ -308,6 +309,19 @@ def common_denominator(r: Ruth) -> int:
     return math.lcm(*(m.canonical[1] for m in maps))
 
 
+def _scaled_tables(r: Ruth) -> tuple[int, tuple[dict, ...]]:
+    """den, the :func:`common_denominator`, and den times lambda0, -lambda1,
+    omega and diff, each map as its nonzero (column, row, entry) triples."""
+    den = common_denominator(r)
+
+    def scaled(table, sign=1):
+        return {key: [(k % m.cols, k // m.cols, x * sign * den // m.canonical[1])
+                      for k, x in enumerate(m.canonical[0]) if x] for key, m in table.items()}
+
+    return den, (scaled(r.lambda0), scaled(r.lambda1, -1), scaled(r.omega),
+                 scaled(r.complex.diff))
+
+
 def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
     """den * D_n, from total degree n to n + 1, as sparse integer columns,
     den the :func:`common_denominator`: column i maps row indices to
@@ -317,18 +331,20 @@ def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
     nerve, through the groupoid's face tables: lambda at face 0 and the
     signed identity at the other faces, omega at the first two arguments
     with its input at face 0 of face 0, and diff on the layer-1 rows."""
+    return _operator_columns(r, n, *_scaled_tables(r), partial(_layout, r))
+
+
+def _operator_columns(r: Ruth, n: int, den: int, tables: tuple[dict, ...],
+                      layout) -> list[dict[int, int]]:
+    """:func:`operator_columns` from the :func:`_scaled_tables` of r and
+    ``layout(k)``, the :func:`_layout` of r in total degree k."""
     g, c = r.groupoid, r.complex
     if n + 1 > g.max_degree:
         raise DegreeError(f"total degree {n + 1} exceeds the nerve bound {g.max_degree}")
-    den = common_denominator(r)
-    in0, in1, size = _layout(r, n)
-    out0, out1, _ = _layout(r, n + 1)
+    lambda0, lambda1, omega, diff = tables
+    in0, in1, size = layout(n)
+    out0, out1, _ = layout(n + 1)
     columns: list[dict[int, int]] = [{} for _ in range(size)]
-
-    def scaled(table, sign=1):
-        """sign * den times each map, as its nonzero (column, row, entry) triples."""
-        return {key: [(k % m.cols, k // m.cols, x * sign * den // m.canonical[1])
-                      for k, x in enumerate(m.canonical[0]) if x] for key, m in table.items()}
 
     def put(block, row, col):
         for q, i, x in block:
@@ -343,15 +359,14 @@ def operator_columns(r: Ruth, n: int) -> list[dict[int, int]]:
                     column = columns[inputs[j] + q]
                     column[i] = column.get(i, 0) + s * sign * den
 
-    twisted(scaled(r.lambda0), c.dim0, n + 1, out0, in0, 1)
-    diff = scaled(c.diff)
+    twisted(lambda0, c.dim0, n + 1, out0, in0, 1)
     for tup, row, col in zip(g.nerve_tuples(n), out1, in0):
         put(diff[g.tuple_target(tup, n)], row, col)
     if n > 0:
-        omega, inner = scaled(r.omega), g.face_table(n)
+        inner = g.face_table(n)
         for tup, row, faces in zip(g.nerve_tuples(n + 1), out0, g.face_table(n + 1)):
             put(omega[tup[:2]], row, in1[inner[faces[0][0]][0][0]])
-        twisted(scaled(r.lambda1, -1), c.dim1, n, out1, in1, -1)
+        twisted(lambda1, c.dim1, n, out1, in1, -1)
     return columns
 
 
@@ -390,11 +405,14 @@ def square_is_zero(r: Ruth) -> Report:
     rep = Report("square-zero")
     # D_{n+1} D_n reads composable (n + 2)-tuples.  n = 1 already reaches the
     # triples of identity-4; n = 2 reaches nerve degree 4, a groupoid's
-    # default max_degree.
-    current = operator_columns(r, 0)
+    # default max_degree.  The scaled tables and each degree's layout are
+    # built once for the four operators.
+    den, tables = _scaled_tables(r)
+    layout = cache(partial(_layout, r))
+    current = _operator_columns(r, 0, den, tables, layout)
     for n in range(3):
-        following = operator_columns(r, n + 1)
-        size = _layout(r, n + 2)[2]
+        following = _operator_columns(r, n + 1, den, tables, layout)
+        size = layout(n + 2)[2]
         for i, column in enumerate(current):
             acc = [0] * size
             for k, x in column.items():

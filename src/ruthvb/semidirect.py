@@ -23,7 +23,8 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
     at src g): the triple (g, e0, e1) is stored as the column (e0; e1).
     Source picks e1, target is diff(e0) + lambda1(e1), multiplication twists
     by the transformation cochain, and inverses follow the closed formula,
-    all exactly."""
+    all exactly.  The multiplication is stored as a table on each pair
+    chart's coordinates, written down without a product."""
     if validate:
         validate_ruth(r).require(ValidationError, "semidirect needs a valid representation")
     g, c, lambda0, lambda1, omega = r.groupoid, r.complex, r.lambda0, r.lambda1, r.omega
@@ -45,17 +46,18 @@ def semidirect(r: Ruth, validate: bool = True) -> VBGroupoid:
         utilde[x] = linalg.vstack(LinearMap.zero(c.dim0[x], c.dim1[x]),
                                   LinearMap.identity(c.dim1[x]))
 
-    def product(g1, g2, e, f):
-        # (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)
-        d0t, d1s, d1s2 = c.dim0[g.tgt[g1]], c.dim1[g.src[g1]], c.dim1[g.src[g2]]
-        m = linalg.vstack(
-            linalg.hstack(LinearMap.identity(d0t), LinearMap.zero(d0t, d1s),
-                          lambda0[g1], -omega[(g1, g2)]),
-            linalg.hstack(LinearMap.zero(d1s2, arrdim[g1] + arrdim[g2] - d1s2),
-                          LinearMap.identity(d1s2)))
-        return m.split_product(e, f, cut=m.rows)[0]
-
-    return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, product)
+    # (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1).
+    # The pair constraint [stilde_g1 | -ttilde_g2] is [0 | id | -diff | -l1_{g2}]
+    # on (e0, e1, f0, f1), whatever diff and l1 are, so the leftmost-pivot
+    # reduction pivots on e1 and the chart's free columns are (e0, f0, f1),
+    # in that order: the product is a table on those coordinates.
+    mult = {}
+    for (g1, g2) in g.comp:
+        d0t, d0m, d1s2 = c.dim0[g.tgt[g1]], c.dim0[g.src[g1]], c.dim1[g.src[g2]]
+        mult[(g1, g2)] = linalg.vstack(
+            linalg.hstack(LinearMap.identity(d0t), lambda0[g1], -omega[(g1, g2)]),
+            linalg.hstack(LinearMap.zero(d1s2, d0t + d0m), LinearMap.identity(d1s2)))
+    return VBGroupoid(g, objdim, arrdim, stilde, ttilde, utilde, inv_map, mult)
 
 
 def psi_morphism(m: RuthMorphism) -> VBMap:

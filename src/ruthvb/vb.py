@@ -14,8 +14,12 @@ multiplication read at the free columns: applied to (v, w) it gives the
 composability residual and then the product.  ``multiply`` applies it to
 a block of pairs in integers, one pair per column, in one fused product
 that never builds the stacked pairs, and ``product`` also insists that
-each column compose: the one product path, for the validators and the
-conversions alike.
+each column compose: the product path of the validators and the
+conversions for pairs given as fiber vectors.  Where a block's chart
+coordinates are already known, its products are the stored table applied
+to them: the associativity sweep reads a triple basis's two inner
+products that way, since the basis composes in both pairs by
+construction.
 
 A linear groupoid bundle is the special case whose base is the unit
 groupoid of its points, in which the arrow at point x is named x; the same
@@ -160,11 +164,12 @@ def validate_vb(v: VBGroupoid) -> Report:
             rep.add("inverse-source", a, "ttilde", repr(si))
         if ti != v.stilde[a]:
             rep.add("inverse-target", a, "stilde", repr(ti))
+    charts = {pair: v.pair_chart(*pair) for pair in g.comp}
     # the structure maps on each composable pair's chart basis: the basis
     # vector k has coordinates e_k, so its product is column k of mult
     for (g1, g2), m in v.mult.items():
         g12 = g.comp[(g1, g2)]
-        vv, ww = v.pair_chart(g1, g2).basis_map.split(v.arrdim[g1])
+        vv, ww = charts[(g1, g2)].basis_map.split(v.arrdim[g1])
         rep.expect_columns(f"({g1},{g2})", [
             ColumnCheck("product-source", v.stilde[g2] @ ww, v.stilde[g12] @ m),
             ColumnCheck("product-target", v.ttilde[g1] @ vv, v.ttilde[g12] @ m)])
@@ -184,26 +189,30 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("right-unit-law", vec, right_unit, (r_ru,)),
             ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
             ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
-    # associativity on a basis of each composable-triple subspace: the kernel
-    # of [C12 | 0; 0 | C23] for the pair constraints C12 and C23, which share
-    # the columns of the middle arrow, row-reduced once for each distinct
-    # four maps it is built from
-    triple_charts: dict[tuple[LinearMap, ...], KernelChart] = {}
+    # associativity on a basis (a1; a2; a3) of each composable-triple
+    # subspace: the kernel of [C12 | 0; 0 | C23] for the pair constraints C12
+    # and C23, which share the columns of the middle arrow, row-reduced once
+    # for each distinct two pair charts.  Each basis vector lies in the kernel
+    # of both, so (a1; a2) and (a2; a3) compose and their chart coordinates
+    # are their rows at the free columns: the inner products are the pair
+    # tables on those rows, and only the two outer products can fail to
+    # compose.
+    triples: dict[tuple[KernelChart, KernelChart], tuple[LinearMap, ...]] = {}
     for (g1, g2, g3) in g.nerve_tuples(3):
-        d1, d2 = v.arrdim[g1], v.arrdim[g2]
-        key = (v.stilde[g1], v.ttilde[g2], v.stilde[g2], v.ttilde[g3])
-        chart = triple_charts.get(key)
-        if chart is None:
-            chart = triple_charts[key] = kernel_chart(linalg.direct_sum(
-                v.pair_chart(g1, g2).constraint, v.pair_chart(g2, g3).constraint, overlap=d2))
-        a1, a23 = chart.basis_map.split(d1)
-        a2, a3 = a23.split(d2)
-        r12, p12 = v.multiply(g1, g2, a1, a2)
-        r_left, left = v.multiply(g.comp[(g1, g2)], g3, p12, a3)
-        r23, p23 = v.multiply(g2, g3, a2, a3)
-        r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, p23)
+        c12, c23 = charts[(g1, g2)], charts[(g2, g3)]
+        blocks = triples.get((c12, c23))
+        if blocks is None:
+            d1, d2 = v.arrdim[g1], v.arrdim[g2]
+            a = kernel_chart(linalg.direct_sum(c12.constraint, c23.constraint,
+                                               overlap=d2)).basis_map
+            blocks = triples[(c12, c23)] = (
+                a.split(d1)[0], a.split(d1 + d2)[1],
+                a.take_rows(c12.free), a.take_rows([d1 + j for j in c23.free]))
+        a1, a3, x12, x23 = blocks
+        r_left, left = v.multiply(g.comp[(g1, g2)], g3, v.mult[(g1, g2)] @ x12, a3)
+        r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, v.mult[(g2, g3)] @ x23)
         rep.expect_columns(f"({g1},{g2},{g3})", [
-            ColumnCheck("associativity", left, right, (r12, r_left, r23, r_right),
+            ColumnCheck("associativity", left, right, (r_left, r_right),
                         "composable products")])
     return rep
 

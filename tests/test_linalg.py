@@ -371,6 +371,10 @@ def test_block_helpers():
     stacked = linalg.hstack(a, b)
     assert stacked.block(0, 2, 2, 3) == b
     assert linalg.direct_sum(a, LinearMap.identity(1)).entry(2, 2) == 1
+    assert stacked.take_rows([1, 0, 1]) == LinearMap.from_rows([[3, 4, 6], [1, 2, 5], [3, 4, 6]])
+    assert stacked.take_rows(()) == LinearMap.zero(0, 3)
+    with pytest.raises(DimensionError):
+        stacked.take_rows([2])
 
 
 @pytest.mark.parametrize("table, message", [

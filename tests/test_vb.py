@@ -355,6 +355,93 @@ def test_each_distinct_constraint_is_row_reduced_once(base, monkeypatch):
         assert len(pairs) < len(base.comp) and len(triples) < len(base.nerve_tuples(3))
 
 
+# -- products read in pair-chart coordinates ------------------------------------------
+
+
+def _rule_product(r, g1, g2, e, f):
+    """The reference semi-direct product of the blocks e over g1 and f over
+    g2, one composable pair per column, from the stacked pairs:
+    (g1, e0, e1).(g2, f0, f1) = (g1 g2, e0 + l0_{g1} f0 - Omega_{g1,g2} f1, f1)."""
+    g, c = r.groupoid, r.complex
+    d0t, d1s, d1s2 = c.dim0[g.tgt[g1]], c.dim1[g.src[g1]], c.dim1[g.src[g2]]
+    m = linalg.vstack(
+        linalg.hstack(LinearMap.identity(d0t), LinearMap.zero(d0t, d1s),
+                      r.lambda0[g1], -r.omega[(g1, g2)]),
+        linalg.hstack(LinearMap.zero(d1s2, e.rows + f.rows - d1s2), LinearMap.identity(d1s2)))
+    return m @ linalg.vstack(e, f)
+
+
+def _pool_and_mutants():
+    """The acceptance pool, then mutants of it in each of lambda0, lambda1,
+    omega and diff, which the semi-direct product takes unvalidated."""
+    pool = ruth_pool()
+    rng = random.Random(29)
+    mutants = {"lambda0": [], "lambda1": [], "omega": [], "diff": []}
+    while min(map(len, mutants.values())) < 10:
+        mut = gen.mutate_ruth_entry(rng, pool[rng.randrange(len(pool))])
+        if mut is not None and len(family := mutants[mut[1].partition("[")[0]]) < 10:
+            family.append(mut[0])
+    return pool + [m for family in mutants.values() for m in family]
+
+
+def test_semidirect_table_is_the_product_rule_on_each_pair_chart_basis():
+    """The stored table of a semi-direct product is the product rule applied
+    to each pair chart's basis, on valid representations, on mutants in every
+    table, and over zero-dimensional fibers."""
+    zero_fibers = 0
+    for r in _pool_and_mutants():
+        v = semidirect(r, validate=False)
+        zero_fibers += not all(r.complex.dim0.values()) or not all(r.complex.dim1.values())
+        for g1, g2 in r.groupoid.comp:
+            e, f = v.pair_chart(g1, g2).basis_map.split(v.arrdim[g1])
+            assert v.mult[(g1, g2)] == _rule_product(r, g1, g2, e, f), (g1, g2)
+    assert zero_fibers >= 10
+
+
+def test_triple_chart_bases_compose_in_both_pairs(monkeypatch):
+    """Each triple-chart basis that validate_vb reads lies in the kernel of
+    both pair constraints, so its inner products are the pair tables on its
+    rows at the free columns, with zero residual, valid or scrambled."""
+    charts = {}
+    monkeypatch.setattr(vb, "kernel_chart",
+                        lambda f: charts.setdefault(f, linalg.kernel_chart(f)))
+    rng = random.Random(29)
+    for r in ruth_pool()[:40]:
+        v = semidirect(r, validate=False)
+        for x in (v, gen.scramble_vb(rng, v)[0]):
+            charts.clear()
+            assert validate_vb(x).passed
+            for g1, g2, g3 in x.base.nerve_tuples(3):
+                d1, d2 = x.arrdim[g1], x.arrdim[g2]
+                a = charts[_triple_constraint(x, g1, g2, g3)].basis_map
+                a1, a23 = a.split(d1)
+                a2, a3 = a23.split(d2)
+                for (h1, h2), left, right, rows in (((g1, g2), a1, a2, a.split(d1 + d2)[0]),
+                                                    ((g2, g3), a2, a3, a23)):
+                    residual, product = x.multiply(h1, h2, left, right)
+                    assert residual.is_zero()
+                    free = x.pair_chart(h1, h2).free
+                    assert product == x.mult[(h1, h2)] @ rows.take_rows(free)
+
+
+def test_validate_vb_makes_two_fused_products_per_triple(monkeypatch):
+    """Four fused products per arrow for the unit and inverse laws, and two
+    per composable triple for associativity: the inner two are read off the
+    pair tables."""
+    calls = []
+    multiply = VBGroupoid.multiply
+    monkeypatch.setattr(VBGroupoid, "multiply",
+                        lambda self, *args: calls.append(args) or multiply(self, *args))
+    rng = random.Random(29)
+    for r in ruth_pool()[:20]:
+        v = semidirect(r, validate=False)
+        for x in (v, gen.scramble_vb(rng, v)[0]):
+            calls.clear()
+            assert validate_vb(x).passed
+            g = x.base
+            assert len(calls) == 4 * len(g.arrows) + 2 * len(g.nerve_tuples(3))
+
+
 # sha256 of the validate_vb and validate_weak_representation reports, seconds
 # masked, on the semi-direct product of 20 seeded representations, its
 # scrambled copy, their free mutants, the weak representations of the
