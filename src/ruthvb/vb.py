@@ -19,7 +19,11 @@ conversions for pairs given as fiber vectors.  Where a block's chart
 coordinates are already known, its products are the stored table applied
 to them: the associativity sweep reads a triple basis's two inner
 products that way, since the basis composes in both pairs by
-construction.
+construction.  The source map is fiberwise onto (``validate_vb`` reports
+each arrow where it is not), and then every column of the middle arrow is
+free in the first pair chart of a composable triple, so the triple basis
+is the pullback of its two pair charts, read off them by block products
+with no row reduction (:func:`triple_blocks`).
 
 A linear groupoid bundle is the special case whose base is the unit
 groupoid of its points, in which the arrow at point x is named x; the same
@@ -156,6 +160,13 @@ def validate_vb(v: VBGroupoid) -> Report:
             rep.add("unit-source", f"object {x}", "identity", repr(su))
         if not tu.is_identity():
             rep.add("unit-target", f"object {x}", "identity", repr(tu))
+    ranks: dict[LinearMap, int] = {}
+    for a in g.arrows:
+        s, od = v.stilde[a], v.objdim[g.src[a]]
+        if s not in ranks:
+            ranks[s] = linalg.rank(s)
+        if ranks[s] != od:
+            rep.add("source-onto", a, f"rank {od}", f"rank {ranks[s]}")
     for a in g.arrows:
         b = g.inv[a]
         si = linalg.compose(v.stilde[b], v.inv_map[a])
@@ -189,25 +200,18 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("right-unit-law", vec, right_unit, (r_ru,)),
             ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
             ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
-    # associativity on a basis (a1; a2; a3) of each composable-triple
-    # subspace: the kernel of [C12 | 0; 0 | C23] for the pair constraints C12
-    # and C23, which share the columns of the middle arrow, row-reduced once
-    # for each distinct two pair charts.  Each basis vector lies in the kernel
-    # of both, so (a1; a2) and (a2; a3) compose and their chart coordinates
-    # are their rows at the free columns: the inner products are the pair
-    # tables on those rows, and only the two outer products can fail to
-    # compose.
+    # associativity on the basis (a1; a2; a3) of each composable-triple
+    # subspace that triple_blocks builds from the two pair charts, once for
+    # each distinct two.  Each basis vector lies in the kernel of both pair
+    # constraints, so (a1; a2) and (a2; a3) compose and their chart
+    # coordinates are the blocks x12 and x23: the inner products are the pair
+    # tables on those, and only the two outer products can fail to compose.
     triples: dict[tuple[KernelChart, KernelChart], tuple[LinearMap, ...]] = {}
     for (g1, g2, g3) in g.nerve_tuples(3):
         c12, c23 = charts[(g1, g2)], charts[(g2, g3)]
         blocks = triples.get((c12, c23))
         if blocks is None:
-            d1, d2 = v.arrdim[g1], v.arrdim[g2]
-            a = kernel_chart(linalg.direct_sum(c12.constraint, c23.constraint,
-                                               overlap=d2)).basis_map
-            blocks = triples[(c12, c23)] = (
-                a.split(d1)[0], a.split(d1 + d2)[1],
-                a.take_rows(c12.free), a.take_rows([d1 + j for j in c23.free]))
+            blocks = triples[(c12, c23)] = triple_blocks(c12, c23, v.arrdim[g1], v.arrdim[g2])
         a1, a3, x12, x23 = blocks
         r_left, left = v.multiply(g.comp[(g1, g2)], g3, v.mult[(g1, g2)] @ x12, a3)
         r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, v.mult[(g2, g3)] @ x23)
@@ -215,6 +219,38 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("associativity", left, right, (r_left, r_right),
                         "composable products")])
     return rep
+
+
+def triple_blocks(c12: KernelChart, c23: KernelChart, d1: int,
+                  d2: int) -> tuple[LinearMap, ...]:
+    """The blocks ``(a1, a3, x12, x23)`` of the canonical basis (a1; a2; a3)
+    of a composable-triple subspace, the kernel of ``[C12 | 0; 0 | C23]``
+    for the constraints of the pair charts ``c12`` and ``c23``, which share
+    the ``d2`` columns of the middle arrow after the ``d1`` of the first:
+    the outer blocks a1 and a3, and the chart coordinates x12 of (a1; a2)
+    in c12 and x23 of (a2; a3) in c23.
+
+    When all d2 middle columns are free in c12, as they are when the first
+    arrow's source map is onto, the basis is the pullback of the two charts,
+    read off them by block products: with ``c23.basis_map = [b2; b3]`` and
+    c12's first f1 free columns in the first arrow, x12 is
+    ``diag(I_f1, b2)``, a1 is c12's first-arrow rows times x12, a3 is
+    ``[0 | b3]`` and x23 is ``[0 | I]``.  Each column lies in the kernel,
+    has entry 1 at its own free column and support ending there, so the
+    free columns of c12 in the first arrow and those of c23 shifted by d1
+    are the leftmost-pivot free columns of the triple constraint, and the
+    blocks are those of its :func:`kernel_chart`, the one kernel basis that
+    is the identity there.  Otherwise that constraint is row-reduced."""
+    f1 = len(c12.free) - d2
+    if c12.free[f1:] == tuple(range(d1, d1 + d2)):
+        b2, b3 = c23.basis_map.split(d2)
+        x12 = linalg.direct_sum(LinearMap.identity(f1), b2)
+        return (c12.basis_map.split(d1)[0] @ x12,
+                linalg.hstack(LinearMap.zero(b3.rows, f1), b3), x12,
+                linalg.hstack(LinearMap.zero(b2.cols, f1), LinearMap.identity(b2.cols)))
+    a = kernel_chart(linalg.direct_sum(c12.constraint, c23.constraint, overlap=d2)).basis_map
+    return (a.split(d1)[0], a.split(d1 + d2)[1],
+            a.take_rows(c12.free), a.take_rows([d1 + j for j in c23.free]))
 
 
 # -- maps of VB-groupoids ------------------------------------------------------

@@ -72,6 +72,10 @@ def reference_vb(v):
         if not tu.is_identity():
             rep.add("unit-target", f"object {x}", "identity", repr(tu))
     for a in g.arrows:
+        onto, r = v.objdim[g.src[a]], linalg.rank(v.stilde[a])
+        if r != onto:
+            rep.add("source-onto", a, f"rank {onto}", f"rank {r}")
+    for a in g.arrows:
         b = g.inv[a]
         si = linalg.compose(v.stilde[b], v.inv_map[a])
         ti = linalg.compose(v.ttilde[b], v.inv_map[a])
@@ -445,8 +449,9 @@ def test_fixture_reports_match_the_per_basis_oracle():
 def test_seeded_reports_and_mutants_match_the_per_basis_oracle():
     """At least 500 valid instances and a mutant from every mutator, with
     zero-dimensional fibers and pairs with an empty chart basis; more than
-    400 reports fail, some of them as "not composable"."""
-    kinds, failing, valid, empty, not_composable = set(), 0, 0, 0, 0
+    400 reports fail, some of them as "not composable" and some on a source
+    map that is not onto."""
+    kinds, failing, valid, empty, not_composable, not_onto = set(), 0, 0, 0, 0, 0
     for seed in range(300):
         for obj in _seeded_instances(seed):
             validate, reference = VALIDATORS[type(obj)]
@@ -457,8 +462,9 @@ def test_seeded_reports_and_mutants_match_the_per_basis_oracle():
             valid += not got
             empty += _empty_bases(obj)
             not_composable += any(e[3] == "not composable" for e in got)
+            not_onto += any(e[0] == "source-onto" for e in got)
     assert kinds == set(VALIDATORS)
-    assert valid >= 500 and failing >= 400 and empty > 0 and not_composable > 0
+    assert valid >= 500 and failing >= 400 and empty > 0 and not_composable > 0 and not_onto > 0
 
 
 def _pair_semidirect(n):

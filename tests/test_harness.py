@@ -35,6 +35,8 @@ from ruthvb.vb import find_unital_connection, identity_vb_map, validate_vb
 from ruthvb.weak import identity_equivariant
 from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
 
+from test_vb import unit_line_vb
+
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -388,6 +390,39 @@ def test_cli_convert_chain_and_usage_error(tmp_path, capsys):
 def test_cli_convert_rejects_invalid_input(capsys):
     bad = str(REPO_FIXTURES / "z2-ruth-broken4.json")
     assert main(["convert", bad, "--from", "ruth", "--to", "vb"]) == 1
+
+
+def test_cli_refuses_a_vb_whose_source_map_is_not_onto(tmp_path, capsys):
+    """validate fails at the arrow whose source map is not onto, and convert
+    refuses the file as input instead of failing in the conversion."""
+    path = tmp_path / "line.json"
+    path.write_text(serialize.dumps_instance("vb", unit_line_vb()))
+    assert main(["validate", str(path)]) == 1
+    assert "[source-onto] at p:x>y:0: expected rank 1, got rank 0" in capsys.readouterr().out
+    assert main(["convert", str(path), "--from", "vb", "--to", "wrep"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"FAIL input vb {path} (")
+    assert "[source-onto]" in err
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(("inverse", "g"), "h")], "arrow g missing or unknown inverse"),
+    ([(("compose", 3), ["g", "h", "e"])], "composition entry (g,h) uses unknown arrows"),
+], ids=["inverse", "compose-unknown"])
+def test_cli_validate_groupoid_with_unknown_arrows_exits_2(tmp_path, capsys, edits, message):
+    doc = json.loads((REPO_FIXTURES / "z2.json").read_text())
+    assert main(["validate", _edited_file(tmp_path, doc, edits)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_cli_validate_groupoid_with_a_non_composable_entry_exits_2(tmp_path, capsys):
+    doc = json.loads((REPO_FIXTURES / "pair.json").read_text())
+    doc["payload"]["compose"].append(["p:x>x:0", "p:x>y:0", "p:x>x:0"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: composition entry (p:x>x:0,p:x>y:0) is not composable\n")
 
 
 @pytest.mark.parametrize("verb", [["convert", "--from", "ruth", "--to", "vb"],

@@ -8,6 +8,7 @@ import pytest
 
 from ruthvb import linalg, twoterm
 from ruthvb.errors import CompositionError, NotInducedError, StructureError
+from ruthvb.groupoid import trivial_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import pair_strict_ruth, z2_ruth
 from ruthvb.harness.generators import random_chain_map, random_complex, random_homotopy_from
@@ -19,7 +20,8 @@ from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             extract_chain_map, extract_homotopy, hcompose,
                             identity_chain_map, phi_object, phi_onemorphism,
                             phi_twomorphism, split_bundle, vcompose, zero_homotopy)
-from ruthvb.vb import BundleTransformation, VBMap, validate_vb, validate_vb_map
+from ruthvb.vb import (BundleTransformation, VBGroupoid, VBMap, compose_vb_maps,
+                       identity_vb_map, validate_vb, validate_vb_map)
 
 
 def random_interchange_square(rng, max_dim: int = 2):
@@ -281,6 +283,27 @@ def test_vb_map_across_groupoids_is_refused():
     with pytest.raises(StructureError, match="different groupoids"):
         VBMap(v, w, {x: LinearMap.identity(1) for x in ("a", "b")},
               {x: LinearMap.identity(2) for x in ("a", "b")})
+
+
+def test_maps_and_transformations_with_other_endpoints_are_refused():
+    """Two maps compose only end to end, and a transformation runs between
+    two maps with the same source and the same target."""
+    f = identity_vb_map(phi_object(LINE))
+    g = identity_vb_map(phi_object(point_complex(1, 1, [[2]])))
+    with pytest.raises(CompositionError, match="boundaries do not match"):
+        compose_vb_maps(g, f)
+    with pytest.raises(StructureError, match="endpoints differ"):
+        BundleTransformation(f, g, {"p": LinearMap.zero(2, 1)})
+
+
+def test_split_bundle_refuses_a_source_map_that_is_not_onto():
+    """A bundle whose object fiber Q at p sits under the arrow fiber 0."""
+    zero = LinearMap.zero
+    v = VBGroupoid(trivial_groupoid(["p"]), {"p": 1}, {"p": 0}, {"p": zero(1, 0)},
+                   {"p": zero(1, 0)}, {"p": zero(0, 1)}, {"p": zero(0, 0)},
+                   {("p", "p"): zero(0, 0)})
+    with pytest.raises(StructureError, match="source map at p is not surjective"):
+        split_bundle(v)
 
 
 def test_hcompose_output_is_valid_homotopy():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruthvb import linalg, weak
-from ruthvb.errors import CompositionError, ValidationError
+from ruthvb.errors import CompositionError, StructureError, ValidationError
 from ruthvb.groupoid import z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, sign_twisted_ruth,
@@ -84,6 +84,17 @@ def test_equivariant_images_of_gauge_morphisms():
     m = gen.random_ruth_morphism(rng, r)
     e = wrep_from_ruth_morphism(m)
     assert validate_equivariant(e).passed
+
+
+def test_equivariant_maps_with_other_endpoints_are_refused():
+    """An equivariant map acts through one groupoid, and two compose only
+    end to end."""
+    e0, e1 = (identity_equivariant(wrep_from_ruth(z2_ruth(p))) for p in (0, 1))
+    with pytest.raises(CompositionError, match="boundaries do not match"):
+        compose_equivariant(e1, e0)
+    w = wrep_from_ruth(pair_strict_ruth())
+    with pytest.raises(StructureError, match="different acting groupoids"):
+        EquivariantMap(e0.source, w, e0.f0, e0.f1, e0.delta)
 
 
 def test_compose_equivariant_matches_morphism_composition():
