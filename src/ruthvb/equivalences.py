@@ -17,7 +17,7 @@ from .twoterm import cell_block, chain_block, phi_object, split_bundle
 from .vb import (Connection, VBGroupoid, VBMap, connection_report,
                  find_unital_connection, kernel_groupoid, validate_vb,
                  validate_vb_map, vb_map_is_isomorphism)
-from .weak import EquivariantMap, WeakRepresentation, validate_weak_representation
+from .weak import EquivariantMap, WeakRepresentation
 
 
 def wrep_from_ruth(r: Ruth, validate: bool = True) -> WeakRepresentation:
@@ -45,17 +45,20 @@ def ruth_from_wrep(w: WeakRepresentation) -> Ruth:
 
     On the image of :func:`wrep_from_ruth` the splitting is the identity and
     the round trip recovers the representation on the nose.  Corrupted input
-    surfaces as the error of :func:`twoterm.chain_block` or
-    :func:`twoterm.cell_block` (a block is not what the sum-groupoid form
-    requires), or as ValidationError when the blocks read off do not form a
-    representation up to homotopy."""
+    surfaces as the error of :func:`twoterm.split_bundle` (the bundle does
+    not split) or of :func:`twoterm.chain_block` or :func:`twoterm.cell_block`
+    (a block is not what the sum-groupoid form requires).  The recovered
+    representation is not validated: a caller that needs it valid runs
+    :func:`ruth.validate_ruth` on it."""
     return _ruth_and_splitting(w)[0]
 
 
 def ruth_from_wrep_with_witness(w: WeakRepresentation) -> tuple[Ruth, EquivariantMap]:
     """:func:`ruth_from_wrep` together with a strictly intertwining
     equivariant map from the canonical-basis weak representation of the
-    recovered structure onto ``w``, built on the same bundle splitting."""
+    recovered structure onto ``w``, built on the same bundle splitting.
+    Neither is validated: the caller validates the representation and the
+    witness it keeps."""
     r, rho, _ = _ruth_and_splitting(w)
     g = w.groupoid
     witness = EquivariantMap(
@@ -81,9 +84,7 @@ def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, dict[str, LinearMa
                                   linalg.compose(w.a0[g1], w.a0[g2]),
                                   f"associator at ({g1},{g2})")
              for (g1, g2), cell in w.alpha.items()}
-    out = Ruth(g, complex_, lambda0, w.a0, omega)
-    validate_ruth(out).require(ValidationError, "recovered representation fails validation")
-    return out, rho, rho_inv
+    return Ruth(g, complex_, lambda0, w.a0, omega), rho, rho_inv
 
 
 def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> EquivariantMap:
@@ -115,7 +116,8 @@ def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> Equivaria
 
 def ruth_morphism_from_wrep_map(e: EquivariantMap) -> RuthMorphism:
     """Quasi-inverse on morphisms: conjugate through both splittings and
-    read off the chain-map blocks and the homotopy operator."""
+    read off the chain-map blocks and the homotopy operator.  Neither the
+    recovered endpoints nor the morphism is validated."""
     g = e.source.groupoid
     r_src, rho_s, _ = _ruth_and_splitting(e.source)
     r_tgt, _, rho_t_inv = _ruth_and_splitting(e.target)
@@ -147,7 +149,10 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     A unital connection conjugates arrows of the kernel along each base
     arrow; the associator cell measures its failure to be multiplicative.
     The returned map sends an action-groupoid arrow (g, x, k) to
-    ``inverse(k) . sigma_g(x)`` and is verified to be an isomorphism."""
+    ``inverse(k) . sigma_g(x)`` and is verified to be an isomorphism; that
+    certificate is the only check of the output, so a caller that needs the
+    weak representation validated runs
+    :func:`weak.validate_weak_representation` on it."""
     if validate:
         validate_vb(v).require(ValidationError, "vb_to_wrep needs a valid VB-groupoid")
     g = v.base
@@ -169,8 +174,6 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
         left = v.product(g12, g.inv[g2], sigma[g12], v.inv_map[g2] @ sigma[g2])
         alpha[(g1, g2)] = v.product(g1, g.inv[g1], left, v.inv_map[g1] @ sigma[g1] @ a0[g2])
     wrep = WeakRepresentation(g, kernel, a0, a1, alpha)
-    validate_weak_representation(wrep).require(
-        ValidationError, "kernel action failed weak-representation validation")
     chart, ag = wrep.chart, wrep.action_groupoid
     arr = {}
     for a in g.arrows:

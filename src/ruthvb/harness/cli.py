@@ -129,16 +129,17 @@ def _pipeline_ruth_vb(args, rng, obj, report, trial):
 
 
 def _pipeline_vb_wrep(args, rng, obj, report, trial):
-    # vb_to_wrep validates the kernel action it builds and raises if it fails
-    vb_to_wrep(_draw(args, rng, obj, generators.random_vb), validate=False)
+    # vb_to_wrep raises unless its identification with the input is an isomorphism
+    res = vb_to_wrep(_draw(args, rng, obj, generators.random_vb), validate=False)
+    report.extend(validate_weak_representation(res.wrep),
+                  prefix=f"trial {trial}: kernel action: ")
 
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):
     w = _draw(args, rng, obj, generators.random_wrep)
-    # ruth_from_wrep_with_witness validates the representation it recovers
-    _, witness = ruth_from_wrep_with_witness(w)
-    rep = validate_equivariant(witness)
-    report.extend(rep, prefix=f"trial {trial}: witness: ")
+    r, witness = ruth_from_wrep_with_witness(w)
+    report.extend(validate_ruth(r), prefix=f"trial {trial}: recovered: ")
+    report.extend(validate_equivariant(witness), prefix=f"trial {trial}: witness: ")
 
 
 def _pipeline_triangle(args, rng, obj, report, trial):

@@ -189,9 +189,10 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     The degree-1 fibers are the object fibers, the degree-0 fibers are the
     kernels of the source map in the canonical kernel basis, and the
     differential is the target map restricted to them.  The returned map
-    sends (c0, c1) to ``J c0 + unit(c1)`` and is verified as a VB map, so
-    it is invertible: the square ``[J | unit]`` sends no nonzero (c0, c1)
-    to zero, as J spans the kernel of the source map and unit splits it."""
+    sends (c0, c1) to ``J c0 + unit(c1)`` and is verified as a VB map that
+    also carries the model's inverse map to the bundle's at each point.  It
+    is invertible: the square ``[J | unit]`` sends no nonzero (c0, c1) to
+    zero, as J spans the kernel of the source map and unit splits it."""
     if not v.is_linear_bundle():
         raise StructureError("split_bundle needs a bundle over the unit groupoid of its points")
     points = list(v.base.objects)
@@ -209,7 +210,11 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
     iso = VBMap(model, v,
                 {p: LinearMap.identity(v.objdim[p]) for p in points},
                 {p: linalg.hstack(inj[p], v.utilde[p]) for p in points})
-    validate_vb_map(iso).require(StructureError, "bundle splitting failed verification")
+    report = validate_vb_map(iso)
+    for p in points:
+        report.expect("inverse-compatibility", p, iso.arr_maps[p] @ model.inv_map[p],
+                      v.inv_map[p] @ iso.arr_maps[p])
+    report.require(StructureError, "bundle splitting failed verification")
     return c, iso
 
 

@@ -24,7 +24,7 @@ from ruthvb.vb import (Connection, compose_vb_maps, connection_report,
                        find_unital_connection, validate_vb, validate_vb_map,
                        vb_map_is_isomorphism)
 from ruthvb.weak import (act_on_morphism, action_groupoid_bundle,
-                         validate_equivariant)
+                         validate_equivariant, validate_weak_representation)
 from ruthvb.equivalences import (connection_change_witness,
                                  reconstruct_equivariant, triangle_witness,
                                  vb_to_wrep, wrep_from_ruth,
@@ -156,7 +156,8 @@ def test_criterion_6_essential_surjectivity():
     for i in range(TRIALS):
         r = pool[i % len(pool)]
         v, _, _ = gen.scramble_vb(rng, semidirect(r, validate=False))
-        res = vb_to_wrep(v, validate=False)  # validates wrep, VB map, invertibility
+        res = vb_to_wrep(v, validate=False)  # verifies the VB map and its invertibility
+        assert validate_weak_representation(res.wrep).passed
         assert vb_map_is_isomorphism(res.iso)
         count += 1
     # two distinct connections on one instance, linked by a validated witness

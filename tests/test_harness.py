@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,14 @@ from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
 from ruthvb.groupoid import FiniteGroupoid, disjoint_union, validate_groupoid, z2_groupoid
 from ruthvb.reports import CheckEntry, Report
-from ruthvb.ruth import identity_morphism
+from ruthvb.ruth import identity_morphism, validate_ruth
 from ruthvb.semidirect import semidirect
 from ruthvb.twoterm import identity_chain_map, phi_twomorphism, zero_homotopy
 from ruthvb.vb import find_unital_connection, identity_vb_map, validate_vb
-from ruthvb.weak import identity_equivariant
-from ruthvb.equivalences import wrep_from_ruth, wrep_from_ruth_morphism
+from ruthvb.weak import identity_equivariant, validate_weak_representation
+from ruthvb.equivalences import (ruth_from_wrep, ruth_from_wrep_with_witness,
+                                 ruth_morphism_from_wrep_map, vb_to_wrep, wrep_from_ruth,
+                                 wrep_from_ruth_morphism)
 
 from test_vb import unit_line_vb
 
@@ -572,6 +575,155 @@ def test_wrep_ruth_reports_a_witness_that_fails_under_its_trial(monkeypatch, cap
     monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", bumped)
     found = _failing_roundtrip(capsys, "wrep-ruth", str(REPO_FIXTURES / "z2-ruth-1-wrep.json"))
     assert found and all(loc.startswith("trial 0: witness: ") for _, loc, _ in found)
+
+
+def _entries(obj, paths) -> list[tuple]:
+    """(path, key, row, column) of every entry of the tables of maps of obj
+    at ``paths``, each a field name or, dotted, of a record inside obj."""
+    return [(path, key, i, j) for path in paths for key, m in attrgetter(path)(obj).items()
+            for i in range(m.rows) for j in range(m.cols)]
+
+
+def _bumped(obj, path, key, i, j):
+    """obj rebuilt with 1 added at entry (i, j) of the map at key of its table at path."""
+    table = attrgetter(path)(obj)
+    m = table[key]
+    return gen._replaced(obj, path, {**table, key: m.with_entry(i, j, m.entry(i, j) + 1)})
+
+
+ACTION_TABLES = ("a0", "a1", "alpha")
+BUNDLE_TABLES = ("bundle.stilde", "bundle.ttilde", "bundle.utilde", "bundle.inv_map",
+                 "bundle.mult")
+
+
+def _fixture(name: str):
+    return serialize.load_instance((REPO_FIXTURES / name).read_text())[1]
+
+
+# Row 1 of this kernel bundle's arrow fiber is the kernel of both its source
+# and its target map, and these representations of Z/2 have no degree-2
+# cohomology, so moving alpha(g,g) along it gives another valid weak
+# representation isomorphic to the input: a path that checks the output is
+# valid passes it, and only ruth-vb, which recovers its input on the nose,
+# refuses it.
+ISOTROPY_BUMP = ("alpha", ("g", "g"), 1, 0)
+
+
+@pytest.mark.parametrize("source, argv, bundle_code, passed", [
+    (lambda: semidirect(_fixture("z2-ruth-1.json"), validate=False),
+     ["roundtrip", "z2-ruth-1.json", "--pipeline", "ruth-vb", "--trials", "1"], 2, []),
+    (lambda: _fixture("z2-ruth-1-vb-scrambled.json"),
+     ["roundtrip", "z2-ruth-1-vb-scrambled.json", "--pipeline", "vb-wrep", "--trials", "1"],
+     1, [ISOTROPY_BUMP]),
+    (lambda: _fixture("z2-ruth-1-vb-scrambled.json"),
+     ["convert", "z2-ruth-1-vb-scrambled.json", "--from", "vb", "--to", "wrep",
+      "--out", os.devnull], 1, [ISOTROPY_BUMP]),
+], ids=["ruth-vb", "vb-wrep", "convert"])
+def test_no_one_entry_mutant_of_a_kernel_action_is_accepted_unless_valid(
+        monkeypatch, capsys, source, argv, bundle_code, passed):
+    """Every entry of the weak representation that vb_to_wrep returns, and
+    of its kernel bundle, bumped one at a time after vb_to_wrep has
+    certified it.  A failing check exits 1.  ruth-vb meets a bundle mutant
+    in split_bundle, whose refusal is a StructureError (exit 2); an
+    inverse-map mutant is refused there by inverse compatibility alone."""
+    convert = cli.vb_to_wrep
+    labels = _entries(convert(source(), validate=False).wrep, ACTION_TABLES + BUNDLE_TABLES)
+    monkeypatch.chdir(REPO_FIXTURES)
+    outcomes = {}
+    for label in labels:
+        def mutated(v, validate, label=label):
+            res = convert(v, validate=validate)
+            return dataclasses.replace(res, wrep=_bumped(res.wrep, *label))
+
+        monkeypatch.setattr(cli, "vb_to_wrep", mutated)
+        outcomes[label] = main(argv), capsys.readouterr().err
+    assert [label for label, (code, _) in outcomes.items() if code == 0] == passed
+    assert {(label[0], code) for label, (code, _) in outcomes.items() if code} == (
+        {(name, 1) for name in ACTION_TABLES} | {(name, bundle_code) for name in BUNDLE_TABLES})
+    if bundle_code == 2:
+        assert all("[inverse-compatibility]" in err
+                   for label, (_, err) in outcomes.items() if label[0] == "bundle.inv_map")
+
+
+# Omega of z2-ruth-1 at (g,g) is free: with a zero differential, every
+# cocycle condition it enters cancels, so this bump is a valid representation.
+@pytest.mark.parametrize("fixture, passed", [
+    ("z2-ruth-1-wrep.json", [("omega", ("g", "g"), 0, 0)]),
+    ("pair-strict-wrep.json", []),
+])
+def test_wrep_ruth_refuses_each_recovered_representation_that_is_not_valid(
+        monkeypatch, capsys, fixture, passed):
+    """Every entry of the recovered representation, bumped one at a time
+    after ruth_from_wrep_with_witness returns it with its witness: the
+    pipeline reports each invalid one under the trial, from its own
+    validation of the recovered representation."""
+    recover, path = cli.ruth_from_wrep_with_witness, str(REPO_FIXTURES / fixture)
+    r, _ = recover(_fixture(fixture))
+    labels = _entries(r, ("lambda0", "lambda1", "omega", "complex.diff"))
+    for label in labels:
+        def mutated(w, label=label):
+            out, witness = recover(w)
+            return _bumped(out, *label), witness
+
+        monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", mutated)
+        if label in passed:
+            assert main(["roundtrip", path, "--pipeline", "wrep-ruth", "--trials", "1"]) == 0
+            capsys.readouterr()
+            continue
+        found = _failing_roundtrip(capsys, "wrep-ruth", path)
+        assert found and all(loc.startswith("trial 0: recovered: ") for _, loc, _ in found)
+    assert len(labels) > len(passed)
+
+
+@contextlib.contextmanager
+def _calls(*functions):
+    """Count the calls of each function made in the block, by its code
+    object, so a call through any module's reference to it counts."""
+    names = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
+
+
+def test_each_conversion_output_is_validated_once_at_the_edge(monkeypatch, capsys):
+    """Operation count, independent of the machine: the CLI validates the
+    weak representation of each vb->wrep conversion and the representation
+    of each wrep->ruth conversion once, and the conversions validate
+    neither.  A convert also validates its input file."""
+    monkeypatch.chdir(REPO_FIXTURES)
+
+    def counted(argv):
+        with _calls(validate_weak_representation, validate_ruth) as counts:
+            assert main(argv) == 0
+        capsys.readouterr()
+        return counts["validate_weak_representation"], counts["validate_ruth"]
+
+    assert counted(["convert", "z2-ruth-1-vb-scrambled.json", "--from", "vb", "--to", "wrep",
+                    "--out", os.devnull]) == (1, 0)
+    assert counted(["convert", "pair-strict-wrep.json", "--from", "wrep", "--to", "ruth",
+                    "--out", os.devnull]) == (1, 1)
+    assert counted(["roundtrip", "--pipeline", "vb-wrep", "--trials", "3", "--seed", "1",
+                    "--max-dim", "2"]) == (3, 0)
+    assert counted(["roundtrip", "--pipeline", "wrep-ruth", "--trials", "3", "--seed", "1",
+                    "--max-dim", "2"]) == (0, 3)
+    v, w = _fixture("z2-ruth-1-vb-scrambled.json"), _fixture("pair-strict-wrep.json")
+    e = wrep_from_ruth_morphism(gen.random_ruth_morphism(random.Random(1),
+                                                         fixtures.pair_strict_ruth()))
+    with _calls(validate_weak_representation, validate_ruth) as counts:
+        vb_to_wrep(v)
+        ruth_from_wrep(w)
+        ruth_from_wrep_with_witness(w)
+        ruth_morphism_from_wrep_map(e)
+    assert counts == {"validate_weak_representation": 0, "validate_ruth": 0}
 
 
 def _wrep_with_renamed_unit_arrows(tmp_path) -> str:
