@@ -33,9 +33,7 @@ def wrep_from_ruth(r: Ruth, validate: bool = True) -> WeakRepresentation:
     a1 = {a: linalg.direct_sum(r.lambda0[a], r.lambda1[a]) for a in g.arrows}
     alpha = {}
     for (g1, g2) in g.comp:
-        alpha[(g1, g2)] = linalg.vstack(
-            r.omega[(g1, g2)],
-            linalg.compose(r.lambda1[g1], r.lambda1[g2]))
+        alpha[(g1, g2)] = linalg.vstack(r.omega[(g1, g2)], r.lambda1[g1] @ r.lambda1[g2])
     return WeakRepresentation(g, bundle, a0, a1, alpha)
 
 
@@ -64,7 +62,7 @@ def ruth_from_wrep_with_witness(w: WeakRepresentation) -> tuple[Ruth, Equivarian
     witness = EquivariantMap(
         wrep_from_ruth(r, validate=False), w,
         {x: LinearMap.identity(w.bundle.objdim[x]) for x in g.objects}, rho,
-        {a: linalg.compose(w.bundle.utilde[g.tgt[a]], w.a0[a]) for a in g.arrows})
+        {a: w.bundle.utilde[g.tgt[a]] @ w.a0[a] for a in g.arrows})
     return r, witness
 
 
@@ -76,13 +74,11 @@ def _ruth_and_splitting(w: WeakRepresentation) -> tuple[Ruth, dict[str, LinearMa
     complex_, iso = split_bundle(w.bundle)
     rho, dim0 = iso.arr_maps, complex_.dim0
     rho_inv = {x: linalg.inverse(rho[x]) for x in g.objects}
-    lambda0 = {a: chain_block(linalg.compose(rho_inv[g.tgt[a]],
-                                             linalg.compose(w.a1[a], rho[g.src[a]])),
+    lambda0 = {a: chain_block(rho_inv[g.tgt[a]] @ (w.a1[a] @ rho[g.src[a]]),
                               dim0[g.tgt[a]], dim0[g.src[a]], w.a0[a], f"action at {a}")
                for a in g.arrows}
-    omega = {(g1, g2): cell_block(linalg.compose(rho_inv[g.tgt[g1]], cell), dim0[g.tgt[g1]],
-                                  linalg.compose(w.a0[g1], w.a0[g2]),
-                                  f"associator at ({g1},{g2})")
+    omega = {(g1, g2): cell_block(rho_inv[g.tgt[g1]] @ cell, dim0[g.tgt[g1]],
+                                  w.a0[g1] @ w.a0[g2], f"associator at ({g1},{g2})")
              for (g1, g2), cell in w.alpha.items()}
     return Ruth(g, complex_, lambda0, w.a0, omega), rho, rho_inv
 
@@ -104,9 +100,7 @@ def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> Equivaria
     delta = {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        delta[a] = linalg.vstack(
-            -m.mu[a],
-            linalg.compose(m.phi1[t], m.source.lambda1[a]))
+        delta[a] = linalg.vstack(-m.mu[a], m.phi1[t] @ m.source.lambda1[a])
     return EquivariantMap(
         src, tgt,
         {x: m.phi1[x] for x in g.objects},
@@ -122,11 +116,11 @@ def ruth_morphism_from_wrep_map(e: EquivariantMap) -> RuthMorphism:
     r_src, rho_s, _ = _ruth_and_splitting(e.source)
     r_tgt, _, rho_t_inv = _ruth_and_splitting(e.target)
     cs, ct = r_src.complex, r_tgt.complex
-    phi0 = {x: chain_block(linalg.compose(rho_t_inv[x], linalg.compose(e.f1[x], rho_s[x])),
+    phi0 = {x: chain_block(rho_t_inv[x] @ (e.f1[x] @ rho_s[x]),
                            ct.dim0[x], cs.dim0[x], e.f0[x], f"functor at {x}")
             for x in g.objects}
-    mu = {a: -cell_block(linalg.compose(rho_t_inv[g.tgt[a]], e.delta[a]), ct.dim0[g.tgt[a]],
-                         linalg.compose(e.f0[g.tgt[a]], r_src.lambda1[a]), f"cell at {a}")
+    mu = {a: -cell_block(rho_t_inv[g.tgt[a]] @ e.delta[a], ct.dim0[g.tgt[a]],
+                         e.f0[g.tgt[a]] @ r_src.lambda1[a], f"cell at {a}")
           for a in g.arrows}
     return RuthMorphism(r_src, r_tgt, phi0, e.f0, mu)
 
@@ -167,7 +161,7 @@ def vb_to_wrep(v: VBGroupoid, connection: Connection | None = None,
     a0, a1, alpha = {}, {}, {}
     for a in g.arrows:
         us = g.unit[g.src[a]]
-        a0[a] = linalg.compose(v.ttilde[a], sigma[a])
+        a0[a] = v.ttilde[a] @ sigma[a]
         left = v.product(a, us, sigma[a] @ v.ttilde[us], LinearMap.identity(v.arrdim[us]))
         a1[a] = v.product(a, g.inv[a], left, v.inv_map[a] @ sigma[a] @ v.stilde[us])
     for (g1, g2), g12 in g.comp.items():

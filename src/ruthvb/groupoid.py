@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import CompositionError, StructureError
+from .errors import StructureError
 from .reports import Report
 
 
@@ -77,13 +77,6 @@ class FiniteGroupoid:
 
     def is_unit(self, arrow: str) -> bool:
         return arrow in self.unit_arrows
-
-    def compose(self, g1: str, g2: str) -> str:
-        """Composite g1*g2 (g2 first)."""
-        try:
-            return self.comp[(g1, g2)]
-        except KeyError:
-            raise CompositionError(f"arrows {g1}, {g2} are not composable") from None
 
     # -- nerve ---------------------------------------------------------------
 

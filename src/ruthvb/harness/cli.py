@@ -1,6 +1,8 @@
 """Command line: validate, convert, roundtrip, fuzz, report.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error.  A
+parse error is an input file that cannot be read; an error raised once the
+input was read is a check failure.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..errors import RuthVBError, StructureError, UsageError, ValidationError
@@ -40,6 +43,37 @@ VALIDATORS = {
 }
 
 
+class _ParseError(Exception):
+    """An input file that cannot be read, whatever error its reader raised."""
+
+
+@contextmanager
+def _parsing():
+    """Raises what the reader raises within as a parse error (exit 2)."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError, StructureError) as exc:
+        raise _ParseError(exc) from exc
+
+
+def _read(path: str, expect_kind: str | None):
+    """The kind and instance of the instance file at ``path``."""
+    with _parsing():
+        kind, obj, _ = serialize.load_instance(Path(path).read_text(), expect_kind)
+    return kind, obj
+
+
+def _refused(kind: str, obj, subject: str) -> bool:
+    """Whether ``obj`` fails its kind's validator, whose report then goes to
+    stderr under ``subject``."""
+    report = VALIDATORS[kind](obj)
+    if report.passed:
+        return False
+    report.subject = subject
+    print(report.to_text(), file=sys.stderr)
+    return True
+
+
 def _emit(report: Report, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
@@ -49,8 +83,7 @@ def _emit(report: Report, fmt: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    kind, obj, _ = serialize.load_instance(Path(args.file).read_text(),
-                                           expect_kind=args.kind)
+    kind, obj = _read(args.file, args.kind)
     t0 = time.perf_counter()
     report = VALIDATORS[kind](obj)
     report.subject = f"{kind} {args.file}"
@@ -85,19 +118,12 @@ def cmd_convert(args) -> int:
     convert = CONVERSIONS.get((args.from_kind, args.to_kind))
     if convert is None:
         raise UsageError(f"unsupported conversion {args.from_kind} -> {args.to_kind}")
-    kind, obj, _ = serialize.load_instance(Path(args.file).read_text(),
-                                           expect_kind=args.from_kind)
-    pre = VALIDATORS[kind](obj)
-    if not pre.passed:
-        pre.subject = f"input {kind} {args.file}"
-        print(pre.to_text(), file=sys.stderr)
+    kind, obj = _read(args.file, args.from_kind)
+    if _refused(kind, obj, f"input {kind} {args.file}"):
         return 1
     out, metadata = convert(obj)
     metadata["conversion"] = f"{args.from_kind}->{args.to_kind}"
-    post = VALIDATORS[args.to_kind](out)
-    if not post.passed:
-        post.subject = "converted output"
-        print(post.to_text(), file=sys.stderr)
+    if _refused(args.to_kind, out, "converted output"):
         return 1
     text = serialize.dumps_instance(args.to_kind, out, metadata)
     if args.out:
@@ -191,12 +217,8 @@ def cmd_roundtrip(args) -> int:
     if args.file:
         if file_kind is None:
             raise UsageError(f"pipeline {args.pipeline} does not take an input file")
-        _, obj, _ = serialize.load_instance(Path(args.file).read_text(),
-                                            expect_kind=file_kind)
-        pre = VALIDATORS[file_kind](obj)
-        if not pre.passed:
-            pre.subject = f"input {file_kind} {args.file}"
-            print(pre.to_text(), file=sys.stderr)
+        _, obj = _read(args.file, file_kind)
+        if _refused(file_kind, obj, f"input {file_kind} {args.file}"):
             return 1
     rng = random.Random(args.seed)
     report = Report(f"roundtrip {args.pipeline} ({args.trials} trial(s), seed {args.seed})")
@@ -273,16 +295,17 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_report(args) -> int:
-    # integers parse as floats, so that any JSON number formats as seconds
-    doc = serialize.parse_json(Path(args.file).read_text(), parse_int=float)
-    if not isinstance(doc, dict) or "verdict" not in doc:
-        raise StructureError("not a report file")
-    rep = Report(json_typed(doc.get("subject", args.file), str, "subject"),
-                 seconds=json_typed(doc.get("seconds", 0.0), float, "seconds"))
-    for e in json_typed(doc.get("entries", []), list, "entries"):
-        e = json_typed(e, dict, "entries entry")
-        rep.add(*[json_typed(e.get(k), str, k)
-                  for k in ("check", "location", "expected", "actual")])
+    with _parsing():
+        # integers parse as floats, so that any JSON number formats as seconds
+        doc = serialize.parse_json(Path(args.file).read_text(), parse_int=float)
+        if not isinstance(doc, dict) or "verdict" not in doc:
+            raise StructureError("not a report file")
+        rep = Report(json_typed(doc.get("subject", args.file), str, "subject"),
+                     seconds=json_typed(doc.get("seconds", 0.0), float, "seconds"))
+        for e in json_typed(doc.get("entries", []), list, "entries"):
+            e = json_typed(e, dict, "entries entry")
+            rep.add(*[json_typed(e.get(k), str, k)
+                      for k in ("check", "location", "expected", "actual")])
     print(rep.to_text())
     return 0 if rep.passed else 1
 
@@ -372,7 +395,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, StructureError, OSError) as exc:
+    except (_ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RuthVBError as exc:

@@ -185,8 +185,8 @@ def random_homotopy_from(rng, f: ChainMap) -> ChainHomotopy:
     target chain map."""
     c, d = f.source, f.target
     omega = {x: rand_matrix(rng, d.dim0[x], c.dim1[x]) for x in c.base}
-    g0 = {x: f.f0[x] + linalg.compose(omega[x], c.diff[x]) for x in c.base}
-    g1 = {x: f.f1[x] + linalg.compose(d.diff[x], omega[x]) for x in c.base}
+    g0 = {x: f.f0[x] + omega[x] @ c.diff[x] for x in c.base}
+    g1 = {x: f.f1[x] + d.diff[x] @ omega[x] for x in c.base}
     g = ChainMap(c, d, g0, g1)
     return ChainHomotopy(f, g, omega)
 
@@ -202,18 +202,10 @@ def scramble_vb(rng, v: VBGroupoid):
     t_arr = {a: rand_invertible(rng, v.arrdim[a], 1) for a in g.arrows}
     t_obj_inv = {x: linalg.inverse(t_obj[x]) for x in g.objects}
     t_arr_inv = {a: linalg.inverse(t_arr[a]) for a in g.arrows}
-    stilde = {a: linalg.compose(t_obj[g.src[a]],
-                                linalg.compose(v.stilde[a], t_arr_inv[a]))
-              for a in g.arrows}
-    ttilde = {a: linalg.compose(t_obj[g.tgt[a]],
-                                linalg.compose(v.ttilde[a], t_arr_inv[a]))
-              for a in g.arrows}
-    utilde = {x: linalg.compose(t_arr[g.unit[x]],
-                                linalg.compose(v.utilde[x], t_obj_inv[x]))
-              for x in g.objects}
-    inv_map = {a: linalg.compose(t_arr[g.inv[a]],
-                                 linalg.compose(v.inv_map[a], t_arr_inv[a]))
-               for a in g.arrows}
+    stilde = {a: t_obj[g.src[a]] @ (v.stilde[a] @ t_arr_inv[a]) for a in g.arrows}
+    ttilde = {a: t_obj[g.tgt[a]] @ (v.ttilde[a] @ t_arr_inv[a]) for a in g.arrows}
+    utilde = {x: t_arr[g.unit[x]] @ (v.utilde[x] @ t_obj_inv[x]) for x in g.objects}
+    inv_map = {a: t_arr[g.inv[a]] @ (v.inv_map[a] @ t_arr_inv[a]) for a in g.arrows}
 
     def product(g1, g2, vv, ww):
         prod = v.product(g1, g2, t_arr_inv[g1] @ vv, t_arr_inv[g2] @ ww)
@@ -247,24 +239,16 @@ def scramble_wrep(rng, w: WeakRepresentation):
     bundle, t_obj, t_arr = scramble_vb(rng, w.bundle)
     t_obj_inv = {x: linalg.inverse(t_obj[x]) for x in g.objects}
     t_arr_inv = {x: linalg.inverse(t_arr[x]) for x in g.objects}
-    a0 = {a: linalg.compose(t_obj[g.tgt[a]],
-                            linalg.compose(w.a0[a], t_obj_inv[g.src[a]]))
-          for a in g.arrows}
-    a1 = {a: linalg.compose(t_arr[g.tgt[a]],
-                            linalg.compose(w.a1[a], t_arr_inv[g.src[a]]))
-          for a in g.arrows}
-    alpha = {pair: linalg.compose(t_arr[g.tgt[pair[0]]],
-                                  linalg.compose(w.alpha[pair],
-                                                 t_obj_inv[g.src[pair[1]]]))
+    a0 = {a: t_obj[g.tgt[a]] @ (w.a0[a] @ t_obj_inv[g.src[a]]) for a in g.arrows}
+    a1 = {a: t_arr[g.tgt[a]] @ (w.a1[a] @ t_arr_inv[g.src[a]]) for a in g.arrows}
+    alpha = {pair: t_arr[g.tgt[pair[0]]] @ (w.alpha[pair] @ t_obj_inv[g.src[pair[1]]])
              for pair in g.comp}
     out = WeakRepresentation(g, bundle, a0, a1, alpha)
     witness = EquivariantMap(
         w, out,
         {x: t_obj[x] for x in g.objects},
         {x: t_arr[x] for x in g.objects},
-        {a: linalg.compose(bundle.utilde[g.tgt[a]],
-                           linalg.compose(a0[a], t_obj[g.src[a]]))
-         for a in g.arrows})
+        {a: bundle.utilde[g.tgt[a]] @ (a0[a] @ t_obj[g.src[a]]) for a in g.arrows})
     return out, witness
 
 

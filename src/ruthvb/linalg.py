@@ -3,7 +3,8 @@
 Scalars are integer numerators over one positive denominator per matrix;
 ``fractions.Fraction`` appears only at the text edges (parsing and printing
 entries), in single vectors and in the cochain layer.  Vectors are
-columns, maps act on the left, and ``compose(f, g)`` applies ``g`` first.
+columns, maps act on the left, and every product is written ``f @ g``,
+which applies ``g`` first.
 Every routine with a choice to make (kernel bases, right inverses,
 particular solutions) uses the same deterministic rule: row reduce with
 the leftmost pivot in the earliest row, set free variables to zero, and
@@ -480,7 +481,9 @@ class LinearMap:
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Matrix product f*g, i.e. the map applying g first."""
+    """``f @ g``, the map applying g first.  Nothing in the package calls
+    this; it is kept only because the benchmark's workloads and tracer still
+    do."""
     return f @ g
 
 

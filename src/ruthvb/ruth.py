@@ -111,19 +111,19 @@ def validate_ruth(r: Ruth) -> Report:
         if (g.is_unit(g1) or g.is_unit(g2)) and not om.is_zero():
             rep.add("normalization", f"({g1},{g2})", "zero", repr(om))
     for a in g.arrows:
-        rep.expect("identity-1", a, linalg.compose(r.lambda1[a], c.diff[g.src[a]]),
-                   linalg.compose(c.diff[g.tgt[a]], r.lambda0[a]))
+        rep.expect("identity-1", a, r.lambda1[a] @ c.diff[g.src[a]],
+                   c.diff[g.tgt[a]] @ r.lambda0[a])
     for (g1, g2), g12 in g.comp.items():
         loc = f"({g1},{g2})"
-        rep.expect("identity-2", loc, linalg.compose(r.omega[(g1, g2)], c.diff[g.src[g2]]),
-                   r.lambda0[g12] - linalg.compose(r.lambda0[g1], r.lambda0[g2]))
-        rep.expect("identity-3", loc, linalg.compose(c.diff[g.tgt[g1]], r.omega[(g1, g2)]),
-                   r.lambda1[g12] - linalg.compose(r.lambda1[g1], r.lambda1[g2]))
+        rep.expect("identity-2", loc, r.omega[(g1, g2)] @ c.diff[g.src[g2]],
+                   r.lambda0[g12] - r.lambda0[g1] @ r.lambda0[g2])
+        rep.expect("identity-3", loc, c.diff[g.tgt[g1]] @ r.omega[(g1, g2)],
+                   r.lambda1[g12] - r.lambda1[g1] @ r.lambda1[g2])
     for (g1, g2, g3) in g.nerve_tuples(3):
-        total = (linalg.compose(r.lambda0[g1], r.omega[(g2, g3)])
+        total = (r.lambda0[g1] @ r.omega[(g2, g3)]
                  - r.omega[(g.comp[(g1, g2)], g3)]
                  + r.omega[(g1, g.comp[(g2, g3)])]
-                 - linalg.compose(r.omega[(g1, g2)], r.lambda1[g3]))
+                 - r.omega[(g1, g2)] @ r.lambda1[g3])
         if not total.is_zero():
             rep.add("identity-4", f"({g1},{g2},{g3})", "zero", repr(total))
     return rep
@@ -161,23 +161,21 @@ def validate_morphism(m: RuthMorphism) -> Report:
     r, rq = m.source, m.target
     for x in g.objects:
         rep.expect("morphism-identity-1", f"object {x}",
-                   linalg.compose(ct.diff[x], m.phi0[x]), linalg.compose(m.phi1[x], cs.diff[x]))
+                   ct.diff[x] @ m.phi0[x], m.phi1[x] @ cs.diff[x])
     for a in g.arrows:
         if g.is_unit(a) and not m.mu[a].is_zero():
             rep.add("mu-normalization", a, "zero", repr(m.mu[a]))
         s, t = g.src[a], g.tgt[a]
-        rep.expect("morphism-identity-2", a, linalg.compose(m.mu[a], cs.diff[s]),
-                   linalg.compose(m.phi0[t], r.lambda0[a])
-                   - linalg.compose(rq.lambda0[a], m.phi0[s]))
-        rep.expect("morphism-identity-3", a, linalg.compose(ct.diff[t], m.mu[a]),
-                   linalg.compose(m.phi1[t], r.lambda1[a])
-                   - linalg.compose(rq.lambda1[a], m.phi1[s]))
+        rep.expect("morphism-identity-2", a, m.mu[a] @ cs.diff[s],
+                   m.phi0[t] @ r.lambda0[a] - rq.lambda0[a] @ m.phi0[s])
+        rep.expect("morphism-identity-3", a, ct.diff[t] @ m.mu[a],
+                   m.phi1[t] @ r.lambda1[a] - rq.lambda1[a] @ m.phi1[s])
     for (g1, g2), g12 in g.comp.items():
         rep.expect("morphism-identity-4", f"({g1},{g2})",
-                   m.mu[g12] + linalg.compose(rq.omega[(g1, g2)], m.phi1[g.src[g2]]),
-                   linalg.compose(m.phi0[g.tgt[g1]], r.omega[(g1, g2)])
-                   + linalg.compose(m.mu[g1], r.lambda1[g2])
-                   + linalg.compose(rq.lambda0[g1], m.mu[g2]))
+                   m.mu[g12] + rq.omega[(g1, g2)] @ m.phi1[g.src[g2]],
+                   m.phi0[g.tgt[g1]] @ r.omega[(g1, g2)]
+                   + m.mu[g1] @ r.lambda1[g2]
+                   + rq.lambda0[g1] @ m.mu[g2])
     return rep
 
 
@@ -198,11 +196,9 @@ def compose_morphisms(m2: RuthMorphism, m1: RuthMorphism) -> RuthMorphism:
     g = m1.source.groupoid
     return RuthMorphism(
         m1.source, m2.target,
-        {x: linalg.compose(m2.phi0[x], m1.phi0[x]) for x in g.objects},
-        {x: linalg.compose(m2.phi1[x], m1.phi1[x]) for x in g.objects},
-        {a: linalg.compose(m2.phi0[g.tgt[a]], m1.mu[a])
-            + linalg.compose(m2.mu[a], m1.phi1[g.src[a]])
-         for a in g.arrows})
+        {x: m2.phi0[x] @ m1.phi0[x] for x in g.objects},
+        {x: m2.phi1[x] @ m1.phi1[x] for x in g.objects},
+        {a: m2.phi0[g.tgt[a]] @ m1.mu[a] + m2.mu[a] @ m1.phi1[g.src[a]] for a in g.arrows})
 
 
 def gauge_transport(target: Ruth, phi0, phi1, mu) -> tuple[Ruth, RuthMorphism]:
@@ -226,29 +222,19 @@ def gauge_transport(target: Ruth, phi0, phi1, mu) -> tuple[Ruth, RuthMorphism]:
     for a in g.arrows:
         if g.is_unit(a) and not mu[a].is_zero():
             raise StructureError("gauge operator must vanish at unit arrows")
-    diff = {x: linalg.compose(inv1[x], linalg.compose(ct.diff[x], phi0[x]))
-            for x in g.objects}
+    diff = {x: inv1[x] @ (ct.diff[x] @ phi0[x]) for x in g.objects}
     source_complex = TwoTermComplex(g.objects, ct.dim0, ct.dim1, diff)
     lambda0, lambda1 = {}, {}
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        lambda0[a] = linalg.compose(
-            inv0[t],
-            linalg.compose(target.lambda0[a], phi0[s]) + linalg.compose(mu[a], diff[s]))
-        lambda1[a] = linalg.compose(
-            inv1[t],
-            linalg.compose(target.lambda1[a], phi1[s])
-            + linalg.compose(ct.diff[t], mu[a]))
+        lambda0[a] = inv0[t] @ (target.lambda0[a] @ phi0[s] + mu[a] @ diff[s])
+        lambda1[a] = inv1[t] @ (target.lambda1[a] @ phi1[s] + ct.diff[t] @ mu[a])
     omega = {}
     for (g1, g2) in g.comp:
         g12 = g.comp[(g1, g2)]
         t1, s2 = g.tgt[g1], g.src[g2]
-        omega[(g1, g2)] = linalg.compose(
-            inv0[t1],
-            mu[g12]
-            + linalg.compose(target.omega[(g1, g2)], phi1[s2])
-            - linalg.compose(mu[g1], lambda1[g2])
-            - linalg.compose(target.lambda0[g1], mu[g2]))
+        omega[(g1, g2)] = inv0[t1] @ (mu[g12] + target.omega[(g1, g2)] @ phi1[s2]
+                                      - mu[g1] @ lambda1[g2] - target.lambda0[g1] @ mu[g2])
     source = Ruth(g, source_complex, lambda0, lambda1, omega)
     witness = RuthMorphism(source, target, phi0, phi1, mu)
     return source, witness

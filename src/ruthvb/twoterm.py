@@ -51,8 +51,7 @@ class ChainMap:
             "degree-1 component", self.f1,
             {x: (target.dim1[x], source.dim1[x]) for x in source.base})
         for x in source.base:
-            if (linalg.compose(self.f1[x], source.diff[x])
-                    != linalg.compose(target.diff[x], self.f0[x])):
+            if self.f1[x] @ source.diff[x] != target.diff[x] @ self.f0[x]:
                 raise StructureError(f"chain square fails at {x}")
 
 
@@ -67,8 +66,8 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         raise CompositionError("chain map boundaries do not match")
     return ChainMap(
         f.source, g.target,
-        {x: linalg.compose(g.f0[x], f.f0[x]) for x in f.source.base},
-        {x: linalg.compose(g.f1[x], f.f1[x]) for x in f.source.base})
+        {x: g.f0[x] @ f.f0[x] for x in f.source.base},
+        {x: g.f1[x] @ f.f1[x] for x in f.source.base})
 
 
 @dataclass(repr=False)
@@ -90,9 +89,9 @@ class ChainHomotopy:
             {x: (tgt.dim0[x], src.dim1[x]) for x in src.base})
         for x in src.base:
             w = self.omega[x]
-            if linalg.compose(tgt.diff[x], w) != to_map.f1[x] - from_map.f1[x]:
+            if tgt.diff[x] @ w != to_map.f1[x] - from_map.f1[x]:
                 raise StructureError(f"homotopy equation (degree 1) fails at {x}")
-            if linalg.compose(w, src.diff[x]) != to_map.f0[x] - from_map.f0[x]:
+            if w @ src.diff[x] != to_map.f0[x] - from_map.f0[x]:
                 raise StructureError(f"homotopy equation (degree 0) fails at {x}")
 
 
@@ -117,7 +116,7 @@ def hcompose(psi: ChainHomotopy, omega: ChainHomotopy) -> ChainHomotopy:
         raise CompositionError("horizontal boundaries do not match")
     f, g = psi.from_map, psi.to_map
     k, l = omega.from_map, omega.to_map
-    comp = {x: linalg.compose(k.f0[x], psi.omega[x]) + linalg.compose(omega.omega[x], g.f1[x])
+    comp = {x: k.f0[x] @ psi.omega[x] + omega.omega[x] @ g.f1[x]
             for x in f.source.base}
     return ChainHomotopy(compose_chain_maps(k, f), compose_chain_maps(l, g), comp)
 
@@ -203,7 +202,7 @@ def split_bundle(v: VBGroupoid) -> tuple[TwoTermComplex, VBMap]:
             raise StructureError(f"source map at {p} is not surjective")
         dim0[p] = j.cols
         dim1[p] = v.objdim[p]
-        diff[p] = linalg.compose(v.ttilde[p], j)
+        diff[p] = v.ttilde[p] @ j
         inj[p] = j
     c = TwoTermComplex(points, dim0, dim1, diff)
     model = phi_object(c)

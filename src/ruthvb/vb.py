@@ -154,8 +154,8 @@ def validate_vb(v: VBGroupoid) -> Report:
         return rep
     for x in g.objects:
         u = g.unit[x]
-        su = linalg.compose(v.stilde[u], v.utilde[x])
-        tu = linalg.compose(v.ttilde[u], v.utilde[x])
+        su = v.stilde[u] @ v.utilde[x]
+        tu = v.ttilde[u] @ v.utilde[x]
         if not su.is_identity():
             rep.add("unit-source", f"object {x}", "identity", repr(su))
         if not tu.is_identity():
@@ -169,8 +169,8 @@ def validate_vb(v: VBGroupoid) -> Report:
             rep.add("source-onto", a, f"rank {od}", f"rank {ranks[s]}")
     for a in g.arrows:
         b = g.inv[a]
-        si = linalg.compose(v.stilde[b], v.inv_map[a])
-        ti = linalg.compose(v.ttilde[b], v.inv_map[a])
+        si = v.stilde[b] @ v.inv_map[a]
+        ti = v.ttilde[b] @ v.inv_map[a]
         if si != v.ttilde[a]:
             rep.add("inverse-source", a, "ttilde", repr(si))
         if ti != v.stilde[a]:
@@ -292,8 +292,8 @@ def compose_vb_maps(m2: VBMap, m1: VBMap) -> VBMap:
         raise CompositionError("VB map boundaries do not match")
     return VBMap(
         m1.source, m2.target,
-        {x: linalg.compose(m2.obj_maps[x], m1.obj_maps[x]) for x in m1.source.base.objects},
-        {a: linalg.compose(m2.arr_maps[a], m1.arr_maps[a]) for a in m1.source.base.arrows})
+        {x: m2.obj_maps[x] @ m1.obj_maps[x] for x in m1.source.base.objects},
+        {a: m2.arr_maps[a] @ m1.arr_maps[a] for a in m1.source.base.arrows})
 
 
 def validate_vb_map(m: VBMap) -> Report:
@@ -303,15 +303,15 @@ def validate_vb_map(m: VBMap) -> Report:
     gb = src.base
     for a in gb.arrows:
         rep.expect("source-compatibility", a,
-                   linalg.compose(m.obj_maps[gb.src[a]], src.stilde[a]),
-                   linalg.compose(tgt.stilde[a], m.arr_maps[a]))
+                   m.obj_maps[gb.src[a]] @ src.stilde[a],
+                   tgt.stilde[a] @ m.arr_maps[a])
         rep.expect("target-compatibility", a,
-                   linalg.compose(m.obj_maps[gb.tgt[a]], src.ttilde[a]),
-                   linalg.compose(tgt.ttilde[a], m.arr_maps[a]))
+                   m.obj_maps[gb.tgt[a]] @ src.ttilde[a],
+                   tgt.ttilde[a] @ m.arr_maps[a])
     for x in gb.objects:
         rep.expect("unit-compatibility", f"object {x}",
-                   linalg.compose(tgt.utilde[x], m.obj_maps[x]),
-                   linalg.compose(m.arr_maps[gb.unit[x]], src.utilde[x]))
+                   tgt.utilde[x] @ m.obj_maps[x],
+                   m.arr_maps[gb.unit[x]] @ src.utilde[x])
     f = m.arr_maps
     for (g1, g2), g12 in gb.comp.items():
         vv, ww = src.pair_chart(g1, g2).basis_map.split(src.arrdim[g1])
@@ -360,9 +360,9 @@ def validate_bundle_transformation(t: BundleTransformation) -> Report:
     unit = src.base.unit
     for x in src.base.objects:
         rep.expect("component-source", f"object {x}",
-                   t.from_map.obj_maps[x], linalg.compose(tgt.stilde[unit[x]], t.comp[x]))
+                   t.from_map.obj_maps[x], tgt.stilde[unit[x]] @ t.comp[x])
         rep.expect("component-target", f"object {x}",
-                   t.to_map.obj_maps[x], linalg.compose(tgt.ttilde[unit[x]], t.comp[x]))
+                   t.to_map.obj_maps[x], tgt.ttilde[unit[x]] @ t.comp[x])
     for x in src.base.objects:
         u, comp = unit[x], t.comp[x]
         r_want, want = tgt.multiply(u, u, t.to_map.arr_maps[u], comp @ src.stilde[u])
@@ -396,7 +396,7 @@ def connection_report(c: Connection) -> Report:
     rep = Report("connection")
     v = c.vb
     for a in v.base.arrows:
-        comp = linalg.compose(v.stilde[a], c.sigma[a])
+        comp = v.stilde[a] @ c.sigma[a]
         if not comp.is_identity():
             rep.add("splits-source", a, "identity", repr(comp))
     for x in v.base.objects:

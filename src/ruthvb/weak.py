@@ -86,12 +86,12 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
     rep.extend(validate_vb(w.bundle), prefix="bundle: ")
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("action-source", a, linalg.compose(w.a0[a], w.bundle.stilde[s]),
-                   linalg.compose(w.bundle.stilde[t], w.a1[a]))
-        rep.expect("action-target", a, linalg.compose(w.a0[a], w.bundle.ttilde[s]),
-                   linalg.compose(w.bundle.ttilde[t], w.a1[a]))
-        rep.expect("action-units", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
-                   linalg.compose(w.a1[a], w.bundle.utilde[s]))
+        rep.expect("action-source", a, w.a0[a] @ w.bundle.stilde[s],
+                   w.bundle.stilde[t] @ w.a1[a])
+        rep.expect("action-target", a, w.a0[a] @ w.bundle.ttilde[s],
+                   w.bundle.ttilde[t] @ w.a1[a])
+        rep.expect("action-units", a, w.bundle.utilde[t] @ w.a0[a],
+                   w.a1[a] @ w.bundle.utilde[s])
         # on the chart basis of (s, s): basis vector k multiplies to column k of mult
         a1 = w.a1[a]
         v1, v2 = w.bundle.pair_chart(s, s).basis_map.split(w.bundle.arrdim[s])
@@ -108,10 +108,9 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
     for (g1, g2), cell in w.alpha.items():
         t1, s2, g12 = g.tgt[g1], g.src[g2], g.comp[(g1, g2)]
         loc = f"({g1},{g2})"
-        rep.expect("associator-source", loc, linalg.compose(w.a0[g1], w.a0[g2]),
-                   linalg.compose(w.bundle.stilde[t1], cell))
-        rep.expect("associator-target", loc, w.a0[g12],
-                   linalg.compose(w.bundle.ttilde[t1], cell))
+        rep.expect("associator-source", loc, w.a0[g1] @ w.a0[g2],
+                   w.bundle.stilde[t1] @ cell)
+        rep.expect("associator-target", loc, w.a0[g12], w.bundle.ttilde[t1] @ cell)
         # naturality on the basis arrows of the fiber at src(g2)
         r_want, want = w.bundle.multiply(t1, t1, w.a1[g12], cell @ w.bundle.stilde[s2])
         r_got, got = w.bundle.multiply(t1, t1, cell @ w.bundle.ttilde[s2], w.a1[g1] @ w.a1[g2])
@@ -127,9 +126,9 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
             ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("unit-coherence-right", a, linalg.compose(w.a1[a], w.bundle.utilde[s]),
+        rep.expect("unit-coherence-right", a, w.a1[a] @ w.bundle.utilde[s],
                    w.alpha[(a, g.unit[s])])
-        rep.expect("unit-coherence-left", a, linalg.compose(w.bundle.utilde[t], w.a0[a]),
+        rep.expect("unit-coherence-left", a, w.bundle.utilde[t] @ w.a0[a],
                    w.alpha[(g.unit[t], a)])
     return rep
 
@@ -162,12 +161,12 @@ class ActionChart:
             n, t = w.bundle.objdim[g.src[a]], g.tgt[a]
             self.residual_rows[a], self.object_rows[a] = w.bundle.objdim[t], n
             ker, m = self.ker[t], w.bundle.arrdim[t]
-            lift = linalg.compose(self.tau[t], w.a0[a])
+            lift = self.tau[t] @ w.a0[a]
             rem = linalg.hstack(-lift, LinearMap.identity(m))  # (x, k) -> k - tau A0 x
             self.encoder[a] = linalg.vstack(
-                linalg.compose(ker.constraint, rem),
+                ker.constraint @ rem,
                 linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, m)),
-                linalg.compose(ker.coordinates, rem))
+                ker.coordinates @ rem)
             self.decoder[a] = linalg.vstack(
                 linalg.hstack(LinearMap.identity(n), LinearMap.zero(n, len(ker.free))),
                 linalg.hstack(lift, ker.basis_map))
@@ -261,10 +260,10 @@ def validate_equivariant(e: EquivariantMap) -> Report:
     v, w = e.source, e.target
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
-        rep.expect("cell-source", a, linalg.compose(e.f0[t], v.a0[a]),
-                   linalg.compose(w.bundle.stilde[t], e.delta[a]))
-        rep.expect("cell-target", a, linalg.compose(w.a0[a], e.f0[s]),
-                   linalg.compose(w.bundle.ttilde[t], e.delta[a]))
+        rep.expect("cell-source", a, e.f0[t] @ v.a0[a],
+                   w.bundle.stilde[t] @ e.delta[a])
+        rep.expect("cell-target", a, w.a0[a] @ e.f0[s],
+                   w.bundle.ttilde[t] @ e.delta[a])
         delta = e.delta[a]
         r_want, want = w.bundle.multiply(t, t, w.a1[a] @ e.f1[s], delta @ v.bundle.stilde[s])
         r_got, got = w.bundle.multiply(t, t, delta @ v.bundle.ttilde[s], e.f1[t] @ v.a1[a])
@@ -280,7 +279,7 @@ def validate_equivariant(e: EquivariantMap) -> Report:
             ColumnCheck("hexagon", want, got, (r_want, r_inner, r_got), "composable cells")])
     for x in g.objects:
         rep.expect("unit-triangle", f"object {x}",
-                   linalg.compose(w.bundle.utilde[x], e.f0[x]), e.delta[g.unit[x]])
+                   w.bundle.utilde[x] @ e.f0[x], e.delta[g.unit[x]])
     return rep
 
 
@@ -290,7 +289,7 @@ def identity_equivariant(w: WeakRepresentation) -> EquivariantMap:
         w, w,
         {x: LinearMap.identity(w.bundle.objdim[x]) for x in g.objects},
         {x: LinearMap.identity(w.bundle.arrdim[x]) for x in g.objects},
-        {a: linalg.compose(w.bundle.utilde[g.tgt[a]], w.a0[a]) for a in g.arrows})
+        {a: w.bundle.utilde[g.tgt[a]] @ w.a0[a] for a in g.arrows})
 
 
 def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMap:
@@ -305,8 +304,8 @@ def compose_equivariant(e2: EquivariantMap, e1: EquivariantMap) -> EquivariantMa
              for a in g.arrows}
     return EquivariantMap(
         e1.source, e2.target,
-        {x: linalg.compose(e2.f0[x], e1.f0[x]) for x in g.objects},
-        {x: linalg.compose(e2.f1[x], e1.f1[x]) for x in g.objects},
+        {x: e2.f0[x] @ e1.f0[x] for x in g.objects},
+        {x: e2.f1[x] @ e1.f1[x] for x in g.objects},
         delta)
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ruthvb.errors import NotInducedError
+from ruthvb.errors import NotInducedError, StructureError
 from ruthvb.groupoid import pair_groupoid, transitive_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import pair_strict_ruth, stretched_line_ruth, z2_ruth
@@ -208,6 +208,14 @@ def test_kernel_action_over_trivial_base():
     for pair, cell in res.wrep.alpha.items():
         x = g.src[pair[1]]
         assert cell == compose(v.utilde[x], res.wrep.a0[pair[0]])
+
+
+def test_kernel_action_refuses_a_connection_of_another_vb_groupoid():
+    v = semidirect(z2_ruth(1), validate=False)
+    other = semidirect(z2_ruth(2), validate=False)
+    assert other != v
+    with pytest.raises(StructureError, match="different VB-groupoid"):
+        vb_to_wrep(v, find_unital_connection(other))
 
 
 def test_two_connections_give_equivalent_actions():

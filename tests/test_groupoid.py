@@ -8,7 +8,7 @@ import random
 import pytest
 
 from ruthvb.cochains import faces
-from ruthvb.errors import CompositionError, StructureError
+from ruthvb.errors import StructureError
 from ruthvb.groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
                              pair_groupoid, transitive_groupoid, trivial_groupoid,
                              validate_groupoid, z2_groupoid)
@@ -40,8 +40,8 @@ def test_pair_groupoid_relations():
     g = pair_groupoid(["x", "y"])
     a = next(a for a in g.arrows if g.src[a] == "x" and g.tgt[a] == "y")
     b = next(a for a in g.arrows if g.src[a] == "y" and g.tgt[a] == "x")
-    assert g.compose(b, a) == g.unit["x"]
-    assert g.compose(a, b) == g.unit["y"]
+    assert g.comp[(b, a)] == g.unit["x"]
+    assert g.comp[(a, b)] == g.unit["y"]
 
 
 def test_invalid_inverse_reported():
@@ -77,13 +77,6 @@ def test_malformed_tables_raise():
                        g.unit, g.comp, g.inv)      # unknown endpoint
 
 
-def test_compose_error():
-    g = pair_groupoid(["x", "y"])
-    a = next(a for a in g.arrows if g.src[a] == "x" and g.tgt[a] == "y")
-    with pytest.raises(CompositionError):
-        g.compose(a, a)
-
-
 def test_nerve_z2_degree2():
     g = z2_groupoid()
     assert g.nerve_tuples(2) == (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
@@ -109,7 +102,7 @@ def test_nerve_against_brute_force(build, degree):
 def test_tuple_endpoints_match_composite(build):
     g = build()
     for tup in g.nerve_tuples(3):
-        full = g.compose(g.compose(tup[0], tup[1]), tup[2])
+        full = g.comp[(g.comp[(tup[0], tup[1])], tup[2])]
         assert g.tuple_target(tup, 3) == g.tgt[full]
         assert g.tuple_source(tup, 3) == g.src[full]
 
