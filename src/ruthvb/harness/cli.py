@@ -1,8 +1,10 @@
 """Command line: validate, convert, roundtrip, fuzz, report.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error.  A
-parse error is an input file that cannot be read; an error raised once the
-input was read is a check failure.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse or write
+error.  A parse error is an input file that cannot be read; an error raised
+once the input was read is a check failure.  A write error is an output
+that cannot be written: the file of ``convert --out`` or the directory of
+``fixtures``.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ class _ParseError(Exception):
 
 @contextmanager
 def _parsing():
-    """Raises what the reader raises within as a parse error (exit 2)."""
+    """Raises what the reader raises within as a parse error (exit 2): a
+    file that cannot be opened, decoded or parsed."""
     try:
         yield
-    except (json.JSONDecodeError, UnicodeDecodeError, StructureError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, StructureError) as exc:
         raise _ParseError(exc) from exc
 
 
@@ -395,8 +398,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (_ParseError, OSError) as exc:
+    except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read is in _parsing, so this is a write
+        print(f"write error: {exc}", file=sys.stderr)
         return 2
     except RuthVBError as exc:
         print(f"check failure: {exc}", file=sys.stderr)

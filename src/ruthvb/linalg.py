@@ -24,7 +24,9 @@ builds thousands of small maps, so a map has no instance dict: its fields
 and both cached forms live in ``__slots__``, the public fields are
 read-only properties over them, and only this module touches the slots.
 
-Most matrices here are small identity, zero or basis blocks.
+Most matrices here are small identity, zero or basis blocks.  An
+identity is a shape constant: ``LinearMap.identity(n)`` is built once per
+n and shared, as the product kernels are, since a map is immutable.
 ``LinearMap @ LinearMap`` multiplies whole blocks of columns in integer
 numerators, so a structure table is one block expression on an identity
 or basis block.  The block products of the fibered products run fused:
@@ -343,7 +345,10 @@ class LinearMap:
                                                         for j in range(len(cols))])
 
     @staticmethod
+    @cache
     def identity(n: int) -> "LinearMap":
+        """The n x n identity, a shape constant: built once per n and shared,
+        which is safe since a map is immutable."""
         nums = [0] * (n * n)
         nums[::n + 1] = [1] * n
         return LinearMap(n, n, tuple(nums))
@@ -757,9 +762,11 @@ def map_from_dict(d: dict, literals: dict, records: dict) -> LinearMap:
     entries = json_typed(d["entries"], list, "entries")
     key = (rows, cols, *entries)
     try:
-        return records[key]
-    except (KeyError, TypeError):  # TypeError: an unhashable entry, refused below
-        pass
+        m = records.get(key)
+    except TypeError:  # an unhashable entry, refused below
+        m = None
+    if m is not None:
+        return m
     parts, strings = [], True
     for e in entries:
         if type(e) is str:

@@ -23,7 +23,12 @@ construction.  The source map is fiberwise onto (``validate_vb`` reports
 each arrow where it is not), and then every column of the middle arrow is
 free in the first pair chart of a composable triple, so the triple basis
 is the pullback of its two pair charts, read off them by block products
-with no row reduction (:func:`triple_blocks`).
+with no row reduction (:func:`triple_blocks`).  The sweep builds each
+block where its inputs change (:func:`associativity_blocks`): the layout
+blocks of the basis once per second pair chart, the second inner product
+and the first chart's rows stacked on its pair table once per pair, and
+per triple only three fused products, one for the first outer block and
+the first inner product and one for each outer product.
 
 A linear groupoid bundle is the special case whose base is the unit
 groupoid of its points, in which the arrow at point x is named x; the same
@@ -34,6 +39,8 @@ cover the identity of one base groupoid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from . import linalg
 from .errors import CompositionError, StructureError
@@ -201,24 +208,91 @@ def validate_vb(v: VBGroupoid) -> Report:
             ColumnCheck("right-inverse-law", ut, right_inverse, (r_ri,), "unit"),
             ColumnCheck("left-inverse-law", us, left_inverse, (r_li,), "unit")])
     # associativity on the basis (a1; a2; a3) of each composable-triple
-    # subspace that triple_blocks builds from the two pair charts, once for
-    # each distinct two.  Each basis vector lies in the kernel of both pair
-    # constraints, so (a1; a2) and (a2; a3) compose and their chart
-    # coordinates are the blocks x12 and x23: the inner products are the pair
-    # tables on those, and only the two outer products can fail to compose.
-    triples: dict[tuple[KernelChart, KernelChart], tuple[LinearMap, ...]] = {}
-    for (g1, g2, g3) in g.nerve_tuples(3):
-        c12, c23 = charts[(g1, g2)], charts[(g2, g3)]
-        blocks = triples.get((c12, c23))
-        if blocks is None:
-            blocks = triples[(c12, c23)] = triple_blocks(c12, c23, v.arrdim[g1], v.arrdim[g2])
-        a1, a3, x12, x23 = blocks
-        r_left, left = v.multiply(g.comp[(g1, g2)], g3, v.mult[(g1, g2)] @ x12, a3)
-        r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, v.mult[(g2, g3)] @ x23)
+    # subspace.  Each basis vector lies in the kernel of both pair
+    # constraints, so (a1; a2) and (a2; a3) compose, the inner products m12
+    # and m23 are the pair tables on their chart coordinates, and only the
+    # two outer products can fail to compose.  associativity_blocks builds
+    # the layout blocks per second chart, m23 and a stack per pair, and a1
+    # with m12 per triple in one fused product on that stack.
+    for triple, a1, a3, m12, m23 in associativity_blocks(v, charts):
+        g1, g2, g3 = triple
+        r_left, left = v.multiply(g.comp[(g1, g2)], g3, m12, a3)
+        r_right, right = v.multiply(g1, g.comp[(g2, g3)], a1, m23)
         rep.expect_columns(f"({g1},{g2},{g3})", [
             ColumnCheck("associativity", left, right, (r_left, r_right),
                         "composable products")])
     return rep
+
+
+def _pullback_width(c12: KernelChart, d1: int, d2: int) -> int | None:
+    """f1, the number of free columns of the pair chart ``c12`` in its first
+    arrow's d1 columns, when all d2 columns of the middle arrow after them
+    are free; None when one is a pivot."""
+    f1 = len(c12.free) - d2
+    return f1 if c12.free[f1:] == tuple(range(d1, d1 + d2)) else None
+
+
+def outer_blocks(c23: KernelChart, f1: int, d2: int) -> tuple[LinearMap, ...]:
+    """The blocks ``(x12, a3, x23)`` of a pullback triple basis, which depend
+    only on its second pair chart ``c23`` and on f1: with ``c23.basis_map =
+    [b2; b3]`` split after the d2 middle rows, x12 is ``diag(I_f1, b2)``,
+    a3 is ``[0 | b3]`` and x23 is ``[0 | I]``."""
+    b2, b3 = c23.basis_map.split(d2)
+    return (linalg.direct_sum(LinearMap.identity(f1), b2),
+            linalg.hstack(LinearMap.zero(b3.rows, f1), b3),
+            linalg.hstack(LinearMap.zero(b2.cols, f1), LinearMap.identity(b2.cols)))
+
+
+def first_arrow_stack(c12: KernelChart, d1: int, m: LinearMap) -> LinearMap:
+    """The first-arrow rows of ``c12``'s basis stacked on the pair table
+    ``m``: times x12 and split after d1 rows (:meth:`LinearMap.split_product`)
+    it gives a1 and ``m @ x12`` in one fused product."""
+    return linalg.vstack(c12.basis_map.split(d1)[0], m)
+
+
+def associativity_blocks(v: VBGroupoid,
+                         charts: dict[tuple[str, str], KernelChart]):
+    """For each composable triple (g1, g2, g3) of ``v``, whose pair charts
+    ``charts`` holds, in nerve order, ``(g1, g2, g3), a1, a3, m12, m23``:
+    the outer blocks of :func:`triple_blocks` and the inner products ``m12
+    = mult[(g1, g2)] @ x12`` and ``m23 = mult[(g2, g3)] @ x23``.
+
+    x12, a3 and x23 are built once per second chart and f1
+    (:func:`outer_blocks`), m23 once per pair (g2, g3) and f1, and the
+    stack of :func:`first_arrow_stack` once per pair (g1, g2), so a triple
+    costs one fused product.  A first chart with a pivot among the middle
+    arrow's columns takes the row reduction of :func:`triple_blocks`, once
+    per two charts, and two products per triple."""
+    g, ad, mult = v.base, v.arrdim, v.mult
+    outer: dict[tuple[KernelChart, int], tuple[LinearMap, ...]] = {}
+    inner: dict[tuple[str, str, int], tuple[LinearMap, ...]] = {}
+    reduced: dict[tuple[KernelChart, KernelChart], tuple[LinearMap, ...]] = {}
+    # the nerve lists the triples of one pair (g1, g2) together
+    for (g1, g2), triples in groupby(g.nerve_tuples(3), itemgetter(0, 1)):
+        c12, d1, d2 = charts[(g1, g2)], ad[g1], ad[g2]
+        f1 = _pullback_width(c12, d1, d2)
+        stack = None if f1 is None else first_arrow_stack(c12, d1, mult[(g1, g2)])
+        for triple in triples:
+            g3 = triple[2]
+            if stack is None:
+                pair_charts = c12, charts[(g2, g3)]
+                blocks = reduced.get(pair_charts)
+                if blocks is None:
+                    blocks = reduced[pair_charts] = triple_blocks(*pair_charts, d1, d2)
+                a1, a3, x12, x23 = blocks
+                yield triple, a1, a3, mult[(g1, g2)] @ x12, mult[(g2, g3)] @ x23
+                continue
+            blocks = inner.get((g2, g3, f1))
+            if blocks is None:
+                c23 = charts[(g2, g3)]
+                outside = outer.get((c23, f1))
+                if outside is None:
+                    outside = outer[(c23, f1)] = outer_blocks(c23, f1, d2)
+                x12, a3, x23 = outside
+                blocks = inner[(g2, g3, f1)] = (x12, a3, mult[(g2, g3)] @ x23)
+            x12, a3, m23 = blocks
+            a1, m12 = stack.split_product(x12, cut=d1)
+            yield triple, a1, a3, m12, m23
 
 
 def triple_blocks(c12: KernelChart, c23: KernelChart, d1: int,
@@ -232,22 +306,18 @@ def triple_blocks(c12: KernelChart, c23: KernelChart, d1: int,
 
     When all d2 middle columns are free in c12, as they are when the first
     arrow's source map is onto, the basis is the pullback of the two charts,
-    read off them by block products: with ``c23.basis_map = [b2; b3]`` and
-    c12's first f1 free columns in the first arrow, x12 is
-    ``diag(I_f1, b2)``, a1 is c12's first-arrow rows times x12, a3 is
-    ``[0 | b3]`` and x23 is ``[0 | I]``.  Each column lies in the kernel,
-    has entry 1 at its own free column and support ending there, so the
-    free columns of c12 in the first arrow and those of c23 shifted by d1
-    are the leftmost-pivot free columns of the triple constraint, and the
-    blocks are those of its :func:`kernel_chart`, the one kernel basis that
-    is the identity there.  Otherwise that constraint is row-reduced."""
-    f1 = len(c12.free) - d2
-    if c12.free[f1:] == tuple(range(d1, d1 + d2)):
-        b2, b3 = c23.basis_map.split(d2)
-        x12 = linalg.direct_sum(LinearMap.identity(f1), b2)
-        return (c12.basis_map.split(d1)[0] @ x12,
-                linalg.hstack(LinearMap.zero(b3.rows, f1), b3), x12,
-                linalg.hstack(LinearMap.zero(b2.cols, f1), LinearMap.identity(b2.cols)))
+    read off them by block products: x12, a3 and x23 are those of
+    :func:`outer_blocks`, and a1 is c12's first-arrow rows times x12.  Each
+    column lies in the kernel, has entry 1 at its own free column and
+    support ending there, so the free columns of c12 in the first arrow and
+    those of c23 shifted by d1 are the leftmost-pivot free columns of the
+    triple constraint, and the blocks are those of its :func:`kernel_chart`,
+    the one kernel basis that is the identity there.  Otherwise that
+    constraint is row-reduced."""
+    f1 = _pullback_width(c12, d1, d2)
+    if f1 is not None:
+        x12, a3, x23 = outer_blocks(c23, f1, d2)
+        return c12.basis_map.split(d1)[0] @ x12, a3, x12, x23
     a = kernel_chart(linalg.direct_sum(c12.constraint, c23.constraint, overlap=d2)).basis_map
     return (a.split(d1)[0], a.split(d1 + d2)[1],
             a.take_rows(c12.free), a.take_rows([d1 + j for j in c23.free]))

@@ -520,3 +520,35 @@ def test_sides_of_different_shape_are_one_violation_at_the_location():
     alone.expect_columns("w", [unequal])
     both.expect_columns("w", [mismatched, unequal])
     assert both.entries == rep.entries + alone.entries and len(alone.entries) == 2
+
+
+def test_column_checks_report_exact_entries_in_order():
+    """Pins ``expect_columns``: a shape mismatch first, wherever its check
+    stands; then by basis column, in the order of the checks, a column that
+    is both broken and unequal as "not composable" only, a broken column
+    under its check's label, an unequal column with both sides, and nothing
+    for a passing check or a zero residual."""
+    broken_and_unequal = ColumnCheck(
+        "a", LinearMap.from_rows([[1, 0, 2], [0, 1, 0]]),
+        LinearMap.from_rows([[5, 0, 2], [0, 1, 3]]),
+        (LinearMap.zero(2, 3), LinearMap.from_rows([[1, 1, 0]])))
+    mismatched = ColumnCheck("s", LinearMap.identity(1), LinearMap.from_rows([[1, 0]]))
+    passing = ColumnCheck("p", LinearMap.identity(3), LinearMap.identity(3),
+                          (LinearMap.zero(1, 3),))
+    unequal = ColumnCheck("b", LinearMap.from_rows([[1, 1, 1]]),
+                          LinearMap.from_rows([[1, 7, 1]]), (LinearMap.zero(2, 3),), "unit")
+    labelled = ColumnCheck("c", LinearMap.identity(3), LinearMap.identity(3),
+                           (LinearMap.from_rows([[0, 0, 1]]),), "composable products")
+    rep = Report("t")
+    rep.expect_columns("w", [broken_and_unequal, mismatched, passing, unequal, labelled])
+    assert [(e.check, e.location, e.expected, e.actual) for e in rep.entries] == [
+        ("s", "w", "1x1 block", "1x2 block"),
+        ("a", "w basis 0", "(Fraction(1, 1), Fraction(0, 1))", "not composable"),
+        ("a", "w basis 1", "(Fraction(0, 1), Fraction(1, 1))", "not composable"),
+        ("b", "w basis 1", "(Fraction(1, 1),)", "(Fraction(7, 1),)"),
+        ("a", "w basis 2", "(Fraction(2, 1), Fraction(0, 1))",
+         "(Fraction(2, 1), Fraction(3, 1))"),
+        ("c", "w basis 2", "composable products", "not composable")]
+    alone = Report("t")
+    alone.expect_columns("w", [passing, passing])
+    assert alone.entries == []

@@ -391,6 +391,20 @@ def test_cli_convert_chain_and_usage_error(tmp_path, capsys):
     assert main(["convert", src, "--from", "ruth", "--to", "ruth"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["convert", str(REPO_FIXTURES / "z2-ruth-1.json"), "--from", "ruth",
+                 "--to", "vb", "--out", str(tmp / "missing" / "x.json")],
+    lambda tmp: ["fixtures", str(REPO_FIXTURES / "z2.json" / "x")],
+], ids=["convert-out", "fixtures-dir"])
+def test_cli_unwritable_output_is_a_write_error(tmp_path, capsys, argv):
+    """An output that cannot be written, after the input parsed, validated
+    and converted, exits 2 as a write error, not as a parse error."""
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("write error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_convert_rejects_invalid_input(capsys):
     bad = str(REPO_FIXTURES / "z2-ruth-broken4.json")
     assert main(["convert", bad, "--from", "ruth", "--to", "vb"]) == 1

@@ -704,6 +704,25 @@ def test_a_copied_map_is_equal_with_the_same_hash(copier, read):
     assert c.canonical == ((1, 0, 2, -3, 4, 1), 2) and c.entries == m.entries
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_the_identity_is_one_shared_constant(n):
+    """``identity(n)`` is built once and shared: it equals a freshly built
+    identity, no operation on it changes it, and it refuses assignment."""
+    i = LinearMap.identity(n)
+    assert i is LinearMap.identity(n)
+    fresh = LinearMap(n, n, tuple(int(k % (n + 1) == 0) for k in range(n * n)))
+    assert i == fresh and hash(i) == hash(fresh) and _form(i) == _form(fresh)
+    m = LinearMap.from_rows([[k + 2 * j for j in range(n)] for k in range(n)]) if n else i
+    assert i @ m == m @ i == m and -(-i) == i
+    if n:
+        assert i.with_entry(0, 0, 5) != i
+    for name in ("rows", "label"):
+        with pytest.raises(AttributeError):
+            setattr(i, name, 2)
+    assert i is LinearMap.identity(n)
+    assert i.is_identity() and _form(i) == _form(fresh)
+
+
 def test_no_constructor_gives_a_map_an_instance_dict():
     """Every way a map is built, the products on both their paths, gives
     a map with only its slots."""

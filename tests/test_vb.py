@@ -437,29 +437,59 @@ def test_semidirect_table_is_the_product_rule_on_each_pair_chart_basis():
 def test_triple_chart_bases_compose_in_both_pairs(monkeypatch):
     """Each triple basis (a1; a2; a3) that validate_vb reads lies in the
     kernel of both pair constraints: (a1; a2) is c12's basis at the
-    coordinates x12 and (a2; a3) is c23's at x23, so the inner products are
-    the pair tables on those, with zero residual, valid or scrambled."""
-    built = {}
-    triple_blocks = vb.triple_blocks
-    monkeypatch.setattr(vb, "triple_blocks",
-                        lambda *args: built.setdefault(args[:2], triple_blocks(*args)))
+    coordinates x12 and (a2; a3) is c23's at x23 of triple_blocks, so the
+    inner products are the pair tables on those, with zero residual, valid
+    or scrambled, and they are the blocks m12 and m23 the sweep reads."""
+    read = []
+    blocks = vb.associativity_blocks
+    monkeypatch.setattr(vb, "associativity_blocks",
+                        lambda *args: (read.append(b) or b for b in blocks(*args)))
     rng = random.Random(29)
     for r in ruth_pool()[:40]:
         v = semidirect(r, validate=False)
         for x in (v, gen.scramble_vb(rng, v)[0]):
-            built.clear()
+            read.clear()
             assert validate_vb(x).passed
-            for g1, g2, g3 in x.base.nerve_tuples(3):
+            assert [b[0] for b in read] == list(x.base.nerve_tuples(3))
+            for (g1, g2, g3), a1, a3, m12, m23 in read:
                 c12, c23 = x.pair_chart(g1, g2), x.pair_chart(g2, g3)
-                a1, a3, x12, x23 = built[(c12, c23)]
+                c1, c3, x12, x23 = vb.triple_blocks(c12, c23, x.arrdim[g1], x.arrdim[g2])
+                assert (c1, c3) == (a1, a3)
                 (b1, a2), (b2, b3) = ((c12.basis_map @ x12).split(x.arrdim[g1]),
                                       (c23.basis_map @ x23).split(x.arrdim[g2]))
                 assert (b1, b2, b3) == (a1, a2, a3)
-                for (h1, h2), left, right, coords in (((g1, g2), a1, a2, x12),
-                                                      ((g2, g3), a2, a3, x23)):
+                for (h1, h2), left, right, coords, inner in (((g1, g2), a1, a2, x12, m12),
+                                                             ((g2, g3), a2, a3, x23, m23)):
                     residual, product = x.multiply(h1, h2, left, right)
                     assert residual.is_zero()
-                    assert product == x.mult[(h1, h2)] @ coords
+                    assert product == x.mult[(h1, h2)] @ coords == inner
+
+
+def test_associativity_blocks_are_built_once_per_chart_and_pair(monkeypatch):
+    """On the pool's VB-groupoids and their scrambled copies, whose charts
+    differ from pair to pair, the sweep builds the outer blocks at most once
+    per second chart and f1, and the first-arrow stack at most once per
+    composable pair, and both fewer times than it reads a triple."""
+    outer, stacks = [], []
+    outer_blocks, first_arrow_stack = vb.outer_blocks, vb.first_arrow_stack
+    monkeypatch.setattr(vb, "outer_blocks",
+                        lambda c23, f1, d2: outer.append((c23, f1)) or outer_blocks(c23, f1, d2))
+    monkeypatch.setattr(vb, "first_arrow_stack",
+                        lambda *args: stacks.append(args) or first_arrow_stack(*args))
+    rng = random.Random(29)
+    built = {"triples": 0, "outer": 0, "stacks": 0}
+    for r in ruth_pool()[:40]:
+        v = semidirect(r, validate=False)
+        for x in (v, gen.scramble_vb(rng, v)[0]):
+            outer.clear()
+            stacks.clear()
+            assert validate_vb(x).passed
+            triples = x.base.nerve_tuples(3)
+            assert len(outer) == len(set(outer))
+            assert len(stacks) == len({(a, b) for a, b, _ in triples}) <= len(x.base.comp)
+            for name, count in (("triples", triples), ("outer", outer), ("stacks", stacks)):
+                built[name] += len(count)
+    assert built["outer"] < built["stacks"] < built["triples"]
 
 
 def _triple_chart_blocks(v, g1, g2, g3):
