@@ -3,11 +3,14 @@
 Valid instances come from two constructions that are valid by design:
 strict representations (genuine actions with an equivariant differential)
 pulled back along random invertible gauges, and semi-direct products with
-all fibers conjugated by random invertible changes of basis.  Mutations
-come in two flavors: the rigid families used by the fuzz harness, which
-are guaranteed to break a directly-checked condition, and free single-entry
-perturbations used to exercise detector equivalences, where the caller
-decides validity through the validator itself.
+all fibers conjugated by random invertible changes of basis.
+
+A mutation family bumps one entry of one map in a few named tables of an
+instance: :func:`sites` lists the instance's nonempty maps there, from its
+own tables, and :func:`bumped` is the one rebuild, for the families and the
+tests alike.  Rigid families hit a cell that some validator reads directly,
+so a non-identical bump is always flagged; free families hit any cell of
+their tables, and the caller decides validity through the validator.
 """
 
 from __future__ import annotations
@@ -263,10 +266,6 @@ def random_equivariant(rng, g: FiniteGroupoid | None = None,
 
 # -- mutations ---------------------------------------------------------------------
 
-# Rigid families: each mutation lands on a table cell that some validator
-# reads directly (or pins through unit/inverse laws), so a non-identical
-# mutation is always flagged.
-
 def mutate_groupoid_comp(rng, g: FiniteGroupoid):
     pairs = sorted(g.comp)
     pair = pairs[rng.randrange(len(pairs))]
@@ -279,97 +278,77 @@ def mutate_groupoid_comp(rng, g: FiniteGroupoid):
     return replace(g, comp=new_comp), f"compose[{pair}] {old} -> {new_comp[pair]}"
 
 
-def _replaced(obj, path: str, value):
-    """``obj`` with the field at the dotted ``path`` set to ``value``; each
-    record on the path is rebuilt by ``dataclasses.replace``."""
+def sites(obj, *groups, units: str | None = None) -> list[tuple[str, object]]:
+    """The ``(path, key)`` of every nonempty map in the named tables of ``obj``.
+
+    A path names a table field of ``obj`` or, dotted, of a record inside it.
+    A group is a path, or a tuple of paths whose tables share keys, run key
+    by key in the first table's own order.  With ``units``, the path of a
+    groupoid, only keys that are a unit arrow, or a pair holding one, count."""
+    g = attrgetter(units)(obj) if units else None
+    out = []
+    for group in groups:
+        paths = (group,) if isinstance(group, str) else group
+        tables = [attrgetter(path)(obj) for path in paths]
+        for key in tables[0]:
+            if g is None or any(map(g.is_unit, key if isinstance(key, tuple) else (key,))):
+                out += [(p, key) for p, t in zip(paths, tables) if t[key].rows and t[key].cols]
+    return out
+
+
+def bumped(obj, path: str, key, i: int, j: int, delta):
+    """``obj`` with ``delta`` added at entry (i, j) of the map at ``key`` of
+    its table at ``path``.  Each record on the path is rebuilt by
+    ``dataclasses.replace`` and runs its checks again, raising StructureError
+    when the bump leaves it unrepresentable."""
     name, _, rest = path.partition(".")
-    return replace(obj, **{name: _replaced(getattr(obj, name), rest, value) if rest else value})
-
-
-def _mutant(rng, obj, sites):
-    """Bump one entry of one table of ``obj`` by 1, -1 or 2 and rebuild it.
-
-    ``sites`` lists ``(path, key)`` pairs: ``path`` names a table field of
-    ``obj``, or dotted, of a record inside it, and the mutation is labelled
-    by its last name.  A site whose matrix is empty is skipped, and with no
-    site left the result is None.  The rebuilt records run their checks
-    again; when one raises StructureError, because the changed entry leaves
-    the structure unrepresentable, the result is None too."""
-    sites = [(path, key) for path, key in sites if attrgetter(path)(obj)[key].entries]
-    if not sites:
-        return None
-    path, key = sites[rng.randrange(len(sites))]
-    table = attrgetter(path)(obj)
+    if rest:
+        return replace(obj, **{name: bumped(getattr(obj, name), rest, key, i, j, delta)})
+    table = getattr(obj, name)
     m = table[key]
-    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
-    delta = Fraction(rng.choice((1, -1, 2)))
-    try:
-        built = _replaced(obj, path, {**table, key: m.with_entry(i, j, m.entry(i, j) + delta)})
-    except StructureError:
-        return None
-    return built, f"{path.rpartition('.')[2]}[{key}] entry {(i, j, delta)}"
+    return replace(obj, **{name: {**table, key: m.with_entry(i, j, m.entry(i, j) + delta)}})
 
 
-def mutate_ruth_unit_cell(rng, r: Ruth):
-    """Perturb a quasi-action at a unit arrow or the transformation cochain
-    at a pair containing a unit: unitality/normalization reads these cells
-    directly."""
-    g = r.groupoid
-    return _mutant(rng, r, [(name, g.unit[x]) for x in g.objects
-                            for name in ("lambda0", "lambda1")]
-                   + [("omega", pair) for pair in g.comp
-                      if g.is_unit(pair[0]) or g.is_unit(pair[1])])
+def _family(*groups, units: str | None = None):
+    """The mutator that bumps one entry of one map at :func:`sites` by 1, -1
+    or 2, labelled by the table's last name; None when no site is left, or
+    when the bump leaves the structure unrepresentable."""
+    def mutate(rng, obj):
+        found = sites(obj, *groups, units=units)
+        if not found:
+            return None
+        path, key = found[rng.randrange(len(found))]
+        m = attrgetter(path)(obj)[key]
+        i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+        delta = Fraction(rng.choice((1, -1, 2)))
+        try:
+            built = bumped(obj, path, key, i, j, delta)
+        except StructureError:
+            return None
+        return built, f"{path.rpartition('.')[2]}[{key}] entry {(i, j, delta)}"
+    return mutate
 
 
-def mutate_ruth_entry(rng, r: Ruth):
-    """Free single-entry perturbation anywhere in the structure tables;
-    the caller decides validity (used for detector-equivalence runs)."""
-    g = r.groupoid
-    return _mutant(rng, r, [(name, a) for a in g.arrows for name in ("lambda0", "lambda1")]
-                   + [("omega", pair) for pair in g.comp]
-                   + [("complex.diff", x) for x in g.objects])
+# Unitality and normalization read λ0 and λ1 at a unit, and ω at a pair holding one.
+mutate_ruth_unit_cell = _family(("lambda0", "lambda1"), "omega", units="groupoid")
 
+# Free: any quasi-action, ω or differential entry, for detector-equivalence runs.
+mutate_ruth_entry = _family(("lambda0", "lambda1"), "omega", "complex.diff")
 
-def mutate_vb_cell(rng, v: VBGroupoid):
-    """Perturb one multiplication-matrix entry or one unit-section entry;
-    both families are pinned by the axiom sweep."""
-    g = v.base
-    return _mutant(rng, v, [("mult", pair) for pair in g.comp]
-                   + [("utilde", x) for x in g.objects])
+# The axiom sweep pins every multiplication matrix and unit section.
+mutate_vb_cell = _family("mult", "utilde")
 
+# Free: a source, target or inverse map; one that resizes a fibered product gives None.
+mutate_vb_entry = _family(("stilde", "ttilde", "inv_map"))
 
-def mutate_vb_entry(rng, v: VBGroupoid):
-    """Free single-entry perturbation of a source, target or inverse map;
-    the caller decides validity.  A source or target change that moves the
-    dimension of a fibered product leaves the stored multiplication without
-    a shape, and gives None."""
-    return _mutant(rng, v, [(name, a) for a in v.base.arrows
-                            for name in ("stilde", "ttilde", "inv_map")])
+# The unit coherences read the associator at a pair holding a unit directly.
+mutate_wrep_alpha_unit = _family("alpha", units="groupoid")
 
+# Free: the action on objects or arrows.
+mutate_wrep_entry = _family(("a0", "a1"))
 
-def mutate_wrep_alpha_unit(rng, w: WeakRepresentation):
-    """Perturb an associator cell at a pair containing a unit: the unit
-    coherences read these cells directly."""
-    g = w.groupoid
-    return _mutant(rng, w, [("alpha", pair) for pair in g.comp
-                            if g.is_unit(pair[0]) or g.is_unit(pair[1])])
+# Free: the object or arrow component.
+mutate_equivariant_entry = _family(("f0", "f1"))
 
-
-def mutate_wrep_entry(rng, w: WeakRepresentation):
-    """Free single-entry perturbation of the action on objects or arrows;
-    the caller decides validity."""
-    return _mutant(rng, w, [(name, a) for a in w.groupoid.arrows for name in ("a0", "a1")])
-
-
-def mutate_equivariant_entry(rng, e: EquivariantMap):
-    """Free single-entry perturbation of the object or arrow component;
-    the caller decides validity."""
-    return _mutant(rng, e, [(name, x) for x in e.source.groupoid.objects
-                            for name in ("f0", "f1")])
-
-
-def mutate_equivariant_delta_unit(rng, e: EquivariantMap):
-    """Perturb the equivariance cell at a unit arrow: the unit triangle
-    reads it directly."""
-    g = e.source.groupoid
-    return _mutant(rng, e, [("delta", g.unit[x]) for x in g.objects])
+# The unit triangle reads the equivariance cell at a unit arrow directly.
+mutate_equivariant_delta_unit = _family("delta", units="source.groupoid")

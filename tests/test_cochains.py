@@ -15,7 +15,7 @@ from ruthvb.harness import generators as gen
 from ruthvb.linalg import LinearMap
 from ruthvb.twoterm import TwoTermComplex
 
-from test_ruth import is_normalized
+from test_ruth import is_normalized, z2_line_section
 
 
 def rand_scalar_cochain(rng, g, degree):
@@ -129,3 +129,28 @@ def test_is_normalized():
     assert is_normalized(w)
     w2 = SectionCochain.basis(g, c, 0, 1, ("e",), 0)
     assert not is_normalized(w2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ScalarCochain(z2_groupoid(), -1, {}), DegreeError, "negative cochain degree"),
+    (lambda: ScalarCochain(z2_groupoid(), 1, {("e",): 0}), StructureError,
+     "scalar cochain keys do not match the nerve"),
+    (lambda: SectionCochain(z2_groupoid(), line_complex_over_point(), 2, 0, {("*",): (0,)}),
+     StructureError, "layer must be 0 or 1"),
+    (lambda: SectionCochain(pair_groupoid(["x", "y"]), line_complex_over_point(), 0, 0, {}),
+     StructureError, "coefficient complex lives over a different object set"),
+    (lambda: SectionCochain(z2_groupoid(), line_complex_over_point(), 0, 1, {("e",): (0,)}),
+     StructureError, "section cochain keys do not match the nerve"),
+    (lambda: z2_line_section(0, 1) + z2_line_section(1, 1), StructureError,
+     "cochain sum across different bidegrees"),
+    (lambda: z2_line_section(0, 1) - z2_line_section(0, 0), StructureError,
+     "cochain difference across different bidegrees"),
+    (lambda: star(z2_line_section(0, 0), ScalarCochain.constant(pair_groupoid(["x", "y"]), 0, 1)),
+     StructureError, "cochains over different groupoids"),
+    (lambda: twisted_differential({"e": LinearMap.identity(1)}, z2_line_section(0, 0)),
+     StructureError, "quasi-action table missing arrows"),
+], ids=["scalar-degree", "scalar-keys", "layer", "objects", "section-keys", "sum",
+        "difference", "star", "twisted-table"])
+def test_malformed_cochains_and_operations_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ruthvb.errors import NotInducedError, StructureError
+from ruthvb import equivalences
+from ruthvb.errors import NotInducedError, StructureError, ValidationError
 from ruthvb.groupoid import pair_groupoid, transitive_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import pair_strict_ruth, stretched_line_ruth, z2_ruth
@@ -243,3 +244,15 @@ def test_two_connections_give_equivalent_actions():
     witness = connection_change_witness(v, first, second)
     from ruthvb.weak import validate_equivariant
     assert validate_equivariant(witness).passed
+
+
+@pytest.mark.parametrize("certify, message", [
+    (lambda r: vb_to_wrep(semidirect(r)), "kernel-action identification is not invertible"),
+    (triangle_witness, "triangle identification is not invertible"),
+], ids=["kernel-action", "triangle"])
+def test_an_identification_that_is_not_invertible_is_refused(monkeypatch, certify, message):
+    """Each certificate checks that its VB map is an isomorphism as well as
+    a VB map; with the isomorphism test made to fail, both refuse."""
+    monkeypatch.setattr(equivalences, "vb_map_is_isomorphism", lambda m: False)
+    with pytest.raises(ValidationError, match=message):
+        certify(z2_ruth(1))

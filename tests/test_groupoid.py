@@ -75,6 +75,15 @@ def test_malformed_tables_raise():
     with pytest.raises(StructureError):
         FiniteGroupoid(g.objects, g.arrows, {"e": "*", "g": "??"}, g.tgt,
                        g.unit, g.comp, g.inv)      # unknown endpoint
+    with pytest.raises(StructureError, match="duplicate identifiers"):
+        FiniteGroupoid(g.objects, g.arrows + ("e",), g.src, g.tgt, g.unit, g.comp, g.inv)
+    with pytest.raises(StructureError, match="arrow g missing src/tgt"):
+        FiniteGroupoid(g.objects, g.arrows, {"e": "*"}, g.tgt, g.unit, g.comp, g.inv)
+
+
+def test_nerve_of_negative_degree_is_refused():
+    with pytest.raises(StructureError, match="nonnegative"):
+        z2_groupoid().nerve_tuples(-1)
 
 
 def test_nerve_z2_degree2():

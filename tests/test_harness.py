@@ -25,15 +25,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import ruthvb
 from ruthvb import linalg
-from ruthvb.errors import RuthVBError
+from ruthvb.errors import RuthVBError, StructureError, UsageError
 from ruthvb.harness import cli, fixtures, generators as gen, serialize
 from ruthvb.harness.cli import main, run_fuzz
-from ruthvb.groupoid import FiniteGroupoid, disjoint_union, validate_groupoid, z2_groupoid
+from ruthvb.groupoid import (FiniteGroupoid, cyclic_groupoid, disjoint_union,
+                             validate_groupoid, z2_groupoid)
 from ruthvb.reports import CheckEntry, Report
 from ruthvb.ruth import identity_morphism, validate_ruth
 from ruthvb.semidirect import semidirect
 from ruthvb.twoterm import identity_chain_map, phi_twomorphism, zero_homotopy
-from ruthvb.vb import find_unital_connection, identity_vb_map, validate_vb
+from ruthvb.vb import VBGroupoid, find_unital_connection, identity_vb_map, validate_vb
 from ruthvb.weak import identity_equivariant, validate_weak_representation
 from ruthvb.equivalences import (ruth_from_wrep, ruth_from_wrep_with_witness,
                                  ruth_morphism_from_wrep_map, vb_to_wrep, wrep_from_ruth,
@@ -601,15 +602,11 @@ def test_wrep_ruth_reports_a_witness_that_fails_under_its_trial(monkeypatch, cap
 def _entries(obj, paths) -> list[tuple]:
     """(path, key, row, column) of every entry of the tables of maps of obj
     at ``paths``, each a field name or, dotted, of a record inside obj."""
-    return [(path, key, i, j) for path in paths for key, m in attrgetter(path)(obj).items()
-            for i in range(m.rows) for j in range(m.cols)]
-
-
-def _bumped(obj, path, key, i, j):
-    """obj rebuilt with 1 added at entry (i, j) of the map at key of its table at path."""
-    table = attrgetter(path)(obj)
-    m = table[key]
-    return gen._replaced(obj, path, {**table, key: m.with_entry(i, j, m.entry(i, j) + 1)})
+    out = []
+    for path, key in gen.sites(obj, *paths):
+        m = attrgetter(path)(obj)[key]
+        out += [(path, key, i, j) for i in range(m.rows) for j in range(m.cols)]
+    return out
 
 
 ACTION_TABLES = ("a0", "a1", "alpha")
@@ -655,7 +652,7 @@ def test_no_one_entry_mutant_of_a_kernel_action_is_accepted_unless_valid(
     for label in labels:
         def mutated(v, validate, label=label):
             res = convert(v, validate=validate)
-            return dataclasses.replace(res, wrep=_bumped(res.wrep, *label))
+            return dataclasses.replace(res, wrep=gen.bumped(res.wrep, *label, 1))
 
         monkeypatch.setattr(cli, "vb_to_wrep", mutated)
         outcomes[label] = main(argv), capsys.readouterr().err
@@ -687,7 +684,7 @@ def test_wrep_ruth_refuses_each_recovered_representation_that_is_not_valid(
     for label in labels:
         def mutated(w, label=label):
             out, witness = recover(w)
-            return _bumped(out, *label), witness
+            return gen.bumped(out, *label, 1), witness
 
         monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", mutated)
         if label in passed:
@@ -1358,6 +1355,68 @@ def test_mutants_are_pinned_by_the_seed(mutator, instance, descriptions):
     obj = instance()
     assert [getattr(gen, mutator)(random.Random(seed), obj)[1]
             for seed in range(3)] == descriptions
+
+
+def test_instance_to_dict_refuses_an_unknown_kind():
+    with pytest.raises(UsageError, match="unknown kind 'triangle'"):
+        serialize.instance_to_dict("triangle", z2_groupoid())
+
+
+FAMILIES = {
+    "groupoid": (gen.mutate_groupoid_comp,),
+    "ruth": (gen.mutate_ruth_unit_cell, gen.mutate_ruth_entry),
+    "vb": (gen.mutate_vb_cell, gen.mutate_vb_entry),
+    "wrep": (gen.mutate_wrep_alpha_unit, gen.mutate_wrep_entry),
+}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_each_family_draws_the_same_mutant_from_a_fixture_and_its_file(name):
+    """A family reads its sites off the instance's own tables, and a fixture
+    file keeps the key order of the instance it was written from."""
+    kind, built = fixtures.fixture(name)
+    read = _fixture(f"{name}.json")
+
+    def drawn(mutate, obj, seed):
+        out = mutate(random.Random(seed), obj)
+        return out and (out[1], serialize.dumps_instance(kind, out[0]))
+
+    for mutate in FAMILIES[kind]:
+        for seed in range(20):
+            assert drawn(mutate, built, seed) == drawn(mutate, read, seed), (mutate, seed)
+
+
+def test_a_family_with_no_nonempty_map_draws_nothing():
+    r = gen.random_strict_ruth(random.Random(0), z2_groupoid(), max_dim=0)
+    assert gen.sites(r, ("lambda0", "lambda1"), "omega", "complex.diff") == []
+    assert gen.mutate_ruth_entry(random.Random(0), r) is None
+    assert gen.mutate_ruth_unit_cell(random.Random(0), r) is None
+
+
+def test_comp_mutation_of_the_one_arrow_groupoid_draws_nothing():
+    assert gen.mutate_groupoid_comp(random.Random(0), cyclic_groupoid(1)) is None
+
+
+def test_a_bump_that_shrinks_a_fibered_product_draws_nothing():
+    """With stilde and ttilde both zero at the one arrow, the pair's fibered
+    product is all of V1 + V1; a bump of either map shrinks it, so the stored
+    multiplication has no shape and the rebuild refuses it."""
+    g = cyclic_groupoid(1)
+    one, zero = linalg.LinearMap.identity(1), linalg.LinearMap.zero(1, 1)
+    v = VBGroupoid(g, {"*": 1}, {"r0": 1}, {"r0": zero}, {"r0": zero}, {"*": one},
+                   {"r0": one}, {("r0", "r0"): linalg.LinearMap.zero(1, 2)})
+    with pytest.raises(StructureError, match="multiplication"):
+        gen.bumped(v, "stilde", "r0", 0, 0, 1)
+    drawn = [gen.mutate_vb_entry(random.Random(seed), v) for seed in range(12)]
+    assert None in drawn
+    assert all(out[1].startswith("inv_map[r0]") for out in drawn if out)
+
+
+def test_random_chain_map_refuses_complexes_on_different_bases():
+    rng = random.Random(0)
+    c, d = gen.random_complex(rng, ["p"]), gen.random_complex(rng, ["q"])
+    with pytest.raises(ValueError, match="shared base"):
+        gen.random_chain_map(rng, c, d)
 
 
 def test_random_groupoid_stays_within_its_bounds():

@@ -388,6 +388,15 @@ def test_check_table_rejects_missing_misshapen_and_stray_entries(table, message)
         linalg.check_table("cell", table, {"a": (1, 2)})
 
 
+
+def test_check_keys_rejects_missing_and_stray_keys():
+    assert linalg.check_keys("dimension", {"a": 1}, ("a",)) == {"a": 1}
+    with pytest.raises(StructureError, match="missing dimension at a"):
+        linalg.check_keys("dimension", {}, ("a",))
+    with pytest.raises(StructureError, match="dimension at b is outside its table"):
+        linalg.check_keys("dimension", {"a": 1, "b": 2}, ("a",))
+
+
 # -- the integer form and fraction-free elimination ------------------------------
 
 wide_fractions = st.one_of(sparse_fractions, fractions,
@@ -674,6 +683,14 @@ def test_map_from_dict_matches_the_fraction_path(rows, cols, data):
         assert _is_canonical(_read(d))
 
 
+
+def test_map_from_dict_refuses_an_unhashable_entry_without_storing_it():
+    records = {}
+    with pytest.raises(TypeError, match=re.escape("cannot interpret [1]")):
+        linalg.map_from_dict({"rows": 1, "cols": 1, "entries": [[1]]}, {}, records)
+    assert records == {}
+
+
 # -- the slotted map's contract --------------------------------------------------
 
 def _unreduced():
@@ -746,3 +763,24 @@ def test_only_linalg_reads_the_slots():
              if path.name != "linalg.py"}
     assert [(path, hit.group()) for path, text in texts.items()
             if (hit := slot.search(text))] == []
+
+
+# -- shape refusals ------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.vec_add((1,), (1, 2)), "vector lengths 1 != 2"),
+    (lambda: linalg.vec_sub((1, 2), (1,)), "vector lengths 2 != 1"),
+    (lambda: LinearMap.from_rows([[1, 2], [3]]), "ragged rows"),
+    (lambda: LinearMap.from_columns([(1, 2)], 3), "column has wrong length"),
+    (lambda: LinearMap.zero(1, 2) - LinearMap.zero(2, 1), "shape mismatch in difference"),
+    (lambda: LinearMap.identity(2).apply((1,)), "2 columns applied to length-1 vector"),
+], ids=["vec_add", "vec_sub", "from_rows", "from_columns", "sub", "apply"])
+def test_mismatched_shapes_are_refused(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
+
+
+def test_a_map_never_equals_what_is_not_a_map():
+    m = LinearMap.identity(1)
+    assert m.__eq__(((1,),)) is NotImplemented
+    assert m != ((1,),) and m != 1

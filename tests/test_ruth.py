@@ -17,8 +17,8 @@ from ruthvb.errors import (CompositionError, DegreeError, NotInvertibleError,
 from ruthvb.groupoid import (cyclic_groupoid, pair_groupoid, transitive_groupoid,
                              z2_groupoid)
 from ruthvb.harness import generators as gen
-from ruthvb.harness.fixtures import (pair_strict_ruth, stretched_line_ruth,
-                                     z2_ruth, z2_ruth_broken4)
+from ruthvb.harness.fixtures import (line_complex_over_point, pair_strict_ruth,
+                                     stretched_line_ruth, z2_ruth, z2_ruth_broken4)
 from ruthvb.linalg import LinearMap
 from ruthvb.ruth import (Ruth, RuthMorphism, TotalCochain, check_leibniz,
                          common_denominator, compose_morphisms, gauge_transport,
@@ -453,3 +453,41 @@ def test_operator_preserves_normalization():
     out2 = total_operator(r, TotalCochain(SectionCochain.zero(g, r.complex, 0, 1),
                                           part1b))
     assert is_normalized(out2.part0) and is_normalized(out2.part1)
+
+
+def test_records_over_mismatched_bases_are_refused():
+    with pytest.raises(StructureError, match="must live over the groupoid objects"):
+        Ruth(pair_groupoid(["x", "y"]), line_complex_over_point(), {}, {}, {})
+    with pytest.raises(StructureError, match="over different groupoids"):
+        RuthMorphism(z2_ruth(1), pair_strict_ruth(), {}, {}, {})
+
+
+def test_gauge_transport_refuses_an_operator_that_is_nonzero_at_a_unit():
+    r = z2_ruth(1)
+    one = LinearMap.identity(1)
+    with pytest.raises(StructureError, match="must vanish at unit arrows"):
+        gauge_transport(r, {"*": one}, {"*": one}, {"e": one, "g": LinearMap.zero(1, 1)})
+
+
+def z2_line_section(layer, degree, delta=0):
+    """The zero section of one layer and degree over Z2 acting on the line
+    complex with differential ``delta``."""
+    return SectionCochain.zero(z2_groupoid(), line_complex_over_point(delta), layer, degree)
+
+
+@pytest.mark.parametrize("parts, message", [
+    (lambda: (z2_line_section(1, 0), None), "part0 must be valued in layer 0"),
+    (lambda: (z2_line_section(0, 1), z2_line_section(0, 0)), "part1 must be valued in layer 1"),
+    (lambda: (z2_line_section(0, 1), z2_line_section(1, 1)), "incompatible degrees"),
+    (lambda: (z2_line_section(0, 1), z2_line_section(1, 0, delta=1)), "disagree on coefficients"),
+    (lambda: (z2_line_section(0, 1), None), "omitted only in total degree 0"),
+], ids=["part0-layer", "part1-layer", "degrees", "coefficients", "omitted"])
+def test_malformed_total_cochains_are_refused(parts, message):
+    with pytest.raises(StructureError, match=message):
+        TotalCochain(*parts())
+
+
+def test_a_total_cochain_never_equals_what_is_not_one():
+    c = TotalCochain(z2_line_section(0, 0), None)
+    assert c.__eq__(c.part0) is NotImplemented
+    assert c != c.part0 and c == TotalCochain(z2_line_section(0, 0), None)

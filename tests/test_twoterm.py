@@ -14,7 +14,7 @@ from ruthvb.harness.fixtures import pair_strict_ruth, z2_ruth
 from ruthvb.harness.generators import random_chain_map, random_complex, random_homotopy_from
 from ruthvb.linalg import LinearMap
 from ruthvb.ruth import identity_morphism
-from ruthvb.semidirect import psi_morphism
+from ruthvb.semidirect import psi_morphism, semidirect
 from ruthvb.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                             check_interchange, compose_chain_maps,
                             extract_chain_map, extract_homotopy, hcompose,
@@ -304,6 +304,53 @@ def test_split_bundle_refuses_a_source_map_that_is_not_onto():
                    {("p", "p"): zero(0, 0)})
     with pytest.raises(StructureError, match="source map at p is not surjective"):
         split_bundle(v)
+
+
+
+def test_pastings_with_mismatched_boundaries_are_refused():
+    f = scalar_map(LINE, LINE, 1, 1)
+    g = identity_chain_map(point_complex(1, 1, [[2]]))
+    with pytest.raises(CompositionError, match="chain map boundaries do not match"):
+        compose_chain_maps(g, f)
+    with pytest.raises(StructureError, match="not parallel"):
+        ChainHomotopy(f, g, {"p": LinearMap.zero(1, 1)})
+    with pytest.raises(CompositionError, match="horizontal boundaries do not match"):
+        hcompose(zero_homotopy(f), zero_homotopy(g))
+    with pytest.raises(CompositionError, match="does not paste horizontally"):
+        check_interchange(zero_homotopy(f), zero_homotopy(f), zero_homotopy(g), zero_homotopy(g))
+
+
+def test_homotopy_equation_in_degree_0_is_enforced():
+    """Over LINE, whose differential is zero, the degree-1 equation holds
+    between maps with equal degree-1 parts, and the degree-0 one does not
+    when their degree-0 parts differ."""
+    with pytest.raises(StructureError, match=r"\(degree 0\) fails at p"):
+        ChainHomotopy(scalar_map(LINE, LINE, 1, 1), scalar_map(LINE, LINE, 2, 1),
+                      {"p": LinearMap.from_rows([[1]])})
+
+
+def test_split_bundle_refuses_a_bundle_that_is_not_linear():
+    with pytest.raises(StructureError, match="unit groupoid of its points"):
+        split_bundle(semidirect(z2_ruth(1)))
+
+
+def test_extraction_refuses_a_linear_bundle_not_in_sum_groupoid_form():
+    v, _, _ = gen.scramble_vb(random.Random(4), phi_object(point_complex(1, 1, [[2]])))
+    with pytest.raises(StructureError, match="not in sum-groupoid form"):
+        extract_chain_map(identity_vb_map(v))
+
+
+def test_extraction_reraises_a_refused_chain_map_or_homotopy_as_not_induced():
+    """Blocks of the right form whose chain data break the chain square, or
+    the homotopy equation, come from no chain map or homotopy."""
+    v, w = phi_object(LINE), phi_object(point_complex(1, 1, [[1]]))
+    f = VBMap(v, w, {"p": LinearMap.identity(1)}, {"p": LinearMap.identity(2)})
+    with pytest.raises(NotInducedError, match="chain square fails at p"):
+        extract_chain_map(f)
+    ident = identity_vb_map(w)
+    t = BundleTransformation(ident, ident, {"p": LinearMap.from_rows([[1], [1]])})
+    with pytest.raises(NotInducedError, match=r"\(degree 1\) fails at p"):
+        extract_homotopy(t)
 
 
 def test_hcompose_output_is_valid_homotopy():

@@ -10,6 +10,8 @@ process under ``sys.settrace`` and ``threading.settrace``.  Every module under
 ``src/ruthvb`` is then parsed, and each statement inside a function body
 (docstrings aside) whose lines never ran is printed as ``path:line: text``,
 module by module.  A compound statement counts as run when its header ran.
+The exit status is pytest's when a test fails; otherwise it is 1 when any
+statement is listed and 0 when none is, so the whole suite is a gate.
 
 Only code that runs in this interpreter is seen: a test that starts a
 subprocess (a fresh import, the benchmark's self-test) adds nothing.  A line
@@ -109,13 +111,15 @@ def main(argv: list[str]) -> int:
 
     sys.path.insert(0, str(PACKAGE.parent))
     status, ran = _trace_lines(lambda: pytest.main(argv or ["-q", str(ROOT / "tests")]))
+    listed = 0
     for path, missed in never_run(ran).items():
         source = path.read_text().splitlines()
         name = path.relative_to(ROOT)
         print(f"{name}: {len(missed)} statement(s) never ran")
         for line in missed:
             print(f"  {name}:{line}: {source[line - 1].strip()}")
-    return int(status)
+        listed += len(missed)
+    return int(status) or int(listed > 0)
 
 
 if __name__ == "__main__":
