@@ -9,8 +9,10 @@ source/target convention ``comp(g1, g2)`` defined exactly when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
+from . import linalg
 from .errors import StructureError
 from .reports import Report
 
@@ -170,6 +172,26 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
         rep.expect("associativity", f"({g1},{g2},{g3})",
                    g.comp.get((g.comp[(g1, g2)], g3)), g.comp.get((g1, g.comp[(g2, g3)])))
     return rep
+
+
+def third_arrow_rows(g: FiniteGroupoid, pair_table: dict,
+                     arrow_table: dict) -> tuple[dict, dict]:
+    """Row blocks whose columns run over the third arrows of composable
+    triples, in nerve order: for each arrow h, the maps ``pair_table[(h,
+    g3)]`` side by side over every g3 into src h, and for each object y,
+    the maps ``arrow_table[g3]`` over every g3 into y.  A triple's g3 runs
+    over the arrows into src g2 in the order ``nerve_tuples(3)`` lists them
+    after (g1, g2), which is the order ``nerve_tuples(2)`` lists the pairs
+    (g2, g3) in; so the triples of one pair (g1, g2) read one column block
+    each of the rows at g2 and at src g2, in their own order."""
+    by_arrow, by_object = {}, {}
+    for h, pairs in groupby(g.nerve_tuples(2), itemgetter(0)):
+        pairs = list(pairs)
+        by_arrow[h] = linalg.hstack(*(pair_table[p] for p in pairs))
+        y = g.src[h]
+        if y not in by_object:
+            by_object[y] = linalg.hstack(*(arrow_table[g3] for _, g3 in pairs))
+    return by_arrow, by_object
 
 
 # -- builders ----------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Any, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import LinearMap
 
@@ -55,14 +57,22 @@ class Report:
         if got != want:
             self.add(check, location, str(want), str(got))
 
-    def expect_columns(self, where: str, checks: Sequence[ColumnCheck]) -> None:
+    def expect_columns(self, where: str, checks: Sequence[ColumnCheck],
+                       blocks: Optional[Iterable[tuple[str, int]]] = None) -> None:
         """Record each violated column of ``checks`` at ``"{where} basis {k}"``,
         by basis index k, then in the order of ``checks``.  Both sides of a
         violation are shown as ``Fraction`` vectors.  A check whose two sides
         differ in shape is one violation at ``where``, shapes shown, recorded
         first; none of its columns is read.  A check that passes costs one
         ``unequal_columns`` and one zero test per residual, and when every
-        check passes no set is united or sorted."""
+        check passes no set is united or sorted.
+
+        ``blocks``, pairs (location, width), cut the columns into consecutive
+        blocks in order: a violated column k of the block that starts at
+        column s is recorded at ``"{location} basis {k - s}"`` instead, so the
+        entries are those of one call per block on its own columns, block by
+        block, and no block is cut out.  They are read only when a column
+        is violated, so a lazy iterable costs a passing check nothing."""
         failed = []
         for c in checks:
             want, got = c.want, c.got
@@ -78,8 +88,15 @@ class Report:
         if not failed:
             return
         columns = set().union(*(b | u for _, b, u in failed))
+        names, starts = [where], [0]
+        if blocks is not None:
+            blocks = list(blocks)
+            names = [name for name, _ in blocks]
+            starts = list(accumulate((width for _, width in blocks), initial=0))
         for k in sorted(columns):
-            location = f"{where} basis {k}"
+            # the last block starting at or before k: an empty block holds no k
+            i = bisect_right(starts, k) - 1
+            location = f"{names[i]} basis {k - starts[i]}"
             for c, broken, unequal in failed:
                 if k in broken:
                     label = str(c.want.column(k)) if c.label is None else c.label

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from . import linalg
@@ -39,7 +41,7 @@ from .cochains import ScalarCochain, SectionCochain, coboundary, star
 from .cochains import twisted_differential  # noqa: F401  (the benchmark's tracer wraps it here)
 from .errors import (CompositionError, DegreeError, NotInvertibleError,
                      StructureError)
-from .groupoid import FiniteGroupoid, validate_groupoid
+from .groupoid import FiniteGroupoid, third_arrow_rows, validate_groupoid
 from .linalg import ZERO, LinearMap
 from .reports import Report
 
@@ -95,7 +97,11 @@ def validate_ruth(r: Ruth) -> Report:
     """The base groupoid's axioms, then unitality, normalization, and the
     four structure identities, with one report entry per violating arrow,
     pair, or triple.  The identities are only evaluated over a base that
-    is a groupoid."""
+    is a groupoid.  Identity 4 is checked once per composable pair (g1,
+    g2), on one row block whose columns run over every g3 after the pair
+    in the nerve (:func:`~ruthvb.groupoid.third_arrow_rows`), in two
+    products; a nonzero block is cut back into its g3 column blocks and
+    each nonzero one reported at its own triple, in nerve order."""
     g, c = r.groupoid, r.complex
     rep = Report("ruth")
     rep.extend(validate_groupoid(g), prefix="groupoid: ")
@@ -119,13 +125,25 @@ def validate_ruth(r: Ruth) -> Report:
                    r.lambda0[g12] - r.lambda0[g1] @ r.lambda0[g2])
         rep.expect("identity-3", loc, c.diff[g.tgt[g1]] @ r.omega[(g1, g2)],
                    r.lambda1[g12] - r.lambda1[g1] @ r.lambda1[g2])
-    for (g1, g2, g3) in g.nerve_tuples(3):
-        total = (r.lambda0[g1] @ r.omega[(g2, g3)]
-                 - r.omega[(g.comp[(g1, g2)], g3)]
-                 + r.omega[(g1, g.comp[(g2, g3)])]
-                 - r.omega[(g1, g2)] @ r.lambda1[g3])
-        if not total.is_zero():
-            rep.add("identity-4", f"({g1},{g2},{g3})", "zero", repr(total))
+    # identity 4 on one row block per composable pair (g1, g2), its columns
+    # running over every g3 after the pair in the nerve: the rows of omega
+    # at an arrow and of lambda1 at an object are built once, the middle row
+    # once per pair.  A nonzero block is cut back into its g3 column blocks.
+    omegas, lambdas = third_arrow_rows(g, r.omega, r.lambda1)
+    for (g1, g2), triples in groupby(g.nerve_tuples(3), itemgetter(0, 1)):
+        g3s = [t[2] for t in triples]
+        total = (r.lambda0[g1] @ omegas[g2]
+                 - omegas[g.comp[(g1, g2)]]
+                 + linalg.hstack(*(r.omega[(g1, g.comp[(g2, g3)])] for g3 in g3s))
+                 - r.omega[(g1, g2)] @ lambdas[g.src[g2]])
+        if total.is_zero():
+            continue
+        end = 0
+        for g3 in g3s:
+            start, end = end, end + c.dim1[g.src[g3]]
+            block = total.block(0, total.rows, start, end)
+            if not block.is_zero():
+                rep.add("identity-4", f"({g1},{g2},{g3})", "zero", repr(block))
     return rep
 
 

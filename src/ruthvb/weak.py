@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from . import linalg
 from .errors import CompositionError, StructureError, ValidationError
-from .groupoid import FiniteGroupoid, trivial_groupoid, validate_groupoid
+from .groupoid import (FiniteGroupoid, third_arrow_rows, trivial_groupoid,
+                       validate_groupoid)
 from .linalg import LinearMap
 from .reports import ColumnCheck, Report
 from .vb import VBGroupoid, VBMap, validate_vb, validate_vb_map
@@ -77,7 +80,13 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
     """Per-condition sweep: the acting groupoid's axioms, then the bundle's,
     action functoriality, unitality, associator typing, naturality,
     pentagon, and the unit coherences, all on canonical fiber bases.  The
-    action is only checked over an acting groupoid that is a groupoid."""
+    action is only checked over an acting groupoid that is a groupoid.
+    The pentagon is checked once per composable pair (g1, g2), on one
+    block whose columns run over the object fiber bases at src g3 for
+    every g3 after the pair in the nerve
+    (:func:`~ruthvb.groupoid.third_arrow_rows`), in two products of the
+    bundle; each failing column is reported at its own triple, in nerve
+    order (the ``blocks`` of :meth:`~ruthvb.reports.Report.expect_columns`)."""
     g = w.groupoid
     rep = Report("weak-representation")
     rep.extend(validate_groupoid(g), prefix="groupoid: ")
@@ -116,14 +125,22 @@ def validate_weak_representation(w: WeakRepresentation) -> Report:
         r_got, got = w.bundle.multiply(t1, t1, cell @ w.bundle.ttilde[s2], w.a1[g1] @ w.a1[g2])
         rep.expect_columns(loc, [ColumnCheck("associator-naturality", want, got,
                                              (r_want, r_got), "composable cells")])
-    # the pentagon on the basis of the object fiber at src(g3)
-    for (g1, g2, g3) in g.nerve_tuples(3):
-        g12, g23 = g.comp[(g1, g2)], g.comp[(g2, g3)]
+    # the pentagon on the bases of the object fibers at src(g3), side by side
+    # over every g3 after the composable pair (g1, g2) in the nerve: the rows
+    # of alpha at an arrow and of A0 at an object are built once, the middle
+    # row once per pair.  A failing column is reported at its own triple.
+    alphas, actions = third_arrow_rows(g, w.alpha, w.a0)
+    for (g1, g2), triples in groupby(g.nerve_tuples(3), itemgetter(0, 1)):
+        g3s = [t[2] for t in triples]
         t1 = g.tgt[g1]
-        r_want, want = w.bundle.multiply(t1, t1, w.alpha[(g12, g3)], w.alpha[(g1, g2)] @ w.a0[g3])
-        r_got, got = w.bundle.multiply(t1, t1, w.alpha[(g1, g23)], w.a1[g1] @ w.alpha[(g2, g3)])
-        rep.expect_columns(f"({g1},{g2},{g3})", [
-            ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")])
+        r_want, want = w.bundle.multiply(t1, t1, alphas[g.comp[(g1, g2)]],
+                                         w.alpha[(g1, g2)] @ actions[g.src[g2]])
+        r_got, got = w.bundle.multiply(
+            t1, t1, linalg.hstack(*(w.alpha[(g1, g.comp[(g2, g3)])] for g3 in g3s)),
+            w.a1[g1] @ alphas[g2])
+        rep.expect_columns(f"({g1},{g2})", [
+            ColumnCheck("pentagon", want, got, (r_want, r_got), "composable cells")],
+            ((f"({g1},{g2},{g3})", w.bundle.objdim[g.src[g3]]) for g3 in g3s))
     for a in g.arrows:
         s, t = g.src[a], g.tgt[a]
         rep.expect("unit-coherence-right", a, w.a1[a] @ w.bundle.utilde[s],

@@ -552,3 +552,36 @@ def test_column_checks_report_exact_entries_in_order():
     alone = Report("t")
     alone.expect_columns("w", [passing, passing])
     assert alone.entries == []
+
+
+def test_column_blocks_report_as_one_call_per_block():
+    """``expect_columns`` with ``blocks`` records, block by block, the
+    entries of one call per block on its own columns cut out, an empty
+    block among them; a passing check never reads its blocks."""
+    want = LinearMap.from_rows([[1, 0, 2, 5], [0, 1, 0, 1]])
+    checks = [ColumnCheck("c", want, LinearMap.from_rows([[1, 9, 2, 5], [0, 1, 0, 0]]),
+                          (LinearMap.from_rows([[0, 0, 1, 0]]),), "cells"),
+              ColumnCheck("d", want, LinearMap.from_rows([[3, 0, 2, 5], [0, 1, 0, 4]]))]
+    blocks = [("p", 2), ("q", 0), ("r", 1), ("s", 1)]
+    rep, per_block = Report("t"), Report("t")
+    rep.expect_columns("w", checks, iter(blocks))
+    start = 0
+    for name, width in blocks:
+        cut = [ColumnCheck(c.check, *(m.block(0, m.rows, start, start + width)
+                                      for m in (c.want, c.got)),
+                           [r.block(0, r.rows, start, start + width) for r in c.residuals],
+                           c.label) for c in checks]
+        per_block.expect_columns(name, cut)
+        start += width
+    assert rep.entries == per_block.entries
+    assert [(e.check, e.location) for e in rep.entries] == [
+        ("d", "p basis 0"), ("c", "p basis 1"), ("c", "r basis 0"), ("c", "s basis 0"),
+        ("d", "s basis 0")]
+
+    def unread():
+        raise AssertionError("a passing check read its blocks")
+        yield
+
+    passing = Report("t")
+    passing.expect_columns("w", [ColumnCheck("c", want, want)], unread())
+    assert passing.entries == []

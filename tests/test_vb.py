@@ -17,7 +17,7 @@ from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import (FIXTURES, pair_strict_ruth, stretched_line_ruth,
                                      z2_ruth, z2_ruth_broken4)
 from ruthvb.linalg import LinearMap
-from ruthvb.ruth import compose_morphisms, identity_morphism
+from ruthvb.ruth import compose_morphisms, identity_morphism, validate_ruth
 from ruthvb.semidirect import psi_morphism, semidirect
 from ruthvb.twoterm import phi_object, split_bundle
 from ruthvb.vb import (Connection, VBGroupoid, connection_report, find_unital_connection,
@@ -547,6 +547,42 @@ def test_validate_vb_makes_two_fused_products_per_triple(monkeypatch):
             assert validate_vb(x).passed
             g = x.base
             assert len(calls) == 4 * len(g.arrows) + 2 * len(g.nerve_tuples(3))
+
+
+def test_pentagon_makes_two_products_per_pair(monkeypatch):
+    """``validate_weak_representation`` calls ``VBGroupoid.multiply`` six
+    times per point for the bundle, once per arrow, twice per composable
+    pair for naturality and twice per pair for the pentagon, however many
+    triples follow the pair."""
+    calls = []
+    multiply = VBGroupoid.multiply
+    monkeypatch.setattr(VBGroupoid, "multiply",
+                        lambda self, *args: calls.append(args) or multiply(self, *args))
+    rng = random.Random(31)
+    for base in (pair_groupoid(["x", "y", "z"]), cyclic_groupoid(4)):
+        for _ in range(3):
+            w = wrep_from_ruth(gen.random_ruth(rng, base, max_dim=2))
+            calls.clear()
+            assert validate_weak_representation(w).passed
+            assert len(base.nerve_tuples(3)) > len(base.comp)
+            assert len(calls) == 6 * len(base.objects) + len(base.arrows) + 4 * len(base.comp)
+
+
+def test_identity_4_makes_two_products_per_pair(monkeypatch):
+    """``validate_ruth`` makes two products per arrow for identity 1, two
+    per composable pair for each of identities 2 and 3, and two per pair
+    for identity 4, however many triples follow the pair."""
+    calls = []
+    matmul = LinearMap.__matmul__
+    monkeypatch.setattr(LinearMap, "__matmul__",
+                        lambda self, other: calls.append(other) or matmul(self, other))
+    rng = random.Random(37)
+    for base in (pair_groupoid(["x", "y", "z"]), cyclic_groupoid(4)):
+        for _ in range(3):
+            r = gen.random_ruth(rng, base, max_dim=2)
+            calls.clear()
+            assert validate_ruth(r).passed
+            assert len(calls) == 2 * len(base.arrows) + 6 * len(base.comp)
 
 
 # sha256 of the validate_vb and validate_weak_representation reports, seconds

@@ -10,8 +10,16 @@ process under ``sys.settrace`` and ``threading.settrace``.  Every module under
 ``src/ruthvb`` is then parsed, and each statement inside a function body
 (docstrings aside) whose lines never ran is printed as ``path:line: text``,
 module by module.  A compound statement counts as run when its header ran.
-The exit status is pytest's when a test fails; otherwise it is 1 when any
-statement is listed and 0 when none is, so the whole suite is a gate.
+
+Python drops a trace function that raises, as a tracer called near the
+recursion limit does (hypothesis's garbage-collector callback can run while
+the JSON decoder is deep in a nested test file), and a test can stop tracing
+in other ways too, so a plugin passed to ``pytest.main`` checks
+``sys.gettrace()`` after each test and re-installs the tracer when it is
+gone; the lines that ran while it was gone are not seen.  The exit status
+is pytest's when a test fails; otherwise it is 2 when the tracer was lost,
+naming the first test during which it was, then 1 when any statement is
+listed and 0 when none is, so the whole suite is a gate.
 
 Only code that runs in this interpreter is seen: a test that starts a
 subprocess (a fresh import, the benchmark's self-test) adds nothing.  A line
@@ -31,9 +39,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ruthvb"
 
 
+class _Watch:
+    """pytest plugin: after each test, re-install ``tracer`` if it is no
+    longer the trace function, and keep the first such test's id."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.lost: str | None = None
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        if sys.gettrace() is not self.tracer:
+            self.lost = self.lost or nodeid
+            sys.settrace(self.tracer)
+
+
 def _trace_lines(run):
-    """Run ``run()``; return its result and the lines it executed, per file
-    under PACKAGE."""
+    """Run ``run(plugin)``, ``plugin`` a :class:`_Watch` on the tracer;
+    return its result, the lines it executed, per file under PACKAGE, and
+    the first test during which the tracer was lost, or None."""
     prefix = str(PACKAGE)
     ran: dict[str, set[int]] = {}
 
@@ -51,14 +74,15 @@ def _trace_lines(run):
         lines.add(frame.f_lineno)
         return local_trace
 
+    watch = _Watch(global_trace)
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
-        result = run()
+        result = run(watch)
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return result, ran
+    return result, ran, watch.lost
 
 
 def _header_lines(stmt: ast.stmt) -> range:
@@ -110,7 +134,8 @@ def main(argv: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(PACKAGE.parent))
-    status, ran = _trace_lines(lambda: pytest.main(argv or ["-q", str(ROOT / "tests")]))
+    status, ran, lost = _trace_lines(
+        lambda watch: pytest.main(argv or ["-q", str(ROOT / "tests")], plugins=[watch]))
     listed = 0
     for path, missed in never_run(ran).items():
         source = path.read_text().splitlines()
@@ -119,7 +144,10 @@ def main(argv: list[str]) -> int:
         for line in missed:
             print(f"  {name}:{line}: {source[line - 1].strip()}")
         listed += len(missed)
-    return int(status) or int(listed > 0)
+    if lost is not None:
+        print(f"the tracer was lost during {lost} and re-installed after it;"
+              " the lines that ran while it was gone are missing from this list")
+    return int(status) or (2 if lost is not None else int(listed > 0))
 
 
 if __name__ == "__main__":
