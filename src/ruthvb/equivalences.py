@@ -97,10 +97,8 @@ def wrep_from_ruth_morphism(m: RuthMorphism, validate: bool = True) -> Equivaria
     g = m.source.groupoid
     src = wrep_from_ruth(m.source, validate=False)
     tgt = wrep_from_ruth(m.target, validate=False)
-    delta = {}
-    for a in g.arrows:
-        s, t = g.src[a], g.tgt[a]
-        delta[a] = linalg.vstack(-m.mu[a], m.phi1[t] @ m.source.lambda1[a])
+    delta = {a: linalg.vstack(-m.mu[a], m.phi1[g.tgt[a]] @ m.source.lambda1[a])
+             for a in g.arrows}
     return EquivariantMap(
         src, tgt,
         {x: m.phi1[x] for x in g.objects},

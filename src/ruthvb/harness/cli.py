@@ -94,25 +94,43 @@ def cmd_validate(args) -> int:
     return _emit(report, args.format)
 
 
+def _kernel_action_certified(v, result) -> bool:
+    """Whether the isomorphism that ``vb_to_wrep`` verified runs from the
+    action groupoid of the weak representation it returned onto ``v``: the
+    certificate is bound to the output, not only to what the conversion
+    built before it returned."""
+    return result.iso.target == v and action_groupoid_bundle(result.wrep) == result.iso.source
+
+
+def _recovery_certified(w, r, witness) -> bool:
+    """Whether the equivariant witness of a recovery runs from the weak
+    representation of the recovered ``r`` onto the input ``w``."""
+    return witness.target == w and wrep_from_ruth(r, validate=False) == witness.source
+
+
 def _wrep_to_ruth(w):
     out, witness = ruth_from_wrep_with_witness(w)
     validate_equivariant(witness).require(ValidationError, "witness fails validation")
-    return out, {"witness": "validated equivariant isomorphism onto the input"}
+    return (out, {"witness": "validated equivariant isomorphism onto the input"},
+            lambda: _recovery_certified(w, out, witness))
 
 
 def _vb_to_wrep(v):
     result = vb_to_wrep(v, validate=False)
-    return result.wrep, {"connection": result.connection.rule,
-                         "witness": "validated action-groupoid isomorphism onto the input"}
+    return (result.wrep, {"connection": result.connection.rule,
+                          "witness": "validated action-groupoid isomorphism onto the input"},
+            lambda: _kernel_action_certified(v, result))
 
 
-# Each supported edge's converter: a validated input to the output and the
-# metadata written with it.
+# Each supported edge's converter: a validated input to the output, the
+# metadata written with it, and for an edge that verifies a witness, a test
+# that the witness certifies the output, run once the output is valid
+# (None for the edges that verify none).
 CONVERSIONS = {
-    ("ruth", "wrep"): lambda r: (wrep_from_ruth(r, validate=False), {}),
+    ("ruth", "wrep"): lambda r: (wrep_from_ruth(r, validate=False), {}, None),
     ("wrep", "ruth"): _wrep_to_ruth,
-    ("ruth", "vb"): lambda r: (semidirect(r, validate=False), {}),
-    ("wrep", "vb"): lambda w: (action_groupoid_bundle(w), {}),
+    ("ruth", "vb"): lambda r: (semidirect(r, validate=False), {}, None),
+    ("wrep", "vb"): lambda w: (action_groupoid_bundle(w), {}, None),
     ("vb", "wrep"): _vb_to_wrep,
 }
 
@@ -124,10 +142,12 @@ def cmd_convert(args) -> int:
     kind, obj = _read(args.file, args.from_kind)
     if _refused(kind, obj, f"input {kind} {args.file}"):
         return 1
-    out, metadata = convert(obj)
+    out, metadata, certified = convert(obj)
     metadata["conversion"] = f"{args.from_kind}->{args.to_kind}"
     if _refused(args.to_kind, out, "converted output"):
         return 1
+    if certified is not None and not certified():
+        raise ValidationError("the verified witness does not certify the converted output")
     text = serialize.dumps_instance(args.to_kind, out, metadata)
     if args.out:
         Path(args.out).write_text(text)
@@ -159,16 +179,24 @@ def _pipeline_ruth_vb(args, rng, obj, report, trial):
 
 def _pipeline_vb_wrep(args, rng, obj, report, trial):
     # vb_to_wrep raises unless its identification with the input is an isomorphism
-    res = vb_to_wrep(_draw(args, rng, obj, generators.random_vb), validate=False)
-    report.extend(validate_weak_representation(res.wrep),
-                  prefix=f"trial {trial}: kernel action: ")
+    v = _draw(args, rng, obj, generators.random_vb)
+    res = vb_to_wrep(v, validate=False)
+    valid = validate_weak_representation(res.wrep)
+    report.extend(valid, prefix=f"trial {trial}: kernel action: ")
+    if valid.passed and not _kernel_action_certified(v, res):
+        report.add("witness-binding", f"trial {trial}: kernel action",
+                   "the isomorphism certifies this output", "it certifies another")
 
 
 def _pipeline_wrep_ruth(args, rng, obj, report, trial):
     w = _draw(args, rng, obj, generators.random_wrep)
     r, witness = ruth_from_wrep_with_witness(w)
-    report.extend(validate_ruth(r), prefix=f"trial {trial}: recovered: ")
+    valid = validate_ruth(r)
+    report.extend(valid, prefix=f"trial {trial}: recovered: ")
     report.extend(validate_equivariant(witness), prefix=f"trial {trial}: witness: ")
+    if valid.passed and not _recovery_certified(w, r, witness):
+        report.add("witness-binding", f"trial {trial}: recovered",
+                   "the witness certifies this output", "it certifies another")
 
 
 def _pipeline_triangle(args, rng, obj, report, trial):

@@ -42,7 +42,15 @@ no second block and no cut, and returns one map.  The cost of building one
 grows with m * k * n, so a product of more than ``MAX_PRODUCT_TERMS``
 terms, or an empty one, runs a loop instead, forming a term only where
 both factors are nonzero; a skipped term is an exact zero, so the result
-is the same exact rational the dense sums give.  :meth:`LinearMap.apply`,
+is the same exact rational the dense sums give.  ``@`` and
+``split_product`` decide the common case first and call the generated
+function of its shape themselves: consistent shapes, no second block or
+one over the first block's denominator, and at most ``MAX_PRODUCT_TERMS``
+terms.  Everything else goes through ``_product``: scaling two
+denominators, the loop, empty products and every shape error.  The
+generated functions and the loop are the only arithmetic either way.
+Sums, differences and negation map ``operator.add``, ``sub`` and ``neg``
+over the numerators.  :meth:`LinearMap.apply`,
 ``vec_add`` and ``vec_sub`` act on single vectors of ``Fraction`` s and
 form every term: the structure checks and conversions run on whole
 blocks, so only the cochain layer and reference computations call them.
@@ -58,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, neg, sub
 from typing import Collection, Optional, Sequence
 
 from .errors import DimensionError, NotInvertibleError, NotSurjectiveError, StructureError
@@ -435,10 +443,15 @@ class LinearMap:
     # algebra ---------------------------------------------------------------
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        """The product self * other, over the product of the denominators,
-        from the generated function of its shape ``(m, k, n)``; a product
-        of more than ``MAX_PRODUCT_TERMS`` terms forms a term only where
-        both factors are nonzero."""
+        """The product self * other, over the product of the denominators.
+        The common case is decided first: consistent shapes and at most
+        ``MAX_PRODUCT_TERMS`` terms call the generated function of the shape
+        ``(m, k, n)`` directly; an empty product, a larger one and a shape
+        error go through ``_product``."""
+        m, k, n = self._rows, self._cols, other._cols
+        if k == other._rows and 0 < m * k * n <= MAX_PRODUCT_TERMS:
+            return _product_kernel(m, k, 0, n, None)(self._nums, other._nums, (), 1, 1,
+                                                     self._den * other._den)
         return _product(self, other, None, None)
 
     def split_product(self, top: "LinearMap", bottom: Optional["LinearMap"] = None, *,
@@ -446,23 +459,45 @@ class LinearMap:
         """``self @ vstack(top, bottom)`` split after its first ``cut`` rows,
         from one generated function, without building the stack, the whole
         product or its halves: the same numerators over the same
-        denominator ``self.den * lcm(top.den, bottom.den)``."""
+        denominator ``self.den * lcm(top.den, bottom.den)``.  The common case
+        is decided first: consistent shapes, no ``bottom`` or one over
+        ``top``'s denominator, and at most ``MAX_PRODUCT_TERMS`` terms call
+        the generated function of the shape directly; two denominators, an
+        empty product, a larger one and a shape error go through
+        ``_product``."""
+        m, k1, n = self._rows, top._rows, top._cols
+        if bottom is None:
+            k2, c = 0, ()
+        elif bottom._cols == n and bottom._den == top._den:
+            k2, c = bottom._rows, bottom._nums
+        else:
+            return _product(self, top, bottom, cut)
+        k = k1 + k2
+        if self._cols == k and 0 <= cut <= m and 0 < m * k * n <= MAX_PRODUCT_TERMS:
+            return _product_kernel(m, k1, k2, n, cut)(self._nums, top._nums, c, 1, 1,
+                                                      self._den * top._den)
         return _product(self, top, bottom, cut)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        if (self._rows, self._cols) != (other._rows, other._cols):
+        rows, cols = self._rows, self._cols
+        if other._rows != rows or other._cols != cols:
             raise DimensionError("shape mismatch in sum")
+        if self._den == other._den:
+            return LinearMap(rows, cols, tuple(map(add, self._nums, other._nums)), self._den)
         den, (a, b) = _over_lcm((self, other))
-        return LinearMap(self._rows, self._cols, tuple(x + y for x, y in zip(a, b)), den)
+        return LinearMap(rows, cols, tuple(map(add, a, b)), den)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        if (self._rows, self._cols) != (other._rows, other._cols):
+        rows, cols = self._rows, self._cols
+        if other._rows != rows or other._cols != cols:
             raise DimensionError("shape mismatch in difference")
+        if self._den == other._den:
+            return LinearMap(rows, cols, tuple(map(sub, self._nums, other._nums)), self._den)
         den, (a, b) = _over_lcm((self, other))
-        return LinearMap(self._rows, self._cols, tuple(x - y for x, y in zip(a, b)), den)
+        return LinearMap(rows, cols, tuple(map(sub, a, b)), den)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self._rows, self._cols, tuple(-x for x in self._nums), self._den)
+        return LinearMap(self._rows, self._cols, tuple(map(neg, self._nums)), self._den)
 
     def apply(self, v: Vector) -> Vector:
         """The product of this map with v, as ``Fraction`` s."""
@@ -493,15 +528,21 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def hstack(*maps: LinearMap) -> LinearMap:
-    rows = maps[0]._rows
-    if any(m._rows != rows for m in maps):
-        raise DimensionError("hstack needs equal row counts")
+    """The maps side by side, over the lcm of their denominators; maps over
+    one denominator keep it."""
+    rows, widths = maps[0]._rows, []
+    for m in maps:
+        if m._rows != rows:
+            raise DimensionError("hstack needs equal row counts")
+        widths.append(m._cols)
     den, parts = _over_lcm(maps)
+    if rows == 1:
+        return LinearMap(1, sum(widths), tuple(chain.from_iterable(parts)), den)
     nums = []
     for i in range(rows):
-        for m, part in zip(maps, parts):
-            nums.extend(part[i * m._cols:(i + 1) * m._cols])
-    return LinearMap(rows, sum(m._cols for m in maps), tuple(nums), den)
+        for w, part in zip(widths, parts):
+            nums += part[i * w:(i + 1) * w]
+    return LinearMap(rows, sum(widths), tuple(nums), den)
 
 
 def vstack(*maps: LinearMap) -> LinearMap:

@@ -80,10 +80,10 @@ class Report:
                 self.add(c.check, where, f"{want.rows}x{want.cols} block",
                          f"{got.rows}x{got.cols} block")
                 continue
+            broken = [r for r in c.residuals if not r.is_zero()]
             unequal = want.unequal_columns(got)
-            broken = [r.nonzero_columns() for r in c.residuals if not r.is_zero()]
             if broken or unequal:
-                broken = set().union(*broken)
+                broken = set().union(*(r.nonzero_columns() for r in broken))
                 failed.append((c, broken, unequal - broken))
         if not failed:
             return

@@ -132,9 +132,12 @@ class VBGroupoid:
         over g2, from one fused integer product: the pair operator times
         ``left`` stacked on ``right``, split after the residual rows
         (:meth:`LinearMap.split_product`).  The column is composable exactly
-        when its residual is zero."""
-        return self.pair_operator(g1, g2).split_product(
-            left, right, cut=self.objdim[self.base.src[g1]])
+        when its residual is zero.  The cached pair operator is read
+        directly, and built by :meth:`pair_operator` on the pair's first use."""
+        operator = self._pair_operators.get((g1, g2))
+        if operator is None:
+            operator = self.pair_operator(g1, g2)
+        return operator.split_product(left, right, cut=self.objdim[self.base.src[g1]])
 
     def product(self, g1: str, g2: str, left: LinearMap,
                 right: LinearMap) -> LinearMap:

@@ -7,7 +7,7 @@ import pytest
 
 from ruthvb import equivalences
 from ruthvb.errors import NotInducedError, StructureError, ValidationError
-from ruthvb.groupoid import pair_groupoid, transitive_groupoid, z2_groupoid
+from ruthvb.groupoid import cyclic_groupoid, pair_groupoid, transitive_groupoid, z2_groupoid
 from ruthvb.harness import generators as gen
 from ruthvb.harness.fixtures import pair_strict_ruth, stretched_line_ruth, z2_ruth
 from ruthvb.linalg import LinearMap, kernel_basis, compose
@@ -17,7 +17,7 @@ from ruthvb.twoterm import TwoTermComplex, phi_object
 from ruthvb.vb import (Connection, connection_report, find_unital_connection,
                        validate_vb, validate_vb_map, vb_map_is_isomorphism)
 from ruthvb.weak import (EquivariantMap, WeakRepresentation, act_on_morphism,
-                         validate_weak_representation)
+                         validate_equivariant, validate_weak_representation)
 from ruthvb.equivalences import (connection_change_witness, reconstruct_equivariant,
                                  ruth_from_wrep, ruth_morphism_from_wrep_map,
                                  triangle_witness, vb_to_wrep, wrep_from_ruth,
@@ -219,9 +219,9 @@ def test_kernel_action_refuses_a_connection_of_another_vb_groupoid():
         vb_to_wrep(v, find_unital_connection(other))
 
 
-def test_two_connections_give_equivalent_actions():
-    rng = random.Random(36)
-    v, _, _ = gen.scramble_vb(rng, semidirect(z2_ruth(1), validate=False))
+def _perturbed_connection(rng, v):
+    """Another unital connection of v: the first one found, moved along
+    ker stilde at every arrow that is not a unit and has such a kernel."""
     first = find_unital_connection(v)
     sigma2 = dict(first.sigma)
     g = v.base
@@ -241,8 +241,28 @@ def test_two_connections_give_equivalent_actions():
     assert changed
     second = Connection(v, sigma2, rule="perturbed")
     assert connection_report(second).passed
+    return first, second
+
+
+def test_two_connections_give_equivalent_actions():
+    rng = random.Random(36)
+    v, _, _ = gen.scramble_vb(rng, semidirect(z2_ruth(1), validate=False))
+    first, second = _perturbed_connection(rng, v)
     witness = connection_change_witness(v, first, second)
-    from ruthvb.weak import validate_equivariant
+    assert validate_equivariant(witness).passed
+
+
+@pytest.mark.parametrize("base", [pair_groupoid(["x", "y"]), cyclic_groupoid(3)],
+                         ids=["pair", "C3"])
+def test_two_connections_give_equivalent_actions_over_arrows_that_are_not_involutions(base):
+    """The cell of the witness at a reads the first connection at a and the
+    inverse map at a, through the pair (a, a^-1); over Z/2 every arrow is its
+    own inverse, so only a base with other arrows tells a^-1 from a."""
+    rng = random.Random(37)
+    v = gen.random_vb(rng, base, max_dim=2)
+    assert any(base.inv[a] != a for a in base.arrows)
+    first, second = _perturbed_connection(rng, v)
+    witness = connection_change_witness(v, first, second)
     assert validate_equivariant(witness).passed
 
 

@@ -467,7 +467,7 @@ def test_cli_convert_refuses_an_output_that_fails_its_validator(monkeypatch, cap
     convert print that report, subject ``converted output``, and write
     nothing."""
     broken = semidirect(fixtures.z2_ruth_broken4(), validate=False)
-    monkeypatch.setitem(cli.CONVERSIONS, ("ruth", "vb"), lambda r: (broken, {}))
+    monkeypatch.setitem(cli.CONVERSIONS, ("ruth", "vb"), lambda r: (broken, {}, None))
     src = str(REPO_FIXTURES / "z2-ruth-1.json")
     assert main(["convert", src, "--from", "ruth", "--to", "vb"]) == 1
     out, err = capsys.readouterr()
@@ -621,13 +621,14 @@ def _fixture(name: str):
 # Row 1 of this kernel bundle's arrow fiber is the kernel of both its source
 # and its target map, and these representations of Z/2 have no degree-2
 # cohomology, so moving alpha(g,g) along it gives another valid weak
-# representation isomorphic to the input: a path that checks the output is
-# valid passes it, and only ruth-vb, which recovers its input on the nose,
-# refuses it.
+# representation isomorphic to the input: a path that only checks the output
+# is valid passes it.  ruth-vb refuses it because it recovers its input on
+# the nose, vb-wrep and convert because the kernel-action isomorphism was
+# verified for the weak representation before the bump.
 ISOTROPY_BUMP = ("alpha", ("g", "g"), 1, 0)
 
 
-@pytest.mark.parametrize("source, argv, bundle_code, passed", [
+@pytest.mark.parametrize("source, argv, bundle_code, valid", [
     (lambda: semidirect(_fixture("z2-ruth-1.json"), validate=False),
      ["roundtrip", "z2-ruth-1.json", "--pipeline", "ruth-vb", "--trials", "1"], 1, []),
     (lambda: _fixture("z2-ruth-1-vb-scrambled.json"),
@@ -638,12 +639,14 @@ ISOTROPY_BUMP = ("alpha", ("g", "g"), 1, 0)
       "--out", os.devnull], 1, [ISOTROPY_BUMP]),
 ], ids=["ruth-vb", "vb-wrep", "convert"])
 def test_no_one_entry_mutant_of_a_kernel_action_is_accepted_unless_valid(
-        monkeypatch, capsys, source, argv, bundle_code, passed):
+        monkeypatch, capsys, source, argv, bundle_code, valid):
     """Every entry of the weak representation that vb_to_wrep returns, and
     of its kernel bundle, bumped one at a time after vb_to_wrep has
-    certified it.  A failing check exits 1.  ruth-vb meets a bundle mutant
-    in split_bundle, whose refusal of an input that was read and validated
-    is a check failure (exit 1), not a parse error; an inverse-map mutant is
+    certified it.  A failing check exits 1, and no mutant is accepted: the
+    ones that are still ``valid`` are refused as outputs that the verified
+    isomorphism does not certify.  ruth-vb meets a bundle mutant in
+    split_bundle, whose refusal of an input that was read and validated is
+    a check failure (exit 1), not a parse error; an inverse-map mutant is
     refused there by inverse compatibility alone."""
     convert = cli.vb_to_wrep
     labels = _entries(convert(source(), validate=False).wrep, ACTION_TABLES + BUNDLE_TABLES)
@@ -655,10 +658,14 @@ def test_no_one_entry_mutant_of_a_kernel_action_is_accepted_unless_valid(
             return dataclasses.replace(res, wrep=gen.bumped(res.wrep, *label, 1))
 
         monkeypatch.setattr(cli, "vb_to_wrep", mutated)
-        outcomes[label] = main(argv), capsys.readouterr().err
-    assert [label for label, (code, _) in outcomes.items() if code == 0] == passed
-    assert {(label[0], code) for label, (code, _) in outcomes.items() if code} == (
+        code, (out, err) = main(argv), capsys.readouterr()
+        outcomes[label] = code, out + err
+    assert [label for label, (code, _) in outcomes.items() if code == 0] == []
+    assert {(label[0], code) for label, (code, _) in outcomes.items()} == (
         {(name, 1) for name in ACTION_TABLES} | {(name, bundle_code) for name in BUNDLE_TABLES})
+    unbound = ("[witness-binding]" if "roundtrip" in argv
+               else "the verified witness does not certify the converted output")
+    assert all(unbound in outcomes[label][1] for label in valid)
     if "ruth-vb" in argv:
         assert all("check failure: " in err for label, (code, err) in outcomes.items()
                    if label[0] in BUNDLE_TABLES)
@@ -675,25 +682,75 @@ def test_no_one_entry_mutant_of_a_kernel_action_is_accepted_unless_valid(
 def test_wrep_ruth_refuses_each_recovered_representation_that_is_not_valid(
         monkeypatch, capsys, fixture, passed):
     """Every entry of the recovered representation, bumped one at a time
-    after ruth_from_wrep_with_witness returns it with its witness: the
+    after ruth_from_wrep_with_witness returns it with its witness.  The
     pipeline reports each invalid one under the trial, from its own
-    validation of the recovered representation."""
+    validation of the recovered representation, and each one that
+    validation ``passed`` as a representation that the witness does not
+    certify."""
     recover, path = cli.ruth_from_wrep_with_witness, str(REPO_FIXTURES / fixture)
     r, _ = recover(_fixture(fixture))
     labels = _entries(r, ("lambda0", "lambda1", "omega", "complex.diff"))
+    unbound = ("witness-binding", "trial 0: recovered", "the witness certifies this output")
     for label in labels:
         def mutated(w, label=label):
             out, witness = recover(w)
             return gen.bumped(out, *label, 1), witness
 
         monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", mutated)
-        if label in passed:
-            assert main(["roundtrip", path, "--pipeline", "wrep-ruth", "--trials", "1"]) == 0
-            capsys.readouterr()
-            continue
         found = _failing_roundtrip(capsys, "wrep-ruth", path)
-        assert found and all(loc.startswith("trial 0: recovered: ") for _, loc, _ in found)
+        if label in passed:
+            assert found == [unbound]
+        else:
+            assert found and all(loc.startswith("trial 0: recovered: ") for _, loc, _ in found)
     assert len(labels) > len(passed)
+
+
+def test_convert_vb_wrep_refuses_an_output_its_isomorphism_does_not_certify(
+        monkeypatch, capsys):
+    """The kernel action of the scrambled Z/2 bundle with alpha(g,g) moved
+    along the kernel after vb_to_wrep returns is a valid weak representation,
+    but not the one whose action groupoid the verified isomorphism maps onto
+    the input, so convert refuses it."""
+    convert = cli.vb_to_wrep
+
+    def mutated(v, validate):
+        res = convert(v, validate=validate)
+        return dataclasses.replace(res, wrep=gen.bumped(res.wrep, *ISOTROPY_BUMP, 1))
+
+    monkeypatch.chdir(REPO_FIXTURES)
+    argv = ["convert", "z2-ruth-1-vb-scrambled.json", "--from", "vb", "--to", "wrep"]
+    assert main(argv) == 0
+    assert validate_weak_representation(
+        serialize.load_instance(capsys.readouterr().out)[1]).passed
+    monkeypatch.setattr(cli, "vb_to_wrep", mutated)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "check failure: the verified witness does not certify the converted output\n")
+
+
+def test_convert_wrep_ruth_refuses_an_output_its_witness_does_not_certify(
+        monkeypatch, capsys):
+    """The representation recovered from the Z/2 weak representation with
+    omega(g,g) bumped after ruth_from_wrep_with_witness returns is valid,
+    but not the one the verified witness starts from, so convert refuses
+    it."""
+    recover = cli.ruth_from_wrep_with_witness
+
+    def mutated(w):
+        out, witness = recover(w)
+        return gen.bumped(out, "omega", ("g", "g"), 0, 0, 1), witness
+
+    monkeypatch.chdir(REPO_FIXTURES)
+    argv = ["convert", "z2-ruth-1-wrep.json", "--from", "wrep", "--to", "ruth"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "ruth_from_wrep_with_witness", mutated)
+    assert validate_ruth(mutated(_fixture("z2-ruth-1-wrep.json"))[0]).passed
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "check failure: the verified witness does not certify the converted output\n")
 
 
 @contextlib.contextmanager

@@ -198,34 +198,50 @@ SHAPES_BY_PATH = {
 }
 
 
+def _dense_form(f, blocks):
+    """The exact (rows, cols, nums, den) of f times the blocks stacked, from
+    plain integer sums: each block scaled to the lcm of their denominators,
+    over f.den times that lcm."""
+    lcm = math.lcm(*(b.den for b in blocks))
+    stacked = [lcm // b.den * x for b in blocks for x in b.nums]
+    k, n = f.cols, blocks[0].cols
+    nums = tuple(sum(f.nums[i * k + l] * stacked[l * n + j] for l in range(k))
+                 for i in range(f.rows) for j in range(n))
+    return f.rows, n, nums, f.den * lcm
+
+
+def _split_form(form, cut):
+    rows, cols, nums, den = form
+    return [(cut, cols, nums[:cut * cols], den), (rows - cut, cols, nums[cut * cols:], den)]
+
+
 @pytest.mark.parametrize("kernel", [True, False], ids=["generated", "loop"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_split_product_matches_dense_reference_across_the_cap(kernel, data):
-    """f.split_product(top, bottom, cut=c) is, for every c in 0..m, exactly
-    the unfused (f @ vstack(top, bottom)).split(c): the same numerators
-    over the same denominator f.den * lcm(top.den, bottom.den), equal to
-    the dense Fraction sums.  Blocks come over equal and over different
-    denominators, 0-row blocks included, and without a second block; f @ g
-    is the case of no second block and c = m."""
+    """Every branch of the dispatch of ``@`` and ``split_product`` gives the
+    numerators and the denominator of the dense integer reference, exactly:
+    ``f @ stack``, and for every cut c in 0..m ``f.split_product(top,
+    bottom, cut=c)`` and ``f.split_product(stack, cut=c)`` with no second
+    block, where ``stack`` is ``vstack(top, bottom)``.  The two blocks come
+    over one denominator and over two, 0-row blocks included; the shapes
+    are those of the generated functions, or empty or above the cap."""
     m, k1, k2, n = data.draw(SHAPES_BY_PATH[kernel])
     f = data.draw(wide_matrix(m, k1 + k2))
     top, bottom = data.draw(wide_matrix(k1, n)), data.draw(wide_matrix(k2, n))
-    if data.draw(st.booleans(), label="equal denominators"):
-        top, bottom = _over(top, bottom.den), _over(bottom, top.den)
-    else:
-        scales = st.sampled_from([1, 2, 3, 2 ** 40 + 1])
-        top, bottom = _over(top, data.draw(scales)), _over(bottom, data.draw(scales))
-    blocks = (top, bottom)
-    if k2 == 0 and data.draw(st.booleans(), label="no second block"):
-        blocks = (top,)
-    stack = linalg.vstack(*blocks)
-    whole = f @ stack
-    assert whole == _dense_compose(f, stack) and whole.den == f.den * stack.den
-    assert stack.den == math.lcm(*(b.den for b in blocks))
-    for cut in range(m + 1):
-        halves = f.split_product(*blocks, cut=cut)
-        assert [_form(h) for h in halves] == [_form(h) for h in whole.split(cut)]
+    q = data.draw(st.sampled_from([2, 3, 2 ** 40 + 1]))
+    one_den = (_over(top, bottom.den), _over(bottom, top.den))
+    two_dens = (top, _over(bottom, q * top.den))
+    assert one_den[0].den == one_den[1].den and two_dens[0].den != two_dens[1].den
+    for blocks in (one_den, two_dens):
+        stack = linalg.vstack(*blocks)
+        whole = _dense_form(f, blocks)
+        assert _form(f @ stack) == whole == _dense_form(f, (stack,))
+        assert f @ stack == _dense_compose(f, stack)
+        for cut in range(m + 1):
+            halves = _split_form(whole, cut)
+            assert [_form(h) for h in f.split_product(*blocks, cut=cut)] == halves
+            assert [_form(h) for h in f.split_product(stack, cut=cut)] == halves
 
 
 @pytest.mark.parametrize("m, k1, k2, n", [(3, 2, 0, 3), (3, 0, 2, 3), (3, 0, 0, 3),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ruthvb import linalg, ruth
-from ruthvb.cochains import ScalarCochain, SectionCochain, twisted_differential
+from ruthvb.cochains import ScalarCochain, SectionCochain, coboundary, twisted_differential
 from ruthvb.equivalences import wrep_from_ruth
 from ruthvb.errors import (CompositionError, DegreeError, NotInvertibleError,
                            StructureError)
@@ -427,6 +427,21 @@ def test_leibniz_flags_an_operator_that_is_no_derivation(monkeypatch):
     found = [(e.check, e.location) for e in check_leibniz(r, samples).entries]
     assert found and set(found) <= {
         ("leibniz", f"sample {i}, |w|={w.degree}, |f|=1") for i, (w, _) in enumerate(samples)}
+
+
+def test_leibniz_pins_the_layer_one_sign_at_even_degree():
+    """At even |w| the layer-1 parts of (Dw) * f and w * df are added.  On
+    the layer-1 basis of total degree 2 over the pair groupoid, with f
+    taking different values at its two objects, both parts are nonzero, so
+    a sign error in that sum fails the check."""
+    r = pair_strict_ruth()
+    g = r.groupoid
+    f = ScalarCochain(g, 0, {k: i for i, k in enumerate(g.nerve_tuples(0))})
+    samples = [(w, f) for w in _total_basis(r, 2) if w.part0.is_zero()]
+    for w, _ in samples:
+        assert not ruth.star_total(total_operator(r, w), f).part1.is_zero()
+        assert not ruth.star_total(w, coboundary(f)).part1.is_zero()
+    assert len(samples) == 8 and check_leibniz(r, samples).passed
 
 
 def test_leibniz_trivial_cases():

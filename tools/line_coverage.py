@@ -6,10 +6,13 @@ Run from the repository root::
     python tools/line_coverage.py tests/test_ruth.py -k leibniz
 
 The arguments, if any, are passed to ``pytest.main``, which runs in this
-process under ``sys.settrace`` and ``threading.settrace``.  Every module under
-``src/ruthvb`` is then parsed, and each statement inside a function body
-(docstrings aside) whose lines never ran is printed as ``path:line: text``,
-module by module.  A compound statement counts as run when its header ran.
+process under ``sys.settrace`` and ``threading.settrace``.  The source of
+every module under ``src/ruthvb`` is read once, before ``pytest.main``
+starts, and that snapshot is what is parsed and printed afterwards, so a
+file edited while the tests run is not read against line numbers of the
+code that ran.  Each statement inside a function body (docstrings aside)
+whose lines never ran is printed as ``path:line: text``, module by module.
+A compound statement counts as run when its header ran.
 
 Python drops a trace function that raises, as a tracer called near the
 recursion limit does (hypothesis's garbage-collector callback can run while
@@ -118,13 +121,13 @@ def _nested(statements):
             yield from _nested(case.body)
 
 
-def never_run(ran: dict[str, set[int]]) -> dict[Path, list[int]]:
-    """For each module under PACKAGE, the first lines of the function-body
+def never_run(ran: dict[str, set[int]], sources: dict[Path, str]) -> dict[Path, list[int]]:
+    """For each module of ``sources``, the first lines of the function-body
     statements none of whose header lines ran."""
     out = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path, source in sources.items():
         lines = ran.get(str(path), set())
-        tree = ast.parse(path.read_text(), str(path))
+        tree = ast.parse(source, str(path))
         out[path] = sorted({stmt.lineno for stmt in _body_statements(tree)
                             if not lines.intersection(_header_lines(stmt))})
     return out
@@ -134,11 +137,12 @@ def main(argv: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(PACKAGE.parent))
+    sources = {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
     status, ran, lost = _trace_lines(
         lambda watch: pytest.main(argv or ["-q", str(ROOT / "tests")], plugins=[watch]))
     listed = 0
-    for path, missed in never_run(ran).items():
-        source = path.read_text().splitlines()
+    for path, missed in never_run(ran, sources).items():
+        source = sources[path].splitlines()
         name = path.relative_to(ROOT)
         print(f"{name}: {len(missed)} statement(s) never ran")
         for line in missed:
